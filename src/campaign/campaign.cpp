@@ -199,12 +199,6 @@ sim::ResetCause parse_cause(const std::string& name) {
   throw Error("merge: unknown reset cause '" + name + "'");
 }
 
-verify::Rule parse_rule(const std::string& name) {
-  for (const auto& info : verify::rule_catalog())
-    if (info.name == name) return info.rule;
-  throw Error("merge: unknown lint rule '" + name + "'");
-}
-
 MutationRecord record_from_json(const json::Value& v,
                                 std::string_view context) {
   MutationRecord record;
@@ -413,8 +407,11 @@ bool decode_trial_payload(const std::string& payload, Trial& t) {
           record_from_json(req(je, "mutations", label), "mutations");
       out.escape.minimized =
           record_from_json(req(je, "minimized", label), "minimized");
-      for (const auto& rule : req(je, "lint", label).as_array("lint"))
-        out.escape.lint.push_back(parse_rule(rule.as_string("lint")));
+      for (const auto& rule : req(je, "lint", label).as_array("lint")) {
+        const verify::RuleInfo* info = verify::find_rule(rule.as_string("lint"));
+        if (info == nullptr) return false;
+        out.escape.lint.push_back(info->rule);
+      }
     }
     t = std::move(out);
     return true;
@@ -762,8 +759,13 @@ std::string merge_json(const std::vector<std::string>& documents) {
         e.output_clean = as_bool(req(je, "output_clean", cl), cl);
         e.applied = record_from_json(req(je, "mutations", cl), "mutations");
         e.minimized = record_from_json(req(je, "minimized", cl), "minimized");
-        for (const auto& rule : req(je, "lint", cl).as_array("lint"))
-          e.lint.push_back(parse_rule(rule.as_string("lint")));
+        for (const auto& rule : req(je, "lint", cl).as_array("lint")) {
+          const std::string& name = rule.as_string("lint");
+          const verify::RuleInfo* info = verify::find_rule(name);
+          if (info == nullptr)
+            throw Error("merge: unknown lint rule '" + name + "'");
+          e.lint.push_back(info->rule);
+        }
         out.escapes.push_back(std::move(e));
       }
     }

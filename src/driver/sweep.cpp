@@ -229,12 +229,6 @@ std::string encode_job_payload(const JobResult& r) {
   return w.str();
 }
 
-verify::Rule parse_rule(const std::string& name) {
-  for (const auto& info : verify::rule_catalog())
-    if (info.name == name) return info.rule;
-  throw Error("cache payload: unknown lint rule '" + name + "'");
-}
-
 verify::Severity parse_severity(const std::string& name) {
   for (const auto s : {verify::Severity::kNote, verify::Severity::kWarning,
                        verify::Severity::kError})
@@ -262,7 +256,11 @@ bool decode_job_payload(const std::string& payload, JobResult& r) {
       if (lint == nullptr) return false;
       for (const auto& jf : lint->as_array("lint")) {
         verify::Finding f;
-        f.rule = parse_rule(req_string(jf, "rule"));
+        const std::string& rule = req_string(jf, "rule");
+        const verify::RuleInfo* info = verify::find_rule(rule);
+        if (info == nullptr)
+          throw Error("cache payload: unknown lint rule '" + rule + "'");
+        f.rule = info->rule;
         f.severity = parse_severity(req_string(jf, "severity"));
         f.block = req_int(jf, "block");
         f.insn = req_int(jf, "insn");
@@ -476,10 +474,12 @@ std::string merge_json(const std::vector<std::string>& documents) {
 
   std::string sweep_name;
   std::uint64_t total = 0;
-  std::vector<const json::Value*> by_index;
-  // Keep the parsed trees alive while by_index points into them.
+  // Reserved so the job lists (and later by_index) can point into the
+  // parsed trees.
   std::vector<json::Value> parsed;
   parsed.reserve(documents.size());
+  std::vector<const std::vector<json::Value>*> job_lists;
+  std::size_t records = 0;
 
   for (std::size_t d = 0; d < documents.size(); ++d) {
     parsed.push_back(json::parse(documents[d]));
@@ -496,7 +496,6 @@ std::string merge_json(const std::vector<std::string>& documents) {
     if (d == 0) {
       sweep_name = sweep->as_string("sweep");
       total = count->as_uint("job_count");
-      by_index.assign(total, nullptr);
     } else {
       if (sweep->as_string("sweep") != sweep_name)
         throw Error("merge: " + label + " is from sweep '" +
@@ -505,7 +504,22 @@ std::string merge_json(const std::vector<std::string>& documents) {
       if (count->as_uint("job_count") != total)
         throw Error("merge: " + label + " disagrees on job_count");
     }
-    for (const auto& job : jobs->as_array("jobs")) {
+    job_lists.push_back(&jobs->as_array("jobs"));
+    records += job_lists.back()->size();
+  }
+
+  // Checked before sizing the index on it: a job_count the inputs cannot
+  // fill is either a missing shard or a hostile number.
+  if (total > records)
+    throw Error("merge: job_count " + std::to_string(total) + " but only " +
+                std::to_string(records) +
+                " job record(s) in the inputs; the rest are missing");
+
+  // Every record lands on its own in-range index, so with total <= records
+  // the index ends up complete.
+  std::vector<const json::Value*> by_index(total, nullptr);
+  for (const auto* jobs : job_lists) {
+    for (const auto& job : *jobs) {
       const auto* index = job.find("index");
       if (index == nullptr) throw Error("merge: job record without index");
       const std::uint64_t i = index->as_uint("index");
@@ -518,11 +532,6 @@ std::string merge_json(const std::vector<std::string>& documents) {
       by_index[i] = &job;
     }
   }
-
-  for (std::uint64_t i = 0; i < total; ++i)
-    if (by_index[i] == nullptr)
-      throw Error("merge: job index " + std::to_string(i) +
-                  " is missing from the inputs");
 
   // Re-emit the canonical unsharded document: identical member order and
   // number text to what to_json() writes, so merged == unsharded, byte for

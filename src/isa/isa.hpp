@@ -130,6 +130,17 @@ constexpr bool writes_rd(Opcode op) {
            is_cond_branch(op));
 }
 
+/// The canonical return (jalr r0, lr, 0), i.e. the assembler's `ret`.
+constexpr bool is_ret(const Instruction& inst) {
+  return inst.op == Opcode::kJalr && inst.rd == kRegZero && inst.ra == kRegLr &&
+         inst.imm == 0;
+}
+
+/// Any other jalr: an indirect jump or call through a register.
+constexpr bool is_indirect_jump(const Instruction& inst) {
+  return inst.op == Opcode::kJalr && !is_ret(inst);
+}
+
 std::string_view mnemonic(Opcode op);
 
 /// Canonical register name ("r7", with "sp"/"lr" for r14/r15).

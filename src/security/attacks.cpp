@@ -14,14 +14,6 @@ sim::SimConfig bounded(sim::SimConfig config) {
   return config;
 }
 
-pipeline::DeviceProfile legacy_profile(const crypto::KeySet& keys,
-                                       const xform::Options& opts) {
-  auto profile = pipeline::DeviceProfile::with_keys(keys);
-  profile.granularity = opts.granularity;
-  profile.policy = opts.policy;
-  return profile;
-}
-
 pipeline::Pipeline attack_session(const std::string& source,
                                   pipeline::DeviceProfile profile,
                                   sim::SimConfig base_config) {
@@ -42,11 +34,6 @@ AttackHarness::AttackHarness(std::string source,
     throw Error("attack harness: clean run failed: " +
                 std::string(to_string(pipeline_.run().status)));
 }
-
-AttackHarness::AttackHarness(std::string source, crypto::KeySet keys,
-                             xform::Options opts, sim::SimConfig base_config)
-    : AttackHarness(std::move(source), legacy_profile(keys, opts),
-                    std::move(base_config)) {}
 
 AttackOutcome AttackHarness::run_tampered(std::string name,
                                           assembler::LoadImage image) const {

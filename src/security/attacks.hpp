@@ -32,15 +32,9 @@ struct AttackOutcome {
 /// session), attacked many ways.
 class AttackHarness {
  public:
-  /// Preferred: the device under attack described by one DeviceProfile.
+  /// The device under attack is described by one DeviceProfile.
   AttackHarness(std::string source, pipeline::DeviceProfile profile,
                 sim::SimConfig base_config = {});
-
-  /// Legacy spelling over raw key material + transform options (kept so
-  /// callers that sweep xform::Options keep compiling); granularity and
-  /// policy are lifted from `opts` into the profile.
-  AttackHarness(std::string source, crypto::KeySet keys,
-                xform::Options opts = {}, sim::SimConfig base_config = {});
 
   // Accessors delegate to the session's cached stages (computed in the
   // constructor) — one copy of the hardened image, owned by the pipeline.

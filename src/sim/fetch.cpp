@@ -3,15 +3,16 @@
 #include <algorithm>
 #include <utility>
 
+#include "sim/admission.hpp"
+
 namespace sofia::sim {
 
 // ---------------------------------------------------------------------------
 // VanillaFetch
 // ---------------------------------------------------------------------------
 
-VanillaFetch::VanillaFetch(const Memory& mem, ICache& icache,
-                           const SimConfig& config, std::uint32_t start_pc)
-    : mem_(mem), icache_(icache), config_(config), pc_(start_pc) {}
+VanillaFetch::VanillaFetch(Core& core, ICache& icache, std::uint32_t start_pc)
+    : core_(core), icache_(icache), pc_(start_pc) {}
 
 std::optional<FetchedInst> VanillaFetch::step(std::uint64_t cycle, bool queue_full) {
   if (waiting_ || reset_) return std::nullopt;
@@ -21,8 +22,7 @@ std::optional<FetchedInst> VanillaFetch::step(std::uint64_t cycle, bool queue_fu
     ready_at_ = cycle + icache_.access(pc_) - 1;
   }
   if (cycle < ready_at_ || queue_full) return std::nullopt;
-  const std::uint32_t word = apply_fault(config_.fault, mem_.load32(pc_));
-  const auto decoded = isa::decode(word);
+  const auto decoded = isa::decode(core_.fetch(pc_));
   if (!decoded) {
     reset_ = ResetEvent{ResetCause::kIllegalInstruction, cycle, pc_};
     return std::nullopt;
@@ -60,9 +60,9 @@ void VanillaFetch::redirect(std::uint32_t target, std::uint32_t /*from_pc*/,
 // SofiaFetch
 // ---------------------------------------------------------------------------
 
-SofiaFetch::SofiaFetch(const Memory& mem, ICache& icache, CipherEngine& engine,
+SofiaFetch::SofiaFetch(Core& core, ICache& icache, CipherEngine& engine,
                        const SimConfig& config, const assembler::LoadImage& image)
-    : mem_(mem),
+    : core_(core),
       icache_(icache),
       engine_(engine),
       config_(config),
@@ -120,16 +120,75 @@ void SofiaFetch::process_block(std::uint32_t target_word, std::uint32_t prev_wor
       std::exchange(pending_entry_check_, std::nullopt);
   if (reset_) return;
   const std::uint32_t b = config_.policy.words_per_block;
-  const std::uint32_t rel = target_word - text_base_word_;
-  const std::uint32_t offset = rel % b;
-  const std::uint32_t base_word = target_word - offset;
   ++blocks;
 
-  if (offset > 2) {
-    reset_ = ResetEvent{ResetCause::kInvalidEntry, entry_cycle, target_word * 4};
+  BlockTiming timing;
+  const Admission adm =
+      admit(target_word, text_base_word_, config_.policy,
+            [&](std::uint32_t base_word, const scheme::EntryPath& path) {
+              return open_timed(base_word, prev_word, path, entry_cycle, timing);
+            });
+  const std::uint32_t base_word = adm.base_word;
+  const Admission::Violation v = adm.check(pending);
+  if (v.fired() && !v.at_word()) {
+    // An invalid entry resets at once; a failed verification or gate check
+    // when the comparison completes. Nothing from this block may commit
+    // (the store gate would have held its stores back in the real
+    // pipeline).
+    const std::uint64_t at = v.rule == Admission::Rule::kInvalidEntry
+                                 ? entry_cycle
+                                 : timing.verify_cycle;
+    reset_ = ResetEvent{v.cause, at, adm.reset_pc(v)};
     return;
   }
-  const scheme::EntryPath path = scheme::entry_path(offset, b);
+  exit_info_[base_word + b - 1] = ExitInfo{adm.gate_indirect, adm.exit_label};
+  // Stage the decoded slots; those ahead of a word rule still issue, and
+  // the reset fires once the offending word decodes.
+  for (std::uint32_t i = 0; i < adm.insts.size(); ++i) {
+    const std::uint32_t w = adm.first_inst + i;
+    FetchedInst fi;
+    fi.inst = adm.insts[i];
+    fi.pc = (base_word + w) * 4;
+    fi.ready = timing.decrypt_done[w] + 1;
+    fi.store_gate = timing.store_gate;
+    staged_.push_back(fi);
+  }
+  if (v.fired()) {
+    reset_ = ResetEvent{v.cause, timing.decrypt_done[v.word] + 1,
+                        adm.reset_pc(v)};
+    return;
+  }
+
+  // ---- decide how fetch continues past this block ----
+  // Fall-through speculation is always sound: the sequential successor is
+  // encrypted with prevPC = this block's exit word whether the exit is a
+  // plain instruction or a not-taken conditional branch. Direct jumps are
+  // followed at decode time (the target and the prevPC are both known).
+  // Only indirect exits (jalr/ret) and halt make fetch wait.
+  const isa::Opcode exit_op = staged_.back().inst.op;
+  const std::uint64_t exit_decoded = timing.decrypt_done[b - 1] + 1;
+  if (exit_op == isa::Opcode::kJal) {
+    staged_.back().fetch_redirected = true;
+    const std::uint32_t target =
+        (base_word + b - 1) + static_cast<std::uint32_t>(staged_.back().inst.imm);
+    next_block_word_ = target;
+    cont_prev_word_ = base_word + b - 1;
+    cont_cycle_ = std::max(timing.fetch_cursor, exit_decoded);
+  } else if (exit_op == isa::Opcode::kJalr || exit_op == isa::Opcode::kHalt) {
+    waiting_ = true;
+  } else {
+    next_block_word_ = base_word + b;
+    cont_prev_word_ = base_word + b - 1;
+    cont_cycle_ = timing.fetch_cursor;
+  }
+}
+
+scheme::DeviceBlock SofiaFetch::open_timed(std::uint32_t base_word,
+                                           std::uint32_t prev_word,
+                                           const scheme::EntryPath& path,
+                                           std::uint64_t entry_cycle,
+                                           BlockTiming& timing) {
+  const std::uint32_t b = config_.policy.words_per_block;
 
   // ---- fetch words through the I-cache ----
   // The SOFIA datapath reads fetch_words_per_cycle words per cycle (the
@@ -152,11 +211,12 @@ void SofiaFetch::process_block(std::uint32_t target_word, std::uint32_t prev_wor
       ++in_cycle;
     }
     fetch_done[j] = cursor;
-    raw[j] = apply_fault(config_.fault, mem_.load32(addr));
+    raw[j] = core_.fetch(addr);
   }
+  timing.fetch_cursor = cursor;
 
   // ---- open the block through the protection scheme ----
-  const scheme::DeviceBlock dev = opener_->open(base_word, prev_word, path, raw);
+  scheme::DeviceBlock dev = opener_->open(base_word, prev_word, path, raw);
 
   // ---- replay the decrypt ops on the shared engine ----
   // Eager-issue schemes (address-only counters) start every op at block
@@ -177,7 +237,8 @@ void SofiaFetch::process_block(std::uint32_t target_word, std::uint32_t prev_wor
       ks_done[op.first + k] = prev_op_done;
   }
 
-  std::vector<std::uint64_t> decrypt_done(b, 0);
+  std::vector<std::uint64_t>& decrypt_done = timing.decrypt_done;
+  decrypt_done.assign(b, 0);
   for (const std::uint32_t j : path.sched)
     decrypt_done[j] = std::max(fetch_done[j], ks_done[j]);
 
@@ -194,84 +255,15 @@ void SofiaFetch::process_block(std::uint32_t target_word, std::uint32_t prev_wor
   }
   for (const std::uint32_t w : dev.verify_extra_words)
     chain_ready = std::max(chain_ready, decrypt_done[w]);
-  const std::uint64_t verify_cycle = chain_ready + 1;
+  timing.verify_cycle = chain_ready + 1;
   if (dev.performs_verify) ++verifications;
-
-  // ---- decode, check placement rules, stage deliveries ----
-  if (dev.verify_cause != ResetCause::kNone) {
-    // The scheme's verification failed: tampered instructions or tampered
-    // control flow. Reset fires when the comparison completes; nothing
-    // from this block may commit (the store gate would have held its
-    // stores back in the real pipeline).
-    reset_ = ResetEvent{dev.verify_cause, verify_cycle, base_word * 4};
-    return;
-  }
-  // ---- forward-edge gate ----
-  // An indirect transfer must land on an entry whose sealed label matches
-  // the source exit's; the check fires with the verification (both labels
-  // are authenticated block state).
-  if (pending && (!dev.gate_indirect || dev.entry_label == 0 ||
-                  dev.entry_label != *pending)) {
-    reset_ = ResetEvent{ResetCause::kTargetSetViolation, verify_cycle,
-                        base_word * 4};
-    return;
-  }
-  exit_info_[base_word + b - 1] = ExitInfo{dev.gate_indirect, dev.exit_label};
   // An unauthenticated scheme never gates stores (there is no
   // verification to wait for).
-  const std::uint64_t gate =
-      dev.performs_verify && verify_cycle > config_.store_gate_headstart
-          ? verify_cycle - config_.store_gate_headstart
+  timing.store_gate =
+      dev.performs_verify && timing.verify_cycle > config_.store_gate_headstart
+          ? timing.verify_cycle - config_.store_gate_headstart
           : 0;
-  const std::uint32_t first_inst = dev.first_inst;
-  const std::vector<std::uint32_t>& plain = dev.plain;
-  for (std::uint32_t w = first_inst; w < b; ++w) {
-    const auto decoded = isa::decode(plain[w]);
-    const std::uint32_t pc = (base_word + w) * 4;
-    if (!decoded) {
-      reset_ = ResetEvent{ResetCause::kIllegalInstruction, decrypt_done[w] + 1, pc};
-      break;
-    }
-    const bool last = (w == b - 1);
-    if (isa::is_control(decoded->op) && !last) {
-      reset_ = ResetEvent{ResetCause::kIllegalExit, decrypt_done[w] + 1, pc};
-      break;
-    }
-    if (isa::is_store(decoded->op) && w < config_.policy.store_min_word) {
-      reset_ = ResetEvent{ResetCause::kRestrictedStore, decrypt_done[w] + 1, pc};
-      break;
-    }
-    FetchedInst fi;
-    fi.inst = *decoded;
-    fi.pc = pc;
-    fi.ready = decrypt_done[w] + 1;
-    fi.store_gate = gate;
-    staged_.push_back(fi);
-  }
-  if (reset_) return;
-
-  // ---- decide how fetch continues past this block ----
-  // Fall-through speculation is always sound: the sequential successor is
-  // encrypted with prevPC = this block's exit word whether the exit is a
-  // plain instruction or a not-taken conditional branch. Direct jumps are
-  // followed at decode time (the target and the prevPC are both known).
-  // Only indirect exits (jalr/ret) and halt make fetch wait.
-  const isa::Opcode exit_op = staged_.back().inst.op;
-  const std::uint64_t exit_decoded = decrypt_done[b - 1] + 1;
-  if (exit_op == isa::Opcode::kJal) {
-    staged_.back().fetch_redirected = true;
-    const std::uint32_t target =
-        (base_word + b - 1) + static_cast<std::uint32_t>(staged_.back().inst.imm);
-    next_block_word_ = target;
-    cont_prev_word_ = base_word + b - 1;
-    cont_cycle_ = std::max(cursor, exit_decoded);
-  } else if (exit_op == isa::Opcode::kJalr || exit_op == isa::Opcode::kHalt) {
-    waiting_ = true;
-  } else {
-    next_block_word_ = base_word + b;
-    cont_prev_word_ = base_word + b - 1;
-    cont_cycle_ = cursor;
-  }
+  return dev;
 }
 
 }  // namespace sofia::sim

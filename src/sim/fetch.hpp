@@ -5,15 +5,20 @@
 //    execute side resolves them (LEON3 has no branch prediction).
 //
 //  * SofiaFetch — the paper's architecture (Fig. 1): the block state
-//    machine. A transfer's target word offset selects the block type and
-//    multiplexor path (§II-E); every fetched word is decrypted with its
-//    control-flow-dependent counter; the run-time CBC-MAC over the
-//    decrypted instructions is compared against the stored MAC words; and
-//    violations pull the reset line. Stores carry a gate cycle so they
-//    cannot pass the MA stage before their block verifies.
+//    machine. Every fetched word is decrypted with its control-flow-
+//    dependent counter and the run-time CBC-MAC over the decrypted
+//    instructions is compared against the stored MAC words. Which checks
+//    apply, and in what order, is not defined here: every block entry goes
+//    through sim::admit() (sim/admission.hpp), the definition the
+//    functional backend shares. SofiaFetch adds only the timing — I-cache
+//    fetch, cipher-engine replay, the cycle each rule fires at, and the
+//    store gate that keeps stores out of the MA stage until their block
+//    verifies.
 //
-// Both deliver FetchedInst records tagged with the cycle the instruction
-// leaves the IF stage, so the execute side consumes them with true timing.
+// Both read raw words through sim::Core::fetch (the one fault-injection
+// point) and deliver FetchedInst records tagged with the cycle the
+// instruction leaves the IF stage, so the execute side consumes them with
+// true timing.
 #pragma once
 
 #include <cstdint>
@@ -21,14 +26,15 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "assembler/image.hpp"
 #include "isa/isa.hpp"
 #include "scheme/scheme.hpp"
 #include "sim/cipher_engine.hpp"
 #include "sim/config.hpp"
+#include "sim/core.hpp"
 #include "sim/icache.hpp"
-#include "sim/memory.hpp"
 
 namespace sofia::sim {
 
@@ -68,24 +74,11 @@ class FetchUnit {
   std::uint64_t cbc_ops = 0;
   std::uint64_t blocks = 0;
   std::uint64_t verifications = 0;
-
- protected:
-  /// Apply the configured transient fault to a raw fetched word.
-  std::uint32_t apply_fault(const FaultInjection& fault, std::uint32_t word) {
-    const std::uint64_t index = fetch_count_++;
-    if (fault.enabled && index == fault.fetch_index)
-      return word ^ (1u << (fault.bit & 31));
-    return word;
-  }
-
- private:
-  std::uint64_t fetch_count_ = 0;
 };
 
 class VanillaFetch final : public FetchUnit {
  public:
-  VanillaFetch(const Memory& mem, ICache& icache, const SimConfig& config,
-               std::uint32_t start_pc);
+  VanillaFetch(Core& core, ICache& icache, std::uint32_t start_pc);
 
   std::optional<FetchedInst> step(std::uint64_t cycle, bool queue_full) override;
   void redirect(std::uint32_t target, std::uint32_t from_pc,
@@ -93,9 +86,8 @@ class VanillaFetch final : public FetchUnit {
   std::optional<ResetEvent> reset() const override { return reset_; }
 
  private:
-  const Memory& mem_;
+  Core& core_;
   ICache& icache_;
-  const SimConfig& config_;
   std::uint32_t pc_;
   std::uint64_t ready_at_ = 0;  ///< fetch in progress completes at this cycle
   bool fetching_ = false;
@@ -105,7 +97,7 @@ class VanillaFetch final : public FetchUnit {
 
 class SofiaFetch final : public FetchUnit {
  public:
-  SofiaFetch(const Memory& mem, ICache& icache, CipherEngine& engine,
+  SofiaFetch(Core& core, ICache& icache, CipherEngine& engine,
              const SimConfig& config, const assembler::LoadImage& image);
 
   std::optional<FetchedInst> step(std::uint64_t cycle, bool queue_full) override;
@@ -114,15 +106,31 @@ class SofiaFetch final : public FetchUnit {
   std::optional<ResetEvent> reset() const override { return reset_; }
 
  private:
-  /// Process one whole block starting at `entry_cycle`: fetch, open it
-  /// through the protection scheme (decrypt + verify), replay the scheme's
-  /// cipher ops on the engine model, queue deliveries; decide how fetch
-  /// continues (sequential speculation, decode-time direct jump, or wait
-  /// for the execute side). Sets reset_ on violations.
+  /// When the words of one opened block become available.
+  struct BlockTiming {
+    std::uint64_t fetch_cursor = 0;  ///< cycle the last word was fetched
+    std::vector<std::uint64_t> decrypt_done;  ///< per block word
+    std::uint64_t verify_cycle = 0;  ///< verdict (and gate check) fires
+    std::uint64_t store_gate = 0;    ///< earliest cycle a store may commit
+  };
+
+  /// Process one whole block entry starting at `entry_cycle`: admit it
+  /// (sim::admit), time the rule that fired or queue the deliveries, and
+  /// decide how fetch continues (sequential speculation, decode-time direct
+  /// jump, or wait for the execute side). Sets reset_ on violations.
   void process_block(std::uint32_t target_word, std::uint32_t prev_word,
                      std::uint64_t entry_cycle);
 
-  const Memory& mem_;
+  /// Fetch one block's words along `path` through the I-cache, open them
+  /// through the protection scheme, and replay the scheme's cipher ops on
+  /// the engine model; the resulting timing lands in `timing`.
+  scheme::DeviceBlock open_timed(std::uint32_t base_word,
+                                 std::uint32_t prev_word,
+                                 const scheme::EntryPath& path,
+                                 std::uint64_t entry_cycle,
+                                 BlockTiming& timing);
+
+  Core& core_;
   ICache& icache_;
   CipherEngine& engine_;
   const SimConfig& config_;

@@ -1,14 +1,15 @@
 // The fast functional backend: executes the same ISA and enforces the
-// same SOFIA integrity semantics as the cycle-accurate machine — every
-// entered block is fetched, decrypted with its control-flow-dependent
-// counters, its run-time CBC-MAC compared against the stored tag, and
-// the placement rules (entry offset, exit slot, restricted stores)
-// checked in the same order, with any violation pulling the reset line —
-// but it models no micro-architecture: no I-cache, no fetch queue, no
-// cipher-engine scheduling, no store gate. Control flow is purely
-// architectural (no fall-through speculation), and blocks that verified
-// once are cached by (entry word, prevPC) so loop bodies decrypt and MAC
-// exactly once.
+// same SOFIA integrity semantics as the cycle-accurate machine. Both are
+// shells around the same two definitions: the architectural core
+// (sim::Core, sim/core.hpp) executes every instruction, and block
+// admission (sim::admit, sim/admission.hpp) vets every entered block —
+// fetched, decrypted with its control-flow-dependent counters, verified by
+// the protection scheme, and checked against the placement rules, with any
+// violation pulling the reset line. What this backend leaves out is the
+// micro-architecture: no I-cache, no fetch queue, no cipher-engine
+// scheduling, no store gate. Control flow is purely architectural (no
+// fall-through speculation), and blocks admitted once are cached by
+// (entry word, prevPC) so loop bodies decrypt and MAC exactly once.
 //
 // Consequences, documented as contract:
 //  * stats.cycles is the retired instruction count (capabilities()

@@ -1,6 +1,7 @@
-// Top-level simulator: wires memory, I-cache, cipher engine, the selected
-// front end (vanilla or SOFIA, from the image) and the execute side
-// together, and runs an image to completion.
+// Top-level simulator: wires the architectural core (sim/core.hpp), the
+// I-cache, the cipher engine, the selected front end (vanilla or SOFIA,
+// from the image) and the execute-side timing together, and runs an image
+// to completion.
 #pragma once
 
 #include "assembler/image.hpp"

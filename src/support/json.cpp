@@ -240,10 +240,14 @@ class ParserImpl {
     }
   }
 
-  Value value() {
+  /// `depth` counts the enclosing containers; bounding it keeps hostile
+  /// input from overflowing the stack.
+  Value value(std::size_t depth = 0) {
     skip_ws();
     const char c = peek();
     Value v;
+    if ((c == '{' || c == '[') && depth == kMaxDepth)
+      fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
     if (c == '{') {
       ++pos_;
       v.kind = Value::Kind::kObject;
@@ -254,7 +258,7 @@ class ParserImpl {
         std::string key = parse_string();
         skip_ws();
         expect(':');
-        v.object.emplace_back(std::move(key), value());
+        v.object.emplace_back(std::move(key), value(depth + 1));
         skip_ws();
         if (peek() == ',') { ++pos_; continue; }
         expect('}');
@@ -267,7 +271,7 @@ class ParserImpl {
       skip_ws();
       if (peek() == ']') { ++pos_; return v; }
       for (;;) {
-        v.array.push_back(value());
+        v.array.push_back(value(depth + 1));
         skip_ws();
         if (peek() == ',') { ++pos_; continue; }
         expect(']');
@@ -330,10 +334,12 @@ const std::string& Value::as_string(std::string_view context) const {
 std::uint64_t Value::as_uint(std::string_view context) const {
   if (kind != Kind::kNumber)
     throw Error("json: " + std::string(context) + " is not a number");
+  // strtoull would accept a leading '-' and silently wrap the value.
   errno = 0;
   char* end = nullptr;
   const unsigned long long v = std::strtoull(number.c_str(), &end, 10);
-  if (errno != 0 || end != number.c_str() + number.size())
+  if (number.starts_with('-') || errno != 0 ||
+      end != number.c_str() + number.size())
     throw Error("json: " + std::string(context) + " is not an unsigned integer");
   return v;
 }

@@ -4,12 +4,15 @@
 // formatted by fixed rules — so two runs of the same experiment produce
 // byte-identical documents regardless of thread interleaving.
 //
-// A small reader (parse/Value) exists for exactly one consumer: the
-// sharded-sweep merge (sofia_sweep --merge), which must re-emit documents
-// this repo wrote *byte-identically*. The Value tree therefore preserves
-// object member order and the verbatim source text of numbers.
+// A small reader (parse/Value) decodes documents this repo wrote: shard
+// merges (sofia_sweep / sofia_attack --merge), which must re-emit them
+// *byte-identically*, and result-cache payloads. The Value tree therefore
+// preserves object member order and the verbatim source text of numbers.
+// Inputs are untrusted files, so every malformed document — including one
+// nested deep enough to exhaust the stack — is a sofia::Error.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -97,8 +100,12 @@ struct Value {
   void write(Writer& w) const;
 };
 
+/// Deepest container nesting parse() accepts, far beyond any document this
+/// repo writes.
+inline constexpr std::size_t kMaxDepth = 256;
+
 /// Parse a complete JSON document; throws sofia::Error (with byte offset)
-/// on malformed input or trailing garbage.
+/// on malformed input, trailing garbage or nesting deeper than kMaxDepth.
 Value parse(std::string_view text);
 
 }  // namespace sofia::json

@@ -10,6 +10,7 @@
 
 #include "pipeline/pipeline.hpp"
 #include "random_program.hpp"
+#include "reference_interp.hpp"
 #include "sim/backend.hpp"
 #include "sim/remote_backend.hpp"
 #include "support/error.hpp"
@@ -119,6 +120,9 @@ void expect_same_architectural_outcome(const sim::RunResult& cycle,
   ASSERT_EQ(cycle.status, functional.status) << label;
   EXPECT_EQ(cycle.exit_code, functional.exit_code) << label;
   EXPECT_EQ(cycle.output, functional.output) << label;
+  EXPECT_EQ(cycle.fault, functional.fault) << label;
+  EXPECT_EQ(cycle.reset.cause, functional.reset.cause) << label;
+  EXPECT_EQ(cycle.reset.pc, functional.reset.pc) << label;
   // The committed instruction stream is identical, so the architectural
   // counters must agree exactly — only timing-derived numbers may differ.
   EXPECT_EQ(cycle.stats.insts, functional.stats.insts) << label;
@@ -196,6 +200,176 @@ TEST(BackendCrossValidation, RandomProgramsAgree) {
                                       label + " (vanilla)");
   }
 }
+
+// ---------------------------------------------------------------------------
+// Instruction semantics, pinned on both backends
+// ---------------------------------------------------------------------------
+
+/// One small program per corner of the SR32 semantics, with the outcome it
+/// must produce.
+struct SemanticsCase {
+  const char* name;
+  const char* source;
+  sim::RunResult::Status status;
+  const char* output;
+  int exit_code = 0;
+  const char* fault = "";
+};
+
+const SemanticsCase kSemanticsCases[] = {
+    {"signed_vs_unsigned", R"(
+main:
+  li r10, 0xFFFF0008
+  li r1, -8
+  li r2, 3
+  slt r3, r1, r2
+  sw r3, 0(r10)
+  sltu r3, r1, r2
+  sw r3, 0(r10)
+  slti r3, r1, -7
+  sw r3, 0(r10)
+  sltiu r3, r1, 5
+  sw r3, 0(r10)
+  sra r3, r1, r2
+  sw r3, 0(r10)
+  srl r3, r1, r2
+  sw r3, 0(r10)
+  srai r3, r1, 2
+  sw r3, 0(r10)
+  srli r3, r1, 28
+  sw r3, 0(r10)
+  halt
+)",
+     sim::RunResult::Status::kHalted, "1\n0\n1\n0\n-1\n536870911\n-2\n15\n"},
+    {"sub_word_loads_and_stores", R"(
+main:
+  li r10, 0xFFFF0008
+  la r4, buf
+  lh r3, 0(r4)
+  sw r3, 0(r10)
+  lhu r3, 0(r4)
+  sw r3, 0(r10)
+  lb r3, 2(r4)
+  sw r3, 0(r10)
+  lbu r3, 2(r4)
+  sw r3, 0(r10)
+  li r5, 0x1234
+  sh r5, 4(r4)
+  li r6, 0x77
+  sb r6, 7(r4)
+  lw r3, 4(r4)
+  sw r3, 0(r10)
+  halt
+.data
+buf: .word 0x7F80FF85
+  .word 0xAAAAAAAA
+)",
+     sim::RunResult::Status::kHalted, "-123\n65413\n-128\n128\n2007634484\n"},
+    {"exit_and_putint", R"(
+main:
+  li r10, 0xFFFF0008
+  li r1, -42
+  sw r1, 0(r10)
+  li r11, 0xFFFF0000
+  li r2, 72
+  sw r2, 0(r11)
+  li r12, 0xFFFF0004
+  li r3, 7
+  sw r3, 0(r12)
+  sw r3, 0(r10)
+  halt
+)",
+     sim::RunResult::Status::kExited, "-42\nH", 7},
+    {"misaligned_lw", R"(
+main:
+  la r4, buf
+  lw r3, 1(r4)
+  halt
+.data
+buf: .word 0, 0
+)",
+     sim::RunResult::Status::kFault, "", 0, "misaligned lw"},
+    {"misaligned_lh", R"(
+main:
+  la r4, buf
+  lh r3, 1(r4)
+  halt
+.data
+buf: .word 0, 0
+)",
+     sim::RunResult::Status::kFault, "", 0, "misaligned lh"},
+    {"misaligned_sw", R"(
+main:
+  la r4, buf
+  sw r3, 2(r4)
+  halt
+.data
+buf: .word 0, 0
+)",
+     sim::RunResult::Status::kFault, "", 0, "misaligned sw"},
+    {"misaligned_sh", R"(
+main:
+  la r4, buf
+  sh r3, 1(r4)
+  halt
+.data
+buf: .word 0, 0
+)",
+     sim::RunResult::Status::kFault, "", 0, "misaligned sh"},
+    {"load_from_mmio", R"(
+main:
+  li r10, 0xFFFF0008
+  li r1, 5
+  sw r1, 0(r10)
+  li r4, 0xFFFF0000
+  lw r3, 0(r4)
+  halt
+)",
+     sim::RunResult::Status::kFault, "5\n", 0, "load from MMIO region"},
+    {"store_to_unmapped_mmio", R"(
+main:
+  li r4, 0xFFFF000C
+  sw r3, 0(r4)
+  halt
+)",
+     sim::RunResult::Status::kFault, "", 0, "store to unmapped MMIO address"},
+};
+
+void expect_outcome(const SemanticsCase& c, const sim::RunResult& run,
+                    const std::string& label) {
+  EXPECT_EQ(run.status, c.status) << label << ": " << run.fault;
+  EXPECT_EQ(run.output, c.output) << label;
+  EXPECT_EQ(run.exit_code, c.exit_code) << label;
+  EXPECT_EQ(run.fault, c.fault) << label;
+}
+
+class BackendSemantics : public ::testing::TestWithParam<SemanticsCase> {};
+
+TEST_P(BackendSemantics, SameOutcomeOnBothBackendsAndBothCores) {
+  const SemanticsCase& c = GetParam();
+  auto cyc = Pipeline::from_source(c.source);
+  auto fn = Pipeline::from_source(c.source, functional_profile());
+  expect_outcome(c, cyc.run(), "cycle sofia");
+  expect_outcome(c, fn.run(), "functional sofia");
+  expect_outcome(c, cyc.run_vanilla(), "cycle vanilla");
+  expect_outcome(c, fn.run_vanilla(), "functional vanilla");
+  expect_same_architectural_outcome(cyc.run(), fn.run(), "sofia");
+  expect_same_architectural_outcome(cyc.run_vanilla(), fn.run_vanilla(),
+                                    "vanilla");
+  // The independent oracle has no fault model; it checks the rest.
+  if (c.status == sim::RunResult::Status::kFault) return;
+  const auto ref = test::reference_run(cyc.vanilla_image());
+  EXPECT_TRUE(ref.halted);
+  EXPECT_EQ(ref.output, c.output);
+  EXPECT_EQ(ref.exit_code, c.exit_code);
+  EXPECT_EQ(ref.executed, cyc.run_vanilla().stats.insts);
+}
+
+INSTANTIATE_TEST_SUITE_P(Core, BackendSemantics,
+                         ::testing::ValuesIn(kSemanticsCases),
+                         [](const auto& info) {
+                           return std::string(info.param.name);
+                         });
 
 // ---------------------------------------------------------------------------
 // Integrity semantics: tamper and fault still reset

@@ -217,7 +217,7 @@ g:
   // No non-ret jalr left.
   for (const auto& si : out.text) {
     if (si.inst.op == isa::Opcode::kJalr) {
-      EXPECT_TRUE(cfg::is_ret(si.inst));
+      EXPECT_TRUE(isa::is_ret(si.inst));
     }
   }
   // And the result builds a CFG where f has two call sites? No — one

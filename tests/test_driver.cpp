@@ -316,6 +316,26 @@ TEST(Shard, MergeRejectsGapsOverlapsAndMismatches) {
   EXPECT_THROW(driver::merge_json({doc0, "not json"}), Error);
 }
 
+TEST(Shard, MergeRejectsJobCountsTheRecordsCannotFill) {
+  // Hostile job_count values must fail cleanly before anything is sized
+  // on them.
+  const auto doc = [](const std::string& count) {
+    return "{\"schema\":\"sofia-sweep-v5\",\"sweep\":\"x\",\"job_count\":" +
+           count + ",\"jobs\":[]}";
+  };
+  EXPECT_EQ(driver::merge_json({doc("0")}),
+            "{\n  \"schema\": \"sofia-sweep-v5\",\n  \"sweep\": \"x\",\n"
+            "  \"job_count\": 0,\n  \"jobs\": []\n}\n");
+  EXPECT_THROW(driver::merge_json({doc("-1")}), Error);
+  try {
+    driver::merge_json({doc("1000000000000000")});
+    FAIL() << "expected throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("missing"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Sweep, SmokeShrinksButKeepsConfigs) {
   const auto full = driver::matrix("granularity");
   const auto small = driver::smoke(full);

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -310,6 +311,11 @@ const TamperCase kTamperCases[] = {
     // generic ciphertext tampering still verdicts as a MAC mismatch.
     {"flta", sim::ResetCause::kMacMismatch, true},
 };
+
+// Without this, GoogleTest prints the case as raw bytes, which embed the
+// load address of the scheme string: the discovered CTest names would then
+// change with every build.
+void PrintTo(const TamperCase& c, std::ostream* os) { *os << c.scheme; }
 
 bool verification_cause(sim::ResetCause c) {
   return c == sim::ResetCause::kMacMismatch ||

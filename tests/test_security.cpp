@@ -36,10 +36,18 @@ never:
 out: .word 0
 )";
 
+/// The test keys with Alg. 1's per-word CTR (the transform's default
+/// granularity).
+pipeline::DeviceProfile victim_profile() {
+  auto profile = pipeline::DeviceProfile::with_keys(test::test_keys());
+  profile.granularity = crypto::Granularity::kPerWord;
+  return profile;
+}
+
 class Attacks : public ::testing::Test {
  protected:
   static const AttackHarness& harness() {
-    static const AttackHarness h(kVictim, test::test_keys());
+    static const AttackHarness h(kVictim, victim_profile());
     return h;
   }
 };

@@ -11,6 +11,7 @@
 #include "support/hash.hpp"
 #include "support/hex.hpp"
 #include "support/io.hpp"
+#include "support/json.hpp"
 #include "support/rng.hpp"
 
 namespace sofia {
@@ -315,6 +316,34 @@ TEST(Sha256, ToHexIsLowercase64Chars) {
   ASSERT_EQ(hex.size(), 64u);
   for (const char c : hex)
     EXPECT_TRUE((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')) << c;
+}
+
+TEST(Json, AsUintRejectsNegativeNumbers) {
+  // strtoull alone would wrap "-1" to 2^64-1 without an error.
+  EXPECT_EQ(json::parse("7").as_uint("n"), 7u);
+  EXPECT_THROW(json::parse("-1").as_uint("n"), Error);
+  EXPECT_THROW(json::parse("-0").as_uint("n"), Error);
+  EXPECT_THROW(json::parse("-18446744073709551615").as_uint("n"), Error);
+}
+
+TEST(Json, ParseBoundsNestingDepth) {
+  const auto arrays = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_NO_THROW(json::parse(arrays(json::kMaxDepth)));
+  EXPECT_THROW(json::parse(arrays(json::kMaxDepth + 1)), Error);
+  std::string objects;
+  for (std::size_t i = 0; i <= json::kMaxDepth; ++i) objects += "{\"a\":";
+  objects += "0" + std::string(json::kMaxDepth + 1, '}');
+  EXPECT_THROW(json::parse(objects), Error);
+  // Far past the bound: an error, not a stack overflow.
+  try {
+    json::parse(std::string(200'000, '['));
+    FAIL() << "expected throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

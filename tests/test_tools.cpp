@@ -405,6 +405,27 @@ TEST_F(Tools, SweepShardMergeIsByteIdenticalToUnsharded) {
   for (const auto& p : {whole, s0, s1, merged}) std::remove(p.c_str());
 }
 
+TEST_F(Tools, SweepMergeRejectsHostileDocuments) {
+  // A negative job_count and a nesting bomb each end in a clean
+  // "sofia_sweep:" error, not an abort or a stack overflow.
+  const std::string tag = std::to_string(getpid());
+  const std::string in = "/tmp/sofia_merge_hostile_" + tag + ".json";
+  const std::string out = "/tmp/sofia_merge_hostile_" + tag + "_out.json";
+  for (const std::string& doc :
+       {std::string("{\"schema\":\"sofia-sweep-v5\",\"sweep\":\"x\","
+                    "\"job_count\":-1,\"jobs\":[]}"),
+        std::string(200'000, '[')}) {
+    std::ofstream(in, std::ios::binary) << doc;
+    int code = 0;
+    const auto log = run_command(
+        std::string(SOFIA_SWEEP_BIN) + " --merge " + out + " " + in, &code);
+    EXPECT_EQ(code, 1) << log;
+    EXPECT_EQ(log.rfind("sofia_sweep: ", 0), 0u) << log;
+  }
+  std::remove(in.c_str());
+  std::remove(out.c_str());
+}
+
 TEST_F(Tools, SweepRejectsBadShard) {
   int code = 0;
   const auto out = run_command(
