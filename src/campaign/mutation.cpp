@@ -47,30 +47,34 @@ MutationKind parse_mutation_kind(std::string_view name) {
 
 std::string Mutation::describe() const {
   std::string out(to_string(kind));
+  // Named operands, not `"literal" + std::to_string(...)`: GCC 12 reports a
+  // spurious -Wrestrict inside <string> for that temporary form.
+  const std::string sa = std::to_string(a);
+  const std::string sb = std::to_string(b);
   switch (kind) {
     case MutationKind::kBitFlip:
-      out += " w" + std::to_string(a) + " b" + std::to_string(b);
+      out += " w" + sa + " b" + sb;
       break;
     case MutationKind::kWordPatch:
-      out += " w" + std::to_string(a);
+      out += " w" + sa;
       break;
     case MutationKind::kWordRelocate:
-      out += " " + std::to_string(a) + "->" + std::to_string(b);
+      out += " " + sa + "->" + sb;
       break;
     case MutationKind::kBlockSplice:
-      out += " " + std::to_string(a) + "->" + std::to_string(b);
+      out += " " + sa + "->" + sb;
       break;
     case MutationKind::kHeaderForge:
-      out += " blk" + std::to_string(a) + " h" + std::to_string(b);
+      out += " blk" + sa + " h" + sb;
       break;
     case MutationKind::kCrossVersionSplice:
-      out += " blk" + std::to_string(a);
+      out += " blk" + sa;
       break;
     case MutationKind::kFetchFault:
-      out += " fetch" + std::to_string(a) + " b" + std::to_string(b);
+      out += " fetch" + sa + " b" + sb;
       break;
     case MutationKind::kRetargetIndirect:
-      out += " d" + std::to_string(a) + " ->" + std::to_string(b);
+      out += " d" + sa + " ->" + sb;
       break;
   }
   return out;

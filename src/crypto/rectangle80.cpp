@@ -5,16 +5,6 @@
 namespace sofia::crypto {
 namespace {
 
-constexpr std::uint8_t kSbox[16] = {0x6, 0x5, 0xC, 0xA, 0x1, 0xE, 0x7, 0x9,
-                                    0xB, 0x0, 0x3, 0xD, 0x8, 0xF, 0x4, 0x2};
-
-constexpr std::array<std::uint8_t, 16> invert_sbox() {
-  std::array<std::uint8_t, 16> inv{};
-  for (int i = 0; i < 16; ++i) inv[kSbox[i]] = static_cast<std::uint8_t>(i);
-  return inv;
-}
-constexpr std::array<std::uint8_t, 16> kInvSbox = invert_sbox();
-
 struct State {
   std::uint16_t row[4];
 };
@@ -32,55 +22,43 @@ std::uint64_t pack(const State& s) {
   return b;
 }
 
-// SubColumn over 4 columns at a time via a 64Ki-entry table: the index packs
-// the same-position nibbles of the four rows; the value holds the
-// S-transformed nibbles in the same layout. One table serves every column
-// group because the S-box is position-independent.
-struct ColumnTable {
-  std::uint16_t fwd[65536];
-  std::uint16_t inv[65536];
-};
-
-const ColumnTable& column_table() {
-  static const ColumnTable table = [] {
-    ColumnTable t{};
-    for (std::uint32_t idx = 0; idx < 65536; ++idx) {
-      std::uint16_t f = 0;
-      std::uint16_t i = 0;
-      for (int col = 0; col < 4; ++col) {
-        std::uint8_t nib = 0;
-        for (int r = 0; r < 4; ++r)
-          nib |= static_cast<std::uint8_t>(((idx >> (4 * r + col)) & 1u) << r);
-        const std::uint8_t sf = kSbox[nib];
-        const std::uint8_t si = kInvSbox[nib];
-        for (int r = 0; r < 4; ++r) {
-          f |= static_cast<std::uint16_t>(((sf >> r) & 1u) << (4 * r + col));
-          i |= static_cast<std::uint16_t>(((si >> r) & 1u) << (4 * r + col));
-        }
-      }
-      t.fwd[idx] = f;
-      t.inv[idx] = i;
-    }
-    return t;
-  }();
-  return table;
+// SubColumn, bitsliced: bit r of every output nibble is a boolean function of
+// the input rows, so one pass of word-wide ops applies the S-box
+//   S = {6, 5, C, A, 1, E, 7, 9, B, 0, 3, D, 8, F, 4, 2}
+// to all 16 columns at once (row r carries bit r of each column's nibble).
+// The 12-op forward circuit is the designers' (RECTANGLE, Zhang et al. 2015).
+void sub_column(State& s) {
+  const std::uint16_t a0 = s.row[0], a1 = s.row[1], a2 = s.row[2], a3 = s.row[3];
+  const auto t1 = static_cast<std::uint16_t>(~a1);
+  const std::uint16_t t2 = a0 & t1;
+  const std::uint16_t t3 = a2 ^ a3;
+  const std::uint16_t b0 = t2 ^ t3;
+  const std::uint16_t t5 = a3 | t1;
+  const std::uint16_t t6 = a0 ^ t5;
+  const std::uint16_t b1 = a2 ^ t6;
+  const std::uint16_t t8 = a1 ^ a2;
+  const std::uint16_t t9 = t3 & t6;
+  const std::uint16_t b3 = t8 ^ t9;
+  const std::uint16_t t11 = b0 | t8;
+  const std::uint16_t b2 = t6 ^ t11;
+  s.row[0] = b0;
+  s.row[1] = b1;
+  s.row[2] = b2;
+  s.row[3] = b3;
 }
 
-template <bool kInverse>
-void sub_column(State& s) {
-  const ColumnTable& t = column_table();
-  std::uint16_t out[4] = {0, 0, 0, 0};
-  for (int g = 0; g < 4; ++g) {
-    const unsigned shift = 4u * static_cast<unsigned>(g);
-    const std::uint32_t idx = ((s.row[0] >> shift) & 0xFu) |
-                              (((s.row[1] >> shift) & 0xFu) << 4) |
-                              (((s.row[2] >> shift) & 0xFu) << 8) |
-                              (((s.row[3] >> shift) & 0xFu) << 12);
-    const std::uint16_t packed = kInverse ? t.inv[idx] : t.fwd[idx];
-    for (int r = 0; r < 4; ++r)
-      out[r] |= static_cast<std::uint16_t>(((packed >> (4 * r)) & 0xFu) << shift);
-  }
-  for (int r = 0; r < 4; ++r) s.row[r] = out[r];
+// Inverse SubColumn: the algebraic normal form of S^-1, bit by bit.
+void inv_sub_column(State& s) {
+  const std::uint16_t a0 = s.row[0], a1 = s.row[1], a2 = s.row[2], a3 = s.row[3];
+  const std::uint16_t a01 = a0 & a1;
+  const std::uint16_t a03 = a0 & a3;
+  const std::uint16_t a13 = a1 & a3;
+  const std::uint16_t a23 = a2 & a3;
+  s.row[0] = static_cast<std::uint16_t>(~(a0 ^ a2 ^ a3 ^ (a01 & a2) ^ a13 ^ a23));
+  s.row[1] = a1 ^ a2 ^ (a0 & a2) ^ a03;
+  s.row[2] = a0 ^ a1 ^ a2 ^ a3 ^ a03;
+  s.row[3] = static_cast<std::uint16_t>(
+      ~(a0 ^ a01 ^ (a1 & a2) ^ a13 ^ (a01 & a3) ^ a23));
 }
 
 void shift_row(State& s) {
@@ -93,6 +71,10 @@ void inv_shift_row(State& s) {
   s.row[1] = rotr16(s.row[1], 1);
   s.row[2] = rotr16(s.row[2], 12);
   s.row[3] = rotr16(s.row[3], 13);
+}
+
+void add_round_key(State& s, const std::uint16_t (&key)[4]) {
+  for (int r = 0; r < 4; ++r) s.row[r] ^= key[r];
 }
 
 }  // namespace
@@ -121,16 +103,10 @@ Rectangle80::Rectangle80(const CipherKey& key) {
     for (int r = 0; r < 4; ++r) subkeys_[static_cast<std::size_t>(i)].row[r] = k[r];
     if (i == kRounds) break;
     // S-box on the 4 low-order columns of rows 0..3.
-    for (int col = 0; col < 4; ++col) {
-      std::uint8_t nib = 0;
-      for (int r = 0; r < 4; ++r)
-        nib |= static_cast<std::uint8_t>(((k[r] >> col) & 1u) << r);
-      const std::uint8_t sv = kSbox[nib];
-      for (int r = 0; r < 4; ++r) {
-        k[r] = static_cast<std::uint16_t>(k[r] & ~(1u << col));
-        k[r] |= static_cast<std::uint16_t>(((sv >> r) & 1u) << col);
-      }
-    }
+    State low{{k[0], k[1], k[2], k[3]}};
+    sub_column(low);
+    for (int r = 0; r < 4; ++r)
+      k[r] = static_cast<std::uint16_t>((k[r] & ~0xFu) | (low.row[r] & 0xFu));
     // Generalized Feistel step.
     const std::uint16_t r0 = k[0];
     k[0] = static_cast<std::uint16_t>(rotl16(k[0], 8) ^ k[1]);
@@ -146,21 +122,21 @@ Rectangle80::Rectangle80(const CipherKey& key) {
 std::uint64_t Rectangle80::encrypt(std::uint64_t block) const {
   State s = unpack(block);
   for (int i = 0; i < kRounds; ++i) {
-    for (int r = 0; r < 4; ++r) s.row[r] ^= subkeys_[static_cast<std::size_t>(i)].row[r];
-    sub_column<false>(s);
+    add_round_key(s, subkeys_[static_cast<std::size_t>(i)].row);
+    sub_column(s);
     shift_row(s);
   }
-  for (int r = 0; r < 4; ++r) s.row[r] ^= subkeys_[kRounds].row[r];
+  add_round_key(s, subkeys_[kRounds].row);
   return pack(s);
 }
 
 std::uint64_t Rectangle80::decrypt(std::uint64_t block) const {
   State s = unpack(block);
-  for (int r = 0; r < 4; ++r) s.row[r] ^= subkeys_[kRounds].row[r];
+  add_round_key(s, subkeys_[kRounds].row);
   for (int i = kRounds - 1; i >= 0; --i) {
     inv_shift_row(s);
-    sub_column<true>(s);
-    for (int r = 0; r < 4; ++r) s.row[r] ^= subkeys_[static_cast<std::size_t>(i)].row[r];
+    inv_sub_column(s);
+    add_round_key(s, subkeys_[static_cast<std::size_t>(i)].row);
   }
   return pack(s);
 }

@@ -7,6 +7,11 @@
 // row 0 = LSB of the nibble), ShiftRow (rows rotated left by 0/1/12/13).
 // A final AddRoundKey follows round 25 (26 subkeys in total).
 //
+// The implementation is bitsliced, as the cipher was designed to be:
+// SubColumn (and its inverse) is a short boolean circuit over the four
+// 16-bit rows that transforms all 16 columns at once, with no lookup
+// table. The key schedule's S-box step runs the same circuit.
+//
 // 80-bit key schedule: a 5x16 bit key state; each update applies the S-box
 // to the 4 low-order columns of rows 0..3, a generalized Feistel step
 //   row0' = (row0 <<< 8) ^ row1; row1' = row2; row2' = row3;

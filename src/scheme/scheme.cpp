@@ -21,7 +21,8 @@ EntryPath entry_path(std::uint32_t offset, std::uint32_t words_per_block) {
   } else {
     for (std::uint32_t j = 1; j < words_per_block; ++j) path.sched.push_back(j);
   }
-  path.entry_word_index = path.sched.front();
+  // Empty only for an offset the block is too short to have.
+  path.entry_word_index = path.sched.empty() ? 0 : path.sched.front();
   return path;
 }
 

@@ -19,6 +19,7 @@
 // its own clock.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -83,13 +84,25 @@ struct Admission {
   }
 };
 
-/// Admit the entry into the block holding `target_word`. `open(base_word,
-/// path)` fetches the block's words along `path`, opens them through the
-/// protection scheme and returns the scheme::DeviceBlock; it is called
+/// The fetch schedules of the three valid entry offsets, indexed by offset
+/// (scheme::entry_path), built once per run.
+using EntryPaths = std::array<scheme::EntryPath, 3>;
+
+inline EntryPaths entry_paths(std::uint32_t words_per_block) {
+  return {scheme::entry_path(0, words_per_block),
+          scheme::entry_path(1, words_per_block),
+          scheme::entry_path(2, words_per_block)};
+}
+
+/// Admit the entry into the block holding `target_word`; `paths` is
+/// entry_paths(policy.words_per_block). `open(base_word, path)` fetches the
+/// block's words along `path`, opens them through the protection scheme and
+/// returns the scheme::DeviceBlock (by value or by reference); it is called
 /// only for a valid entry offset.
 template <typename Open>
 Admission admit(std::uint32_t target_word, std::uint32_t text_base_word,
-                const xform::BlockPolicy& policy, Open&& open) {
+                const xform::BlockPolicy& policy, const EntryPaths& paths,
+                Open&& open) {
   using Rule = Admission::Rule;
   const std::uint32_t b = policy.words_per_block;
   const std::uint32_t offset = (target_word - text_base_word) % b;
@@ -99,8 +112,7 @@ Admission admit(std::uint32_t target_word, std::uint32_t text_base_word,
     adm.own = {Rule::kInvalidEntry, ResetCause::kInvalidEntry, offset};
     return adm;
   }
-  const scheme::DeviceBlock dev =
-      open(adm.base_word, scheme::entry_path(offset, b));
+  const scheme::DeviceBlock& dev = open(adm.base_word, paths[offset]);
   adm.first_inst = dev.first_inst;
   adm.gate_indirect = dev.gate_indirect;
   adm.entry_label = dev.entry_label;

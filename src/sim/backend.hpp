@@ -9,8 +9,8 @@
 //                   core, I-cache, shared cipher engine, store gate).
 //                   stats.cycles models device time.
 //  * "functional" — an architectural interpreter: same integrity
-//                   semantics, no micro-architectural timing. Orders of
-//                   magnitude faster; stats.cycles counts retired
+//                   semantics, no micro-architectural timing. Several
+//                   times faster; stats.cycles counts retired
 //                   instructions. For sweep prefiltering and integrity
 //                   testing, never for overhead numbers.
 //  * "remote"     — ships each run over a versioned wire protocol to a

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "sim/admission.hpp"
-
 namespace sofia::sim {
 
 // ---------------------------------------------------------------------------
@@ -70,7 +68,8 @@ SofiaFetch::SofiaFetch(Core& core, ICache& icache, CipherEngine& engine,
       opener_(scheme::get_scheme(config.scheme)
                   .make_opener(config.keys, image.omega,
                                image.per_pair ? crypto::Granularity::kPerPair
-                                              : crypto::Granularity::kPerWord)) {
+                                              : crypto::Granularity::kPerWord)),
+      paths_(entry_paths(config.policy.words_per_block)) {
   process_block(image.entry / 4, image.entry_prev, 0);
 }
 
@@ -122,12 +121,7 @@ void SofiaFetch::process_block(std::uint32_t target_word, std::uint32_t prev_wor
   const std::uint32_t b = config_.policy.words_per_block;
   ++blocks;
 
-  BlockTiming timing;
-  const Admission adm =
-      admit(target_word, text_base_word_, config_.policy,
-            [&](std::uint32_t base_word, const scheme::EntryPath& path) {
-              return open_timed(base_word, prev_word, path, entry_cycle, timing);
-            });
+  const Admission& adm = admit_timed(target_word, prev_word, entry_cycle);
   const std::uint32_t base_word = adm.base_word;
   const Admission::Violation v = adm.check(pending);
   if (v.fired() && !v.at_word()) {
@@ -137,7 +131,7 @@ void SofiaFetch::process_block(std::uint32_t target_word, std::uint32_t prev_wor
     // pipeline).
     const std::uint64_t at = v.rule == Admission::Rule::kInvalidEntry
                                  ? entry_cycle
-                                 : timing.verify_cycle;
+                                 : timing_.verify_cycle;
     reset_ = ResetEvent{v.cause, at, adm.reset_pc(v)};
     return;
   }
@@ -149,12 +143,12 @@ void SofiaFetch::process_block(std::uint32_t target_word, std::uint32_t prev_wor
     FetchedInst fi;
     fi.inst = adm.insts[i];
     fi.pc = (base_word + w) * 4;
-    fi.ready = timing.decrypt_done[w] + 1;
-    fi.store_gate = timing.store_gate;
+    fi.ready = timing_.decrypt_done[w] + 1;
+    fi.store_gate = timing_.store_gate;
     staged_.push_back(fi);
   }
   if (v.fired()) {
-    reset_ = ResetEvent{v.cause, timing.decrypt_done[v.word] + 1,
+    reset_ = ResetEvent{v.cause, timing_.decrypt_done[v.word] + 1,
                         adm.reset_pc(v)};
     return;
   }
@@ -166,37 +160,63 @@ void SofiaFetch::process_block(std::uint32_t target_word, std::uint32_t prev_wor
   // followed at decode time (the target and the prevPC are both known).
   // Only indirect exits (jalr/ret) and halt make fetch wait.
   const isa::Opcode exit_op = staged_.back().inst.op;
-  const std::uint64_t exit_decoded = timing.decrypt_done[b - 1] + 1;
+  const std::uint64_t exit_decoded = timing_.decrypt_done[b - 1] + 1;
   if (exit_op == isa::Opcode::kJal) {
     staged_.back().fetch_redirected = true;
     const std::uint32_t target =
         (base_word + b - 1) + static_cast<std::uint32_t>(staged_.back().inst.imm);
     next_block_word_ = target;
     cont_prev_word_ = base_word + b - 1;
-    cont_cycle_ = std::max(timing.fetch_cursor, exit_decoded);
+    cont_cycle_ = std::max(timing_.fetch_cursor, exit_decoded);
   } else if (exit_op == isa::Opcode::kJalr || exit_op == isa::Opcode::kHalt) {
     waiting_ = true;
   } else {
     next_block_word_ = base_word + b;
     cont_prev_word_ = base_word + b - 1;
-    cont_cycle_ = timing.fetch_cursor;
+    cont_cycle_ = timing_.fetch_cursor;
   }
 }
 
-scheme::DeviceBlock SofiaFetch::open_timed(std::uint32_t base_word,
-                                           std::uint32_t prev_word,
-                                           const scheme::EntryPath& path,
-                                           std::uint64_t entry_cycle,
-                                           BlockTiming& timing) {
-  const std::uint32_t b = config_.policy.words_per_block;
+const Admission& SofiaFetch::admit_timed(std::uint32_t target_word,
+                                         std::uint32_t prev_word,
+                                         std::uint64_t entry_cycle) {
+  Opened& memo =
+      opened_[(static_cast<std::uint64_t>(target_word) << 32) | prev_word];
+  bool fetched = false;
+  if (!memo.raw.empty()) {
+    // Opened before: the entry word fixes the block and the path, and the
+    // key fixes prevPC, so only the fetched words can change the result.
+    const scheme::EntryPath& path = paths_[target_word - memo.adm.base_word];
+    fetch_timed(memo.adm.base_word, path, entry_cycle);
+    if (raw_ == memo.raw) {
+      replay_timed(memo.dev, path, entry_cycle);
+      return memo.adm;
+    }
+    fetched = true;
+  }
+  memo.adm = admit(
+      target_word, text_base_word_, config_.policy, paths_,
+      [&](std::uint32_t base_word,
+          const scheme::EntryPath& path) -> const scheme::DeviceBlock& {
+        if (!fetched) fetch_timed(base_word, path, entry_cycle);
+        memo.raw = raw_;
+        memo.dev = opener_->open(base_word, prev_word, path, raw_);
+        replay_timed(memo.dev, path, entry_cycle);
+        return memo.dev;
+      });
+  return memo.adm;
+}
 
-  // ---- fetch words through the I-cache ----
+void SofiaFetch::fetch_timed(std::uint32_t base_word,
+                             const scheme::EntryPath& path,
+                             std::uint64_t entry_cycle) {
   // The SOFIA datapath reads fetch_words_per_cycle words per cycle (the
   // 64-bit cipher block suggests 2); misses stall for the refill.
+  const std::uint32_t b = config_.policy.words_per_block;
   const std::uint32_t per_cycle = std::max(1u, config_.fetch_words_per_cycle);
   std::uint64_t cursor = entry_cycle;
-  std::vector<std::uint64_t> fetch_done(b, 0);
-  std::vector<std::uint32_t> raw(b, 0);
+  fetch_done_.assign(b, 0);
+  raw_.assign(b, 0);
   std::uint32_t in_cycle = 0;
   for (const std::uint32_t j : path.sched) {
     const std::uint32_t addr = (base_word + j) * 4;
@@ -210,37 +230,40 @@ scheme::DeviceBlock SofiaFetch::open_timed(std::uint32_t base_word,
     } else {
       ++in_cycle;
     }
-    fetch_done[j] = cursor;
-    raw[j] = core_.fetch(addr);
+    fetch_done_[j] = cursor;
+    raw_[j] = core_.fetch(addr);
   }
-  timing.fetch_cursor = cursor;
+  timing_.fetch_cursor = cursor;
+}
 
-  // ---- open the block through the protection scheme ----
-  scheme::DeviceBlock dev = opener_->open(base_word, prev_word, path, raw);
+void SofiaFetch::replay_timed(const scheme::DeviceBlock& dev,
+                              const scheme::EntryPath& path,
+                              std::uint64_t entry_cycle) {
+  const std::uint32_t b = config_.policy.words_per_block;
 
   // ---- replay the decrypt ops on the shared engine ----
   // Eager-issue schemes (address-only counters) start every op at block
   // entry; a serial chain additionally waits for the previous op and for
   // the span's fetched ciphertext.
-  std::vector<std::uint64_t> ks_done(b, 0);
+  ks_done_.assign(b, 0);
   std::uint64_t prev_op_done = 0;
   for (const auto& op : dev.decrypt_ops) {
     std::uint64_t issue = entry_cycle;
     if (dev.serial_decrypt) {
       issue = std::max(issue, prev_op_done);
       for (std::uint32_t k = 0; k < op.count; ++k)
-        issue = std::max(issue, fetch_done[op.first + k]);
+        issue = std::max(issue, fetch_done_[op.first + k]);
     }
     prev_op_done = engine_.schedule(CipherEngine::Op::kCtr, issue);
     ++ctr_ops;
     for (std::uint32_t k = 0; k < op.count; ++k)
-      ks_done[op.first + k] = prev_op_done;
+      ks_done_[op.first + k] = prev_op_done;
   }
 
-  std::vector<std::uint64_t>& decrypt_done = timing.decrypt_done;
+  std::vector<std::uint64_t>& decrypt_done = timing_.decrypt_done;
   decrypt_done.assign(b, 0);
   for (const std::uint32_t j : path.sched)
-    decrypt_done[j] = std::max(fetch_done[j], ks_done[j]);
+    decrypt_done[j] = std::max(fetch_done_[j], ks_done_[j]);
 
   mac_words_seen += dev.header_words;
 
@@ -255,15 +278,14 @@ scheme::DeviceBlock SofiaFetch::open_timed(std::uint32_t base_word,
   }
   for (const std::uint32_t w : dev.verify_extra_words)
     chain_ready = std::max(chain_ready, decrypt_done[w]);
-  timing.verify_cycle = chain_ready + 1;
+  timing_.verify_cycle = chain_ready + 1;
   if (dev.performs_verify) ++verifications;
   // An unauthenticated scheme never gates stores (there is no
   // verification to wait for).
-  timing.store_gate =
-      dev.performs_verify && timing.verify_cycle > config_.store_gate_headstart
-          ? timing.verify_cycle - config_.store_gate_headstart
+  timing_.store_gate =
+      dev.performs_verify && timing_.verify_cycle > config_.store_gate_headstart
+          ? timing_.verify_cycle - config_.store_gate_headstart
           : 0;
-  return dev;
 }
 
 }  // namespace sofia::sim

@@ -15,6 +15,15 @@
 //    store gate that keeps stores out of the MA stage until their block
 //    verifies.
 //
+//    The software cipher work behind an admission is memoised per (entry
+//    word, prevPC). Every entry still fetches its words through the
+//    I-cache and Core::fetch and replays the block's cipher ops on the
+//    engine, so timing, counters and fault injection are unchanged. The
+//    memoised DeviceBlock and Admission are reused only when the words
+//    just fetched equal the words they were opened from: Opener::open
+//    depends on nothing else, so reuse is bit-identical, and a tampered,
+//    faulted or self-modified block is opened afresh.
+//
 // Both read raw words through sim::Core::fetch (the one fault-injection
 // point) and deliver FetchedInst records tagged with the cycle the
 // instruction leaves the IF stage, so the execute side consumes them with
@@ -31,6 +40,7 @@
 #include "assembler/image.hpp"
 #include "isa/isa.hpp"
 #include "scheme/scheme.hpp"
+#include "sim/admission.hpp"
 #include "sim/cipher_engine.hpp"
 #include "sim/config.hpp"
 #include "sim/core.hpp"
@@ -121,14 +131,20 @@ class SofiaFetch final : public FetchUnit {
   void process_block(std::uint32_t target_word, std::uint32_t prev_word,
                      std::uint64_t entry_cycle);
 
-  /// Fetch one block's words along `path` through the I-cache, open them
-  /// through the protection scheme, and replay the scheme's cipher ops on
-  /// the engine model; the resulting timing lands in `timing`.
-  scheme::DeviceBlock open_timed(std::uint32_t base_word,
-                                 std::uint32_t prev_word,
-                                 const scheme::EntryPath& path,
-                                 std::uint64_t entry_cycle,
-                                 BlockTiming& timing);
+  /// Admit the entry at (target_word, prev_word): fetch the block's words,
+  /// open them (or reuse the memoised admission when the words match) and
+  /// replay the cipher ops; the resulting timing lands in timing_.
+  const Admission& admit_timed(std::uint32_t target_word,
+                               std::uint32_t prev_word,
+                               std::uint64_t entry_cycle);
+
+  /// Fetch one block's words along `path` through the I-cache into raw_.
+  void fetch_timed(std::uint32_t base_word, const scheme::EntryPath& path,
+                   std::uint64_t entry_cycle);
+
+  /// Replay an opened block's cipher ops on the engine model.
+  void replay_timed(const scheme::DeviceBlock& dev,
+                    const scheme::EntryPath& path, std::uint64_t entry_cycle);
 
   Core& core_;
   ICache& icache_;
@@ -138,6 +154,23 @@ class SofiaFetch final : public FetchUnit {
   /// The device side of config_.scheme, keyed with config_.keys and the
   /// image's omega/granularity.
   std::unique_ptr<scheme::Opener> opener_;
+  const EntryPaths paths_;
+
+  /// One opened entry: the raw words it was opened from and what they
+  /// opened to. raw is empty until the entry has been opened.
+  struct Opened {
+    std::vector<std::uint32_t> raw;
+    scheme::DeviceBlock dev;
+    Admission adm;
+  };
+  /// Keyed by (entry word << 32) | prevPC word.
+  std::unordered_map<std::uint64_t, Opened> opened_;
+
+  // Per-entry scratch, reused across entries.
+  BlockTiming timing_;
+  std::vector<std::uint32_t> raw_;
+  std::vector<std::uint64_t> fetch_done_;
+  std::vector<std::uint64_t> ks_done_;
 
   std::deque<FetchedInst> staged_;  ///< decoded, time-stamped deliveries
   bool waiting_ = false;            ///< stopped at an indirect exit / halt

@@ -24,7 +24,10 @@ using isa::Instruction;
 class FunctionalMachine {
  public:
   FunctionalMachine(const assembler::LoadImage& image, const SimConfig& config)
-      : image_(image), config_(config), core_(image, config.fault, result_) {
+      : image_(image),
+        config_(config),
+        core_(image, config.fault, result_),
+        paths_(entry_paths(config.policy.words_per_block)) {
     if (image.sofia)
       opener_ = scheme::get_scheme(config.scheme)
                     .make_opener(config.keys, image.omega,
@@ -97,7 +100,7 @@ class FunctionalMachine {
     auto& st = result_.stats;
     ++st.blocks_fetched;
     return admit(
-        target_word, image_.text_base / 4, config_.policy,
+        target_word, image_.text_base / 4, config_.policy, paths_,
         [&](std::uint32_t base_word, const scheme::EntryPath& path) {
           std::vector<std::uint32_t> raw(config_.policy.words_per_block, 0);
           for (const std::uint32_t j : path.sched)
@@ -198,6 +201,7 @@ class FunctionalMachine {
   const SimConfig& config_;
   RunResult result_;
   Core core_;
+  const EntryPaths paths_;
   /// The device side of config_.scheme (null for vanilla images).
   std::unique_ptr<scheme::Opener> opener_;
   std::unordered_map<std::uint64_t, Admission> cache_;

@@ -23,13 +23,29 @@ std::uint8_t Memory::load8(std::uint32_t addr) const {
   return page ? page[addr & (kPageSize - 1)] : 0;
 }
 
+// An access inside one page takes one page lookup; one that straddles a page
+// boundary (or the top of the address space) reads byte by byte.
 std::uint16_t Memory::load16(std::uint32_t addr) const {
-  return static_cast<std::uint16_t>(load8(addr) | (load8(addr + 1) << 8));
+  const std::uint32_t offset = addr & (kPageSize - 1);
+  if (offset > kPageSize - 2)
+    return static_cast<std::uint16_t>(load8(addr) | (load8(addr + 1) << 8));
+  const std::uint8_t* page = page_for_read(addr);
+  if (!page) return 0;
+  return static_cast<std::uint16_t>(page[offset] | (page[offset + 1] << 8));
 }
 
 std::uint32_t Memory::load32(std::uint32_t addr) const {
-  return static_cast<std::uint32_t>(load16(addr)) |
-         (static_cast<std::uint32_t>(load16(addr + 2)) << 16);
+  const std::uint32_t offset = addr & (kPageSize - 1);
+  if (offset > kPageSize - 4)
+    return static_cast<std::uint32_t>(load16(addr)) |
+           (static_cast<std::uint32_t>(load16(addr + 2)) << 16);
+  const std::uint8_t* page = page_for_read(addr);
+  if (!page) return 0;
+  const std::uint8_t* p = page + offset;
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
 void Memory::store8(std::uint32_t addr, std::uint8_t value) {

@@ -28,7 +28,11 @@ inline std::string random_program(Rng& rng, const GeneratorOptions& opts = {}) {
       rng.next_range(opts.min_segments, opts.max_segments));
   const int functions = static_cast<int>(rng.next_range(0, opts.max_functions));
 
-  auto reg = [&rng]() { return "r" + std::to_string(rng.next_range(1, 8)); };
+  auto reg = [&rng]() {
+    std::string r = "r";  // not "r" + to_string(): GCC 12 -Wrestrict false positive
+    r += std::to_string(rng.next_range(1, 8));
+    return r;
+  };
   auto imm = [&rng]() { return std::to_string(rng.next_range(-100, 100)); };
 
   auto random_inst = [&](bool in_function) {

@@ -6,11 +6,15 @@
 // every registered workload under every cipher.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <string>
+#include <utility>
 
 #include "pipeline/pipeline.hpp"
 #include "random_program.hpp"
 #include "reference_interp.hpp"
+#include "scheme/scheme.hpp"
 #include "sim/backend.hpp"
 #include "sim/remote_backend.hpp"
 #include "support/error.hpp"
@@ -458,6 +462,68 @@ TEST(BackendCrossValidation, FetchFaultInjectionResetsUnderBothBackends) {
     const auto run = p.run_image(p.image(), config);
     EXPECT_EQ(run.status, sim::RunResult::Status::kReset) << backend;
     EXPECT_EQ(run.reset.cause, sim::ResetCause::kMacMismatch) << backend;
+  }
+}
+
+TEST(BackendCrossValidation, FetchFaultInARepeatedBlockEntryResetsIdentically) {
+  // The loop takes no conditional branch until it exits (its back edge is
+  // a direct jump, followed at decode), so until then neither backend
+  // fetches a word the other does not, and a fetch index names the same
+  // word on both. Each index of the first three and a half iterations is
+  // faulted in turn, so faults land in blocks entered for the third and
+  // fourth time — entries whose admission the cycle backend has memoised
+  // and may reuse only if the fetched words still match.
+  const char* source = R"(
+main:
+  li r1, 6
+  li r2, 0
+loop:
+  beqz r1, done
+  add r2, r2, r1
+  addi r1, r1, -1
+  j loop
+done:
+  li r10, 0xFFFF0008
+  sw r2, 0(r10)
+  halt
+)";
+  for (const auto& entry : scheme::scheme_registry()) {
+    if (!entry.get().traits().authenticated) continue;
+    const std::string name(entry.name);
+    std::map<std::uint32_t, int> entries_faulted;  // reset pc -> entries
+    int deepest_entry = 0;
+    std::pair<std::uint32_t, std::uint64_t> previous{1, 0};  // no entry
+    for (std::uint64_t index = 0; index < 60; ++index) {
+      sim::RunResult runs[2];
+      for (int i = 0; i < 2; ++i) {
+        auto profile = DeviceProfile::paper_default();
+        profile.scheme = name;
+        profile.backend = i == 0 ? "cycle" : "functional";
+        auto p = Pipeline::from_source(source, profile);
+        sim::SimConfig config;
+        config.fault.enabled = true;
+        config.fault.fetch_index = index;
+        config.fault.bit = 7;
+        runs[i] = p.run_image(p.image(), config);
+      }
+      const sim::RunResult& cyc = runs[0];
+      const sim::RunResult& fn = runs[1];
+      const std::string label = name + " fetch " + std::to_string(index);
+      ASSERT_EQ(fn.status, sim::RunResult::Status::kReset) << label;
+      ASSERT_EQ(cyc.status, fn.status) << label;
+      EXPECT_EQ(cyc.reset.cause, fn.reset.cause) << label;
+      EXPECT_EQ(cyc.reset.pc, fn.reset.pc) << label;
+      EXPECT_EQ(cyc.stats.insts, fn.stats.insts) << label;
+      // The words of one block entry share (reset pc, insts); a new pair
+      // is the next entry.
+      const std::pair<std::uint32_t, std::uint64_t> at{fn.reset.pc,
+                                                       fn.stats.insts};
+      if (at != previous)
+        deepest_entry =
+            std::max(deepest_entry, ++entries_faulted[fn.reset.pc]);
+      previous = at;
+    }
+    EXPECT_GE(deepest_entry, 3) << name;
   }
 }
 

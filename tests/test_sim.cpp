@@ -37,6 +37,40 @@ TEST(Memory, CrossPageAccess) {
   EXPECT_EQ(mem.load16(0x1000), 0x1122u);
 }
 
+TEST(Memory, LoadsAtPageEndCrossIntoUnmappedAndMappedPages) {
+  Memory mem;
+  // Page 0x1000 is mapped, page 0x2000 is not, page 0x3000 is.
+  for (std::uint32_t a = 0x1FFC; a < 0x2000; ++a)
+    mem.store8(a, static_cast<std::uint8_t>(a));  // FC FD FE FF
+  for (std::uint32_t i = 0; i < 4; ++i)
+    mem.store8(0x3000 + i, static_cast<std::uint8_t>(0x10 + i));  // 10 11 12 13
+
+  // Mapped -> unmapped: the bytes past the page end read as zero.
+  EXPECT_EQ(mem.load32(0x1FFC), 0xFFFEFDFCu);
+  EXPECT_EQ(mem.load32(0x1FFD), 0x00FFFEFDu);
+  EXPECT_EQ(mem.load32(0x1FFE), 0x0000FFFEu);
+  EXPECT_EQ(mem.load32(0x1FFF), 0x000000FFu);
+  EXPECT_EQ(mem.load16(0x1FFC), 0xFDFCu);
+  EXPECT_EQ(mem.load16(0x1FFD), 0xFEFDu);
+  EXPECT_EQ(mem.load16(0x1FFE), 0xFFFEu);
+  EXPECT_EQ(mem.load16(0x1FFF), 0x00FFu);
+
+  // Unmapped -> mapped: only the bytes in the next page are non-zero.
+  EXPECT_EQ(mem.load32(0x2FFC), 0u);
+  EXPECT_EQ(mem.load32(0x2FFD), 0x10000000u);
+  EXPECT_EQ(mem.load32(0x2FFE), 0x11100000u);
+  EXPECT_EQ(mem.load32(0x2FFF), 0x12111000u);
+  EXPECT_EQ(mem.load16(0x2FFC), 0u);
+  EXPECT_EQ(mem.load16(0x2FFD), 0u);
+  EXPECT_EQ(mem.load16(0x2FFE), 0u);
+  EXPECT_EQ(mem.load16(0x2FFF), 0x1000u);
+
+  // The top of the address space wraps to address 0.
+  mem.store8(0, 0xAB);
+  EXPECT_EQ(mem.load32(0xFFFFFFFF), 0x0000AB00u);
+  EXPECT_EQ(mem.load16(0xFFFFFFFF), 0xAB00u);
+}
+
 TEST(Memory, LoadImagePlacesSections) {
   assembler::LoadImage img;
   img.text_base = 0;
