@@ -14,6 +14,7 @@
 #endif
 
 #include "support/error.hpp"
+#include "support/io.hpp"
 #include "support/json.hpp"
 
 namespace sofia::cache {
@@ -101,17 +102,12 @@ std::string parse_header(std::string_view line, Header& out) {
     const auto* schema = doc.find("schema");
     if (schema == nullptr || schema->as_string("schema") != kEntrySchema)
       return "unrecognized entry schema";
-    const auto* key = doc.find("key");
-    const auto* kind = doc.find("kind");
-    const auto* bytes = doc.find("payload_bytes");
-    const auto* digest = doc.find("payload_sha256");
-    if (key == nullptr || kind == nullptr || bytes == nullptr ||
-        digest == nullptr)
-      return "header is missing key/kind/payload_bytes/payload_sha256";
-    out.key_hex = key->as_string("key");
-    out.kind = kind->as_string("kind");
-    out.payload_bytes = bytes->as_uint("payload_bytes");
-    out.payload_sha256 = digest->as_string("payload_sha256");
+    out.key_hex = doc.at("key", "header").as_string("key");
+    out.kind = doc.at("kind", "header").as_string("kind");
+    out.payload_bytes =
+        doc.at("payload_bytes", "header").as_uint("payload_bytes");
+    out.payload_sha256 =
+        doc.at("payload_sha256", "header").as_string("payload_sha256");
     return "";
   } catch (const std::exception& e) {
     return std::string("header parse failed: ") + e.what();
@@ -279,6 +275,61 @@ std::unique_ptr<ResultStore> ResultStore::open(const std::string& dir,
   }
   if (root.empty()) return nullptr;
   return std::make_unique<ResultStore>(fs::path(root), std::move(warn));
+}
+
+// ---------------------------------------------------------------------------
+// ToolCache
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// The run's counters as the sofia-cache-stats-v1 side document, kept apart
+/// from the result documents (byte-identical with and without a cache).
+std::string cache_stats_json(const ResultStore& store) {
+  const auto s = store.stats();
+  json::Writer w(2);
+  w.begin_object();
+  w.member("schema", "sofia-cache-stats-v1");
+  w.key("cache").begin_object();
+  w.member("root", store.root().string());
+  w.member("hits", s.hits);
+  w.member("misses", s.misses);
+  w.member("stored", s.stored);
+  w.member("failures", s.failures);
+  w.end_object();
+  w.end_object();
+  return w.document();
+}
+
+}  // namespace
+
+ToolCache::ToolCache(std::string_view tool, const std::string& dir,
+                     std::string stats_path, std::FILE* log)
+    : stats_path_(std::move(stats_path)) {
+  store_ = ResultStore::open(dir, [tool = std::string(tool)](const std::string& m) {
+    std::fprintf(stderr, "%s: %s\n", tool.c_str(), m.c_str());
+  });
+  if (store_) std::fprintf(log, "cache: %s\n", store_->root().string().c_str());
+}
+
+std::string ToolCache::usage_error() const {
+  if (!store_ && !stats_path_.empty())
+    return "--cache-stats needs --cache (or $SOFIA_CACHE)";
+  return {};
+}
+
+void ToolCache::report() const {
+  if (!store_) return;
+  const auto s = store_->stats();
+  std::fprintf(stderr,
+               "cache: %llu hit(s), %llu miss(es), %llu stored, "
+               "%llu failure(s)\n",
+               static_cast<unsigned long long>(s.hits),
+               static_cast<unsigned long long>(s.misses),
+               static_cast<unsigned long long>(s.stored),
+               static_cast<unsigned long long>(s.failures));
+  if (!stats_path_.empty())
+    io::emit_document(stats_path_, cache_stats_json(*store_));
 }
 
 // ---------------------------------------------------------------------------

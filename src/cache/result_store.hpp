@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <functional>
 #include <memory>
@@ -119,6 +120,29 @@ class ResultStore {
   // lock is noise-level) — see result_store.cpp.
   struct Counters;
   std::shared_ptr<Counters> counters_;
+};
+
+/// The --cache DIR / --cache-stats PATH contract sofia_sweep and
+/// sofia_attack share. The store resolves like open(); its warnings go to
+/// stderr prefixed with the tool name, so they survive --quiet and never
+/// touch a stdout document.
+class ToolCache {
+ public:
+  /// Opens the store and logs "cache: ROOT" to `log` when one resolves.
+  ToolCache(std::string_view tool, const std::string& dir,
+            std::string stats_path, std::FILE* log);
+
+  ResultStore* get() const { return store_.get(); }
+  /// The usage error to report before any job runs (--cache-stats without
+  /// a cache), or "".
+  std::string usage_error() const;
+  /// After the run: the "cache: H hit(s), M miss(es), ..." line on stderr
+  /// and the --cache-stats document.
+  void report() const;
+
+ private:
+  std::unique_ptr<ResultStore> store_;
+  std::string stats_path_;
 };
 
 // ---- maintenance (the sofia_cache CLI and tests) ---------------------------

@@ -1,12 +1,10 @@
 #include "campaign/campaign.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
-#include <mutex>
 
 #include "assembler/image_io.hpp"
-#include "driver/pool.hpp"
+#include "driver/jobs.hpp"
 #include "pipeline/pipeline.hpp"
 #include "remote/codec.hpp"
 #include "scheme/scheme.hpp"
@@ -158,7 +156,7 @@ bool CampaignResult::authenticated_clean() const {
 }
 
 // ---------------------------------------------------------------------------
-// Shared JSON helpers (the shard merge and the result-cache payload codec)
+// Record codecs (the document, the shard merge and the cache payload)
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -169,20 +167,6 @@ void record_to_json(const MutationRecord& record, json::Writer& w) {
   w.begin_array();
   for (const Mutation& m : record) to_json(m, w);
   w.end_array();
-}
-
-const json::Value& req(const json::Value& doc, std::string_view key,
-                       const std::string& label) {
-  const auto* v = doc.find(key);
-  if (v == nullptr)
-    throw Error("merge: " + label + " is missing '" + std::string(key) + "'");
-  return *v;
-}
-
-bool as_bool(const json::Value& v, std::string_view context) {
-  if (v.kind != json::Value::Kind::kBool)
-    throw Error("merge: '" + std::string(context) + "' is not a boolean");
-  return v.boolean;
 }
 
 crypto::Granularity parse_granularity(const std::string& name) {
@@ -205,6 +189,40 @@ MutationRecord record_from_json(const json::Value& v,
   for (const auto& m : v.as_array(context))
     record.push_back(mutation_from_json(m));
   return record;
+}
+
+void write_escape(const EscapeRecord& e, json::Writer& w) {
+  w.begin_object();
+  w.member("job", e.job);
+  w.member("status", e.status);
+  w.member("output_clean", e.output_clean);
+  w.key("mutations");
+  record_to_json(e.applied, w);
+  w.key("minimized");
+  record_to_json(e.minimized, w);
+  w.key("lint").begin_array();
+  for (const verify::Rule rule : e.lint) w.value(verify::to_string(rule));
+  w.end_array();
+  w.end_object();
+}
+
+/// Inverse of write_escape; errors name `context` ("merge: document 1
+/// cell 2", "cached trial").
+EscapeRecord read_escape(const json::Value& v, std::string_view context) {
+  EscapeRecord e;
+  e.job = v.at("job", context).as_uint("job");
+  e.status = v.at("status", context).as_string("status");
+  e.output_clean = v.at("output_clean", context).as_bool("output_clean");
+  e.applied = record_from_json(v.at("mutations", context), "mutations");
+  e.minimized = record_from_json(v.at("minimized", context), "minimized");
+  for (const auto& rule : v.at("lint", context).as_array("lint")) {
+    const std::string& name = rule.as_string("lint");
+    const verify::RuleInfo* info = verify::find_rule(name);
+    if (info == nullptr)
+      throw Error(std::string(context) + ": unknown lint rule '" + name + "'");
+    e.lint.push_back(info->rule);
+  }
+  return e;
 }
 
 }  // namespace
@@ -343,38 +361,6 @@ struct Trial {
 
 // ---- result-cache payload codec -------------------------------------------
 
-constexpr std::string_view kTrialKind = "campaign-trial";
-constexpr std::string_view kTrialPayloadSchema =
-    "sofia-cache-campaign-trial-v1";
-
-std::string encode_trial_payload(const Trial& t) {
-  json::Writer w(-1);
-  w.begin_object();
-  w.member("schema", kTrialPayloadSchema);
-  w.member("cls", to_string(t.cls));
-  w.member("cause", sim::to_string(t.cause));
-  w.member("insts", t.insts);
-  w.key("record");
-  record_to_json(t.record, w);
-  if (t.cls == TrialClass::kEscaped) {
-    w.key("escape").begin_object();
-    w.member("job", t.escape.job);
-    w.member("status", t.escape.status);
-    w.member("output_clean", t.escape.output_clean);
-    w.key("mutations");
-    record_to_json(t.escape.applied, w);
-    w.key("minimized");
-    record_to_json(t.escape.minimized, w);
-    w.key("lint").begin_array();
-    for (const verify::Rule rule : t.escape.lint)
-      w.value(verify::to_string(rule));
-    w.end_array();
-    w.end_object();
-  }
-  w.end_object();
-  return w.str();
-}
-
 TrialClass parse_class(const std::string& name) {
   for (const auto cls : {TrialClass::kDetected, TrialClass::kHarmless,
                          TrialClass::kEscaped})
@@ -382,63 +368,36 @@ TrialClass parse_class(const std::string& name) {
   throw Error("cache payload: unknown trial class '" + name + "'");
 }
 
-/// Decode a cached trial; returns false (t untouched) on any mismatch, so
-/// a stale or foreign payload degrades to a miss, never a crash.
-bool decode_trial_payload(const std::string& payload, Trial& t) {
-  try {
-    const json::Value doc = json::parse(payload);
-    const auto* schema = doc.find("schema");
-    if (schema == nullptr ||
-        schema->as_string("schema") != kTrialPayloadSchema)
-      return false;
-    const std::string label = "cached trial";
-    Trial out;
-    out.cls = parse_class(req(doc, "cls", label).as_string("cls"));
-    out.cause = parse_cause(req(doc, "cause", label).as_string("cause"));
-    out.insts = req(doc, "insts", label).as_uint("insts");
-    out.record = record_from_json(req(doc, "record", label), "record");
-    if (out.cls == TrialClass::kEscaped) {
-      const auto& je = req(doc, "escape", label);
-      out.escape.job = req(je, "job", label).as_uint("job");
-      out.escape.status = req(je, "status", label).as_string("status");
-      out.escape.output_clean =
-          as_bool(req(je, "output_clean", label), "output_clean");
-      out.escape.applied =
-          record_from_json(req(je, "mutations", label), "mutations");
-      out.escape.minimized =
-          record_from_json(req(je, "minimized", label), "minimized");
-      for (const auto& rule : req(je, "lint", label).as_array("lint")) {
-        const verify::RuleInfo* info = verify::find_rule(rule.as_string("lint"));
-        if (info == nullptr) return false;
-        out.escape.lint.push_back(info->rule);
-      }
-    }
-    t = std::move(out);
-    return true;
-  } catch (const std::exception&) {
-    return false;
+void write_trial(const Trial& t, json::Writer& w) {
+  w.member("cls", to_string(t.cls));
+  w.member("cause", sim::to_string(t.cause));
+  w.member("insts", t.insts);
+  w.key("record");
+  record_to_json(t.record, w);
+  if (t.cls == TrialClass::kEscaped) {
+    w.key("escape");
+    write_escape(t.escape, w);
   }
 }
 
-Trial run_trial(const Fixture& fx, std::uint64_t job, const Rng& base,
-                cache::ResultStore* store) {
-  Trial t;
-  cache::Key key{};
-  if (store != nullptr) {
-    cache::KeyBuilder kb("sofia-cache-key-v1/campaign-trial");
-    kb.field("fixture", fx.cache_digest);
-    kb.field("job", job);
-    key = kb.finish();
-    if (auto payload = store->load(key, kTrialKind)) {
-      if (decode_trial_payload(*payload, t)) {
-        t.from_cache = true;
-        return t;
-      }
-      store->warn("cache: campaign-trial payload for job " +
-                  std::to_string(job) + " is undecodable; re-executing");
-    }
-  }
-  bool trial_error = false;
+void read_trial(const json::Value& doc, Trial& t) {
+  constexpr std::string_view kContext = "cached trial";
+  t.cls = parse_class(doc.at("cls", kContext).as_string("cls"));
+  t.cause = parse_cause(doc.at("cause", kContext).as_string("cause"));
+  t.insts = doc.at("insts", kContext).as_uint("insts");
+  t.record = record_from_json(doc.at("record", kContext), "record");
+  if (t.cls == TrialClass::kEscaped)
+    t.escape = read_escape(doc.at("escape", kContext), kContext);
+}
+
+constexpr driver::PayloadCodec<Trial> kTrialCodec{
+    "campaign-trial", "sofia-cache-campaign-trial-v1", write_trial,
+    read_trial};
+
+/// The trial body. Returns false for a trial error — an environmental
+/// failure (e.g. a lost transport) that must retry on the next run rather
+/// than land in the cache.
+bool attempt(const Fixture& fx, std::uint64_t job, const Rng& base, Trial& t) {
   try {
     Rng rng = base.fork(job);
     t.record = generate_record(rng, fx.geometry);
@@ -462,21 +421,32 @@ Trial run_trial(const Fixture& fx, std::uint64_t job, const Rng& base,
       t.escape.lint =
           verify::error_rules(verify::lint(fx.model, image, fx.device_spec));
     }
+    return true;
   } catch (const std::exception& e) {
     // A trial-level failure (replay error, backend transport loss) is an
     // escape with the error as its status: loud in the document, gating
     // the exit code, never sinking the campaign.
-    trial_error = true;
     t.cls = TrialClass::kEscaped;
     t.escape.job = job;
     t.escape.status = std::string("error: ") + e.what();
     t.escape.applied = t.record;
     t.escape.minimized = t.record;
+    return false;
   }
-  // Deterministic outcomes are cacheable; environmental failures (the
-  // catch path — e.g. a lost transport) must retry on the next run.
-  if (store != nullptr && !trial_error)
-    store->store(key, kTrialKind, encode_trial_payload(t));
+}
+
+Trial run_trial(const Fixture& fx, std::uint64_t job, const Rng& base,
+                cache::ResultStore* store) {
+  Trial t;
+  const auto key = [&] {
+    return cache::KeyBuilder("sofia-cache-key-v1/campaign-trial")
+        .field("fixture", fx.cache_digest)
+        .field("job", job)
+        .finish();
+  };
+  driver::cache_through(store, kTrialCodec, job, key, t, [&](Trial& out) {
+    return attempt(fx, job, base, out);
+  });
   return t;
 }
 
@@ -486,17 +456,11 @@ CampaignResult run_campaign(const CampaignSpec& spec, unsigned threads,
                             const CellProgressFn& progress,
                             driver::ShardSpec shard,
                             cache::ResultStore* store) {
-  shard.validate();
   if (spec.cells.empty()) throw Error("campaign: no matrix cells");
   if (spec.jobs_per_cell == 0)
     throw Error("campaign: jobs_per_cell must be >= 1");
 
-  // This shard's slice of the global job list (index ≡ shard.index mod
-  // count), exactly the sweep driver's discipline.
-  std::vector<std::uint64_t> jobs;
-  const std::uint64_t total = spec.total_jobs();
-  for (std::uint64_t g = shard.index; g < total; g += shard.count)
-    jobs.push_back(g);
+  const std::vector<std::uint64_t> jobs = shard.slice(spec.total_jobs());
 
   // Build fixtures only for cells this shard actually touches.
   std::vector<std::unique_ptr<Fixture>> fixtures(spec.cells.size());
@@ -513,16 +477,14 @@ CampaignResult run_campaign(const CampaignSpec& spec, unsigned threads,
 
   std::vector<Trial> trials(jobs.size());
   const Rng base(spec.seed);
-  const auto t0 = std::chrono::steady_clock::now();
-  result.threads_used =
+  const driver::PoolRun run =
       driver::for_each_index(jobs.size(), threads, [&](std::size_t i) {
         const std::uint64_t g = jobs[i];
         trials[i] =
             run_trial(*fixtures[g / spec.jobs_per_cell], g, base, store);
       });
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  result.threads_used = run.threads;
+  result.wall_seconds = run.wall_seconds;
 
   // Fold in job-index order (trials[] is already index-sorted), so tallies
   // and escape lists are independent of thread interleaving.
@@ -584,9 +546,7 @@ std::string to_json(const CampaignResult& result) {
   w.member("jobs_per_cell",
            static_cast<std::uint64_t>(result.spec.jobs_per_cell));
   w.member("job_count", result.spec.total_jobs());
-  if (!result.shard.is_whole())
-    w.member("shard", std::to_string(result.shard.index) + "/" +
-                          std::to_string(result.shard.count));
+  if (!result.shard.is_whole()) w.member("shard", result.shard.to_string());
   w.key("cells").begin_array();
   for (std::size_t c = 0; c < result.cells.size(); ++c) {
     const CellResult& cell = result.cells[c];
@@ -623,28 +583,13 @@ std::string to_json(const CampaignResult& result) {
       w.end_object();
     }
     w.key("escapes").begin_array();
-    for (const EscapeRecord& e : cell.escapes) {
-      w.begin_object();
-      w.member("job", e.job);
-      w.member("status", e.status);
-      w.member("output_clean", e.output_clean);
-      w.key("mutations");
-      record_to_json(e.applied, w);
-      w.key("minimized");
-      record_to_json(e.minimized, w);
-      w.key("lint").begin_array();
-      for (const verify::Rule rule : e.lint) w.value(verify::to_string(rule));
-      w.end_array();
-      w.end_object();
-    }
+    for (const EscapeRecord& e : cell.escapes) write_escape(e, w);
     w.end_array();
     w.end_object();
   }
   w.end_array();
   w.end_object();
-  std::string doc = w.str();
-  doc += '\n';
-  return doc;
+  return w.document();
 }
 
 // ---------------------------------------------------------------------------
@@ -660,112 +605,98 @@ std::string merge_json(const std::vector<std::string>& documents) {
 
   for (std::size_t d = 0; d < documents.size(); ++d) {
     const json::Value doc = json::parse(documents[d]);
-    const auto label = "document " + std::to_string(d);
-    if (req(doc, "schema", label).as_string("schema") != kSchema)
-      throw Error("merge: " + label + " is not a " + std::string(kSchema) +
-                  " document");
+    const auto label = "merge: document " + std::to_string(d);
+    if (doc.at("schema", label).as_string("schema") != kSchema)
+      throw Error(label + " is not a " + std::string(kSchema) + " document");
 
     CampaignSpec spec;
-    spec.name = req(doc, "campaign", label).as_string("campaign");
-    const auto victim = req(doc, "victim", label).as_string("victim");
+    spec.name = doc.at("campaign", label).as_string("campaign");
+    const auto victim = doc.at("victim", label).as_string("victim");
     spec.workload = victim == "builtin" ? "" : victim;
-    spec.size =
-        static_cast<std::uint32_t>(req(doc, "size", label).as_uint("size"));
-    spec.backend = req(doc, "backend", label).as_string("backend");
-    spec.seed = req(doc, "seed", label).as_uint("seed");
+    spec.size = static_cast<std::uint32_t>(doc.at("size", label).as_uint("size"));
+    spec.backend = doc.at("backend", label).as_string("backend");
+    spec.seed = doc.at("seed", label).as_uint("seed");
     spec.donor_omega = static_cast<std::uint16_t>(
-        req(doc, "donor_omega", label).as_uint("donor_omega"));
+        doc.at("donor_omega", label).as_uint("donor_omega"));
     spec.jobs_per_cell = static_cast<std::uint32_t>(
-        req(doc, "jobs_per_cell", label).as_uint("jobs_per_cell"));
+        doc.at("jobs_per_cell", label).as_uint("jobs_per_cell"));
 
-    const auto shard_text = driver::ShardSpec::parse(
-        req(doc, "shard", label).as_string("shard"));
+    const auto shard =
+        driver::ShardSpec::parse(doc.at("shard", label).as_string("shard"));
     if (d == 0) {
-      shard_count = shard_text.count;
+      shard_count = shard.count;
       if (documents.size() != shard_count)
         throw Error("merge: got " + std::to_string(documents.size()) +
                     " document(s) for " + std::to_string(shard_count) +
                     " shard(s)");
       shard_seen.assign(shard_count, false);
-    } else if (shard_text.count != shard_count) {
-      throw Error("merge: " + label + " disagrees on the shard count");
+    } else if (shard.count != shard_count) {
+      throw Error(label + " disagrees on the shard count");
     }
-    if (shard_seen[shard_text.index])
-      throw Error("merge: shard " + std::to_string(shard_text.index) +
+    if (shard_seen[shard.index])
+      throw Error("merge: shard " + std::to_string(shard.index) +
                   " appears in more than one document");
-    shard_seen[shard_text.index] = true;
+    shard_seen[shard.index] = true;
 
-    const auto& cells = req(doc, "cells", label).as_array("cells");
+    const auto& cells = doc.at("cells", label).as_array("cells");
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      const auto cl = label + " cell " + std::to_string(c);
+      spec.cells.push_back(CellSpec{
+          cells[c].at("scheme", cl).as_string("scheme"),
+          pipeline::DeviceProfile::parse_cipher(
+              cells[c].at("cipher", cl).as_string("cipher")),
+          parse_granularity(
+              cells[c].at("granularity", cl).as_string("granularity"))});
+    }
     if (d == 0) {
       merged.spec = spec;
       merged.cells.resize(cells.size());
-    } else {
-      const auto& s = merged.spec;
-      if (spec.name != s.name || spec.workload != s.workload ||
-          spec.size != s.size || spec.backend != s.backend ||
-          spec.seed != s.seed || spec.donor_omega != s.donor_omega ||
-          spec.jobs_per_cell != s.jobs_per_cell ||
-          cells.size() != merged.cells.size())
-        throw Error("merge: " + label +
-                    " disagrees with document 0 on the campaign header");
+    } else if (spec != merged.spec) {
+      throw Error(label + " disagrees with document 0 on the campaign header");
     }
 
     for (std::size_t c = 0; c < cells.size(); ++c) {
       const auto& jc = cells[c];
       const auto cl = label + " cell " + std::to_string(c);
-      CellSpec cell_spec;
-      cell_spec.scheme = req(jc, "scheme", cl).as_string("scheme");
-      cell_spec.cipher = pipeline::DeviceProfile::parse_cipher(
-          req(jc, "cipher", cl).as_string("cipher"));
-      cell_spec.granularity = parse_granularity(
-          req(jc, "granularity", cl).as_string("granularity"));
       auto& out = merged.cells[c];
       if (d == 0) {
-        merged.spec.cells.push_back(cell_spec);
-        out.cell = cell_spec;
-        out.authenticated = as_bool(req(jc, "authenticated", cl), cl);
+        out.cell = spec.cells[c];
+        out.authenticated = jc.at("authenticated", cl).as_bool("authenticated");
         out.latency_min = ~0ull;
-      } else if (cell_spec.scheme != out.cell.scheme ||
-                 cell_spec.cipher != out.cell.cipher ||
-                 cell_spec.granularity != out.cell.granularity) {
-        throw Error("merge: " + cl + " disagrees on the cell axes");
       }
-      out.jobs += req(jc, "jobs", cl).as_uint("jobs");
-      const std::uint64_t detected =
-          req(jc, "detected", cl).as_uint("detected");
+      out.jobs += jc.at("jobs", cl).as_uint("jobs");
+      const std::uint64_t detected = jc.at("detected", cl).as_uint("detected");
       out.detected += detected;
-      out.harmless += req(jc, "harmless", cl).as_uint("harmless");
-      out.escaped += req(jc, "escaped", cl).as_uint("escaped");
-      for (const auto& [name, count] :
-           req(jc, "causes", cl).object)
+      out.harmless += jc.at("harmless", cl).as_uint("harmless");
+      const std::uint64_t escaped = jc.at("escaped", cl).as_uint("escaped");
+      out.escaped += escaped;
+      for (const auto& [name, count] : jc.at("causes", cl).object)
         out.causes[static_cast<std::size_t>(parse_cause(name))] +=
             count.as_uint("causes");
-      for (const auto& [name, count] :
-           req(jc, "mutations", cl).object)
+      for (const auto& [name, count] : jc.at("mutations", cl).object)
         out.mutations[static_cast<std::size_t>(parse_mutation_kind(name))] +=
             count.as_uint("mutations");
       if (detected != 0) {
-        const auto& lat = req(jc, "latency", cl);
-        out.latency_min = std::min(
-            out.latency_min, req(lat, "min_insts", cl).as_uint("min_insts"));
-        out.latency_max = std::max(
-            out.latency_max, req(lat, "max_insts", cl).as_uint("max_insts"));
-        out.latency_total += req(lat, "total_insts", cl).as_uint("total_insts");
+        const auto& lat = jc.at("latency", cl);
+        out.latency_min =
+            std::min(out.latency_min, lat.at("min_insts", cl).as_uint("min_insts"));
+        out.latency_max =
+            std::max(out.latency_max, lat.at("max_insts", cl).as_uint("max_insts"));
+        out.latency_total += lat.at("total_insts", cl).as_uint("total_insts");
       }
-      for (const auto& je : req(jc, "escapes", cl).as_array("escapes")) {
-        EscapeRecord e;
-        e.job = req(je, "job", cl).as_uint("job");
-        e.status = req(je, "status", cl).as_string("status");
-        e.output_clean = as_bool(req(je, "output_clean", cl), cl);
-        e.applied = record_from_json(req(je, "mutations", cl), "mutations");
-        e.minimized = record_from_json(req(je, "minimized", cl), "minimized");
-        for (const auto& rule : req(je, "lint", cl).as_array("lint")) {
-          const std::string& name = rule.as_string("lint");
-          const verify::RuleInfo* info = verify::find_rule(name);
-          if (info == nullptr)
-            throw Error("merge: unknown lint rule '" + name + "'");
-          e.lint.push_back(info->rule);
-        }
+      // Each escape must be one of this cell's jobs that this document's
+      // shard actually ran, and the list must match the tally it sums into.
+      const auto& escapes = jc.at("escapes", cl).as_array("escapes");
+      if (escapes.size() != escaped)
+        throw Error(cl + " lists " + std::to_string(escapes.size()) +
+                    " escape(s) but tallies " + std::to_string(escaped));
+      const std::uint64_t first = c * std::uint64_t{spec.jobs_per_cell};
+      for (const auto& je : escapes) {
+        EscapeRecord e = read_escape(je, cl);
+        if (e.job < first || e.job - first >= spec.jobs_per_cell ||
+            !shard.owns(e.job))
+          throw Error(cl + " has an escape for job " + std::to_string(e.job) +
+                      ", not a job of this cell in shard " + shard.to_string());
         out.escapes.push_back(std::move(e));
       }
     }
@@ -786,6 +717,15 @@ std::string merge_json(const std::vector<std::string>& documents) {
               [](const EscapeRecord& a, const EscapeRecord& b) {
                 return a.job < b.job;
               });
+    const auto dup = std::adjacent_find(
+        cell.escapes.begin(), cell.escapes.end(),
+        [](const EscapeRecord& a, const EscapeRecord& b) {
+          return a.job == b.job;
+        });
+    if (dup != cell.escapes.end())
+      throw Error("merge: cell '" + cell.cell.label() +
+                  "' lists the escape for job " + std::to_string(dup->job) +
+                  " more than once");
   }
 
   merged.shard = driver::ShardSpec{};  // the canonical unsharded document

@@ -3,8 +3,9 @@
 // fixed menu of hand-written attacks once, a campaign generates large
 // seeded populations of tampered images, forged headers, spliced blocks
 // and fault schedules (campaign/mutation.hpp), executes them per matrix
-// cell (scheme × cipher × granularity) through the shared driver thread
-// pool, and measures the defense: detection rate, detection latency
+// cell (scheme × cipher × granularity) as a plug-in of the shared job engine
+// (driver/jobs.hpp: shard slice, indexed thread pool, cache-through
+// policy), and measures the defense: detection rate, detection latency
 // (retired instructions until reset), verdict distribution, and — for any
 // trial that escapes detection — a greedily minimized, replayable
 // counterexample plus a verify::lint attribution of what the static layer
@@ -27,7 +28,7 @@
 #include "cache/result_store.hpp"
 #include "campaign/mutation.hpp"
 #include "crypto/key_set.hpp"
-#include "driver/sweep.hpp"
+#include "driver/jobs.hpp"
 #include "verify/verify.hpp"
 
 namespace sofia::campaign {
@@ -41,6 +42,8 @@ struct CellSpec {
 
   /// "sofia-cbcmac/RECTANGLE-80/per-pair" — progress lines and errors.
   std::string label() const;
+
+  bool operator==(const CellSpec&) const = default;
 };
 
 struct CampaignSpec {
@@ -61,6 +64,8 @@ struct CampaignSpec {
   std::uint64_t total_jobs() const {
     return static_cast<std::uint64_t>(cells.size()) * jobs_per_cell;
   }
+
+  bool operator==(const CampaignSpec&) const = default;
 };
 
 /// The full matrix: every registered scheme × both ciphers × both CTR
@@ -178,7 +183,9 @@ std::string to_json(const CampaignResult& result);
 /// Merge one shard document per shard index back into the canonical
 /// unsharded document — byte-identical to a single-machine run. Inputs
 /// must agree on every header field, carry distinct "shard" members K/N
-/// with exactly N documents, and sum to jobs_per_cell everywhere; throws
+/// with exactly N documents, and sum to jobs_per_cell everywhere; every
+/// escape record must name a distinct job of its own cell that its
+/// document's shard runs, one per escape the cell tallies. Throws
 /// sofia::Error otherwise.
 std::string merge_json(const std::vector<std::string>& documents);
 

@@ -281,17 +281,12 @@ void to_json(const Mutation& m, json::Writer& w) {
 }
 
 Mutation mutation_from_json(const json::Value& v) {
-  const auto* kind = v.find("kind");
-  const auto* a = v.find("a");
-  const auto* b = v.find("b");
-  const auto* c = v.find("c");
-  if (kind == nullptr || a == nullptr || b == nullptr || c == nullptr)
-    throw Error("mutation record: missing kind/a/b/c");
+  constexpr std::string_view kContext = "mutation record";
   Mutation m;
-  m.kind = parse_mutation_kind(kind->as_string("kind"));
-  m.a = a->as_uint("a");
-  m.b = b->as_uint("b");
-  m.c = c->as_uint("c");
+  m.kind = parse_mutation_kind(v.at("kind", kContext).as_string("kind"));
+  m.a = v.at("a", kContext).as_uint("a");
+  m.b = v.at("b", kContext).as_uint("b");
+  m.c = v.at("c", kContext).as_uint("c");
   return m;
 }
 

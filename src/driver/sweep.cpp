@@ -1,14 +1,12 @@
 #include "driver/sweep.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <mutex>
+#include <utility>
 
 #include "assembler/image_io.hpp"
-#include "driver/pool.hpp"
 #include "remote/codec.hpp"
 #include "scheme/scheme.hpp"
-#include "support/cli.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
 
@@ -89,31 +87,6 @@ std::size_t SweepResult::cached_jobs() const {
                     [](const JobResult& r) { return r.from_cache; }));
 }
 
-void ShardSpec::validate() const {
-  if (count == 0) throw Error("shard: count must be >= 1");
-  if (index >= count)
-    throw Error("shard: index " + std::to_string(index) +
-                " out of range for " + std::to_string(count) + " shard(s)");
-}
-
-ShardSpec ShardSpec::parse(std::string_view text) {
-  const auto slash = text.find('/');
-  const auto parse_num = [&](std::string_view part) -> std::uint32_t {
-    std::uint64_t v = 0;
-    if (!cli::parse_number(part, v) || v > 0xFFFFFFFFull)
-      throw Error("shard: expected K/N with K and N in [0, 2^32), got '" +
-                  std::string(text) + "'");
-    return static_cast<std::uint32_t>(v);
-  };
-  if (slash == std::string_view::npos)
-    throw Error("shard: expected K/N syntax, got '" + std::string(text) + "'");
-  ShardSpec shard;
-  shard.index = parse_num(text.substr(0, slash));
-  shard.count = parse_num(text.substr(slash + 1));
-  shard.validate();
-  return shard;
-}
-
 namespace {
 
 // ---- result-cache payload codec -------------------------------------------
@@ -124,171 +97,88 @@ namespace {
 // config labels, and the document renderer must stay the single source of
 // formatting so cached and fresh runs are byte-identical.
 
-constexpr std::string_view kJobKind = "sweep-job";
-constexpr std::string_view kJobPayloadSchema = "sofia-cache-sweep-job-v1";
+using StatsField = std::uint64_t sim::SimStats::*;
+constexpr std::pair<std::string_view, StatsField> kStatsFields[] = {
+    {"cycles", &sim::SimStats::cycles},
+    {"insts", &sim::SimStats::insts},
+    {"nops", &sim::SimStats::nops},
+    {"loads", &sim::SimStats::loads},
+    {"stores", &sim::SimStats::stores},
+    {"branches", &sim::SimStats::branches},
+    {"taken", &sim::SimStats::taken},
+    {"icache_hits", &sim::SimStats::icache_hits},
+    {"icache_misses", &sim::SimStats::icache_misses},
+    {"fetch_words", &sim::SimStats::fetch_words},
+    {"mac_words", &sim::SimStats::mac_words},
+    {"ctr_ops", &sim::SimStats::ctr_ops},
+    {"cbc_ops", &sim::SimStats::cbc_ops},
+    {"blocks_fetched", &sim::SimStats::blocks_fetched},
+    {"mac_verifications", &sim::SimStats::mac_verifications},
+    {"store_gate_stalls", &sim::SimStats::store_gate_stalls},
+    {"queue_empty_cycles", &sim::SimStats::queue_empty_cycles},
+    {"exec_stall_cycles", &sim::SimStats::exec_stall_cycles},
+};
 
-void stats_to_json(const sim::SimStats& s, json::Writer& w) {
+constexpr std::string_view kPayload = "cache payload";
+
+void write_stats(const sim::SimStats& s, json::Writer& w) {
   w.begin_object();
-  w.member("cycles", s.cycles);
-  w.member("insts", s.insts);
-  w.member("nops", s.nops);
-  w.member("loads", s.loads);
-  w.member("stores", s.stores);
-  w.member("branches", s.branches);
-  w.member("taken", s.taken);
-  w.member("icache_hits", s.icache_hits);
-  w.member("icache_misses", s.icache_misses);
-  w.member("fetch_words", s.fetch_words);
-  w.member("mac_words", s.mac_words);
-  w.member("ctr_ops", s.ctr_ops);
-  w.member("cbc_ops", s.cbc_ops);
-  w.member("blocks_fetched", s.blocks_fetched);
-  w.member("mac_verifications", s.mac_verifications);
-  w.member("store_gate_stalls", s.store_gate_stalls);
-  w.member("queue_empty_cycles", s.queue_empty_cycles);
-  w.member("exec_stall_cycles", s.exec_stall_cycles);
+  for (const auto& [name, field] : kStatsFields) w.member(name, s.*field);
   w.end_object();
 }
 
-std::uint64_t req_uint(const json::Value& v, std::string_view key) {
-  const auto* m = v.find(key);
-  if (m == nullptr)
-    throw Error("cache payload: missing '" + std::string(key) + "'");
-  return m->as_uint(key);
-}
-
-const std::string& req_string(const json::Value& v, std::string_view key) {
-  const auto* m = v.find(key);
-  if (m == nullptr)
-    throw Error("cache payload: missing '" + std::string(key) + "'");
-  return m->as_string(key);
-}
-
-std::int64_t req_int(const json::Value& v, std::string_view key) {
-  const auto* m = v.find(key);
-  if (m == nullptr || m->kind != json::Value::Kind::kNumber)
-    throw Error("cache payload: missing integer '" + std::string(key) + "'");
-  return std::stoll(m->number);
-}
-
-sim::SimStats stats_from_json(const json::Value& v) {
+sim::SimStats read_stats(const json::Value& v) {
   sim::SimStats s;
-  s.cycles = req_uint(v, "cycles");
-  s.insts = req_uint(v, "insts");
-  s.nops = req_uint(v, "nops");
-  s.loads = req_uint(v, "loads");
-  s.stores = req_uint(v, "stores");
-  s.branches = req_uint(v, "branches");
-  s.taken = req_uint(v, "taken");
-  s.icache_hits = req_uint(v, "icache_hits");
-  s.icache_misses = req_uint(v, "icache_misses");
-  s.fetch_words = req_uint(v, "fetch_words");
-  s.mac_words = req_uint(v, "mac_words");
-  s.ctr_ops = req_uint(v, "ctr_ops");
-  s.cbc_ops = req_uint(v, "cbc_ops");
-  s.blocks_fetched = req_uint(v, "blocks_fetched");
-  s.mac_verifications = req_uint(v, "mac_verifications");
-  s.store_gate_stalls = req_uint(v, "store_gate_stalls");
-  s.queue_empty_cycles = req_uint(v, "queue_empty_cycles");
-  s.exec_stall_cycles = req_uint(v, "exec_stall_cycles");
+  for (const auto& [name, field] : kStatsFields)
+    s.*field = v.at(name, kPayload).as_uint(name);
   return s;
 }
 
-std::string encode_job_payload(const JobResult& r) {
-  json::Writer w(-1);
-  w.begin_object();
-  w.member("schema", kJobPayloadSchema);
+void write_job(const JobResult& r, json::Writer& w) {
   w.member("ok", r.ok);
   if (!r.ok) {
     w.member("error", r.error);
     w.key("lint").begin_array();
-    for (const auto& f : r.lint) {
-      w.begin_object();
-      w.member("rule", verify::to_string(f.rule));
-      w.member("severity", verify::to_string(f.severity));
-      w.member("block", f.block);
-      w.member("insn", f.insn);
-      w.member("message", f.message);
-      w.end_object();
-    }
+    for (const auto& f : r.lint) verify::to_json(f, w);
     w.end_array();
-  } else {
-    w.key("m").begin_object();
-    w.member("name", r.m.name);
-    w.member("vanilla_text_bytes", r.m.vanilla_text_bytes);
-    w.member("sofia_text_bytes", r.m.sofia_text_bytes);
-    w.member("vanilla_cycles", r.m.vanilla_cycles);
-    w.member("sofia_cycles", r.m.sofia_cycles);
-    w.key("vanilla_stats");
-    stats_to_json(r.m.vanilla_stats, w);
-    w.key("sofia_stats");
-    stats_to_json(r.m.sofia_stats, w);
-    w.end_object();
+    return;
   }
+  w.key("m").begin_object();
+  w.member("name", r.m.name);
+  w.member("vanilla_text_bytes", r.m.vanilla_text_bytes);
+  w.member("sofia_text_bytes", r.m.sofia_text_bytes);
+  w.member("vanilla_cycles", r.m.vanilla_cycles);
+  w.member("sofia_cycles", r.m.sofia_cycles);
+  w.key("vanilla_stats");
+  write_stats(r.m.vanilla_stats, w);
+  w.key("sofia_stats");
+  write_stats(r.m.sofia_stats, w);
   w.end_object();
-  return w.str();
 }
 
-verify::Severity parse_severity(const std::string& name) {
-  for (const auto s : {verify::Severity::kNote, verify::Severity::kWarning,
-                       verify::Severity::kError})
-    if (verify::to_string(s) == name) return s;
-  throw Error("cache payload: unknown severity '" + name + "'");
-}
-
-/// Decode a cached payload into `r` (everything but `job`, which the
-/// caller owns). Returns false — leaving `r` untouched — on any mismatch,
-/// so an undecodable entry degrades to a miss, never a crash.
-bool decode_job_payload(const std::string& payload, JobResult& r) {
-  try {
-    const json::Value doc = json::parse(payload);
-    const auto* schema = doc.find("schema");
-    if (schema == nullptr || schema->as_string("schema") != kJobPayloadSchema)
-      return false;
-    JobResult out;
-    out.job = r.job;
-    const auto* ok = doc.find("ok");
-    if (ok == nullptr || ok->kind != json::Value::Kind::kBool) return false;
-    out.ok = ok->boolean;
-    if (!out.ok) {
-      out.error = req_string(doc, "error");
-      const auto* lint = doc.find("lint");
-      if (lint == nullptr) return false;
-      for (const auto& jf : lint->as_array("lint")) {
-        verify::Finding f;
-        const std::string& rule = req_string(jf, "rule");
-        const verify::RuleInfo* info = verify::find_rule(rule);
-        if (info == nullptr)
-          throw Error("cache payload: unknown lint rule '" + rule + "'");
-        f.rule = info->rule;
-        f.severity = parse_severity(req_string(jf, "severity"));
-        f.block = req_int(jf, "block");
-        f.insn = req_int(jf, "insn");
-        f.message = req_string(jf, "message");
-        out.lint.push_back(std::move(f));
-      }
-    } else {
-      const auto* m = doc.find("m");
-      if (m == nullptr) return false;
-      out.m.name = req_string(*m, "name");
-      out.m.vanilla_text_bytes =
-          static_cast<std::uint32_t>(req_uint(*m, "vanilla_text_bytes"));
-      out.m.sofia_text_bytes =
-          static_cast<std::uint32_t>(req_uint(*m, "sofia_text_bytes"));
-      out.m.vanilla_cycles = req_uint(*m, "vanilla_cycles");
-      out.m.sofia_cycles = req_uint(*m, "sofia_cycles");
-      const auto* vs = m->find("vanilla_stats");
-      const auto* ss = m->find("sofia_stats");
-      if (vs == nullptr || ss == nullptr) return false;
-      out.m.vanilla_stats = stats_from_json(*vs);
-      out.m.sofia_stats = stats_from_json(*ss);
-    }
-    r = std::move(out);
-    return true;
-  } catch (const std::exception&) {
-    return false;
+void read_job(const json::Value& doc, JobResult& r) {
+  r.ok = doc.at("ok", kPayload).as_bool("ok");
+  if (!r.ok) {
+    r.error = doc.at("error", kPayload).as_string("error");
+    for (const auto& f : doc.at("lint", kPayload).as_array("lint"))
+      r.lint.push_back(verify::finding_from_json(f));
+    return;
   }
+  const json::Value& m = doc.at("m", kPayload);
+  r.m.name = m.at("name", kPayload).as_string("name");
+  r.m.vanilla_text_bytes = static_cast<std::uint32_t>(
+      m.at("vanilla_text_bytes", kPayload).as_uint("vanilla_text_bytes"));
+  r.m.sofia_text_bytes = static_cast<std::uint32_t>(
+      m.at("sofia_text_bytes", kPayload).as_uint("sofia_text_bytes"));
+  r.m.vanilla_cycles =
+      m.at("vanilla_cycles", kPayload).as_uint("vanilla_cycles");
+  r.m.sofia_cycles = m.at("sofia_cycles", kPayload).as_uint("sofia_cycles");
+  r.m.vanilla_stats = read_stats(m.at("vanilla_stats", kPayload));
+  r.m.sofia_stats = read_stats(m.at("sofia_stats", kPayload));
 }
+
+constexpr PayloadCodec<JobResult> kJobCodec{
+    "sweep-job", "sofia-cache-sweep-job-v1", write_job, read_job};
 
 /// The content address of one job: everything that can change its result.
 /// The hardened image bytes are the load-bearing field — they capture the
@@ -307,32 +197,11 @@ cache::Key job_key(const JobSpec& job, pipeline::Pipeline& p) {
   return kb.finish();
 }
 
-JobResult run_job(const JobSpec& job, cache::ResultStore* store) {
-  JobResult result;
-  result.job = job;
-  cache::Key key{};
-  bool have_key = false;
+/// The job body: the lint prefilter, then both device runs. Measurements
+/// AND deterministic failures (functional mismatches, lint findings) are
+/// outcomes, so every one of them is cacheable.
+bool measure(const JobSpec& job, pipeline::Pipeline& p, JobResult& r) {
   try {
-    const auto& wl = workloads::workload(job.workload);
-    auto p = pipeline::Pipeline::from_workload(wl, job.seed, job.size,
-                                               job.config.opts.profile);
-    p.set_sim_config(job.config.opts.config);
-    p.set_memory_layout(job.config.opts.mem);
-    if (store != nullptr) {
-      // Key derivation runs the transform (cheap) but neither device run
-      // (the expensive part a hit skips).
-      key = job_key(job, p);
-      have_key = true;
-      if (auto payload = store->load(key, kJobKind)) {
-        if (decode_job_payload(*payload, result)) {
-          result.from_cache = true;
-          return result;
-        }
-        store->warn("cache: sweep-job payload for job " +
-                    std::to_string(job.index) +
-                    " is undecodable; re-executing");
-      }
-    }
     if (job.lint) {
       // Lint prefilter: verify the hardened image statically and fail the
       // job before either device run; the same session then measures, so
@@ -340,26 +209,40 @@ JobResult run_job(const JobSpec& job, cache::ResultStore* store) {
       const verify::Report report = p.lint();
       if (!report.clean()) {
         for (const auto& f : report.findings)
-          if (f.severity == verify::Severity::kError)
-            result.lint.push_back(f);
-        result.error =
-            "lint: " + std::to_string(result.lint.size()) +
-            " error-severity finding(s), first: " +
-            std::string(verify::to_string(result.lint.front().rule));
-        if (store != nullptr && have_key)
-          store->store(key, kJobKind, encode_job_payload(result));
-        return result;
+          if (f.severity == verify::Severity::kError) r.lint.push_back(f);
+        r.error = "lint: " + std::to_string(r.lint.size()) +
+                  " error-severity finding(s), first: " +
+                  std::string(verify::to_string(r.lint.front().rule));
+        return true;
       }
     }
-    result.m = p.measure();
-    result.ok = true;
+    r.m = p.measure();
+    r.ok = true;
   } catch (const std::exception& e) {
+    r.error = e.what();
+  }
+  return true;
+}
+
+JobResult run_job(const JobSpec& job, cache::ResultStore* store) {
+  JobResult result;
+  result.job = job;
+  try {
+    const auto& wl = workloads::workload(job.workload);
+    auto p = pipeline::Pipeline::from_workload(wl, job.seed, job.size,
+                                               job.config.opts.profile);
+    p.set_sim_config(job.config.opts.config);
+    p.set_memory_layout(job.config.opts.mem);
+    // Key derivation runs the transform (cheap) but neither device run
+    // (the expensive part a hit skips).
+    cache_through(
+        store, kJobCodec, job.index, [&] { return job_key(job, p); }, result,
+        [&](JobResult& r) { return measure(job, p, r); });
+  } catch (const std::exception& e) {
+    // The job died before it had a key (e.g. a transform error): reported,
+    // never cached.
     result.error = e.what();
   }
-  // Measurements AND deterministic failures (functional mismatches, lint)
-  // are cacheable; only jobs that died before a key existed are not.
-  if (store != nullptr && have_key)
-    store->store(key, kJobKind, encode_job_payload(result));
   return result;
 }
 
@@ -368,37 +251,25 @@ JobResult run_job(const JobSpec& job, cache::ResultStore* store) {
 SweepResult run_sweep(const SweepSpec& spec, unsigned threads,
                       const ProgressFn& progress, ShardSpec shard,
                       cache::ResultStore* store) {
-  shard.validate();
   const auto all_jobs = expand_jobs(spec);
-  std::vector<JobSpec> jobs;
-  jobs.reserve(all_jobs.size());
-  for (const auto& job : all_jobs)
-    if (job.index % shard.count == shard.index) jobs.push_back(job);
+  const auto slice = shard.slice(all_jobs.size());
 
   SweepResult result;
   result.sweep_name = spec.name;
   result.total_jobs = all_jobs.size();
   result.shard = shard;
-  result.jobs.resize(jobs.size());
+  result.jobs.resize(slice.size());
 
-  const auto t0 = std::chrono::steady_clock::now();
-
-  // Each worker claims the next unclaimed job index and writes its result
-  // into the job's own slot (driver::for_each_index), so the output order
-  // (and the JSON rendered from it) never depends on thread interleaving.
   std::mutex progress_mutex;
-  result.threads_used =
-      for_each_index(jobs.size(), threads, [&](std::size_t i) {
-        result.jobs[i] = run_job(jobs[i], store);
-        if (progress) {
-          const std::lock_guard<std::mutex> lock(progress_mutex);
-          progress(result.jobs[i]);
-        }
-      });
-
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  const PoolRun run = for_each_index(slice.size(), threads, [&](std::size_t i) {
+    result.jobs[i] = run_job(all_jobs[slice[i]], store);
+    if (progress) {
+      const std::lock_guard<std::mutex> lock(progress_mutex);
+      progress(result.jobs[i]);
+    }
+  });
+  result.threads_used = run.threads;
+  result.wall_seconds = run.wall_seconds;
   return result;
 }
 
@@ -411,9 +282,7 @@ std::string to_json(const SweepResult& result) {
   w.member("job_count", static_cast<std::uint64_t>(
                             result.total_jobs ? result.total_jobs
                                               : result.jobs.size()));
-  if (!result.shard.is_whole())
-    w.member("shard", std::to_string(result.shard.index) + "/" +
-                          std::to_string(result.shard.count));
+  if (!result.shard.is_whole()) w.member("shard", result.shard.to_string());
   w.key("jobs").begin_array();
   for (const auto& r : result.jobs) {
     w.begin_object();
@@ -430,15 +299,7 @@ std::string to_json(const SweepResult& result) {
       w.member("error", r.error);
       if (!r.lint.empty()) {
         w.key("lint").begin_array();
-        for (const auto& f : r.lint) {
-          w.begin_object();
-          w.member("rule", verify::to_string(f.rule));
-          w.member("severity", verify::to_string(f.severity));
-          w.member("block", static_cast<std::int64_t>(f.block));
-          w.member("insn", static_cast<std::int64_t>(f.insn));
-          w.member("message", f.message);
-          w.end_object();
-        }
+        for (const auto& f : r.lint) verify::to_json(f, w);
         w.end_array();
       }
     } else {
@@ -464,9 +325,7 @@ std::string to_json(const SweepResult& result) {
   }
   w.end_array();
   w.end_object();
-  std::string doc = w.str();
-  doc += '\n';
-  return doc;
+  return w.document();
 }
 
 std::string merge_json(const std::vector<std::string>& documents) {
@@ -484,27 +343,21 @@ std::string merge_json(const std::vector<std::string>& documents) {
   for (std::size_t d = 0; d < documents.size(); ++d) {
     parsed.push_back(json::parse(documents[d]));
     const auto& doc = parsed.back();
-    const auto label = "document " + std::to_string(d);
-    const auto* schema = doc.find("schema");
-    if (schema == nullptr || schema->as_string("schema") != "sofia-sweep-v5")
-      throw Error("merge: " + label + " is not a sofia-sweep-v5 document");
-    const auto* sweep = doc.find("sweep");
-    const auto* count = doc.find("job_count");
-    const auto* jobs = doc.find("jobs");
-    if (sweep == nullptr || count == nullptr || jobs == nullptr)
-      throw Error("merge: " + label + " is missing sweep/job_count/jobs");
+    const auto label = "merge: document " + std::to_string(d);
+    if (doc.at("schema", label).as_string("schema") != "sofia-sweep-v5")
+      throw Error(label + " is not a sofia-sweep-v5 document");
+    const auto& sweep = doc.at("sweep", label).as_string("sweep");
+    const auto count = doc.at("job_count", label).as_uint("job_count");
     if (d == 0) {
-      sweep_name = sweep->as_string("sweep");
-      total = count->as_uint("job_count");
-    } else {
-      if (sweep->as_string("sweep") != sweep_name)
-        throw Error("merge: " + label + " is from sweep '" +
-                    sweep->as_string("sweep") + "', expected '" + sweep_name +
-                    "'");
-      if (count->as_uint("job_count") != total)
-        throw Error("merge: " + label + " disagrees on job_count");
+      sweep_name = sweep;
+      total = count;
+    } else if (sweep != sweep_name) {
+      throw Error(label + " is from sweep '" + sweep + "', expected '" +
+                  sweep_name + "'");
+    } else if (count != total) {
+      throw Error(label + " disagrees on job_count");
     }
-    job_lists.push_back(&jobs->as_array("jobs"));
+    job_lists.push_back(&doc.at("jobs", label).as_array("jobs"));
     records += job_lists.back()->size();
   }
 
@@ -520,9 +373,8 @@ std::string merge_json(const std::vector<std::string>& documents) {
   std::vector<const json::Value*> by_index(total, nullptr);
   for (const auto* jobs : job_lists) {
     for (const auto& job : *jobs) {
-      const auto* index = job.find("index");
-      if (index == nullptr) throw Error("merge: job record without index");
-      const std::uint64_t i = index->as_uint("index");
+      const std::uint64_t i =
+          job.at("index", "merge: job record").as_uint("index");
       if (i >= total)
         throw Error("merge: job index " + std::to_string(i) +
                     " out of range for job_count " + std::to_string(total));
@@ -545,9 +397,7 @@ std::string merge_json(const std::vector<std::string>& documents) {
   for (const auto* job : by_index) job->write(w);
   w.end_array();
   w.end_object();
-  std::string doc = w.str();
-  doc += '\n';
-  return doc;
+  return w.document();
 }
 
 // ---------------------------------------------------------------------------

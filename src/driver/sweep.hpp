@@ -2,11 +2,12 @@
 // sofia_report and the bench binaries that used to hand-roll the same
 // workload × configuration loop. A SweepSpec names a cartesian matrix of
 // workloads × ConfigPoints (transform options + SimConfig variants), which
-// expands into a deterministic, index-ordered job list; run_sweep() executes
-// the jobs on a std::thread pool and collects Measurements back in job
-// order. Per-job seeds are a pure function of the job index, so results —
-// and the JSON document to_json() renders — are byte-identical for any
-// thread count.
+// expands into a deterministic, index-ordered job list; run_sweep() runs it
+// as a plug-in of the shared job engine (driver/jobs.hpp: shard slice,
+// indexed thread pool, cache-through policy) and collects Measurements back
+// in job order. Per-job seeds are a pure function of the job index, so
+// results — and the JSON document to_json() renders — are byte-identical
+// for any thread count, shard split or cache state.
 #pragma once
 
 #include <cstddef>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "cache/result_store.hpp"
+#include "driver/jobs.hpp"
 #include "support/measure.hpp"
 #include "verify/verify.hpp"
 
@@ -93,19 +95,6 @@ struct JobResult {
   /// Served from the result cache (the simulations were skipped). Not part
   /// of the JSON document — cached and fresh runs must stay byte-identical.
   bool from_cache = false;
-};
-
-/// One machine's slice of a multi-machine sweep: run only the jobs with
-/// index ≡ index (mod count). The default (0 of 1) is the whole matrix.
-struct ShardSpec {
-  std::uint32_t index = 0;
-  std::uint32_t count = 1;
-
-  bool is_whole() const { return count <= 1; }
-  /// Throws sofia::Error when count == 0 or index >= count.
-  void validate() const;
-  /// Parse the CLI "K/N" syntax.
-  static ShardSpec parse(std::string_view text);
 };
 
 struct SweepResult {

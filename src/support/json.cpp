@@ -325,6 +325,14 @@ const Value* Value::find(std::string_view key) const {
   return nullptr;
 }
 
+const Value& Value::at(std::string_view key, std::string_view context) const {
+  const Value* v = find(key);
+  if (v == nullptr)
+    throw Error(std::string(context) + " is missing '" + std::string(key) +
+                "'");
+  return *v;
+}
+
 const std::string& Value::as_string(std::string_view context) const {
   if (kind != Kind::kString)
     throw Error("json: " + std::string(context) + " is not a string");
@@ -342,6 +350,23 @@ std::uint64_t Value::as_uint(std::string_view context) const {
       end != number.c_str() + number.size())
     throw Error("json: " + std::string(context) + " is not an unsigned integer");
   return v;
+}
+
+std::int64_t Value::as_int(std::string_view context) const {
+  if (kind != Kind::kNumber)
+    throw Error("json: " + std::string(context) + " is not a number");
+  errno = 0;
+  char* end = nullptr;
+  const long long v = std::strtoll(number.c_str(), &end, 10);
+  if (errno != 0 || end != number.c_str() + number.size())
+    throw Error("json: " + std::string(context) + " is not an integer");
+  return v;
+}
+
+bool Value::as_bool(std::string_view context) const {
+  if (kind != Kind::kBool)
+    throw Error("json: " + std::string(context) + " is not a boolean");
+  return boolean;
 }
 
 const std::vector<Value>& Value::as_array(std::string_view context) const {

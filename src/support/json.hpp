@@ -1,5 +1,6 @@
-// Minimal streaming JSON writer for machine-readable experiment results
-// (driver/sweep emits BENCH_sweep.json-style documents with it). Emission
+// Minimal streaming JSON writer for the repo's machine-readable documents
+// (sweep, campaign, lint and cache-stats documents, result-cache payloads
+// and the perfbench report are all written with it). Emission
 // is fully deterministic — keys appear in call order and numbers are
 // formatted by fixed rules — so two runs of the same experiment produce
 // byte-identical documents regardless of thread interleaving.
@@ -58,6 +59,8 @@ class Writer {
 
   /// The document so far. Call after the outermost end_* for a full document.
   const std::string& str() const { return out_; }
+  /// The finished document plus the trailing newline document files end in.
+  std::string document() const { return out_ + '\n'; }
 
  private:
   void before_value();
@@ -90,10 +93,17 @@ struct Value {
 
   /// Object member lookup; nullptr when absent or not an object.
   const Value* find(std::string_view key) const;
+  /// Required member: throws sofia::Error "<context> is missing '<key>'"
+  /// when absent (e.g. context "merge: document 1").
+  const Value& at(std::string_view key, std::string_view context) const;
 
   // Typed accessors; throw sofia::Error naming `context` on kind mismatch.
+  // The integer accessors accept only a whole in-range integer token, so
+  // "1.5" and "1e3" are errors, never a truncated 1.
   const std::string& as_string(std::string_view context) const;
   std::uint64_t as_uint(std::string_view context) const;
+  std::int64_t as_int(std::string_view context) const;
+  bool as_bool(std::string_view context) const;
   const std::vector<Value>& as_array(std::string_view context) const;
 
   /// Re-emit through a Writer (numbers verbatim, strings re-escaped).

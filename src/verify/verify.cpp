@@ -173,17 +173,38 @@ void Report::to_json(json::Writer& w) const {
   }
   w.end_array();
   w.key("findings").begin_array();
-  for (const Finding& f : findings) {
-    w.begin_object();
-    w.member("rule", to_string(f.rule));
-    w.member("severity", to_string(f.severity));
-    w.member("block", static_cast<std::int64_t>(f.block));
-    w.member("insn", static_cast<std::int64_t>(f.insn));
-    w.member("message", f.message);
-    w.end_object();
-  }
+  for (const Finding& f : findings) verify::to_json(f, w);
   w.end_array();
   w.end_object();
+}
+
+void to_json(const Finding& f, json::Writer& w) {
+  w.begin_object();
+  w.member("rule", to_string(f.rule));
+  w.member("severity", to_string(f.severity));
+  w.member("block", f.block);
+  w.member("insn", f.insn);
+  w.member("message", f.message);
+  w.end_object();
+}
+
+Finding finding_from_json(const json::Value& v) {
+  constexpr std::string_view kContext = "lint finding";
+  Finding f;
+  const std::string& rule = v.at("rule", kContext).as_string("rule");
+  const RuleInfo* info = find_rule(rule);
+  if (info == nullptr) throw Error("unknown lint rule '" + rule + "'");
+  f.rule = info->rule;
+  const std::string& severity =
+      v.at("severity", kContext).as_string("severity");
+  for (const auto s : {Severity::kNote, Severity::kWarning, Severity::kError})
+    if (to_string(s) == severity) f.severity = s;
+  if (to_string(f.severity) != severity)
+    throw Error("unknown lint severity '" + severity + "'");
+  f.block = v.at("block", kContext).as_int("block");
+  f.insn = v.at("insn", kContext).as_int("insn");
+  f.message = v.at("message", kContext).as_string("message");
+  return f;
 }
 
 std::vector<Rule> error_rules(const Report& report) {

@@ -40,6 +40,7 @@
 
 namespace sofia::json {
 class Writer;
+struct Value;
 }
 
 namespace sofia::verify {
@@ -99,6 +100,15 @@ struct Finding {
   std::int64_t insn = -1;
   std::string message;
 };
+
+/// One finding as a JSON object (rule, severity, block, insn, message): the
+/// single shape lint reports, sweep job records and sweep cache payloads
+/// share.
+void to_json(const Finding& f, json::Writer& w);
+
+/// Inverse of to_json; throws sofia::Error on a missing member, a
+/// non-integer block/insn or an unknown rule or severity.
+Finding finding_from_json(const json::Value& v);
 
 /// Per-indirect-jump target-set record: the gated (declared) entry set and
 /// the dataflow engine's independently proven set when it is finite. The

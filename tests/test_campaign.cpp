@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <set>
 
 #include "campaign/campaign.hpp"
@@ -534,6 +535,78 @@ TEST(CampaignJson, MergeRejectsBadInputs) {
   // An unsharded document is not mergeable input (no "shard" member).
   const auto whole = campaign::to_json(campaign::run_campaign(spec, 2));
   EXPECT_THROW(campaign::merge_json({whole}), Error);
+
+  // Forged escape lists: each document below keeps every header and tally
+  // consistent except its escapes, and must still be rejected. The "null"
+  // cell leaks deterministically; at 60 jobs both shards carry escapes.
+  auto leaky = spec;
+  std::erase_if(leaky.cells, [](const campaign::CellSpec& cell) {
+    return cell.scheme != "null";
+  });
+  leaky.jobs_per_cell = 60;
+  const auto n0 = campaign::to_json(
+      campaign::run_campaign(leaky, 2, {}, driver::ShardSpec{0, 2}));
+  const auto n1 = campaign::to_json(
+      campaign::run_campaign(leaky, 2, {}, driver::ShardSpec{1, 2}));
+  const auto member = [](json::Value& v, std::string_view key) -> json::Value& {
+    for (auto& [k, m] : v.object)
+      if (k == key) return m;
+    throw Error("test: no member '" + std::string(key) + "'");
+  };
+  const auto forge = [&](const std::string& text,
+                         const std::function<void(json::Value&)>& edit) {
+    json::Value doc = json::parse(text);
+    edit(member(doc, "cells").array.front());
+    json::Writer w(2);
+    doc.write(w);
+    return w.str();
+  };
+  const auto escapes = [&](json::Value& cell) -> std::vector<json::Value>& {
+    auto& list = member(cell, "escapes").array;
+    if (list.empty()) throw Error("test: the cell has no escapes");
+    return list;
+  };
+  const auto bump_tally = [&](json::Value& cell) {
+    auto& escaped = member(cell, "escaped").number;
+    escaped = std::to_string(std::stoull(escaped) + 1);
+  };
+  const auto set_job = [&](json::Value& escape, std::uint64_t job) {
+    member(escape, "job").number = std::to_string(job);
+  };
+  const auto job_of = [&](json::Value& escape) {
+    return std::stoull(member(escape, "job").number);
+  };
+  ASSERT_EQ(campaign::merge_json({n0, n1}), campaign::merge_json({n1, n0}));
+  // Outside the cell's index range (same residue, past its last job).
+  const auto out_of_cell = forge(n1, [&](json::Value& cell) {
+    auto& e = escapes(cell).front();
+    set_job(e, job_of(e) + 2 * leaky.jobs_per_cell);
+  });
+  EXPECT_THROW(campaign::merge_json({n0, out_of_cell}), Error);
+  // In the cell, but a job shard 1/2 never runs.
+  const auto wrong_shard = forge(n1, [&](json::Value& cell) {
+    auto& e = escapes(cell).front();
+    set_job(e, job_of(e) - 1);
+  });
+  EXPECT_THROW(campaign::merge_json({n0, wrong_shard}), Error);
+  // The same escape twice (tally raised to match the list).
+  const auto duplicate = forge(n1, [&](json::Value& cell) {
+    auto& list = escapes(cell);
+    list.push_back(list.front());
+    bump_tally(cell);
+  });
+  EXPECT_THROW(campaign::merge_json({n0, duplicate}), Error);
+  // A tally the list does not back.
+  const auto short_list = forge(n1, bump_tally);
+  EXPECT_THROW(campaign::merge_json({n0, short_list}), Error);
+  // Shard 0's escape copied into shard 1's cell.
+  json::Value n0_doc = json::parse(n0);
+  const json::Value stolen =
+      escapes(member(n0_doc, "cells").array.front()).front();
+  const auto copied = forge(n1, [&](json::Value& cell) {
+    escapes(cell).push_back(stolen);
+  });
+  EXPECT_THROW(campaign::merge_json({n0, copied}), Error);
 }
 
 }  // namespace

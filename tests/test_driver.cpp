@@ -1,12 +1,17 @@
-// Tests for the parallel experiment-sweep driver (src/driver/sweep.hpp)
-// and the JSON writer it emits results through. The load-bearing property
-// is determinism: the same SweepSpec must produce byte-identical JSON for
-// any thread count.
+// Tests for the parallel experiment-sweep driver (src/driver/sweep.hpp),
+// the job engine it shares with the campaign (src/driver/jobs.hpp) and the
+// JSON writer it emits results through. The load-bearing property is
+// determinism: the same SweepSpec must produce byte-identical JSON for any
+// thread count.
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
 #include <cmath>
+#include <filesystem>
 
 #include "driver/sweep.hpp"
+#include "support/error.hpp"
 #include "support/json.hpp"
 
 namespace sofia {
@@ -259,6 +264,27 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_THROW(json::parse("\"unterminated"), Error);
 }
 
+TEST(Json, RequiredMembersAndTypedScalars) {
+  const auto v = json::parse(
+      R"({"n":-7,"u":7,"f":1.5,"e":1e3,"b":true,"s":"x"})");
+  EXPECT_EQ(v.at("n", "doc").as_int("n"), -7);
+  EXPECT_EQ(v.at("u", "doc").as_int("u"), 7);
+  EXPECT_TRUE(v.at("b", "doc").as_bool("b"));
+  // Integer accessors read the whole token: no silent truncation to 1.
+  EXPECT_THROW(v.at("f", "doc").as_int("f"), Error);
+  EXPECT_THROW(v.at("e", "doc").as_int("e"), Error);
+  EXPECT_THROW(v.at("f", "doc").as_uint("f"), Error);
+  EXPECT_THROW(v.at("s", "doc").as_int("s"), Error);
+  EXPECT_THROW(v.at("n", "doc").as_bool("n"), Error);
+  EXPECT_THROW(json::parse("99999999999999999999").as_int("big"), Error);
+  try {
+    (void)v.at("absent", "merge: document 3");
+    FAIL() << "expected throw";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "merge: document 3 is missing 'absent'");
+  }
+}
+
 TEST(Shard, ParseAndValidate) {
   const auto s = driver::ShardSpec::parse("1/3");
   EXPECT_EQ(s.index, 1u);
@@ -280,6 +306,16 @@ TEST(Shard, RunsOnlyTheSlice) {
   ASSERT_EQ(shard1.jobs.size(), 3u);
   for (const auto& job : shard0.jobs) EXPECT_EQ(job.job.index % 2, 0u);
   for (const auto& job : shard1.jobs) EXPECT_EQ(job.job.index % 2, 1u);
+}
+
+TEST(Shard, SliceIsTheIndicesCongruentToK) {
+  const driver::ShardSpec shard{1, 3};
+  EXPECT_EQ(shard.slice(8), (std::vector<std::uint64_t>{1, 4, 7}));
+  EXPECT_TRUE(shard.owns(4));
+  EXPECT_FALSE(shard.owns(5));
+  EXPECT_EQ(shard.to_string(), "1/3");
+  EXPECT_EQ(driver::ShardSpec{}.slice(3), (std::vector<std::uint64_t>{0, 1, 2}));
+  EXPECT_TRUE(driver::ShardSpec({2, 4}).slice(2).empty());
 }
 
 TEST(Shard, ShardedDocumentsCarryTheShardMember) {
@@ -334,6 +370,113 @@ TEST(Shard, MergeRejectsJobCountsTheRecordsCannotFill) {
     EXPECT_NE(std::string(e.what()).find("missing"), std::string::npos)
         << e.what();
   }
+}
+
+// ---------------------------------------------------------------------------
+// Cache-through policy (driver::cache_through), on a toy outcome
+// ---------------------------------------------------------------------------
+
+struct Toy {
+  std::uint64_t value = 0;
+  bool from_cache = false;
+};
+
+void write_toy(const Toy& t, json::Writer& w) { w.member("value", t.value); }
+void read_toy(const json::Value& v, Toy& t) {
+  t.value = v.at("value", "toy payload").as_uint("value");
+}
+
+constexpr driver::PayloadCodec<Toy> kToyCodec{"toy-job", "toy-v1", write_toy,
+                                              read_toy};
+
+class CacheThrough : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    std::string tmpl =
+        (std::filesystem::temp_directory_path() / "sofia-jobs-test-XXXXXX")
+            .string();
+    ASSERT_NE(::mkdtemp(tmpl.data()), nullptr);
+    dir_ = tmpl;
+    store_ = std::make_unique<cache::ResultStore>(
+        dir_, [this](const std::string& m) { warnings_.push_back(m); });
+  }
+  void TearDown() override {
+    store_.reset();
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
+
+  /// Run job 7 through the policy; the body yields `value` and reports it
+  /// cacheable or not.
+  Toy run(std::uint64_t value, bool cacheable) {
+    Toy out;
+    driver::cache_through(
+        store_.get(), kToyCodec, 7, [&] { return key_; }, out, [&](Toy& t) {
+          ++body_runs_;
+          t.value = value;
+          return cacheable;
+        });
+    return out;
+  }
+
+  std::filesystem::path dir_;
+  std::unique_ptr<cache::ResultStore> store_;
+  std::vector<std::string> warnings_;
+  cache::Key key_ = cache::KeyBuilder("test").field("job", 7).finish();
+  int body_runs_ = 0;
+};
+
+TEST_F(CacheThrough, AHitSkipsTheJobBody) {
+  EXPECT_FALSE(run(41, true).from_cache);
+  const Toy hit = run(99, true);
+  EXPECT_TRUE(hit.from_cache);
+  EXPECT_EQ(hit.value, 41u);
+  EXPECT_EQ(body_runs_, 1);
+  EXPECT_EQ(*store_->load(key_, "toy-job"), R"({"schema":"toy-v1","value":41})");
+  EXPECT_TRUE(warnings_.empty());
+}
+
+TEST_F(CacheThrough, NonCacheableOutcomesAreNotStored) {
+  // The campaign's trial-error path: the outcome is returned, never stored,
+  // so the next run executes again.
+  EXPECT_EQ(run(5, false).value, 5u);
+  EXPECT_EQ(store_->stats().stored, 0u);
+  EXPECT_FALSE(run(6, false).from_cache);
+  EXPECT_EQ(body_runs_, 2);
+}
+
+TEST_F(CacheThrough, UndecodableEntryWarnsReexecutesAndIsOverwritten) {
+  for (const std::string payload :
+       {R"({"schema":"toy-v0","value":1})", R"({"schema":"toy-v1"})",
+        R"({"schema":"toy-v1","value":1.5})", "not json"}) {
+    warnings_.clear();
+    store_->store(key_, "toy-job", payload);
+    const Toy fresh = run(12, true);
+    EXPECT_FALSE(fresh.from_cache) << payload;
+    EXPECT_EQ(fresh.value, 12u) << payload;
+    ASSERT_EQ(warnings_.size(), 1u) << payload;
+    EXPECT_EQ(warnings_[0],
+              "cache: toy-job payload for job 7 is undecodable; re-executing");
+    EXPECT_EQ(*store_->load(key_, "toy-job"),
+              R"({"schema":"toy-v1","value":12})");
+  }
+}
+
+TEST_F(CacheThrough, NoStoreNeverDerivesAKey) {
+  Toy out;
+  bool keyed = false;
+  driver::cache_through(
+      static_cast<cache::ResultStore*>(nullptr), kToyCodec, 0,
+      [&] {
+        keyed = true;
+        return key_;
+      },
+      out, [](Toy& t) {
+        t.value = 3;
+        return true;
+      });
+  EXPECT_FALSE(keyed);
+  EXPECT_EQ(out.value, 3u);
 }
 
 TEST(Sweep, SmokeShrinksButKeepsConfigs) {

@@ -859,6 +859,28 @@ TEST_F(Tools, SweepCacheEnvFallbackAndStatsSideDocument) {
   std::remove(stats.c_str());
 }
 
+TEST_F(Tools, CacheStatsWithoutACacheFailsBeforeAnythingRuns) {
+  // Both producer tools reject --cache-stats without a cache up front: no
+  // job runs, and no result document is written.
+  const std::string tag = std::to_string(getpid());
+  const std::string stats = "/tmp/sofia_nocache_" + tag + "_stats.json";
+  const std::string doc = "/tmp/sofia_nocache_" + tag + ".json";
+  for (const std::string& tool :
+       {std::string(SOFIA_SWEEP_BIN) + " --smoke",
+        std::string(SOFIA_ATTACK_BIN) + " --campaign --smoke --jobs 2"}) {
+    int code = 0;
+    const auto out = run_command("env -u SOFIA_CACHE " + tool +
+                                     " --cache-stats " + stats + " --json " +
+                                     doc, &code);
+    EXPECT_EQ(code, 2) << out;
+    EXPECT_NE(out.find("--cache-stats needs --cache"), std::string::npos)
+        << out;
+    EXPECT_EQ(out.find("done in"), std::string::npos) << out;
+    EXPECT_FALSE(std::filesystem::exists(doc)) << tool;
+    EXPECT_FALSE(std::filesystem::exists(stats)) << tool;
+  }
+}
+
 TEST_F(Tools, CacheCliStatsVerifyAndGc) {
   const std::string tag = std::to_string(getpid());
   const std::string dir = "/tmp/sofia_cache_cli_" + tag;

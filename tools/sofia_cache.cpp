@@ -85,9 +85,7 @@ int run_stats(const std::string& dir, const std::string& json_path) {
     w.end_object();
     w.end_object();
     w.end_object();
-    std::string doc = w.str();
-    doc += '\n';
-    io::emit_document(json_path, doc);
+    io::emit_document(json_path, w.document());
   }
   return 0;
 }

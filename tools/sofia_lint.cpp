@@ -169,17 +169,13 @@ int main(int argc, char** argv) {
       w.key("report");
       report.to_json(w);
       w.end_object();
-      std::string doc = w.str();
-      doc += '\n';
-      io::emit_document(json_path, doc);
+      io::emit_document(json_path, w.document());
     }
 
     if (!sarif_path.empty()) {
       json::Writer w(2);
       verify::to_sarif(report, session.name(), w);
-      std::string doc = w.str();
-      doc += '\n';
-      io::emit_document(sarif_path, doc);
+      io::emit_document(sarif_path, w.document());
     }
 
     return assert_clean && !report.clean() ? 1 : 0;

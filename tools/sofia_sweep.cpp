@@ -22,32 +22,6 @@
 #include "support/cli.hpp"
 #include "support/error.hpp"
 #include "support/io.hpp"
-#include "support/json.hpp"
-
-namespace {
-
-/// The run's cache counters as a side document ({"cache": {...}} stanza) —
-/// deliberately separate from the sweep document, which must stay
-/// byte-identical with and without a cache.
-std::string cache_stats_json(const sofia::cache::ResultStore& store) {
-  const auto s = store.stats();
-  sofia::json::Writer w(2);
-  w.begin_object();
-  w.member("schema", "sofia-cache-stats-v1");
-  w.key("cache").begin_object();
-  w.member("root", store.root().string());
-  w.member("hits", s.hits);
-  w.member("misses", s.misses);
-  w.member("stored", s.stored);
-  w.member("failures", s.failures);
-  w.end_object();
-  w.end_object();
-  std::string doc = w.str();
-  doc += '\n';
-  return doc;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace sofia;
@@ -117,13 +91,7 @@ int main(int argc, char** argv) {
     if (!merge_out.empty()) {
       if (merge_inputs.empty())
         return parser.fail("--merge needs at least one input document");
-      std::vector<std::string> documents;
-      documents.reserve(merge_inputs.size());
-      for (const auto& path : merge_inputs)
-        documents.push_back(io::read_file(path));
-      io::emit_document(merge_out, driver::merge_json(documents));
-      std::fprintf(log, "merged %zu document(s) into %s\n", documents.size(),
-                   merge_out.c_str());
+      driver::merge_files(merge_out, merge_inputs, driver::merge_json, log);
       return 0;
     }
 
@@ -165,33 +133,17 @@ int main(int argc, char** argv) {
                      r.m.cycle_overhead_pct());
       };
     }
-    // Cache warnings (loud misses, store failures) always go to stderr so
-    // they survive --quiet and never touch a stdout document.
-    const auto store = cache::ResultStore::open(cache_dir, [](const std::string& m) {
-      std::fprintf(stderr, "sofia_sweep: %s\n", m.c_str());
-    });
-    if (store)
-      std::fprintf(log, "cache: %s\n", store->root().string().c_str());
+    const cache::ToolCache cache("sofia_sweep", cache_dir, cache_stats_path,
+                                 log);
+    if (const auto usage = cache.usage_error(); !usage.empty())
+      return parser.fail(usage);
 
     const auto result =
-        driver::run_sweep(spec, threads, progress, shard, store.get());
+        driver::run_sweep(spec, threads, progress, shard, cache.get());
     std::fprintf(log, "done in %.2f s (%u thread(s)); %s\n",
                  result.wall_seconds, result.threads_used,
                  result.all_ok() ? "all jobs ok" : "FAILURES");
-    if (store) {
-      const auto cs = store->stats();
-      std::fprintf(stderr,
-                   "cache: %llu hit(s), %llu miss(es), %llu stored, "
-                   "%llu failure(s)\n",
-                   static_cast<unsigned long long>(cs.hits),
-                   static_cast<unsigned long long>(cs.misses),
-                   static_cast<unsigned long long>(cs.stored),
-                   static_cast<unsigned long long>(cs.failures));
-      if (!cache_stats_path.empty())
-        io::emit_document(cache_stats_path, cache_stats_json(*store));
-    } else if (!cache_stats_path.empty()) {
-      return parser.fail("--cache-stats needs --cache (or $SOFIA_CACHE)");
-    }
+    cache.report();
 
     if (!json_path.empty()) {
       io::emit_document(json_path, driver::to_json(result));
