@@ -21,9 +21,18 @@
 // section" / "inside the data section" facts that plain interval widening
 // would blow straight past. Arithmetic that can wrap 2^32 goes to top
 // rather than modelling wraparound.
+//
+// The representation never touches the heap: a constant set lives in a
+// fixed inline array with a count, and the operations that build candidate
+// sets (pairwise evaluation, joins) do so in stack buffers sized by
+// kMaxConsts. The engine re-runs each instruction's transfer dozens of
+// times on the way to its fixpoint, copying and joining 16-register
+// states as it goes, so this is what keeps the analysis cheap.
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <numeric>
 #include <optional>
@@ -37,6 +46,8 @@ class AbsVal {
   /// strided interval. 16 covers every dispatch table in the workload zoo.
   static constexpr std::size_t kMaxConsts = 16;
 
+  enum class Kind : std::uint8_t { kBottom, kConsts, kInterval, kTop };
+
   AbsVal() = default;  ///< bottom
 
   static AbsVal bottom() { return AbsVal(); }
@@ -45,12 +56,7 @@ class AbsVal {
     v.kind_ = Kind::kTop;
     return v;
   }
-  static AbsVal constant(std::uint32_t c) {
-    AbsVal v;
-    v.kind_ = Kind::kConsts;
-    v.consts_ = {c};
-    return v;
-  }
+  static AbsVal constant(std::uint32_t c) { return from_sorted(&c, 1); }
   /// The set {lo, lo+stride, ..., hi}; requires lo <= hi and
   /// (hi - lo) % stride == 0 (callers pass well-formed triples).
   static AbsVal interval(std::uint32_t lo, std::uint32_t hi,
@@ -63,49 +69,62 @@ class AbsVal {
     v.stride_ = stride == 0 ? 1 : stride;
     return v;
   }
-  static AbsVal consts(std::vector<std::uint32_t> values) {
-    std::sort(values.begin(), values.end());
-    values.erase(std::unique(values.begin(), values.end()), values.end());
-    if (values.empty()) return bottom();
-    if (values.size() > kMaxConsts) return hull(values);
-    AbsVal v;
-    v.kind_ = Kind::kConsts;
-    v.consts_ = std::move(values);
-    return v;
+  /// The set of the `n` values at `values` (any order, duplicates
+  /// allowed); sorts the caller's buffer in place. More than kMaxConsts
+  /// distinct values collapse to their strided hull.
+  static AbsVal consts(std::uint32_t* values, std::size_t n) {
+    std::sort(values, values + n);
+    return from_sorted(values, static_cast<std::size_t>(
+                                   std::unique(values, values + n) - values));
   }
 
+  Kind kind() const { return kind_; }
   bool is_bottom() const { return kind_ == Kind::kBottom; }
   bool is_top() const { return kind_ == Kind::kTop; }
   /// A single known value, if this is exactly one constant.
   std::optional<std::uint32_t> as_constant() const {
-    if (kind_ == Kind::kConsts && consts_.size() == 1) return consts_[0];
+    if (kind_ == Kind::kConsts && n_ == 1) return consts_[0];
     return std::nullopt;
+  }
+
+  /// Member spacing of an interval (1 for every other kind).
+  std::uint32_t stride() const {
+    return kind_ == Kind::kInterval ? stride_ : 1;
   }
 
   /// Smallest / largest concrete value (valid unless bottom/top).
   std::uint32_t min() const {
-    return kind_ == Kind::kConsts ? consts_.front() : lo_;
+    return kind_ == Kind::kConsts ? consts_[0] : lo_;
   }
   std::uint32_t max() const {
-    return kind_ == Kind::kConsts ? consts_.back() : hi_;
+    return kind_ == Kind::kConsts ? consts_[n_ - 1] : hi_;
   }
 
-  /// Enumerate every concrete value when the set is finite and holds at
-  /// most max_count members; nullopt otherwise (including top/bottom).
+  /// Call f(v) for every concrete value in ascending order when the set is
+  /// finite and holds at most max_count members; otherwise (including
+  /// top/bottom) call nothing and return false.
+  template <typename F>
+  bool for_each(std::size_t max_count, F f) const {
+    if (kind_ == Kind::kConsts) {
+      if (n_ > max_count) return false;
+      std::for_each(consts_.begin(), consts_.begin() + n_, f);
+      return true;
+    }
+    if (kind_ != Kind::kInterval) return false;
+    const std::uint64_t count = (std::uint64_t{hi_} - lo_) / stride_ + 1;
+    if (count > max_count) return false;
+    for (std::uint64_t v = lo_; v <= hi_; v += stride_)
+      f(static_cast<std::uint32_t>(v));
+    return true;
+  }
+
+  /// Every concrete value when the set is finite and holds at most
+  /// max_count members; nullopt otherwise (including top/bottom).
   std::optional<std::vector<std::uint32_t>> enumerate(
       std::size_t max_count) const {
-    if (kind_ == Kind::kConsts) {
-      if (consts_.size() > max_count) return std::nullopt;
-      return consts_;
-    }
-    if (kind_ != Kind::kInterval) return std::nullopt;
-    const std::uint64_t count =
-        (std::uint64_t{hi_} - lo_) / stride_ + 1;
-    if (count > max_count) return std::nullopt;
     std::vector<std::uint32_t> out;
-    out.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t v = lo_; v <= hi_; v += stride_)
-      out.push_back(static_cast<std::uint32_t>(v));
+    if (!for_each(max_count, [&](std::uint32_t v) { out.push_back(v); }))
+      return std::nullopt;
     return out;
   }
 
@@ -125,18 +144,19 @@ class AbsVal {
       case Kind::kBottom:
       case Kind::kTop: return false;
       case Kind::kConsts:
-        return std::none_of(consts_.begin(), consts_.end(),
+        return std::none_of(consts_.begin(), consts_.begin() + n_,
                             [&](std::uint32_t c) { return c >= lo && c < hi; });
-      case Kind::kInterval:
+      case Kind::kInterval: {
         if (hi_ < lo || lo_ >= hi) return true;
-        if (stride_ > 1) {
-          // Walkable gap check only when cheap; otherwise conservatively
-          // assume the interval touches the range.
-          for (std::uint64_t v = lo_; v <= hi_; v += stride_)
-            if (v >= lo && v < hi) return false;
-          return true;
-        }
-        return false;
+        if (stride_ == 1) return false;  // dense and the bounds overlap
+        // The range holds no member iff the first member >= lo lies past
+        // hi_ or at/after hi; O(1) however many members there are.
+        const std::uint64_t first =
+            lo_ >= lo ? lo_
+                      : lo_ + (std::uint64_t{lo} - lo_ + stride_ - 1) /
+                                  stride_ * stride_;
+        return first > hi_ || first >= hi;
+      }
     }
     return false;
   }
@@ -155,7 +175,10 @@ class AbsVal {
     switch (a.kind_) {
       case Kind::kBottom:
       case Kind::kTop: return true;
-      case Kind::kConsts: return a.consts_ == b.consts_;
+      case Kind::kConsts:
+        return a.n_ == b.n_ && std::equal(a.consts_.begin(),
+                                          a.consts_.begin() + a.n_,
+                                          b.consts_.begin());
       case Kind::kInterval:
         return a.lo_ == b.lo_ && a.hi_ == b.hi_ && a.stride_ == b.stride_;
     }
@@ -167,9 +190,12 @@ class AbsVal {
     if (b.kind_ == Kind::kBottom) return a;
     if (a.kind_ == Kind::kTop || b.kind_ == Kind::kTop) return top();
     if (a.kind_ == Kind::kConsts && b.kind_ == Kind::kConsts) {
-      std::vector<std::uint32_t> merged = a.consts_;
-      merged.insert(merged.end(), b.consts_.begin(), b.consts_.end());
-      return consts(std::move(merged));
+      std::array<std::uint32_t, 2 * kMaxConsts> merged{};
+      const auto end = std::set_union(
+          a.consts_.begin(), a.consts_.begin() + a.n_, b.consts_.begin(),
+          b.consts_.begin() + b.n_, merged.begin());
+      return from_sorted(merged.data(),
+                         static_cast<std::size_t>(end - merged.begin()));
     }
     // At least one interval: hull with gcd stride.
     const std::uint32_t lo = std::min(a.min(), b.min());
@@ -282,24 +308,38 @@ class AbsVal {
   }
 
  private:
-  enum class Kind : std::uint8_t { kBottom, kConsts, kInterval, kTop };
+  /// gcd of the gaps between consecutive sorted values (0 for fewer than
+  /// two values).
+  static std::uint32_t gap_gcd(const std::uint32_t* sorted, std::size_t n) {
+    std::uint32_t g = 0;
+    for (std::size_t i = 1; i < n; ++i)
+      g = std::gcd(g, sorted[i] - sorted[i - 1]);
+    return g;
+  }
 
   std::uint32_t stride_of() const {
     if (kind_ == Kind::kInterval) return stride_;
-    if (kind_ == Kind::kConsts && consts_.size() >= 2) {
-      std::uint32_t g = 0;
-      for (std::size_t i = 1; i < consts_.size(); ++i)
-        g = std::gcd(g, consts_[i] - consts_[i - 1]);
+    if (kind_ == Kind::kConsts && n_ >= 2) {
+      const std::uint32_t g = gap_gcd(consts_.data(), n_);
       return g == 0 ? 1 : g;
     }
     return 1;  // single constant: any stride divides a point
   }
 
-  static AbsVal hull(const std::vector<std::uint32_t>& sorted) {
-    std::uint32_t g = 0;
-    for (std::size_t i = 1; i < sorted.size(); ++i)
-      g = std::gcd(g, sorted[i] - sorted[i - 1]);
-    return interval(sorted.front(), sorted.back(), g == 0 ? 1 : g);
+  static AbsVal hull(const std::uint32_t* sorted, std::size_t n) {
+    const std::uint32_t g = gap_gcd(sorted, n);
+    return interval(sorted[0], sorted[n - 1], g == 0 ? 1 : g);
+  }
+
+  /// The set of `n` sorted, unique values.
+  static AbsVal from_sorted(const std::uint32_t* sorted, std::size_t n) {
+    if (n == 0) return bottom();
+    if (n > kMaxConsts) return hull(sorted, n);
+    AbsVal v;
+    v.kind_ = Kind::kConsts;
+    v.n_ = static_cast<std::uint8_t>(n);
+    std::copy(sorted, sorted + n, v.consts_.begin());
+    return v;
   }
 
   /// Pairwise evaluation over two constant sets; anything else is top.
@@ -307,11 +347,12 @@ class AbsVal {
   static AbsVal exact(const AbsVal& a, const AbsVal& b, F f) {
     if (a.kind_ == Kind::kBottom || b.kind_ == Kind::kBottom) return bottom();
     if (a.kind_ != Kind::kConsts || b.kind_ != Kind::kConsts) return top();
-    std::vector<std::uint32_t> out;
-    out.reserve(a.consts_.size() * b.consts_.size());
-    for (const std::uint32_t x : a.consts_)
-      for (const std::uint32_t y : b.consts_) out.push_back(f(x, y));
-    return consts(std::move(out));
+    std::array<std::uint32_t, kMaxConsts * kMaxConsts> out{};
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < a.n_; ++i)
+      for (std::size_t j = 0; j < b.n_; ++j)
+        out[n++] = f(a.consts_[i], b.consts_[j]);
+    return consts(out.data(), n);
   }
 
   /// Monotone unsigned arithmetic in 64 bits; a result past 2^32 (i.e. a
@@ -337,7 +378,8 @@ class AbsVal {
   }
 
   Kind kind_ = Kind::kBottom;
-  std::vector<std::uint32_t> consts_;  ///< sorted, unique (kConsts)
+  std::uint8_t n_ = 0;  ///< members in consts_ (kConsts)
+  std::array<std::uint32_t, kMaxConsts> consts_{};  ///< sorted, unique
   std::uint32_t lo_ = 0, hi_ = 0, stride_ = 1;  ///< (kInterval)
 };
 

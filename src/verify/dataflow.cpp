@@ -4,6 +4,7 @@
 #include <optional>
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "cfg/cfg.hpp"
 #include "isa/isa.hpp"
@@ -45,7 +46,8 @@ class Engine {
         b_(m.policy.words_per_block),
         text_base_word_(m.text_base / 4),
         data_limit_(m.data_base +
-                    static_cast<std::uint32_t>(m.data.size())) {
+                    static_cast<std::uint32_t>(m.data.size())),
+        dirty_(m.data.size(), false) {
     // Decode every block once; an undecodable or missing word simply
     // havocs the state at that point (check_static attributes it).
     code_.resize(m_.blocks.size());
@@ -107,8 +109,9 @@ class Engine {
 
   // ---- load resolution -----------------------------------------------------
 
+  /// Callers pass addresses inside the initial data section.
   bool byte_dirty(std::uint32_t addr) const {
-    return dirty_all_ || dirty_.count(addr) != 0;
+    return dirty_all_ || dirty_[addr - m_.data_base];
   }
 
   std::uint32_t read_init(std::uint32_t addr, std::uint8_t size) const {
@@ -121,34 +124,29 @@ class Engine {
 
   AbsVal load_value(isa::Opcode op, const AbsVal& addr) const {
     const std::uint8_t size = access_size(op);
-    if (const auto addrs = addr.enumerate(kMaxLoadAddrs)) {
-      std::vector<std::uint32_t> values;
-      values.reserve(addrs->size());
-      bool resolved = true;
-      for (const std::uint32_t a : *addrs) {
-        if (a % size != 0 || a < m_.data_base ||
-            std::uint64_t{a} + size > data_limit_) {
-          resolved = false;  // outside the initial data section
-          break;
-        }
-        bool dirty = false;
-        for (std::uint8_t k = 0; k < size; ++k)
-          if (byte_dirty(a + k)) dirty = true;
-        if (dirty) {
-          resolved = false;
-          break;
-        }
-        std::uint32_t v = read_init(a, size);
-        if (op == isa::Opcode::kLb)
-          v = static_cast<std::uint32_t>(
-              static_cast<std::int32_t>(static_cast<std::int8_t>(v)));
-        else if (op == isa::Opcode::kLh)
-          v = static_cast<std::uint32_t>(
-              static_cast<std::int32_t>(static_cast<std::int16_t>(v)));
-        values.push_back(v);
+    std::array<std::uint32_t, kMaxLoadAddrs> values{};
+    std::size_t n = 0;
+    bool resolved = true;
+    const bool finite = addr.for_each(kMaxLoadAddrs, [&](std::uint32_t a) {
+      if (!resolved) return;
+      if (a % size != 0 || a < m_.data_base ||
+          std::uint64_t{a} + size > data_limit_) {
+        resolved = false;  // outside the initial data section
+        return;
       }
-      if (resolved) return AbsVal::consts(std::move(values));
-    }
+      for (std::uint8_t k = 0; k < size; ++k)
+        if (byte_dirty(a + k)) resolved = false;
+      if (!resolved) return;
+      std::uint32_t v = read_init(a, size);
+      if (op == isa::Opcode::kLb)
+        v = static_cast<std::uint32_t>(
+            static_cast<std::int32_t>(static_cast<std::int8_t>(v)));
+      else if (op == isa::Opcode::kLh)
+        v = static_cast<std::uint32_t>(
+            static_cast<std::int32_t>(static_cast<std::int16_t>(v)));
+      values[n++] = v;
+    });
+    if (finite && resolved) return AbsVal::consts(values.data(), n);
     // Unresolvable: the zero-extending loads still have hard value bounds.
     switch (op) {
       case isa::Opcode::kLbu: return AbsVal::interval(0, 0xFF);
@@ -172,7 +170,7 @@ class Engine {
     const AbsVal& a = reg(s, in.ra);
     const AbsVal& bv = reg(s, in.rb);
     const auto uimm = static_cast<std::uint32_t>(in.imm);
-    const AbsVal immv = AbsVal::constant(uimm);
+    const auto immv = [uimm] { return AbsVal::constant(uimm); };
     switch (in.op) {
       case Opcode::kAdd: set_reg(s, in.rd, AbsVal::add(a, bv)); break;
       case Opcode::kSub: set_reg(s, in.rd, AbsVal::sub(a, bv)); break;
@@ -190,13 +188,13 @@ class Engine {
                   AbsVal::sub(a, AbsVal::constant(
                                      static_cast<std::uint32_t>(-in.imm))));
         else
-          set_reg(s, in.rd, AbsVal::add(a, immv));
+          set_reg(s, in.rd, AbsVal::add(a, immv()));
         break;
-      case Opcode::kAndi: set_reg(s, in.rd, AbsVal::and_(a, immv)); break;
-      case Opcode::kOri: set_reg(s, in.rd, AbsVal::or_(a, immv)); break;
-      case Opcode::kXori: set_reg(s, in.rd, AbsVal::xor_(a, immv)); break;
-      case Opcode::kSlli: set_reg(s, in.rd, AbsVal::shl(a, immv)); break;
-      case Opcode::kSrli: set_reg(s, in.rd, AbsVal::shr(a, immv)); break;
+      case Opcode::kAndi: set_reg(s, in.rd, AbsVal::and_(a, immv())); break;
+      case Opcode::kOri: set_reg(s, in.rd, AbsVal::or_(a, immv())); break;
+      case Opcode::kXori: set_reg(s, in.rd, AbsVal::xor_(a, immv())); break;
+      case Opcode::kSlli: set_reg(s, in.rd, AbsVal::shl(a, immv())); break;
+      case Opcode::kSrli: set_reg(s, in.rd, AbsVal::shr(a, immv())); break;
       case Opcode::kLui:
         set_reg(s, in.rd, AbsVal::constant(uimm << 14));
         break;
@@ -211,7 +209,7 @@ class Engine {
       case Opcode::kLhu:
       case Opcode::kLb:
       case Opcode::kLbu:
-        set_reg(s, in.rd, load_value(in.op, AbsVal::add(a, immv)));
+        set_reg(s, in.rd, load_value(in.op, AbsVal::add(a, immv())));
         break;
       case Opcode::kJal:
       case Opcode::kJalr:
@@ -265,12 +263,11 @@ class Engine {
         AbsVal target = AbsVal::add(
             reg(s, inst->ra),
             AbsVal::constant(static_cast<std::uint32_t>(inst->imm)));
-        if (const auto vals = target.enumerate(kMaxStoreAddrs)) {
-          std::vector<std::uint32_t> cleared;
-          cleared.reserve(vals->size());
-          for (const std::uint32_t v : *vals) cleared.push_back(v & ~3u);
-          target = AbsVal::consts(std::move(cleared));
-        }
+        std::array<std::uint32_t, kMaxStoreAddrs> cleared{};
+        std::size_t n = 0;
+        if (target.for_each(kMaxStoreAddrs,
+                            [&](std::uint32_t v) { cleared[n++] = v & ~3u; }))
+          target = AbsVal::consts(cleared.data(), n);
         if (indirects) indirects->push_back(IndirectFact{i, word_addr, target});
       }
       step(s, *inst, word_addr);
@@ -285,6 +282,8 @@ class Engine {
     bool changed = false;
     const bool widen = joins_[to] >= kWidenAfter;
     for (unsigned r = 0; r < isa::kNumRegs; ++r) {
+      // join and widen are idempotent: an equal register cannot change.
+      if (incoming[r] == cur[r]) continue;
       AbsVal next = widen ? AbsVal::widen(cur[r], incoming[r], thresholds_)
                           : AbsVal::join(cur[r], incoming[r]);
       if (!(next == cur[r])) {
@@ -373,19 +372,22 @@ class Engine {
     bool grew = false;
     for (const StoreFact& st : stores) {
       if (st.addr.proven_outside(m_.data_base, data_limit_)) continue;
-      const auto addrs = st.addr.enumerate(kMaxStoreAddrs);
-      if (!addrs) {
+      const bool bounded =
+          st.addr.for_each(kMaxStoreAddrs, [&](std::uint32_t a) {
+            for (std::uint8_t k = 0; k < st.size; ++k) {
+              const std::uint32_t byte = a + k;
+              if (byte >= m_.data_base && byte < data_limit_ &&
+                  !dirty_[byte - m_.data_base]) {
+                dirty_[byte - m_.data_base] = true;
+                grew = true;
+              }
+            }
+          });
+      if (!bounded) {
         // Unbounded store overlapping data: everything is dirty.
         dirty_all_ = true;
         return true;
       }
-      for (const std::uint32_t a : *addrs)
-        for (std::uint8_t k = 0; k < st.size; ++k) {
-          const std::uint32_t byte = a + k;
-          if (byte >= m_.data_base && byte < data_limit_ &&
-              dirty_.insert(byte).second)
-            grew = true;
-        }
     }
     return grew;
   }
@@ -403,7 +405,7 @@ class Engine {
   std::vector<std::uint32_t> joins_;
   std::vector<std::uint32_t> worklist_;
 
-  std::set<std::uint32_t> dirty_;  ///< dirty initial-data byte addresses
+  std::vector<bool> dirty_;  ///< per initial-data byte: may be stored to
   bool dirty_all_ = false;
   std::uint64_t transfers_ = 0;
 };

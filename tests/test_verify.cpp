@@ -3,18 +3,25 @@
 // rule), the whole workload registry lints clean across schemes, ciphers and
 // granularities, the tamper matrix is cross-checked against the simulated
 // device's runtime verdicts, and the sofia-lint-v1 JSON output is
-// byte-deterministic and round-trips through the reader.
+// byte-deterministic and round-trips through the reader. Underneath, the
+// abstract domain's lattice laws are pinned directly, and a digest pins
+// every fact the dataflow engine computes over the scheme matrix.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 #include <vector>
 
+#include "driver/sweep.hpp"
 #include "pipeline/pipeline.hpp"
+#include "random_program.hpp"
 #include "scheme/scheme.hpp"
 #include "sim_test_util.hpp"
+#include "support/hash.hpp"
+#include "support/hex.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
+#include "verify/dataflow.hpp"
 #include "verify/verify.hpp"
 #include "workloads/workloads.hpp"
 
@@ -469,6 +476,233 @@ TEST(Rules, UnknownStoreAddressIsOutOfStaticScope) {
 }
 
 // ---------------------------------------------------------------------------
+// The abstract domain (absval.hpp): lattice laws and predicates
+// ---------------------------------------------------------------------------
+
+/// Kind, bounds, stride and (up to 4096) members: a complete description.
+std::string render(const AbsVal& v) {
+  std::string out;
+  switch (v.kind()) {
+    case AbsVal::Kind::kBottom: return "bottom";
+    case AbsVal::Kind::kTop: return "top";
+    case AbsVal::Kind::kConsts: out = "consts"; break;
+    case AbsVal::Kind::kInterval: out = "interval"; break;
+  }
+  out += ' ';
+  out += hex32(v.min());
+  out += "..";
+  out += hex32(v.max());
+  out += '/';
+  out += std::to_string(v.stride());
+  if (const auto members = v.enumerate(4096)) {
+    out += " =";
+    for (const std::uint32_t m : *members) {
+      out += ' ';
+      out += hex32(m);
+    }
+  }
+  return out;
+}
+
+AbsVal set_of(std::vector<std::uint32_t> values) {
+  return AbsVal::consts(values.data(), values.size());
+}
+
+::testing::AssertionResult same(const AbsVal& got, const AbsVal& want) {
+  if (got == want) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << "got " << render(got) << ", want " << render(want);
+}
+
+std::vector<AbsVal> sample_values() {
+  return {AbsVal::bottom(),
+          AbsVal::top(),
+          AbsVal::constant(7),
+          set_of({8, 0, 4, 4}),
+          set_of({1, 100, 0xFFFFFFFF}),
+          AbsVal::interval(0x1000, 0x1040, 4),
+          AbsVal::interval(0, 0xFF),
+          AbsVal::interval(3, 3003, 100),
+          AbsVal::interval(0x10000000, 0xFFFFFFF0, 16)};
+}
+
+TEST(AbsValLattice, JoinIsIdempotentAndCommutative) {
+  const auto values = sample_values();
+  for (const AbsVal& a : values) {
+    EXPECT_TRUE(same(AbsVal::join(a, a), a));
+    EXPECT_TRUE(same(AbsVal::join(a, AbsVal::bottom()), a));
+    EXPECT_TRUE(same(AbsVal::join(a, AbsVal::top()), AbsVal::top()));
+    for (const AbsVal& b : values)
+      EXPECT_TRUE(same(AbsVal::join(a, b), AbsVal::join(b, a)))
+          << render(a) << " join " << render(b);
+  }
+}
+
+TEST(AbsValLattice, ConstantSetsStayExactUpToTheLimit) {
+  std::vector<std::uint32_t> values;
+  for (std::uint32_t i = 0; i < AbsVal::kMaxConsts; ++i)
+    values.push_back(60 - 4 * i);
+  const AbsVal sixteen = set_of(values);
+  EXPECT_EQ(sixteen.kind(), AbsVal::Kind::kConsts);
+  EXPECT_EQ(sixteen.min(), 0u);
+  EXPECT_EQ(sixteen.max(), 60u);
+  EXPECT_TRUE(same(AbsVal::join(sixteen, AbsVal::constant(32)), sixteen));
+  EXPECT_EQ(AbsVal::constant(5).as_constant(), 5u);
+  EXPECT_EQ(set_of({5, 5, 5}).as_constant(), 5u);
+  EXPECT_FALSE(set_of({5, 6}).as_constant());
+}
+
+TEST(AbsValLattice, SeventeenConstantsCollapseToAGcdStrideHull) {
+  // 17 values 0, 6, ..., 96: one past kMaxConsts.
+  std::vector<std::uint32_t> values;
+  for (std::uint32_t i = 0; i <= AbsVal::kMaxConsts; ++i)
+    values.push_back(6 * i);
+  EXPECT_TRUE(same(set_of(values), AbsVal::interval(0, 96, 6)));
+  // The same collapse through a join of two exact sets: the merged gaps
+  // (2, 4 and 940) bring the stride down to 2.
+  std::vector<std::uint32_t> low;
+  for (std::uint32_t i = 0; i < AbsVal::kMaxConsts; ++i) low.push_back(4 * i);
+  const AbsVal joined = AbsVal::join(set_of(low), set_of({2, 1000}));
+  EXPECT_TRUE(same(joined, AbsVal::interval(0, 1000, 2)));
+  EXPECT_TRUE(joined.proven_outside(1001, 2000));
+  EXPECT_TRUE(joined.proven_outside(3, 4));
+  // Joining a set into an interval keeps the common stride.
+  EXPECT_TRUE(same(AbsVal::join(AbsVal::interval(0, 96, 6), set_of({102, 120})),
+                   AbsVal::interval(0, 120, 6)));
+}
+
+TEST(AbsValLattice, WidenSnapsToThresholdsThenGoesToTop) {
+  const std::vector<std::uint32_t> thresholds = {0, 0x100, 0x1000};
+  const AbsVal first = AbsVal::interval(0x10, 0x20);
+  const AbsVal w1 =
+      AbsVal::widen(first, AbsVal::interval(0x10, 0x30), thresholds);
+  EXPECT_TRUE(same(w1, AbsVal::interval(0x10, 0x100)));
+  const AbsVal w2 =
+      AbsVal::widen(w1, AbsVal::interval(0x10, 0x200), thresholds);
+  EXPECT_TRUE(same(w2, AbsVal::interval(0x10, 0x1000)));
+  EXPECT_TRUE(
+      AbsVal::widen(w2, AbsVal::interval(0x10, 0x2000), thresholds).is_top());
+  // A falling lower bound snaps down to the largest threshold below it.
+  EXPECT_TRUE(same(AbsVal::widen(AbsVal::interval(0x200, 0x300),
+                                 AbsVal::constant(0x150), thresholds),
+                   AbsVal::interval(0x100, 0x300)));
+  // No escape: widening returns the previous value unchanged.
+  EXPECT_TRUE(same(AbsVal::widen(w1, AbsVal::constant(0x40), thresholds), w1));
+  // Constant sets grow exactly; widening waits for the collapse.
+  EXPECT_TRUE(same(AbsVal::widen(AbsVal::constant(1), AbsVal::constant(2),
+                                 thresholds),
+                   set_of({1, 2})));
+  EXPECT_TRUE(AbsVal::widen(AbsVal::top(), AbsVal::constant(1), thresholds)
+                  .is_top());
+}
+
+TEST(AbsValLattice, ArithmeticThatMayWrapGoesToTop) {
+  EXPECT_TRUE(AbsVal::add(AbsVal::constant(0xFFFFFFFF), AbsVal::constant(1))
+                  .is_top());
+  EXPECT_TRUE(AbsVal::add(AbsVal::interval(0xFFFFFF00, 0xFFFFFFF0, 16),
+                          AbsVal::constant(0x100))
+                  .is_top());
+  EXPECT_TRUE(
+      AbsVal::mul(AbsVal::interval(0, 0x10000), AbsVal::constant(0x10000))
+          .is_top());
+  EXPECT_TRUE(AbsVal::shl(AbsVal::interval(0, 0x80000000, 0x80000000),
+                          AbsVal::constant(1))
+                  .is_top());
+  // Without a possible wrap the bounds survive. A single constant counts
+  // as stride 1 here, so interval + constant keeps the bounds, not the
+  // stride (a known imprecision; the pinned facts depend on it).
+  EXPECT_TRUE(same(AbsVal::add(AbsVal::interval(0, 16, 4), AbsVal::constant(8)),
+                   AbsVal::interval(8, 24)));
+  EXPECT_TRUE(same(AbsVal::add(AbsVal::interval(0, 16, 4), set_of({8, 12})),
+                   AbsVal::interval(8, 28, 4)));
+  EXPECT_TRUE(same(AbsVal::shl(AbsVal::interval(1, 7, 2), AbsVal::constant(2)),
+                   AbsVal::interval(4, 28, 8)));
+  // Exact constant pairs wrap on purpose (`addi r, r, -8`).
+  EXPECT_TRUE(same(AbsVal::sub(AbsVal::constant(0), AbsVal::constant(8)),
+                   AbsVal::constant(0xFFFFFFF8)));
+  // 16 x 16 pairwise results fill the candidate buffer, then collapse.
+  std::vector<std::uint32_t> a, b;
+  for (std::uint32_t i = 0; i < AbsVal::kMaxConsts; ++i) {
+    a.push_back(i);
+    b.push_back(i << 8);
+  }
+  EXPECT_TRUE(same(AbsVal::or_(set_of(a), set_of(b)),
+                   AbsVal::interval(0, 0xF0F, 1)));
+}
+
+TEST(AbsValLattice, EnumerateHonoursItsLimit) {
+  const AbsVal three = set_of({9, 1, 5});
+  EXPECT_EQ(three.enumerate(3), (std::vector<std::uint32_t>{1, 5, 9}));
+  EXPECT_FALSE(three.enumerate(2));
+  const AbsVal sixteen = AbsVal::interval(0, 60, 4);
+  const auto members = sixteen.enumerate(16);
+  ASSERT_TRUE(members);
+  ASSERT_EQ(members->size(), 16u);
+  EXPECT_EQ(members->front(), 0u);
+  EXPECT_EQ(members->back(), 60u);
+  EXPECT_FALSE(sixteen.enumerate(15));
+  EXPECT_FALSE(AbsVal::top().enumerate(64));
+  EXPECT_FALSE(AbsVal::bottom().enumerate(64));
+  // The member count of the widest interval does not overflow.
+  EXPECT_FALSE(AbsVal::interval(0, 0xFFFFFFFF).enumerate(64));
+  const auto tail = AbsVal::interval(0xFFFFFFF0, 0xFFFFFFFF).enumerate(16);
+  ASSERT_TRUE(tail);
+  EXPECT_EQ(tail->back(), 0xFFFFFFFFu);
+  // for_each visits exactly what enumerate returns, and nothing past the
+  // limit.
+  std::vector<std::uint32_t> visited;
+  EXPECT_TRUE(
+      sixteen.for_each(16, [&](std::uint32_t v) { visited.push_back(v); }));
+  EXPECT_EQ(visited, *members);
+  EXPECT_FALSE(sixteen.for_each(15, [&](std::uint32_t) { ADD_FAILURE(); }));
+}
+
+TEST(AbsValLattice, ProvenOutsideSeesThroughStraddlingConstantSets) {
+  const AbsVal straddle = set_of({0x10, 0x90});
+  EXPECT_TRUE(straddle.proven_outside(0x20, 0x80));
+  EXPECT_FALSE(straddle.may_intersect(0x20, 0x80));
+  EXPECT_FALSE(straddle.proven_in(0x20, 0x80));
+  EXPECT_FALSE(set_of({0x10, 0x50, 0x90}).proven_outside(0x20, 0x80));
+  EXPECT_FALSE(straddle.proven_outside(0x90, 0x91));
+  // The hull of the same two points touches the range; the stride-0x80
+  // interval with the same members does not.
+  EXPECT_FALSE(AbsVal::interval(0x10, 0x90).proven_outside(0x20, 0x80));
+  EXPECT_TRUE(AbsVal::interval(0x10, 0x90, 0x80).proven_outside(0x20, 0x80));
+  EXPECT_FALSE(AbsVal::top().proven_outside(0, 1));
+  EXPECT_FALSE(AbsVal::bottom().proven_outside(0, 1));
+  EXPECT_TRUE(AbsVal::top().may_intersect(0, 1));
+}
+
+TEST(AbsValLattice, ProvenOutsideOfAStridedIntervalMatchesBruteForce) {
+  Rng rng(31);
+  for (int trial = 0; trial < 20000; ++trial) {
+    // Small intervals near zero and near the top of the address space.
+    const std::uint32_t base = rng.next_bool() ? 0 : 0xFFFFFE00;
+    const auto stride = static_cast<std::uint32_t>(rng.next_range(1, 9));
+    const auto count = static_cast<std::uint32_t>(rng.next_range(2, 40));
+    const auto lo_ = base + static_cast<std::uint32_t>(rng.next_range(0, 100));
+    const std::uint32_t hi_ = lo_ + (count - 1) * stride;
+    const auto lo = base + static_cast<std::uint32_t>(rng.next_range(0, 450));
+    const auto hi = lo + static_cast<std::uint32_t>(rng.next_range(1, 60));
+    bool touches = false;
+    for (std::uint32_t k = 0; k < count; ++k) {
+      const std::uint32_t v = lo_ + k * stride;
+      if (v >= lo && v < hi) touches = true;
+    }
+    EXPECT_EQ(AbsVal::interval(lo_, hi_, stride).proven_outside(lo, hi),
+              !touches)
+        << "interval " << lo_ << ".." << hi_ << "/" << stride << " range ["
+        << lo << ", " << hi << ")";
+  }
+  // The widest stride-16 interval: answered without walking 2^28 members.
+  const AbsVal wide = AbsVal::interval(0, 0xFFFFFFF0, 16);
+  EXPECT_TRUE(wide.proven_outside(0x100004, 0x100008));
+  EXPECT_FALSE(wide.proven_outside(0x100004, 0x100011));
+  EXPECT_FALSE(wide.proven_outside(0x100000, 0x100001));
+  EXPECT_TRUE(wide.proven_outside(0xFFFFFFF1, 0xFFFFFFFF));
+}
+
+// ---------------------------------------------------------------------------
 // Real toolchain output: the differential contract
 // ---------------------------------------------------------------------------
 
@@ -586,6 +820,67 @@ TEST(Differential, RuntimeBehaviorStaysWithinTheStaticProofs) {
   // dispatch (minivm) and provably-safe stores.
   EXPECT_GT(observed_jalr, 0u);
   EXPECT_GT(proven_safe_total, 0u);
+}
+
+// Pinned dataflow facts: every fact the engine computes over the lint
+// prefilter's scheme matrix (11 workloads x 4 schemes x 2 ciphers, per-job
+// seeds) and a handful of random programs, rendered to text and hashed.
+// `rounds` and `transfers` are part of the text, so a change to the
+// worklist order shows here even when the facts survive it. A change to
+// the domain's representation must leave this digest untouched; a change
+// to what the engine computes must update it deliberately.
+
+/// "key v1 v2 ...\n", built with += (g++ 12 warns on "literal" + string).
+std::string line(std::initializer_list<std::string> fields) {
+  std::string out;
+  for (const auto& f : fields) {
+    if (!out.empty()) out += ' ';
+    out += f;
+  }
+  out += '\n';
+  return out;
+}
+
+std::string render(const dataflow::DataflowResult& r) {
+  std::string out = line({"rounds", std::to_string(r.rounds), "transfers",
+                          std::to_string(r.transfers)});
+  for (const auto& st : r.stores)
+    out += line({"store", std::to_string(st.block),
+                 std::to_string(st.word_addr), std::to_string(st.size),
+                 render(st.addr)});
+  for (const auto& f : r.indirects)
+    out += line({"jalr", std::to_string(f.block), std::to_string(f.word_addr),
+                 render(f.target)});
+  return out;
+}
+
+TEST(DataflowFacts, DigestIsPinnedOverTheSchemeMatrix) {
+  support::Sha256 hasher;
+  std::size_t programs = 0;
+  auto spec = driver::matrix("scheme");
+  spec.vary_seed = true;
+  for (const auto& job : driver::expand_jobs(spec)) {
+    const auto& wl = workloads::workload(job.workload);
+    auto p = pipeline::Pipeline::from_workload(wl, job.seed, job.size,
+                                               job.config.profile());
+    p.set_memory_layout(job.config.opts.mem);
+    const auto facts = dataflow::analyze(model_of(p.hardened()));
+    hasher.update(line({"job", std::to_string(job.index), job.workload,
+                        job.config.fingerprint()}));
+    hasher.update(render(facts));
+    ++programs;
+  }
+  Rng rng(16);
+  for (int trial = 0; trial < 6; ++trial) {
+    auto p = pipeline::Pipeline::from_source(test::random_program(rng));
+    const auto facts = dataflow::analyze(model_of(p.hardened()));
+    hasher.update(line({"random", std::to_string(trial)}));
+    hasher.update(render(facts));
+    ++programs;
+  }
+  EXPECT_EQ(programs, 88u + 6u);
+  EXPECT_EQ(support::to_hex(hasher.digest()),
+            "2c51bac707460f21fbac31dd474a549362f64b157522d4ca7fcaa2a538b1ea39");
 }
 
 /// Fixture for the tamper matrix: one source, transformed once; every

@@ -24,6 +24,13 @@ std::uint32_t test_size(const WorkloadSpec& spec, std::uint32_t requested) {
   return std::max<std::uint32_t>(8, spec.default_size / 8);
 }
 
+// Without this, GoogleTest prints the case as raw bytes, which embed the
+// load address of the name string and uninitialised padding: the
+// discovered CTest names would then change with every build.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << c.name << " seed=" << c.seed << " size=" << c.size;
+}
+
 class WorkloadEquivalence : public ::testing::TestWithParam<Case> {};
 
 TEST_P(WorkloadEquivalence, GoldenVanillaSofiaAgree) {
