@@ -39,6 +39,8 @@ struct KeySet {
   std::unique_ptr<BlockCipher64> mux_mac_cipher() const {
     return make_cipher(kind, k3);
   }
+
+  friend bool operator==(const KeySet&, const KeySet&) = default;
 };
 
 }  // namespace sofia::crypto

@@ -74,8 +74,10 @@ class Backend {
   ///    stream, which includes those speculative fetches on "cycle" only
   ///    — pick indices inside the entry block for backend-portable
   ///    campaigns.
-  /// Backends are stateless: run() builds a fresh machine per call and is
-  /// safe to invoke concurrently.
+  /// run() builds a fresh machine per call and is safe to invoke
+  /// concurrently. The only state a backend keeps across runs is the cycle
+  /// and functional backends' BlockStore (sim/admission.hpp), which never
+  /// changes a result.
   virtual RunResult run(const assembler::LoadImage& image,
                         const SimConfig& config) const = 0;
 };

@@ -123,6 +123,8 @@ struct SimStats {
   std::uint64_t store_gate_stalls = 0;  ///< cycles stores waited on the gate
   std::uint64_t queue_empty_cycles = 0; ///< execute side starved
   std::uint64_t exec_stall_cycles = 0;  ///< execute side busy (hazards)
+
+  friend bool operator==(const SimStats&, const SimStats&) = default;
 };
 
 /// One executed instruction (only collected when SimConfig::collect_trace).

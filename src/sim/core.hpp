@@ -60,6 +60,12 @@ class Core {
     return word;
   }
 
+  /// An armed fault has yet to fire: the run has not fetched past its
+  /// injection index.
+  bool fault_pending() const {
+    return fault_.enabled && fetched_ <= fault_.fetch_index;
+  }
+
   /// Execute `in`, located at byte address `pc`.
   Effect execute(const isa::Instruction& in, std::uint32_t pc) {
     using isa::Opcode;

@@ -6,7 +6,7 @@ namespace sofia::sim {
 
 RunResult CycleAccurateBackend::run(const assembler::LoadImage& image,
                                     const SimConfig& config) const {
-  return run_image(image, config);
+  return run_image(image, config, &store_);
 }
 
 }  // namespace sofia::sim

@@ -59,17 +59,13 @@ void VanillaFetch::redirect(std::uint32_t target, std::uint32_t /*from_pc*/,
 // ---------------------------------------------------------------------------
 
 SofiaFetch::SofiaFetch(Core& core, ICache& icache, CipherEngine& engine,
-                       const SimConfig& config, const assembler::LoadImage& image)
+                       const SimConfig& config, const assembler::LoadImage& image,
+                       BlockStore* store)
     : core_(core),
       icache_(icache),
       engine_(engine),
       config_(config),
-      text_base_word_(image.text_base / 4),
-      opener_(scheme::get_scheme(config.scheme)
-                  .make_opener(config.keys, image.omega,
-                               image.per_pair ? crypto::Granularity::kPerPair
-                                              : crypto::Granularity::kPerWord)),
-      paths_(entry_paths(config.policy.words_per_block)) {
+      blocks_(store, image, config) {
   process_block(image.entry / 4, image.entry_prev, 0);
 }
 
@@ -180,31 +176,17 @@ void SofiaFetch::process_block(std::uint32_t target_word, std::uint32_t prev_wor
 const Admission& SofiaFetch::admit_timed(std::uint32_t target_word,
                                          std::uint32_t prev_word,
                                          std::uint64_t entry_cycle) {
-  Opened& memo =
-      opened_[(static_cast<std::uint64_t>(target_word) << 32) | prev_word];
-  bool fetched = false;
-  if (!memo.raw.empty()) {
-    // Opened before: the entry word fixes the block and the path, and the
-    // key fixes prevPC, so only the fetched words can change the result.
-    const scheme::EntryPath& path = paths_[target_word - memo.adm.base_word];
-    fetch_timed(memo.adm.base_word, path, entry_cycle);
-    if (raw_ == memo.raw) {
-      replay_timed(memo.dev, path, entry_cycle);
-      return memo.adm;
-    }
-    fetched = true;
-  }
-  memo.adm = admit(
-      target_word, text_base_word_, config_.policy, paths_,
-      [&](std::uint32_t base_word,
-          const scheme::EntryPath& path) -> const scheme::DeviceBlock& {
-        if (!fetched) fetch_timed(base_word, path, entry_cycle);
-        memo.raw = raw_;
-        memo.dev = opener_->open(base_word, prev_word, path, raw_);
-        replay_timed(memo.dev, path, entry_cycle);
-        return memo.dev;
+  const scheme::EntryPath* entered = nullptr;  // null for an invalid entry
+  const OpenedBlock& rec = blocks_.admit(
+      target_word, prev_word,
+      [&](std::uint32_t base_word, const scheme::EntryPath& path)
+          -> const std::vector<std::uint32_t>& {
+        fetch_timed(base_word, path, entry_cycle);
+        entered = &path;
+        return raw_;
       });
-  return memo.adm;
+  if (entered) replay_timed(rec.dev, *entered, entry_cycle);
+  return rec.adm;
 }
 
 void SofiaFetch::fetch_timed(std::uint32_t base_word,

@@ -15,14 +15,15 @@
 //    store gate that keeps stores out of the MA stage until their block
 //    verifies.
 //
-//    The software cipher work behind an admission is memoised per (entry
-//    word, prevPC). Every entry still fetches its words through the
-//    I-cache and Core::fetch and replays the block's cipher ops on the
-//    engine, so timing, counters and fault injection are unchanged. The
-//    memoised DeviceBlock and Admission are reused only when the words
-//    just fetched equal the words they were opened from: Opener::open
-//    depends on nothing else, so reuse is bit-identical, and a tampered,
-//    faulted or self-modified block is opened afresh.
+//    The software cipher work behind an admission is cached per (entry
+//    word, prevPC) in a sim::BlockCache: within the run, and behind that in
+//    the backend's BlockStore across runs (sim/admission.hpp). Every entry
+//    still fetches its words through the I-cache and Core::fetch and
+//    replays the block's cipher ops on the engine, so timing, counters and
+//    fault injection are unchanged. A cached record is reused only when
+//    the words just fetched equal the words it was opened from:
+//    Opener::open depends on nothing else, so reuse is bit-identical, and
+//    a tampered, faulted or self-modified block is opened afresh.
 //
 // Both read raw words through sim::Core::fetch (the one fault-injection
 // point) and deliver FetchedInst records tagged with the cycle the
@@ -32,7 +33,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -107,8 +107,10 @@ class VanillaFetch final : public FetchUnit {
 
 class SofiaFetch final : public FetchUnit {
  public:
+  /// `store` (may be null) holds opened blocks across runs.
   SofiaFetch(Core& core, ICache& icache, CipherEngine& engine,
-             const SimConfig& config, const assembler::LoadImage& image);
+             const SimConfig& config, const assembler::LoadImage& image,
+             BlockStore* store);
 
   std::optional<FetchedInst> step(std::uint64_t cycle, bool queue_full) override;
   void redirect(std::uint32_t target, std::uint32_t from_pc,
@@ -132,8 +134,8 @@ class SofiaFetch final : public FetchUnit {
                      std::uint64_t entry_cycle);
 
   /// Admit the entry at (target_word, prev_word): fetch the block's words,
-  /// open them (or reuse the memoised admission when the words match) and
-  /// replay the cipher ops; the resulting timing lands in timing_.
+  /// open them (or reuse a cached record when the words match) and replay
+  /// the cipher ops; the resulting timing lands in timing_.
   const Admission& admit_timed(std::uint32_t target_word,
                                std::uint32_t prev_word,
                                std::uint64_t entry_cycle);
@@ -150,21 +152,7 @@ class SofiaFetch final : public FetchUnit {
   ICache& icache_;
   CipherEngine& engine_;
   const SimConfig& config_;
-  std::uint32_t text_base_word_;
-  /// The device side of config_.scheme, keyed with config_.keys and the
-  /// image's omega/granularity.
-  std::unique_ptr<scheme::Opener> opener_;
-  const EntryPaths paths_;
-
-  /// One opened entry: the raw words it was opened from and what they
-  /// opened to. raw is empty until the entry has been opened.
-  struct Opened {
-    std::vector<std::uint32_t> raw;
-    scheme::DeviceBlock dev;
-    Admission adm;
-  };
-  /// Keyed by (entry word << 32) | prevPC word.
-  std::unordered_map<std::uint64_t, Opened> opened_;
+  BlockCache blocks_;
 
   // Per-entry scratch, reused across entries.
   BlockTiming timing_;

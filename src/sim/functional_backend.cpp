@@ -1,8 +1,6 @@
 #include "sim/functional_backend.hpp"
 
-#include <memory>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -23,16 +21,13 @@ using isa::Instruction;
 // machine, minus every timing decision.
 class FunctionalMachine {
  public:
-  FunctionalMachine(const assembler::LoadImage& image, const SimConfig& config)
+  FunctionalMachine(const assembler::LoadImage& image, const SimConfig& config,
+                    BlockStore& store)
       : image_(image),
         config_(config),
         core_(image, config.fault, result_),
-        paths_(entry_paths(config.policy.words_per_block)) {
-    if (image.sofia)
-      opener_ = scheme::get_scheme(config.scheme)
-                    .make_opener(config.keys, image.omega,
-                                 image.per_pair ? crypto::Granularity::kPerPair
-                                                : crypto::Granularity::kPerWord);
+        fault_armed_(core_.fault_pending()) {
+    if (image.sofia) blocks_.emplace(&store, image, config);
   }
 
   RunResult run() {
@@ -69,51 +64,44 @@ class FunctionalMachine {
 
   // ---- fetch path ---------------------------------------------------------
 
-  /// The admitted block entry at (target_word, prev_word), from the block
-  /// cache when possible.
+  /// The admitted block entry at (target_word, prev_word), from the front
+  /// cache when its words cannot have changed.
   const Admission& enter_block(std::uint32_t target_word,
                                std::uint32_t prev_word) {
-    // Deferred invalidation: a store into the text section marks the cache
-    // dirty (see exec) and we drop it here, between blocks — never while
-    // run_sofia() still executes out of a reference into cache_.
-    if (text_dirty_) {
-      cache_.clear();
+    // The front cache goes stale when a store hits the text (see exec) or
+    // an armed fault fires (a block opened before may hold the faulted
+    // word). It is dropped here, between blocks — never while run_sofia()
+    // still executes out of a reference into it.
+    if (text_dirty_ || (fault_armed_ && !core_.fault_pending())) {
+      blocks_->clear();
       text_dirty_ = false;
+      fault_armed_ = core_.fault_pending();
     }
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(target_word) << 32) | prev_word;
-    // With a fault armed every entry must refetch, or the fetch counter
-    // would never reach the configured injection index.
-    if (!config_.fault.enabled) {
-      if (const auto it = cache_.find(key); it != cache_.end())
-        return it->second;
-    }
-    Admission blk = admit_block(target_word, prev_word);
-    if (config_.fault.enabled) {
-      scratch_ = std::move(blk);
-      return scratch_;
-    }
-    return cache_.emplace(key, std::move(blk)).first->second;
-  }
-
-  Admission admit_block(std::uint32_t target_word, std::uint32_t prev_word) {
+    // While the fault is armed every entry refetches, or the fetch counter
+    // would never reach the injection index.
+    if (!fault_armed_)
+      if (const OpenedBlock* rec = blocks_->cached(target_word, prev_word))
+        return rec->adm;
     auto& st = result_.stats;
     ++st.blocks_fetched;
-    return admit(
-        target_word, image_.text_base / 4, config_.policy, paths_,
-        [&](std::uint32_t base_word, const scheme::EntryPath& path) {
-          std::vector<std::uint32_t> raw(config_.policy.words_per_block, 0);
+    const OpenedBlock& rec = blocks_->admit(
+        target_word, prev_word,
+        [&](std::uint32_t base_word, const scheme::EntryPath& path)
+            -> const std::vector<std::uint32_t>& {
+          raw_.assign(config_.policy.words_per_block, 0);
           for (const std::uint32_t j : path.sched)
-            raw[j] = core_.fetch((base_word + j) * 4);
+            raw_[j] = core_.fetch((base_word + j) * 4);
           st.fetch_words += path.sched.size();
-          scheme::DeviceBlock dev =
-              opener_->open(base_word, prev_word, path, raw);
-          st.ctr_ops += dev.decrypt_ops.size();
-          st.cbc_ops += dev.verify_ops.size();
-          st.mac_words += dev.header_words;
-          if (dev.performs_verify) ++st.mac_verifications;
-          return dev;
+          return raw_;
         });
+    // A record reused from either cache counts the work its open did.
+    if (!rec.raw.empty()) {
+      st.ctr_ops += rec.dev.decrypt_ops.size();
+      st.cbc_ops += rec.dev.verify_ops.size();
+      st.mac_words += rec.dev.header_words;
+      if (rec.dev.performs_verify) ++st.mac_verifications;
+    }
+    return rec.adm;
   }
 
   // ---- execution ----------------------------------------------------------
@@ -122,12 +110,10 @@ class FunctionalMachine {
     std::uint32_t target_word = image_.entry / 4;
     std::uint32_t prev_word = image_.entry_prev;
     const std::uint32_t b = config_.policy.words_per_block;
-    // Source exit label of an in-flight indirect transfer (gating schemes).
-    std::optional<std::uint8_t> pending;
     while (!done_) {
       const Admission& blk = enter_block(target_word, prev_word);
       const Admission::Violation v =
-          blk.check(std::exchange(pending, std::nullopt));
+          blk.check(std::exchange(pending_, std::nullopt));
       if (v.fired()) {
         reset(v.cause, blk.reset_pc(v));
         return;
@@ -149,7 +135,7 @@ class FunctionalMachine {
       // jumps and sequential fall-through). A gated indirect exit instead
       // presents the canonical sentinel and arms the label check.
       if (blk.gate_indirect && isa::is_indirect_jump(blk.insts.back())) {
-        pending = blk.exit_label;
+        pending_ = blk.exit_label;
         prev_word = assembler::kIndirectPrevWord;
       } else {
         prev_word = blk.base_word + b - 1;
@@ -185,11 +171,11 @@ class FunctionalMachine {
       case Effect::Kind::kExit: finish(RunResult::Status::kExited); break;
       case Effect::Kind::kFault: finish(RunResult::Status::kFault); break;
     }
-    // A store into the text section makes every cached decryption stale;
-    // the cycle machine refetches live and would see (and reset on) the
-    // modified ciphertext. Only mark the cache dirty here — the executing
-    // block is a reference into cache_, so the actual clear waits until
-    // the next enter_block().
+    // A store into the text section makes the front cache stale; the cycle
+    // machine refetches live and would see (and reset on) the modified
+    // ciphertext. Only mark it dirty here — the executing block is a
+    // reference into it, so the actual clear waits until the next
+    // enter_block().
     if (effect.stored && image_.sofia &&
         effect.store_addr + 4 > image_.text_base &&
         effect.store_addr < image_.text_base + image_.text_bytes())
@@ -201,12 +187,13 @@ class FunctionalMachine {
   const SimConfig& config_;
   RunResult result_;
   Core core_;
-  const EntryPaths paths_;
-  /// The device side of config_.scheme (null for vanilla images).
-  std::unique_ptr<scheme::Opener> opener_;
-  std::unordered_map<std::uint64_t, Admission> cache_;
-  Admission scratch_;  ///< fault-injection runs bypass the cache
-  bool text_dirty_ = false;  ///< store hit text; clear cache_ between blocks
+  /// The run's block admissions (SOFIA images only).
+  std::optional<BlockCache> blocks_;
+  std::vector<std::uint32_t> raw_;  ///< one entry's fetched words
+  /// Source exit label of an in-flight indirect transfer (gating schemes).
+  std::optional<std::uint8_t> pending_;
+  bool fault_armed_;         ///< the configured fault has yet to fire
+  bool text_dirty_ = false;  ///< store hit text; clear blocks_ between blocks
   bool done_ = false;
 };
 
@@ -214,7 +201,7 @@ class FunctionalMachine {
 
 RunResult FunctionalBackend::run(const assembler::LoadImage& image,
                                  const SimConfig& config) const {
-  FunctionalMachine machine(image, config);
+  FunctionalMachine machine(image, config, store_);
   return machine.run();
 }
 

@@ -57,14 +57,15 @@ using isa::Opcode;
 
 class Machine {
  public:
-  Machine(const assembler::LoadImage& image, const SimConfig& config)
+  Machine(const assembler::LoadImage& image, const SimConfig& config,
+          BlockStore* store)
       : config_(config),
         core_(image, config.fault, result_),
         icache_(config.icache),
         engine_(config.cipher) {
     if (image.sofia)
-      fetch_ =
-          std::make_unique<SofiaFetch>(core_, icache_, engine_, config_, image);
+      fetch_ = std::make_unique<SofiaFetch>(core_, icache_, engine_, config_,
+                                            image, store);
     else
       fetch_ = std::make_unique<VanillaFetch>(core_, icache_, image.entry);
   }
@@ -204,8 +205,9 @@ class Machine {
 
 }  // namespace
 
-RunResult run_image(const assembler::LoadImage& image, const SimConfig& config) {
-  Machine machine(image, config);
+RunResult run_image(const assembler::LoadImage& image, const SimConfig& config,
+                    BlockStore* store) {
+  Machine machine(image, config, store);
   return machine.run();
 }
 

@@ -9,6 +9,8 @@
 
 namespace sofia::sim {
 
+class BlockStore;
+
 /// Run a loaded image under the given configuration. For SOFIA images the
 /// configured device keys and block policy must match the ones the binary
 /// was transformed with — a mismatch behaves exactly like tampering (the
@@ -19,6 +21,10 @@ namespace sofia::sim {
 /// outside src/sim should route through the registry (via
 /// pipeline::Pipeline), not call this directly — only the simulator's own
 /// tests and the cipher microbench are expected here.
-RunResult run_image(const assembler::LoadImage& image, const SimConfig& config);
+///
+/// `store`, when given, holds opened blocks that outlive the run
+/// (sim/admission.hpp); it never changes the result.
+RunResult run_image(const assembler::LoadImage& image, const SimConfig& config,
+                    BlockStore* store = nullptr);
 
 }  // namespace sofia::sim

@@ -1,5 +1,6 @@
 #include "sim/memory.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace sofia::sim {
@@ -52,21 +53,49 @@ void Memory::store8(std::uint32_t addr, std::uint8_t value) {
   page_for_write(addr)[addr & (kPageSize - 1)] = value;
 }
 
+// Stores mirror the loads: one page lookup inside a page, byte by byte
+// across a boundary.
 void Memory::store16(std::uint32_t addr, std::uint16_t value) {
-  store8(addr, static_cast<std::uint8_t>(value));
-  store8(addr + 1, static_cast<std::uint8_t>(value >> 8));
+  const std::uint32_t offset = addr & (kPageSize - 1);
+  if (offset > kPageSize - 2) {
+    store8(addr, static_cast<std::uint8_t>(value));
+    store8(addr + 1, static_cast<std::uint8_t>(value >> 8));
+    return;
+  }
+  std::uint8_t* p = page_for_write(addr) + offset;
+  p[0] = static_cast<std::uint8_t>(value);
+  p[1] = static_cast<std::uint8_t>(value >> 8);
 }
 
 void Memory::store32(std::uint32_t addr, std::uint32_t value) {
-  store16(addr, static_cast<std::uint16_t>(value));
-  store16(addr + 2, static_cast<std::uint16_t>(value >> 16));
+  const std::uint32_t offset = addr & (kPageSize - 1);
+  if (offset > kPageSize - 4) {
+    store16(addr, static_cast<std::uint16_t>(value));
+    store16(addr + 2, static_cast<std::uint16_t>(value >> 16));
+    return;
+  }
+  std::uint8_t* p = page_for_write(addr) + offset;
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(value >> (8 * i));
+}
+
+template <typename Byte>
+void Memory::store_bytes(std::uint32_t addr, std::size_t n, Byte&& byte) {
+  for (std::size_t i = 0; i < n;) {
+    const std::uint32_t offset = addr & (kPageSize - 1);
+    const std::size_t chunk = std::min<std::size_t>(n - i, kPageSize - offset);
+    std::uint8_t* page = page_for_write(addr) + offset;
+    for (std::size_t k = 0; k < chunk; ++k) page[k] = byte(i + k);
+    addr += static_cast<std::uint32_t>(chunk);
+    i += chunk;
+  }
 }
 
 void Memory::load_image(const assembler::LoadImage& image) {
-  for (std::size_t i = 0; i < image.text.size(); ++i)
-    store32(image.text_base + static_cast<std::uint32_t>(i * 4), image.text[i]);
-  for (std::size_t i = 0; i < image.data.size(); ++i)
-    store8(image.data_base + static_cast<std::uint32_t>(i), image.data[i]);
+  store_bytes(image.text_base, image.text.size() * 4, [&](std::size_t i) {
+    return static_cast<std::uint8_t>(image.text[i / 4] >> (8 * (i % 4)));
+  });
+  store_bytes(image.data_base, image.data.size(),
+              [&](std::size_t i) { return image.data[i]; });
 }
 
 }  // namespace sofia::sim

@@ -30,6 +30,10 @@ class Memory {
   const std::uint8_t* page_for_read(std::uint32_t addr) const;
   std::uint8_t* page_for_write(std::uint32_t addr);
 
+  /// Write bytes byte(0) .. byte(n-1) from `addr` on, one page at a time.
+  template <typename Byte>
+  void store_bytes(std::uint32_t addr, std::size_t n, Byte&& byte);
+
   std::unordered_map<std::uint32_t, std::unique_ptr<std::uint8_t[]>> pages_;
 };
 

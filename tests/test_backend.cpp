@@ -9,13 +9,18 @@
 #include <algorithm>
 #include <map>
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
+#include "campaign/mutation.hpp"
 #include "pipeline/pipeline.hpp"
 #include "random_program.hpp"
 #include "reference_interp.hpp"
 #include "scheme/scheme.hpp"
 #include "sim/backend.hpp"
+#include "sim/cycle_backend.hpp"
+#include "sim/functional_backend.hpp"
 #include "sim/remote_backend.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -527,6 +532,67 @@ done:
   }
 }
 
+TEST(BackendCrossValidation, NullSchemeRunSurvivingAFetchFaultCachesAfterIt) {
+  // Under the encryption-only scheme a faulted word decrypts to a flipped
+  // plaintext bit and nothing detects it, so many faulted runs go on for
+  // the whole loop. The fetch streams of both backends coincide until the
+  // loop exits (see the test above), so both must agree on every run. Once
+  // the fault has fired, the functional backend caches again: it opens
+  // each (entry, prevPC) pair at most once more, and never reuses a block
+  // it opened from the faulted word.
+  const char* source = R"(
+main:
+  li r1, 40
+  li r2, 0
+loop:
+  beqz r1, done
+  add r2, r2, r1
+  addi r1, r1, -1
+  j loop
+done:
+  li r10, 0xFFFF0008
+  sw r2, 0(r10)
+  halt
+)";
+  auto profile = functional_profile();
+  profile.scheme = "null";
+  const auto clean = Pipeline::from_source(source, profile).run();
+  ASSERT_TRUE(clean.ok());
+  const std::uint64_t pairs = clean.stats.blocks_fetched;  // each opened once
+  int survived = 0;
+  for (const unsigned bit : {0u, 7u, 12u}) {
+    for (std::uint64_t index = 0; index < 24; ++index) {
+      sim::RunResult runs[2];
+      for (int i = 0; i < 2; ++i) {
+        profile.backend = i == 0 ? "cycle" : "functional";
+        auto p = Pipeline::from_source(source, profile);
+        sim::SimConfig config;
+        config.fault.enabled = true;
+        config.fault.fetch_index = index;
+        config.fault.bit = bit;
+        config.max_cycles = 100'000;
+        runs[i] = p.run_image(p.image(), config);
+      }
+      const sim::RunResult& cyc = runs[0];
+      const sim::RunResult& fn = runs[1];
+      const std::string label =
+          "fetch " + std::to_string(index) + " bit " + std::to_string(bit);
+      ASSERT_EQ(cyc.status, fn.status) << label;
+      if (fn.status == sim::RunResult::Status::kMaxCycles) continue;
+      EXPECT_EQ(cyc.reset.cause, fn.reset.cause) << label;
+      EXPECT_EQ(cyc.reset.pc, fn.reset.pc) << label;
+      EXPECT_EQ(cyc.output, fn.output) << label;
+      EXPECT_EQ(cyc.stats.insts, fn.stats.insts) << label;
+      if (!fn.ok()) continue;
+      ++survived;
+      // Every entry up to the fault fetches at least one word; after it,
+      // each pair is fetched once.
+      EXPECT_LE(fn.stats.blocks_fetched, index + 1 + pairs) << label;
+    }
+  }
+  EXPECT_GE(survived, 10);
+}
+
 // ---------------------------------------------------------------------------
 // Functional-backend contract details
 // ---------------------------------------------------------------------------
@@ -577,6 +643,151 @@ TEST(FunctionalBackend, TraceRecordsTheArchitecturalStream) {
   ASSERT_TRUE(run.ok());
   ASSERT_FALSE(run.trace.empty());
   EXPECT_EQ(run.trace.size(), run.stats.insts);
+}
+
+// ---------------------------------------------------------------------------
+// Block store: opened blocks outlive a run (sim/admission.hpp)
+// ---------------------------------------------------------------------------
+
+/// "" when two runs agree on every observable, else the first difference.
+std::string run_diff(const sim::RunResult& got, const sim::RunResult& want) {
+  if (got.status != want.status)
+    return std::string("status ") + std::string(to_string(got.status)) +
+           " vs " + std::string(to_string(want.status));
+  if (got.reset.cause != want.reset.cause) return "reset cause";
+  if (got.reset.pc != want.reset.pc || got.reset.cycle != want.reset.cycle)
+    return "reset pc/cycle";
+  if (got.exit_code != want.exit_code) return "exit code";
+  if (got.stats.insts != want.stats.insts) return "insts";
+  if (got.output != want.output) return "output";
+  if (!(got.stats == want.stats)) return "stats";
+  return "";
+}
+
+const sim::BlockStore& store_of(const Pipeline& p) {
+  if (const auto* fn = dynamic_cast<const sim::FunctionalBackend*>(&p.backend()))
+    return fn->block_store();
+  return dynamic_cast<const sim::CycleAccurateBackend&>(p.backend())
+      .block_store();
+}
+
+struct StoreTrial {
+  std::string name;
+  assembler::LoadImage image;
+  sim::SimConfig config;
+};
+
+/// A session's clean image, the same with one bit flipped, the clean image
+/// under a fetch fault, and the program sealed under another omega.
+std::vector<StoreTrial> store_trials(const DeviceProfile& profile) {
+  const auto clean = Pipeline::from_source(kSource, profile).image();
+  auto tampered = clean;
+  tampered.text[9] ^= 1u << 4;
+  sim::SimConfig faulted;
+  faulted.fault.enabled = true;
+  faulted.fault.fetch_index = 11;
+  faulted.fault.bit = 5;
+  auto donor_profile = profile;
+  donor_profile.omega_override = 0x0BAD;
+  return {{"clean", clean, {}},
+          {"tampered", tampered, {}},
+          {"faulted", clean, faulted},
+          {"clean again", clean, {}},
+          {"donor omega",
+           Pipeline::from_source(kSource, donor_profile).image(),
+           {}}};
+}
+
+TEST(BlockStore, RunsOnASharedSessionEqualFreshSessions) {
+  for (const char* backend : {"cycle", "functional"}) {
+    auto profile = DeviceProfile::paper_default();
+    profile.backend = backend;
+    const auto shared = Pipeline::from_source(kSource, profile);
+    std::size_t stored = 0;
+    for (const auto& trial : store_trials(profile)) {
+      const std::string label = std::string(backend) + " " + trial.name;
+      const auto fresh = Pipeline::from_source(kSource, profile)
+                             .run_image(trial.image, trial.config);
+      const bool detected = trial.name == "tampered" || trial.name == "faulted";
+      EXPECT_EQ(fresh.status == sim::RunResult::Status::kReset, detected)
+          << label;
+      if (trial.name == "donor omega") stored = store_of(shared).size();
+      EXPECT_EQ(run_diff(shared.run_image(trial.image, trial.config), fresh), "")
+          << label;
+    }
+    // The clean run filled the store; the donor image bypassed it.
+    EXPECT_GT(stored, 0u) << backend;
+    EXPECT_EQ(store_of(shared).size(), stored) << backend;
+  }
+}
+
+TEST(BlockStore, ConcurrentRunsOnASharedSessionEqualFreshSessions) {
+  for (const char* backend : {"cycle", "functional"}) {
+    auto profile = DeviceProfile::paper_default();
+    profile.backend = backend;
+    const auto trials = store_trials(profile);
+    std::vector<sim::RunResult> want;
+    for (const auto& trial : trials)
+      want.push_back(Pipeline::from_source(kSource, profile)
+                         .run_image(trial.image, trial.config));
+    // Four threads race to bind the store and fill its slots, each walking
+    // the trials in its own order.
+    const auto shared = Pipeline::from_source(kSource, profile);
+    std::vector<std::string> failures(4);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < failures.size(); ++t)
+      threads.emplace_back([&, t] {
+        for (std::size_t rep = 0; rep < 6 * trials.size(); ++rep) {
+          const std::size_t i = (t * 3 + rep * (t + 1)) % trials.size();
+          const auto diff = run_diff(
+              shared.run_image(trials[i].image, trials[i].config), want[i]);
+          if (!diff.empty() && failures[t].empty())
+            failures[t] = trials[i].name + ": " + diff;
+        }
+      });
+    for (auto& thread : threads) thread.join();
+    for (std::size_t t = 0; t < failures.size(); ++t)
+      EXPECT_EQ(failures[t], "") << backend << " thread " << t;
+  }
+}
+
+TEST(BlockStore, CampaignTrialsStayWithinTheSlotCap) {
+  // Under an authenticated scheme no tampered block executes, so only the
+  // clean pairs are ever entered; under "null" tampered control flow
+  // reaches new pairs, and their slots must stop at the cap.
+  for (const char* scheme : {"sofia-cbcmac", "null"}) {
+    auto profile = functional_profile();
+    profile.scheme = scheme;
+    const auto session = Pipeline::from_source(kSource, profile);
+    auto donor_profile = profile;
+    donor_profile.omega_override = 0x0BAD;
+    const auto donor = Pipeline::from_source(kSource, donor_profile).image();
+    const auto clean = Pipeline::from_source(kSource, profile).image();
+    campaign::ImageGeometry geometry;
+    geometry.text_words = static_cast<std::uint32_t>(clean.text.size());
+    geometry.words_per_block = profile.policy.words_per_block;
+    geometry.text_base = clean.text_base;
+    const campaign::ApplyContext ctx{geometry.words_per_block, &donor};
+    sim::SimConfig base;
+    base.max_cycles = 20'000;
+    ASSERT_TRUE(session.run_image(clean, base).ok());
+    const std::size_t clean_slots = store_of(session).size();
+    Rng rng(2016);
+    for (int trial = 0; trial < 5000; ++trial) {
+      auto image = clean;
+      auto config = base;
+      campaign::apply(campaign::generate_record(rng, geometry), image, config,
+                      ctx);
+      session.run_image(image, config);
+    }
+    const sim::BlockStore& store = store_of(session);
+    EXPECT_EQ(store.capacity(), clean.text.size()) << scheme;
+    EXPECT_GT(clean_slots, 0u) << scheme;
+    EXPECT_LE(store.size(), store.capacity()) << scheme;
+    if (std::string(scheme) == "null") {
+      EXPECT_GT(store.size(), clean_slots);  // tampering reached new pairs
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -84,6 +84,51 @@ TEST(Memory, LoadImagePlacesSections) {
   EXPECT_EQ(mem.load8(0x100002), 3u);
 }
 
+TEST(Memory, StoresAtPageEndCrossIntoTheNextPage) {
+  Memory mem;
+  // Every misalignment at the end of page 0x1000: the bytes past the page
+  // end land in page 0x2000, which the store maps.
+  for (std::uint32_t a = 0x1FFD; a < 0x2000; ++a) {
+    mem.store32(a, 0x44332211);
+    for (std::uint32_t i = 0; i < 4; ++i)
+      EXPECT_EQ(mem.load8(a + i), 0x11 * (i + 1)) << std::hex << a + i;
+    EXPECT_EQ(mem.load32(a), 0x44332211u) << std::hex << a;
+  }
+  mem.store16(0x3FFF, 0xBEEF);
+  EXPECT_EQ(mem.load8(0x3FFF), 0xEFu);
+  EXPECT_EQ(mem.load8(0x4000), 0xBEu);
+  EXPECT_EQ(mem.load16(0x3FFF), 0xBEEFu);
+  // In-page stores leave their neighbours alone.
+  mem.store16(0x5000, 0x1234);
+  mem.store32(0x5002, 0x89ABCDEF);
+  EXPECT_EQ(mem.load32(0x5000), 0xCDEF1234u);
+  EXPECT_EQ(mem.load16(0x5004), 0x89ABu);
+  EXPECT_EQ(mem.load8(0x5006), 0u);
+  // The top of the address space wraps to address 0.
+  mem.store32(0xFFFFFFFE, 0xA1B2C3D4);
+  EXPECT_EQ(mem.load16(0xFFFFFFFE), 0xC3D4u);
+  EXPECT_EQ(mem.load16(0), 0xA1B2u);
+}
+
+TEST(Memory, LoadImagePlacesSectionsThatStraddlePages) {
+  assembler::LoadImage img;
+  img.text_base = 0x0FF8;  // four words across the 0x1000 boundary
+  img.text = {0x03020100, 0x07060504, 0x0B0A0908, 0x0F0E0D0C};
+  img.data_base = 0x2FFD;  // 4 KiB + 6 bytes across two boundaries
+  for (std::uint32_t i = 0; i < 4096 + 6; ++i)
+    img.data.push_back(static_cast<std::uint8_t>(i * 7));
+  Memory mem;
+  mem.load_image(img);
+  for (std::uint32_t i = 0; i < 16; ++i)
+    EXPECT_EQ(mem.load8(0x0FF8 + i), i);
+  EXPECT_EQ(mem.load32(0x0FFC), 0x07060504u);
+  EXPECT_EQ(mem.load32(0x1000), 0x0B0A0908u);
+  for (std::uint32_t i = 0; i < img.data.size(); ++i)
+    ASSERT_EQ(mem.load8(0x2FFD + i), img.data[i]) << i;
+  EXPECT_EQ(mem.load8(0x2FFC), 0u);
+  EXPECT_EQ(mem.load8(0x2FFD + 4096 + 6), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // I-cache.
 // ---------------------------------------------------------------------------
