@@ -10,12 +10,12 @@
 #include <string>
 #include <vector>
 
+#include "driver/tables.hpp"
 #include "scheme/scheme.hpp"
 #include "security/attacks.hpp"
 #include "support/cli.hpp"
 #include "support/io.hpp"
 #include "support/json.hpp"
-#include "support/measure.hpp"
 
 namespace {
 
@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
   // to stderr so the output stream stays byte-clean for collectors.
   std::FILE* log = json_path == "-" ? stderr : stdout;
 
-  const auto keys = bench::bench_keys();
+  const auto keys = crypto::KeySet::example(crypto::CipherKind::kRectangle80);
   const char* victim = R"(
 main:
   li r1, 0
@@ -105,10 +105,10 @@ out: .word 0
     std::fprintf(log, "Attack matrix on the SOFIA device — scheme %s (%s)\n",
                 row.scheme.c_str(),
                 row.authenticated ? "authenticated" : "encrypt-only");
-    bench::print_rule(log, 86);
+    driver::print_rule(86, log);
     std::fprintf(log, "%-44s %-10s %-16s %8s\n", "attack", "detected", "cause",
                 "at cycle");
-    bench::print_rule(log, 86);
+    driver::print_rule(86, log);
     row.attacks.push_back(harness.flip_bit(2, 9));
     row.attacks.push_back(harness.flip_bit(0, 30));
     row.attacks.push_back(harness.patch_word(4, 0x34000001));
@@ -128,7 +128,7 @@ out: .word 0
       else
         ++row.flips.breached;
     }
-    bench::print_rule(log, 86);
+    driver::print_rule(86, log);
     std::fprintf(log, 
         "random single-bit flips: %d detected, %d dead-code (no effect), "
         "%d breached / %zu%s\n\n",
@@ -140,7 +140,7 @@ out: .word 0
   }
 
   std::fprintf(log, "ROP demonstration (return address smashed toward a store gadget)\n");
-  bench::print_rule(log, 86);
+  driver::print_rule(86, log);
   const auto demo = security::run_rop_demo(keys);
   const bool rop_vanilla_breached =
       demo.vanilla_attacked.output.find("6666") != std::string::npos;
@@ -155,7 +155,7 @@ out: .word 0
               std::string(to_string(demo.sofia_attacked.reset.cause)).c_str());
 
   std::fprintf(log, "\nJOP demonstration (function-pointer table overwritten in data)\n");
-  bench::print_rule(log, 86);
+  driver::print_rule(86, log);
   const auto jop = security::run_jop_demo(keys);
   const bool jop_vanilla_breached =
       jop.vanilla_attacked.output.find("7777") != std::string::npos;

@@ -13,12 +13,12 @@
 #include <string>
 #include <vector>
 
+#include "driver/tables.hpp"
 #include "pipeline/pipeline.hpp"
 #include "support/cli.hpp"
 #include "support/error.hpp"
 #include "support/io.hpp"
 #include "support/json.hpp"
-#include "support/measure.hpp"
 
 namespace {
 
@@ -70,11 +70,11 @@ int main(int argc, char** argv) {
     return parser.fail("--size-divisor and --repeat must be >= 1");
 
   std::printf("Backend speedup — run-only wall clock, best of %u\n", repeat);
-  bench::print_rule(88);
+  driver::print_rule(88);
   std::printf("%-14s %7s | %10s %10s %8s | %12s %10s | %s\n", "workload",
               "size", "cycle ms", "func ms", "speedup", "cycles", "insts",
               "agree");
-  bench::print_rule(88);
+  driver::print_rule(88);
 
   std::vector<Row> rows;
   double sum_speedup = 0;
@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
                 row.agree ? "ok" : "MISMATCH");
     rows.push_back(std::move(row));
   }
-  bench::print_rule(88);
+  driver::print_rule(88);
   const double mean =
       rows.empty() ? 0 : sum_speedup / static_cast<double>(rows.size());
   std::printf("%-14s %7s | %10s %10s %7.1fx |\n", "mean", "", "", "", mean);

@@ -17,11 +17,11 @@
 
 #include "cache/result_store.hpp"
 #include "driver/sweep.hpp"
+#include "driver/tables.hpp"
 #include "support/cli.hpp"
 #include "support/error.hpp"
 #include "support/io.hpp"
 #include "support/json.hpp"
-#include "support/measure.hpp"
 
 namespace {
 
@@ -64,10 +64,10 @@ int main(int argc, char** argv) {
                         ("sofia-bench-cache-" + std::to_string(getpid()));
 
   std::printf("Result-cache speedup — smoke matrices, cold vs warm\n");
-  bench::print_rule(78);
+  driver::print_rule(78);
   std::printf("%-24s %6s | %10s %10s %8s | %6s %s\n", "matrix", "jobs",
               "cold ms", "warm ms", "speedup", "hits", "identical");
-  bench::print_rule(78);
+  driver::print_rule(78);
 
   std::vector<Row> rows;
   bool all_ok = true;
@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
   }
   std::error_code ec;
   fs::remove_all(root, ec);
-  bench::print_rule(78);
+  driver::print_rule(78);
   std::printf("\na warm coordinator re-renders every document from disk — "
               "the speedup is what an\ninterrupted fleet run wins back on "
               "resume, not a change to any measurement.\n");

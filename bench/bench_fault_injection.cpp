@@ -4,12 +4,12 @@
 // reset; on the vanilla core faults silently corrupt program output.
 #include <cstdio>
 
-#include "support/measure.hpp"
+#include "driver/tables.hpp"
 #include "security/forgery.hpp"
 
 int main() {
   using namespace sofia;
-  const auto keys = bench::bench_keys();
+  const auto keys = crypto::KeySet::example(crypto::CipherKind::kRectangle80);
   const char* program = R"(
 main:
   li r1, 0
@@ -29,10 +29,10 @@ never:
   ret
 )";
   std::printf("Transient instruction-fetch fault campaign (1 bit flip/run)\n");
-  bench::print_rule(84);
+  driver::print_rule(84);
   std::printf("%-10s %8s %10s %10s %12s %8s\n", "core", "trials", "detected",
               "masked", "corrupted", "other");
-  bench::print_rule(84);
+  driver::print_rule(84);
   Rng rng(7777);
   for (const bool sofia_core : {false, true}) {
     const auto campaign = security::run_fault_campaign(
@@ -45,7 +45,7 @@ never:
                 static_cast<unsigned long long>(campaign.corrupted),
                 static_cast<unsigned long long>(campaign.other));
   }
-  bench::print_rule(84);
+  driver::print_rule(84);
   std::printf("SOFIA detects every non-masked fetch fault: a flipped bit never\n"
               "survives decryption + MAC verification, so fault attacks on the\n"
               "instruction stream reduce to MAC forgery (46,795-year expected cost).\n");

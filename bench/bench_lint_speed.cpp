@@ -13,13 +13,13 @@
 #include <string>
 #include <vector>
 
+#include "driver/tables.hpp"
 #include "pipeline/pipeline.hpp"
 #include "scheme/scheme.hpp"
 #include "support/cli.hpp"
 #include "support/error.hpp"
 #include "support/io.hpp"
 #include "support/json.hpp"
-#include "support/measure.hpp"
 #include "verify/verify.hpp"
 
 namespace {
@@ -72,11 +72,11 @@ int main(int argc, char** argv) {
     return parser.fail("--size-divisor and --repeat must be >= 1");
 
   std::printf("Lint speed — full static pass wall clock, best of %u\n", repeat);
-  bench::print_rule(96);
+  driver::print_rule(96);
   std::printf("%-14s %-13s %6s | %7s %7s %7s %5s | %9s %10s | %s\n",
               "workload", "scheme", "size", "blocks", "edges", "stores",
               "jalr", "lint ms", "blk/ms", "clean");
-  bench::print_rule(96);
+  driver::print_rule(96);
 
   std::vector<Row> rows;
   bool all_clean = true;
@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
       rows.push_back(std::move(row));
     }
   }
-  bench::print_rule(96);
+  driver::print_rule(96);
   std::printf("\nthe dataflow engine (store proofs + jalr target sets) runs "
               "inside every lint\npass; scheme choice only changes seal "
               "re-derivation and gating checks.\n");

@@ -4,7 +4,8 @@
 #include <cstdio>
 #include <string>
 
-#include "support/measure.hpp"
+#include "driver/tables.hpp"
+#include "pipeline/pipeline.hpp"
 
 namespace {
 
@@ -23,10 +24,10 @@ std::string callers_program(int k, int reps) {
 int main() {
   using namespace sofia;
   std::printf("Multiplexor-tree cost vs caller count (Fig. 9)\n");
-  bench::print_rule(96);
+  driver::print_rule(96);
   std::printf("%-8s %10s %10s %10s | %10s %10s | %12s\n", "callers", "mux",
               "forward", "text x", "cycles(V)", "cycles(S)", "cyc/call");
-  bench::print_rule(96);
+  driver::print_rule(96);
   for (const int k : {1, 2, 3, 4, 6, 8, 12, 16}) {
     const int reps = 2000 / k;
     auto session = pipeline::Pipeline::from_source(
@@ -48,7 +49,7 @@ int main() {
                 static_cast<unsigned long long>(s.stats.cycles),
                 static_cast<double>(s.stats.cycles) / calls);
   }
-  bench::print_rule(96);
+  driver::print_rule(96);
   std::printf("forwarding blocks = callers - 2 per join (the paper's tree),\n"
               "plus one mux hop of latency per tree level on the call path.\n");
   return 0;

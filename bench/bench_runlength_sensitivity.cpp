@@ -15,7 +15,8 @@
 #include <cstdio>
 #include <string>
 
-#include "support/measure.hpp"
+#include "driver/tables.hpp"
+#include "pipeline/pipeline.hpp"
 
 namespace {
 
@@ -47,10 +48,10 @@ void sweep(const std::string& kind) {
   std::printf("\n%s bodies:\n",
               kind == "alu" ? "Independent-ALU (ideal IPC~1 baseline)"
                             : "Load-use-chained (table-lookup style baseline)");
-  bench::print_rule(88);
+  driver::print_rule(88);
   std::printf("%-12s %10s %10s %8s | %8s %8s | %8s\n", "body insts",
               "cycles(V)", "cycles(S)", "cyc%", "pad%", "IPC(V)", "text x");
-  bench::print_rule(88);
+  driver::print_rule(88);
   for (const int body : {2, 4, 6, 8, 10, 14, 20, 30, 46}) {
     auto session = pipeline::Pipeline::from_source(
         loop_program(kind, body, 4000),
@@ -77,7 +78,7 @@ void sweep(const std::string& kind) {
                 static_cast<double>(t.image.text_bytes()) /
                     static_cast<double>(vimg.text_bytes()));
   }
-  bench::print_rule(88);
+  driver::print_rule(88);
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 //   (+28.2% area, clock period 1.846x — "84.6% slower")
 #include <cstdio>
 
-#include "support/measure.hpp"
+#include "driver/tables.hpp"
 #include "hw/hw_model.hpp"
 
 int main() {
@@ -16,15 +16,15 @@ int main() {
   const auto paper_point = model.sofia(2);
 
   std::printf("Table I: hardware comparison of SOFIA and LEON3\n");
-  bench::print_rule();
+  driver::print_rule();
   std::printf("%-28s %10s %12s %12s\n", "Design", "Slices", "Clock (MHz)",
               "Period (ns)");
-  bench::print_rule();
+  driver::print_rule();
   std::printf("%-28s %10.0f %12.1f %12.2f\n", "Vanilla (LEON3)", vanilla.slices,
               vanilla.clock_mhz, vanilla.period_ns);
   std::printf("%-28s %10.0f %12.1f %12.2f\n", "SOFIA (2-cycle cipher)",
               paper_point.slices, paper_point.clock_mhz, paper_point.period_ns);
-  bench::print_rule();
+  driver::print_rule();
   std::printf("area overhead:          %+6.1f %%   (paper: +28.2 %%)\n",
               hw::overhead_pct(vanilla.slices, paper_point.slices));
   std::printf("clock period increase:  %+6.1f %%   (paper: clock 84.6 %% slower)\n",

@@ -80,15 +80,18 @@ PoolRun for_each_index(std::size_t count, unsigned threads,
   return run;
 }
 
-void merge_files(const std::string& out, const std::vector<std::string>& inputs,
-                 std::string (*merge)(const std::vector<std::string>&),
-                 std::FILE* log) {
+std::string merge_files(const std::string& out,
+                        const std::vector<std::string>& inputs,
+                        std::string (*merge)(const std::vector<std::string>&),
+                        std::FILE* log) {
   std::vector<std::string> documents;
   documents.reserve(inputs.size());
   for (const auto& path : inputs) documents.push_back(io::read_file(path));
-  io::emit_document(out, merge(documents));
+  std::string merged = merge(documents);
+  io::emit_document(out, merged);
   std::fprintf(log, "merged %zu document(s) into %s\n", documents.size(),
                out.c_str());
+  return merged;
 }
 
 }  // namespace sofia::driver

@@ -128,10 +128,11 @@ void cache_through(cache::ResultStore* store,
 }
 
 /// The --merge mode: fold the input files with `merge` (driver::merge_json,
-/// campaign::merge_json), emit the result to `out` ('-' = stdout) and log
-/// the count. Throws sofia::Error on unreadable or unmergeable inputs.
-void merge_files(const std::string& out, const std::vector<std::string>& inputs,
-                 std::string (*merge)(const std::vector<std::string>&),
-                 std::FILE* log);
+/// campaign::merge_json), emit and return the result (`out` '-' = stdout),
+/// log the count. Throws sofia::Error on unreadable or unmergeable inputs.
+std::string merge_files(const std::string& out,
+                        const std::vector<std::string>& inputs,
+                        std::string (*merge)(const std::vector<std::string>&),
+                        std::FILE* log);
 
 }  // namespace sofia::driver

@@ -44,8 +44,6 @@ std::string ConfigPoint::fingerprint() const {
 ConfigPoint paper_default_config() {
   ConfigPoint p;
   p.name = "paper-default";
-  p.opts = bench::default_measure_options();
-  p.unroll_cycles = 2;
   return p;
 }
 
@@ -277,7 +275,7 @@ std::string to_json(const SweepResult& result) {
   const hw::HwModel model;
   json::Writer w(2);
   w.begin_object();
-  w.member("schema", "sofia-sweep-v5");
+  w.member("schema", kSweepSchema);
   w.member("sweep", result.sweep_name);
   w.member("job_count", static_cast<std::uint64_t>(
                             result.total_jobs ? result.total_jobs
@@ -291,6 +289,7 @@ std::string to_json(const SweepResult& result) {
     w.member("config", r.job.config.name);
     w.member("scheme", r.job.config.opts.profile.scheme);
     w.member("backend", r.job.config.opts.profile.backend);
+    w.member("unroll", r.job.config.unroll_cycles);
     w.member("fingerprint", r.job.config.fingerprint());
     w.member("seed", r.job.seed);
     w.member("size", r.job.size);
@@ -306,14 +305,19 @@ std::string to_json(const SweepResult& result) {
       w.key("vanilla").begin_object();
       w.member("cycles", r.m.vanilla_cycles);
       w.member("text_bytes", r.m.vanilla_text_bytes);
+      w.member("icache_hits", r.m.vanilla_stats.icache_hits);
+      w.member("icache_misses", r.m.vanilla_stats.icache_misses);
       w.end_object();
       w.key("sofia").begin_object();
       w.member("cycles", r.m.sofia_cycles);
       w.member("text_bytes", r.m.sofia_text_bytes);
+      w.member("insts", r.m.sofia_stats.insts);
       w.member("nops", r.m.sofia_stats.nops);
       w.member("ctr_ops", r.m.sofia_stats.ctr_ops);
       w.member("cbc_ops", r.m.sofia_stats.cbc_ops);
+      w.member("icache_hits", r.m.sofia_stats.icache_hits);
       w.member("icache_misses", r.m.sofia_stats.icache_misses);
+      w.member("store_gate_stalls", r.m.sofia_stats.store_gate_stalls);
       w.end_object();
       w.key("overhead").begin_object();
       w.member("size_ratio", r.m.size_ratio());
@@ -344,8 +348,9 @@ std::string merge_json(const std::vector<std::string>& documents) {
     parsed.push_back(json::parse(documents[d]));
     const auto& doc = parsed.back();
     const auto label = "merge: document " + std::to_string(d);
-    if (doc.at("schema", label).as_string("schema") != "sofia-sweep-v5")
-      throw Error(label + " is not a sofia-sweep-v5 document");
+    if (doc.at("schema", label).as_string("schema") != kSweepSchema)
+      throw Error(label + " is not a " + std::string(kSweepSchema) +
+                  " document");
     const auto& sweep = doc.at("sweep", label).as_string("sweep");
     const auto count = doc.at("job_count", label).as_uint("job_count");
     if (d == 0) {
@@ -390,7 +395,7 @@ std::string merge_json(const std::vector<std::string>& documents) {
   // byte.
   json::Writer w(2);
   w.begin_object();
-  w.member("schema", "sofia-sweep-v5");
+  w.member("schema", kSweepSchema);
   w.member("sweep", sweep_name);
   w.member("job_count", total);
   w.key("jobs").begin_array();
@@ -437,16 +442,37 @@ SweepSpec granularity_matrix() {
   return spec;
 }
 
+SweepSpec adpcm_matrix() {
+  // §IV-B: ADPCM encoder + decoder under both readings of the cipher timing.
+  SweepSpec spec;
+  spec.name = "adpcm";
+  spec.workloads = {"adpcm_encode", "adpcm_decode"};
+  spec.size_override = 8192;
+  for (const bool pipelined : {true, false}) {
+    ConfigPoint c = paper_default_config();
+    c.name = pipelined ? "pipelined" : "iterative";
+    c.opts.config.cipher.pipelined = pipelined;
+    spec.configs.push_back(std::move(c));
+  }
+  return spec;
+}
+
 SweepSpec blockpolicy_matrix() {
+  // Figs. 5/6: the two block layouts the paper weighed, plus wider blocks.
   SweepSpec spec;
   spec.name = "blockpolicy";
   spec.size_divisor = 2;
-  ConfigPoint paper = paper_default_config();
-  paper.name = "8-word block, stores>=4 (paper)";
-  ConfigPoint small = paper_default_config();
-  small.name = "6-word block, unrestricted (Fig.5)";
-  small.opts.profile.policy = xform::BlockPolicy::small_unrestricted();
-  spec.configs = {paper, small};
+  using xform::BlockPolicy;
+  for (const auto& [name, policy] :
+       {std::pair{"fig5: 6w/4i unrestricted", BlockPolicy::small_unrestricted()},
+        std::pair{"fig6: 8w/6i stores>=w4 (paper)", BlockPolicy::paper_default()},
+        std::pair{"ext: 12w/10i stores>=w4", BlockPolicy{12, 4}},
+        std::pair{"ext: 16w/14i stores>=w4", BlockPolicy{16, 4}}}) {
+    ConfigPoint c = paper_default_config();
+    c.name = name;
+    c.opts.profile.policy = policy;
+    spec.configs.push_back(std::move(c));
+  }
   return spec;
 }
 
@@ -464,10 +490,11 @@ SweepSpec cipher_matrix() {
 }
 
 SweepSpec icache_matrix() {
+  // SOFIA's ~3x text against cache size: the ADPCM encoder.
   SweepSpec spec;
   spec.name = "icache";
-  spec.workloads = {"adpcm_encode", "adpcm_decode"};
-  spec.size_override = 1024;
+  spec.workloads = {"adpcm_encode"};
+  spec.size_override = 4096;
   for (const std::uint32_t bytes : {128u, 256u, 512u, 1024u, 2048u, 4096u}) {
     ConfigPoint c = paper_default_config();
     c.name = std::to_string(bytes) + " B I-cache";
@@ -522,6 +549,7 @@ using MatrixFn = SweepSpec (*)();
 const std::vector<std::pair<std::string, MatrixFn>>& matrix_registry() {
   static const std::vector<std::pair<std::string, MatrixFn>> registry = {
       {"suite-overhead", suite_overhead_matrix},
+      {"adpcm", adpcm_matrix},
       {"granularity", granularity_matrix},
       {"blockpolicy", blockpolicy_matrix},
       {"cipher", cipher_matrix},

@@ -1,6 +1,6 @@
 // Parallel experiment-sweep driver: the one engine behind sofia_sweep,
-// sofia_report and the bench binaries that used to hand-roll the same
-// workload × configuration loop. A SweepSpec names a cartesian matrix of
+// sofia_fleet and sofia_report, and so the one way to measure a paper
+// table (driver/tables.hpp). A SweepSpec names a cartesian matrix of
 // workloads × ConfigPoints (transform options + SimConfig variants), which
 // expands into a deterministic, index-ordered job list; run_sweep() runs it
 // as a plug-in of the shared job engine (driver/jobs.hpp: shard slice,
@@ -19,17 +19,27 @@
 
 #include "cache/result_store.hpp"
 #include "driver/jobs.hpp"
-#include "support/measure.hpp"
+#include "pipeline/pipeline.hpp"
 #include "verify/verify.hpp"
 
 namespace sofia::driver {
+
+/// The sweep document's schema (to_json, merge_json, driver/tables.hpp).
+inline constexpr std::string_view kSweepSchema = "sofia-sweep-v6";
+
+/// What one measurement runs under; the defaults are the paper's device.
+struct MeasureOptions {
+  pipeline::DeviceProfile profile;  ///< stamped onto toolchain and device
+  sim::SimConfig config;            ///< timing knobs; keys from the profile
+  assembler::MemoryLayout mem;
+};
 
 /// One configuration cell of the matrix: a DeviceProfile (cipher, keys,
 /// policy, granularity) + simulator timing knobs + the cipher-unroll factor
 /// the hardware time model uses.
 struct ConfigPoint {
   std::string name;  ///< short label, e.g. "per-word demand-driven"
-  bench::MeasureOptions opts;
+  MeasureOptions opts;
 
   /// The device side of the cell (opts.profile, spelled out because it is
   /// the swept axis most matrices vary).
@@ -54,7 +64,7 @@ struct SweepSpec {
   std::vector<ConfigPoint> configs;     ///< at least one
   std::uint32_t size_override = 0;      ///< 0 = each workload's default_size
   /// Divide workload sizes by this factor (sofia_sweep --smoke and the
-  /// ablation benches use it); sizes are clamped to >= 4.
+  /// ablation matrices use it); sizes are clamped to >= 4.
   std::uint32_t size_divisor = 1;
   std::uint64_t base_seed = 1;
   /// When true, job i runs with seed base_seed + i (a pure function of the
@@ -88,7 +98,7 @@ struct JobResult {
   JobSpec job;
   bool ok = false;
   std::string error;       ///< what() of the failure when !ok
-  bench::Measurement m;    ///< valid only when ok
+  pipeline::Measurement m;  ///< valid only when ok
   /// Error-severity findings when the lint prefilter failed the job; they
   /// land in the job's JSON record as a "lint" array.
   std::vector<verify::Finding> lint;
@@ -132,7 +142,8 @@ SweepResult run_sweep(const SweepSpec& spec, unsigned threads,
 
 /// Render the sweep as a deterministic JSON document (schema documented in
 /// the README): sweep name + one record per job with its matrix index, the
-/// config fingerprint, cycle/text numbers and overhead percentages.
+/// config fingerprint and unroll factor, the integer counts the paper tables
+/// read and overhead percentages.
 /// Sharded results additionally carry a "shard" member. Wall-clock and
 /// thread count are deliberately excluded so documents are byte-identical
 /// across thread counts.

@@ -46,16 +46,6 @@ struct HwModel {
   int round_instances(int unroll_cycles) const;
 };
 
-/// One row of the design-space sweep (E8): hardware estimate plus the total
-/// execution time for a workload given its simulated cycle count at this
-/// cipher latency.
-struct DesignPoint {
-  int unroll_cycles = 0;
-  HwEstimate hw;
-  std::uint64_t cycles = 0;
-  double time_ms = 0;
-};
-
 double execution_time_ms(std::uint64_t cycles, double clock_mhz);
 
 /// Percent overhead of b relative to a.

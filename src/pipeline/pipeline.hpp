@@ -35,8 +35,7 @@
 namespace sofia::pipeline {
 
 /// One vanilla-vs-SOFIA comparison of the same program (the paper's
-/// headline metrics). Produced by Pipeline::measure(); the legacy
-/// bench::Measurement name aliases this type.
+/// headline metrics). Produced by Pipeline::measure().
 struct Measurement {
   std::string name;
   std::uint32_t vanilla_text_bytes = 0;

@@ -47,7 +47,8 @@ struct ResetEvent {
 ///    round groups); alternation gives each class one slot per 2 cycles;
 ///  * iterative — the instance is busy for the whole `latency`, so one op
 ///    finishes per `latency` cycles regardless of class.
-/// bench_adpcm_overhead reports which reading lands on the paper's 13.7%.
+/// `sofia_sweep --matrix adpcm` reports which reading lands nearer the
+/// paper's 13.7%.
 struct CipherTiming {
   std::uint32_t latency = 2;  ///< cycles from issue to result
   bool alternate = true;      ///< strict CTR-even / CBC-odd slot alternation

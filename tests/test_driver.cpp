@@ -8,9 +8,12 @@
 #include <stdlib.h>
 
 #include <cmath>
+#include <cstdio>
 #include <filesystem>
+#include <memory>
 
 #include "driver/sweep.hpp"
+#include "driver/tables.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
 
@@ -145,6 +148,21 @@ TEST(Sweep, FingerprintNamesEverySweptAxis) {
   EXPECT_NE(fp.find("scheme=sofia-cbcmac"), std::string::npos) << fp;
 }
 
+// Every built-in matrix starts from this cell: the paper's device.
+TEST(Measure, DefaultOptionsArePairGranular) {
+  EXPECT_EQ(driver::paper_default_config().opts.profile.granularity,
+            crypto::Granularity::kPerPair);
+}
+
+TEST(Measure, DefaultProfileIsThePaperDevice) {
+  const auto config = driver::paper_default_config();
+  const auto& profile = config.opts.profile;
+  EXPECT_EQ(profile.cipher, crypto::CipherKind::kRectangle80);
+  EXPECT_EQ(profile.key_source, pipeline::KeySource::kExample);
+  EXPECT_EQ(profile.policy, xform::BlockPolicy::paper_default());
+  EXPECT_EQ(config.unroll_cycles, 2);
+}
+
 // ---------------------------------------------------------------------------
 // Execution
 // ---------------------------------------------------------------------------
@@ -201,7 +219,7 @@ TEST(Sweep, JsonCarriesSchemaAndPerJobRecords) {
   spec.workloads = {"fib"};
   spec.configs.resize(1);
   const auto doc = driver::to_json(driver::run_sweep(spec, 1));
-  EXPECT_NE(doc.find("\"schema\": \"sofia-sweep-v5\""), std::string::npos);
+  EXPECT_NE(doc.find("\"schema\": \"sofia-sweep-v6\""), std::string::npos);
   EXPECT_NE(doc.find("\"sweep\": \"unit\""), std::string::npos);
   EXPECT_NE(doc.find("\"index\": 0"), std::string::npos);
   EXPECT_NE(doc.find("\"workload\": \"fib\""), std::string::npos);
@@ -356,11 +374,11 @@ TEST(Shard, MergeRejectsJobCountsTheRecordsCannotFill) {
   // Hostile job_count values must fail cleanly before anything is sized
   // on them.
   const auto doc = [](const std::string& count) {
-    return "{\"schema\":\"sofia-sweep-v5\",\"sweep\":\"x\",\"job_count\":" +
+    return "{\"schema\":\"sofia-sweep-v6\",\"sweep\":\"x\",\"job_count\":" +
            count + ",\"jobs\":[]}";
   };
   EXPECT_EQ(driver::merge_json({doc("0")}),
-            "{\n  \"schema\": \"sofia-sweep-v5\",\n  \"sweep\": \"x\",\n"
+            "{\n  \"schema\": \"sofia-sweep-v6\",\n  \"sweep\": \"x\",\n"
             "  \"job_count\": 0,\n  \"jobs\": []\n}\n");
   EXPECT_THROW(driver::merge_json({doc("-1")}), Error);
   try {
@@ -487,6 +505,249 @@ TEST(Sweep, SmokeShrinksButKeepsConfigs) {
             driver::expand_jobs(full).size());
   const auto result = driver::run_sweep(small, 2);
   EXPECT_TRUE(result.all_ok());
+}
+
+// ---------------------------------------------------------------------------
+// Paper tables rendered from the document (driver/tables.hpp)
+// ---------------------------------------------------------------------------
+
+/// One successful job record of a hand-written sofia-sweep-v6 document.
+struct Record {
+  std::string workload = "fib";
+  std::string config = "paper";
+  int unroll = 2;
+  std::uint64_t vanilla_cycles = 1000;
+  std::uint64_t vanilla_text = 100;
+  std::uint64_t vanilla_hits = 99;
+  std::uint64_t vanilla_misses = 1;
+  std::uint64_t sofia_cycles = 1500;
+  std::uint64_t sofia_text = 250;
+  std::uint64_t insts = 200;
+  std::uint64_t nops = 50;
+  std::uint64_t ctr_ops = 10;
+  std::uint64_t sofia_hits = 90;
+  std::uint64_t sofia_misses = 10;
+  std::uint64_t gate_stalls = 3;
+};
+
+/// A compact v6 document. It carries no "overhead" doubles: the tables are
+/// computed from the integer counts alone.
+std::string v6_document(const std::string& sweep,
+                        const std::vector<Record>& records) {
+  json::Writer w(-1);
+  w.begin_object();
+  w.member("schema", "sofia-sweep-v6");
+  w.member("sweep", sweep);
+  w.member("job_count", static_cast<std::uint64_t>(records.size()));
+  w.key("jobs").begin_array();
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const auto& r = records[i];
+    w.begin_object();
+    w.member("index", static_cast<std::uint64_t>(i));
+    w.member("workload", r.workload);
+    w.member("config", r.config);
+    w.member("unroll", r.unroll);
+    w.member("ok", true);
+    w.key("vanilla").begin_object();
+    w.member("cycles", r.vanilla_cycles);
+    w.member("text_bytes", r.vanilla_text);
+    w.member("icache_hits", r.vanilla_hits);
+    w.member("icache_misses", r.vanilla_misses);
+    w.end_object();
+    w.key("sofia").begin_object();
+    w.member("cycles", r.sofia_cycles);
+    w.member("text_bytes", r.sofia_text);
+    w.member("insts", r.insts);
+    w.member("nops", r.nops);
+    w.member("ctr_ops", r.ctr_ops);
+    w.member("icache_hits", r.sofia_hits);
+    w.member("icache_misses", r.sofia_misses);
+    w.member("store_gate_stalls", r.gate_stalls);
+    w.end_object();
+    w.end_object();
+  }
+  w.end_array();
+  w.end_object();
+  return w.str();
+}
+
+/// What print_table writes for `document`.
+std::string render(const std::string& document) {
+  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> out(std::tmpfile(),
+                                                           &std::fclose);
+  driver::print_table(json::parse(document), out.get());
+  std::rewind(out.get());
+  std::string table;
+  for (int c = std::fgetc(out.get()); c != EOF; c = std::fgetc(out.get()))
+    table += static_cast<char>(c);
+  return table;
+}
+
+void expect_contains(const std::string& table, const std::string& cell) {
+  EXPECT_NE(table.find(cell), std::string::npos)
+      << "missing '" << cell << "' in:\n" << table;
+}
+
+TEST(Tables, SuiteOverheadRowsAndMean) {
+  Record fib;
+  Record crc = fib;
+  crc.workload = "crc32";
+  crc.sofia_cycles = 3000;  // +200%
+  crc.sofia_text = 300;     // 3.00x
+  crc.nops = 100;           // 50% pads
+  const auto table = render(v6_document("suite-overhead", {fib, crc}));
+  expect_contains(table, "fib                 100      250   2.50 |       1000"
+                         "       1500   +50.0% |");
+  expect_contains(table, "|  25.0%");
+  expect_contains(table, "+200.0% |");
+  expect_contains(table, "|  50.0%");
+  expect_contains(table, "mean                               2.75 |");
+  expect_contains(table, "+125.0% |");
+}
+
+TEST(Tables, AdpcmCombinesEachEngine) {
+  Record enc;
+  enc.workload = "adpcm_encode";
+  enc.config = "pipelined";
+  Record dec = enc;
+  dec.workload = "adpcm_decode";
+  dec.sofia_cycles = 2500;
+  Record enc_it = enc;
+  enc_it.config = "iterative";
+  enc_it.sofia_cycles = 4000;
+  Record dec_it = dec;
+  dec_it.config = "iterative";
+  dec_it.sofia_cycles = 4000;
+  // Document order is workload-major, as expand_jobs writes it.
+  const auto table =
+      render(v6_document("adpcm", {enc, enc_it, dec, dec_it}));
+  expect_contains(table, "adpcm_encode (pipelined)");
+  expect_contains(table, "adpcm_decode (iterative)");
+  // 2000 vanilla cycles vs 4000 (pipelined) and 8000 (iterative).
+  expect_contains(table, "combined (pipelined)                                  "
+                         "|        2000        4000 +100.0% |");
+  expect_contains(table, "|        2000        8000 +300.0% |");
+  EXPECT_LT(table.find("combined (pipelined)"),
+            table.find("adpcm_encode (iterative)"));
+}
+
+TEST(Tables, GranularityAggregatesPerConfig) {
+  Record pair_fib;
+  pair_fib.config = "per-pair";
+  Record pair_crc = pair_fib;
+  pair_crc.workload = "crc32";
+  Record word_fib = pair_fib;
+  word_fib.config = "per-word";
+  word_fib.sofia_cycles = 2000;
+  word_fib.ctr_ops = 25;
+  Record word_crc = word_fib;
+  word_crc.workload = "crc32";
+  const auto table = render(
+      v6_document("granularity", {pair_fib, word_fib, pair_crc, word_crc}));
+  expect_contains(table, "per-pair                           |         3000"
+                         "       +50.0% |         20");
+  expect_contains(table, "per-word                           |         4000"
+                         "      +100.0% |         50");
+}
+
+TEST(Tables, BlockPolicyMeansRatiosAndSumsStalls) {
+  Record a;
+  a.config = "fig6";
+  Record b = a;
+  b.workload = "crc32";
+  b.sofia_text = 300;   // ratios 2.5 and 3.0 -> 2.75
+  b.nops = 150;         // pads 25% and 75% -> 50%
+  b.gate_stalls = 7;    // 3 + 7
+  const auto table = render(v6_document("blockpolicy", {a, b}));
+  expect_contains(table, "fig6                                 2.75    50.0% |"
+                         "       3000   +50.0% |         10");
+}
+
+TEST(Tables, IcacheMissRatesFromHitsAndMisses) {
+  Record r;
+  r.config = "128 B I-cache";
+  const auto table = render(v6_document("icache", {r}));
+  expect_contains(table, "fib            128 B I-cache  |       1000    1.00% |"
+                         "       1500   10.00% |   +50.0%");
+}
+
+TEST(Tables, UnrollComparesWithThePaperPoint) {
+  Record one;
+  one.config = "1-cycle cipher";
+  one.unroll = 1;
+  Record two = one;
+  two.config = "2-cycle cipher (paper)";
+  two.unroll = 2;
+  const auto table = render(v6_document("unroll", {one, two}));
+  // Area and clock come from the hardware model for each unroll factor.
+  expect_contains(table, "fib            vanilla                    5889     "
+                         "92.3 |       1000 |");
+  expect_contains(table, "SOFIA  1-cycle             8851     26.0 |");
+  expect_contains(table, "SOFIA  2-cycle (paper)     7551     50.1 |       "
+                         "1500 |      0.030      +0.0% |     1.28");
+  // Same cycles at half the clock: the 1-cycle design is slower.
+  expect_contains(table, "+92.5% |     1.50");
+}
+
+TEST(Tables, SmokeSuffixIsStrippedAndTablelessMatricesRenderNothing) {
+  const std::vector<Record> records(1);
+  EXPECT_EQ(render(v6_document("suite-overhead-smoke", records)),
+            render(v6_document("suite-overhead", records)));
+  EXPECT_FALSE(render(v6_document("suite-overhead", records)).empty());
+  EXPECT_EQ(render(v6_document("cipher", records)), "");
+  EXPECT_EQ(render(v6_document("scheme-smoke", records)), "");
+  EXPECT_EQ(render(v6_document("no-such-sweep", records)), "");
+}
+
+TEST(Tables, FailedJobsRenderANoticeNotPartialNumbers) {
+  const std::string doc =
+      "{\"schema\":\"sofia-sweep-v6\",\"sweep\":\"granularity\","
+      "\"job_count\":1,\"jobs\":[{\"index\":0,\"ok\":false,"
+      "\"error\":\"boom\"}]}";
+  EXPECT_EQ(render(doc),
+            "\ngranularity table not rendered: 1 of 1 job(s) failed\n");
+}
+
+TEST(Tables, MalformedRecordsThrowErrorsNamingTheMember) {
+  const std::string good = v6_document("icache", {Record{}});
+  ASSERT_FALSE(render(good).empty());
+  const auto expect_error = [&](const std::string& from, const std::string& to,
+                                const std::string& member) {
+    std::string doc = good;
+    const auto at = doc.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    doc.replace(at, from.size(), to);
+    try {
+      render(doc);
+      FAIL() << "expected an error naming " << member;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(member), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_error("\"insts\":200,", "", "insts");                  // missing
+  expect_error("\"insts\":200", "\"insts\":\"200\"", "insts");    // wrong type
+  expect_error("\"unroll\":2", "\"unroll\":\"two\"", "unroll");
+  expect_error("\"unroll\":2", "\"unroll\":0", "unroll");      // no such design
+  expect_error("\"unroll\":2", "\"unroll\":99", "unroll");
+  expect_error("\"text_bytes\":100", "\"text_bytes\":-100", "text_bytes");
+  expect_error("\"text_bytes\":100", "\"text_bytes\":4294967296",
+               "text_bytes");
+  expect_error("\"ok\":true", "\"ok\":1", "ok");
+  expect_error("\"workload\":\"fib\"", "\"workload\":7", "workload");
+  expect_error("\"sofia\":{", "\"sofia_\":{", "sofia");
+  expect_error("sofia-sweep-v6", "sofia-sweep-v5", "sofia-sweep-v6");
+  EXPECT_THROW(render("[]"), Error);
+}
+
+TEST(Tables, ARealSweepRendersFromItsOwnDocument) {
+  auto spec = driver::smoke(driver::matrix("granularity"));
+  spec.workloads = {"fib"};
+  const auto result = driver::run_sweep(spec, 2);
+  ASSERT_TRUE(result.all_ok());
+  const auto table = render(driver::to_json(result));
+  for (const auto& config : spec.configs) expect_contains(table, config.name);
+  expect_contains(table, std::to_string(result.jobs[0].m.sofia_cycles));
 }
 
 }  // namespace

@@ -134,6 +134,29 @@ TEST(Pipeline, MeasureValidatesAndFillsTheRecord) {
   EXPECT_GT(m.cycle_overhead_pct(), 0.0);
 }
 
+// The overhead arithmetic every sweep record and paper table is built on.
+TEST(Measure, OverheadArithmetic) {
+  Measurement m;
+  m.vanilla_text_bytes = 100;
+  m.sofia_text_bytes = 250;
+  m.vanilla_cycles = 1000;
+  m.sofia_cycles = 1500;
+  EXPECT_DOUBLE_EQ(m.size_ratio(), 2.5);
+  EXPECT_DOUBLE_EQ(m.cycle_overhead_pct(), 50.0);
+}
+
+TEST(Measure, TimeOverheadUsesHwClocks) {
+  Measurement m;
+  m.vanilla_cycles = 1000;
+  m.sofia_cycles = 1000;
+  // Equal cycle counts: the whole execution-time overhead is the clock
+  // ratio of the hardware model (92.3 MHz vanilla vs the SOFIA clock).
+  const hw::HwModel model;
+  const double expected = hw::overhead_pct(model.sofia(2).clock_mhz,
+                                           model.vanilla().clock_mhz);
+  EXPECT_NEAR(m.time_overhead_pct(model, 2), expected, 1e-9);
+}
+
 TEST(Pipeline, MeasureMatchesTheSourceSessionWithoutGolden) {
   // No golden model: measure() checks the two cores against each other.
   auto p = Pipeline::from_source(kSource);

@@ -199,7 +199,7 @@ TEST_F(Tools, SweepSmokeJsonIdenticalAcrossThreadCounts) {
   const auto doc1 = slurp(json1);
   EXPECT_FALSE(doc1.empty());
   EXPECT_EQ(doc1, slurp(json8));
-  EXPECT_NE(doc1.find("\"schema\": \"sofia-sweep-v5\""), std::string::npos);
+  EXPECT_NE(doc1.find("\"schema\": \"sofia-sweep-v6\""), std::string::npos);
   std::remove(json1.c_str());
   std::remove(json8.c_str());
 }
@@ -405,6 +405,46 @@ TEST_F(Tools, SweepShardMergeIsByteIdenticalToUnsharded) {
   for (const auto& p : {whole, s0, s1, merged}) std::remove(p.c_str());
 }
 
+TEST_F(Tools, SweepMergePrintsTheUnshardedTable) {
+  // The paper table is rendered from the document, so a 2-shard run merged
+  // back (and a 2-worker fleet) prints exactly the unsharded run's table;
+  // the shards themselves print none.
+  const std::string tag = std::to_string(getpid());
+  const std::string base = "/tmp/sofia_table_" + tag;
+  const std::string sweep =
+      std::string(SOFIA_SWEEP_BIN) + " --matrix icache --smoke --quiet";
+  const std::string title = "I-cache size sweep";
+  const auto table_of = [&](const std::string& log) {
+    const auto at = log.find(title);
+    return at == std::string::npos ? std::string() : log.substr(at);
+  };
+  int code = 0;
+  const auto whole = run_command(sweep + " --json " + base + "_whole.json", &code);
+  ASSERT_EQ(code, 0) << whole;
+  const auto table = table_of(whole);
+  ASSERT_FALSE(table.empty()) << whole;
+  EXPECT_NE(table.find("4096 B I-cache"), std::string::npos) << table;
+  for (const char* k : {"0", "1"}) {
+    const auto shard = run_command(sweep + " --shard " + k + "/2 --json " +
+                                       base + "_" + k + ".json", &code);
+    EXPECT_EQ(code, 0) << shard;
+    EXPECT_EQ(shard.find(title), std::string::npos) << shard;
+  }
+  const auto merged =
+      run_command(std::string(SOFIA_SWEEP_BIN) + " --merge " + base +
+                      "_merged.json " + base + "_1.json " + base + "_0.json",
+                  &code);
+  EXPECT_EQ(code, 0) << merged;
+  EXPECT_EQ(table_of(merged), table);
+  const auto fleet = run_command(
+      std::string(SOFIA_FLEET_BIN) + " --matrix icache --smoke --workers 2 "
+          "--threads 1 --quiet --json " + base + "_fleet.json", &code);
+  EXPECT_EQ(code, 0) << fleet;
+  EXPECT_EQ(table_of(fleet), table);
+  for (const char* suffix : {"_whole", "_0", "_1", "_merged", "_fleet"})
+    std::remove((base + suffix + ".json").c_str());
+}
+
 TEST_F(Tools, SweepMergeRejectsHostileDocuments) {
   // A negative job_count and a nesting bomb each end in a clean
   // "sofia_sweep:" error, not an abort or a stack overflow.
@@ -412,7 +452,7 @@ TEST_F(Tools, SweepMergeRejectsHostileDocuments) {
   const std::string in = "/tmp/sofia_merge_hostile_" + tag + ".json";
   const std::string out = "/tmp/sofia_merge_hostile_" + tag + "_out.json";
   for (const std::string& doc :
-       {std::string("{\"schema\":\"sofia-sweep-v5\",\"sweep\":\"x\","
+       {std::string("{\"schema\":\"sofia-sweep-v6\",\"sweep\":\"x\","
                     "\"job_count\":-1,\"jobs\":[]}"),
         std::string(200'000, '[')}) {
     std::ofstream(in, std::ios::binary) << doc;
@@ -492,7 +532,7 @@ TEST_F(Tools, FleetStreamsMergedDocumentToStdoutByDefault) {
       "( " + std::string(SOFIA_FLEET_BIN) +
           " --smoke --workers 2 --threads 1 2>/dev/null )", &code);
   EXPECT_EQ(code, 0);
-  EXPECT_NE(doc.find("\"schema\": \"sofia-sweep-v5\""), std::string::npos)
+  EXPECT_NE(doc.find("\"schema\": \"sofia-sweep-v6\""), std::string::npos)
       << doc.substr(0, 200);
   EXPECT_EQ(doc.rfind("sweep ", 0), std::string::npos);  // no log lines mixed in
 }

@@ -2,7 +2,7 @@
 // as sofia_sweep, launches N workers, hands worker K the `--shard K/N`
 // slice, collects each shard's JSON document from the worker's stdout and
 // merges them through driver::merge_json — producing a document
-// byte-identical to a single-machine `sofia_sweep` run.
+// byte-identical to a single-machine `sofia_sweep` run (and the same table).
 //
 // Workers are shell commands (default: the sofia_sweep binary next to this
 // one), so the fan-out transport is pluggable without code changes:
@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "driver/sweep.hpp"
+#include "driver/tables.hpp"
 #include "scheme/scheme.hpp"
 #include "sim/backend.hpp"
 #include "support/cli.hpp"
@@ -174,10 +175,12 @@ int main(int argc, char** argv) {
     std::vector<std::string> documents;
     documents.reserve(shards.size());
     for (auto& shard : shards) documents.push_back(std::move(shard.document));
-    io::emit_document(json_path, driver::merge_json(documents));
+    const std::string merged = driver::merge_json(documents);
+    io::emit_document(json_path, merged);
     if (!quiet)
       std::fprintf(log, "merged %u shard(s) into %s (%zu jobs)\n", workers,
                    json_path.c_str(), total_jobs);
+    driver::print_table(json::parse(merged), log);
     return 0;
   } catch (const Error& e) {
     std::fprintf(stderr, "sofia_fleet: %s\n", e.what());

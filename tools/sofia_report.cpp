@@ -1,14 +1,15 @@
 // sofia-report: one-command reproduction summary — runs the headline
 // experiments (Table I, the ADPCM benchmark, the security analysis, a
 // fault campaign) and prints a compact paper-vs-measured table. The full
-// sweeps live in sofia_sweep and the bench/ binaries; this is the "is the
-// reproduction healthy?" view.
+// paper tables are `sofia_sweep --matrix NAME` runs (README "Experiment
+// sweeps"); this is the "is the reproduction healthy?" view.
 //
 //   sofia_report [--quick] [--threads N]
 #include <cstdio>
 #include <string>
 
 #include "driver/sweep.hpp"
+#include "driver/tables.hpp"
 #include "scheme/scheme.hpp"
 #include "security/attacks.hpp"
 #include "security/forgery.hpp"
@@ -37,7 +38,8 @@ int main(int argc, char** argv) {
   parser.parse_or_exit(argc, argv);
   if (threads < 1) return parser.fail("--threads must be >= 1");
   const std::uint32_t samples = quick ? 1024 : 8192;
-  const auto keys = bench::bench_keys();
+  // The paper's cipher for every measurement.
+  const auto keys = crypto::KeySet::example(crypto::CipherKind::kRectangle80);
   const hw::HwModel model;
 
   std::printf("SOFIA reproduction report\n");
@@ -47,7 +49,7 @@ int main(int argc, char** argv) {
   const auto vanilla = model.vanilla();
   const auto sofia_hw = model.sofia(2);
   std::printf("%-44s %16s %16s\n", "experiment", "paper", "measured");
-  bench::print_rule(80);
+  driver::print_rule(80);
   std::printf("%-44s %16s %16.0f\n", "Table I vanilla slices", "5889",
               vanilla.slices);
   std::printf("%-44s %16s %16.0f\n", "Table I SOFIA slices", "7551",
@@ -64,12 +66,9 @@ int main(int argc, char** argv) {
               security::forgery_years(64, 16, 50e6));
 
   // --- ADPCM (through the sweep driver) ----------------------------------------
-  driver::SweepSpec adpcm;
-  adpcm.name = "report-adpcm";
-  adpcm.workloads = {"adpcm_encode", "adpcm_decode"};
+  driver::SweepSpec adpcm = driver::matrix("adpcm");
   adpcm.size_override = samples;
-  adpcm.base_seed = 1;  // the paper-comparison waveform
-  adpcm.configs = {driver::paper_default_config()};
+  adpcm.configs.resize(1);  // the pipelined cipher engine
   adpcm = driver::with_backend(std::move(adpcm), backend);
   adpcm = driver::with_scheme(std::move(adpcm), scheme);
   const auto sweep = driver::run_sweep(adpcm, threads);
@@ -104,13 +103,13 @@ int main(int argc, char** argv) {
     }
   }();
   if (cycle_accurate) {
-    std::printf("%-44s %16s %15.1f%%\n",
-                "ADPCM cycle overhead (see EXPERIMENTS E3)", "+13.7%", cyc);
+    std::printf("%-44s %16s %15.1f%%\n", "ADPCM cycle overhead", "+13.7%",
+                cyc);
     std::printf("%-44s %16s %15.1f%%\n", "ADPCM exec-time overhead", "+110%",
                 time_ovh);
   } else {
-    std::printf("%-44s %16s %16s\n", "ADPCM cycle overhead (see EXPERIMENTS E3)",
-                "+13.7%", "n/a");
+    std::printf("%-44s %16s %16s\n", "ADPCM cycle overhead", "+13.7%",
+                "n/a");
     std::printf("%-44s %16s %16s\n", "ADPCM exec-time overhead", "+110%",
                 "n/a");
     std::printf("%-44s\n",
@@ -140,7 +139,9 @@ int main(int argc, char** argv) {
               "all",
               static_cast<unsigned long long>(faults.detected),
               static_cast<unsigned long long>(faults.trials));
-  bench::print_rule(80);
-  std::printf("\nDetails: EXPERIMENTS.md; full sweeps: sofia_sweep + build/bench/*.\n");
+  driver::print_rule(80);
+  std::printf(
+      "\nFull ADPCM table: sofia_sweep --matrix adpcm; every paper table:\n"
+      "sofia_sweep --matrix NAME (README \"Experiment sweeps\").\n");
   return (rop_ok && jop_ok && faults.detected == faults.trials) ? 0 : 1;
 }

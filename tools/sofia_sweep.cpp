@@ -1,7 +1,8 @@
 // sofia-sweep: run an experiment matrix (workloads × configurations) on a
 // thread pool and emit the results as a machine-readable JSON document.
 // The built-in matrices cover the paper's headline tables plus the repo's
-// ablations; adding a scenario is one entry in src/driver/sweep.cpp.
+// ablations; adding a scenario is one entry in src/driver/sweep.cpp. An
+// unsharded run or a --merge prints the matrix's table (driver/tables.hpp).
 //
 // Multi-machine use: `--shard K/N` runs only job indices ≡ K (mod N), and
 // `--merge out.json in1.json in2.json...` concatenates the per-job records
@@ -17,6 +18,7 @@
 
 #include "cache/result_store.hpp"
 #include "driver/sweep.hpp"
+#include "driver/tables.hpp"
 #include "scheme/scheme.hpp"
 #include "sim/backend.hpp"
 #include "support/cli.hpp"
@@ -91,7 +93,9 @@ int main(int argc, char** argv) {
     if (!merge_out.empty()) {
       if (merge_inputs.empty())
         return parser.fail("--merge needs at least one input document");
-      driver::merge_files(merge_out, merge_inputs, driver::merge_json, log);
+      driver::print_table(json::parse(driver::merge_files(
+                              merge_out, merge_inputs, driver::merge_json, log)),
+                          log);
       return 0;
     }
 
@@ -145,11 +149,14 @@ int main(int argc, char** argv) {
                  result.all_ok() ? "all jobs ok" : "FAILURES");
     cache.report();
 
+    const std::string document = driver::to_json(result);
     if (!json_path.empty()) {
-      io::emit_document(json_path, driver::to_json(result));
+      io::emit_document(json_path, document);
       if (json_path != "-")
         std::fprintf(log, "wrote %s\n", json_path.c_str());
     }
+    // A shard holds a slice of the matrix; --merge prints its table.
+    if (shard.is_whole()) driver::print_table(json::parse(document), log);
     return result.all_ok() ? 0 : 1;
   } catch (const Error& e) {
     std::fprintf(stderr, "sofia_sweep: %s\n", e.what());
