@@ -163,6 +163,34 @@ TEST(Measure, DefaultProfileIsThePaperDevice) {
   EXPECT_EQ(config.unroll_cycles, 2);
 }
 
+// One vanilla-vs-SOFIA measurement at the paper's device, set up the way a
+// sweep job applies its cell's options.
+pipeline::Measurement measure_at_paper_default(
+    const workloads::WorkloadSpec& spec, std::uint64_t seed, std::uint32_t size) {
+  const auto opts = driver::paper_default_config().opts;
+  auto p = pipeline::Pipeline::from_workload(spec, seed, size, opts.profile);
+  p.set_sim_config(opts.config);
+  p.set_memory_layout(opts.mem);
+  return p.measure();
+}
+
+TEST(Measure, WorkloadRoundTrip) {
+  const auto m = measure_at_paper_default(workloads::workload("fib"), 1, 8);
+  EXPECT_EQ(m.name, "fib");
+  // SOFIA always costs something: bigger text, more cycles.
+  EXPECT_GT(m.sofia_text_bytes, m.vanilla_text_bytes);
+  EXPECT_GT(m.sofia_cycles, m.vanilla_cycles);
+  EXPECT_GT(m.cycle_overhead_pct(), 0.0);
+}
+
+TEST(Measure, MismatchThrows) {
+  // A golden model that cannot match the program output must throw rather
+  // than report numbers for a broken run.
+  auto spec = workloads::workload("fib");
+  spec.golden = [](std::uint64_t, std::uint32_t) { return std::string("bogus"); };
+  EXPECT_THROW(measure_at_paper_default(spec, 1, 8), Error);
+}
+
 // ---------------------------------------------------------------------------
 // Execution
 // ---------------------------------------------------------------------------
