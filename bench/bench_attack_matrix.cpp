@@ -1,7 +1,9 @@
 // E11 — attack/detection matrix: every attack class from §I/§IV against the
 // SOFIA device, run once per registered protection scheme, plus the ROP/JOP
-// demonstrations against both cores. `--json PATH` writes the full matrix
-// as a deterministic "sofia-attack-matrix-v2" document (fixed seeds, fixed
+// demonstrations against both cores. Every attack is a campaign
+// MutationRecord run on one campaign::Target and judged by
+// campaign::classify. `--json PATH` writes the full matrix as a
+// deterministic "sofia-attack-matrix-v3" document (fixed seeds, fixed
 // iteration order), so two runs diff byte-identically. `--json -` streams
 // the document to stdout (the human-readable matrix moves to stderr).
 //
@@ -10,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/campaign.hpp"
 #include "driver/tables.hpp"
 #include "scheme/scheme.hpp"
 #include "security/attacks.hpp"
@@ -20,28 +23,53 @@
 namespace {
 
 using namespace sofia;
+using campaign::Mutation;
+using campaign::MutationKind;
+using campaign::TrialClass;
+
+/// The hand-picked attacks every scheme faces, in report order.
+const Mutation kAttacks[] = {
+    {MutationKind::kBitFlip, 2, 9},
+    {MutationKind::kBitFlip, 0, 30},
+    {MutationKind::kWordPatch, 4, 0x34000001},
+    {MutationKind::kWordRelocate, 3, 11},
+    {MutationKind::kBlockSplice, 0, 2},
+    {MutationKind::kCrossVersionSplice, 1},
+};
+
+/// Version nonce of the donor build the cross-version splice grafts from.
+constexpr std::uint16_t kOtherVersion = 0xBEEF;
+
+struct Attack {
+  Mutation mutation;
+  sim::RunResult run;
+  TrialClass cls = TrialClass::kHarmless;
+  bool output_clean = false;
+};
 
 struct FlipTally {
-  int detected = 0;
-  int harmless = 0;
-  int breached = 0;
+  std::uint64_t detected = 0;
+  std::uint64_t harmless = 0;
+  std::uint64_t breached = 0;
 };
 
 struct SchemeRow {
   std::string scheme;
   bool authenticated = false;
-  std::vector<security::AttackOutcome> attacks;
+  std::vector<Attack> attacks;
   FlipTally flips;
-  int flip_trials = 0;
 };
 
-void report(std::FILE* log, const security::AttackOutcome& o) {
-  std::fprintf(log, "%-44s %-10s %-16s %8llu\n", o.name.c_str(),
-              o.detected ? "yes" : (o.output_clean ? "no effect" : "NO"),
-              o.detected ? std::string(to_string(o.run.reset.cause)).c_str()
-                         : "-",
-              static_cast<unsigned long long>(
-                  o.detected ? o.run.reset.cycle : 0));
+void report(std::FILE* log, const Attack& a) {
+  const bool detected = a.cls == TrialClass::kDetected;
+  std::fprintf(log, "%-44s %-10s %-16s %8llu\n",
+               a.mutation.describe().c_str(),
+               detected ? "yes"
+                        : (a.cls == TrialClass::kHarmless ? "no effect" : "NO"),
+               detected ? std::string(to_string(a.run.reset.cause)).c_str()
+                        : "-",
+               static_cast<unsigned long long>(detected ? a.run.reset.cycle
+                                                        : 0));
 }
 
 }  // namespace
@@ -90,17 +118,17 @@ out: .word 0
   // Breaches only gate the exit code for authenticated schemes: the "null"
   // baseline is *expected* to let flips through — that contrast is the
   // point of running the matrix across the scheme axis.
-  int auth_breached = 0;
+  std::uint64_t auth_breached = 0;
   std::vector<SchemeRow> rows;
   for (const auto& entry : scheme::scheme_registry()) {
     SchemeRow row;
     row.scheme = std::string(entry.name);
     row.authenticated = entry.get().traits().authenticated;
-    row.flip_trials = static_cast<int>(flip_count);
 
     pipeline::DeviceProfile profile = pipeline::DeviceProfile::with_keys(keys);
     profile.scheme = row.scheme;
-    security::AttackHarness harness(victim, profile);
+    const campaign::Target target(victim, profile, kOtherVersion);
+    const std::string& clean_output = target.clean_run().output;
 
     std::fprintf(log, "Attack matrix on the SOFIA device — scheme %s (%s)\n",
                 row.scheme.c_str(),
@@ -109,31 +137,36 @@ out: .word 0
     std::fprintf(log, "%-44s %-10s %-16s %8s\n", "attack", "detected", "cause",
                 "at cycle");
     driver::print_rule(86, log);
-    row.attacks.push_back(harness.flip_bit(2, 9));
-    row.attacks.push_back(harness.flip_bit(0, 30));
-    row.attacks.push_back(harness.patch_word(4, 0x34000001));
-    row.attacks.push_back(harness.relocate_word(3, 11));
-    row.attacks.push_back(harness.splice_block(0, 2));
-    row.attacks.push_back(harness.cross_version_splice(0xBEEF, 1));
-    for (const auto& o : row.attacks) report(log, o);
+    for (const Mutation& m : kAttacks) {
+      Attack a{m, target.execute({m})};
+      a.cls = campaign::classify(a.run, clean_output);
+      a.output_clean = a.run.output == clean_output;
+      report(log, a);
+      row.attacks.push_back(std::move(a));
+    }
 
+    // Random single-bit flips, tallied as they run. A flip counts as
+    // harmless only when the run completes with the clean output; a run
+    // that prints it and then fails to complete is a breach.
     Rng rng(42);  // fresh per scheme: rows are independent of scheme order
-    const auto flips =
-        harness.random_bit_flips(rng, static_cast<int>(flip_count));
-    for (const auto& o : flips) {
-      if (o.detected)
-        ++row.flips.detected;
-      else if (o.output_clean)
-        ++row.flips.harmless;
-      else
-        ++row.flips.breached;
+    for (std::uint64_t i = 0; i < flip_count; ++i) {
+      const auto word = rng.next_below(target.geometry().text_words);
+      const auto bit = rng.next_below(32);
+      const auto run = target.execute({{MutationKind::kBitFlip, word, bit}});
+      switch (campaign::classify(run, clean_output)) {
+        case TrialClass::kDetected: ++row.flips.detected; break;
+        case TrialClass::kHarmless: ++row.flips.harmless; break;
+        case TrialClass::kEscaped: ++row.flips.breached; break;
+      }
     }
     driver::print_rule(86, log);
-    std::fprintf(log, 
-        "random single-bit flips: %d detected, %d dead-code (no effect), "
-        "%d breached / %zu%s\n\n",
-        row.flips.detected, row.flips.harmless, row.flips.breached,
-        flips.size(),
+    std::fprintf(log,
+        "random single-bit flips: %llu detected, %llu dead-code (no effect), "
+        "%llu breached / %llu%s\n\n",
+        static_cast<unsigned long long>(row.flips.detected),
+        static_cast<unsigned long long>(row.flips.harmless),
+        static_cast<unsigned long long>(row.flips.breached),
+        static_cast<unsigned long long>(flip_count),
         row.authenticated ? "" : "  (breaches expected: no verification)");
     if (row.authenticated) auth_breached += row.flips.breached;
     rows.push_back(std::move(row));
@@ -170,7 +203,7 @@ out: .word 0
   if (!json_path.empty()) {
     json::Writer w(2);
     w.begin_object();
-    w.member("schema", "sofia-attack-matrix-v2");
+    w.member("schema", "sofia-attack-matrix-v3");
     w.member("flip_trials", static_cast<std::uint64_t>(flip_count));
     w.key("schemes").begin_array();
     for (const auto& row : rows) {
@@ -178,22 +211,23 @@ out: .word 0
       w.member("scheme", row.scheme);
       w.member("authenticated", row.authenticated);
       w.key("attacks").begin_array();
-      for (const auto& o : row.attacks) {
+      for (const auto& a : row.attacks) {
+        const bool detected = a.cls == TrialClass::kDetected;
         w.begin_object();
-        w.member("name", o.name);
-        w.member("detected", o.detected);
-        w.member("output_clean", o.output_clean);
-        if (o.detected) {
-          w.member("cause", to_string(o.run.reset.cause));
-          w.member("cycle", o.run.reset.cycle);
+        w.member("name", a.mutation.describe());
+        w.member("detected", detected);
+        w.member("output_clean", a.output_clean);
+        if (detected) {
+          w.member("cause", to_string(a.run.reset.cause));
+          w.member("cycle", a.run.reset.cycle);
         }
         w.end_object();
       }
       w.end_array();
       w.key("random_flips").begin_object();
-      w.member("detected", static_cast<std::int64_t>(row.flips.detected));
-      w.member("harmless", static_cast<std::int64_t>(row.flips.harmless));
-      w.member("breached", static_cast<std::int64_t>(row.flips.breached));
+      w.member("detected", row.flips.detected);
+      w.member("harmless", row.flips.harmless);
+      w.member("breached", row.flips.breached);
       w.end_object();
       w.end_object();
     }

@@ -1,15 +1,55 @@
 // Fault-injection campaign (the paper's stated future work): single
 // transient bit flips on the instruction-fetch path, classified per core.
 // On SOFIA every fault that isn't architecturally masked must end in a
-// reset; on the vanilla core faults silently corrupt program output.
+// reset; on the vanilla core faults silently corrupt program output. Each
+// fault is a campaign fetch-fault mutation {fetch index, bit}: the SOFIA
+// row runs it on a campaign::Target, the vanilla row applies it to the
+// same program's sequential baseline image.
 #include <cstdio>
 
+#include "campaign/campaign.hpp"
 #include "driver/tables.hpp"
-#include "security/forgery.hpp"
+
+namespace {
+
+using namespace sofia;
+
+constexpr std::uint64_t kTrials = 400;
+
+/// One table row: kTrials seeded faults over the first `span` fetched
+/// words, each run by `run` and judged against `clean_output`.
+template <typename Run>
+void fault_row(const char* core, std::uint64_t span,
+               const std::string& clean_output, Rng& rng, const Run& run) {
+  std::uint64_t detected = 0;   // device reset
+  std::uint64_t masked = 0;     // run completed with clean output
+  std::uint64_t corrupted = 0;  // run completed with wrong output
+  std::uint64_t other = 0;      // faults/max-cycles
+  for (std::uint64_t t = 0; t < kTrials; ++t) {
+    const std::uint64_t index = rng.next_below(span);
+    const std::uint64_t bit = rng.next_below(32);
+    const auto result = run({{campaign::MutationKind::kFetchFault, index, bit}});
+    switch (campaign::classify(result, clean_output)) {
+      case campaign::TrialClass::kDetected: ++detected; break;
+      case campaign::TrialClass::kHarmless: ++masked; break;
+      case campaign::TrialClass::kEscaped:
+        ++(result.ok() ? corrupted : other);
+        break;
+    }
+  }
+  std::printf("%-10s %8llu %10llu %10llu %12llu %8llu\n", core,
+              static_cast<unsigned long long>(kTrials),
+              static_cast<unsigned long long>(detected),
+              static_cast<unsigned long long>(masked),
+              static_cast<unsigned long long>(corrupted),
+              static_cast<unsigned long long>(other));
+}
+
+}  // namespace
 
 int main() {
-  using namespace sofia;
-  const auto keys = crypto::KeySet::example(crypto::CipherKind::kRectangle80);
+  const auto profile = pipeline::DeviceProfile::with_keys(
+      crypto::KeySet::example(crypto::CipherKind::kRectangle80));
   const char* program = R"(
 main:
   li r1, 0
@@ -34,17 +74,30 @@ never:
               "masked", "corrupted", "other");
   driver::print_rule(84);
   Rng rng(7777);
-  for (const bool sofia_core : {false, true}) {
-    const auto campaign = security::run_fault_campaign(
-        program, keys, sofia_core, /*trials=*/400, rng);
-    std::printf("%-10s %8llu %10llu %10llu %12llu %8llu\n",
-                sofia_core ? "SOFIA" : "vanilla",
-                static_cast<unsigned long long>(campaign.trials),
-                static_cast<unsigned long long>(campaign.detected),
-                static_cast<unsigned long long>(campaign.masked),
-                static_cast<unsigned long long>(campaign.corrupted),
-                static_cast<unsigned long long>(campaign.other));
-  }
+
+  // Vanilla: the sequential baseline under the same trial budget.
+  auto session = pipeline::Pipeline::from_source(program, profile);
+  sim::SimConfig config;
+  config.max_cycles = campaign::kTrialBudget;
+  session.set_sim_config(config);
+  const auto& vanilla_image = session.vanilla_image();
+  const auto& vanilla_clean = session.run_vanilla();
+  fault_row("vanilla", vanilla_clean.stats.fetch_words, vanilla_clean.output,
+            rng, [&](const campaign::MutationRecord& record) {
+              auto image = vanilla_image;
+              sim::SimConfig trial = session.sim_config();
+              campaign::apply(record, image, trial, {});
+              return session.run_image(image, trial);
+            });
+
+  // SOFIA fetches MAC words too; faults land uniformly over everything the
+  // device reads.
+  const campaign::Target target(program, profile);
+  const auto& clean = target.clean_run();
+  fault_row("SOFIA", clean.stats.fetch_words + clean.stats.mac_words,
+            clean.output, rng, [&](const campaign::MutationRecord& record) {
+              return target.execute(record);
+            });
   driver::print_rule(84);
   std::printf("SOFIA detects every non-masked fetch fault: a flipped bit never\n"
               "survives decryption + MAC verification, so fault attacks on the\n"

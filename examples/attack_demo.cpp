@@ -9,30 +9,37 @@
 // Build & run:  ./build/examples/attack_demo
 #include <cstdio>
 
-#include "pipeline/device_profile.hpp"
+#include "campaign/campaign.hpp"
 #include "security/attacks.hpp"
 
 namespace {
 
-void narrate(const sofia::security::AttackOutcome& outcome) {
-  using sofia::sim::RunResult;
-  std::printf("  %-42s -> ", outcome.name.c_str());
-  if (outcome.detected) {
-    std::printf("RESET at cycle %llu (%s)\n",
-                static_cast<unsigned long long>(outcome.run.reset.cycle),
-                to_string(outcome.run.reset.cause).data());
-  } else if (outcome.output_clean) {
-    std::printf("no effect (tampered a block the run never fetches)\n");
-  } else {
-    std::printf("!!! UNDETECTED CORRUPTION (output '%s')\n",
-                outcome.run.output.c_str());
+using namespace sofia;
+using campaign::MutationKind;
+
+/// Mount one tamper on the target and narrate the verdict.
+void narrate(const campaign::Target& target, const campaign::Mutation& m) {
+  const auto run = target.execute({m});
+  std::printf("  %-42s -> ", m.describe().c_str());
+  switch (campaign::classify(run, target.clean_run().output)) {
+    case campaign::TrialClass::kDetected:
+      std::printf("RESET at cycle %llu (%s)\n",
+                  static_cast<unsigned long long>(run.reset.cycle),
+                  to_string(run.reset.cause).data());
+      break;
+    case campaign::TrialClass::kHarmless:
+      std::printf("no effect (tampered a block the run never fetches)\n");
+      break;
+    case campaign::TrialClass::kEscaped:
+      std::printf("!!! UNDETECTED CORRUPTION (output '%s')\n",
+                  run.output.c_str());
+      break;
   }
 }
 
 }  // namespace
 
 int main() {
-  using namespace sofia;
   // The device under attack: paper defaults (RECTANGLE-80, example keys).
   const auto profile = pipeline::DeviceProfile::paper_default();
   const auto keys = profile.keys();
@@ -53,19 +60,21 @@ work:
   ret
 )";
 
-  security::AttackHarness harness(victim, profile);
+  // The donor is the same victim built as another version (omega 0x0001).
+  const campaign::Target target(victim, profile, 0x0001);
   std::printf("victim program runs clean: output = %s\n",
-              harness.clean_run().output.c_str());
+              target.clean_run().output.c_str());
 
   std::printf("\ncode injection (the device decrypts, then the run-time MAC "
               "fails):\n");
-  narrate(harness.flip_bit(2, 0));
-  narrate(harness.patch_word(5, 0x0D400007));  // attacker-chosen 'addi'
+  narrate(target, {MutationKind::kBitFlip, 2, 0});
+  // An attacker-chosen 'addi'.
+  narrate(target, {MutationKind::kWordPatch, 5, 0x0D400007});
   std::printf("\ncode relocation (CTR counters bind words to addresses):\n");
-  narrate(harness.relocate_word(2, 10));
-  narrate(harness.splice_block(0, 1));
+  narrate(target, {MutationKind::kWordRelocate, 2, 10});
+  narrate(target, {MutationKind::kBlockSplice, 0, 1});
   std::printf("\ncross-version replay (the nonce omega separates versions):\n");
-  narrate(harness.cross_version_splice(0x0001, 0));
+  narrate(target, {MutationKind::kCrossVersionSplice, 0});
 
   std::printf("\nreturn-address smash toward a store gadget:\n");
   const auto demo = security::run_rop_demo(keys);

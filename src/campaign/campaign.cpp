@@ -56,9 +56,6 @@ table: .word inc, dec
 out: .word 0
 )";
 
-/// Tampered runs can loop on garbage; every trial gets a bounded budget.
-constexpr std::uint64_t kTrialBudget = 10'000'000;
-
 }  // namespace
 
 std::string CellSpec::label() const {
@@ -233,28 +230,6 @@ EscapeRecord read_escape(const json::Value& v, std::string_view context) {
 
 namespace {
 
-/// One matrix cell's prepared attack surface: the victim transformed once,
-/// the donor build for cross-version splices, the clean-run baseline and
-/// the static-lint reference. All trial-time access is const.
-struct Fixture {
-  std::unique_ptr<pipeline::Pipeline> session;
-  assembler::LoadImage base_image;
-  std::string clean_output;
-  verify::ProgramModel model;
-  verify::DeviceSpec device_spec;
-  assembler::LoadImage donor;
-  ImageGeometry geometry;
-  sim::SimConfig base_config;
-  /// Digest over the cell's whole attack surface (profile fingerprint,
-  /// base + donor image bytes, canonical SimConfig encoding, campaign
-  /// seed) — the per-trial cache key is (this, global job index).
-  std::string cache_digest;
-
-  /// Built per call (never stored): a stored donor pointer would dangle
-  /// the moment the fixture moves into its slot.
-  ApplyContext ctx() const { return {geometry.words_per_block, &donor}; }
-};
-
 pipeline::DeviceProfile cell_profile(const CampaignSpec& spec,
                                      const CellSpec& cell) {
   auto profile = pipeline::DeviceProfile::from_seed(cell.cipher, spec.seed);
@@ -264,90 +239,118 @@ pipeline::DeviceProfile cell_profile(const CampaignSpec& spec,
   return profile;
 }
 
-std::unique_ptr<pipeline::Pipeline> victim_session(
-    const CampaignSpec& spec, const pipeline::DeviceProfile& profile,
-    const std::string& name) {
-  if (spec.workload.empty()) {
-    return std::make_unique<pipeline::Pipeline>(
-        pipeline::Pipeline::from_source(kBuiltinVictim, profile, name));
-  }
-  const auto& wl = workloads::workload(spec.workload);
-  const std::uint32_t size = spec.size != 0 ? spec.size : wl.default_size;
-  return std::make_unique<pipeline::Pipeline>(
-      pipeline::Pipeline::from_workload(wl, spec.seed, size, profile));
-}
+}  // namespace
 
-Fixture make_fixture(const CampaignSpec& spec, const CellSpec& cell) {
-  Fixture fx;
-  const auto profile = cell_profile(spec, cell);
-  fx.session = victim_session(spec, profile, "campaign-victim");
+Target::Target(const std::string& source,
+               const pipeline::DeviceProfile& profile,
+               std::uint16_t donor_omega)
+    : Target(
+          [&](const pipeline::DeviceProfile& p, const std::string& name) {
+            return pipeline::Pipeline::from_source(source, p, name);
+          },
+          profile, donor_omega, "attack target") {}
+
+Target::Target(const CampaignSpec& spec, const CellSpec& cell)
+    : Target(
+          [&](const pipeline::DeviceProfile& p, const std::string& name) {
+            if (spec.workload.empty())
+              return pipeline::Pipeline::from_source(kBuiltinVictim, p, name);
+            const auto& wl = workloads::workload(spec.workload);
+            const std::uint32_t size =
+                spec.size != 0 ? spec.size : wl.default_size;
+            return pipeline::Pipeline::from_workload(wl, spec.seed, size, p);
+          },
+          cell_profile(spec, cell), spec.donor_omega,
+          "campaign[" + cell.label() + "]") {}
+
+Target::Target(const SessionFactory& make,
+               const pipeline::DeviceProfile& profile,
+               std::uint16_t donor_omega, const std::string& label)
+    : session_(std::make_unique<pipeline::Pipeline>(
+          make(profile, "campaign-victim"))) {
   sim::SimConfig config;
   config.max_cycles = kTrialBudget;
-  fx.session->set_sim_config(config);
+  session_->set_sim_config(config);
 
-  fx.base_image = fx.session->hardened().image;
-  const auto& clean = fx.session->run();
-  if (!clean.ok())
-    throw Error("campaign[" + cell.label() + "]: clean run failed: " +
-                std::string(to_string(clean.status)));
-  fx.clean_output = clean.output;
-  fx.model = verify::model_of(fx.session->hardened());
-  fx.device_spec = fx.session->device_spec();
+  image_ = session_->hardened().image;
+  clean_ = session_->run();
+  if (!clean_.ok())
+    throw Error(label + ": clean run failed: " +
+                std::string(to_string(clean_.status)));
+  model_ = verify::model_of(session_->hardened());
 
   // The donor: the same program sealed under another version nonce (the
   // cross-version replay's ingredient). Built through its own session so
   // the toolchain stages stay byte-faithful to a real rollout.
   auto donor_profile = profile;
-  donor_profile.omega_override = spec.donor_omega;
-  auto donor_session = victim_session(spec, donor_profile, "campaign-donor");
-  fx.donor = donor_session->hardened().image;
+  donor_profile.omega_override = donor_omega;
+  donor_ = make(donor_profile, "campaign-donor").hardened().image;
 
-  fx.geometry.text_words = static_cast<std::uint32_t>(fx.base_image.text.size());
-  fx.geometry.words_per_block = profile.policy.words_per_block;
-  fx.geometry.text_base = fx.base_image.text_base;
+  geometry_.text_words = static_cast<std::uint32_t>(image_.text.size());
+  geometry_.words_per_block = profile.policy.words_per_block;
+  geometry_.text_base = image_.text_base;
   // The retarget surface: the union of every declared indirect target set,
   // and the aligned data words initially holding one of those addresses
   // (the dispatch slots a surviving jalr reads its target from). Both stay
   // empty under schemes that devirtualize indirect jumps.
   std::vector<std::uint32_t> targets;
-  for (const auto& blk : fx.model.blocks)
+  for (const auto& blk : model_.blocks)
     targets.insert(targets.end(), blk.jalr_targets.begin(),
                    blk.jalr_targets.end());
   std::sort(targets.begin(), targets.end());
   targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
-  fx.geometry.indirect_targets = std::move(targets);
-  if (!fx.geometry.indirect_targets.empty()) {
-    const auto& data = fx.base_image.data;
+  geometry_.indirect_targets = std::move(targets);
+  if (!geometry_.indirect_targets.empty()) {
+    const auto& data = image_.data;
     for (std::uint32_t off = 0; off + 4 <= data.size(); off += 4) {
       std::uint32_t value = 0;
       for (std::uint32_t j = 0; j < 4; ++j)
         value |= static_cast<std::uint32_t>(data[off + j]) << (8 * j);
-      if (std::binary_search(fx.geometry.indirect_targets.begin(),
-                             fx.geometry.indirect_targets.end(), value))
-        fx.geometry.dispatch_slots.push_back(off);
+      if (std::binary_search(geometry_.indirect_targets.begin(),
+                             geometry_.indirect_targets.end(), value))
+        geometry_.dispatch_slots.push_back(off);
     }
   }
-  fx.base_config = fx.session->sim_config();
-
-  cache::KeyBuilder kb("sofia-cache-key-v1/campaign-fixture");
-  kb.field("profile", profile.fingerprint());
-  kb.field("base_image", assembler::serialize_image(fx.base_image));
-  kb.field("donor", assembler::serialize_image(fx.donor));
-  kb.field("config",
-           remote::encode_config(fx.session->effective_sim_config()));
-  kb.field("seed", spec.seed);
-  fx.cache_digest = cache::to_hex(kb.finish());
-  return fx;
 }
 
-/// Apply a record to fresh copies and execute (the one trial primitive the
-/// classifier, the minimizer and the replay all share).
-sim::RunResult execute(const Fixture& fx, const MutationRecord& record) {
-  auto image = fx.base_image;
-  sim::SimConfig config = fx.base_config;
-  apply(record, image, config, fx.ctx());
-  return fx.session->run_image(image, config);
+assembler::LoadImage Target::tampered(const MutationRecord& record,
+                                      sim::SimConfig& config) const {
+  auto image = image_;
+  apply(record, image, config, {geometry_.words_per_block, &donor_});
+  return image;
 }
+
+sim::RunResult Target::execute(const MutationRecord& record) const {
+  sim::SimConfig config = session_->sim_config();
+  const auto image = tampered(record, config);
+  return session_->run_image(image, config);
+}
+
+namespace {
+
+/// One matrix cell's prepared attack surface: the victim as a Target plus
+/// the static-lint reference and the per-cell cache digest. All trial-time
+/// access is const.
+struct Fixture {
+  Target target;
+  verify::DeviceSpec device_spec;
+  /// Digest over the cell's whole attack surface (profile fingerprint,
+  /// base + donor image bytes, canonical SimConfig encoding, campaign
+  /// seed) — the per-trial cache key is (this, global job index).
+  std::string cache_digest;
+
+  Fixture(const CampaignSpec& spec, const CellSpec& cell)
+      : target(spec, cell), device_spec(target.session().device_spec()) {
+    const auto& session = target.session();
+    cache::KeyBuilder kb("sofia-cache-key-v1/campaign-fixture");
+    kb.field("profile", session.profile().fingerprint());
+    kb.field("base_image", assembler::serialize_image(target.image()));
+    kb.field("donor", assembler::serialize_image(target.donor()));
+    kb.field("config", remote::encode_config(session.effective_sim_config()));
+    kb.field("seed", spec.seed);
+    cache_digest = cache::to_hex(kb.finish());
+  }
+};
 
 /// One trial's folded outcome (index-owned slot in the pool).
 struct Trial {
@@ -400,26 +403,26 @@ constexpr driver::PayloadCodec<Trial> kTrialCodec{
 bool attempt(const Fixture& fx, std::uint64_t job, const Rng& base, Trial& t) {
   try {
     Rng rng = base.fork(job);
-    t.record = generate_record(rng, fx.geometry);
-    const auto run = execute(fx, t.record);
-    t.cls = classify(run, fx.clean_output);
+    t.record = generate_record(rng, fx.target.geometry());
+    const auto run = fx.target.execute(t.record);
+    const std::string& clean_output = fx.target.clean_run().output;
+    t.cls = classify(run, clean_output);
     t.cause = run.reset.cause;
     t.insts = run.stats.insts;
     if (t.cls == TrialClass::kEscaped) {
       t.escape.job = job;
       t.escape.status = std::string(to_string(run.status));
-      t.escape.output_clean = run.output == fx.clean_output;
+      t.escape.output_clean = run.output == clean_output;
       t.escape.applied = t.record;
       t.escape.minimized = minimize(t.record, [&](const MutationRecord& r) {
-        return classify(execute(fx, r), fx.clean_output);
+        return classify(fx.target.execute(r), clean_output);
       });
       // Static-layer attribution: which lint rules fire on the tampered
       // image (none for pure fault schedules — those are invisible offline).
-      auto image = fx.base_image;
-      sim::SimConfig config = fx.base_config;
-      apply(t.record, image, config, fx.ctx());
-      t.escape.lint =
-          verify::error_rules(verify::lint(fx.model, image, fx.device_spec));
+      sim::SimConfig config = fx.target.session().sim_config();
+      const auto image = fx.target.tampered(t.record, config);
+      t.escape.lint = verify::error_rules(
+          verify::lint(fx.target.model(), image, fx.device_spec));
     }
     return true;
   } catch (const std::exception& e) {
@@ -467,8 +470,7 @@ CampaignResult run_campaign(const CampaignSpec& spec, unsigned threads,
   for (const std::uint64_t g : jobs) {
     const std::size_t cell = g / spec.jobs_per_cell;
     if (!fixtures[cell])
-      fixtures[cell] = std::make_unique<Fixture>(
-          make_fixture(spec, spec.cells[cell]));
+      fixtures[cell] = std::make_unique<Fixture>(spec, spec.cells[cell]);
   }
 
   CampaignResult result;

@@ -1,15 +1,16 @@
 // Mutation-based adversarial campaign engine — the dynamic complement of
-// src/verify/ (PR 7's static half). Where security::AttackHarness mounts a
-// fixed menu of hand-written attacks once, a campaign generates large
-// seeded populations of tampered images, forged headers, spliced blocks
-// and fault schedules (campaign/mutation.hpp), executes them per matrix
-// cell (scheme × cipher × granularity) as a plug-in of the shared job engine
-// (driver/jobs.hpp: shard slice, indexed thread pool, cache-through
-// policy), and measures the defense: detection rate, detection latency
-// (retired instructions until reset), verdict distribution, and — for any
-// trial that escapes detection — a greedily minimized, replayable
-// counterexample plus a verify::lint attribution of what the static layer
-// would have caught.
+// the static verifier in src/verify/. A Target is one victim sealed once
+// and attacked through replayable MutationRecords (campaign/mutation.hpp);
+// the attack benches, the demos and the tests mount hand-picked attacks on
+// it. A campaign generates large seeded populations of tampered images,
+// forged headers, spliced blocks and fault schedules, executes them per
+// matrix cell (scheme × cipher × granularity) as a plug-in of the shared
+// job engine (driver/jobs.hpp: shard slice, indexed thread pool,
+// cache-through policy), and measures the defense: detection rate,
+// detection latency (retired instructions until reset), verdict
+// distribution, and — for any trial that escapes detection — a greedily
+// minimized, replayable counterexample plus a verify::lint attribution of
+// what the static layer would have caught.
 //
 // Determinism contract (the sweep driver's, extended): per-job mutation
 // streams are Rng::fork(job index) substreams of the campaign seed, job
@@ -21,6 +22,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,6 +31,7 @@
 #include "campaign/mutation.hpp"
 #include "crypto/key_set.hpp"
 #include "driver/jobs.hpp"
+#include "pipeline/pipeline.hpp"
 #include "verify/verify.hpp"
 
 namespace sofia::campaign {
@@ -46,6 +49,10 @@ struct CellSpec {
   bool operator==(const CellSpec&) const = default;
 };
 
+/// The default version nonce of the donor build cross-version splices
+/// graft from.
+inline constexpr std::uint16_t kDonorOmega = 0xD00D;
+
 struct CampaignSpec {
   std::string name = "full";
   /// Victim program: empty = the built-in attack victim, otherwise a
@@ -59,7 +66,7 @@ struct CampaignSpec {
   /// functional backend is the fleet-scale default.
   std::string backend = "functional";
   /// Version nonce of the donor build cross-version splices graft from.
-  std::uint16_t donor_omega = 0xD00D;
+  std::uint16_t donor_omega = kDonorOmega;
 
   std::uint64_t total_jobs() const {
     return static_cast<std::uint64_t>(cells.size()) * jobs_per_cell;
@@ -75,6 +82,64 @@ CampaignSpec default_campaign();
 /// Shrink to a seconds-long run: one cell per registered scheme (paper
 /// cipher, per-pair granularity); jobs_per_cell is left to the caller.
 CampaignSpec smoke(CampaignSpec spec);
+
+// ---- the victim under attack -----------------------------------------------
+
+/// Tampered runs can loop on garbage; every attacked run gets this budget.
+inline constexpr std::uint64_t kTrialBudget = 10'000'000;
+
+/// One victim sealed once and attacked many times: the §IV-A experiment's
+/// fixture. Construction seals the victim under the profile, runs it clean
+/// (throwing sofia::Error if that run fails) and seals the donor build that
+/// cross-version splices graft from. Every attacked run copies the sealed
+/// image and the trial config, applies a MutationRecord and executes under
+/// kTrialBudget; outcomes go through classify(). All access after
+/// construction is const, so trials may run concurrently.
+class Target {
+ public:
+  /// An SR32 source victim; the donor is the same source sealed under
+  /// `donor_omega`.
+  Target(const std::string& source, const pipeline::DeviceProfile& profile,
+         std::uint16_t donor_omega = kDonorOmega);
+
+  /// The victim a campaign attacks in `cell`: the built-in victim or the
+  /// spec's workload (seed, size), under the cell's device profile, with
+  /// the spec's donor omega.
+  Target(const CampaignSpec& spec, const CellSpec& cell);
+
+  const sim::RunResult& clean_run() const { return clean_; }
+  const ImageGeometry& geometry() const { return geometry_; }
+
+  /// Apply `record` to fresh copies of the sealed image and the trial
+  /// config and run the result.
+  sim::RunResult execute(const MutationRecord& record) const;
+
+  // The sealed attack surface, for the campaign's cache key and its
+  // static-layer attribution.
+  const pipeline::Pipeline& session() const { return *session_; }
+  const assembler::LoadImage& image() const { return image_; }
+  const assembler::LoadImage& donor() const { return donor_; }
+  /// The verifier's reference for the victim (also the source of the
+  /// geometry's indirect-target sets).
+  const verify::ProgramModel& model() const { return model_; }
+  /// The image execute() runs for `record`: a copy of the sealed image
+  /// with the record applied. Fault schedules land in `config`.
+  assembler::LoadImage tampered(const MutationRecord& record,
+                                sim::SimConfig& config) const;
+
+ private:
+  using SessionFactory = std::function<pipeline::Pipeline(
+      const pipeline::DeviceProfile&, const std::string& name)>;
+  Target(const SessionFactory& make, const pipeline::DeviceProfile& profile,
+         std::uint16_t donor_omega, const std::string& label);
+
+  std::unique_ptr<pipeline::Pipeline> session_;
+  assembler::LoadImage image_;
+  sim::RunResult clean_;
+  verify::ProgramModel model_;
+  assembler::LoadImage donor_;
+  ImageGeometry geometry_;
+};
 
 // ---- trial classification --------------------------------------------------
 

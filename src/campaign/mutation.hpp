@@ -1,9 +1,10 @@
-// Composable, replayable image mutations — the campaign engine's attack
-// vocabulary. Each Mutation is one primitive tamper (the AttackHarness
-// one-shot attacks, generalized into data): a record is an ordered list of
-// mutations applied to a fresh copy of the hardened image (and, for the
-// fault-schedule kind, to the SimConfig), so any trial — including a
-// minimized counterexample pulled out of a campaign JSON — replays exactly.
+// Composable, replayable image mutations — the one attack vocabulary of
+// the campaign engine, the attack benches, the demos and the tests. Each
+// Mutation is one primitive tamper, and describe() is its name: a record is
+// an ordered list of mutations applied to a fresh copy of the hardened
+// image (and, for the fault-schedule kind, to the SimConfig), so any trial
+// — including a minimized counterexample pulled out of a campaign JSON —
+// replays exactly on a campaign::Target built for its cell.
 //
 // Generation is pure: generate_record(rng, geometry) draws only from the
 // passed Rng, so a per-job substream (Rng::fork of the campaign seed by job

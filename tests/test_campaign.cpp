@@ -364,6 +364,43 @@ TEST(Campaign, NullSchemeLeaksWithTriagedEscapes) {
   }
 }
 
+TEST(Campaign, EscapesReplayFromTheDocument) {
+  // The replay contract: a counterexample pulled out of the campaign
+  // document, full or minimized, escapes again on a Target built for its
+  // cell. The full record reproduces the recorded run status.
+  auto spec = smoke_spec(120);
+  std::erase_if(spec.cells, [](const campaign::CellSpec& c) {
+    return c.scheme != "null";
+  });
+  ASSERT_EQ(spec.cells.size(), 1u);
+  const json::Value doc =
+      json::parse(campaign::to_json(campaign::run_campaign(spec, 4)));
+  const auto& cells = doc.at("cells", "doc").as_array("cells");
+  ASSERT_EQ(cells.size(), 1u);
+  const auto& escapes = cells[0].at("escapes", "cell").as_array("escapes");
+  ASSERT_FALSE(escapes.empty());
+
+  const campaign::Target target(spec, spec.cells[0]);
+  const auto replay = [&](const json::Value& list) {
+    MutationRecord record;
+    for (const auto& m : list.as_array("record"))
+      record.push_back(campaign::mutation_from_json(m));
+    return target.execute(record);
+  };
+  const std::string& clean = target.clean_run().output;
+  for (const auto& e : escapes) {
+    const std::string job = std::to_string(e.at("job", "escape").as_uint("job"));
+    const std::string& status = e.at("status", "escape").as_string("status");
+    const auto applied = replay(e.at("mutations", "escape"));
+    EXPECT_EQ(campaign::classify(applied, clean), TrialClass::kEscaped)
+        << "job " << job;
+    EXPECT_EQ(to_string(applied.status), status) << "job " << job;
+    const auto minimized = replay(e.at("minimized", "escape"));
+    EXPECT_EQ(campaign::classify(minimized, clean), TrialClass::kEscaped)
+        << "job " << job;
+  }
+}
+
 TEST(Campaign, DetectionLatencyMatchesAcrossBackends) {
   // The reset criterion is architectural: the cycle-accurate and functional
   // backends must agree on every verdict and on the retired-instruction

@@ -6,12 +6,16 @@
 
 #include <cmath>
 
+#include "campaign/campaign.hpp"
 #include "security/attacks.hpp"
 #include "security/forgery.hpp"
 #include "sim_test_util.hpp"
 
 namespace sofia::security {
 namespace {
+
+using campaign::Mutation;
+using campaign::MutationKind;
 
 const char* kVictim = R"(
 main:
@@ -46,26 +50,38 @@ pipeline::DeviceProfile victim_profile() {
 
 class Attacks : public ::testing::Test {
  protected:
-  static const AttackHarness& harness() {
-    static const AttackHarness h(kVictim, victim_profile());
-    return h;
+  /// The victim sealed once; the cross-version donor is built as version
+  /// omega 0x1111.
+  static const campaign::Target& target() {
+    static const campaign::Target t(kVictim, victim_profile(), 0x1111);
+    return t;
+  }
+
+  static sim::RunResult attack(const Mutation& m) {
+    return target().execute({m});
+  }
+
+  static bool detected(const sim::RunResult& run) {
+    return campaign::classify(run, target().clean_run().output) ==
+           campaign::TrialClass::kDetected;
   }
 };
 
 TEST_F(Attacks, CleanRunSucceeds) {
-  EXPECT_TRUE(harness().clean_run().ok());
-  EXPECT_EQ(harness().clean_run().output, "32\n");
+  EXPECT_TRUE(target().clean_run().ok());
+  EXPECT_EQ(target().clean_run().output, "32\n");
 }
 
 TEST_F(Attacks, SingleBitFlipDetected) {
-  const auto outcome = harness().flip_bit(2, 5);  // first instruction word
-  EXPECT_TRUE(outcome.detected) << to_string(outcome.run.status);
-  EXPECT_EQ(outcome.run.reset.cause, sim::ResetCause::kMacMismatch);
+  // First instruction word.
+  const auto run = attack({MutationKind::kBitFlip, 2, 5});
+  EXPECT_TRUE(detected(run)) << to_string(run.status);
+  EXPECT_EQ(run.reset.cause, sim::ResetCause::kMacMismatch);
 }
 
 TEST_F(Attacks, MacWordFlipDetected) {
-  const auto outcome = harness().flip_bit(0, 17);  // stored MAC word
-  EXPECT_TRUE(outcome.detected);
+  // Stored MAC word.
+  EXPECT_TRUE(detected(attack({MutationKind::kBitFlip, 0, 17})));
 }
 
 TEST_F(Attacks, PatchWordDetected) {
@@ -73,43 +89,45 @@ TEST_F(Attacks, PatchWordDetected) {
   // executes: the decrypting fetch turns it into garbage and the MAC fails.
   const std::uint32_t injected = isa::encode(
       isa::Instruction{isa::Opcode::kAddi, 1, 1, 0, 100});
-  const auto outcome = harness().patch_word(3, injected);
-  EXPECT_TRUE(outcome.detected);
+  EXPECT_TRUE(detected(attack({MutationKind::kWordPatch, 3, injected})));
 }
 
 TEST_F(Attacks, RelocateWordDetected) {
   // Moving valid ciphertext elsewhere breaks the PC-bound counter — the
   // attack that defeats AES-ECB instruction randomization (paper §I).
-  const auto outcome = harness().relocate_word(4, 12);
-  EXPECT_TRUE(outcome.detected);
+  EXPECT_TRUE(detected(attack({MutationKind::kWordRelocate, 4, 12})));
 }
 
 TEST_F(Attacks, BlockSpliceDetected) {
-  const auto& image = harness().transformed().image;
-  ASSERT_GE(image.text.size() / 8, 3u);
-  const auto outcome = harness().splice_block(0, 2);
-  EXPECT_TRUE(outcome.detected);
+  ASSERT_GE(target().geometry().blocks(), 3u);
+  EXPECT_TRUE(detected(attack({MutationKind::kBlockSplice, 0, 2})));
 }
 
 TEST_F(Attacks, CrossVersionSpliceDetected) {
-  const auto outcome = harness().cross_version_splice(0x1111, 1);
-  EXPECT_TRUE(outcome.detected);
+  EXPECT_TRUE(detected(attack({MutationKind::kCrossVersionSplice, 1})));
 }
 
 TEST_F(Attacks, HundredRandomBitFlipsAllDetectedOrHarmless) {
   Rng rng(2024);
-  const auto outcomes = harness().random_bit_flips(rng, 100);
   int detected = 0;
   int harmless = 0;
-  for (const auto& o : outcomes) {
-    if (o.detected) {
-      ++detected;
-    } else if (o.output_clean) {
-      // Flip landed in a block the run never fetched.
-      ++harmless;
-    } else {
-      ADD_FAILURE() << o.name << ": undetected corruption, status "
-                    << to_string(o.run.status);
+  for (int i = 0; i < 100; ++i) {
+    const Mutation flip{MutationKind::kBitFlip,
+                        rng.next_below(target().geometry().text_words),
+                        rng.next_below(32)};
+    const auto run = attack(flip);
+    switch (campaign::classify(run, target().clean_run().output)) {
+      case campaign::TrialClass::kDetected:
+        ++detected;
+        break;
+      case campaign::TrialClass::kHarmless:
+        // Flip landed in a block the run never fetched.
+        ++harmless;
+        break;
+      case campaign::TrialClass::kEscaped:
+        ADD_FAILURE() << flip.describe() << ": undetected corruption, status "
+                      << to_string(run.status);
+        break;
     }
   }
   EXPECT_EQ(detected + harmless, 100);
@@ -122,15 +140,33 @@ TEST_F(Attacks, DetectionIsPromptNoTamperedStoreCommits) {
   // a reset *and* empty console output (stores gated).
   Rng rng(7);
   for (int i = 0; i < 50; ++i) {
-    const auto word = static_cast<std::uint32_t>(
-        rng.next_below(harness().transformed().image.text.size()));
-    const auto outcome = harness().flip_bit(word, static_cast<unsigned>(
-                                                      rng.next_below(32)));
-    if (!outcome.detected) continue;
-    EXPECT_TRUE(outcome.run.output.empty() ||
-                outcome.run.output == harness().clean_run().output)
-        << outcome.name << " leaked output: " << outcome.run.output;
+    const auto word = rng.next_below(target().geometry().text_words);
+    const Mutation flip{MutationKind::kBitFlip, word, rng.next_below(32)};
+    const auto run = attack(flip);
+    if (!detected(run)) continue;
+    EXPECT_TRUE(run.output.empty() ||
+                run.output == target().clean_run().output)
+        << flip.describe() << " leaked output: " << run.output;
   }
+}
+
+TEST_F(Attacks, FetchFaultsDetectedOrMasked) {
+  // Transient faults on the fetch path: one flipped bit in the N-th word
+  // the device reads, instruction and MAC words alike. A fault may be
+  // masked (clean run), but decryption plus MAC verification must never
+  // let one alter the execution unnoticed.
+  const auto& clean = target().clean_run();
+  const std::uint64_t span = clean.stats.fetch_words + clean.stats.mac_words;
+  Rng rng(99);
+  int detected = 0;
+  for (int i = 0; i < 100; ++i) {
+    const Mutation fault{MutationKind::kFetchFault, rng.next_below(span),
+                         rng.next_below(32)};
+    const auto cls = campaign::classify(attack(fault), clean.output);
+    EXPECT_NE(cls, campaign::TrialClass::kEscaped) << fault.describe();
+    if (cls == campaign::TrialClass::kDetected) ++detected;
+  }
+  EXPECT_GT(detected, 90);
 }
 
 // ---------------------------------------------------------------------------

@@ -817,13 +817,13 @@ TEST_F(Tools, AttackListsMutatorsAndRejectsIdleInvocation) {
 #ifdef BENCH_ATTACK_MATRIX_BIN
 TEST_F(Tools, AttackMatrixJsonDashStreamsToStdout) {
   // The bench tool shares the emit_document contract: `--json -` puts the
-  // sofia-attack-matrix-v2 document alone on stdout.
+  // sofia-attack-matrix-v3 document alone on stdout.
   int code = 0;
   const auto doc = run_command(
       "( " + std::string(BENCH_ATTACK_MATRIX_BIN) +
           " --flips 10 --json - 2>/dev/null )", &code);
   EXPECT_EQ(code, 0);
-  EXPECT_EQ(doc.find("{\n  \"schema\": \"sofia-attack-matrix-v2\""), 0u) << doc;
+  EXPECT_EQ(doc.find("{\n  \"schema\": \"sofia-attack-matrix-v3\""), 0u) << doc;
 }
 #endif
 
