@@ -1,7 +1,11 @@
 #include "driver/sweep.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <map>
 #include <mutex>
+#include <optional>
+#include <tuple>
 #include <utility>
 
 #include "assembler/image_io.hpp"
@@ -72,6 +76,29 @@ std::vector<JobSpec> expand_jobs(const SweepSpec& spec) {
     }
   }
   return jobs;
+}
+
+std::vector<std::size_t> baseline_groups(const std::vector<JobSpec>& jobs) {
+  using Key = std::tuple<std::string, std::uint64_t, std::uint32_t,
+                         std::uint32_t, std::uint32_t, std::uint32_t,
+                         std::string, std::vector<std::uint8_t>>;
+  std::map<Key, std::size_t> first;
+  std::vector<std::size_t> groups;
+  groups.reserve(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const JobSpec& job = jobs[i];
+    const MeasureOptions& opts = job.config.opts;
+    Key key{job.workload,
+            job.seed,
+            job.size,
+            opts.mem.text_base,
+            opts.mem.data_base,
+            opts.mem.stack_top,
+            opts.profile.backend_fingerprint(),
+            remote::encode_config(sim::vanilla_view(opts.config))};
+    groups.push_back(first.emplace(std::move(key), i).first->second);
+  }
+  return groups;
 }
 
 bool SweepResult::all_ok() const {
@@ -195,10 +222,48 @@ cache::Key job_key(const JobSpec& job, pipeline::Pipeline& p) {
   return kb.finish();
 }
 
+/// The vanilla runs of one sweep, one per baseline group.
+class Baselines {
+ public:
+  explicit Baselines(const std::vector<JobSpec>& jobs)
+      : group_(baseline_groups(jobs)), shared_(jobs.size()) {}
+
+  /// Job `job`'s measurement in its session `p`. The first member of its
+  /// group to get here runs the vanilla baseline in its own session; the
+  /// others wait for it and reuse the result, or rethrow its failure.
+  pipeline::Measurement measure(std::size_t job, pipeline::Pipeline& p) {
+    Shared& shared = shared_[group_[job]];
+    std::call_once(shared.once, [&] {
+      ++runs_;
+      try {
+        shared.run = p.run_vanilla();
+      } catch (const std::exception& e) {
+        shared.error = e.what();
+      }
+    });
+    if (!shared.run) throw Error(shared.error);
+    return p.measure(*shared.run);
+  }
+
+  std::size_t runs() const { return runs_; }
+
+ private:
+  struct Shared {
+    std::once_flag once;
+    std::optional<sim::RunResult> run;  ///< empty when the run threw
+    std::string error;                  ///< what() of that failure
+  };
+
+  std::vector<std::size_t> group_;  ///< baseline_groups(jobs)
+  std::vector<Shared> shared_;      ///< by group (its first job's index)
+  std::atomic<std::size_t> runs_{0};
+};
+
 /// The job body: the lint prefilter, then both device runs. Measurements
 /// AND deterministic failures (functional mismatches, lint findings) are
 /// outcomes, so every one of them is cacheable.
-bool measure(const JobSpec& job, pipeline::Pipeline& p, JobResult& r) {
+bool measure(const JobSpec& job, pipeline::Pipeline& p, Baselines& baselines,
+             JobResult& r) {
   try {
     if (job.lint) {
       // Lint prefilter: verify the hardened image statically and fail the
@@ -214,7 +279,7 @@ bool measure(const JobSpec& job, pipeline::Pipeline& p, JobResult& r) {
         return true;
       }
     }
-    r.m = p.measure();
+    r.m = baselines.measure(job.index, p);
     r.ok = true;
   } catch (const std::exception& e) {
     r.error = e.what();
@@ -222,7 +287,8 @@ bool measure(const JobSpec& job, pipeline::Pipeline& p, JobResult& r) {
   return true;
 }
 
-JobResult run_job(const JobSpec& job, cache::ResultStore* store) {
+JobResult run_job(const JobSpec& job, cache::ResultStore* store,
+                  Baselines& baselines) {
   JobResult result;
   result.job = job;
   try {
@@ -235,7 +301,7 @@ JobResult run_job(const JobSpec& job, cache::ResultStore* store) {
     // (the expensive part a hit skips).
     cache_through(
         store, kJobCodec, job.index, [&] { return job_key(job, p); }, result,
-        [&](JobResult& r) { return measure(job, p, r); });
+        [&](JobResult& r) { return measure(job, p, baselines, r); });
   } catch (const std::exception& e) {
     // The job died before it had a key (e.g. a transform error): reported,
     // never cached.
@@ -258,9 +324,10 @@ SweepResult run_sweep(const SweepSpec& spec, unsigned threads,
   result.shard = shard;
   result.jobs.resize(slice.size());
 
+  Baselines baselines(all_jobs);
   std::mutex progress_mutex;
   const PoolRun run = for_each_index(slice.size(), threads, [&](std::size_t i) {
-    result.jobs[i] = run_job(all_jobs[slice[i]], store);
+    result.jobs[i] = run_job(all_jobs[slice[i]], store, baselines);
     if (progress) {
       const std::lock_guard<std::mutex> lock(progress_mutex);
       progress(result.jobs[i]);
@@ -268,6 +335,7 @@ SweepResult run_sweep(const SweepSpec& spec, unsigned threads,
   });
   result.threads_used = run.threads;
   result.wall_seconds = run.wall_seconds;
+  result.vanilla_runs = baselines.runs();
   return result;
 }
 

@@ -94,6 +94,16 @@ struct JobSpec {
 /// Deterministic matrix expansion (also fixes each job's seed).
 std::vector<JobSpec> expand_jobs(const SweepSpec& spec);
 
+/// The vanilla-baseline groups of a job list: for each job, the position
+/// of the first job with the same program (workload, seed, size), memory
+/// layout, backend identity and sim::vanilla_view() of its SimConfig. Jobs
+/// in one group link byte-identical vanilla images and get identical
+/// vanilla runs, so run_sweep runs one per group. Cells differing only in
+/// scheme, cipher, keys, block policy, cipher timing or unroll share; an
+/// I-cache, budget or fault difference splits the group, and vary_seed
+/// makes every job its own group.
+std::vector<std::size_t> baseline_groups(const std::vector<JobSpec>& jobs);
+
 struct JobResult {
   JobSpec job;
   bool ok = false;
@@ -114,6 +124,9 @@ struct SweepResult {
   std::vector<JobResult> jobs;  ///< in job-index order, one per executed cell
   double wall_seconds = 0;      ///< measured, NOT part of the JSON document
   unsigned threads_used = 1;    ///< ditto
+  /// Vanilla simulations this run executed: one per baseline group with a
+  /// cache miss (baseline_groups), none for cache hits. Not in the document.
+  std::size_t vanilla_runs = 0;
 
   bool all_ok() const;
   /// Jobs served from the result cache (0 without one).
@@ -136,6 +149,10 @@ using ProgressFn = std::function<void(const JobResult&)>;
 /// canonical SimConfig encoding, seed) before the device runs, and stored
 /// after them — interrupted or repeated sweeps resume from disk, and the
 /// rendered document stays byte-identical to an uncached run.
+///
+/// Jobs of one baseline group (baseline_groups) in the slice share one
+/// vanilla run: the first member to need it runs it, the others reuse its
+/// result, or its failure with the same error text.
 SweepResult run_sweep(const SweepSpec& spec, unsigned threads,
                       const ProgressFn& progress = {}, ShardSpec shard = {},
                       cache::ResultStore* store = nullptr);

@@ -143,7 +143,13 @@ std::string DeviceProfile::fingerprint() const {
   // is a different artifact under any other, so the scheme is always part
   // of the device identity.
   fp += " scheme=" + scheme;
-  fp += " backend=" + backend;
+  fp += ' ';
+  fp += backend_fingerprint();
+  return fp;
+}
+
+std::string DeviceProfile::backend_fingerprint() const {
+  std::string fp = "backend=" + backend;
   if (backend == "remote") {
     // The endpoint is part of the device identity: two remote profiles
     // differing only in the worker or its far-side backend must not

@@ -130,6 +130,11 @@ struct DeviceProfile {
   /// scheme=sofia-cbcmac backend=cycle".
   std::string fingerprint() const;
 
+  /// The backend part of fingerprint(): "backend=cycle", or for "remote"
+  /// the resolved endpoint too ("backend=remote remote-backend=cycle
+  /// remote-command='...'").
+  std::string backend_fingerprint() const;
+
   /// Emit the profile as a JSON object through the deterministic writer.
   void to_json(json::Writer& w) const;
 

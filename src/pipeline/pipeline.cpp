@@ -238,8 +238,9 @@ sim::RunResult Pipeline::run_image(const assembler::LoadImage& img,
   return backend().run(img, config);
 }
 
-Measurement Pipeline::measure() {
-  const auto& v = run_vanilla();
+Measurement Pipeline::measure() { return measure(run_vanilla()); }
+
+Measurement Pipeline::measure(const sim::RunResult& v) {
   if (!v.ok())
     fail("measure", "vanilla run failed (" + std::string(to_string(v.status)) +
                         ")");

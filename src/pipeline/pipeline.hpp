@@ -148,6 +148,12 @@ class Pipeline {
   /// never report numbers for a broken run (stage "measure").
   Measurement measure();
 
+  /// Same, against a vanilla run the caller already has: a run_vanilla()
+  /// of another session with the same program, memory layout, backend and
+  /// sim::vanilla_view() of the config (driver::run_sweep shares one per
+  /// group of such jobs). measure() is measure(run_vanilla()).
+  Measurement measure(const sim::RunResult& vanilla);
+
   /// Statically verify the session's device binary against the full SOFIA
   /// contract (stage "lint"): seals re-derived per scheme, edge/entry
   /// consistency, block policy, metadata. Source/workload sessions check

@@ -83,7 +83,7 @@ struct SimConfig {
   // Execute side.
   std::uint32_t load_latency = 2;  ///< cycles until a load's result is usable
   std::uint32_t mul_latency = 3;
-  // SOFIA device state (ignored for vanilla images).
+  // SOFIA device state (ignored for vanilla images; see vanilla_view).
   crypto::KeySet keys;
   /// Protection scheme the device implements — a scheme::scheme_registry()
   /// key. The literal default mirrors scheme::kDefaultScheme (this header
@@ -104,6 +104,23 @@ struct SimConfig {
   bool collect_trace = false;
   std::size_t max_trace = 100'000;
 };
+
+/// The part of `config` a vanilla (plaintext) image can observe: the SOFIA
+/// device state and the SOFIA-only front-end knobs reset to their defaults.
+/// Neither the cycle machine's vanilla fetch path nor the functional
+/// interpreter's vanilla loop reads a reset field, so two configs with
+/// equal views give every vanilla image the same RunResult — which lets a
+/// sweep run one vanilla baseline for a whole group of cells.
+inline SimConfig vanilla_view(SimConfig config) {
+  const SimConfig defaults;
+  config.keys = defaults.keys;
+  config.scheme = defaults.scheme;
+  config.policy = defaults.policy;
+  config.cipher = defaults.cipher;
+  config.store_gate_headstart = defaults.store_gate_headstart;
+  config.fetch_words_per_cycle = defaults.fetch_words_per_cycle;
+  return config;
+}
 
 struct SimStats {
   std::uint64_t cycles = 0;

@@ -16,6 +16,7 @@
 #include "campaign/mutation.hpp"
 #include "pipeline/pipeline.hpp"
 #include "random_program.hpp"
+#include "remote/codec.hpp"
 #include "reference_interp.hpp"
 #include "scheme/scheme.hpp"
 #include "sim/backend.hpp"
@@ -173,6 +174,85 @@ TEST(BackendCrossValidation, VanillaRunsAgree) {
     expect_same_architectural_outcome(cyc.run_vanilla(), fn.run_vanilla(),
                                       name);
   }
+}
+
+// ---------------------------------------------------------------------------
+// sim::vanilla_view: the fields it drops never reach a vanilla run
+// ---------------------------------------------------------------------------
+
+void expect_identical_run(const sim::RunResult& a, const sim::RunResult& b,
+                          const std::string& label) {
+  EXPECT_EQ(a.status, b.status) << label;
+  EXPECT_EQ(a.exit_code, b.exit_code) << label;
+  EXPECT_EQ(a.output, b.output) << label;
+  EXPECT_EQ(a.fault, b.fault) << label;
+  EXPECT_EQ(a.reset.cause, b.reset.cause) << label;
+  EXPECT_EQ(a.reset.cycle, b.reset.cycle) << label;
+  EXPECT_EQ(a.reset.pc, b.reset.pc) << label;
+  EXPECT_EQ(a.stats, b.stats) << label;  // all 18 counters
+  ASSERT_EQ(a.trace.size(), b.trace.size()) << label;
+  for (std::size_t i = 0; i < a.trace.size(); ++i) {
+    EXPECT_EQ(a.trace[i].cycle, b.trace[i].cycle) << label << " @" << i;
+    EXPECT_EQ(a.trace[i].pc, b.trace[i].pc) << label << " @" << i;
+    EXPECT_EQ(a.trace[i].word, b.trace[i].word) << label << " @" << i;
+  }
+}
+
+TEST(VanillaView, DroppedFieldsNeverChangeAVanillaRun) {
+  // Each field vanilla_view() resets, changed on its own: the vanilla run
+  // must not move on either local backend, trace included. This is what
+  // lets driver::run_sweep share one vanilla run per baseline group.
+  const std::pair<const char*, void (*)(sim::SimConfig&)> dropped[] = {
+      {"keys",
+       [](sim::SimConfig& c) {
+         Rng r(11);
+         c.keys = crypto::KeySet::random(crypto::CipherKind::kSpeck64_128, r);
+       }},
+      {"scheme", [](sim::SimConfig& c) { c.scheme = "null"; }},
+      {"policy", [](sim::SimConfig& c) { c.policy = xform::BlockPolicy{16, 4}; }},
+      {"cipher",
+       [](sim::SimConfig& c) { c.cipher = sim::CipherTiming{13, false, false}; }},
+      {"store_gate_headstart",
+       [](sim::SimConfig& c) { c.store_gate_headstart = 0; }},
+      {"fetch_words_per_cycle",
+       [](sim::SimConfig& c) { c.fetch_words_per_cycle = 1; }},
+  };
+  sim::SimConfig base;
+  base.collect_trace = true;
+  for (const char* backend_name : {"cycle", "functional"}) {
+    const auto backend = sim::make_backend(backend_name);
+    for (const char* workload : {"fib", "crc32", "bitcount", "quicksort"}) {
+      const auto& spec = workloads::workload(workload);
+      auto p = Pipeline::from_workload(spec, 1, std::max(4u, spec.default_size / 16));
+      const auto& img = p.vanilla_image();
+      const sim::RunResult expected = backend->run(img, base);
+      ASSERT_TRUE(expected.ok()) << workload;
+      ASSERT_FALSE(expected.trace.empty()) << workload;
+      for (const auto& [field, change] : dropped) {
+        sim::SimConfig changed = base;
+        change(changed);
+        const std::string label =
+            std::string(backend_name) + " / " + workload + " / " + field;
+        EXPECT_EQ(remote::encode_config(sim::vanilla_view(changed)),
+                  remote::encode_config(sim::vanilla_view(base)))
+            << label;
+        expect_identical_run(backend->run(img, changed), expected, label);
+      }
+    }
+  }
+}
+
+TEST(VanillaView, KeptFieldsChangeTheEncodedView) {
+  const sim::SimConfig base;
+  const auto view = remote::encode_config(sim::vanilla_view(base));
+  sim::SimConfig icache = base;
+  icache.icache.size_bytes = 1024;
+  sim::SimConfig budget = base;
+  budget.max_cycles = 1000;
+  sim::SimConfig fault = base;
+  fault.fault.enabled = true;
+  for (const sim::SimConfig* kept : {&icache, &budget, &fault})
+    EXPECT_NE(remote::encode_config(sim::vanilla_view(*kept)), view);
 }
 
 TEST(BackendCrossValidation, PerWordGranularityAgrees) {

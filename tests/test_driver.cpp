@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <memory>
 
+#include "assembler/image_io.hpp"
 #include "driver/sweep.hpp"
 #include "driver/tables.hpp"
 #include "support/error.hpp"
@@ -240,6 +241,146 @@ TEST(Sweep, JsonIsByteIdenticalAcrossThreadCounts) {
   const auto eight = driver::run_sweep(spec, 8);
   EXPECT_EQ(one.threads_used, 1u);
   EXPECT_EQ(driver::to_json(one), driver::to_json(eight));
+}
+
+TEST(Sweep, JsonIsByteIdenticalAcrossThreadCountsWithSharedBaselines) {
+  // The fixed-seed twin of the test above: both configs of a workload
+  // share one vanilla run, whichever thread gets to it first.
+  auto spec = small_spec();
+  spec.vary_seed = false;
+  const auto one = driver::run_sweep(spec, 1);
+  const auto eight = driver::run_sweep(spec, 8);
+  EXPECT_EQ(one.vanilla_runs, 3u);
+  EXPECT_EQ(eight.vanilla_runs, 3u);
+  EXPECT_EQ(driver::to_json(one), driver::to_json(eight));
+}
+
+// ---------------------------------------------------------------------------
+// Vanilla baseline groups
+// ---------------------------------------------------------------------------
+
+/// A job measured on its own session, without the driver.
+driver::JobResult measure_alone(const driver::JobSpec& job) {
+  driver::JobResult r;
+  r.job = job;
+  try {
+    auto p = pipeline::Pipeline::from_workload(job.workload, job.seed, job.size,
+                                               job.config.opts.profile);
+    p.set_sim_config(job.config.opts.config);
+    p.set_memory_layout(job.config.opts.mem);
+    r.m = p.measure();
+    r.ok = true;
+  } catch (const std::exception& e) {
+    r.error = e.what();
+  }
+  return r;
+}
+
+/// The document of `spec` with every job measured alone.
+std::string unshared_document(const driver::SweepSpec& spec) {
+  driver::SweepResult result;
+  result.sweep_name = spec.name;
+  for (const auto& job : driver::expand_jobs(spec))
+    result.jobs.push_back(measure_alone(job));
+  result.total_jobs = result.jobs.size();
+  return driver::to_json(result);
+}
+
+std::size_t group_count(const std::vector<std::size_t>& groups) {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < groups.size(); ++i) n += groups[i] == i ? 1 : 0;
+  return n;
+}
+
+TEST(Baselines, GroupCountsPerMatrix) {
+  const auto groups = [](const driver::SweepSpec& spec) {
+    return group_count(driver::baseline_groups(driver::expand_jobs(spec)));
+  };
+  // Scheme, cipher and cipher timing are invisible to a vanilla run...
+  for (const char* name : {"scheme", "unroll", "adpcm"})
+    EXPECT_EQ(groups(driver::smoke(driver::matrix(name))), 3u) << name;
+  // ...the I-cache is not.
+  const auto icache = driver::smoke(driver::matrix("icache"));
+  EXPECT_EQ(groups(icache), 18u);
+  EXPECT_EQ(driver::expand_jobs(icache).size(), 18u);
+  // Per-job seeds give every job a program of its own.
+  const auto varied = small_spec();
+  EXPECT_EQ(groups(varied), driver::expand_jobs(varied).size());
+}
+
+TEST(Baselines, EveryMatrixSharesOnlyIdenticalBaselines) {
+  // For every built-in matrix: members of a group link byte-identical
+  // vanilla images, the sweep runs one vanilla simulation per group, and
+  // its document equals the one every job measured alone produces.
+  for (const auto& name : driver::matrix_names()) {
+    const auto spec = driver::smoke(driver::matrix(name));
+    const auto jobs = driver::expand_jobs(spec);
+    const auto groups = driver::baseline_groups(jobs);
+    ASSERT_EQ(groups.size(), jobs.size()) << name;
+    std::vector<std::string> images;
+    for (const auto& job : jobs) {
+      auto p = pipeline::Pipeline::from_workload(job.workload, job.seed,
+                                                 job.size, job.config.opts.profile);
+      p.set_memory_layout(job.config.opts.mem);
+      const auto bytes = assembler::serialize_image(p.vanilla_image());
+      images.emplace_back(bytes.begin(), bytes.end());
+    }
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      ASSERT_LE(groups[i], i) << name;
+      EXPECT_EQ(images[i], images[groups[i]]) << name << " job " << i;
+    }
+    const auto result = driver::run_sweep(spec, 4);
+    EXPECT_TRUE(result.all_ok()) << name;
+    EXPECT_EQ(result.vanilla_runs, group_count(groups)) << name;
+    EXPECT_EQ(driver::to_json(result), unshared_document(spec)) << name;
+  }
+}
+
+/// Two cells per workload that differ only in what a vanilla run ignores.
+driver::SweepSpec shared_spec() {
+  auto spec = small_spec();
+  spec.vary_seed = false;
+  spec.configs[1].opts.profile.cipher = crypto::CipherKind::kSpeck64_128;
+  return spec;
+}
+
+/// A failing spec's records, document and run counts.
+void expect_shared_failure(const driver::SweepSpec& spec,
+                           const std::string& error_part) {
+  const auto one = driver::run_sweep(spec, 1);
+  const auto eight = driver::run_sweep(spec, 8);
+  EXPECT_EQ(one.vanilla_runs, 3u);
+  EXPECT_EQ(eight.vanilla_runs, 3u);
+  const auto jobs = driver::expand_jobs(spec);
+  ASSERT_EQ(one.jobs.size(), jobs.size());
+  for (const auto& r : one.jobs) {
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.error, measure_alone(jobs[r.job.index]).error);
+    EXPECT_NE(r.error.find(error_part), std::string::npos) << r.error;
+  }
+  const auto doc = driver::to_json(one);
+  EXPECT_EQ(doc, unshared_document(spec));
+  EXPECT_EQ(doc, driver::to_json(eight));
+  EXPECT_EQ(driver::merge_json(
+                {driver::to_json(driver::run_sweep(spec, 2, {}, {0, 2})),
+                 driver::to_json(driver::run_sweep(spec, 2, {}, {1, 2}))}),
+            doc);
+}
+
+TEST(Sweep, SharedBaselineFailureFailsEveryMember) {
+  // A budget too small for any program: the shared vanilla run fails, and
+  // every member reports it exactly as a job measured alone does.
+  auto spec = shared_spec();
+  for (auto& config : spec.configs) config.opts.config.max_cycles = 20;
+  expect_shared_failure(spec, "vanilla run failed (max-cycles)");
+}
+
+TEST(Sweep, SharedBaselineThrowIsRethrownToEveryMember) {
+  // An I-cache geometry the machine rejects: the shared vanilla run
+  // throws once, and every member keeps the thrown error's text.
+  auto spec = shared_spec();
+  for (auto& config : spec.configs) config.opts.config.icache.size_bytes = 1000;
+  expect_shared_failure(spec, "run-vanilla: icache:");
 }
 
 TEST(Sweep, JsonCarriesSchemaAndPerJobRecords) {

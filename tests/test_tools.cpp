@@ -864,6 +864,28 @@ TEST_F(Tools, SweepCacheWarmRunIsAllHitsAndByteIdentical) {
   for (const auto& p : {cold, warm, plain}) std::remove(p.c_str());
 }
 
+TEST_F(Tools, SweepReportsOneVanillaRunPerBaselineGroup) {
+  // The scheme matrix's 8 scheme x cipher cells of one workload share a
+  // vanilla baseline: a cold smoke run executes one per workload, and a
+  // warm rerun against the same cache executes none.
+  const std::string tag = std::to_string(getpid());
+  const std::string dir = "/tmp/sofia_baselines_" + tag;
+  const std::string base = std::string(SOFIA_SWEEP_BIN) +
+                           " --matrix scheme --smoke --quiet --threads 4"
+                           " --cache " + dir;
+  int code = 0;
+  auto out = run_command(base, &code);
+  EXPECT_EQ(code, 0) << out;
+  EXPECT_NE(out.find("; 3 vanilla run(s) for 24 job(s)"), std::string::npos)
+      << out;
+  out = run_command(base, &code);
+  EXPECT_EQ(code, 0) << out;
+  EXPECT_NE(out.find("0 miss(es), 0 stored"), std::string::npos) << out;
+  EXPECT_NE(out.find("; 0 vanilla run(s) for 24 job(s)"), std::string::npos)
+      << out;
+  std::filesystem::remove_all(dir);
+}
+
 TEST_F(Tools, SweepCacheEnvFallbackAndStatsSideDocument) {
   const std::string tag = std::to_string(getpid());
   const std::string dir = "/tmp/sofia_cache_env_" + tag;

@@ -144,9 +144,12 @@ int main(int argc, char** argv) {
 
     const auto result =
         driver::run_sweep(spec, threads, progress, shard, cache.get());
-    std::fprintf(log, "done in %.2f s (%u thread(s)); %s\n",
+    std::fprintf(log,
+                 "done in %.2f s (%u thread(s)); %s; %zu vanilla run(s) for "
+                 "%zu job(s)\n",
                  result.wall_seconds, result.threads_used,
-                 result.all_ok() ? "all jobs ok" : "FAILURES");
+                 result.all_ok() ? "all jobs ok" : "FAILURES",
+                 result.vanilla_runs, result.jobs.size());
     cache.report();
 
     const std::string document = driver::to_json(result);
