@@ -39,7 +39,7 @@ std::string ConfigPoint::fingerprint() const {
     fp += " keys=seed:" + std::to_string(p.key_seed);
   fp += " icache=" + std::to_string(c.icache.size_bytes) + "x" +
         std::to_string(c.icache.line_bytes);
-  fp += " unroll=" + std::to_string(unroll_cycles);
+  fp += " unroll=" + std::to_string(unroll_cycles());
   fp += " scheme=" + p.scheme;
   fp += " backend=" + p.backend;
   return fp;
@@ -357,7 +357,7 @@ std::string to_json(const SweepResult& result) {
     w.member("config", r.job.config.name);
     w.member("scheme", r.job.config.opts.profile.scheme);
     w.member("backend", r.job.config.opts.profile.backend);
-    w.member("unroll", r.job.config.unroll_cycles);
+    w.member("unroll", r.job.config.unroll_cycles());
     w.member("fingerprint", r.job.config.fingerprint());
     w.member("seed", r.job.seed);
     w.member("size", r.job.size);
@@ -390,7 +390,7 @@ std::string to_json(const SweepResult& result) {
       w.key("overhead").begin_object();
       w.member("size_ratio", r.m.size_ratio());
       w.member("cycles_pct", r.m.cycle_overhead_pct());
-      w.member("time_pct", r.m.time_overhead_pct(model, r.job.config.unroll_cycles));
+      w.member("time_pct", r.m.time_overhead_pct(model, r.job.config.unroll_cycles()));
       w.end_object();
     }
     w.end_object();
@@ -581,7 +581,6 @@ SweepSpec unroll_matrix() {
     ConfigPoint c = paper_default_config();
     c.name = std::to_string(unroll) + "-cycle cipher" +
              (unroll == 2 ? " (paper)" : "");
-    c.unroll_cycles = unroll;
     c.opts.config.cipher.latency = static_cast<std::uint32_t>(unroll);
     // Deep (many-cycle) cipher datapaths are iterative, not pipelined.
     c.opts.config.cipher.pipelined = unroll <= 2;

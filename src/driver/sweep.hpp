@@ -35,8 +35,8 @@ struct MeasureOptions {
 };
 
 /// One configuration cell of the matrix: a DeviceProfile (cipher, keys,
-/// policy, granularity) + simulator timing knobs + the cipher-unroll factor
-/// the hardware time model uses.
+/// policy, granularity) + simulator timing knobs, whose cipher latency is
+/// also the cipher-unroll factor the hardware time model uses.
 struct ConfigPoint {
   std::string name;  ///< short label, e.g. "per-word demand-driven"
   MeasureOptions opts;
@@ -46,7 +46,9 @@ struct ConfigPoint {
   pipeline::DeviceProfile& profile() { return opts.profile; }
   const pipeline::DeviceProfile& profile() const { return opts.profile; }
 
-  int unroll_cycles = 2;  ///< hw::HwModel::sofia() design point
+  /// Cycles per cipher op of the hardware design point (hw::HwModel):
+  /// the simulated cipher latency, so a cell cannot disagree with itself.
+  int unroll_cycles() const { return static_cast<int>(opts.config.cipher.latency); }
 
   /// Stable machine-readable fingerprint of every swept axis
   /// ("gran=per-pair alt=1 pipe=1 policy=8/4 cipher=RECTANGLE-80

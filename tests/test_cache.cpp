@@ -381,24 +381,34 @@ driver::SweepSpec small_spec() {
   return spec;
 }
 
+// Over the unit spec and every built-in matrix at smoke size, fixed-seed
+// matrices with shared vanilla baselines included.
 TEST(SweepCache, WarmRunExecutesNothingAndRendersIdenticalBytes) {
   TempDir dir;
-  const auto spec = small_spec();
-  const auto uncached = driver::run_sweep(spec, 2);
+  std::vector<driver::SweepSpec> specs = {small_spec()};
+  for (const auto& name : driver::matrix_names())
+    specs.push_back(driver::smoke(driver::matrix(name)));
 
-  cache::ResultStore cold_store(dir.path);
-  const auto cold = driver::run_sweep(spec, 2, {}, {}, &cold_store);
-  EXPECT_EQ(cold.cached_jobs(), 0u);
-  EXPECT_EQ(cold_store.stats().stored, cold.jobs.size());
+  for (const auto& spec : specs) {
+    SCOPED_TRACE(spec.name);
+    const fs::path path = dir.path / spec.name;
+    const auto uncached = driver::run_sweep(spec, 2);
 
-  cache::ResultStore warm_store(dir.path);
-  const auto warm = driver::run_sweep(spec, 2, {}, {}, &warm_store);
-  EXPECT_EQ(warm.cached_jobs(), warm.jobs.size());
-  EXPECT_EQ(warm_store.stats().hits, warm.jobs.size());
-  EXPECT_EQ(warm_store.stats().misses, 0u);
+    cache::ResultStore cold_store(path);
+    const auto cold = driver::run_sweep(spec, 2, {}, {}, &cold_store);
+    EXPECT_EQ(cold.cached_jobs(), 0u);
+    EXPECT_EQ(cold_store.stats().stored, cold.jobs.size());
 
-  EXPECT_EQ(driver::to_json(uncached), driver::to_json(cold));
-  EXPECT_EQ(driver::to_json(cold), driver::to_json(warm));
+    cache::ResultStore warm_store(path);
+    const auto warm = driver::run_sweep(spec, 2, {}, {}, &warm_store);
+    EXPECT_EQ(warm.cached_jobs(), warm.jobs.size());
+    EXPECT_EQ(warm_store.stats().hits, warm.jobs.size());
+    EXPECT_EQ(warm_store.stats().misses, 0u);
+    EXPECT_EQ(warm.vanilla_runs, 0u);
+
+    EXPECT_EQ(driver::to_json(uncached), driver::to_json(cold));
+    EXPECT_EQ(driver::to_json(cold), driver::to_json(warm));
+  }
 }
 
 TEST(SweepCache, ShardedColdRunSeedsAFullWarmRun) {

@@ -137,7 +137,7 @@ TEST(Sweep, BuiltInMatricesExpand) {
 TEST(Sweep, FingerprintNamesEverySweptAxis) {
   auto config = driver::paper_default_config();
   config.opts.config.cipher.alternate = false;
-  config.unroll_cycles = 7;
+  config.opts.config.cipher.latency = 7;
   const auto fp = config.fingerprint();
   EXPECT_NE(fp.find("gran=per-pair"), std::string::npos) << fp;
   EXPECT_NE(fp.find("alt=0"), std::string::npos) << fp;
@@ -161,7 +161,7 @@ TEST(Measure, DefaultProfileIsThePaperDevice) {
   EXPECT_EQ(profile.cipher, crypto::CipherKind::kRectangle80);
   EXPECT_EQ(profile.key_source, pipeline::KeySource::kExample);
   EXPECT_EQ(profile.policy, xform::BlockPolicy::paper_default());
-  EXPECT_EQ(config.unroll_cycles, 2);
+  EXPECT_EQ(config.unroll_cycles(), 2);
 }
 
 // One vanilla-vs-SOFIA measurement at the paper's device, set up the way a

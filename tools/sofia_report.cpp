@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
   for (const auto& job : sweep.jobs) {
     text_ratio += job.m.size_ratio() / n;
     cyc += job.m.cycle_overhead_pct() / n;
-    time_ovh += job.m.time_overhead_pct(model, 2) / n;
+    time_ovh += job.m.time_overhead_pct(model, job.job.config.unroll_cycles()) / n;
   }
   std::printf("%-44s %16s %15.2fx\n", "ADPCM text expansion", "2.41x", text_ratio);
   // A backend without cycle accuracy reports instruction counts in
