@@ -2,8 +2,17 @@
 // store gating, engine policies, fetch-width configs, fault injection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "pipeline/pipeline.hpp"
 #include "sim/cipher_engine.hpp"
 #include "sim_test_util.hpp"
+#include "workloads/workloads.hpp"
 
 namespace sofia::sim {
 namespace {
@@ -400,6 +409,317 @@ loop:
   EXPECT_LE(run.stats.insts, run.stats.cycles);
   // Every block verified exactly once.
   EXPECT_EQ(run.stats.mac_verifications, run.stats.blocks_fetched);
+}
+
+
+// ---- byte identity of whole runs --------------------------------------------
+//
+// Everything a cycle run reports — status, exit code, reset verdict, fault
+// message, console output, every SimStats field and the full trace — folded
+// into one FNV-1a digest per run. The digests were recorded before the cycle
+// machine's hot path was reworked; any change to a simulated number, on any
+// front end or configuration below, shows here.
+
+class RunDigest {
+ public:
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+  void add(const std::string& s) {
+    add(s.size());
+    for (const char c : s) byte(static_cast<std::uint8_t>(c));
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  void byte(std::uint8_t b) {
+    h_ ^= b;
+    h_ *= 0x100000001b3ull;
+  }
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+std::uint64_t digest(const RunResult& r) {
+  RunDigest d;
+  d.add(static_cast<std::uint64_t>(r.status));
+  d.add(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.exit_code)));
+  d.add(static_cast<std::uint64_t>(r.reset.cause));
+  d.add(r.reset.cycle);
+  d.add(r.reset.pc);
+  d.add(r.fault);
+  d.add(r.output);
+  const SimStats& s = r.stats;
+  for (const std::uint64_t v :
+       {s.cycles, s.insts, s.nops, s.loads, s.stores, s.branches, s.taken,
+        s.icache_hits, s.icache_misses, s.fetch_words, s.mac_words,
+        s.ctr_ops, s.cbc_ops, s.blocks_fetched, s.mac_verifications,
+        s.store_gate_stalls, s.queue_empty_cycles, s.exec_stall_cycles})
+    d.add(v);
+  d.add(r.trace.size());
+  for (const TraceEntry& e : r.trace) {
+    d.add(e.cycle);
+    d.add(e.pc);
+    d.add(e.word);
+  }
+  return d.value();
+}
+
+struct DigestCase {
+  std::string label;
+  std::function<RunResult()> run;
+};
+
+constexpr char kGatedDispatch[] = R"(
+main:
+  li r1, 0
+  la r4, table
+  lw r5, 0(r4)
+  .targets f1, f2
+  jr r5
+mid:
+  la r4, table2
+  lw r5, 0(r4)
+  .targets g1, g2
+  jr r5
+done:
+  li r10, 0xFFFF0008
+  sw r1, 0(r10)
+  halt
+f1:
+  addi r1, r1, 1
+  j mid
+f2:
+  addi r1, r1, 2
+  j mid
+g1:
+  addi r1, r1, 4
+  j done
+g2:
+  addi r1, r1, 8
+  j done
+.data
+table: .word f1, f2
+table2: .word g1, g2
+)";
+
+/// Seal `session`'s program and return the traced config its device runs.
+SimConfig traced(const pipeline::Pipeline& session) {
+  SimConfig cfg = session.effective_sim_config();
+  cfg.collect_trace = true;
+  return cfg;
+}
+
+std::vector<DigestCase> digest_cases() {
+  using pipeline::DeviceProfile;
+  using pipeline::Pipeline;
+  std::vector<DigestCase> cases;
+  const auto session = [](const std::string& wl, DeviceProfile profile) {
+    const std::uint32_t size =
+        std::max(4u, workloads::workload(wl).default_size / 16);
+    return std::make_shared<Pipeline>(
+        Pipeline::from_workload(wl, 1, size, std::move(profile)));
+  };
+  const auto scheme_profile = [](const std::string& scheme) {
+    DeviceProfile p = DeviceProfile::paper_default();
+    p.scheme = scheme;
+    return p;
+  };
+  // Both front ends, under one configuration edit, on one sealed image.
+  const auto add_pair = [&](const std::string& label,
+                            std::shared_ptr<Pipeline> p,
+                            std::function<void(SimConfig&)> edit) {
+    cases.push_back({label + "/vanilla", [p, edit] {
+                       SimConfig cfg = traced(*p);
+                       edit(cfg);
+                       return run_image(p->vanilla_image(), cfg);
+                     }});
+    cases.push_back({label + "/sofia", [p, edit] {
+                       SimConfig cfg = traced(*p);
+                       edit(cfg);
+                       return run_image(p->hardened().image, cfg);
+                     }});
+  };
+  const auto none = [](SimConfig&) {};
+
+  // Every workload at smoke size: the vanilla core and each scheme.
+  for (const auto& wl : workloads::all_workloads()) {
+    const auto base = session(wl.name, DeviceProfile::paper_default());
+    cases.push_back({wl.name + "/vanilla", [base] {
+                       return run_image(base->vanilla_image(), traced(*base));
+                     }});
+    for (const auto& scheme : scheme::scheme_names()) {
+      const auto p = session(wl.name, scheme_profile(scheme));
+      cases.push_back({wl.name + "/" + scheme, [p] {
+                         return run_image(p->hardened().image, traced(*p));
+                       }});
+    }
+  }
+
+  // Front-end and engine configurations on two small workloads.
+  for (const std::string wl : {"crc32", "fib"}) {
+    const auto p = session(wl, DeviceProfile::paper_default());
+    add_pair(wl + "/iterative", p,
+             [](SimConfig& c) { c.cipher.pipelined = false; });
+    add_pair(wl + "/non-alternating", p,
+             [](SimConfig& c) { c.cipher.alternate = false; });
+    add_pair(wl + "/icache256-miss40", p, [](SimConfig& c) {
+      c.icache.size_bytes = 256;
+      c.icache.miss_penalty = 40;
+    });
+    add_pair(wl + "/fetch-queue1", p, [](SimConfig& c) { c.fetch_queue = 1; });
+    add_pair(wl + "/fetch-words1", p,
+             [](SimConfig& c) { c.fetch_words_per_cycle = 1; });
+    DeviceProfile six = DeviceProfile::paper_default();
+    six.policy = xform::BlockPolicy::small_unrestricted();
+    add_pair(wl + "/block6", session(wl, six), none);
+  }
+
+  // Runs that end early: tampering, a fetch fault, a gated-indirect
+  // retarget, and a cycle budget that runs out inside an I-cache refill.
+  const auto crc = session("crc32", DeviceProfile::paper_default());
+  cases.push_back({"crc32/tampered", [crc] {
+                     auto img = crc->hardened().image;
+                     img.text[img.text.size() / 2] ^= 1u << 7;
+                     return run_image(img, traced(*crc));
+                   }});
+  add_pair("crc32/fetch-fault", crc, [](SimConfig& c) {
+    c.fault.enabled = true;
+    c.fault.fetch_index = 300;
+    c.fault.bit = 5;
+  });
+  for (const std::uint64_t budget : {20u, 1020u}) {
+    // 20 ends inside the refill of the very first fetch.
+    add_pair("crc32/max-cycles" + std::to_string(budget), crc,
+             [budget](SimConfig& c) {
+               c.icache.size_bytes = 256;
+               c.icache.miss_penalty = 40;
+               c.max_cycles = budget;
+             });
+  }
+  DeviceProfile flta = scheme_profile("flta");
+  const auto dispatch = std::make_shared<Pipeline>(
+      Pipeline::from_source(kGatedDispatch, flta, "dispatch"));
+  cases.push_back({"dispatch/flta", [dispatch] {
+                     return run_image(dispatch->hardened().image,
+                                      traced(*dispatch));
+                   }});
+  cases.push_back({"dispatch/flta-retarget", [dispatch] {
+                     // Aim the first dispatch at the second set's target.
+                     auto img = dispatch->hardened().image;
+                     std::copy_n(img.data.begin() + 8, 4, img.data.begin());
+                     return run_image(img, traced(*dispatch));
+                   }});
+  return cases;
+}
+
+struct PinnedDigest {
+  const char* label;
+  std::uint64_t digest;
+};
+
+const PinnedDigest kPinnedDigests[] = {
+    {"adpcm_encode/vanilla", 0x01193cc83d4869ceull},
+    {"adpcm_encode/sofia-cbcmac", 0xf61e2dd5f41af679ull},
+    {"adpcm_encode/sponge", 0x1c7ad68a162702faull},
+    {"adpcm_encode/null", 0xdd25bd729306f7dfull},
+    {"adpcm_encode/flta", 0xa71cd32493e4b53aull},
+    {"adpcm_decode/vanilla", 0xb43cb27f9e558415ull},
+    {"adpcm_decode/sofia-cbcmac", 0xe72d2b190275647dull},
+    {"adpcm_decode/sponge", 0x256de926ab3cdc48ull},
+    {"adpcm_decode/null", 0x171fde1a212bc473ull},
+    {"adpcm_decode/flta", 0xee26f3efcdca9dd6ull},
+    {"crc32/vanilla", 0x1f41663273be007bull},
+    {"crc32/sofia-cbcmac", 0x64838f1a8bbad5feull},
+    {"crc32/sponge", 0xebb571f0ac92a920ull},
+    {"crc32/null", 0xc94127a0662c3473ull},
+    {"crc32/flta", 0x4d140338a9af406aull},
+    {"fir/vanilla", 0xe1435ce97dfc2253ull},
+    {"fir/sofia-cbcmac", 0x1de227ccf4da4c03ull},
+    {"fir/sponge", 0x6271b80ea2b447b1ull},
+    {"fir/null", 0x7be2c82513787587ull},
+    {"fir/flta", 0x290a870a3c3a6e6cull},
+    {"quicksort/vanilla", 0x2c8c1b068bdf4be7ull},
+    {"quicksort/sofia-cbcmac", 0x12259daf5fb8b5f8ull},
+    {"quicksort/sponge", 0x72557c9bf6738617ull},
+    {"quicksort/null", 0x26ccb5c622645215ull},
+    {"quicksort/flta", 0x4314afc1e5dde0afull},
+    {"matmul/vanilla", 0x9243dd23200a25edull},
+    {"matmul/sofia-cbcmac", 0xe26bbb8620480072ull},
+    {"matmul/sponge", 0x6d7d4c6e24f7ad2bull},
+    {"matmul/null", 0xbfd0eb9f7e91824cull},
+    {"matmul/flta", 0xb83aee5b698ae74eull},
+    {"strsearch/vanilla", 0x5c155231ac60f418ull},
+    {"strsearch/sofia-cbcmac", 0x9e89ff23e8d7a9d7ull},
+    {"strsearch/sponge", 0x5af43ea245459e2dull},
+    {"strsearch/null", 0xe8bc04f07d8bbdfaull},
+    {"strsearch/flta", 0xb4f70515a0c02842ull},
+    {"fib/vanilla", 0xc28fba677fc50bbaull},
+    {"fib/sofia-cbcmac", 0x305e4b7adaf0b09aull},
+    {"fib/sponge", 0x693599047ecec055ull},
+    {"fib/null", 0x74e6696e51f18438ull},
+    {"fib/flta", 0x1ce943f0d15392e2ull},
+    {"minivm/vanilla", 0xa059d401e58cc067ull},
+    {"minivm/sofia-cbcmac", 0xde0764b879003e06ull},
+    {"minivm/sponge", 0xf8d43fb07842b6baull},
+    {"minivm/null", 0xe71009472d2ae915ull},
+    {"minivm/flta", 0x54bf74280167de82ull},
+    {"bitcount/vanilla", 0x880973f618cafe8eull},
+    {"bitcount/sofia-cbcmac", 0x72869211161be3e9ull},
+    {"bitcount/sponge", 0x79146c9a29cf51f0ull},
+    {"bitcount/null", 0x008cca8278800fb9ull},
+    {"bitcount/flta", 0xdb42c87d4009faffull},
+    {"dijkstra/vanilla", 0x79c82d11d72a0130ull},
+    {"dijkstra/sofia-cbcmac", 0x017b2c3609ee3ffcull},
+    {"dijkstra/sponge", 0xa2418520c360bd83ull},
+    {"dijkstra/null", 0x6ff794405b742372ull},
+    {"dijkstra/flta", 0x5ca710080e79650aull},
+    {"crc32/iterative/vanilla", 0x1f41663273be007bull},
+    {"crc32/iterative/sofia", 0x0c00e9a0024f74b1ull},
+    {"crc32/non-alternating/vanilla", 0x1f41663273be007bull},
+    {"crc32/non-alternating/sofia", 0x0981f6676d605d93ull},
+    {"crc32/icache256-miss40/vanilla", 0xd01f2400c381b629ull},
+    {"crc32/icache256-miss40/sofia", 0x8b5afc8dc3fc4c04ull},
+    {"crc32/fetch-queue1/vanilla", 0x1f41663273be007bull},
+    {"crc32/fetch-queue1/sofia", 0x64838f1a8bbad5feull},
+    {"crc32/fetch-words1/vanilla", 0x1f41663273be007bull},
+    {"crc32/fetch-words1/sofia", 0x37320a8bf488fc6eull},
+    {"crc32/block6/vanilla", 0x1f41663273be007bull},
+    {"crc32/block6/sofia", 0x78e68b2788dea42full},
+    {"fib/iterative/vanilla", 0xc28fba677fc50bbaull},
+    {"fib/iterative/sofia", 0x8a3a843a06d45cd1ull},
+    {"fib/non-alternating/vanilla", 0xc28fba677fc50bbaull},
+    {"fib/non-alternating/sofia", 0xbaadb34e30661848ull},
+    {"fib/icache256-miss40/vanilla", 0x994ff0b86dd99476ull},
+    {"fib/icache256-miss40/sofia", 0x0a3a1eee3bed13f9ull},
+    {"fib/fetch-queue1/vanilla", 0x822e341f421cadf2ull},
+    {"fib/fetch-queue1/sofia", 0x7ac1e19c77f924cdull},
+    {"fib/fetch-words1/vanilla", 0xc28fba677fc50bbaull},
+    {"fib/fetch-words1/sofia", 0x8a449d9d457fbb8cull},
+    {"fib/block6/vanilla", 0xc28fba677fc50bbaull},
+    {"fib/block6/sofia", 0xec7c66e915d42404ull},
+    {"crc32/tampered", 0x627d732bcdd13f4aull},
+    {"crc32/fetch-fault/vanilla", 0xab205d33f38b229bull},
+    {"crc32/fetch-fault/sofia", 0xfe47e08d9648b1d8ull},
+    {"crc32/max-cycles20/vanilla", 0x01043b0cf79e8300ull},
+    {"crc32/max-cycles20/sofia", 0x9a7080fdef1efc02ull},
+    {"crc32/max-cycles1020/vanilla", 0x26e129af447e73a8ull},
+    {"crc32/max-cycles1020/sofia", 0x77087234b8179054ull},
+    {"dispatch/flta", 0x3cea7167dac22b94ull},
+    {"dispatch/flta-retarget", 0xada4df1b9f8440beull},
+};
+
+TEST(CycleDigest, EveryRunMatchesTheRecordedDigest) {
+  const auto cases = digest_cases();
+  ASSERT_EQ(cases.size(), std::size(kPinnedDigests));
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const std::uint64_t got = digest(cases[i].run());
+    char line[96];
+    std::snprintf(line, sizeof line, "{\"%s\", 0x%016llxull},",
+                  cases[i].label.c_str(),
+                  static_cast<unsigned long long>(got));
+    EXPECT_EQ(cases[i].label, kPinnedDigests[i].label);
+    EXPECT_EQ(got, kPinnedDigests[i].digest) << line;
+  }
 }
 
 }  // namespace
