@@ -1,4 +1,6 @@
-// Front ends. Two implementations of the same interface:
+// Front ends. Two implementations of the same duck-typed interface (step,
+// redirect, reset and the FetchCounters); the machine is a template over
+// the front end, so every call is direct:
 //
 //  * VanillaFetch — the unmodified-LEON3 analogue: stream words through the
 //    I-cache, decode, deliver; stall at control instructions until the
@@ -58,26 +60,8 @@ struct FetchedInst {
   bool fetch_redirected = false;
 };
 
-class FetchUnit {
- public:
-  virtual ~FetchUnit() = default;
-
-  /// Advance one cycle; deliver at most one instruction. `queue_full`
-  /// applies backpressure.
-  virtual std::optional<FetchedInst> step(std::uint64_t cycle, bool queue_full) = 0;
-
-  /// A taken transfer executed at byte address `from_pc` redirects fetch to
-  /// `target`, effective at `cycle`. Used for taken conditional branches
-  /// (squashing the fall-through speculation) and for indirect jumps (which
-  /// fetch cannot follow on its own). `indirect` marks a non-ret jalr:
-  /// under a forward-edge gating scheme the transfer presents the
-  /// kIndirectPrevWord sentinel and must pass the target-set label check.
-  virtual void redirect(std::uint32_t target, std::uint32_t from_pc,
-                        std::uint64_t cycle, bool indirect = false) = 0;
-
-  /// Pending SOFIA reset, if any (valid once its cycle is reached).
-  virtual std::optional<ResetEvent> reset() const = 0;
-
+/// What a front end did over the run (SimStats' front-end fields).
+struct FetchCounters {
   std::uint64_t words_delivered = 0;
   std::uint64_t mac_words_seen = 0;
   std::uint64_t ctr_ops = 0;
@@ -86,14 +70,33 @@ class FetchUnit {
   std::uint64_t verifications = 0;
 };
 
-class VanillaFetch final : public FetchUnit {
+// Both front ends offer:
+//
+//   std::optional<FetchedInst> step(std::uint64_t cycle, bool queue_full);
+//     Advance one cycle; deliver at most one instruction. `queue_full`
+//     applies backpressure.
+//
+//   void redirect(std::uint32_t target, std::uint32_t from_pc,
+//                 std::uint64_t cycle, bool indirect);
+//     A taken transfer executed at byte address `from_pc` redirects fetch
+//     to `target`, effective at `cycle`. Used for taken conditional
+//     branches (squashing the fall-through speculation) and for indirect
+//     jumps (which fetch cannot follow on its own). `indirect` marks a
+//     non-ret jalr: under a forward-edge gating scheme the transfer
+//     presents the kIndirectPrevWord sentinel and must pass the target-set
+//     label check.
+//
+//   const std::optional<ResetEvent>& reset() const;
+//     Pending SOFIA reset, if any (valid once its cycle is reached).
+
+class VanillaFetch : public FetchCounters {
  public:
   VanillaFetch(Core& core, ICache& icache, std::uint32_t start_pc);
 
-  std::optional<FetchedInst> step(std::uint64_t cycle, bool queue_full) override;
+  std::optional<FetchedInst> step(std::uint64_t cycle, bool queue_full);
   void redirect(std::uint32_t target, std::uint32_t from_pc,
-                std::uint64_t cycle, bool indirect = false) override;
-  std::optional<ResetEvent> reset() const override { return reset_; }
+                std::uint64_t cycle, bool indirect);
+  const std::optional<ResetEvent>& reset() const { return reset_; }
 
  private:
   Core& core_;
@@ -105,17 +108,17 @@ class VanillaFetch final : public FetchUnit {
   std::optional<ResetEvent> reset_;
 };
 
-class SofiaFetch final : public FetchUnit {
+class SofiaFetch : public FetchCounters {
  public:
   /// `store` (may be null) holds opened blocks across runs.
   SofiaFetch(Core& core, ICache& icache, CipherEngine& engine,
              const SimConfig& config, const assembler::LoadImage& image,
              BlockStore* store);
 
-  std::optional<FetchedInst> step(std::uint64_t cycle, bool queue_full) override;
+  std::optional<FetchedInst> step(std::uint64_t cycle, bool queue_full);
   void redirect(std::uint32_t target, std::uint32_t from_pc,
-                std::uint64_t cycle, bool indirect = false) override;
-  std::optional<ResetEvent> reset() const override { return reset_; }
+                std::uint64_t cycle, bool indirect);
+  const std::optional<ResetEvent>& reset() const { return reset_; }
 
  private:
   /// When the words of one opened block become available.

@@ -1,7 +1,7 @@
 #include "sim/machine.hpp"
 
 #include <deque>
-#include <memory>
+#include <type_traits>
 
 #include "isa/disasm.hpp"
 #include "sim/cipher_engine.hpp"
@@ -55,6 +55,8 @@ namespace {
 using isa::Instruction;
 using isa::Opcode;
 
+/// The cycle machine over one front end (VanillaFetch or SofiaFetch).
+template <typename Fetch>
 class Machine {
  public:
   Machine(const assembler::LoadImage& image, const SimConfig& config,
@@ -62,24 +64,19 @@ class Machine {
       : config_(config),
         core_(image, config.fault, result_),
         icache_(config.icache),
-        engine_(config.cipher) {
-    if (image.sofia)
-      fetch_ = std::make_unique<SofiaFetch>(core_, icache_, engine_, config_,
-                                            image, store);
-    else
-      fetch_ = std::make_unique<VanillaFetch>(core_, icache_, image.entry);
-  }
+        engine_(config.cipher),
+        fetch_(make_fetch(image, store)) {}
 
   RunResult run() {
     while (!done_) {
-      if (const auto reset = fetch_->reset(); reset && cycle_ >= reset->cycle) {
+      if (const auto& reset = fetch_.reset(); reset && cycle_ >= reset->cycle) {
         finish(RunResult::Status::kReset, reset->cycle);
         result_.reset = *reset;
         break;
       }
       exec_step();
       if (done_) break;
-      if (auto fi = fetch_->step(cycle_, queue_.size() >= config_.fetch_queue))
+      if (auto fi = fetch_.step(cycle_, queue_.size() >= config_.fetch_queue))
         queue_.push_back(*fi);
       ++cycle_;
       if (cycle_ >= config_.max_cycles) {
@@ -92,6 +89,13 @@ class Machine {
   }
 
  private:
+  Fetch make_fetch(const assembler::LoadImage& image, BlockStore* store) {
+    if constexpr (std::is_same_v<Fetch, SofiaFetch>)
+      return SofiaFetch(core_, icache_, engine_, config_, image, store);
+    else
+      return VanillaFetch(core_, icache_, image.entry);
+  }
+
   void finish(RunResult::Status status, std::uint64_t at_cycle) {
     result_.status = status;
     result_.stats.cycles = at_cycle;
@@ -175,19 +179,19 @@ class Machine {
   void redirect(std::uint32_t target, std::uint32_t from_pc, std::uint64_t start,
                 bool indirect) {
     queue_.clear();
-    fetch_->redirect(target, from_pc, start + config_.redirect_bubble, indirect);
+    fetch_.redirect(target, from_pc, start + config_.redirect_bubble, indirect);
   }
 
   void collect_stats() {
     auto& st = result_.stats;
     st.icache_hits = icache_.hits();
     st.icache_misses = icache_.misses();
-    st.fetch_words = fetch_->words_delivered;
-    st.mac_words = fetch_->mac_words_seen;
-    st.ctr_ops = fetch_->ctr_ops;
-    st.cbc_ops = fetch_->cbc_ops;
-    st.blocks_fetched = fetch_->blocks;
-    st.mac_verifications = fetch_->verifications;
+    st.fetch_words = fetch_.words_delivered;
+    st.mac_words = fetch_.mac_words_seen;
+    st.ctr_ops = fetch_.ctr_ops;
+    st.cbc_ops = fetch_.cbc_ops;
+    st.blocks_fetched = fetch_.blocks;
+    st.mac_verifications = fetch_.verifications;
   }
 
   const SimConfig& config_;
@@ -195,7 +199,7 @@ class Machine {
   Core core_;
   ICache icache_;
   CipherEngine engine_;
-  std::unique_ptr<FetchUnit> fetch_;
+  Fetch fetch_;
   std::deque<FetchedInst> queue_;
   std::uint64_t reg_ready_[isa::kNumRegs] = {};
   std::uint64_t cycle_ = 0;
@@ -207,8 +211,8 @@ class Machine {
 
 RunResult run_image(const assembler::LoadImage& image, const SimConfig& config,
                     BlockStore* store) {
-  Machine machine(image, config, store);
-  return machine.run();
+  if (image.sofia) return Machine<SofiaFetch>(image, config, store).run();
+  return Machine<VanillaFetch>(image, config, store).run();
 }
 
 }  // namespace sofia::sim
