@@ -65,7 +65,8 @@ SofiaFetch::SofiaFetch(Core& core, ICache& icache, CipherEngine& engine,
       icache_(icache),
       engine_(engine),
       config_(config),
-      blocks_(store, image, config) {
+      blocks_(store, image, config),
+      staged_(2 + config.policy.words_per_block) {
   process_block(image.entry / 4, image.entry_prev, 0);
 }
 

@@ -33,8 +33,11 @@
 // true timing.
 #pragma once
 
+#include <algorithm>
+#include <bit>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -58,6 +61,34 @@ struct FetchedInst {
   /// Fetch already followed this (direct) jump; the execute side must not
   /// redirect again.
   bool fetch_redirected = false;
+};
+
+/// A first-in first-out queue of at most `capacity` elements in a ring of
+/// fixed storage. The fetch queue and SOFIA's staged deliveries hold a
+/// handful of instructions each, pushed and popped every cycle.
+template <typename T>
+class Ring {
+ public:
+  explicit Ring(std::size_t capacity)
+      : slots_(std::bit_ceil(std::max<std::size_t>(capacity, 1))) {}
+
+  bool empty() const { return head_ == tail_; }
+  std::size_t size() const { return tail_ - head_; }
+  T& front() { return slots_[head_ & mask()]; }
+  T& back() { return slots_[(tail_ - 1) & mask()]; }
+  void push_back(const T& value) {
+    assert(size() < slots_.size());
+    slots_[tail_++ & mask()] = value;
+  }
+  void pop_front() { ++head_; }
+  void clear() { head_ = tail_ = 0; }
+
+ private:
+  std::size_t mask() const { return slots_.size() - 1; }
+
+  std::vector<T> slots_;
+  std::size_t head_ = 0;  ///< index of the front element (unwrapped)
+  std::size_t tail_ = 0;  ///< one past the back element (unwrapped)
 };
 
 /// What a front end did over the run (SimStats' front-end fields).
@@ -163,7 +194,9 @@ class SofiaFetch : public FetchCounters {
   std::vector<std::uint64_t> fetch_done_;
   std::vector<std::uint64_t> ks_done_;
 
-  std::deque<FetchedInst> staged_;  ///< decoded, time-stamped deliveries
+  /// Decoded, time-stamped deliveries: the at most 2 left when the next
+  /// block is processed plus that block's slots.
+  Ring<FetchedInst> staged_;
   bool waiting_ = false;            ///< stopped at an indirect exit / halt
   std::uint32_t next_block_word_ = 0;  ///< continuation target (word addr)
   std::uint32_t cont_prev_word_ = 0;   ///< prev word for the continuation

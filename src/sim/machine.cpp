@@ -1,6 +1,5 @@
 #include "sim/machine.hpp"
 
-#include <deque>
 #include <type_traits>
 
 #include "isa/disasm.hpp"
@@ -65,7 +64,8 @@ class Machine {
         core_(image, config.fault, result_),
         icache_(config.icache),
         engine_(config.cipher),
-        fetch_(make_fetch(image, store)) {}
+        fetch_(make_fetch(image, store)),
+        queue_(config.fetch_queue) {}
 
   RunResult run() {
     while (!done_) {
@@ -200,7 +200,7 @@ class Machine {
   ICache icache_;
   CipherEngine engine_;
   Fetch fetch_;
-  std::deque<FetchedInst> queue_;
+  Ring<FetchedInst> queue_;  ///< at most config_.fetch_queue entries
   std::uint64_t reg_ready_[isa::kNumRegs] = {};
   std::uint64_t cycle_ = 0;
   std::uint64_t busy_until_ = 0;
