@@ -47,7 +47,8 @@ std::optional<FetchedInst> VanillaFetch::step(std::uint64_t cycle, bool queue_fu
 }
 
 void VanillaFetch::redirect(std::uint32_t target, std::uint32_t /*from_pc*/,
-                            std::uint64_t cycle, bool /*indirect*/) {
+                            std::uint64_t cycle,
+                            std::optional<std::uint8_t> /*gate*/) {
   pc_ = target;
   waiting_ = false;
   fetching_ = false;
@@ -71,25 +72,23 @@ SofiaFetch::SofiaFetch(Core& core, ICache& icache, CipherEngine& engine,
 }
 
 void SofiaFetch::redirect(std::uint32_t target, std::uint32_t from_pc,
-                          std::uint64_t cycle, bool indirect) {
+                          std::uint64_t cycle,
+                          std::optional<std::uint8_t> gate) {
   staged_.clear();
   waiting_ = false;
   // The squashed block's queued cipher work is dropped; an in-flight
   // iterative op keeps the engine busy until it drains (see
   // CipherEngine::flush).
   engine_.flush(cycle);
-  if (indirect) {
+  if (gate) {
     // Under a gating scheme the source block's exit was opened with a
     // gate flag and exit label; the transfer then presents the canonical
     // indirect sentinel and must pass the target-set check. Under any
     // other scheme the dynamic prevPC simply garbles the target block
     // (an indirect jump the toolchain did not devirtualize).
-    const auto it = exit_info_.find(from_pc / 4);
-    if (it != exit_info_.end() && it->second.gated) {
-      pending_entry_check_ = it->second.exit_label;
-      process_block(target / 4, assembler::kIndirectPrevWord, cycle);
-      return;
-    }
+    pending_entry_check_ = gate;
+    process_block(target / 4, assembler::kIndirectPrevWord, cycle);
+    return;
   }
   process_block(target / 4, from_pc / 4, cycle);
 }
@@ -132,9 +131,9 @@ void SofiaFetch::process_block(std::uint32_t target_word, std::uint32_t prev_wor
     reset_ = ResetEvent{v.cause, at, adm.reset_pc(v)};
     return;
   }
-  exit_info_[base_word + b - 1] = ExitInfo{adm.gate_indirect, adm.exit_label};
   // Stage the decoded slots; those ahead of a word rule still issue, and
-  // the reset fires once the offending word decodes.
+  // the reset fires once the offending word decodes. The exit slot carries
+  // the scheme's forward-edge gate.
   for (std::uint32_t i = 0; i < adm.insts.size(); ++i) {
     const std::uint32_t w = adm.first_inst + i;
     FetchedInst fi;
@@ -142,6 +141,7 @@ void SofiaFetch::process_block(std::uint32_t target_word, std::uint32_t prev_wor
     fi.pc = (base_word + w) * 4;
     fi.ready = timing_.decrypt_done[w] + 1;
     fi.store_gate = timing_.store_gate;
+    if (adm.gate_indirect && w == b - 1) fi.gate = adm.exit_label;
     staged_.push_back(fi);
   }
   if (v.fired()) {

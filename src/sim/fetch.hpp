@@ -39,7 +39,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "assembler/image.hpp"
@@ -61,6 +60,10 @@ struct FetchedInst {
   /// Fetch already followed this (direct) jump; the execute side must not
   /// redirect again.
   bool fetch_redirected = false;
+  /// Set on the exit slot of a block whose scheme gates indirect
+  /// transfers: the exit label an indirect jump in this slot presents to
+  /// its target (see SofiaFetch::redirect).
+  std::optional<std::uint8_t> gate;
 };
 
 /// A first-in first-out queue of at most `capacity` elements in a ring of
@@ -108,14 +111,14 @@ struct FetchCounters {
 //     applies backpressure.
 //
 //   void redirect(std::uint32_t target, std::uint32_t from_pc,
-//                 std::uint64_t cycle, bool indirect);
+//                 std::uint64_t cycle, std::optional<std::uint8_t> gate);
 //     A taken transfer executed at byte address `from_pc` redirects fetch
 //     to `target`, effective at `cycle`. Used for taken conditional
 //     branches (squashing the fall-through speculation) and for indirect
-//     jumps (which fetch cannot follow on its own). `indirect` marks a
-//     non-ret jalr: under a forward-edge gating scheme the transfer
-//     presents the kIndirectPrevWord sentinel and must pass the target-set
-//     label check.
+//     jumps (which fetch cannot follow on its own). `gate` is the
+//     FetchedInst::gate of a non-ret jalr, nullopt for any other transfer:
+//     a gated transfer presents the kIndirectPrevWord sentinel and must
+//     pass the target-set label check.
 //
 //   const std::optional<ResetEvent>& reset() const;
 //     Pending SOFIA reset, if any (valid once its cycle is reached).
@@ -126,7 +129,7 @@ class VanillaFetch : public FetchCounters {
 
   std::optional<FetchedInst> step(std::uint64_t cycle, bool queue_full);
   void redirect(std::uint32_t target, std::uint32_t from_pc,
-                std::uint64_t cycle, bool indirect);
+                std::uint64_t cycle, std::optional<std::uint8_t> gate);
   const std::optional<ResetEvent>& reset() const { return reset_; }
 
  private:
@@ -148,7 +151,7 @@ class SofiaFetch : public FetchCounters {
 
   std::optional<FetchedInst> step(std::uint64_t cycle, bool queue_full);
   void redirect(std::uint32_t target, std::uint32_t from_pc,
-                std::uint64_t cycle, bool indirect);
+                std::uint64_t cycle, std::optional<std::uint8_t> gate);
   const std::optional<ResetEvent>& reset() const { return reset_; }
 
  private:
@@ -203,13 +206,6 @@ class SofiaFetch : public FetchCounters {
   std::uint64_t cont_cycle_ = 0;       ///< earliest continuation cycle
   std::optional<ResetEvent> reset_;
 
-  /// Forward-edge gate state (gating schemes only): what the scheme said
-  /// about each opened block's exit, keyed by its exit word address.
-  struct ExitInfo {
-    bool gated = false;
-    std::uint8_t exit_label = 0;
-  };
-  std::unordered_map<std::uint32_t, ExitInfo> exit_info_;
   /// Set by an indirect redirect: the source exit label the next opened
   /// block's entry label must equal (consumed by process_block).
   std::optional<std::uint8_t> pending_entry_check_;

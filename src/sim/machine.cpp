@@ -156,7 +156,8 @@ class Machine {
         // Squash the fall-through speculation, unless fetch already
         // followed this direct jump at decode time.
         if (!fi.fetch_redirected)
-          redirect(effect.target, fi.pc, start, isa::is_indirect_jump(in));
+          redirect(effect.target, fi.pc, start,
+                   isa::is_indirect_jump(in) ? fi.gate : std::nullopt);
         break;
       case Effect::Kind::kHalt:
         finish(RunResult::Status::kHalted, start + 1);
@@ -177,9 +178,9 @@ class Machine {
   }
 
   void redirect(std::uint32_t target, std::uint32_t from_pc, std::uint64_t start,
-                bool indirect) {
+                std::optional<std::uint8_t> gate) {
     queue_.clear();
-    fetch_.redirect(target, from_pc, start + config_.redirect_bubble, indirect);
+    fetch_.redirect(target, from_pc, start + config_.redirect_bubble, gate);
   }
 
   void collect_stats() {
