@@ -5,28 +5,37 @@
 
 namespace sofia::sim {
 
-const std::uint8_t* Memory::page_for_read(std::uint32_t addr) const {
-  const auto it = pages_.find(addr >> kPageBits);
-  return it == pages_.end() ? nullptr : it->second.get();
+const std::uint8_t* Memory::page_for_read(std::uint32_t addr) {
+  const std::uint32_t number = addr >> kPageBits;
+  CachedPage& slot = cache_[number % kCachedPages];
+  if (slot.number == number) return slot.data;
+  const auto it = pages_.find(number);
+  if (it == pages_.end()) return nullptr;
+  slot = {number, it->second.get()};
+  return slot.data;
 }
 
 std::uint8_t* Memory::page_for_write(std::uint32_t addr) {
-  auto& page = pages_[addr >> kPageBits];
+  const std::uint32_t number = addr >> kPageBits;
+  CachedPage& slot = cache_[number % kCachedPages];
+  if (slot.number == number) return slot.data;
+  auto& page = pages_[number];
   if (!page) {
     page = std::make_unique<std::uint8_t[]>(kPageSize);
     std::memset(page.get(), 0, kPageSize);
   }
-  return page.get();
+  slot = {number, page.get()};
+  return slot.data;
 }
 
-std::uint8_t Memory::load8(std::uint32_t addr) const {
+std::uint8_t Memory::load8(std::uint32_t addr) {
   const std::uint8_t* page = page_for_read(addr);
   return page ? page[addr & (kPageSize - 1)] : 0;
 }
 
 // An access inside one page takes one page lookup; one that straddles a page
 // boundary (or the top of the address space) reads byte by byte.
-std::uint16_t Memory::load16(std::uint32_t addr) const {
+std::uint16_t Memory::load16(std::uint32_t addr) {
   const std::uint32_t offset = addr & (kPageSize - 1);
   if (offset > kPageSize - 2)
     return static_cast<std::uint16_t>(load8(addr) | (load8(addr + 1) << 8));
@@ -35,7 +44,7 @@ std::uint16_t Memory::load16(std::uint32_t addr) const {
   return static_cast<std::uint16_t>(page[offset] | (page[offset + 1] << 8));
 }
 
-std::uint32_t Memory::load32(std::uint32_t addr) const {
+std::uint32_t Memory::load32(std::uint32_t addr) {
   const std::uint32_t offset = addr & (kPageSize - 1);
   if (offset > kPageSize - 4)
     return static_cast<std::uint32_t>(load16(addr)) |

@@ -1,7 +1,10 @@
 // Flat, sparse, little-endian physical memory (4 KiB pages allocated on
-// first touch). Pure storage: MMIO is decoded by the core, not here.
+// first touch), with a small direct-mapped cache of recently used pages in
+// front of the page map. Pure storage: MMIO is decoded by the core, not
+// here.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -13,9 +16,14 @@ namespace sofia::sim {
 
 class Memory {
  public:
-  std::uint8_t load8(std::uint32_t addr) const;
-  std::uint16_t load16(std::uint32_t addr) const;
-  std::uint32_t load32(std::uint32_t addr) const;
+  Memory() = default;
+  // The page cache points into this object's pages.
+  Memory(const Memory&) = delete;
+  Memory& operator=(const Memory&) = delete;
+  // Loads fill the page cache, so they are not const.
+  std::uint8_t load8(std::uint32_t addr);
+  std::uint16_t load16(std::uint32_t addr);
+  std::uint32_t load32(std::uint32_t addr);
   void store8(std::uint32_t addr, std::uint8_t value);
   void store16(std::uint32_t addr, std::uint16_t value);
   void store32(std::uint32_t addr, std::uint32_t value);
@@ -27,7 +35,11 @@ class Memory {
   static constexpr std::uint32_t kPageBits = 12;
   static constexpr std::uint32_t kPageSize = 1u << kPageBits;
 
-  const std::uint8_t* page_for_read(std::uint32_t addr) const;
+  static constexpr std::uint32_t kCachedPages = 16;
+
+  /// The page holding `addr`, or null when it was never written.
+  const std::uint8_t* page_for_read(std::uint32_t addr);
+  /// The page holding `addr`, allocated (zeroed) on first touch.
   std::uint8_t* page_for_write(std::uint32_t addr);
 
   /// Write bytes byte(0) .. byte(n-1) from `addr` on, one page at a time.
@@ -35,6 +47,14 @@ class Memory {
   void store_bytes(std::uint32_t addr, std::size_t n, Byte&& byte);
 
   std::unordered_map<std::uint32_t, std::unique_ptr<std::uint8_t[]>> pages_;
+
+  /// Page number -> page, direct-mapped on the page number's low bits.
+  /// Never invalidated: a page, once allocated, neither moves nor goes away.
+  struct CachedPage {
+    std::uint32_t number = ~0u;  ///< no page has this number (addr >> 12)
+    std::uint8_t* data = nullptr;
+  };
+  std::array<CachedPage, kCachedPages> cache_{};
 };
 
 }  // namespace sofia::sim

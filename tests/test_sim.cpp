@@ -129,6 +129,82 @@ TEST(Memory, LoadImagePlacesSectionsThatStraddlePages) {
   EXPECT_EQ(mem.load8(0x2FFD + 4096 + 6), 0u);
 }
 
+// Pages whose numbers differ by a multiple of 16 share one slot of the
+// page cache; 0x10000 bytes apart is 16 pages.
+constexpr std::uint32_t kAlias = 0x10000;
+
+TEST(Memory, AliasingPagesInterleaveReadsAndWrites) {
+  // Five pages that share one cache slot, written and read in turn: every
+  // access evicts the previous page, and every read must see its own
+  // page's last write (zero before the first).
+  Memory mem;
+  std::uint32_t expect[5] = {};
+  for (std::uint32_t step = 1; step <= 40; ++step) {
+    const std::uint32_t w = (step * 3) % 5;
+    const std::uint32_t r = (step * 2) % 5;
+    expect[w] = step * 0x01010101u;
+    mem.store32(0x1008 + w * kAlias, expect[w]);
+    EXPECT_EQ(mem.load32(0x1008 + r * kAlias), expect[r]) << step;
+    EXPECT_EQ(mem.load8(0x1008 + w * kAlias), step & 0xFF) << step;
+  }
+}
+
+TEST(Memory, AbsentPageReadThenWrittenReadsBack) {
+  Memory mem;
+  mem.store32(0x7000, 0x11111111);
+  // An absent page in the same slot reads zero and does not disturb the
+  // cached page; writing it maps it.
+  EXPECT_EQ(mem.load32(0x7000 + kAlias), 0u);
+  EXPECT_EQ(mem.load32(0x7000), 0x11111111u);
+  EXPECT_EQ(mem.load16(0x7002 + kAlias), 0u);
+  mem.store32(0x7004 + kAlias, 0x22222222);
+  EXPECT_EQ(mem.load32(0x7004 + kAlias), 0x22222222u);
+  EXPECT_EQ(mem.load32(0x7000 + kAlias), 0u);
+  EXPECT_EQ(mem.load32(0x7000), 0x11111111u);
+  EXPECT_EQ(mem.load32(0x7004), 0u);
+  // A page never touched before its first store.
+  EXPECT_EQ(mem.load8(0x9FFF), 0u);
+  mem.store8(0x9FFF, 0x5A);
+  EXPECT_EQ(mem.load8(0x9FFF), 0x5Au);
+}
+
+TEST(Memory, StoreAcrossAPageBoundaryIntoAnAliasingPage) {
+  Memory mem;
+  // Page 0x2000 and page 0x2000 + kAlias share a slot; the latter is
+  // cached when the straddling store reaches the former.
+  mem.store32(0x2000 + kAlias, 0xCAFEF00D);
+  EXPECT_EQ(mem.load32(0x2000 + kAlias), 0xCAFEF00Du);
+  mem.store32(0x1FFE, 0x44332211);
+  EXPECT_EQ(mem.load32(0x1FFE), 0x44332211u);
+  EXPECT_EQ(mem.load16(0x2000), 0x4433u);
+  EXPECT_EQ(mem.load32(0x2000 + kAlias), 0xCAFEF00Du);
+  // And the other way round: a straddling store from the aliasing page's
+  // predecessor into it.
+  mem.store32(0x1FFE + kAlias, 0x88776655);
+  EXPECT_EQ(mem.load32(0x2000 + kAlias), 0xCAFE8877u);
+  EXPECT_EQ(mem.load32(0x1FFE), 0x44332211u);
+}
+
+TEST(Memory, LoadImageOverMoreThanSixteenPages) {
+  assembler::LoadImage img;
+  img.text_base = 0x400;
+  for (std::uint32_t i = 0; i < 20 * 1024; ++i) img.text.push_back(i * 2654435761u);
+  img.data_base = 0x100000 - 3;
+  for (std::uint32_t i = 0; i < 24 * 4096; ++i)
+    img.data.push_back(static_cast<std::uint8_t>(i * 13 + (i >> 12)));
+  Memory mem;
+  mem.load_image(img);
+  for (std::uint32_t i = 0; i < img.text.size(); ++i)
+    ASSERT_EQ(mem.load32(img.text_base + i * 4), img.text[i]) << i;
+  for (std::uint32_t i = 0; i < img.data.size(); ++i)
+    ASSERT_EQ(mem.load8(img.data_base + i), img.data[i]) << i;
+  // Backwards too, so each read finds its slot held by another page.
+  for (std::uint32_t i = img.text.size(); i-- > 0;)
+    ASSERT_EQ(mem.load32(img.text_base + i * 4), img.text[i]) << i;
+  EXPECT_EQ(mem.load32(img.text_base - 4), 0u);
+  EXPECT_EQ(mem.load8(img.data_base + img.data.size()), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // I-cache.
 // ---------------------------------------------------------------------------
