@@ -93,22 +93,6 @@ void SofiaFetch::redirect(std::uint32_t target, std::uint32_t from_pc,
   process_block(target / 4, from_pc / 4, cycle);
 }
 
-std::optional<FetchedInst> SofiaFetch::step(std::uint64_t cycle, bool queue_full) {
-  if (!queue_full && !staged_.empty() && staged_.front().ready <= cycle + 1) {
-    // One IF->ID handoff per cycle, paced by the decrypt timestamps.
-    FetchedInst fi = staged_.front();
-    staged_.pop_front();
-    ++words_delivered;
-    return fi;
-  }
-  // Run ahead into the next block once the current one has drained enough:
-  // a small stage buffer keeps at most ~2 blocks in flight, like a fetch
-  // queue would.
-  if (!waiting_ && !reset_ && staged_.size() <= 2 && cycle >= cont_cycle_)
-    process_block(next_block_word_, cont_prev_word_, cont_cycle_);
-  return std::nullopt;
-}
-
 void SofiaFetch::process_block(std::uint32_t target_word, std::uint32_t prev_word,
                                std::uint64_t entry_cycle) {
   const std::optional<std::uint8_t> pending =

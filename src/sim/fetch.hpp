@@ -149,7 +149,23 @@ class SofiaFetch : public FetchCounters {
              const SimConfig& config, const assembler::LoadImage& image,
              BlockStore* store);
 
-  std::optional<FetchedInst> step(std::uint64_t cycle, bool queue_full);
+  /// Inline: the machine calls it every cycle, and most cycles only hand
+  /// over a staged instruction or do nothing.
+  std::optional<FetchedInst> step(std::uint64_t cycle, bool queue_full) {
+    if (!queue_full && !staged_.empty() && staged_.front().ready <= cycle + 1) {
+      // One IF->ID handoff per cycle, paced by the decrypt timestamps.
+      const FetchedInst fi = staged_.front();
+      staged_.pop_front();
+      ++words_delivered;
+      return fi;
+    }
+    // Run ahead into the next block once the current one has drained
+    // enough: a small stage buffer keeps at most ~2 blocks in flight, like
+    // a fetch queue would.
+    if (!waiting_ && !reset_ && staged_.size() <= 2 && cycle >= cont_cycle_)
+      process_block(next_block_word_, cont_prev_word_, cont_cycle_);
+    return std::nullopt;
+  }
   void redirect(std::uint32_t target, std::uint32_t from_pc,
                 std::uint64_t cycle, std::optional<std::uint8_t> gate);
   const std::optional<ResetEvent>& reset() const { return reset_; }

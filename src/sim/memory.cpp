@@ -5,27 +5,23 @@
 
 namespace sofia::sim {
 
-const std::uint8_t* Memory::page_for_read(std::uint32_t addr) {
+const std::uint8_t* Memory::read_miss(std::uint32_t addr) {
   const std::uint32_t number = addr >> kPageBits;
-  CachedPage& slot = cache_[number % kCachedPages];
-  if (slot.number == number) return slot.data;
   const auto it = pages_.find(number);
   if (it == pages_.end()) return nullptr;
-  slot = {number, it->second.get()};
-  return slot.data;
+  cache_[number % kCachedPages] = {number, it->second.get()};
+  return it->second.get();
 }
 
-std::uint8_t* Memory::page_for_write(std::uint32_t addr) {
+std::uint8_t* Memory::write_miss(std::uint32_t addr) {
   const std::uint32_t number = addr >> kPageBits;
-  CachedPage& slot = cache_[number % kCachedPages];
-  if (slot.number == number) return slot.data;
   auto& page = pages_[number];
   if (!page) {
     page = std::make_unique<std::uint8_t[]>(kPageSize);
     std::memset(page.get(), 0, kPageSize);
   }
-  slot = {number, page.get()};
-  return slot.data;
+  cache_[number % kCachedPages] = {number, page.get()};
+  return page.get();
 }
 
 std::uint8_t Memory::load8(std::uint32_t addr) {
@@ -42,20 +38,6 @@ std::uint16_t Memory::load16(std::uint32_t addr) {
   const std::uint8_t* page = page_for_read(addr);
   if (!page) return 0;
   return static_cast<std::uint16_t>(page[offset] | (page[offset + 1] << 8));
-}
-
-std::uint32_t Memory::load32(std::uint32_t addr) {
-  const std::uint32_t offset = addr & (kPageSize - 1);
-  if (offset > kPageSize - 4)
-    return static_cast<std::uint32_t>(load16(addr)) |
-           (static_cast<std::uint32_t>(load16(addr + 2)) << 16);
-  const std::uint8_t* page = page_for_read(addr);
-  if (!page) return 0;
-  const std::uint8_t* p = page + offset;
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
 void Memory::store8(std::uint32_t addr, std::uint8_t value) {

@@ -23,7 +23,20 @@ class Memory {
   // Loads fill the page cache, so they are not const.
   std::uint8_t load8(std::uint32_t addr);
   std::uint16_t load16(std::uint32_t addr);
-  std::uint32_t load32(std::uint32_t addr);
+  /// Inline: every fetched instruction word is one load32.
+  std::uint32_t load32(std::uint32_t addr) {
+    const std::uint32_t offset = addr & (kPageSize - 1);
+    if (offset > kPageSize - 4)  // straddles a page boundary
+      return static_cast<std::uint32_t>(load16(addr)) |
+             (static_cast<std::uint32_t>(load16(addr + 2)) << 16);
+    const std::uint8_t* page = page_for_read(addr);
+    if (!page) return 0;
+    const std::uint8_t* p = page + offset;
+    return static_cast<std::uint32_t>(p[0]) |
+           (static_cast<std::uint32_t>(p[1]) << 8) |
+           (static_cast<std::uint32_t>(p[2]) << 16) |
+           (static_cast<std::uint32_t>(p[3]) << 24);
+  }
   void store8(std::uint32_t addr, std::uint8_t value);
   void store16(std::uint32_t addr, std::uint16_t value);
   void store32(std::uint32_t addr, std::uint32_t value);
@@ -38,9 +51,19 @@ class Memory {
   static constexpr std::uint32_t kCachedPages = 16;
 
   /// The page holding `addr`, or null when it was never written.
-  const std::uint8_t* page_for_read(std::uint32_t addr);
+  const std::uint8_t* page_for_read(std::uint32_t addr) {
+    const CachedPage& slot = cache_[(addr >> kPageBits) % kCachedPages];
+    return slot.number == addr >> kPageBits ? slot.data : read_miss(addr);
+  }
   /// The page holding `addr`, allocated (zeroed) on first touch.
-  std::uint8_t* page_for_write(std::uint32_t addr);
+  std::uint8_t* page_for_write(std::uint32_t addr) {
+    const CachedPage& slot = cache_[(addr >> kPageBits) % kCachedPages];
+    return slot.number == addr >> kPageBits ? slot.data : write_miss(addr);
+  }
+  /// The same past the page cache: look the page up in the map (creating
+  /// it, for a write) and cache it.
+  const std::uint8_t* read_miss(std::uint32_t addr);
+  std::uint8_t* write_miss(std::uint32_t addr);
 
   /// Write bytes byte(0) .. byte(n-1) from `addr` on, one page at a time.
   template <typename Byte>
