@@ -9,7 +9,7 @@ const std::uint8_t* Memory::read_miss(std::uint32_t addr) {
   const std::uint32_t number = addr >> kPageBits;
   const auto it = pages_.find(number);
   if (it == pages_.end()) return nullptr;
-  cache_[number % kCachedPages] = {number, it->second.get()};
+  cache_[slot_of(number)] = {number, it->second.get()};
   return it->second.get();
 }
 
@@ -20,7 +20,7 @@ std::uint8_t* Memory::write_miss(std::uint32_t addr) {
     page = std::make_unique<std::uint8_t[]>(kPageSize);
     std::memset(page.get(), 0, kPageSize);
   }
-  cache_[number % kCachedPages] = {number, page.get()};
+  cache_[slot_of(number)] = {number, page.get()};
   return page.get();
 }
 

@@ -50,14 +50,21 @@ class Memory {
 
   static constexpr std::uint32_t kCachedPages = 16;
 
+  /// The page cache slot of page `number`: its low bits with bits 8-11
+  /// folded in, so the default layout's text (page 0x000), data (0x100)
+  /// and stack (0x1FF) pages do not share a slot.
+  static std::uint32_t slot_of(std::uint32_t number) {
+    return (number ^ (number >> 8)) % kCachedPages;
+  }
+
   /// The page holding `addr`, or null when it was never written.
   const std::uint8_t* page_for_read(std::uint32_t addr) {
-    const CachedPage& slot = cache_[(addr >> kPageBits) % kCachedPages];
+    const CachedPage& slot = cache_[slot_of(addr >> kPageBits)];
     return slot.number == addr >> kPageBits ? slot.data : read_miss(addr);
   }
   /// The page holding `addr`, allocated (zeroed) on first touch.
   std::uint8_t* page_for_write(std::uint32_t addr) {
-    const CachedPage& slot = cache_[(addr >> kPageBits) % kCachedPages];
+    const CachedPage& slot = cache_[slot_of(addr >> kPageBits)];
     return slot.number == addr >> kPageBits ? slot.data : write_miss(addr);
   }
   /// The same past the page cache: look the page up in the map (creating
@@ -71,8 +78,8 @@ class Memory {
 
   std::unordered_map<std::uint32_t, std::unique_ptr<std::uint8_t[]>> pages_;
 
-  /// Page number -> page, direct-mapped on the page number's low bits.
-  /// Never invalidated: a page, once allocated, neither moves nor goes away.
+  /// Page number -> page, direct-mapped by slot_of(). Never invalidated:
+  /// a page, once allocated, neither moves nor goes away.
   struct CachedPage {
     std::uint32_t number = ~0u;  ///< no page has this number (addr >> 12)
     std::uint8_t* data = nullptr;

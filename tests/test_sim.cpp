@@ -129,8 +129,8 @@ TEST(Memory, LoadImagePlacesSectionsThatStraddlePages) {
   EXPECT_EQ(mem.load8(0x2FFD + 4096 + 6), 0u);
 }
 
-// Pages whose numbers differ by a multiple of 16 share one slot of the
-// page cache; 0x10000 bytes apart is 16 pages.
+// Pages below 0x100 whose numbers differ by a multiple of 16 share one
+// slot of the 16-entry page cache; 0x10000 bytes apart is 16 pages.
 constexpr std::uint32_t kAlias = 0x10000;
 
 TEST(Memory, AliasingPagesInterleaveReadsAndWrites) {
