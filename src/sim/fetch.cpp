@@ -80,17 +80,13 @@ void SofiaFetch::redirect(std::uint32_t target, std::uint32_t from_pc,
   // iterative op keeps the engine busy until it drains (see
   // CipherEngine::flush).
   engine_.flush(cycle);
-  if (gate) {
-    // Under a gating scheme the source block's exit was opened with a
-    // gate flag and exit label; the transfer then presents the canonical
-    // indirect sentinel and must pass the target-set check. Under any
-    // other scheme the dynamic prevPC simply garbles the target block
-    // (an indirect jump the toolchain did not devirtualize).
-    pending_entry_check_ = gate;
-    process_block(target / 4, assembler::kIndirectPrevWord, cycle);
-    return;
-  }
-  process_block(target / 4, from_pc / 4, cycle);
+  // A gated transfer presents the canonical indirect sentinel and must
+  // pass the target-set check. Under any other scheme an indirect jump's
+  // dynamic prevPC simply garbles the target block (an indirect jump the
+  // toolchain did not devirtualize).
+  pending_entry_check_ = gate;
+  process_block(target / 4, gate ? assembler::kIndirectPrevWord : from_pc / 4,
+                cycle);
 }
 
 void SofiaFetch::process_block(std::uint32_t target_word, std::uint32_t prev_word,
@@ -116,8 +112,8 @@ void SofiaFetch::process_block(std::uint32_t target_word, std::uint32_t prev_wor
     return;
   }
   // Stage the decoded slots; those ahead of a word rule still issue, and
-  // the reset fires once the offending word decodes. The exit slot carries
-  // the scheme's forward-edge gate.
+  // the reset fires once the offending word decodes. A gating scheme's
+  // indirect exit carries the block's exit label.
   for (std::uint32_t i = 0; i < adm.insts.size(); ++i) {
     const std::uint32_t w = adm.first_inst + i;
     FetchedInst fi;
@@ -125,7 +121,8 @@ void SofiaFetch::process_block(std::uint32_t target_word, std::uint32_t prev_wor
     fi.pc = (base_word + w) * 4;
     fi.ready = timing_.decrypt_done[w] + 1;
     fi.store_gate = timing_.store_gate;
-    if (adm.gate_indirect && w == b - 1) fi.gate = adm.exit_label;
+    if (adm.gate_indirect && w == b - 1 && isa::is_indirect_jump(fi.inst))
+      fi.gate = adm.exit_label;
     staged_.push_back(fi);
   }
   if (v.fired()) {

@@ -60,9 +60,9 @@ struct FetchedInst {
   /// Fetch already followed this (direct) jump; the execute side must not
   /// redirect again.
   bool fetch_redirected = false;
-  /// Set on the exit slot of a block whose scheme gates indirect
-  /// transfers: the exit label an indirect jump in this slot presents to
-  /// its target (see SofiaFetch::redirect).
+  /// Set on the indirect jump (non-ret jalr) in the exit slot of a block
+  /// whose scheme gates indirect transfers: the block's exit label, which
+  /// the transfer presents to its target (see SofiaFetch::redirect).
   std::optional<std::uint8_t> gate;
 };
 
@@ -115,10 +115,9 @@ struct FetchCounters {
 //     A taken transfer executed at byte address `from_pc` redirects fetch
 //     to `target`, effective at `cycle`. Used for taken conditional
 //     branches (squashing the fall-through speculation) and for indirect
-//     jumps (which fetch cannot follow on its own). `gate` is the
-//     FetchedInst::gate of a non-ret jalr, nullopt for any other transfer:
-//     a gated transfer presents the kIndirectPrevWord sentinel and must
-//     pass the target-set label check.
+//     jumps (which fetch cannot follow on its own). `gate` is the executed
+//     instruction's FetchedInst::gate: a gated transfer presents the
+//     kIndirectPrevWord sentinel and must pass the target-set label check.
 //
 //   const std::optional<ResetEvent>& reset() const;
 //     Pending SOFIA reset, if any (valid once its cycle is reached).

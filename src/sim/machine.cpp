@@ -156,8 +156,7 @@ class Machine {
         // Squash the fall-through speculation, unless fetch already
         // followed this direct jump at decode time.
         if (!fi.fetch_redirected)
-          redirect(effect.target, fi.pc, start,
-                   isa::is_indirect_jump(in) ? fi.gate : std::nullopt);
+          redirect(effect.target, fi.pc, start, fi.gate);
         break;
       case Effect::Kind::kHalt:
         finish(RunResult::Status::kHalted, start + 1);
