@@ -52,11 +52,13 @@
 
 namespace sofia::sim {
 
+/// The field order keeps the record at 32 bytes, all of it in two 16-byte
+/// halves: the machine copies it every cycle an instruction moves, and a
+/// copy ending in an overlapping move over the small fields (as with them
+/// last) cannot forward from the stores that just wrote them.
 struct FetchedInst {
   isa::Instruction inst;
-  std::uint32_t pc = 0;          ///< byte address of the instruction word
-  std::uint64_t ready = 0;       ///< first cycle the execute side may use it
-  std::uint64_t store_gate = 0;  ///< earliest cycle a store may commit
+  std::uint32_t pc = 0;  ///< byte address of the instruction word
   /// Fetch already followed this (direct) jump; the execute side must not
   /// redirect again.
   bool fetch_redirected = false;
@@ -64,7 +66,10 @@ struct FetchedInst {
   /// whose scheme gates indirect transfers: the block's exit label, which
   /// the transfer presents to its target (see SofiaFetch::redirect).
   std::optional<std::uint8_t> gate;
+  std::uint64_t ready = 0;       ///< first cycle the execute side may use it
+  std::uint64_t store_gate = 0;  ///< earliest cycle a store may commit
 };
+static_assert(sizeof(FetchedInst) == 32);
 
 /// A first-in first-out queue of at most `capacity` elements in a ring of
 /// fixed storage. The fetch queue and SOFIA's staged deliveries hold a
