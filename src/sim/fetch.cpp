@@ -112,8 +112,7 @@ void SofiaFetch::process_block(std::uint32_t target_word, std::uint32_t prev_wor
     return;
   }
   // Stage the decoded slots; those ahead of a word rule still issue, and
-  // the reset fires once the offending word decodes. A gating scheme's
-  // indirect exit carries the block's exit label.
+  // the reset fires once the offending word decodes.
   for (std::uint32_t i = 0; i < adm.insts.size(); ++i) {
     const std::uint32_t w = adm.first_inst + i;
     FetchedInst fi;
@@ -121,8 +120,6 @@ void SofiaFetch::process_block(std::uint32_t target_word, std::uint32_t prev_wor
     fi.pc = (base_word + w) * 4;
     fi.ready = timing_.decrypt_done[w] + 1;
     fi.store_gate = timing_.store_gate;
-    if (adm.gate_indirect && w == b - 1 && isa::is_indirect_jump(fi.inst))
-      fi.gate = adm.exit_label;
     staged_.push_back(fi);
   }
   if (v.fired()) {
@@ -147,6 +144,9 @@ void SofiaFetch::process_block(std::uint32_t target_word, std::uint32_t prev_wor
     cont_prev_word_ = base_word + b - 1;
     cont_cycle_ = std::max(timing_.fetch_cursor, exit_decoded);
   } else if (exit_op == isa::Opcode::kJalr || exit_op == isa::Opcode::kHalt) {
+    // A gating scheme's indirect exit carries the block's exit label.
+    if (adm.gate_indirect && isa::is_indirect_jump(staged_.back().inst))
+      staged_.back().gate = adm.exit_label;
     waiting_ = true;
   } else {
     next_block_word_ = base_word + b;
