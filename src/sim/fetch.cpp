@@ -46,9 +46,8 @@ std::optional<FetchedInst> VanillaFetch::step(std::uint64_t cycle, bool queue_fu
   return fi;
 }
 
-void VanillaFetch::redirect(std::uint32_t target, std::uint32_t /*from_pc*/,
-                            std::uint64_t cycle,
-                            std::optional<std::uint8_t> /*gate*/) {
+void VanillaFetch::redirect(std::uint32_t target, const FetchedInst& /*from*/,
+                            std::uint64_t cycle) {
   pc_ = target;
   waiting_ = false;
   fetching_ = false;
@@ -71,9 +70,8 @@ SofiaFetch::SofiaFetch(Core& core, ICache& icache, CipherEngine& engine,
   process_block(image.entry / 4, image.entry_prev, 0);
 }
 
-void SofiaFetch::redirect(std::uint32_t target, std::uint32_t from_pc,
-                          std::uint64_t cycle,
-                          std::optional<std::uint8_t> gate) {
+void SofiaFetch::redirect(std::uint32_t target, const FetchedInst& from,
+                          std::uint64_t cycle) {
   staged_.clear();
   waiting_ = false;
   // The squashed block's queued cipher work is dropped; an in-flight
@@ -84,9 +82,9 @@ void SofiaFetch::redirect(std::uint32_t target, std::uint32_t from_pc,
   // pass the target-set check. Under any other scheme an indirect jump's
   // dynamic prevPC simply garbles the target block (an indirect jump the
   // toolchain did not devirtualize).
-  pending_entry_check_ = gate;
-  process_block(target / 4, gate ? assembler::kIndirectPrevWord : from_pc / 4,
-                cycle);
+  if (from.gated) pending_entry_check_ = from.exit_label;
+  process_block(target / 4,
+                from.gated ? assembler::kIndirectPrevWord : from.pc / 4, cycle);
 }
 
 void SofiaFetch::process_block(std::uint32_t target_word, std::uint32_t prev_word,
@@ -145,8 +143,10 @@ void SofiaFetch::process_block(std::uint32_t target_word, std::uint32_t prev_wor
     cont_cycle_ = std::max(timing_.fetch_cursor, exit_decoded);
   } else if (exit_op == isa::Opcode::kJalr || exit_op == isa::Opcode::kHalt) {
     // A gating scheme's indirect exit carries the block's exit label.
-    if (adm.gate_indirect && isa::is_indirect_jump(staged_.back().inst))
-      staged_.back().gate = adm.exit_label;
+    if (adm.gate_indirect && isa::is_indirect_jump(staged_.back().inst)) {
+      staged_.back().gated = true;
+      staged_.back().exit_label = adm.exit_label;
+    }
     waiting_ = true;
   } else {
     next_block_word_ = base_word + b;

@@ -63,9 +63,12 @@ struct FetchedInst {
   /// redirect again.
   bool fetch_redirected = false;
   /// Set on the indirect jump (non-ret jalr) in the exit slot of a block
-  /// whose scheme gates indirect transfers: the block's exit label, which
-  /// the transfer presents to its target (see SofiaFetch::redirect).
-  std::optional<std::uint8_t> gate;
+  /// whose scheme gates indirect transfers: the transfer presents
+  /// `exit_label` to its target (see SofiaFetch::redirect). Two plain
+  /// fields, not a std::optional, so the compiler builds a staged record
+  /// in place rather than on the stack.
+  bool gated = false;
+  std::uint8_t exit_label = 0;
   std::uint64_t ready = 0;       ///< first cycle the execute side may use it
   std::uint64_t store_gate = 0;  ///< earliest cycle a store may commit
 };
@@ -115,13 +118,12 @@ struct FetchCounters {
 //     Advance one cycle; deliver at most one instruction. `queue_full`
 //     applies backpressure.
 //
-//   void redirect(std::uint32_t target, std::uint32_t from_pc,
-//                 std::uint64_t cycle, std::optional<std::uint8_t> gate);
-//     A taken transfer executed at byte address `from_pc` redirects fetch
-//     to `target`, effective at `cycle`. Used for taken conditional
-//     branches (squashing the fall-through speculation) and for indirect
-//     jumps (which fetch cannot follow on its own). `gate` is the executed
-//     instruction's FetchedInst::gate: a gated transfer presents the
+//   void redirect(std::uint32_t target, const FetchedInst& from,
+//                 std::uint64_t cycle);
+//     The taken transfer `from` redirects fetch to `target`, effective at
+//     `cycle`. Used for taken conditional branches (squashing the
+//     fall-through speculation) and for indirect jumps (which fetch cannot
+//     follow on its own). A `gated` transfer presents the
 //     kIndirectPrevWord sentinel and must pass the target-set label check.
 //
 //   const std::optional<ResetEvent>& reset() const;
@@ -132,8 +134,8 @@ class VanillaFetch : public FetchCounters {
   VanillaFetch(Core& core, ICache& icache, std::uint32_t start_pc);
 
   std::optional<FetchedInst> step(std::uint64_t cycle, bool queue_full);
-  void redirect(std::uint32_t target, std::uint32_t from_pc,
-                std::uint64_t cycle, std::optional<std::uint8_t> gate);
+  void redirect(std::uint32_t target, const FetchedInst& from,
+                std::uint64_t cycle);
   const std::optional<ResetEvent>& reset() const { return reset_; }
 
  private:
@@ -170,8 +172,8 @@ class SofiaFetch : public FetchCounters {
       process_block(next_block_word_, cont_prev_word_, cont_cycle_);
     return std::nullopt;
   }
-  void redirect(std::uint32_t target, std::uint32_t from_pc,
-                std::uint64_t cycle, std::optional<std::uint8_t> gate);
+  void redirect(std::uint32_t target, const FetchedInst& from,
+                std::uint64_t cycle);
   const std::optional<ResetEvent>& reset() const { return reset_; }
 
  private:

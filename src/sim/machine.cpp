@@ -155,8 +155,7 @@ class Machine {
       case Effect::Kind::kTaken:
         // Squash the fall-through speculation, unless fetch already
         // followed this direct jump at decode time.
-        if (!fi.fetch_redirected)
-          redirect(effect.target, fi.pc, start, fi.gate);
+        if (!fi.fetch_redirected) redirect(effect.target, fi, start);
         break;
       case Effect::Kind::kHalt:
         finish(RunResult::Status::kHalted, start + 1);
@@ -176,10 +175,10 @@ class Machine {
     busy_until_ = start + duration;
   }
 
-  void redirect(std::uint32_t target, std::uint32_t from_pc, std::uint64_t start,
-                std::optional<std::uint8_t> gate) {
+  void redirect(std::uint32_t target, const FetchedInst& from,
+                std::uint64_t start) {
     queue_.clear();
-    fetch_.redirect(target, from_pc, start + config_.redirect_bubble, gate);
+    fetch_.redirect(target, from, start + config_.redirect_bubble);
   }
 
   void collect_stats() {
