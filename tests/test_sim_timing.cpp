@@ -502,9 +502,9 @@ table: .word f1, f2
 table2: .word g1, g2
 )";
 
-/// Seal `session`'s program and return the traced config its device runs.
-SimConfig traced(const pipeline::Pipeline& session) {
-  SimConfig cfg = session.effective_sim_config();
+/// The configuration `p`'s device runs with, tracing on.
+SimConfig traced(const pipeline::Pipeline& p) {
+  SimConfig cfg = p.effective_sim_config();
   cfg.collect_trace = true;
   return cfg;
 }
@@ -513,7 +513,7 @@ std::vector<DigestCase> digest_cases() {
   using pipeline::DeviceProfile;
   using pipeline::Pipeline;
   std::vector<DigestCase> cases;
-  const auto session = [](const std::string& wl, DeviceProfile profile) {
+  const auto workload = [](const std::string& wl, DeviceProfile profile) {
     const std::uint32_t size =
         std::max(4u, workloads::workload(wl).default_size / 16);
     return std::make_shared<Pipeline>(
@@ -543,12 +543,12 @@ std::vector<DigestCase> digest_cases() {
 
   // Every workload at smoke size: the vanilla core and each scheme.
   for (const auto& wl : workloads::all_workloads()) {
-    const auto base = session(wl.name, DeviceProfile::paper_default());
+    const auto base = workload(wl.name, DeviceProfile::paper_default());
     cases.push_back({wl.name + "/vanilla", [base] {
                        return run_image(base->vanilla_image(), traced(*base));
                      }});
     for (const auto& scheme : scheme::scheme_names()) {
-      const auto p = session(wl.name, scheme_profile(scheme));
+      const auto p = workload(wl.name, scheme_profile(scheme));
       cases.push_back({wl.name + "/" + scheme, [p] {
                          return run_image(p->hardened().image, traced(*p));
                        }});
@@ -557,7 +557,7 @@ std::vector<DigestCase> digest_cases() {
 
   // Front-end and engine configurations on two small workloads.
   for (const std::string wl : {"crc32", "fib"}) {
-    const auto p = session(wl, DeviceProfile::paper_default());
+    const auto p = workload(wl, DeviceProfile::paper_default());
     add_pair(wl + "/iterative", p,
              [](SimConfig& c) { c.cipher.pipelined = false; });
     add_pair(wl + "/non-alternating", p,
@@ -571,12 +571,12 @@ std::vector<DigestCase> digest_cases() {
              [](SimConfig& c) { c.fetch_words_per_cycle = 1; });
     DeviceProfile six = DeviceProfile::paper_default();
     six.policy = xform::BlockPolicy::small_unrestricted();
-    add_pair(wl + "/block6", session(wl, six), none);
+    add_pair(wl + "/block6", workload(wl, six), none);
   }
 
   // Runs that end early: tampering, a fetch fault, a gated-indirect
   // retarget, and a cycle budget that runs out inside an I-cache refill.
-  const auto crc = session("crc32", DeviceProfile::paper_default());
+  const auto crc = workload("crc32", DeviceProfile::paper_default());
   cases.push_back({"crc32/tampered", [crc] {
                      auto img = crc->hardened().image;
                      img.text[img.text.size() / 2] ^= 1u << 7;
