@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -14,6 +15,8 @@
 #include "scheme/scheme.hpp"
 #include "support/error.hpp"
 #include "verify/verify.hpp"
+#include "workloads/workloads.hpp"
+#include "xform/transform.hpp"
 
 namespace {
 
@@ -240,6 +243,268 @@ TEST(CbcmacGoldens, ImagesAndRunsMatchThePreRefactorCapture) {
     auto pf = pipeline::Pipeline::from_workload(row.workload, 1, 16, fp);
     expect_stats(row.functional, pf.run(), label + " backend=functional");
   }
+}
+
+// ---- every scheme's sealed and opened bytes --------------------------------
+
+// One FNV-1a digest per workload x scheme x cipher x granularity at smoke
+// size. It covers the hardened image, every block's pre-encryption view
+// and every field of the DeviceBlock that each valid entry path opens to,
+// from the sealed words and from the same words with one bit flipped. The
+// digests were recorded before sofia-cbcmac, flta and null shared one CTR
+// sealer and opener: any change to a sealed byte, a verdict, a gate label
+// or an op list the cycle model replays shows here.
+class BlockDigest {
+ public:
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xFF;
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  template <typename T>
+  void add_all(const std::vector<T>& values) {
+    add(values.size());
+    for (const T v : values) add(v);
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+void add_opened(BlockDigest& d, const scheme::DeviceBlock& dev) {
+  d.add(static_cast<std::uint64_t>(dev.verify_cause));
+  d.add(dev.first_inst);
+  d.add_all(dev.plain);
+  for (const auto* ops : {&dev.decrypt_ops, &dev.verify_ops}) {
+    d.add(ops->size());
+    for (const scheme::OpSpan& op : *ops) {
+      d.add(op.first);
+      d.add(op.count);
+    }
+  }
+  d.add_all(dev.verify_extra_words);
+  for (const std::uint64_t v :
+       {std::uint64_t{dev.serial_decrypt}, std::uint64_t{dev.performs_verify},
+        std::uint64_t{dev.header_words}, std::uint64_t{dev.gate_indirect},
+        std::uint64_t{dev.entry_label}, std::uint64_t{dev.exit_label}})
+    d.add(v);
+}
+
+std::uint64_t sealed_and_opened_digest(const workloads::WorkloadSpec& wl,
+                                       const std::string& scheme_name,
+                                       crypto::CipherKind cipher,
+                                       crypto::Granularity gran) {
+  pipeline::DeviceProfile profile = pipeline::DeviceProfile::example(cipher);
+  profile.scheme = scheme_name;
+  profile.granularity = gran;
+  // The sweep's --smoke size for this workload.
+  auto p = pipeline::Pipeline::from_workload(
+      wl, 1, std::max(4u, wl.default_size / 16), profile);
+  const xform::TransformResult& hard = p.hardened();
+  const crypto::KeySet keys = profile.keys();
+  const auto opener = scheme::get_scheme(scheme_name)
+                          .make_opener(keys, hard.image.omega, gran);
+  const std::uint32_t b = hard.layout.policy().words_per_block;
+
+  BlockDigest d;
+  d.add_all(hard.image.text);
+  d.add_all(hard.image.data);
+  std::uint32_t at = 0;  // the block's first word in image.text
+  for (const xform::Block& block : hard.layout.blocks()) {
+    d.add_all(xform::block_plaintext(hard.layout, block, keys, scheme_name));
+    const std::uint32_t index = at / b;
+    const std::vector<std::uint32_t> offsets =
+        block.kind == xform::BlockKind::kMux ? std::vector<std::uint32_t>{1, 2}
+                                             : std::vector<std::uint32_t>{0};
+    for (const std::uint32_t offset : offsets) {
+      const scheme::EntryPath path = scheme::entry_path(offset, b);
+      const std::uint32_t prev =
+          offset == 2 ? block.pred2_word : block.pred1_word;
+      std::vector<std::uint32_t> raw(b, 0);
+      for (const std::uint32_t j : path.sched) raw[j] = hard.image.text[at + j];
+      add_opened(d, opener->open(block.base_word, prev, path, raw));
+      // The flipped word and bit move over header and body block by block.
+      raw[path.sched[index % path.sched.size()]] ^= 1u << (index * 5 % 32);
+      add_opened(d, opener->open(block.base_word, prev, path, raw));
+    }
+    at += b;
+  }
+  return d.value();
+}
+
+struct SealedRow {
+  const char* workload;
+  const char* scheme;
+  /// RECTANGLE-80 per-pair, per-word; Speck64 per-pair, per-word.
+  std::uint64_t digest[4];
+};
+
+const SealedRow kSealedDigests[] = {
+    {"adpcm_encode", "sofia-cbcmac",
+     {0xbf16bd140c46e5d9ull, 0x9d30c4f7d34c648dull,
+      0xbd451c6a56680845ull, 0x993176c30c6dc3a4ull}},
+    {"adpcm_encode", "sponge",
+     {0xb9e28d18a1763cd9ull, 0xb9e28d18a1763cd9ull,
+      0xbbe5f17bcb7b1777ull, 0xbbe5f17bcb7b1777ull}},
+    {"adpcm_encode", "null",
+     {0xc3e1633b5c3c0bb1ull, 0x49cb7858dc7ee861ull,
+      0xaffe4e8be489179dull, 0x1a9b1e386be1f5bcull}},
+    {"adpcm_encode", "flta",
+     {0xd1cf9c489520e202ull, 0xe527ec3991c78576ull,
+      0x323597d610e67a26ull, 0x564c1d5c051d5ee3ull}},
+    {"adpcm_decode", "sofia-cbcmac",
+     {0x733caa71450db270ull, 0x69a9860638991e61ull,
+      0xee2e9d23640d84e2ull, 0x9c4a5081c0d88e0dull}},
+    {"adpcm_decode", "sponge",
+     {0xd4d2a84234d1a9efull, 0xd4d2a84234d1a9efull,
+      0x35b98b7664e99d54ull, 0x35b98b7664e99d54ull}},
+    {"adpcm_decode", "null",
+     {0xf39a3bdcec4cd6b1ull, 0x9f453f8841eb0894ull,
+      0x657316e1e0257863ull, 0xf3bcdfbb21f941ccull}},
+    {"adpcm_decode", "flta",
+     {0x54a70fb44e331eb1ull, 0xc64a02a43e1819b4ull,
+      0x1e02a17b0d945a2bull, 0xdcf74c5eeb2ba174ull}},
+    {"crc32", "sofia-cbcmac",
+     {0xc74e7083e0f5e3f2ull, 0xdc60860a0d346f59ull,
+      0x7a6111414538fdc7ull, 0x91d370bbbd536e79ull}},
+    {"crc32", "sponge",
+     {0xb68f7e4635113cc5ull, 0xb68f7e4635113cc5ull,
+      0x8785d6d7c385c3d4ull, 0x8785d6d7c385c3d4ull}},
+    {"crc32", "null",
+     {0x8a9f039efdc25036ull, 0x1254c6e9aa46d001ull,
+      0xe60cb3555aabdf43ull, 0x78bd98a45ab4d125ull}},
+    {"crc32", "flta",
+     {0xbd35c015ad5a4aa2ull, 0x6b1ef2224eb08049ull,
+      0xffa98d097ab5e2e7ull, 0xcd12397f3bd9998dull}},
+    {"fir", "sofia-cbcmac",
+     {0xfa5981bdaef642eaull, 0x9d24c4d83fd201caull,
+      0x3d30813615c38196ull, 0x1d728c7f86f29e3full}},
+    {"fir", "sponge",
+     {0x16af2e33e618c75aull, 0x16af2e33e618c75aull,
+      0xb3ca7c954b1f4cfbull, 0xb3ca7c954b1f4cfbull}},
+    {"fir", "null",
+     {0xd30d9dde01fe25fbull, 0xeea8ac66a334a0b3ull,
+      0xcb3d76f600fce747ull, 0x4b167ebdd7ca95eaull}},
+    {"fir", "flta",
+     {0x1fbc8ca144bf78a6ull, 0x416540305a63d44eull,
+      0x531b9bfb3311b37aull, 0xaaa0e15a2caf8bd3ull}},
+    {"quicksort", "sofia-cbcmac",
+     {0x506e48b0d4763fbcull, 0xa90b9883dc397ff5ull,
+      0xdbb39c13436b84f4ull, 0xc9247c5270cd2230ull}},
+    {"quicksort", "sponge",
+     {0xd41364970e9e3073ull, 0xd41364970e9e3073ull,
+      0x966bea7ef919ee6bull, 0x966bea7ef919ee6bull}},
+    {"quicksort", "null",
+     {0xcf5d6e4e61fda9b1ull, 0xfa17440201c9f464ull,
+      0x180aa2642c3f3ed5ull, 0xdba2f3d478bc8875ull}},
+    {"quicksort", "flta",
+     {0x60ca123ad5a1fee9ull, 0x9f158b4ea52e739cull,
+      0x00fbafce1f6582ddull, 0x69f422f6708196b9ull}},
+    {"matmul", "sofia-cbcmac",
+     {0x38bc4c227a501ee6ull, 0x270cda90bb363fcdull,
+      0x397a1cbb6270d54cull, 0x1bdc6eac94edbc51ull}},
+    {"matmul", "sponge",
+     {0x28aa0cc84d0716b3ull, 0x28aa0cc84d0716b3ull,
+      0x2b14af66583668d2ull, 0x2b14af66583668d2ull}},
+    {"matmul", "null",
+     {0x20214a95b39d734full, 0x626758f1631924b0ull,
+      0x3cdd8a9aef4f2ac1ull, 0x915295f1621a4f90ull}},
+    {"matmul", "flta",
+     {0x6ad3259ff22271eaull, 0x06efacfea02b5bb9ull,
+      0xc5ed96bde9a60290ull, 0xcae7336a7a37ac75ull}},
+    {"strsearch", "sofia-cbcmac",
+     {0xb478dd0330623354ull, 0xd497a9032a478085ull,
+      0xeeffc38be9b9e1ddull, 0x44d18c03ba313eb3ull}},
+    {"strsearch", "sponge",
+     {0xcc25f094b95ca114ull, 0xcc25f094b95ca114ull,
+      0xcb643ee449334b8bull, 0xcb643ee449334b8bull}},
+    {"strsearch", "null",
+     {0xdb84d29e0037b8cdull, 0x6e1b9cb2014a6b10ull,
+      0x7b87dfe959d30e74ull, 0xab04bfedd0c1b88aull}},
+    {"strsearch", "flta",
+     {0x560776ced1d7000cull, 0xe505480f62b2cc01ull,
+      0x3ff2e9e122cabfa5ull, 0x634bb19c361b6fffull}},
+    {"fib", "sofia-cbcmac",
+     {0xfba0303b259141b7ull, 0x3596d5cf53249480ull,
+      0x395c33c3df61ed1bull, 0xc2bb7b89bb935bacull}},
+    {"fib", "sponge",
+     {0xc3abf8d5f39a78c0ull, 0xc3abf8d5f39a78c0ull,
+      0xea64f47f05552f2dull, 0xea64f47f05552f2dull}},
+    {"fib", "null",
+     {0x874c175f1e6fd9d7ull, 0xb74943418b3d33c0ull,
+      0xb2e193172dfbe5b7ull, 0xbb9fb139f3a9b98cull}},
+    {"fib", "flta",
+     {0x137b17f40b618eb6ull, 0x218696a6e046f68dull,
+      0x484bbec3265d9436ull, 0x5254e056e5c1afb5ull}},
+    {"minivm", "sofia-cbcmac",
+     {0xdd33fc7ab5bb8a75ull, 0x3867af61ae342492ull,
+      0x7dca8faa52f0b6ceull, 0xac8120c62984d58eull}},
+    {"minivm", "sponge",
+     {0x5140ab31e0a62ea1ull, 0x5140ab31e0a62ea1ull,
+      0x0e3f0dd43d7a0437ull, 0x0e3f0dd43d7a0437ull}},
+    {"minivm", "null",
+     {0xd2dda3055b73bbbcull, 0x7d7aa1e818257abbull,
+      0xe5199c113a685bcfull, 0xeb760c6bd953683bull}},
+    {"minivm", "flta",
+     {0x8c26f171f0c07a28ull, 0x486383d54dc3ed68ull,
+      0x38314adece8e3233ull, 0x03ddefb45887f5fbull}},
+    {"bitcount", "sofia-cbcmac",
+     {0x2634a429702d3215ull, 0xfeec0f8c586c08adull,
+      0x5b672be21056f4b7ull, 0x40b93dc536f5c009ull}},
+    {"bitcount", "sponge",
+     {0x6b006eee73292ffcull, 0x6b006eee73292ffcull,
+      0x8c966d7662e95ce9ull, 0x8c966d7662e95ce9ull}},
+    {"bitcount", "null",
+     {0x021f1b052dde21b1ull, 0x9707c630f6649989ull,
+      0x7f6e46fdefcedda7ull, 0xa94e97e0fb4d2ab5ull}},
+    {"bitcount", "flta",
+     {0xda511ac2c826dfd9ull, 0x49d9137c3781f6f5ull,
+      0x60fead170fe7e7b3ull, 0x2d2d30ed6ae6dbedull}},
+    {"dijkstra", "sofia-cbcmac",
+     {0xf2321b2ae0fd46f7ull, 0xa2b485e54de8dd19ull,
+      0x55b7e9cb218afaf7ull, 0xd0176c945895e1a8ull}},
+    {"dijkstra", "sponge",
+     {0x6287ca3fe5900772ull, 0x6287ca3fe5900772ull,
+      0x4f6430e3d06c8c03ull, 0x4f6430e3d06c8c03ull}},
+    {"dijkstra", "null",
+     {0xf142fa4e03a8f4aeull, 0x27b3032c2a36d034ull,
+      0xc2c08e4f84d133caull, 0xe9c1da8400f014e9ull}},
+    {"dijkstra", "flta",
+     {0x3fd91dea6a9114efull, 0xbd0a8a8b2e1e4095ull,
+      0x05796f3ad3e48437ull, 0x37aeee281cba6ed8ull}},
+};
+
+TEST(SchemeDigest, SealedAndOpenedBlocksMatchTheRecordedDigests) {
+  std::size_t row = 0;
+  for (const auto& wl : workloads::all_workloads()) {
+    for (const std::string& name : scheme::scheme_names()) {
+      ASSERT_LT(row, std::size(kSealedDigests));
+      const SealedRow& want = kSealedDigests[row++];
+      std::uint64_t got[4];
+      std::size_t i = 0;
+      for (const auto cipher : {crypto::CipherKind::kRectangle80,
+                                crypto::CipherKind::kSpeck64_128})
+        for (const auto gran :
+             {crypto::Granularity::kPerPair, crypto::Granularity::kPerWord})
+          got[i++] = sealed_and_opened_digest(wl, name, cipher, gran);
+      char line[160];
+      std::snprintf(line, sizeof line,
+                    "{\"%s\", \"%s\",\n {0x%016llxull, 0x%016llxull,\n"
+                    "  0x%016llxull, 0x%016llxull}},",
+                    wl.name.c_str(), name.c_str(),
+                    static_cast<unsigned long long>(got[0]),
+                    static_cast<unsigned long long>(got[1]),
+                    static_cast<unsigned long long>(got[2]),
+                    static_cast<unsigned long long>(got[3]));
+      EXPECT_EQ(want.workload, wl.name) << line;
+      EXPECT_EQ(want.scheme, name) << line;
+      for (std::size_t k = 0; k < 4; ++k)
+        EXPECT_EQ(got[k], want.digest[k]) << line;
+    }
+  }
+  EXPECT_EQ(row, std::size(kSealedDigests));
 }
 
 // ---- cross-scheme behavior -------------------------------------------------
