@@ -122,8 +122,8 @@ out: .word 0
   std::vector<SchemeRow> rows;
   for (const auto& entry : scheme::scheme_registry()) {
     SchemeRow row;
-    row.scheme = std::string(entry.name);
-    row.authenticated = entry.get().traits().authenticated;
+    row.scheme = std::string(entry.name());
+    row.authenticated = entry.traits().authenticated;
 
     pipeline::DeviceProfile profile = pipeline::DeviceProfile::with_keys(keys);
     profile.scheme = row.scheme;

@@ -70,7 +70,7 @@ std::string CellSpec::label() const {
 CampaignSpec default_campaign() {
   CampaignSpec spec;
   for (const auto& entry : scheme::scheme_registry()) {
-    const bool uses_gran = entry.get().traits().uses_granularity;
+    const bool uses_gran = entry.traits().uses_granularity;
     for (const auto cipher :
          {crypto::CipherKind::kRectangle80, crypto::CipherKind::kSpeck64_128}) {
       for (const auto gran :
@@ -79,7 +79,7 @@ CampaignSpec default_campaign() {
         // for both values — one cell covers it.
         if (gran == crypto::Granularity::kPerWord && !uses_gran) continue;
         spec.cells.push_back(
-            CellSpec{std::string(entry.name), cipher, gran});
+            CellSpec{std::string(entry.name()), cipher, gran});
       }
     }
   }

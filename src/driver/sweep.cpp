@@ -597,13 +597,13 @@ SweepSpec scheme_matrix() {
     for (const auto kind :
          {crypto::CipherKind::kRectangle80, crypto::CipherKind::kSpeck64_128}) {
       ConfigPoint c = paper_default_config();
-      c.name = std::string(entry.name) + " / " +
+      c.name = std::string(entry.name()) + " / " +
                std::string(crypto::to_string(kind)) +
-               (entry.name == scheme::kDefaultScheme &&
+               (entry.name() == scheme::kDefaultScheme &&
                         kind == crypto::CipherKind::kRectangle80
                     ? " (paper)"
                     : "");
-      c.opts.profile.scheme = std::string(entry.name);
+      c.opts.profile.scheme = std::string(entry.name());
       c.opts.profile.cipher = kind;
       spec.configs.push_back(std::move(c));
     }

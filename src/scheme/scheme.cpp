@@ -1,9 +1,6 @@
 #include "scheme/scheme.hpp"
 
-#include "scheme/cbcmac_scheme.hpp"
-#include "scheme/flta_scheme.hpp"
-#include "scheme/null_scheme.hpp"
-#include "scheme/sponge_scheme.hpp"
+#include "scheme/builtin.hpp"
 #include "support/error.hpp"
 
 namespace sofia::scheme {
@@ -26,46 +23,32 @@ EntryPath entry_path(std::uint32_t offset, std::uint32_t words_per_block) {
   return path;
 }
 
-namespace {
-
-template <typename T>
-const ProtectionScheme& get() {
-  static const T instance;
-  return instance;
-}
-
-}  // namespace
-
-const std::vector<SchemeEntry>& scheme_registry() {
-  static const std::vector<SchemeEntry> registry = {
-      {"sofia-cbcmac", kCbcMacSchemeDescription, get<CbcMacScheme>},
-      {"sponge", kSpongeSchemeDescription, get<SpongeScheme>},
-      {"null", kNullSchemeDescription, get<NullScheme>},
-      {"flta", kFltaSchemeDescription, get<FltaScheme>},
-  };
+std::span<const ProtectionScheme> scheme_registry() {
+  static const ProtectionScheme registry[] = {detail::kCbcMac, detail::kSponge,
+                                              detail::kNull, detail::kFlta};
   return registry;
 }
 
 std::vector<std::string> scheme_names() {
   std::vector<std::string> names;
   for (const auto& entry : scheme_registry())
-    names.emplace_back(entry.name);
+    names.emplace_back(entry.name());
   return names;
 }
 
 bool is_scheme(std::string_view name) {
   for (const auto& entry : scheme_registry())
-    if (entry.name == name) return true;
+    if (entry.name() == name) return true;
   return false;
 }
 
 const ProtectionScheme& get_scheme(std::string_view name) {
   for (const auto& entry : scheme_registry())
-    if (entry.name == name) return entry.get();
+    if (entry.name() == name) return entry;
   std::string known;
   for (const auto& entry : scheme_registry()) {
     if (!known.empty()) known += " or ";
-    known += entry.name;
+    known += entry.name();
   }
   throw Error("unknown protection scheme '" + std::string(name) +
               "' (expected " + known + ")");

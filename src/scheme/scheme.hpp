@@ -1,6 +1,5 @@
 // Pluggable protection schemes. A ProtectionScheme owns both sides of the
-// per-block protection contract that used to be hard-wired through
-// xform::transform and the two simulator front ends:
+// per-block protection contract:
 //
 //  * the toolchain side — a Sealer turns a laid-out block's encoded
 //    instructions into the final on-image words (header words + body,
@@ -18,15 +17,17 @@
 // paths, >2 = invalid entry), and the decode-time placement rules
 // (control only in the exit slot, stores at or past store_min_word).
 //
-// Schemes are stateless singletons behind a string-keyed registry
-// mirroring sim::backend_registry(): consumers name a scheme
-// (DeviceProfile::scheme routes pipeline::Pipeline here) and the registry
-// hands back the implementation, so an alternative protection design is a
-// drop-in sweep axis.
+// A scheme is one row of a string-keyed registry mirroring
+// sim::backend_registry(): consumers name a scheme (DeviceProfile::scheme
+// routes pipeline::Pipeline here) and the registry hands back the row, so
+// an alternative protection design is a drop-in sweep axis. sofia-cbcmac,
+// flta and null share one CTR block format and differ only in the tag it
+// carries (scheme/builtin.hpp); sponge chains its own state.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -168,45 +169,65 @@ struct SchemeTraits {
   bool gates_indirect = false;
 };
 
+/// One registry row: key, description, traits and the two session
+/// factories.
 class ProtectionScheme {
  public:
-  virtual ~ProtectionScheme() = default;
+  using SealerFactory = std::unique_ptr<Sealer> (*)(const crypto::KeySet& keys,
+                                                    crypto::Granularity gran);
+  using OpenerFactory = std::unique_ptr<Opener> (*)(const crypto::KeySet& keys,
+                                                    std::uint16_t omega,
+                                                    crypto::Granularity gran);
+
+  constexpr ProtectionScheme(std::string_view name,
+                             std::string_view description,
+                             SchemeTraits traits, SealerFactory sealer,
+                             OpenerFactory opener)
+      : name_(name),
+        description_(description),
+        traits_(traits),
+        sealer_(sealer),
+        opener_(opener) {}
 
   /// Registry key, e.g. "sofia-cbcmac".
-  virtual std::string_view name() const = 0;
+  std::string_view name() const { return name_; }
 
   /// One-line human description for --help texts and reports.
-  virtual std::string_view describe() const = 0;
+  std::string_view describe() const { return description_; }
 
-  virtual SchemeTraits traits() const = 0;
+  SchemeTraits traits() const { return traits_; }
 
   /// Toolchain session: keys().omega is the sealed image's omega.
-  virtual std::unique_ptr<Sealer> make_sealer(const crypto::KeySet& keys,
-                                              crypto::Granularity gran) const = 0;
+  std::unique_ptr<Sealer> make_sealer(const crypto::KeySet& keys,
+                                      crypto::Granularity gran) const {
+    return sealer_(keys, gran);
+  }
 
   /// Device session. `omega` and `gran` come from the *image* header, not
   /// the key set — a version mismatch must garble decryption, exactly like
   /// a key mismatch (the cross-version replay attack depends on it).
-  virtual std::unique_ptr<Opener> make_opener(const crypto::KeySet& keys,
-                                              std::uint16_t omega,
-                                              crypto::Granularity gran) const = 0;
+  std::unique_ptr<Opener> make_opener(const crypto::KeySet& keys,
+                                      std::uint16_t omega,
+                                      crypto::Granularity gran) const {
+    return opener_(keys, omega, gran);
+  }
+
+ private:
+  std::string_view name_;
+  std::string_view description_;
+  SchemeTraits traits_;
+  SealerFactory sealer_;
+  OpenerFactory opener_;
 };
 
 // ---- registry --------------------------------------------------------------
-
-/// One registry row: key + description + singleton accessor.
-struct SchemeEntry {
-  std::string_view name;
-  std::string_view description;
-  const ProtectionScheme& (*get)();
-};
 
 /// The default scheme every DeviceProfile (and SimConfig) starts with —
 /// the paper's MAC-then-encrypt design.
 inline constexpr std::string_view kDefaultScheme = "sofia-cbcmac";
 
 /// Built-in schemes in a stable order ("sofia-cbcmac" first).
-const std::vector<SchemeEntry>& scheme_registry();
+std::span<const ProtectionScheme> scheme_registry();
 
 /// The registered names, in registry order.
 std::vector<std::string> scheme_names();

@@ -1,8 +1,23 @@
-#include "scheme/sponge_scheme.hpp"
+// SCFP-style sponge protection: authenticated decryption through a
+// chained cipher state instead of a separate MAC pass. Each instruction
+// word's keystream is squeezed from the running state (E_k1(S)); the
+// word's *ciphertext* and absolute address are absorbed back
+// (S' = E_k2(S ^ (c | addr << 32))), so any tampered, reordered or
+// relocated word sends the state — and every later decryption — into
+// garbage. The final state, whitened with the body length, is the block
+// tag; its two words are stored in the standard header slots and
+// CTR-encrypted with control-flow-dependent counters exactly like
+// sofia-cbcmac's MAC words, which is where entry-path binding lives. The
+// device recomputes the chain over the fetched ciphertext and resets with
+// kStateCorruption on a tag mismatch.
+//
+// Timing shape: one serial cipher op per body word (state chaining admits
+// no eager issue), no separate CBC pass. The CTR granularity axis is
+// ignored — the chain is inherently per-word (traits().uses_granularity
+// is false).
+#include "scheme/builtin.hpp"
 
-#include "scheme/ctr_common.hpp"
-
-namespace sofia::scheme {
+namespace sofia::scheme::detail {
 
 namespace {
 
@@ -52,15 +67,14 @@ class SpongeChain {
 class SpongeSealer final : public Sealer {
  public:
   explicit SpongeSealer(const crypto::KeySet& keys)
-      : enc_(keys.encryption_cipher()),
-        chain_key_(keys.exec_mac_cipher()),
-        omega_(keys.omega) {}
+      : ctr_(keys, keys.omega, crypto::Granularity::kPerWord),
+        chain_key_(keys.exec_mac_cipher()) {}
 
   std::vector<std::uint32_t> plaintext(
       const BlockInfo& info,
       const std::vector<std::uint32_t>& inst_words) const override {
     const std::uint32_t header = info.is_mux ? 3 : 2;
-    SpongeChain chain(*enc_, *chain_key_, omega_, info.base_word);
+    SpongeChain chain(*ctr_.enc, *chain_key_, ctr_.omega, info.base_word);
     for (std::uint32_t i = 0; i < inst_words.size(); ++i) {
       const std::uint32_t c = inst_words[i] ^ chain.squeeze();
       chain.absorb(c, info.base_word + header + i);
@@ -82,7 +96,7 @@ class SpongeSealer final : public Sealer {
     const std::uint32_t header = info.is_mux ? 3 : 2;
     std::vector<std::uint32_t> words = plaintext(info, inst_words);
     // Body: duplex-encrypt in place (the same chain the tag came from).
-    SpongeChain chain(*enc_, *chain_key_, omega_, info.base_word);
+    SpongeChain chain(*ctr_.enc, *chain_key_, ctr_.omega, info.base_word);
     for (std::uint32_t w = header; w < words.size(); ++w) {
       words[w] ^= chain.squeeze();
       chain.absorb(words[w], info.base_word + w);
@@ -91,25 +105,20 @@ class SpongeSealer final : public Sealer {
     // prevPC discipline as sofia-cbcmac's MAC words. A transfer from the
     // wrong predecessor garbles the decrypted tag, and the chain verdict
     // flags it.
-    for (std::uint32_t j = 0; j < header; ++j)
-      words[j] ^= crypto::keystream32(*enc_, omega_,
-                                      detail::seal_prev_word(info, j),
-                                      info.base_word + j);
+    ctr_.seal(info, std::span(words).first(header));
     return words;
   }
 
  private:
-  std::unique_ptr<crypto::BlockCipher64> enc_;
+  Ctr ctr_;
   std::unique_ptr<crypto::BlockCipher64> chain_key_;
-  std::uint16_t omega_;
 };
 
 class SpongeOpener final : public Opener {
  public:
   SpongeOpener(const crypto::KeySet& keys, std::uint16_t omega)
-      : enc_(keys.encryption_cipher()),
-        chain_key_(keys.exec_mac_cipher()),
-        omega_(omega) {}
+      : ctr_(keys, omega, crypto::Granularity::kPerWord),
+        chain_key_(keys.exec_mac_cipher()) {}
 
   DeviceBlock open(std::uint32_t base_word, std::uint32_t prev_word,
                    const EntryPath& path,
@@ -120,17 +129,12 @@ class SpongeOpener final : public Opener {
     out.plain.assign(b, 0);
     out.serial_decrypt = true;
 
-    // Scheduled header words (the entered T1 copy and the T2 slot):
-    // per-word CTR decryption with the control-flow-dependent counter.
+    // Scheduled header words (the entered T1 copy and the T2 slot, the
+    // first two fetched): per-word CTR decryption with the
+    // control-flow-dependent counter.
+    ctr_.open(path, 2, base_word, prev_word, raw, out);
     const std::uint32_t entry = path.entry_word_index;
-    const std::uint32_t tag_hi = path.is_mux ? 2u : 1u;
-    for (const std::uint32_t j : {entry, tag_hi}) {
-      out.decrypt_ops.push_back({j, 1});
-      out.plain[j] = raw[j] ^ crypto::keystream32(
-                                  *enc_, omega_,
-                                  j == entry ? prev_word : base_word + j - 1,
-                                  base_word + j);
-    }
+    const std::uint32_t tag_hi = path.sched[1];
     const std::uint64_t stored_tag =
         (static_cast<std::uint64_t>(out.plain[tag_hi]) << 32) |
         out.plain[entry];
@@ -138,7 +142,7 @@ class SpongeOpener final : public Opener {
     // Body: recompute the duplex chain over the fetched ciphertext. One
     // serial cipher op per word — op n+1 waits on op n and on the word's
     // fetch (the absorbed ciphertext is data, not just an address).
-    SpongeChain chain(*enc_, *chain_key_, omega_, base_word);
+    SpongeChain chain(*ctr_.enc, *chain_key_, ctr_.omega, base_word);
     for (std::uint32_t w = path.first_inst; w < b; ++w) {
       out.decrypt_ops.push_back({w, 1});
       out.plain[w] = raw[w] ^ chain.squeeze();
@@ -156,22 +160,24 @@ class SpongeOpener final : public Opener {
   }
 
  private:
-  std::unique_ptr<crypto::BlockCipher64> enc_;
+  Ctr ctr_;
   std::unique_ptr<crypto::BlockCipher64> chain_key_;
-  std::uint16_t omega_;
 };
 
 }  // namespace
 
-std::unique_ptr<Sealer> SpongeScheme::make_sealer(
-    const crypto::KeySet& keys, crypto::Granularity /*gran*/) const {
-  return std::make_unique<SpongeSealer>(keys);
-}
+const ProtectionScheme kSponge{
+    "sponge",
+    "SCFP-style chained-state authenticated decryption; detection by "
+    "state corruption",
+    {/*authenticated=*/true, /*uses_granularity=*/false},
+    [](const crypto::KeySet& keys, crypto::Granularity /*gran*/)
+        -> std::unique_ptr<Sealer> {
+      return std::make_unique<SpongeSealer>(keys);
+    },
+    [](const crypto::KeySet& keys, std::uint16_t omega,
+       crypto::Granularity /*gran*/) -> std::unique_ptr<Opener> {
+      return std::make_unique<SpongeOpener>(keys, omega);
+    }};
 
-std::unique_ptr<Opener> SpongeScheme::make_opener(
-    const crypto::KeySet& keys, std::uint16_t omega,
-    crypto::Granularity /*gran*/) const {
-  return std::make_unique<SpongeOpener>(keys, omega);
-}
-
-}  // namespace sofia::scheme
+}  // namespace sofia::scheme::detail

@@ -573,8 +573,8 @@ done:
   halt
 )";
   for (const auto& entry : scheme::scheme_registry()) {
-    if (!entry.get().traits().authenticated) continue;
-    const std::string name(entry.name);
+    if (!entry.traits().authenticated) continue;
+    const std::string name(entry.name());
     std::map<std::uint32_t, int> entries_faulted;  // reset pc -> entries
     int deepest_entry = 0;
     std::pair<std::uint32_t, std::uint64_t> previous{1, 0};  // no entry
