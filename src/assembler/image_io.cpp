@@ -36,6 +36,7 @@ class Reader {
     return static_cast<std::uint32_t>(lo) | (static_cast<std::uint32_t>(u16()) << 16);
   }
   std::size_t pos() const { return pos_; }
+  std::size_t remaining() const { return bytes_.size() - pos_; }
 
  private:
   const std::vector<std::uint8_t>& bytes_;
@@ -94,6 +95,10 @@ LoadImage deserialize_image(const std::vector<std::uint8_t>& bytes) {
   image.entry_prev = reader.u32();
   const std::uint32_t text_words = reader.u32();
   const std::uint32_t data_bytes = reader.u32();
+  // Bound both counts by the bytes present before reserving for them.
+  if (text_words > reader.remaining() / 4 ||
+      data_bytes > reader.remaining() - std::size_t{text_words} * 4)
+    throw Error("image: truncated");
   image.text.reserve(text_words);
   for (std::uint32_t i = 0; i < text_words; ++i) image.text.push_back(reader.u32());
   image.data.reserve(data_bytes);

@@ -18,9 +18,9 @@ std::unique_ptr<Backend> make() {
 
 const std::vector<BackendEntry>& backend_registry() {
   static const std::vector<BackendEntry> registry = {
-      {"cycle", kCycleBackendDescription, make<CycleAccurateBackend>},
-      {"functional", kFunctionalBackendDescription, make<FunctionalBackend>},
-      {"remote", kRemoteBackendDescription, make<RemoteBackend>},
+      {"cycle", make<CycleAccurateBackend>},
+      {"functional", make<FunctionalBackend>},
+      {"remote", make<RemoteBackend>},
   };
   return registry;
 }

@@ -82,10 +82,9 @@ class Backend {
                         const SimConfig& config) const = 0;
 };
 
-/// One registry row: key + description + factory.
+/// One registry row: key + factory.
 struct BackendEntry {
   std::string_view name;
-  std::string_view description;
   std::unique_ptr<Backend> (*make)();
 };
 

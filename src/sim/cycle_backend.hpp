@@ -10,14 +10,11 @@
 
 namespace sofia::sim {
 
-inline constexpr std::string_view kCycleBackendDescription =
-    "cycle-accurate core + SOFIA front end (paper-faithful timing)";
-
 class CycleAccurateBackend final : public Backend {
  public:
   std::string_view name() const override { return "cycle"; }
   std::string_view describe() const override {
-    return kCycleBackendDescription;
+    return "cycle-accurate core + SOFIA front end (paper-faithful timing)";
   }
   BackendCapabilities capabilities() const override {
     return {/*cycle_accurate=*/true, /*models_microarchitecture=*/true};

@@ -42,14 +42,11 @@
 
 namespace sofia::sim {
 
-inline constexpr std::string_view kFunctionalBackendDescription =
-    "architectural interpreter, full integrity checks, no timing";
-
 class FunctionalBackend final : public Backend {
  public:
   std::string_view name() const override { return "functional"; }
   std::string_view describe() const override {
-    return kFunctionalBackendDescription;
+    return "architectural interpreter, full integrity checks, no timing";
   }
   BackendCapabilities capabilities() const override {
     return {/*cycle_accurate=*/false, /*models_microarchitecture=*/false};

@@ -21,9 +21,6 @@ struct Frame;
 
 namespace sofia::sim {
 
-inline constexpr std::string_view kRemoteBackendDescription =
-    "ship runs to a sofia_worker over stdio pipes (subprocess/ssh/container)";
-
 class RemoteBackend final : public Backend {
  public:
   /// Endpoint from the SOFIA_WORKER / SOFIA_WORKER_BACKEND environment.
@@ -38,7 +35,8 @@ class RemoteBackend final : public Backend {
 
   std::string_view name() const override { return "remote"; }
   std::string_view describe() const override {
-    return kRemoteBackendDescription;
+    return "ship runs to a sofia_worker over stdio pipes "
+           "(subprocess/ssh/container)";
   }
 
   /// Forwarded from the far-side backend via a hello exchange (cached after

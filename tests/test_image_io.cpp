@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <utility>
 
 #include "assembler/image_io.hpp"
 #include "sim_test_util.hpp"
@@ -79,6 +81,27 @@ TEST(ImageIo, RejectsTruncation) {
   auto bytes = serialize_image(sample_image());
   bytes.resize(bytes.size() / 2);
   EXPECT_THROW(deserialize_image(bytes), Error);
+}
+
+// A header whose counts claim more words or bytes than the file holds must
+// be rejected before anything is reserved for them.
+TEST(ImageIo, RejectsCountsPastTheEnd) {
+  auto header = serialize_image(link_vanilla(assemble("main:\n halt\n")));
+  header.resize(40);  // magic .. the text and data counts
+  for (const auto& [text_words, data_bytes] :
+       {std::pair{0xFFFFFFFFu, 0xFFFFFFFFu}, std::pair{0u, 0xFFFFFFFFu}}) {
+    auto bytes = header;
+    for (int i = 0; i < 4; ++i) {
+      bytes[32 + i] = static_cast<std::uint8_t>(text_words >> (8 * i));
+      bytes[36 + i] = static_cast<std::uint8_t>(data_bytes >> (8 * i));
+    }
+    try {
+      deserialize_image(bytes);
+      FAIL() << "counts past the end must throw";
+    } catch (const Error& e) {
+      EXPECT_STREQ(e.what(), "image: truncated");
+    }
+  }
 }
 
 TEST(ImageIo, RejectsCorruptPayload) {

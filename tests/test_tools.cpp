@@ -126,6 +126,20 @@ TEST_F(Tools, ObjdumpShowsCiphertextForSofia) {
   EXPECT_EQ(dump.find("addi"), std::string::npos) << dump;
 }
 
+// A 40-byte header claiming 0xFFFFFFFF text words and data bytes is a
+// truncated image, not an allocation to attempt.
+TEST_F(Tools, ObjdumpRejectsCountsPastTheEnd) {
+  std::string header("SOFI\x01\x00", 6);
+  header.append(26, '\0');   // flags .. entry_prev
+  header.append(8, '\xFF');  // text words, data bytes
+  std::ofstream(img_, std::ios::binary) << header;
+  int code = 0;
+  const auto dump =
+      run_command(std::string(SOFIA_OBJDUMP_BIN) + " " + img_, &code);
+  EXPECT_EQ(code, 1) << dump;
+  EXPECT_NE(dump.find("image: truncated"), std::string::npos) << dump;
+}
+
 TEST_F(Tools, ObjdumpDisassemblesVanilla) {
   int code = 0;
   run_command(std::string(SOFIA_ASM_BIN) + " --vanilla --quiet " + src_ + " " +
