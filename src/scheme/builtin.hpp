@@ -46,6 +46,13 @@ struct Ctr {
   crypto::Granularity gran;
 };
 
+/// A block's pre-encryption words: the header [h0, h1] — a multiplexor
+/// block stores [h0, h0, h1], one h0 copy per entry path (§II-D) — then
+/// the encoded instructions.
+std::vector<std::uint32_t> block_words(
+    const BlockInfo& info, std::uint32_t h0, std::uint32_t h1,
+    const std::vector<std::uint32_t>& inst_words);
+
 // The registry's rows (scheme.cpp copies them into scheme_registry()).
 extern const ProtectionScheme kCbcMac, kFlta, kNull;  // ctr.cpp
 extern const ProtectionScheme kSponge;                // sponge.cpp

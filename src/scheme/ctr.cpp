@@ -54,10 +54,19 @@ void Ctr::open(const EntryPath& path, std::size_t count,
   }
 }
 
+std::vector<std::uint32_t> block_words(
+    const BlockInfo& info, std::uint32_t h0, std::uint32_t h1,
+    const std::vector<std::uint32_t>& inst_words) {
+  std::vector<std::uint32_t> words =
+      info.is_mux ? std::vector<std::uint32_t>{h0, h0, h1}
+                  : std::vector<std::uint32_t>{h0, h1};
+  words.insert(words.end(), inst_words.begin(), inst_words.end());
+  return words;
+}
+
 namespace {
 
-/// The two header words a tag seals, [h0, h1]; a multiplexor block stores
-/// [h0, h0, h1], one h0 copy per entry path (§II-D).
+/// The two header words a tag seals (see block_words).
 using Header = std::array<std::uint32_t, 2>;
 
 /// Block word index of h1: after the one or two h0 copies.
@@ -74,11 +83,7 @@ class CtrSealer final : public Sealer {
       const BlockInfo& info,
       const std::vector<std::uint32_t>& inst_words) const override {
     const auto [h0, h1] = tag_.header(info, inst_words);
-    std::vector<std::uint32_t> words =
-        info.is_mux ? std::vector<std::uint32_t>{h0, h0, h1}
-                    : std::vector<std::uint32_t>{h0, h1};
-    words.insert(words.end(), inst_words.begin(), inst_words.end());
-    return words;
+    return block_words(info, h0, h1, inst_words);
   }
 
   std::vector<std::uint32_t> seal(

@@ -81,13 +81,8 @@ class SpongeSealer final : public Sealer {
     }
     const std::uint64_t tag =
         chain.tag(static_cast<std::uint32_t>(inst_words.size()));
-    const auto t1 = static_cast<std::uint32_t>(tag);
-    const auto t2 = static_cast<std::uint32_t>(tag >> 32);
-    std::vector<std::uint32_t> words =
-        info.is_mux ? std::vector<std::uint32_t>{t1, t1, t2}
-                    : std::vector<std::uint32_t>{t1, t2};
-    words.insert(words.end(), inst_words.begin(), inst_words.end());
-    return words;
+    return block_words(info, static_cast<std::uint32_t>(tag),
+                       static_cast<std::uint32_t>(tag >> 32), inst_words);
   }
 
   std::vector<std::uint32_t> seal(
