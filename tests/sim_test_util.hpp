@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "assembler/link.hpp"
 #include "assembler/program.hpp"
 #include "sim/machine.hpp"
@@ -66,6 +69,47 @@ inline void expect_equivalent(const std::string& source,
   EXPECT_EQ(vres.status, sres.status);
   EXPECT_EQ(vres.exit_code, sres.exit_code);
   EXPECT_EQ(vres.output, sres.output);
+}
+
+/// Everything a run reports — status, exit code, reset verdict, fault
+/// message, console output, every SimStats field and the trace — folded
+/// into one FNV-1a digest, for tests that pin whole runs.
+inline std::uint64_t run_digest(const sim::RunResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto add = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= static_cast<std::uint8_t>(v >> (8 * i));
+      h *= 0x100000001b3ull;
+    }
+  };
+  const auto add_string = [&](const std::string& s) {
+    add(s.size());
+    for (const char c : s) {
+      h ^= static_cast<std::uint8_t>(c);
+      h *= 0x100000001b3ull;
+    }
+  };
+  add(static_cast<std::uint64_t>(r.status));
+  add(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.exit_code)));
+  add(static_cast<std::uint64_t>(r.reset.cause));
+  add(r.reset.cycle);
+  add(r.reset.pc);
+  add_string(r.fault);
+  add_string(r.output);
+  const sim::SimStats& s = r.stats;
+  for (const std::uint64_t v :
+       {s.cycles, s.insts, s.nops, s.loads, s.stores, s.branches, s.taken,
+        s.icache_hits, s.icache_misses, s.fetch_words, s.mac_words,
+        s.ctr_ops, s.cbc_ops, s.blocks_fetched, s.mac_verifications,
+        s.store_gate_stalls, s.queue_empty_cycles, s.exec_stall_cycles})
+    add(v);
+  add(r.trace.size());
+  for (const sim::TraceEntry& e : r.trace) {
+    add(e.cycle);
+    add(e.pc);
+    add(e.word);
+  }
+  return h;
 }
 
 }  // namespace sofia::test

@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "campaign/campaign.hpp"
 #include "security/attacks.hpp"
@@ -170,11 +174,30 @@ TEST_F(Attacks, FetchFaultsDetectedOrMasked) {
 }
 
 // ---------------------------------------------------------------------------
-// ROP-style demo (§IV-A-2).
+// Code-reuse demos (§IV-A-2).
 // ---------------------------------------------------------------------------
 
+/// One demo's four runs: the victim clean and attacked, on the vanilla core
+/// and on the SOFIA device.
+struct DemoRuns {
+  sim::RunResult vanilla_clean;
+  sim::RunResult vanilla_attacked;
+  sim::RunResult sofia_clean;
+  sim::RunResult sofia_attacked;
+};
+
+DemoRuns rop_demo(const crypto::KeySet& keys) {
+  auto d = run_rop_demo(keys);
+  return {d.vanilla_clean, d.vanilla_attacked, d.sofia_clean, d.sofia_attacked};
+}
+
+DemoRuns jop_demo(const crypto::KeySet& keys) {
+  auto d = run_jop_demo(keys);
+  return {d.vanilla_clean, d.vanilla_attacked, d.sofia_clean, d.sofia_attacked};
+}
+
 TEST(RopDemoTest, AttackSucceedsOnVanillaDetectedOnSofia) {
-  const auto demo = run_rop_demo(test::test_keys());
+  const auto demo = rop_demo(test::test_keys());
   // Clean runs behave identically.
   ASSERT_TRUE(demo.vanilla_clean.ok());
   ASSERT_TRUE(demo.sofia_clean.ok());
@@ -188,7 +211,7 @@ TEST(RopDemoTest, AttackSucceedsOnVanillaDetectedOnSofia) {
 }
 
 TEST(JopDemoTest, TableCorruptionTrappedByDevirtualizedDispatch) {
-  const auto demo = run_jop_demo(test::test_keys());
+  const auto demo = jop_demo(test::test_keys());
   ASSERT_TRUE(demo.vanilla_clean.ok());
   ASSERT_TRUE(demo.sofia_clean.ok());
   EXPECT_EQ(demo.vanilla_clean.output, demo.sofia_clean.output);
@@ -199,6 +222,58 @@ TEST(JopDemoTest, TableCorruptionTrappedByDevirtualizedDispatch) {
   EXPECT_EQ(demo.sofia_attacked.status, sim::RunResult::Status::kHalted);
   EXPECT_EQ(demo.sofia_attacked.output.find("7777"), std::string::npos);
   EXPECT_TRUE(demo.sofia_attacked.output.empty());
+}
+
+/// Every run of both demos, under the test keys and the paper's RECTANGLE-80
+/// example keys, folded into test::run_digest. Recorded before the demos
+/// moved onto campaign::Target; any change to a demo's victim, record,
+/// profile or budget shows here.
+constexpr struct {
+  const char* label;
+  std::uint64_t digest;
+} kDemoDigests[] = {
+    {"rop/SPECK-64/128/vanilla-clean", 0xa267b8e27e4db417ull},
+    {"rop/SPECK-64/128/vanilla-attacked", 0x2c7bd82a5d80f7aaull},
+    {"rop/SPECK-64/128/sofia-clean", 0x5606041b19db5233ull},
+    {"rop/SPECK-64/128/sofia-attacked", 0x734a1478f57ff08full},
+    {"jop/SPECK-64/128/vanilla-clean", 0xc6b758ce9a62809dull},
+    {"jop/SPECK-64/128/vanilla-attacked", 0x23676dc28bb955ccull},
+    {"jop/SPECK-64/128/sofia-clean", 0xe199299cbeb5a69cull},
+    {"jop/SPECK-64/128/sofia-attacked", 0xa37ac72b3e7c4adfull},
+    {"rop/RECTANGLE-80/vanilla-clean", 0xa267b8e27e4db417ull},
+    {"rop/RECTANGLE-80/vanilla-attacked", 0x2c7bd82a5d80f7aaull},
+    {"rop/RECTANGLE-80/sofia-clean", 0x5606041b19db5233ull},
+    {"rop/RECTANGLE-80/sofia-attacked", 0x734a1478f57ff08full},
+    {"jop/RECTANGLE-80/vanilla-clean", 0xc6b758ce9a62809dull},
+    {"jop/RECTANGLE-80/vanilla-attacked", 0x23676dc28bb955ccull},
+    {"jop/RECTANGLE-80/sofia-clean", 0xe199299cbeb5a69cull},
+    {"jop/RECTANGLE-80/sofia-attacked", 0xa37ac72b3e7c4adfull},
+};
+
+TEST_F(Attacks, CodeReuseDemosMatchTheRecordedDigests) {
+  std::vector<std::pair<std::string, sim::RunResult>> runs;
+  for (const auto& keys :
+       {test::test_keys(),
+        crypto::KeySet::example(crypto::CipherKind::kRectangle80)}) {
+    const std::string cipher(crypto::to_string(keys.kind));
+    for (const auto& [name, demo] :
+         {std::pair{"rop", rop_demo(keys)}, std::pair{"jop", jop_demo(keys)}}) {
+      const std::string row = std::string(name) + "/" + cipher + "/";
+      runs.emplace_back(row + "vanilla-clean", demo.vanilla_clean);
+      runs.emplace_back(row + "vanilla-attacked", demo.vanilla_attacked);
+      runs.emplace_back(row + "sofia-clean", demo.sofia_clean);
+      runs.emplace_back(row + "sofia-attacked", demo.sofia_attacked);
+    }
+  }
+  ASSERT_EQ(runs.size(), std::size(kDemoDigests));
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const std::uint64_t got = test::run_digest(runs[i].second);
+    char line[96];
+    std::snprintf(line, sizeof line, "{\"%s\", 0x%016llxull},",
+                  runs[i].first.c_str(), static_cast<unsigned long long>(got));
+    EXPECT_EQ(runs[i].first, kDemoDigests[i].label);
+    EXPECT_EQ(got, kDemoDigests[i].digest) << line;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -416,53 +416,9 @@ loop:
 //
 // Everything a cycle run reports — status, exit code, reset verdict, fault
 // message, console output, every SimStats field and the full trace — folded
-// into one FNV-1a digest per run. The digests were recorded before the cycle
+// into one digest per run (test::run_digest). The digests were recorded before the cycle
 // machine's hot path was reworked; any change to a simulated number, on any
 // front end or configuration below, shows here.
-
-class RunDigest {
- public:
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void add(const std::string& s) {
-    add(s.size());
-    for (const char c : s) byte(static_cast<std::uint8_t>(c));
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  void byte(std::uint8_t b) {
-    h_ ^= b;
-    h_ *= 0x100000001b3ull;
-  }
-  std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
-
-std::uint64_t digest(const RunResult& r) {
-  RunDigest d;
-  d.add(static_cast<std::uint64_t>(r.status));
-  d.add(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.exit_code)));
-  d.add(static_cast<std::uint64_t>(r.reset.cause));
-  d.add(r.reset.cycle);
-  d.add(r.reset.pc);
-  d.add(r.fault);
-  d.add(r.output);
-  const SimStats& s = r.stats;
-  for (const std::uint64_t v :
-       {s.cycles, s.insts, s.nops, s.loads, s.stores, s.branches, s.taken,
-        s.icache_hits, s.icache_misses, s.fetch_words, s.mac_words,
-        s.ctr_ops, s.cbc_ops, s.blocks_fetched, s.mac_verifications,
-        s.store_gate_stalls, s.queue_empty_cycles, s.exec_stall_cycles})
-    d.add(v);
-  d.add(r.trace.size());
-  for (const TraceEntry& e : r.trace) {
-    d.add(e.cycle);
-    d.add(e.pc);
-    d.add(e.word);
-  }
-  return d.value();
-}
 
 struct DigestCase {
   std::string label;
@@ -712,7 +668,7 @@ TEST(CycleDigest, EveryRunMatchesTheRecordedDigest) {
   const auto cases = digest_cases();
   ASSERT_EQ(cases.size(), std::size(kPinnedDigests));
   for (std::size_t i = 0; i < cases.size(); ++i) {
-    const std::uint64_t got = digest(cases[i].run());
+    const std::uint64_t got = test::run_digest(cases[i].run());
     char line[96];
     std::snprintf(line, sizeof line, "{\"%s\", 0x%016llxull},",
                   cases[i].label.c_str(),
