@@ -1,11 +1,12 @@
 // E11 — attack/detection matrix: every attack class from §I/§IV against the
 // SOFIA device, run once per registered protection scheme, plus the ROP/JOP
 // demonstrations against both cores. Every attack is a campaign
-// MutationRecord run on one campaign::Target and judged by
-// campaign::classify. `--json PATH` writes the full matrix as a
-// deterministic "sofia-attack-matrix-v3" document (fixed seeds, fixed
-// iteration order), so two runs diff byte-identically. `--json -` streams
-// the document to stdout (the human-readable matrix moves to stderr).
+// MutationRecord run on a campaign::Target (the demos' also on its vanilla
+// twin); the matrix's are judged by campaign::classify. `--json PATH`
+// writes the full matrix as a deterministic "sofia-attack-matrix-v3"
+// document (fixed seeds, fixed iteration order), so two runs diff
+// byte-identically. `--json -` streams the document to stdout (the
+// human-readable matrix moves to stderr).
 //
 //   bench_attack_matrix [--flips N] [--json PATH]
 #include <cstdio>
@@ -15,7 +16,6 @@
 #include "campaign/campaign.hpp"
 #include "driver/tables.hpp"
 #include "scheme/scheme.hpp"
-#include "security/attacks.hpp"
 #include "support/cli.hpp"
 #include "support/io.hpp"
 #include "support/json.hpp"
@@ -172,27 +172,41 @@ out: .word 0
     rows.push_back(std::move(row));
   }
 
+  // The code-reuse demos: one retarget-indirect record overwriting the
+  // victim's code pointer (its first data word) with the gadget's address,
+  // on both cores, under Alg. 1's per-word CTR.
+  pipeline::DeviceProfile demo_profile =
+      pipeline::DeviceProfile::with_keys(keys);
+  demo_profile.granularity = crypto::Granularity::kPerWord;
+  const auto smash = [](std::uint32_t gadget) -> campaign::MutationRecord {
+    return {{MutationKind::kRetargetIndirect, 0, gadget}};
+  };
+
   std::fprintf(log, "ROP demonstration (return address smashed toward a store gadget)\n");
   driver::print_rule(86, log);
-  const auto demo = security::run_rop_demo(keys);
+  const campaign::Target rop(campaign::kRopVictim, demo_profile);
   const bool rop_vanilla_breached =
-      demo.vanilla_attacked.output.find("6666") != std::string::npos;
+      rop.execute_vanilla(smash(rop.aim_vanilla("gadget")))
+          .output.find("6666") != std::string::npos;
+  const auto rop_attacked = rop.execute(smash(rop.aim("gadget")));
   const bool rop_detected =
-      demo.sofia_attacked.status == sim::RunResult::Status::kReset;
+      rop_attacked.status == sim::RunResult::Status::kReset;
   std::fprintf(log, "%-24s clean output: %-8s attacked: %s\n", "vanilla LEON3",
               "1111",
               rop_vanilla_breached ? "GADGET FIRED (6666)"
                                    : "gadget did not fire");
   std::fprintf(log, "%-24s clean output: %-8s attacked: %s (cause %s)\n", "SOFIA",
               "1111", rop_detected ? "RESET before gadget" : "NOT DETECTED",
-              std::string(to_string(demo.sofia_attacked.reset.cause)).c_str());
+              std::string(to_string(rop_attacked.reset.cause)).c_str());
 
   std::fprintf(log, "\nJOP demonstration (function-pointer table overwritten in data)\n");
   driver::print_rule(86, log);
-  const auto jop = security::run_jop_demo(keys);
+  const campaign::Target jop(campaign::kJopVictim, demo_profile);
   const bool jop_vanilla_breached =
-      jop.vanilla_attacked.output.find("7777") != std::string::npos;
-  const bool jop_trapped = jop.sofia_attacked.output.empty();
+      jop.execute_vanilla(smash(jop.aim_vanilla("gadget")))
+          .output.find("7777") != std::string::npos;
+  const bool jop_trapped =
+      jop.execute(smash(jop.aim("gadget"))).output.empty();
   std::fprintf(log, "%-24s attacked: %s\n", "vanilla LEON3",
               jop_vanilla_breached ? "GADGET FIRED (7777)"
                                    : "gadget did not fire");

@@ -3,8 +3,8 @@
 // On SOFIA every fault that isn't architecturally masked must end in a
 // reset; on the vanilla core faults silently corrupt program output. Each
 // fault is a campaign fetch-fault mutation {fetch index, bit}: the SOFIA
-// row runs it on a campaign::Target, the vanilla row applies it to the
-// same program's sequential baseline image.
+// row runs it on a campaign::Target, the vanilla row on the Target's
+// vanilla twin (the same program's sequential baseline image).
 #include <cstdio>
 
 #include "campaign/campaign.hpp"
@@ -75,24 +75,17 @@ never:
   driver::print_rule(84);
   Rng rng(7777);
 
-  // Vanilla: the sequential baseline under the same trial budget.
-  auto session = pipeline::Pipeline::from_source(program, profile);
-  sim::SimConfig config;
-  config.max_cycles = campaign::kTrialBudget;
-  session.set_sim_config(config);
-  const auto& vanilla_image = session.vanilla_image();
-  const auto& vanilla_clean = session.run_vanilla();
+  // Vanilla: the victim's sequential baseline (the Target's vanilla twin)
+  // under the same trial budget.
+  const campaign::Target target(program, profile);
+  const auto vanilla_clean = target.execute_vanilla({});
   fault_row("vanilla", vanilla_clean.stats.fetch_words, vanilla_clean.output,
             rng, [&](const campaign::MutationRecord& record) {
-              auto image = vanilla_image;
-              sim::SimConfig trial = session.sim_config();
-              campaign::apply(record, image, trial, {});
-              return session.run_image(image, trial);
+              return target.execute_vanilla(record);
             });
 
   // SOFIA fetches MAC words too; faults land uniformly over everything the
   // device reads.
-  const campaign::Target target(program, profile);
   const auto& clean = target.clean_run();
   fault_row("SOFIA", clean.stats.fetch_words + clean.stats.mac_words,
             clean.output, rng, [&](const campaign::MutationRecord& record) {

@@ -10,7 +10,6 @@
 #include <cstdio>
 
 #include "campaign/campaign.hpp"
-#include "security/attacks.hpp"
 
 namespace {
 
@@ -42,7 +41,6 @@ void narrate(const campaign::Target& target, const campaign::Mutation& m) {
 int main() {
   // The device under attack: paper defaults (RECTANGLE-80, example keys).
   const auto profile = pipeline::DeviceProfile::paper_default();
-  const auto keys = profile.keys();
 
   const char* victim = R"(
 main:
@@ -77,16 +75,26 @@ work:
   narrate(target, {MutationKind::kCrossVersionSplice, 0});
 
   std::printf("\nreturn-address smash toward a store gadget:\n");
-  const auto demo = security::run_rop_demo(keys);
+  // One retarget-indirect record overwrites the victim's return-address
+  // slot (its first data word) with the gadget's address; the attacker
+  // knows each core's layout. The demo victim seals with per-word CTR.
+  auto rop_profile = profile;
+  rop_profile.granularity = crypto::Granularity::kPerWord;
+  const campaign::Target rop(campaign::kRopVictim, rop_profile);
+  const auto vanilla_clean = rop.execute_vanilla({});
+  const auto vanilla_attacked = rop.execute_vanilla(
+      {{MutationKind::kRetargetIndirect, 0, rop.aim_vanilla("gadget")}});
+  const auto sofia_attacked =
+      rop.execute({{MutationKind::kRetargetIndirect, 0, rop.aim("gadget")}});
   std::printf("  vanilla core: clean '%s' -> attacked '%s'  (gadget fired!)\n",
-              demo.vanilla_clean.output.substr(0, 4).c_str(),
-              demo.vanilla_attacked.output.substr(0, 4).c_str());
+              vanilla_clean.output.substr(0, 4).c_str(),
+              vanilla_attacked.output.substr(0, 4).c_str());
   std::printf("  SOFIA core:   clean '%s' -> attacked: %s, cause %s — the\n"
               "  gadget block was encrypted for its legitimate predecessor,\n"
               "  not for this return edge, so its MAC check fails before the\n"
               "  store can reach the MA stage.\n",
-              demo.sofia_clean.output.substr(0, 4).c_str(),
-              to_string(demo.sofia_attacked.status).data(),
-              to_string(demo.sofia_attacked.reset.cause).data());
+              rop.clean_run().output.substr(0, 4).c_str(),
+              to_string(sofia_attacked.status).data(),
+              to_string(sofia_attacked.reset.cause).data());
   return 0;
 }

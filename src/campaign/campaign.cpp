@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "assembler/image_io.hpp"
+#include "assembler/link.hpp"
 #include "driver/jobs.hpp"
 #include "pipeline/pipeline.hpp"
 #include "remote/codec.hpp"
@@ -57,6 +58,59 @@ out: .word 0
 )";
 
 }  // namespace
+
+// The ROP victim: `vuln` loads a return address from attacker-controlled input
+// (modelling a stack smash) and returns through it. The gadget holds the
+// store that must never execute. attacker_input == 0 means benign input.
+const char kRopVictim[] = R"(
+main:
+  call vuln
+  li r10, 0xFFFF0008
+  li r1, 1111
+  sw r1, 0(r10)
+  halt
+vuln:
+  la r2, attacker_input
+  lw r3, 0(r2)
+  beqz r3, benign
+  mv lr, r3          ; smashed return address
+benign:
+  ret
+gadget:              ; the "disable the brakes" store (paper §II-B-2)
+  li r10, 0xFFFF0008
+  li r1, 6666
+  sw r1, 0(r10)
+  halt
+.data
+attacker_input: .word 0
+)";
+
+// The JOP victim: handler pointers live in writable data; the dispatch is
+// annotated with the two legitimate handlers only.
+const char kJopVictim[] = R"(
+main:
+  la r2, table
+  lw r4, 0(r2)        ; select handler 0
+  li r1, 5
+  .targets inc, dec
+  jalr lr, r4
+  li r10, 0xFFFF0008
+  sw r1, 0(r10)
+  halt
+inc:
+  addi r1, r1, 1
+  ret
+dec:
+  addi r1, r1, -1
+  ret
+gadget:
+  li r10, 0xFFFF0008
+  li r1, 7777
+  sw r1, 0(r10)
+  halt
+.data
+table: .word inc, dec
+)";
 
 std::string CellSpec::label() const {
   std::string out = scheme;
@@ -273,6 +327,7 @@ Target::Target(const SessionFactory& make,
   session_->set_sim_config(config);
 
   image_ = session_->hardened().image;
+  vanilla_ = session_->vanilla_image();
   clean_ = session_->run();
   if (!clean_.ok())
     throw Error(label + ": clean run failed: " +
@@ -324,6 +379,25 @@ sim::RunResult Target::execute(const MutationRecord& record) const {
   sim::SimConfig config = session_->sim_config();
   const auto image = tampered(record, config);
   return session_->run_image(image, config);
+}
+
+sim::RunResult Target::execute_vanilla(const MutationRecord& record) const {
+  sim::SimConfig config = session_->sim_config();
+  auto image = vanilla_;
+  apply(record, image, config, {});
+  return session_->run_image(image, config);
+}
+
+std::uint32_t Target::aim(const std::string& label) const {
+  const auto& hardened = session_->hardened();
+  const auto it = hardened.normalized.text_labels.find(label);
+  if (it == hardened.normalized.text_labels.end())
+    throw Error("attack target: unknown text label '" + label + "'");
+  return hardened.layout.block_base_addr(it->second);
+}
+
+std::uint32_t Target::aim_vanilla(const std::string& label) const {
+  return assembler::resolve_vanilla(session_->program(), {}, label);
 }
 
 namespace {

@@ -1,8 +1,8 @@
 // Mutation-based adversarial campaign engine — the dynamic complement of
 // the static verifier in src/verify/. A Target is one victim sealed once
 // and attacked through replayable MutationRecords (campaign/mutation.hpp);
-// the attack benches, the demos and the tests mount hand-picked attacks on
-// it. A campaign generates large seeded populations of tampered images,
+// the attack benches, the ROP/JOP demos and the tests mount hand-picked
+// attacks on it, on the sealed image and on its vanilla twin. A campaign generates large seeded populations of tampered images,
 // forged headers, spliced blocks and fault schedules, executes them per
 // matrix cell (scheme × cipher × granularity) as a plug-in of the shared
 // job engine (driver/jobs.hpp: shard slice, indexed thread pool,
@@ -88,13 +88,22 @@ CampaignSpec smoke(CampaignSpec spec);
 /// Tampered runs can loop on garbage; every attacked run gets this budget.
 inline constexpr std::uint64_t kTrialBudget = 10'000'000;
 
+/// The §IV-A-2 code-reuse victims. Each keeps the code pointer its attacker
+/// overwrites in its first data word, and a "gadget" label that must never
+/// run: the ROP demo smashes a return address, the JOP demo a dispatch
+/// table entry. Both attacks are one retarget-indirect record
+/// {data offset 0, Target::aim("gadget")} (aim_vanilla on the vanilla twin).
+extern const char kRopVictim[];
+extern const char kJopVictim[];
+
 /// One victim sealed once and attacked many times: the §IV-A experiment's
 /// fixture. Construction seals the victim under the profile, runs it clean
-/// (throwing sofia::Error if that run fails) and seals the donor build that
-/// cross-version splices graft from. Every attacked run copies the sealed
-/// image and the trial config, applies a MutationRecord and executes under
-/// kTrialBudget; outcomes go through classify(). All access after
-/// construction is const, so trials may run concurrently.
+/// (throwing sofia::Error if that run fails), links its vanilla twin and
+/// seals the donor build that cross-version splices graft from. Every
+/// attacked run copies the sealed image (or the twin) and the trial config,
+/// applies a MutationRecord and executes under kTrialBudget; outcomes go
+/// through classify(). All access after construction is const, so trials
+/// may run concurrently.
 class Target {
  public:
   /// An SR32 source victim; the donor is the same source sealed under
@@ -113,6 +122,18 @@ class Target {
   /// Apply `record` to fresh copies of the sealed image and the trial
   /// config and run the result.
   sim::RunResult execute(const MutationRecord& record) const;
+
+  /// The same on the vanilla twin: the victim linked sequentially in
+  /// plaintext, as the unprotected core runs it. The empty record is its
+  /// clean run. Cross-version splices have no donor here and throw.
+  sim::RunResult execute_vanilla(const MutationRecord& record) const;
+
+  /// The address an attacker who knows the layout (Kerckhoffs: everything
+  /// but the keys) aims a code pointer at to reach text label `label`: the
+  /// base of the label's block in the sealed image. aim_vanilla() is the
+  /// label's linked address in the vanilla twin. Unknown labels throw.
+  std::uint32_t aim(const std::string& label) const;
+  std::uint32_t aim_vanilla(const std::string& label) const;
 
   // The sealed attack surface, for the campaign's cache key and its
   // static-layer attribution.
@@ -135,6 +156,7 @@ class Target {
 
   std::unique_ptr<pipeline::Pipeline> session_;
   assembler::LoadImage image_;
+  assembler::LoadImage vanilla_;
   sim::RunResult clean_;
   verify::ProgramModel model_;
   assembler::LoadImage donor_;

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "campaign/campaign.hpp"
-#include "security/attacks.hpp"
 #include "security/forgery.hpp"
 #include "sim_test_util.hpp"
 
@@ -186,14 +185,27 @@ struct DemoRuns {
   sim::RunResult sofia_attacked;
 };
 
+/// Mount `victim`'s code-reuse attack on both cores: one retarget-indirect
+/// record overwriting its first data word with the gadget's address. The
+/// demos seal with Alg. 1's per-word CTR.
+DemoRuns code_reuse_demo(const char* victim, const crypto::KeySet& keys) {
+  auto profile = pipeline::DeviceProfile::with_keys(keys);
+  profile.granularity = crypto::Granularity::kPerWord;
+  const campaign::Target target(victim, profile);
+  const Mutation vanilla_smash{MutationKind::kRetargetIndirect, 0,
+                               target.aim_vanilla("gadget")};
+  const Mutation sofia_smash{MutationKind::kRetargetIndirect, 0,
+                             target.aim("gadget")};
+  return {target.execute_vanilla({}), target.execute_vanilla({vanilla_smash}),
+          target.clean_run(), target.execute({sofia_smash})};
+}
+
 DemoRuns rop_demo(const crypto::KeySet& keys) {
-  auto d = run_rop_demo(keys);
-  return {d.vanilla_clean, d.vanilla_attacked, d.sofia_clean, d.sofia_attacked};
+  return code_reuse_demo(campaign::kRopVictim, keys);
 }
 
 DemoRuns jop_demo(const crypto::KeySet& keys) {
-  auto d = run_jop_demo(keys);
-  return {d.vanilla_clean, d.vanilla_attacked, d.sofia_clean, d.sofia_attacked};
+  return code_reuse_demo(campaign::kJopVictim, keys);
 }
 
 TEST(RopDemoTest, AttackSucceedsOnVanillaDetectedOnSofia) {

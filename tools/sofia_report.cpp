@@ -12,7 +12,6 @@
 #include "driver/sweep.hpp"
 #include "driver/tables.hpp"
 #include "scheme/scheme.hpp"
-#include "security/attacks.hpp"
 #include "security/forgery.hpp"
 #include "sim/backend.hpp"
 #include "support/cli.hpp"
@@ -118,16 +117,26 @@ int main(int argc, char** argv) {
   }
 
   // --- attack round-trip ---------------------------------------------------------
-  const auto rop = security::run_rop_demo(keys);
+  // Each demo overwrites its victim's code pointer (the first data word)
+  // with the gadget's address, on both cores, under Alg. 1's per-word CTR.
+  auto demo_profile = pipeline::DeviceProfile::with_keys(keys);
+  demo_profile.granularity = crypto::Granularity::kPerWord;
+  const auto smash = [](std::uint32_t gadget) -> campaign::MutationRecord {
+    return {{campaign::MutationKind::kRetargetIndirect, 0, gadget}};
+  };
+  const campaign::Target rop(campaign::kRopVictim, demo_profile);
   const bool rop_ok =
-      rop.vanilla_attacked.output.find("6666") != std::string::npos &&
-      rop.sofia_attacked.status == sim::RunResult::Status::kReset;
+      rop.execute_vanilla(smash(rop.aim_vanilla("gadget")))
+              .output.find("6666") != std::string::npos &&
+      rop.execute(smash(rop.aim("gadget"))).status ==
+          sim::RunResult::Status::kReset;
   std::printf("%-44s %16s %16s\n", "ROP: vanilla breached / SOFIA reset",
               "detect", rop_ok ? "ok" : "FAIL");
-  const auto jop = security::run_jop_demo(keys);
+  const campaign::Target jop(campaign::kJopVictim, demo_profile);
   const bool jop_ok =
-      jop.vanilla_attacked.output.find("7777") != std::string::npos &&
-      jop.sofia_attacked.output.empty();
+      jop.execute_vanilla(smash(jop.aim_vanilla("gadget")))
+              .output.find("7777") != std::string::npos &&
+      jop.execute(smash(jop.aim("gadget"))).output.empty();
   std::printf("%-44s %16s %16s\n", "JOP: vanilla breached / SOFIA trapped",
               "detect", jop_ok ? "ok" : "FAIL");
 
