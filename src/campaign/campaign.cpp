@@ -1,6 +1,7 @@
 #include "campaign/campaign.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 
 #include "assembler/image_io.hpp"
@@ -672,6 +673,29 @@ std::string to_json(const CampaignResult& result) {
 // Shard merge
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// a + b; throws naming `where` when the sum overflows 64 bits.
+std::uint64_t checked_sum(std::uint64_t a, std::uint64_t b,
+                          const std::string& where) {
+  if (b > std::numeric_limits<std::uint64_t>::max() - a)
+    throw Error(where + ": tallies overflow 64 bits");
+  return a + b;
+}
+
+/// An unsigned header member that must fit the spec field's type T.
+template <typename T>
+T narrow_member(const json::Value& doc, const char* key,
+                const std::string& label) {
+  const std::uint64_t v = doc.at(key, label).as_uint(key);
+  if (v > std::numeric_limits<T>::max())
+    throw Error(label + ": " + key + " " + std::to_string(v) +
+                " is out of range");
+  return static_cast<T>(v);
+}
+
+}  // namespace
+
 std::string merge_json(const std::vector<std::string>& documents) {
   if (documents.empty()) throw Error("merge: no input documents");
 
@@ -689,13 +713,12 @@ std::string merge_json(const std::vector<std::string>& documents) {
     spec.name = doc.at("campaign", label).as_string("campaign");
     const auto victim = doc.at("victim", label).as_string("victim");
     spec.workload = victim == "builtin" ? "" : victim;
-    spec.size = static_cast<std::uint32_t>(doc.at("size", label).as_uint("size"));
+    spec.size = narrow_member<std::uint32_t>(doc, "size", label);
     spec.backend = doc.at("backend", label).as_string("backend");
     spec.seed = doc.at("seed", label).as_uint("seed");
-    spec.donor_omega = static_cast<std::uint16_t>(
-        doc.at("donor_omega", label).as_uint("donor_omega"));
-    spec.jobs_per_cell = static_cast<std::uint32_t>(
-        doc.at("jobs_per_cell", label).as_uint("jobs_per_cell"));
+    spec.donor_omega = narrow_member<std::uint16_t>(doc, "donor_omega", label);
+    spec.jobs_per_cell =
+        narrow_member<std::uint32_t>(doc, "jobs_per_cell", label);
 
     const auto shard =
         driver::ShardSpec::parse(doc.at("shard", label).as_string("shard"));
@@ -740,25 +763,47 @@ std::string merge_json(const std::vector<std::string>& documents) {
         out.authenticated = jc.at("authenticated", cl).as_bool("authenticated");
         out.latency_min = ~0ull;
       }
-      out.jobs += jc.at("jobs", cl).as_uint("jobs");
+      // Every trial is classified once and every detection has one reset
+      // cause: the verdicts must sum to the jobs, the causes to the
+      // detections, all without wrapping.
+      const std::uint64_t jobs = jc.at("jobs", cl).as_uint("jobs");
       const std::uint64_t detected = jc.at("detected", cl).as_uint("detected");
-      out.detected += detected;
-      out.harmless += jc.at("harmless", cl).as_uint("harmless");
+      const std::uint64_t harmless = jc.at("harmless", cl).as_uint("harmless");
       const std::uint64_t escaped = jc.at("escaped", cl).as_uint("escaped");
-      out.escaped += escaped;
-      for (const auto& [name, count] : jc.at("causes", cl).object)
-        out.causes[static_cast<std::size_t>(parse_cause(name))] +=
-            count.as_uint("causes");
-      for (const auto& [name, count] : jc.at("mutations", cl).object)
-        out.mutations[static_cast<std::size_t>(parse_mutation_kind(name))] +=
-            count.as_uint("mutations");
+      const std::uint64_t verdicts =
+          checked_sum(checked_sum(detected, harmless, cl), escaped, cl);
+      if (verdicts != jobs)
+        throw Error(cl + " classifies " + std::to_string(verdicts) +
+                    " trial(s) but ran " + std::to_string(jobs));
+      out.jobs = checked_sum(out.jobs, jobs, cl);
+      out.detected = checked_sum(out.detected, detected, cl);
+      out.harmless = checked_sum(out.harmless, harmless, cl);
+      out.escaped = checked_sum(out.escaped, escaped, cl);
+      std::uint64_t causes = 0;
+      for (const auto& [name, count] : jc.at("causes", cl).object) {
+        const std::uint64_t n = count.as_uint("causes");
+        causes = checked_sum(causes, n, cl);
+        auto& tally = out.causes[static_cast<std::size_t>(parse_cause(name))];
+        tally = checked_sum(tally, n, cl);
+      }
+      if (causes != detected)
+        throw Error(cl + " has " + std::to_string(causes) +
+                    " reset cause(s) for " + std::to_string(detected) +
+                    " detection(s)");
+      for (const auto& [name, count] : jc.at("mutations", cl).object) {
+        auto& tally =
+            out.mutations[static_cast<std::size_t>(parse_mutation_kind(name))];
+        tally = checked_sum(tally, count.as_uint("mutations"), cl);
+      }
       if (detected != 0) {
         const auto& lat = jc.at("latency", cl);
         out.latency_min =
             std::min(out.latency_min, lat.at("min_insts", cl).as_uint("min_insts"));
         out.latency_max =
             std::max(out.latency_max, lat.at("max_insts", cl).as_uint("max_insts"));
-        out.latency_total += lat.at("total_insts", cl).as_uint("total_insts");
+        out.latency_total = checked_sum(
+            out.latency_total, lat.at("total_insts", cl).as_uint("total_insts"),
+            cl);
       }
       // Each escape must be one of this cell's jobs that this document's
       // shard actually ran, and the list must match the tally it sums into.

@@ -269,10 +269,12 @@ std::string to_json(const CampaignResult& result);
 
 /// Merge one shard document per shard index back into the canonical
 /// unsharded document — byte-identical to a single-machine run. Inputs
-/// must agree on every header field, carry distinct "shard" members K/N
-/// with exactly N documents, and sum to jobs_per_cell everywhere; every
-/// escape record must name a distinct job of its own cell that its
-/// document's shard runs, one per escape the cell tallies. Throws
+/// must agree on every header field (each in its field's range), carry
+/// distinct "shard" members K/N with exactly N documents, and sum to
+/// jobs_per_cell everywhere. In every cell the verdicts must sum to its
+/// jobs and the reset causes to its detections, and no tally may overflow
+/// 64 bits; every escape record must name a distinct job of its own cell
+/// that its document's shard runs, one per escape the cell tallies. Throws
 /// sofia::Error otherwise.
 std::string merge_json(const std::vector<std::string>& documents);
 

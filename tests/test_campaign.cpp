@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <set>
 
 #include "campaign/campaign.hpp"
@@ -590,22 +591,40 @@ TEST(CampaignJson, MergeRejectsBadInputs) {
       if (k == key) return m;
     throw Error("test: no member '" + std::string(key) + "'");
   };
-  const auto forge = [&](const std::string& text,
-                         const std::function<void(json::Value&)>& edit) {
+  const auto forge_doc = [&](const std::string& text,
+                             const std::function<void(json::Value&)>& edit) {
     json::Value doc = json::parse(text);
-    edit(member(doc, "cells").array.front());
+    edit(doc);
     json::Writer w(2);
     doc.write(w);
     return w.str();
+  };
+  // Edits the document's first cell.
+  const auto forge = [&](const std::string& text,
+                         const std::function<void(json::Value&)>& edit) {
+    return forge_doc(text, [&](json::Value& doc) {
+      edit(member(doc, "cells").array.front());
+    });
+  };
+  const auto number = [&](json::Value& v, std::string_view key) {
+    return std::stoull(member(v, key).number);
+  };
+  const auto set_number = [&](json::Value& v, std::string_view key,
+                              std::uint64_t n) {
+    member(v, key).number = std::to_string(n);
   };
   const auto escapes = [&](json::Value& cell) -> std::vector<json::Value>& {
     auto& list = member(cell, "escapes").array;
     if (list.empty()) throw Error("test: the cell has no escapes");
     return list;
   };
+  // One harmless verdict turned escaped, so the verdicts still sum to the
+  // cell's jobs.
   const auto bump_tally = [&](json::Value& cell) {
-    auto& escaped = member(cell, "escaped").number;
-    escaped = std::to_string(std::stoull(escaped) + 1);
+    if (number(cell, "harmless") == 0)
+      throw Error("test: the cell has no harmless trials");
+    set_number(cell, "harmless", number(cell, "harmless") - 1);
+    set_number(cell, "escaped", number(cell, "escaped") + 1);
   };
   const auto set_job = [&](json::Value& escape, std::uint64_t job) {
     member(escape, "job").number = std::to_string(job);
@@ -644,6 +663,42 @@ TEST(CampaignJson, MergeRejectsBadInputs) {
     escapes(cell).push_back(stolen);
   });
   EXPECT_THROW(campaign::merge_json({n0, copied}), Error);
+
+  // Forged tallies: numbers no run produces, each of which the merge once
+  // folded silently. s0's first cell (sofia-cbcmac) detects its trials.
+  ASSERT_EQ(campaign::merge_json({s0, s1}), campaign::merge_json({s1, s0}));
+  const auto first_cause = [&](json::Value& cell) -> json::Value& {
+    auto& causes = member(cell, "causes").object;
+    if (causes.empty()) throw Error("test: the cell detected nothing");
+    return causes.front().second;
+  };
+  // jobs_per_cell past 32 bits in both shards (it narrowed to 10).
+  const auto wide = [&](const std::string& text) {
+    return forge_doc(text, [&](json::Value& doc) {
+      set_number(doc, "jobs_per_cell",
+                 (std::uint64_t{1} << 32) + spec.jobs_per_cell);
+    });
+  };
+  EXPECT_THROW(campaign::merge_json({wide(s0), wide(s1)}), Error);
+  // A detection dropped from the verdicts (and from its cause): they no
+  // longer sum to the cell's jobs.
+  const auto dropped = forge(s0, [&](json::Value& cell) {
+    set_number(cell, "detected", number(cell, "detected") - 1);
+    auto& cause = first_cause(cell);
+    cause.number = std::to_string(std::stoull(cause.number) - 1);
+  });
+  EXPECT_THROW(campaign::merge_json({dropped, s1}), Error);
+  // Reset causes that do not sum to the detections.
+  const auto miscaused = forge(s0, [&](json::Value& cell) {
+    auto& cause = first_cause(cell);
+    cause.number = std::to_string(std::stoull(cause.number) - 1);
+  });
+  EXPECT_THROW(campaign::merge_json({miscaused, s1}), Error);
+  // A detection tally that wraps the merged sum to one less than shard 1's.
+  const auto wrapping = forge(s0, [&](json::Value& cell) {
+    set_number(cell, "detected", std::numeric_limits<std::uint64_t>::max());
+  });
+  EXPECT_THROW(campaign::merge_json({wrapping, s1}), Error);
 }
 
 }  // namespace
