@@ -255,7 +255,10 @@ void apply(const Mutation& m, assembler::LoadImage& image,
       config.fault.bit = static_cast<unsigned>(m.b & 31);
       break;
     case MutationKind::kRetargetIndirect: {
-      if (m.a % 4 != 0 || m.a + 4 > image.data.size())
+      // Compared as m.a > size - 4: m.a + 4 would wrap for offsets near
+      // 2^64 and pass.
+      if (m.a % 4 != 0 || image.data.size() < 4 ||
+          m.a > image.data.size() - 4)
         throw Error("mutation '" + m.describe() + "': data offset " +
                     std::to_string(m.a) + " out of range for " +
                     std::to_string(image.data.size()) + " data bytes");

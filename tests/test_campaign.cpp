@@ -206,6 +206,12 @@ TEST(Mutation, ApplySemantics) {
   EXPECT_THROW(campaign::apply({MutationKind::kRetargetIndirect, 2, 0}, img,
                                config, ctx),
                Error);
+  // An aligned offset whose end (offset + 4) wraps to 0 in 64 bits.
+  EXPECT_THROW(campaign::apply({MutationKind::kRetargetIndirect,
+                                ~std::uint64_t{0} - 3, 0},
+                               img, config, ctx),
+               Error);
+  EXPECT_EQ(img.data, std::vector<std::uint8_t>(12, 0));
   EXPECT_THROW(campaign::apply({MutationKind::kBlockSplice, 2, 0}, img, config, ctx),
                Error);
   EXPECT_THROW(campaign::apply({MutationKind::kHeaderForge, 0, 2, 1}, img, config, ctx),
