@@ -268,7 +268,10 @@ class Assembler {
       need_data(ln);
       const std::int64_t n = expect_number(lex);
       if (n <= 0 || (n & (n - 1)) != 0) throw AsmError(ln, ".align must be a power of two");
-      while (prog_.data.size() % static_cast<std::size_t>(n) != 0) prog_.data.push_back(0);
+      // Bounded like .space: the padding is at most n - 1 zero bytes.
+      if (n > (1 << 24)) throw AsmError(ln, ".align boundary out of range");
+      const auto boundary = static_cast<std::size_t>(n);
+      prog_.data.resize((prog_.data.size() + boundary - 1) / boundary * boundary);
     } else {
       throw AsmError(ln, "unknown directive '" + name + "'");
     }

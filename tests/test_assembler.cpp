@@ -223,6 +223,13 @@ x: .byte 1
 y: .word 2
 )");
   EXPECT_EQ(prog.data_labels.at("y"), 4u);
+  // Bounded like .space (2^24 bytes): a 2^40 boundary once padded the data
+  // section toward 1 TiB.
+  EXPECT_THROW(assemble("main: halt\n.data\nx: .byte 1\n.align 33554432\n"),
+               AsmError);
+  EXPECT_THROW(
+      assemble("main: halt\n.data\nx: .byte 1\n.align 1099511627776\n"),
+      AsmError);
 }
 
 TEST(Assembler, WordWithLabelCreatesDataReloc) {
