@@ -60,9 +60,9 @@ out: .word 0
 
 }  // namespace
 
-// The ROP victim: `vuln` loads a return address from attacker-controlled input
-// (modelling a stack smash) and returns through it. The gadget holds the
-// store that must never execute. attacker_input == 0 means benign input.
+// The ROP victim: `vuln` loads a return address from attacker-controlled
+// input (modelling a stack smash) and returns through it. The gadget holds
+// the store that must never execute. attacker_input == 0 means benign input.
 const char kRopVictim[] = R"(
 main:
   call vuln

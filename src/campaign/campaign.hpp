@@ -2,11 +2,12 @@
 // the static verifier in src/verify/. A Target is one victim sealed once
 // and attacked through replayable MutationRecords (campaign/mutation.hpp);
 // the attack benches, the ROP/JOP demos and the tests mount hand-picked
-// attacks on it, on the sealed image and on its vanilla twin. A campaign generates large seeded populations of tampered images,
-// forged headers, spliced blocks and fault schedules, executes them per
-// matrix cell (scheme × cipher × granularity) as a plug-in of the shared
-// job engine (driver/jobs.hpp: shard slice, indexed thread pool,
-// cache-through policy), and measures the defense: detection rate,
+// attacks on it, on the sealed image and on its vanilla twin. A campaign
+// generates large seeded populations of tampered images, forged headers,
+// spliced blocks and fault schedules, executes them per matrix cell
+// (scheme × cipher × granularity) as a plug-in of the shared job engine
+// (driver/jobs.hpp: shard slice, indexed thread pool, cache-through
+// policy), and measures the defense: detection rate,
 // detection latency (retired instructions until reset), verdict
 // distribution, and — for any trial that escapes detection — a greedily
 // minimized, replayable counterexample plus a verify::lint attribution of
