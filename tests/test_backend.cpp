@@ -254,6 +254,82 @@ TEST(VanillaView, KeptFieldsChangeTheEncodedView) {
     EXPECT_NE(remote::encode_config(sim::vanilla_view(*kept)), view);
 }
 
+// remote::encode_config is the SimConfig part of every sweep and campaign
+// cache key: a field it drops would let two different runs share a key.
+// Each field, changed on its own, must change the bytes; the digests pin
+// the encoding itself, so a reordered or resized field moves every key.
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(ConfigEncoding, EveryFieldChangesTheEncodedBytes) {
+  const std::pair<const char*, void (*)(sim::SimConfig&)> fields[] = {
+      {"fetch_queue", [](sim::SimConfig& c) { c.fetch_queue = 9; }},
+      {"redirect_bubble", [](sim::SimConfig& c) { c.redirect_bubble = 5; }},
+      {"fetch_words_per_cycle",
+       [](sim::SimConfig& c) { c.fetch_words_per_cycle = 1; }},
+      {"icache.size_bytes",
+       [](sim::SimConfig& c) { c.icache.size_bytes = 2048; }},
+      {"icache.line_bytes", [](sim::SimConfig& c) { c.icache.line_bytes = 64; }},
+      {"icache.miss_penalty",
+       [](sim::SimConfig& c) { c.icache.miss_penalty = 20; }},
+      {"load_latency", [](sim::SimConfig& c) { c.load_latency = 1; }},
+      {"mul_latency", [](sim::SimConfig& c) { c.mul_latency = 7; }},
+      {"keys.kind",
+       [](sim::SimConfig& c) { c.keys.kind = crypto::CipherKind::kSpeck64_128; }},
+      {"keys.k1", [](sim::SimConfig& c) { c.keys.k1[0] ^= 1; }},
+      {"keys.k2", [](sim::SimConfig& c) { c.keys.k2[5] ^= 0x80; }},
+      {"keys.k3", [](sim::SimConfig& c) { c.keys.k3.back() ^= 1; }},
+      {"keys.omega", [](sim::SimConfig& c) { c.keys.omega = 0x1234; }},
+      {"scheme", [](sim::SimConfig& c) { c.scheme = "sponge"; }},
+      {"policy.words_per_block",
+       [](sim::SimConfig& c) { c.policy.words_per_block = 16; }},
+      {"policy.store_min_word",
+       [](sim::SimConfig& c) { c.policy.store_min_word = 3; }},
+      {"cipher.latency", [](sim::SimConfig& c) { c.cipher.latency = 13; }},
+      {"cipher.alternate", [](sim::SimConfig& c) { c.cipher.alternate = false; }},
+      {"cipher.pipelined", [](sim::SimConfig& c) { c.cipher.pipelined = false; }},
+      {"store_gate_headstart",
+       [](sim::SimConfig& c) { c.store_gate_headstart = 0; }},
+      {"fault.enabled", [](sim::SimConfig& c) { c.fault.enabled = true; }},
+      {"fault.fetch_index", [](sim::SimConfig& c) { c.fault.fetch_index = 77; }},
+      {"fault.bit", [](sim::SimConfig& c) { c.fault.bit = 31; }},
+      {"max_cycles", [](sim::SimConfig& c) { c.max_cycles = 1000; }},
+      {"collect_trace", [](sim::SimConfig& c) { c.collect_trace = true; }},
+      {"max_trace", [](sim::SimConfig& c) { c.max_trace = 4242; }},
+  };
+  const sim::SimConfig base;
+  const auto encoded = remote::encode_config(base);
+  for (const auto& [field, change] : fields) {
+    sim::SimConfig changed = base;
+    change(changed);
+    EXPECT_NE(remote::encode_config(changed), encoded) << field;
+  }
+}
+
+TEST(ConfigEncoding, DigestsOfTheEncodedBytesArePinned) {
+  // A fully populated config: non-default knobs wherever a field could
+  // silently fall out of the encoding.
+  auto p = Pipeline::from_source(kSource);
+  sim::SimConfig sample = p.effective_sim_config();
+  sample.fetch_queue = 9;
+  sample.icache.size_bytes = 2048;
+  sample.cipher.pipelined = false;
+  sample.fault.enabled = true;
+  sample.fault.fetch_index = 1234567890123ull;
+  sample.fault.bit = 17;
+  sample.max_cycles = 987654321;
+  sample.collect_trace = true;
+  sample.max_trace = 4242;
+  EXPECT_EQ(fnv1a(remote::encode_config(sim::SimConfig{})), 0xdce0ba5eeefa089aull);
+  EXPECT_EQ(fnv1a(remote::encode_config(sample)), 0x7a419f409af64975ull);
+}
+
 TEST(BackendCrossValidation, PerWordGranularityAgrees) {
   auto profile = DeviceProfile::paper_default();
   profile.granularity = crypto::Granularity::kPerWord;
