@@ -12,6 +12,10 @@
 //   .ascii "s" / .asciiz "s"
 //   .align n          pad the data section to an n-byte boundary
 //
+// The data section as a whole is capped at kMaxDataBytes, checked before
+// each directive grows it, so a short hostile source cannot make the
+// assembler allocate gigabytes.
+//
 // Pseudo-instructions: li, la, mv, neg, j, jr, call, ret, beqz, bnez, bgez,
 // bltz, bgtz, blez, ble, bgt, bleu, bgtu, seqz, snez.
 #include "assembler/program.hpp"
@@ -29,6 +33,11 @@ namespace {
 
 using isa::Instruction;
 using isa::Opcode;
+
+/// Largest data section a source may declare (16 MiB). The default memory
+/// layout leaves the data section under 1 MiB, and the built-in workloads
+/// stay far below it.
+constexpr std::uint64_t kMaxDataBytes = std::uint64_t{1} << 24;
 
 struct Token {
   enum class Kind { kIdent, kNumber, kPunct, kString } kind;
@@ -256,22 +265,26 @@ class Assembler {
     } else if (name == ".space") {
       need_data(ln);
       const std::int64_t n = expect_number(lex);
-      if (n < 0 || n > (1 << 24)) throw AsmError(ln, ".space size out of range");
+      if (n < 0) throw AsmError(ln, ".space size out of range");
+      need_room(ln, static_cast<std::uint64_t>(n));
       prog_.data.insert(prog_.data.end(), static_cast<std::size_t>(n), 0);
     } else if (name == ".ascii" || name == ".asciiz") {
       need_data(ln);
       const Token t = lex.next();
       if (t.kind != Token::Kind::kString) throw AsmError(ln, "expected string");
+      need_room(ln, t.text.size() + (name == ".asciiz" ? 1 : 0));
       for (const char c : t.text) prog_.data.push_back(static_cast<std::uint8_t>(c));
       if (name == ".asciiz") prog_.data.push_back(0);
     } else if (name == ".align") {
       need_data(ln);
       const std::int64_t n = expect_number(lex);
       if (n <= 0 || (n & (n - 1)) != 0) throw AsmError(ln, ".align must be a power of two");
-      // Bounded like .space: the padding is at most n - 1 zero bytes.
-      if (n > (1 << 24)) throw AsmError(ln, ".align boundary out of range");
-      const auto boundary = static_cast<std::size_t>(n);
-      prog_.data.resize((prog_.data.size() + boundary - 1) / boundary * boundary);
+      // n <= 2^62, so the padded size cannot wrap 64 bits.
+      const auto boundary = static_cast<std::uint64_t>(n);
+      const std::uint64_t size = prog_.data.size();
+      const std::uint64_t padded = (size + boundary - 1) / boundary * boundary;
+      need_room(ln, padded - size);
+      prog_.data.resize(static_cast<std::size_t>(padded));
     } else {
       throw AsmError(ln, "unknown directive '" + name + "'");
     }
@@ -282,9 +295,17 @@ class Assembler {
       throw AsmError(ln, "data directive outside .data");
   }
 
+  /// Throw before the data section grows by n bytes past kMaxDataBytes.
+  void need_room(int ln, std::uint64_t n) const {
+    if (n > kMaxDataBytes - prog_.data.size())
+      throw AsmError(ln, "data section exceeds " +
+                             std::to_string(kMaxDataBytes) + " bytes");
+  }
+
   void emit_value_list(LineLexer& lex, unsigned size) {
     const int ln = lex.line_no();
     do {
+      need_room(ln, size);
       const Token& t = lex.peek();
       if (t.kind == Token::Kind::kIdent) {
         if (size != 4) throw AsmError(ln, "label value requires .word");

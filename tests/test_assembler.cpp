@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "assembler/link.hpp"
 #include "assembler/program.hpp"
 #include "isa/isa.hpp"
 #include "support/error.hpp"
+#include "workloads/workloads.hpp"
 
 namespace sofia::assembler {
 namespace {
@@ -230,6 +234,48 @@ y: .word 2
   EXPECT_THROW(
       assemble("main: halt\n.data\nx: .byte 1\n.align 1099511627776\n"),
       AsmError);
+}
+
+TEST(Assembler, DataSectionIsCappedAt16MiB) {
+  // Each .space is bounded, but 70 of them at the bound once asked for
+  // about 1.2 GB from 1138 bytes of source. The whole section is capped
+  // now, and the directive that would cross the cap is the one named.
+  std::string hostile = "main: halt\n.data\n";
+  for (int i = 0; i < 70; ++i) hostile += ".space 16777216\n";
+  try {
+    assemble(hostile);
+    FAIL() << "expected AsmError";
+  } catch (const AsmError& e) {
+    EXPECT_EQ(e.line(), 4);  // the second .space
+  }
+  // Exactly at the cap is accepted; one byte more, by any directive, is not.
+  const std::string full = "main: halt\n.data\nx: .space 16777216\n";
+  EXPECT_EQ(assemble(full).data.size(), 16777216u);
+  for (const char* more : {".byte 1", ".half 1", ".word 1", ".word main",
+                           ".space 1", ".ascii \"a\"", ".asciiz \"\""}) {
+    try {
+      assemble(full + more + "\n");
+      ADD_FAILURE() << more << " past the cap was accepted";
+    } catch (const AsmError& e) {
+      EXPECT_EQ(e.line(), 4) << more;
+    }
+  }
+  // Padding to 4 lands exactly on the cap; to 2^25, past it.
+  EXPECT_EQ(assemble("main: halt\n.data\nx: .space 16777215\n.align 4\n")
+                .data.size(),
+            16777216u);
+  try {
+    assemble("main: halt\n.data\nx: .byte 1\n.align 33554432\n");
+    ADD_FAILURE() << ".align past the cap was accepted";
+  } catch (const AsmError& e) {
+    EXPECT_EQ(e.line(), 4);
+  }
+  // The built-in workloads at their default sizes stay far below the cap.
+  std::size_t largest = 0;
+  for (const auto& spec : workloads::all_workloads())
+    largest = std::max(
+        largest, assemble(spec.source(1, spec.default_size)).data.size());
+  EXPECT_LT(largest, 16777216u / 64) << largest;
 }
 
 TEST(Assembler, WordWithLabelCreatesDataReloc) {
