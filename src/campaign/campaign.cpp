@@ -796,14 +796,21 @@ std::string merge_json(const std::vector<std::string>& documents) {
         tally = checked_sum(tally, count.as_uint("mutations"), cl);
       }
       if (detected != 0) {
+        // Every detection's latency lies in [min, max] and they sum to
+        // total, so min <= max <= total and min * detected <= total.
         const auto& lat = jc.at("latency", cl);
-        out.latency_min =
-            std::min(out.latency_min, lat.at("min_insts", cl).as_uint("min_insts"));
-        out.latency_max =
-            std::max(out.latency_max, lat.at("max_insts", cl).as_uint("max_insts"));
-        out.latency_total = checked_sum(
-            out.latency_total, lat.at("total_insts", cl).as_uint("total_insts"),
-            cl);
+        const std::uint64_t min = lat.at("min_insts", cl).as_uint("min_insts");
+        const std::uint64_t max = lat.at("max_insts", cl).as_uint("max_insts");
+        const std::uint64_t total =
+            lat.at("total_insts", cl).as_uint("total_insts");
+        if (min > max || max > total || min > total / detected)
+          throw Error(cl + " has latency min " + std::to_string(min) +
+                      ", max " + std::to_string(max) + " and total " +
+                      std::to_string(total) + " insts, impossible for " +
+                      std::to_string(detected) + " detection(s)");
+        out.latency_min = std::min(out.latency_min, min);
+        out.latency_max = std::max(out.latency_max, max);
+        out.latency_total = checked_sum(out.latency_total, total, cl);
       }
       // Each escape must be one of this cell's jobs that this document's
       // shard actually ran, and the list must match the tally it sums into.

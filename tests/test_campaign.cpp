@@ -705,6 +705,38 @@ TEST(CampaignJson, MergeRejectsBadInputs) {
     set_number(cell, "detected", std::numeric_limits<std::uint64_t>::max());
   });
   EXPECT_THROW(campaign::merge_json({wrapping, s1}), Error);
+  // Latencies no set of detections has: a minimum above the maximum (and
+  // the total), a maximum above the total, and a minimum that, times the
+  // detections, exceeds the total.
+  const auto latency = [&](json::Value& cell) -> json::Value& {
+    if (number(cell, "detected") < 2)
+      throw Error("test: the cell detected fewer than two trials");
+    return member(cell, "latency");
+  };
+  const auto min_above_max = forge(s0, [&](json::Value& cell) {
+    set_number(latency(cell), "min_insts", 1'000'000'000);
+    set_number(latency(cell), "total_insts", 1);
+  });
+  EXPECT_THROW(campaign::merge_json({min_above_max, s1}), Error);
+  const auto max_above_total = forge(s0, [&](json::Value& cell) {
+    auto& lat = latency(cell);
+    set_number(lat, "max_insts", number(lat, "total_insts") + 1);
+  });
+  EXPECT_THROW(campaign::merge_json({max_above_total, s1}), Error);
+  const auto min_times_detected = forge(s0, [&](json::Value& cell) {
+    auto& lat = latency(cell);
+    set_number(lat, "min_insts", number(lat, "total_insts"));
+    set_number(lat, "max_insts", number(lat, "total_insts"));
+  });
+  try {
+    campaign::merge_json({min_times_detected, s1});
+    ADD_FAILURE() << "a minimum latency times the detections above the "
+                     "total was merged";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("merge: document 0 cell 0"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace
