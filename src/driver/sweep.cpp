@@ -208,8 +208,8 @@ constexpr PayloadCodec<JobResult> kJobCodec{
 /// The content address of one job: everything that can change its result.
 /// The hardened image bytes are the load-bearing field — they capture the
 /// whole toolchain (assembler, transform, scheme, keys, layout); profile
-/// fingerprint, canonical SimConfig encoding (shared with the remote wire
-/// protocol) and the seed cover the device and harness side.
+/// fingerprint, canonical SimConfig encoding and the seed cover the device
+/// and harness side.
 cache::Key job_key(const JobSpec& job, pipeline::Pipeline& p) {
   cache::KeyBuilder kb("sofia-cache-key-v1/sweep-job");
   kb.field("fingerprint", job.config.fingerprint());

@@ -65,23 +65,6 @@ std::string DeviceProfile::parse_scheme(std::string_view name) {
   return std::string(name);
 }
 
-remote::RemoteSpec DeviceProfile::parse_worker(std::string_view command,
-                                               std::string_view far_backend) {
-  if (command.empty())
-    throw Error("remote worker: the launch command must not be empty");
-  remote::RemoteSpec spec;
-  spec.command = std::string(command);
-  // Empty = unset: RemoteSpec::resolved() consults $SOFIA_WORKER_BACKEND
-  // and then defaults to "cycle".
-  if (!far_backend.empty()) {
-    spec.backend = parse_backend(far_backend);
-    if (spec.backend == "remote")
-      throw Error("remote worker: the far-side backend must be a local one "
-                  "(\"remote\" would recurse)");
-  }
-  return spec;
-}
-
 DeviceProfile DeviceProfile::parse(std::string_view cipher_name) {
   return example(parse_cipher(cipher_name));
 }
@@ -149,19 +132,7 @@ std::string DeviceProfile::fingerprint() const {
 }
 
 std::string DeviceProfile::backend_fingerprint() const {
-  std::string fp = "backend=" + backend;
-  if (backend == "remote") {
-    // The endpoint is part of the device identity: two remote profiles
-    // differing only in the worker or its far-side backend must not
-    // fingerprint alike — including when the difference arrives via the
-    // environment, hence the resolved() spec, the same one RemoteBackend
-    // executes on. (Absent for local backends, keeping PR-4-era
-    // fingerprints — and sweep JSON — byte-stable.)
-    const auto spec = remote.resolved();
-    fp += " remote-backend=" + spec.backend;
-    fp += " remote-command='" + spec.command + "'";
-  }
-  return fp;
+  return "backend=" + backend;
 }
 
 void DeviceProfile::to_json(json::Writer& w) const {
@@ -180,13 +151,6 @@ void DeviceProfile::to_json(json::Writer& w) const {
   w.member("granularity", crypto::to_string(granularity));
   w.member("scheme", scheme);
   w.member("backend", backend);
-  if (backend == "remote") {
-    const auto spec = remote.resolved();
-    w.key("remote").begin_object();
-    w.member("command", spec.command);
-    w.member("backend", spec.backend);
-    w.end_object();
-  }
   w.key("policy").begin_object();
   w.member("words_per_block", policy.words_per_block);
   w.member("store_min_word", policy.store_min_word);

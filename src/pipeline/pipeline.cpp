@@ -15,10 +15,8 @@ Pipeline::Pipeline(std::string name, DeviceProfile profile)
   // const run_image() overloads stay safe to call concurrently on a shared
   // session (Backend::run itself is documented concurrency-safe). An
   // unknown name is still reported lazily, with stage context, by backend().
-  // The spec-taking overload routes profile.remote to a "remote" backend
-  // (the registry's no-argument factory would only see the environment).
   if (sim::is_backend(profile_.backend))
-    backend_ = sim::make_backend(profile_.backend, profile_.remote);
+    backend_ = sim::make_backend(profile_.backend);
 }
 
 void Pipeline::fail(const char* stage, const std::string& what) const {

@@ -1,21 +1,9 @@
 #include "remote/codec.hpp"
 
-#include "support/error.hpp"
-
 namespace sofia::remote {
-
-void codec_fail(const char* what, const std::string& detail) {
-  throw Error("remote-wire: " + std::string(what) + ": " + detail);
-}
 
 void put_key(ByteWriter& w, const crypto::CipherKey& key) {
   for (const std::uint8_t b : key) w.u8(b);
-}
-
-crypto::CipherKey get_key(ByteReader& r, const char* field) {
-  crypto::CipherKey key{};
-  for (auto& b : key) b = r.u8(field);
-  return key;
 }
 
 void put_config(ByteWriter& w, const sim::SimConfig& c) {
@@ -44,43 +32,9 @@ void put_config(ByteWriter& w, const sim::SimConfig& c) {
   w.u64(c.max_cycles);
   w.u8(c.collect_trace ? 1 : 0);
   w.u64(static_cast<std::uint64_t>(c.max_trace));
-  // v2: the protection scheme the device must run (named, not an index, so
-  // worker and coordinator registries may grow independently).
+  // The protection scheme by name, not by registry index, so a new scheme
+  // never moves an existing key.
   w.str(c.scheme);
-}
-
-sim::SimConfig get_config(ByteReader& r) {
-  sim::SimConfig c;
-  c.fetch_queue = r.u32("config.fetch_queue");
-  c.redirect_bubble = r.u32("config.redirect_bubble");
-  c.fetch_words_per_cycle = r.u32("config.fetch_words_per_cycle");
-  c.icache.size_bytes = r.u32("config.icache.size_bytes");
-  c.icache.line_bytes = r.u32("config.icache.line_bytes");
-  c.icache.miss_penalty = r.u32("config.icache.miss_penalty");
-  c.load_latency = r.u32("config.load_latency");
-  c.mul_latency = r.u32("config.mul_latency");
-  const std::uint8_t kind = r.u8("config.keys.kind");
-  if (kind > static_cast<std::uint8_t>(crypto::CipherKind::kSpeck64_128))
-    r.fail("config.keys.kind", "unknown cipher kind " + std::to_string(kind));
-  c.keys.kind = static_cast<crypto::CipherKind>(kind);
-  c.keys.k1 = get_key(r, "config.keys.k1");
-  c.keys.k2 = get_key(r, "config.keys.k2");
-  c.keys.k3 = get_key(r, "config.keys.k3");
-  c.keys.omega = r.u16("config.keys.omega");
-  c.policy.words_per_block = r.u32("config.policy.words_per_block");
-  c.policy.store_min_word = r.u32("config.policy.store_min_word");
-  c.cipher.latency = r.u32("config.cipher.latency");
-  c.cipher.alternate = r.boolean("config.cipher.alternate");
-  c.cipher.pipelined = r.boolean("config.cipher.pipelined");
-  c.store_gate_headstart = r.u32("config.store_gate_headstart");
-  c.fault.enabled = r.boolean("config.fault.enabled");
-  c.fault.fetch_index = r.u64("config.fault.fetch_index");
-  c.fault.bit = r.u32("config.fault.bit");
-  c.max_cycles = r.u64("config.max_cycles");
-  c.collect_trace = r.boolean("config.collect_trace");
-  c.max_trace = static_cast<std::size_t>(r.u64("config.max_trace"));
-  c.scheme = r.str("config.scheme");
-  return c;
 }
 
 std::vector<std::uint8_t> encode_config(const sim::SimConfig& c) {

@@ -1,29 +1,24 @@
-// Canonical byte codecs shared by the wire protocol and the result cache.
+// The canonical SimConfig byte encoding behind every result-cache key.
 //
-// The SimConfig encoding used to live as a private detail of wire.cpp; the
-// content-addressed cache (src/cache/) keys entries by a digest over the
-// very same bytes the coordinator would ship to a worker, so the encoder is
-// hoisted here — one serialization, no drift between cache keys and the
-// wire. LoadImage already has its canonical form in
-// assembler::serialize_image; together these two are the complete "job
-// input" byte encoding.
+// The content-addressed cache (src/cache/) keys sweep and campaign entries
+// by a digest over these bytes, and perfbench's traced replay recomputes
+// the same keys. LoadImage has its canonical form in
+// assembler::serialize_image; together the two are the complete "job
+// input" byte encoding. perfbench compiles against this header and
+// namespace, and test_backend's ConfigEncoding tests pin the bytes: a
+// changed byte moves every cache key.
 //
-// Everything is little-endian with fixed field order; decoders throw
-// sofia::Error naming the offending field (see wire.hpp for the contract).
+// Everything is little-endian with a fixed field order.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "crypto/cipher_key.hpp"
 #include "sim/config.hpp"
 
 namespace sofia::remote {
-
-/// Throw the uniform wire diagnostic ("remote-wire: <what>: <detail>").
-[[noreturn]] void codec_fail(const char* what, const std::string& detail);
 
 // ---- byte writer ----------------------------------------------------------
 
@@ -42,14 +37,9 @@ class ByteWriter {
     u32(static_cast<std::uint32_t>(v));
     u32(static_cast<std::uint32_t>(v >> 32));
   }
-  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
   void str(const std::string& s) {
     u32(static_cast<std::uint32_t>(s.size()));
     out_.insert(out_.end(), s.begin(), s.end());
-  }
-  void bytes(const std::vector<std::uint8_t>& b) {
-    u32(static_cast<std::uint32_t>(b.size()));
-    out_.insert(out_.end(), b.begin(), b.end());
   }
   std::vector<std::uint8_t> take() { return std::move(out_); }
 
@@ -57,115 +47,15 @@ class ByteWriter {
   std::vector<std::uint8_t> out_;
 };
 
-// ---- byte reader ----------------------------------------------------------
-
-/// Sequential decoder whose every read names the message and field it was
-/// parsing, so a truncated or corrupt payload produces "remote-wire:
-/// run-request: truncated reading field 'config.max_cycles'" rather than a
-/// zeroed struct.
-class ByteReader {
- public:
-  ByteReader(const std::vector<std::uint8_t>& bytes, const char* what)
-      : bytes_(bytes), what_(what) {}
-
-  std::uint8_t u8(const char* field) {
-    need(1, field);
-    return bytes_[pos_++];
-  }
-  std::uint16_t u16(const char* field) {
-    need(2, field);
-    const std::uint16_t v = static_cast<std::uint16_t>(
-        bytes_[pos_] | (static_cast<std::uint16_t>(bytes_[pos_ + 1]) << 8));
-    pos_ += 2;
-    return v;
-  }
-  std::uint32_t u32(const char* field) {
-    need(4, field);
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i)
-      v = (v << 8) | bytes_[pos_ + static_cast<std::size_t>(i)];
-    pos_ += 4;
-    return v;
-  }
-  std::uint64_t u64(const char* field) {
-    const std::uint64_t lo = u32(field);
-    return lo | (static_cast<std::uint64_t>(u32(field)) << 32);
-  }
-  std::int32_t i32(const char* field) {
-    return static_cast<std::int32_t>(u32(field));
-  }
-  bool boolean(const char* field) {
-    const std::uint8_t v = u8(field);
-    if (v > 1) fail(field, "invalid boolean value " + std::to_string(v));
-    return v != 0;
-  }
-  std::string str(const char* field) {
-    const std::uint32_t n = length(field);
-    std::string s;
-    if (n != 0)
-      s.assign(reinterpret_cast<const char*>(bytes_.data() + pos_), n);
-    pos_ += n;
-    return s;
-  }
-  std::vector<std::uint8_t> bytes(const char* field) {
-    const std::uint32_t n = length(field);
-    std::vector<std::uint8_t> b(
-        bytes_.begin() + static_cast<std::ptrdiff_t>(pos_),
-        bytes_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-    pos_ += n;
-    return b;
-  }
-  /// A count of fixed-size records; rejected when the claimed total exceeds
-  /// the bytes actually present (oversized-length defense).
-  std::uint32_t count(const char* field, std::size_t record_size) {
-    const std::uint32_t n = u32(field);
-    if (record_size != 0 && n > remaining() / record_size)
-      fail(field, "count " + std::to_string(n) + " exceeds the " +
-                      std::to_string(remaining()) + " remaining payload bytes");
-    return n;
-  }
-  void expect_end() {
-    if (pos_ != bytes_.size())
-      codec_fail(what_, std::to_string(bytes_.size() - pos_) +
-                            " trailing payload byte(s) after the last field");
-  }
-  std::size_t remaining() const { return bytes_.size() - pos_; }
-
-  [[noreturn]] void fail(const char* field, const std::string& detail) {
-    codec_fail(what_, "field '" + std::string(field) + "': " + detail);
-  }
-
- private:
-  void need(std::size_t n, const char* field) {
-    if (remaining() < n)
-      codec_fail(what_, "truncated reading field '" + std::string(field) +
-                            "' (" + std::to_string(remaining()) + " of " +
-                            std::to_string(n) + " byte(s) left)");
-  }
-  std::uint32_t length(const char* field) {
-    const std::uint32_t n = u32(field);
-    if (n > remaining())
-      fail(field, "length " + std::to_string(n) + " exceeds the " +
-                      std::to_string(remaining()) + " remaining payload bytes");
-    return n;
-  }
-
-  const std::vector<std::uint8_t>& bytes_;
-  const char* what_;
-  std::size_t pos_ = 0;
-};
-
 // ---- shared field codecs --------------------------------------------------
 
 void put_key(ByteWriter& w, const crypto::CipherKey& key);
-crypto::CipherKey get_key(ByteReader& r, const char* field);
 
-/// The canonical SimConfig byte encoding (wire protocol v2 field order).
+/// The canonical SimConfig byte encoding, in a fixed field order.
 void put_config(ByteWriter& w, const sim::SimConfig& c);
-sim::SimConfig get_config(ByteReader& r);
 
-/// One-shot canonical form — the cache's key material. Byte-identical to
-/// what put_config writes inside a run-request payload.
+/// One-shot canonical form — the cache's key material, byte-identical to
+/// what put_config writes.
 std::vector<std::uint8_t> encode_config(const sim::SimConfig& c);
 
 }  // namespace sofia::remote

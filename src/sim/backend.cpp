@@ -2,7 +2,6 @@
 
 #include "sim/cycle_backend.hpp"
 #include "sim/functional_backend.hpp"
-#include "sim/remote_backend.hpp"
 #include "support/error.hpp"
 
 namespace sofia::sim {
@@ -20,7 +19,6 @@ const std::vector<BackendEntry>& backend_registry() {
   static const std::vector<BackendEntry> registry = {
       {"cycle", make<CycleAccurateBackend>},
       {"functional", make<FunctionalBackend>},
-      {"remote", make<RemoteBackend>},
   };
   return registry;
 }
@@ -48,12 +46,6 @@ std::unique_ptr<Backend> make_backend(std::string_view name) {
   }
   throw Error("unknown backend '" + std::string(name) + "' (expected " + known +
               ")");
-}
-
-std::unique_ptr<Backend> make_backend(std::string_view name,
-                                      const remote::RemoteSpec& remote_spec) {
-  if (name == "remote") return std::make_unique<RemoteBackend>(remote_spec);
-  return make_backend(name);
 }
 
 }  // namespace sofia::sim

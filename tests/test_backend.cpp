@@ -22,7 +22,6 @@
 #include "sim/backend.hpp"
 #include "sim/cycle_backend.hpp"
 #include "sim/functional_backend.hpp"
-#include "sim/remote_backend.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
@@ -54,12 +53,10 @@ DeviceProfile functional_profile(DeviceProfile profile = DeviceProfile::paper_de
 // Registry
 // ---------------------------------------------------------------------------
 
-TEST(BackendRegistry, ListsCycleFirstThenFunctionalThenRemote) {
+TEST(BackendRegistry, ListsCycleFirstThenFunctional) {
   const auto names = sim::backend_names();
-  ASSERT_GE(names.size(), 3u);
-  EXPECT_EQ(names[0], "cycle");  // the default every DeviceProfile starts with
-  EXPECT_EQ(names[1], "functional");
-  EXPECT_EQ(names[2], "remote");
+  // "cycle" first: the default every DeviceProfile starts with.
+  EXPECT_EQ(names, (std::vector<std::string>{"cycle", "functional"}));
   EXPECT_EQ(sim::kDefaultBackend, "cycle");
   for (const auto& name : names) EXPECT_TRUE(sim::is_backend(name)) << name;
   EXPECT_FALSE(sim::is_backend("warp"));
@@ -944,63 +941,6 @@ TEST(BlockStore, CampaignTrialsStayWithinTheSlotCap) {
     }
   }
 }
-
-// ---------------------------------------------------------------------------
-// Remote backend: registry/profile contract + cross-validation
-// ---------------------------------------------------------------------------
-
-TEST(RemoteBackend, ProfileFingerprintAndJsonCarryTheEndpoint) {
-  auto p = DeviceProfile::paper_default();
-  p.backend = "remote";
-  p.remote = DeviceProfile::parse_worker("ssh host sofia_worker", "functional");
-  const auto fp = p.fingerprint();
-  EXPECT_NE(fp.find("backend=remote"), std::string::npos) << fp;
-  EXPECT_NE(fp.find("remote-backend=functional"), std::string::npos) << fp;
-  EXPECT_NE(fp.find("ssh host sofia_worker"), std::string::npos) << fp;
-  const auto json = p.to_json();
-  EXPECT_NE(json.find("\"remote\":{\"command\":\"ssh host sofia_worker\""),
-            std::string::npos)
-      << json;
-  // Local backends keep their PR-4 fingerprints byte-stable: no endpoint.
-  EXPECT_EQ(DeviceProfile::paper_default().fingerprint().find("remote-"),
-            std::string::npos);
-}
-
-TEST(RemoteBackend, ParseWorkerValidatesBothParts) {
-  EXPECT_THROW(DeviceProfile::parse_worker("", "cycle"), Error);
-  EXPECT_THROW(DeviceProfile::parse_worker("cmd", "warp"), Error);
-  EXPECT_THROW(DeviceProfile::parse_worker("cmd", "remote"), Error);
-  const auto spec = DeviceProfile::parse_worker("cmd", "functional");
-  EXPECT_EQ(spec.command, "cmd");
-  EXPECT_EQ(spec.backend, "functional");
-}
-
-#ifdef SOFIA_WORKER_BIN
-TEST(RemoteBackend, CrossValidatesAgainstBothLocalBackends) {
-  // The acceptance matrix, through the wire: a Pipeline on backend "remote"
-  // must be indistinguishable — timing included, since the far side runs
-  // the very same simulator — from the local backend the worker executes.
-  for (const char* far : {"cycle", "functional"}) {
-    auto local_profile = DeviceProfile::paper_default();
-    local_profile.backend = far;
-    auto local = Pipeline::from_source(kSource, local_profile);
-
-    auto remote_profile = DeviceProfile::paper_default();
-    remote_profile.backend = "remote";
-    remote_profile.remote = DeviceProfile::parse_worker(SOFIA_WORKER_BIN, far);
-    auto remote = Pipeline::from_source(kSource, remote_profile);
-
-    ASSERT_TRUE(local.run().ok()) << far;
-    expect_same_architectural_outcome(local.run(), remote.run(), far);
-    EXPECT_EQ(local.run().stats.cycles, remote.run().stats.cycles) << far;
-    EXPECT_EQ(sim::RemoteBackend(remote_profile.remote)
-                  .capabilities()
-                  .cycle_accurate,
-              std::string(far) == "cycle")
-        << far;
-  }
-}
-#endif  // SOFIA_WORKER_BIN
 
 }  // namespace
 }  // namespace sofia

@@ -17,11 +17,11 @@
 
 #if !defined(SOFIA_ASM_BIN) || !defined(SOFIA_RUN_BIN) ||      \
     !defined(SOFIA_OBJDUMP_BIN) || !defined(SOFIA_REPORT_BIN) || \
-    !defined(SOFIA_SWEEP_BIN) || !defined(SOFIA_WORKER_BIN) || \
-    !defined(SOFIA_FLEET_BIN) || !defined(SOFIA_LINT_BIN) || \
-    !defined(SOFIA_ATTACK_BIN) || !defined(SOFIA_CACHE_BIN)
+    !defined(SOFIA_SWEEP_BIN) || !defined(SOFIA_FLEET_BIN) ||    \
+    !defined(SOFIA_LINT_BIN) || !defined(SOFIA_ATTACK_BIN) ||    \
+    !defined(SOFIA_CACHE_BIN)
 #error "SOFIA_ASM_BIN / SOFIA_RUN_BIN / SOFIA_OBJDUMP_BIN / SOFIA_REPORT_BIN \
-/ SOFIA_SWEEP_BIN / SOFIA_WORKER_BIN / SOFIA_FLEET_BIN / SOFIA_LINT_BIN / \
+/ SOFIA_SWEEP_BIN / SOFIA_FLEET_BIN / SOFIA_LINT_BIN / \
 SOFIA_ATTACK_BIN / SOFIA_CACHE_BIN must be injected by the build: configure \
 with -DSOFIA_BUILD_TOOLS=ON so \
 tests/CMakeLists.txt can define them from $<TARGET_FILE:...>"
@@ -326,10 +326,10 @@ TEST_F(Tools, UnknownCipherRejected) {
 
 TEST_F(Tools, EveryToolRejectsUnknownFlagsWithUsage) {
   // The shared CLI layer: unknown flag -> diagnostic + usage, exit 2,
-  // uniformly across all nine front-ends.
+  // uniformly across all eight front-ends.
   for (const char* tool : {SOFIA_ASM_BIN, SOFIA_RUN_BIN, SOFIA_OBJDUMP_BIN,
-                           SOFIA_REPORT_BIN, SOFIA_SWEEP_BIN, SOFIA_WORKER_BIN,
-                           SOFIA_FLEET_BIN, SOFIA_LINT_BIN, SOFIA_ATTACK_BIN}) {
+                           SOFIA_REPORT_BIN, SOFIA_SWEEP_BIN, SOFIA_FLEET_BIN,
+                           SOFIA_LINT_BIN, SOFIA_ATTACK_BIN}) {
     int code = 0;
     const auto out = run_command(std::string(tool) + " --frobnicate", &code);
     EXPECT_EQ(code, 2) << tool << ": " << out;
@@ -341,8 +341,8 @@ TEST_F(Tools, EveryToolRejectsUnknownFlagsWithUsage) {
 
 TEST_F(Tools, EveryToolPrintsHelp) {
   for (const char* tool : {SOFIA_ASM_BIN, SOFIA_RUN_BIN, SOFIA_OBJDUMP_BIN,
-                           SOFIA_REPORT_BIN, SOFIA_SWEEP_BIN, SOFIA_WORKER_BIN,
-                           SOFIA_FLEET_BIN, SOFIA_LINT_BIN, SOFIA_ATTACK_BIN}) {
+                           SOFIA_REPORT_BIN, SOFIA_SWEEP_BIN, SOFIA_FLEET_BIN,
+                           SOFIA_LINT_BIN, SOFIA_ATTACK_BIN}) {
     int code = 0;
     const auto out = run_command(std::string(tool) + " --help", &code);
     EXPECT_EQ(code, 0) << tool << ": " << out;
@@ -563,31 +563,74 @@ TEST_F(Tools, FleetRejectsZeroWorkersAndFailingLaunches) {
                     &code);
   EXPECT_EQ(code, 1) << out;
   EXPECT_NE(out.find("worker"), std::string::npos) << out;
+  // The same for a campaign fleet, which fails with sofia_attack's error
+  // code: its 1 means escapes.
+  out = run_command(std::string(SOFIA_FLEET_BIN) +
+                        " --tool attack --smoke --workers 2 --launch false "
+                        "--json /dev/null",
+                    &code);
+  EXPECT_EQ(code, 2) << out;
+  EXPECT_NE(out.find("worker"), std::string::npos) << out;
+  // A sweep matrix means nothing to a campaign.
+  out = run_command(std::string(SOFIA_FLEET_BIN) +
+                        " --tool attack --matrix scheme --json /dev/null",
+                    &code);
+  EXPECT_EQ(code, 2) << out;
+  EXPECT_NE(out.find("--matrix"), std::string::npos) << out;
 }
 
-TEST_F(Tools, WorkerServesARemoteRunForSofiaRun) {
-  // sofia_run --backend remote --worker <sofia_worker> must behave exactly
-  // like the local cycle backend, exit code included.
-  int code = 0;
-  run_command(std::string(SOFIA_ASM_BIN) + " --quiet --key-seed 5 " + src_ +
-                  " " + img_, &code);
-  ASSERT_EQ(code, 0);
-  const auto local = run_command(
-      std::string(SOFIA_RUN_BIN) + " --key-seed 5 " + img_, &code);
-  EXPECT_EQ(code, 33);
-  const auto remote = run_command(
-      std::string(SOFIA_RUN_BIN) + " --key-seed 5 --backend remote --worker '" +
-          SOFIA_WORKER_BIN + "' " + img_, &code);
-  EXPECT_EQ(code, 33) << remote;
-  EXPECT_NE(remote.find("status=exited"), std::string::npos) << remote;
-  EXPECT_NE(remote.find("backend=remote"), std::string::npos) << remote;
+TEST_F(Tools, FleetRunsACampaignByteIdenticallyToASingleAttack) {
+  // --tool attack: 2 shard workers merged through campaign::merge_json ==
+  // one unsharded sofia_attack run, byte for byte and exit code for exit
+  // code. Campaign-only flags ride in --launch.
+  const std::string tag = std::to_string(getpid());
+  const std::string fleet_json = "/tmp/sofia_fleet_attack_" + tag + ".json";
+  const std::string single_json =
+      "/tmp/sofia_fleet_attack_" + tag + "_single.json";
+  int fleet_code = 0;
+  const auto fleet_out = run_command(
+      std::string(SOFIA_FLEET_BIN) + " --tool attack --smoke --workers 2 " +
+          "--threads 1 --launch '" + SOFIA_ATTACK_BIN + " --jobs 50' --json " +
+          fleet_json, &fleet_code);
+  EXPECT_NE(fleet_out.find("merged 2 shard(s)"), std::string::npos)
+      << fleet_out;
+  int single_code = 0;
+  const auto single_out = run_command(
+      std::string(SOFIA_ATTACK_BIN) + " --campaign --smoke --jobs 50 --quiet " +
+          "--json " + single_json, &single_code);
+  EXPECT_EQ(single_code, 0) << single_out;
+  EXPECT_EQ(fleet_code, single_code) << fleet_out;
 
-  // Worker flags without --backend remote are rejected, not ignored.
-  const auto bad = run_command(
-      std::string(SOFIA_RUN_BIN) + " --worker-backend functional " + img_,
-      &code);
-  EXPECT_EQ(code, 2) << bad;
-  EXPECT_NE(bad.find("--worker-backend"), std::string::npos) << bad;
+  const auto slurp = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+  const auto fleet_doc = slurp(fleet_json);
+  EXPECT_NE(fleet_doc.find("\"schema\": \"sofia-attack-campaign-v1\""),
+            std::string::npos)
+      << fleet_doc.substr(0, 200);
+  EXPECT_EQ(fleet_doc, slurp(single_json));
+
+  // sofia_attack exits 1 when an authenticated cell has escapes and still
+  // writes its document: a worker exiting 1 has returned a valid shard, and
+  // the fleet's exit code is the merged document's verdict.
+  const std::string wrapper = "/tmp/sofia_fleet_exit1_" + tag + ".sh";
+  {
+    std::ofstream script(wrapper);
+    script << "#!/bin/sh\n'" << SOFIA_ATTACK_BIN << "' \"$@\"\nexit 1\n";
+  }
+  std::filesystem::permissions(wrapper, std::filesystem::perms::owner_all);
+  int code = 0;
+  const auto out = run_command(
+      std::string(SOFIA_FLEET_BIN) + " --tool attack --smoke --workers 2 " +
+          "--threads 1 --launch '" + wrapper + " --jobs 50' --json " +
+          fleet_json, &code);
+  EXPECT_EQ(code, 0) << out;
+  EXPECT_EQ(slurp(fleet_json), slurp(single_json));
+  std::remove(wrapper.c_str());
+  std::remove(fleet_json.c_str());
+  std::remove(single_json.c_str());
 }
 
 TEST_F(Tools, LintCleanWorkloadAssertsClean) {
