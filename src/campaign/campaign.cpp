@@ -860,4 +860,16 @@ std::string merge_json(const std::vector<std::string>& documents) {
   return to_json(merged);
 }
 
+int verdict(const json::Value& document, std::FILE* out) {
+  constexpr std::string_view kContext = "campaign document";
+  bool clean = true;
+  for (const auto& cell : document.at("cells", kContext).as_array(kContext))
+    if (cell.at("authenticated", kContext).as_bool(kContext) &&
+        cell.at("escaped", kContext).as_uint(kContext) != 0)
+      clean = false;
+  std::fprintf(out, "%s\n", clean ? "authenticated schemes clean"
+                                  : "ESCAPES in an authenticated scheme");
+  return clean ? 0 : 1;
+}
+
 }  // namespace sofia::campaign

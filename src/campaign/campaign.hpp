@@ -22,6 +22,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <memory>
 #include <string>
@@ -33,6 +34,7 @@
 #include "crypto/key_set.hpp"
 #include "driver/jobs.hpp"
 #include "pipeline/pipeline.hpp"
+#include "support/json.hpp"
 #include "verify/verify.hpp"
 
 namespace sofia::campaign {
@@ -278,5 +280,11 @@ std::string to_json(const CampaignResult& result);
 /// that its document's shard runs, one per escape the cell tallies. Throws
 /// sofia::Error otherwise.
 std::string merge_json(const std::vector<std::string>& documents);
+
+/// sofia_attack's verdict on a whole campaign document (a run's or a
+/// merge's): print whether the authenticated cells are clean to `out` and
+/// return the tool's exit code, 1 when an authenticated cell has escapes
+/// (the "null" baseline is expected to leak and never gates), else 0.
+int verdict(const json::Value& document, std::FILE* out);
 
 }  // namespace sofia::campaign

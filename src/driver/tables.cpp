@@ -299,6 +299,14 @@ void print_table(const json::Value& document, std::FILE* out) {
     table->second(jobs, out);
 }
 
+int verdict(const json::Value& document, std::FILE* out) {
+  print_table(document, out);
+  constexpr std::string_view kContext = "sweep document";
+  for (const auto& job : document.at("jobs", kContext).as_array(kContext))
+    if (!job.at("ok", kContext).as_bool(kContext)) return 1;
+  return 0;
+}
+
 void print_rule(int width, std::FILE* out) {
   for (int i = 0; i < width; ++i) std::fputc('-', out);
   std::fputc('\n', out);

@@ -17,6 +17,11 @@ namespace sofia::driver {
 /// naming the member.
 void print_table(const json::Value& document, std::FILE* out);
 
+/// sofia_sweep's verdict on a whole sweep document (a run's or a merge's):
+/// print its table to `out` and return the tool's exit code, 0 when every
+/// job is ok and 1 when one failed.
+int verdict(const json::Value& document, std::FILE* out);
+
 /// A horizontal rule of `width` dashes, for the bench and report tables.
 void print_rule(int width = 78, std::FILE* out = stdout);
 

@@ -44,6 +44,11 @@ std::string run_command(const std::string& command, int* exit_code) {
   return output;
 }
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
 const char* kSource = R"(
 main:
   li r1, 11
@@ -164,6 +169,29 @@ TEST_F(Tools, ReportRunsHealthy) {
   EXPECT_EQ(code, 0) << out;
   EXPECT_NE(out.find("Table I"), std::string::npos);
   EXPECT_NE(out.find("46795"), std::string::npos);
+  // The attack matrix runs against every registered scheme, and the fault
+  // table has a row per core.
+  for (const auto& scheme : sofia::scheme::scheme_names())
+    EXPECT_NE(out.find("Attack matrix on the SOFIA device — scheme " + scheme +
+                       " ("),
+              std::string::npos)
+        << "no attack matrix for scheme '" << scheme << "'\n" << out;
+  EXPECT_NE(out.find("\nvanilla "), std::string::npos) << out;
+  EXPECT_NE(out.find("\nSOFIA "), std::string::npos) << out;
+}
+
+TEST_F(Tools, ReportIsDeterministic) {
+  // Every seed is fixed and nothing wall-clock is printed, so two runs
+  // print the same bytes.
+  const std::string report =
+      "( " + std::string(SOFIA_REPORT_BIN) + " --quick 2>/dev/null )";
+  int code = 0;
+  const auto first = run_command(report, &code);
+  EXPECT_EQ(code, 0) << first;
+  const auto second = run_command(report, &code);
+  EXPECT_EQ(code, 0) << second;
+  EXPECT_FALSE(first.empty());
+  EXPECT_EQ(first, second);
 }
 
 TEST_F(Tools, BadUsageExitsNonZero) {
@@ -478,6 +506,33 @@ TEST_F(Tools, SweepMergeRejectsHostileDocuments) {
   }
   std::remove(in.c_str());
   std::remove(out.c_str());
+}
+
+TEST_F(Tools, SweepMergeExitsOneOnAFailedJob) {
+  // --merge returns the unsharded run's verdict: a shard carrying a failed
+  // job merges with exit 1, as the single-process run exits 1.
+  const std::string base =
+      "/tmp/sofia_merge_verdict_" + std::to_string(getpid());
+  int code = 0;
+  for (const char* k : {"0", "1"}) {
+    const auto out = run_command(std::string(SOFIA_SWEEP_BIN) +
+                                     " --smoke --quiet --shard " + k +
+                                     "/2 --json " + base + "_" + k + ".json",
+                                 &code);
+    ASSERT_EQ(code, 0) << out;
+  }
+  std::string forged = read_file(base + "_1.json");
+  const auto at = forged.find("\"ok\": true");
+  ASSERT_NE(at, std::string::npos) << forged;
+  forged.replace(at, 10, "\"ok\": false");
+  std::ofstream(base + "_1.json", std::ios::binary) << forged;
+  const auto out = run_command(std::string(SOFIA_SWEEP_BIN) + " --merge " +
+                                   base + "_m.json " + base + "_0.json " +
+                                   base + "_1.json",
+                               &code);
+  EXPECT_EQ(code, 1) << out;
+  for (const char* suffix : {"_0", "_1", "_m"})
+    std::remove((base + suffix + ".json").c_str());
 }
 
 TEST_F(Tools, SweepRejectsBadShard) {
@@ -871,18 +926,36 @@ TEST_F(Tools, AttackListsMutatorsAndRejectsIdleInvocation) {
   EXPECT_NE(idle.find("nothing to do"), std::string::npos) << idle;
 }
 
-#ifdef BENCH_ATTACK_MATRIX_BIN
-TEST_F(Tools, AttackMatrixJsonDashStreamsToStdout) {
-  // The bench tool shares the emit_document contract: `--json -` puts the
-  // sofia-attack-matrix-v3 document alone on stdout.
+TEST_F(Tools, AttackMergeExitsOneOnAnAuthenticatedEscape) {
+  // --merge returns the unsharded run's verdict: a shard that marks the
+  // leaking "null" cell as authenticated merges into a document with an
+  // authenticated escape, and exits 1 as sofia_attack would on it.
+  const std::string base =
+      "/tmp/sofia_attack_verdict_" + std::to_string(getpid());
   int code = 0;
-  const auto doc = run_command(
-      "( " + std::string(BENCH_ATTACK_MATRIX_BIN) +
-          " --flips 10 --json - 2>/dev/null )", &code);
-  EXPECT_EQ(code, 0);
-  EXPECT_EQ(doc.find("{\n  \"schema\": \"sofia-attack-matrix-v3\""), 0u) << doc;
+  for (const char* k : {"0", "1"}) {
+    const auto out = run_command(
+        std::string(SOFIA_ATTACK_BIN) +
+            " --campaign --smoke --jobs 40 --quiet --threads 2 --shard " + k +
+            "/2 --json " + base + "_" + k + ".json",
+        &code);
+    ASSERT_EQ(code, 0) << out;
+  }
+  std::string forged = read_file(base + "_0.json");
+  const auto at = forged.find("\"authenticated\": false");
+  ASSERT_NE(at, std::string::npos) << forged;
+  forged.replace(at, 22, "\"authenticated\": true");
+  std::ofstream(base + "_0.json", std::ios::binary) << forged;
+  const auto out = run_command(std::string(SOFIA_ATTACK_BIN) + " --merge " +
+                                   base + "_m.json " + base + "_0.json " +
+                                   base + "_1.json",
+                               &code);
+  EXPECT_EQ(code, 1) << out;
+  EXPECT_NE(out.find("ESCAPES in an authenticated scheme"), std::string::npos)
+      << out;
+  for (const char* suffix : {"_0", "_1", "_m"})
+    std::remove((base + suffix + ".json").c_str());
 }
-#endif
 
 TEST_F(Tools, SweepCacheWarmRunIsAllHitsAndByteIdentical) {
   // The resumability contract through the CLI: the second run against the

@@ -8,9 +8,10 @@
 // back into the canonical unsharded bytes. `--json -` streams to stdout
 // (progress moves to stderr) for fleet collectors.
 //
-// Exit code: 0 iff every authenticated cell detected every effective
-// tamper (the "null" encrypt-only baseline is expected to leak and never
-// gates); 1 when an authenticated cell has escapes, 2 on usage/errors.
+// Exit code, for a run and a --merge alike: 0 iff every authenticated cell
+// detected every effective tamper (the "null" encrypt-only baseline is
+// expected to leak and never gates); 1 when an authenticated cell has
+// escapes, 2 on usage/errors.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -112,8 +113,10 @@ int main(int argc, char** argv) {
     if (!merge_out.empty()) {
       if (merge_inputs.empty())
         return parser.fail("--merge needs at least one input document");
-      driver::merge_files(merge_out, merge_inputs, campaign::merge_json, log);
-      return 0;
+      return campaign::verdict(
+          json::parse(driver::merge_files(merge_out, merge_inputs,
+                                          campaign::merge_json, log)),
+          log);
     }
 
     driver::ShardSpec shard;

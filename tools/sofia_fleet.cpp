@@ -16,9 +16,9 @@
 // filesystem is needed. Flags only one engine takes (sofia_attack's --jobs
 // and --seed) ride in --launch.
 //
-// Exit code: what the engine itself returns for the merged document (sweep
-// 0; attack 0, or 1 when an authenticated cell has escapes), and the
-// engine's error code (sweep 1, attack 2) when a worker fails.
+// Exit code: the engine's own verdict on the merged document
+// (driver::verdict, campaign::verdict), and the engine's error code (sweep
+// 1, attack 2) when a worker fails.
 #include <sys/wait.h>
 
 #include <algorithm>
@@ -64,27 +64,6 @@ std::string sibling(const char* argv0, const std::string& binary) {
   return shell_quote(self.substr(0, slash + 1) + binary);
 }
 
-/// sofia_sweep's verdict on a merged document: print the paper table.
-int sweep_verdict(const json::Value& merged, std::FILE* log) {
-  driver::print_table(merged, log);
-  return 0;
-}
-
-/// sofia_attack's verdict on a merged document: 1 when an authenticated
-/// cell has escapes (the "null" baseline is expected to leak and never
-/// gates), else 0.
-int campaign_verdict(const json::Value& merged, std::FILE* log) {
-  constexpr std::string_view kContext = "merged campaign";
-  bool clean = true;
-  for (const auto& cell : merged.at("cells", kContext).as_array(kContext))
-    if (cell.at("authenticated", kContext).as_bool(kContext) &&
-        cell.at("escaped", kContext).as_uint(kContext) != 0)
-      clean = false;
-  std::fprintf(log, "%s\n", clean ? "authenticated schemes clean"
-                                  : "ESCAPES in an authenticated scheme");
-  return clean ? 0 : 1;
-}
-
 /// What --tool picks: the binary a worker runs, how the shard documents
 /// fold back, and the exit codes that engine reports.
 struct Engine {
@@ -98,8 +77,8 @@ struct Engine {
 };
 
 constexpr Engine kEngines[] = {
-    {"sweep", "sofia_sweep", driver::merge_json, sweep_verdict, 1},
-    {"attack", "sofia_attack", campaign::merge_json, campaign_verdict, 2},
+    {"sweep", "sofia_sweep", driver::merge_json, driver::verdict, 1},
+    {"attack", "sofia_attack", campaign::merge_json, campaign::verdict, 2},
 };
 
 struct ShardRun {

@@ -6,7 +6,8 @@
 //
 // Multi-machine use: `--shard K/N` runs only job indices ≡ K (mod N), and
 // `--merge out.json in1.json in2.json...` concatenates the per-job records
-// back into the canonical document — byte-identical to an unsharded run.
+// back into the canonical document — byte-identical to an unsharded run —
+// and exits 1 when a merged job failed, as the unsharded run would.
 // `--json -` streams the document to stdout (progress moves to stderr), so
 // a coordinator like sofia_fleet can collect shards over any stdio
 // transport (subprocess, ssh, container) without a shared filesystem.
@@ -93,10 +94,10 @@ int main(int argc, char** argv) {
     if (!merge_out.empty()) {
       if (merge_inputs.empty())
         return parser.fail("--merge needs at least one input document");
-      driver::print_table(json::parse(driver::merge_files(
-                              merge_out, merge_inputs, driver::merge_json, log)),
-                          log);
-      return 0;
+      return driver::verdict(
+          json::parse(driver::merge_files(merge_out, merge_inputs,
+                                          driver::merge_json, log)),
+          log);
     }
 
     driver::ShardSpec shard;
@@ -159,7 +160,7 @@ int main(int argc, char** argv) {
         std::fprintf(log, "wrote %s\n", json_path.c_str());
     }
     // A shard holds a slice of the matrix; --merge prints its table.
-    if (shard.is_whole()) driver::print_table(json::parse(document), log);
+    if (shard.is_whole()) return driver::verdict(json::parse(document), log);
     return result.all_ok() ? 0 : 1;
   } catch (const Error& e) {
     std::fprintf(stderr, "sofia_sweep: %s\n", e.what());
