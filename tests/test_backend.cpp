@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -22,8 +25,10 @@
 #include "sim/backend.hpp"
 #include "sim/cycle_backend.hpp"
 #include "sim/functional_backend.hpp"
+#include "sim_test_util.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
+#include "workloads/workloads.hpp"
 
 namespace sofia {
 namespace {
@@ -939,6 +944,172 @@ TEST(BlockStore, CampaignTrialsStayWithinTheSlotCap) {
     if (std::string(scheme) == "null") {
       EXPECT_GT(store.size(), clean_slots);  // tampering reached new pairs
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Functional digest: whole functional runs pinned across code changes
+// ---------------------------------------------------------------------------
+
+namespace functional_digest {
+
+struct DigestCase {
+  std::string label;
+  std::function<sim::RunResult()> run;
+};
+
+/// The configuration `p`'s device runs with, tracing on.
+sim::SimConfig traced(const Pipeline& p) {
+  sim::SimConfig cfg = p.effective_sim_config();
+  cfg.collect_trace = true;
+  return cfg;
+}
+
+std::vector<DigestCase> digest_cases() {
+  std::vector<DigestCase> cases;
+  const auto workload = [](const std::string& wl, DeviceProfile profile) {
+    const std::uint32_t size =
+        std::max(4u, workloads::workload(wl).default_size / 16);
+    return std::make_shared<Pipeline>(
+        Pipeline::from_workload(wl, 1, size, std::move(profile)));
+  };
+  const auto scheme_profile = [](const std::string& scheme) {
+    DeviceProfile p = functional_profile();
+    p.scheme = scheme;
+    return p;
+  };
+  // Every workload at smoke size: the vanilla core and each scheme.
+  for (const auto& wl : workloads::all_workloads()) {
+    const auto base = workload(wl.name, functional_profile());
+    cases.push_back({wl.name + "/vanilla", [base] {
+                       return base->run_image(base->vanilla_image(),
+                                              traced(*base));
+                     }});
+    for (const auto& scheme : scheme::scheme_names()) {
+      const auto p = workload(wl.name, scheme_profile(scheme));
+      cases.push_back({wl.name + "/" + scheme, [p] {
+                         return p->run_image(p->hardened().image, traced(*p));
+                       }});
+    }
+  }
+  // Runs that end early: tampering, a fetch fault, and instruction budgets
+  // (15 ends inside the first block's padding on crc32).
+  const auto crc = workload("crc32", functional_profile());
+  cases.push_back({"crc32/tampered", [crc] {
+                     auto img = crc->hardened().image;
+                     img.text[img.text.size() / 2] ^= 1u << 7;
+                     return crc->run_image(img, traced(*crc));
+                   }});
+  cases.push_back({"crc32/fetch-fault", [crc] {
+                     sim::SimConfig cfg = traced(*crc);
+                     cfg.fault.enabled = true;
+                     cfg.fault.fetch_index = 300;
+                     cfg.fault.bit = 5;
+                     return crc->run_image(crc->hardened().image, cfg);
+                   }});
+  for (const std::uint64_t budget : {15u, 1020u}) {
+    cases.push_back({"crc32/max-insts" + std::to_string(budget),
+                     [crc, budget] {
+                       sim::SimConfig cfg = traced(*crc);
+                       cfg.max_cycles = budget;
+                       return crc->run_image(crc->hardened().image, cfg);
+                     }});
+  }
+  cases.push_back({"crc32/trace-cap", [crc] {
+                     sim::SimConfig cfg = traced(*crc);
+                     cfg.max_trace = 37;
+                     return crc->run_image(crc->hardened().image, cfg);
+                   }});
+  return cases;
+}
+
+struct PinnedDigest {
+  const char* label;
+  std::uint64_t digest;
+};
+
+const PinnedDigest kPinnedDigests[] = {
+    {"adpcm_encode/vanilla", 0x04c9264e404b8e39ull},
+    {"adpcm_encode/sofia-cbcmac", 0x46067cf17739074eull},
+    {"adpcm_encode/sponge", 0x6676bd1422319352ull},
+    {"adpcm_encode/null", 0x09fee8d2cd8ecf36ull},
+    {"adpcm_encode/flta", 0xa8f059f11c1fcfd2ull},
+    {"adpcm_decode/vanilla", 0xd38a428afc8b719cull},
+    {"adpcm_decode/sofia-cbcmac", 0x64cd776487a0d4bdull},
+    {"adpcm_decode/sponge", 0x839fc408711fafd6ull},
+    {"adpcm_decode/null", 0xb55885818732b80bull},
+    {"adpcm_decode/flta", 0x51601952385602e4ull},
+    {"crc32/vanilla", 0x49f6204856affba1ull},
+    {"crc32/sofia-cbcmac", 0x4724df441a209d1dull},
+    {"crc32/sponge", 0x305fe1e3cbc1b6d9ull},
+    {"crc32/null", 0x2166677f74297051ull},
+    {"crc32/flta", 0x3914a02e7da934cbull},
+    {"fir/vanilla", 0xb50a9c3aca53e5faull},
+    {"fir/sofia-cbcmac", 0x7fa972b1ee340bcfull},
+    {"fir/sponge", 0xe78f7a6480804710ull},
+    {"fir/null", 0x06e383266a69403dull},
+    {"fir/flta", 0x4f13e2eab6bcf75cull},
+    {"quicksort/vanilla", 0x6ea1b38ac38f3db0ull},
+    {"quicksort/sofia-cbcmac", 0xe3022e83c4d1c3ccull},
+    {"quicksort/sponge", 0x5d70fd54079bcb80ull},
+    {"quicksort/null", 0x0d677309987c5a5eull},
+    {"quicksort/flta", 0x7f1e2be2485ad833ull},
+    {"matmul/vanilla", 0xac7f99717ca8194aull},
+    {"matmul/sofia-cbcmac", 0x692c51605d3c8d21ull},
+    {"matmul/sponge", 0x4ab102e596552ad8ull},
+    {"matmul/null", 0x747e509a27a2e117ull},
+    {"matmul/flta", 0x75f7e63d0576246eull},
+    {"strsearch/vanilla", 0x7bbad86ae3a6313eull},
+    {"strsearch/sofia-cbcmac", 0x30b0cb6d50221ff9ull},
+    {"strsearch/sponge", 0xee552bdd0466a84dull},
+    {"strsearch/null", 0xa04389179d41a3efull},
+    {"strsearch/flta", 0x42be1d3a989402beull},
+    {"fib/vanilla", 0x1a2b0bcf843db647ull},
+    {"fib/sofia-cbcmac", 0xb194c8a9cfc6796cull},
+    {"fib/sponge", 0x9035e095c45736eeull},
+    {"fib/null", 0x3cf4ba01696742c4ull},
+    {"fib/flta", 0x48c05696b6358e38ull},
+    {"minivm/vanilla", 0x138c7d0471bc7fdaull},
+    {"minivm/sofia-cbcmac", 0x841d83625fef295cull},
+    {"minivm/sponge", 0x5503cb23ac02f311ull},
+    {"minivm/null", 0xa7676807489a641cull},
+    {"minivm/flta", 0x8820433a079ff56full},
+    {"bitcount/vanilla", 0x3be137dd5aa56211ull},
+    {"bitcount/sofia-cbcmac", 0xb3ee4dd0a62549e0ull},
+    {"bitcount/sponge", 0xf234cefd544807c4ull},
+    {"bitcount/null", 0x105b5c0a4b84bc90ull},
+    {"bitcount/flta", 0x3156b5b3309b9928ull},
+    {"dijkstra/vanilla", 0xa5556a4636c32a1aull},
+    {"dijkstra/sofia-cbcmac", 0x8a8cc46e444fc112ull},
+    {"dijkstra/sponge", 0xab5a01d4ed52e69full},
+    {"dijkstra/null", 0x5a194fe14b0dfc7eull},
+    {"dijkstra/flta", 0xdb30be25f8294ed8ull},
+    {"crc32/tampered", 0xb41878ef7be0ca9dull},
+    {"crc32/fetch-fault", 0x2c540009f3f8e12cull},
+    {"crc32/max-insts15", 0x95c117c42ac68fbbull},
+    {"crc32/max-insts1020", 0xffe84fb3cd807aa3ull},
+    {"crc32/trace-cap", 0xc3fcd76ecd9c4105ull},
+};
+
+}  // namespace functional_digest
+
+TEST(FunctionalDigest, EveryRunMatchesTheRecordedDigest) {
+  using functional_digest::kPinnedDigests;
+  const auto cases = functional_digest::digest_cases();
+  EXPECT_EQ(cases.size(), std::size(kPinnedDigests));
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const std::uint64_t got = test::run_digest(cases[i].run());
+    char line[96];
+    std::snprintf(line, sizeof line, "{\"%s\", 0x%016llxull},",
+                  cases[i].label.c_str(),
+                  static_cast<unsigned long long>(got));
+    // A case past the table still prints its line.
+    if (i >= std::size(kPinnedDigests)) {
+      ADD_FAILURE() << line;
+      continue;
+    }
+    EXPECT_EQ(cases[i].label, kPinnedDigests[i].label);
+    EXPECT_EQ(got, kPinnedDigests[i].digest) << line;
   }
 }
 

@@ -12,6 +12,7 @@
 #include "campaign/campaign.hpp"
 #include "pipeline/pipeline.hpp"
 #include "support/error.hpp"
+#include "support/hash.hpp"
 #include "support/json.hpp"
 
 namespace {
@@ -736,6 +737,41 @@ TEST(CampaignJson, MergeRejectsBadInputs) {
     EXPECT_NE(std::string(e.what()).find("merge: document 0 cell 0"),
               std::string::npos)
         << e.what();
+  }
+}
+
+
+// ---- pinned documents ------------------------------------------------------
+
+TEST(CampaignDigest, DocumentsMatchTheRecordedDigests) {
+  // SHA-256 of whole campaign documents, so any change to a trial's
+  // outcome, latency or escape record shows here.
+  const auto with = [](campaign::CampaignSpec spec, std::uint64_t seed,
+                       const char* backend) {
+    spec.seed = seed;
+    spec.backend = backend;
+    return spec;
+  };
+  auto matrix = campaign::default_campaign();
+  matrix.jobs_per_cell = 20;
+  const struct {
+    const char* label;
+    campaign::CampaignSpec spec;
+    const char* digest;
+  } cases[] = {
+      {"smoke seed 1", with(smoke_spec(200), 1, "functional"),
+       "f2c6c2365471cdc978e6325cbfb027bf625f66d89593789a95807f21d9269575"},
+      {"smoke seed 7919", with(smoke_spec(200), 7919, "functional"),
+       "238ae1490358cf3bcdbfef2100dc01a2199930c333e6b7a98d6974ff825968dd"},
+      {"smoke cycle", with(smoke_spec(50), 1, "cycle"),
+       "1e2a44c255cd6b4769f4c4ebac1f30fa98ed23c7b8ee9600884b78be8d03c800"},
+      {"default matrix", matrix,
+       "217da9cff6f5728be4cc7e0a73e623093a258f363e3fd88a5f55ddba5b804820"},
+  };
+  for (const auto& c : cases) {
+    const auto got = support::sha256_hex(
+        campaign::to_json(campaign::run_campaign(c.spec, 2)));
+    EXPECT_EQ(got, c.digest) << c.label;
   }
 }
 
