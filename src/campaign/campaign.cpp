@@ -758,9 +758,16 @@ std::string merge_json(const std::vector<std::string>& documents) {
       const auto& jc = cells[c];
       const auto cl = label + " cell " + std::to_string(c);
       auto& out = merged.cells[c];
+      // The flag is the scheme's, from the registry; a document saying
+      // otherwise was edited.
+      const bool authenticated =
+          scheme::get_scheme(spec.cells[c].scheme).traits().authenticated;
+      if (jc.at("authenticated", cl).as_bool("authenticated") != authenticated)
+        throw Error(cl + " marks scheme '" + spec.cells[c].scheme + "' as " +
+                    (authenticated ? "unauthenticated" : "authenticated"));
       if (d == 0) {
         out.cell = spec.cells[c];
-        out.authenticated = jc.at("authenticated", cl).as_bool("authenticated");
+        out.authenticated = authenticated;
         out.latency_min = ~0ull;
       }
       // Every trial is classified once and every detection has one reset
@@ -863,8 +870,11 @@ std::string merge_json(const std::vector<std::string>& documents) {
 int verdict(const json::Value& document, std::FILE* out) {
   constexpr std::string_view kContext = "campaign document";
   bool clean = true;
+  // Authenticity comes from the scheme registry, not from the document.
   for (const auto& cell : document.at("cells", kContext).as_array(kContext))
-    if (cell.at("authenticated", kContext).as_bool(kContext) &&
+    if (scheme::get_scheme(cell.at("scheme", kContext).as_string(kContext))
+            .traits()
+            .authenticated &&
         cell.at("escaped", kContext).as_uint(kContext) != 0)
       clean = false;
   std::fprintf(out, "%s\n", clean ? "authenticated schemes clean"

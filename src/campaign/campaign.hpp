@@ -274,8 +274,9 @@ std::string to_json(const CampaignResult& result);
 /// unsharded document — byte-identical to a single-machine run. Inputs
 /// must agree on every header field (each in its field's range), carry
 /// distinct "shard" members K/N with exactly N documents, and sum to
-/// jobs_per_cell everywhere. In every cell the verdicts must sum to its
-/// jobs and the reset causes to its detections, and no tally may overflow
+/// jobs_per_cell everywhere. Every cell's "authenticated" flag must be its
+/// scheme's (scheme::SchemeTraits). In every cell the verdicts must sum to
+/// its jobs and the reset causes to its detections, and no tally may overflow
 /// 64 bits; every escape record must name a distinct job of its own cell
 /// that its document's shard runs, one per escape the cell tallies. Throws
 /// sofia::Error otherwise.
@@ -284,7 +285,9 @@ std::string merge_json(const std::vector<std::string>& documents);
 /// sofia_attack's verdict on a whole campaign document (a run's or a
 /// merge's): print whether the authenticated cells are clean to `out` and
 /// return the tool's exit code, 1 when an authenticated cell has escapes
-/// (the "null" baseline is expected to leak and never gates), else 0.
+/// (the "null" baseline is expected to leak and never gates), else 0. A
+/// cell is authenticated when its scheme is (the registry decides, not the
+/// document's flag).
 int verdict(const json::Value& document, std::FILE* out);
 
 }  // namespace sofia::campaign

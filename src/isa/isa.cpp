@@ -6,62 +6,7 @@
 namespace sofia::isa {
 namespace {
 
-enum class Format { kNone, kR, kI, kIu, kShift, kStore, kBranch, kJal, kJalr, kLui };
-
-Format format_of(Opcode op) {
-  switch (op) {
-    case Opcode::kNop:
-    case Opcode::kHalt:
-      return Format::kNone;
-    case Opcode::kAdd:
-    case Opcode::kSub:
-    case Opcode::kAnd:
-    case Opcode::kOr:
-    case Opcode::kXor:
-    case Opcode::kSll:
-    case Opcode::kSrl:
-    case Opcode::kSra:
-    case Opcode::kSlt:
-    case Opcode::kSltu:
-    case Opcode::kMul:
-      return Format::kR;
-    case Opcode::kAddi:
-    case Opcode::kSlti:
-    case Opcode::kSltiu:
-    case Opcode::kLw:
-    case Opcode::kLh:
-    case Opcode::kLhu:
-    case Opcode::kLb:
-    case Opcode::kLbu:
-      return Format::kI;
-    case Opcode::kAndi:
-    case Opcode::kOri:
-    case Opcode::kXori:
-      return Format::kIu;
-    case Opcode::kSlli:
-    case Opcode::kSrli:
-    case Opcode::kSrai:
-      return Format::kShift;
-    case Opcode::kLui:
-      return Format::kLui;
-    case Opcode::kSw:
-    case Opcode::kSh:
-    case Opcode::kSb:
-      return Format::kStore;
-    case Opcode::kBeq:
-    case Opcode::kBne:
-    case Opcode::kBlt:
-    case Opcode::kBge:
-    case Opcode::kBltu:
-    case Opcode::kBgeu:
-      return Format::kBranch;
-    case Opcode::kJal:
-      return Format::kJal;
-    case Opcode::kJalr:
-      return Format::kJalr;
-  }
-  return Format::kNone;
-}
+using detail::Format;
 
 [[noreturn]] void field_error(const Instruction& inst, const char* what) {
   throw Error(std::string("encode ") + std::string(mnemonic(inst.op)) + ": " + what);
@@ -76,12 +21,13 @@ void check_reg(const Instruction& inst, unsigned r) {
 std::uint32_t encode(const Instruction& inst) {
   const auto opbits = static_cast<std::uint32_t>(inst.op);
   std::uint32_t w = opbits << 26;
-  const Format f = format_of(inst.op);
+  const Format f = detail::format_of(opbits);
   check_reg(inst, inst.rd);
   check_reg(inst, inst.ra);
   check_reg(inst, inst.rb);
   const auto imm = static_cast<std::int64_t>(inst.imm);
   switch (f) {
+    case Format::kInvalid:  // encoded as the bare opcode bits, as kNone
     case Format::kNone:
       break;
     case Format::kR:
@@ -134,53 +80,6 @@ std::uint32_t encode(const Instruction& inst) {
       break;
   }
   return w;
-}
-
-std::optional<Instruction> decode(std::uint32_t word) {
-  const std::uint32_t opbits = bits(word, 26, 6);
-  if (opbits > kMaxOpcode) return std::nullopt;
-  Instruction inst;
-  inst.op = static_cast<Opcode>(opbits);
-  switch (format_of(inst.op)) {
-    case Format::kNone:
-      break;
-    case Format::kR:
-      inst.rd = static_cast<std::uint8_t>(bits(word, 22, 4));
-      inst.ra = static_cast<std::uint8_t>(bits(word, 18, 4));
-      inst.rb = static_cast<std::uint8_t>(bits(word, 14, 4));
-      break;
-    case Format::kI:
-    case Format::kJalr:
-      inst.rd = static_cast<std::uint8_t>(bits(word, 22, 4));
-      inst.ra = static_cast<std::uint8_t>(bits(word, 18, 4));
-      inst.imm = sign_extend(bits(word, 0, 14), 14);
-      break;
-    case Format::kIu:
-    case Format::kShift:
-      inst.rd = static_cast<std::uint8_t>(bits(word, 22, 4));
-      inst.ra = static_cast<std::uint8_t>(bits(word, 18, 4));
-      inst.imm = static_cast<std::int32_t>(bits(word, 0, 14));
-      break;
-    case Format::kLui:
-      inst.rd = static_cast<std::uint8_t>(bits(word, 22, 4));
-      inst.imm = static_cast<std::int32_t>(bits(word, 0, 18));
-      break;
-    case Format::kStore:
-      inst.rd = static_cast<std::uint8_t>(bits(word, 22, 4));
-      inst.ra = static_cast<std::uint8_t>(bits(word, 18, 4));
-      inst.imm = sign_extend(bits(word, 0, 14), 14);
-      break;
-    case Format::kBranch:
-      inst.ra = static_cast<std::uint8_t>(bits(word, 22, 4));
-      inst.rb = static_cast<std::uint8_t>(bits(word, 18, 4));
-      inst.imm = sign_extend(bits(word, 0, 14), 14);
-      break;
-    case Format::kJal:
-      inst.rd = static_cast<std::uint8_t>(bits(word, 22, 4));
-      inst.imm = sign_extend(bits(word, 0, 22), 22);
-      break;
-  }
-  return inst;
 }
 
 std::string_view mnemonic(Opcode op) {

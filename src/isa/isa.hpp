@@ -20,6 +20,7 @@
 // composes 32-bit constants; arithmetic immediates are sign-extended.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string_view>
@@ -95,9 +96,91 @@ struct Instruction {
 /// Encode to a 32-bit word. Throws sofia::Error if a field is out of range.
 std::uint32_t encode(const Instruction& inst);
 
+namespace detail {
+
+/// Operand layout of an opcode (the encoding table at the top of the file).
+enum class Format : std::uint8_t {
+  kInvalid,  ///< opcode bits past kMaxOpcode
+  kNone, kR, kI, kIu, kShift, kStore, kBranch, kJal, kJalr, kLui,
+};
+
+constexpr Format format_of(std::uint32_t opbits) {
+  if (opbits <= 1) return Format::kNone;            // nop, halt
+  if (opbits <= 12) return Format::kR;              // add .. mul
+  if (opbits == 13 || opbits == 20 || opbits == 21)  // addi, slti, sltiu
+    return Format::kI;
+  if (opbits <= 16) return Format::kIu;             // andi, ori, xori
+  if (opbits <= 19) return Format::kShift;          // slli, srli, srai
+  if (opbits == 22) return Format::kLui;
+  if (opbits <= 27) return Format::kI;              // lw .. lbu
+  if (opbits <= 30) return Format::kStore;          // sw, sh, sb
+  if (opbits <= 36) return Format::kBranch;         // beq .. bgeu
+  if (opbits == 37) return Format::kJal;
+  if (opbits == 38) return Format::kJalr;
+  return Format::kInvalid;
+}
+
+/// One row per value of the 6 opcode bits: the format, and how decode()
+/// extracts its fields. A register field is (word >> shift) & mask (mask 0
+/// when the format has none); the immediate is word & imm_mask,
+/// sign-extended through imm_sign, its top bit (0 = zero-extended).
+struct DecodeRow {
+  Format format = Format::kInvalid;
+  std::uint8_t rd_shift = 0, rd_mask = 0;
+  std::uint8_t ra_shift = 0, ra_mask = 0;
+  std::uint8_t rb_shift = 0, rb_mask = 0;
+  std::uint32_t imm_mask = 0, imm_sign = 0;
+};
+
+constexpr DecodeRow decode_row(Format f) {
+  switch (f) {
+    case Format::kR:
+      return {f, 22, 0xF, 18, 0xF, 14, 0xF, 0, 0};
+    case Format::kI:
+    case Format::kJalr:
+    case Format::kStore:  // rd carries the store source
+      return {f, 22, 0xF, 18, 0xF, 0, 0, 0x3FFF, 0x2000};
+    case Format::kIu:
+    case Format::kShift:
+      return {f, 22, 0xF, 18, 0xF, 0, 0, 0x3FFF, 0};
+    case Format::kLui:
+      return {f, 22, 0xF, 0, 0, 0, 0, 0x3FFFF, 0};
+    case Format::kBranch:
+      return {f, 0, 0, 22, 0xF, 18, 0xF, 0x3FFF, 0x2000};
+    case Format::kJal:
+      return {f, 22, 0xF, 0, 0, 0, 0, 0x3FFFFF, 0x200000};
+    case Format::kNone:
+    case Format::kInvalid:
+      break;
+  }
+  return {f};
+}
+
+inline constexpr auto kDecodeTable = [] {
+  std::array<DecodeRow, 64> table{};
+  for (std::uint32_t op = 0; op < table.size(); ++op)
+    table[op] = decode_row(format_of(op));
+  return table;
+}();
+
+}  // namespace detail
+
 /// Decode a word; nullopt when the opcode is not defined (possible for
-/// garbage produced by a CFI decryption error).
-std::optional<Instruction> decode(std::uint32_t word);
+/// garbage produced by a CFI decryption error). Inline and branch-light:
+/// every executed SOFIA block and every vanilla instruction decodes here.
+inline std::optional<Instruction> decode(std::uint32_t word) {
+  const std::uint32_t opbits = word >> 26;
+  const detail::DecodeRow& row = detail::kDecodeTable[opbits];
+  if (row.format == detail::Format::kInvalid) return std::nullopt;
+  Instruction inst;
+  inst.op = static_cast<Opcode>(opbits);
+  inst.rd = static_cast<std::uint8_t>((word >> row.rd_shift) & row.rd_mask);
+  inst.ra = static_cast<std::uint8_t>((word >> row.ra_shift) & row.ra_mask);
+  inst.rb = static_cast<std::uint8_t>((word >> row.rb_shift) & row.rb_mask);
+  const std::uint32_t imm = word & row.imm_mask;
+  inst.imm = static_cast<std::int32_t>((imm ^ row.imm_sign) - row.imm_sign);
+  return inst;
+}
 
 // ---- instruction classes -------------------------------------------------
 

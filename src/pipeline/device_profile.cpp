@@ -100,8 +100,9 @@ xform::Options DeviceProfile::transform_options(assembler::MemoryLayout mem,
   return opts;
 }
 
-sim::SimConfig& DeviceProfile::configure(sim::SimConfig& config) const {
-  config.keys = keys();
+sim::SimConfig& DeviceProfile::configure(sim::SimConfig& config,
+                                         const crypto::KeySet& keys) const {
+  config.keys = keys;
   config.policy = policy;
   config.scheme = scheme;
   return config;

@@ -108,7 +108,14 @@ struct DeviceProfile {
                                    bool elide_unreachable = false) const;
 
   /// Device view: stamp keys and policy onto a simulator configuration.
-  sim::SimConfig& configure(sim::SimConfig& config) const;
+  sim::SimConfig& configure(sim::SimConfig& config) const {
+    return configure(config, keys());
+  }
+
+  /// The same with keys() already materialized: a session derives them
+  /// once, not on every run.
+  sim::SimConfig& configure(sim::SimConfig& config,
+                            const crypto::KeySet& keys) const;
 
   /// Stable machine-readable identity of every axis, e.g.
   /// "cipher=RECTANGLE-80 keys=example gran=per-pair policy=8/4

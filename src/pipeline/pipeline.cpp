@@ -10,7 +10,7 @@
 namespace sofia::pipeline {
 
 Pipeline::Pipeline(std::string name, DeviceProfile profile)
-    : name_(std::move(name)), profile_(profile) {
+    : name_(std::move(name)), profile_(profile), keys_(profile_.keys()) {
   // Resolve a valid backend eagerly: backend() then never mutates, so the
   // const run_image() overloads stay safe to call concurrently on a shared
   // session (Backend::run itself is documented concurrency-safe). An
@@ -144,7 +144,7 @@ const xform::TransformResult& Pipeline::hardened() {
     const auto& prog = program();
     run_stage("transform", [&] {
       hardened_ = xform::transform(
-          prog, profile_.keys(),
+          prog, keys_,
           profile_.transform_options(mem_, elide_unreachable_));
     });
   }
@@ -158,7 +158,7 @@ const assembler::LoadImage& Pipeline::image() {
 
 sim::SimConfig Pipeline::effective_sim_config() const {
   sim::SimConfig config = base_config_;
-  profile_.configure(config);
+  profile_.configure(config, keys_);
   return config;
 }
 
@@ -203,7 +203,7 @@ const sim::RunResult& Pipeline::run_vanilla() {
 
 verify::DeviceSpec Pipeline::device_spec() const {
   verify::DeviceSpec spec;
-  spec.keys = profile_.keys();
+  spec.keys = keys_;
   spec.scheme = profile_.scheme;
   spec.granularity = profile_.granularity;
   spec.policy = profile_.policy;
@@ -232,7 +232,7 @@ sim::RunResult Pipeline::run_image(const assembler::LoadImage& img) const {
 
 sim::RunResult Pipeline::run_image(const assembler::LoadImage& img,
                                    sim::SimConfig config) const {
-  profile_.configure(config);
+  profile_.configure(config, keys_);
   return backend().run(img, config);
 }
 

@@ -202,6 +202,7 @@ class Pipeline {
 
   std::string name_;
   DeviceProfile profile_;
+  crypto::KeySet keys_;  ///< profile_.keys(), derived once
   std::unique_ptr<sim::Backend> backend_;  ///< resolved in the ctor; null
                                            ///< only for unknown names
   sim::SimConfig base_config_;

@@ -36,10 +36,12 @@ struct Ctr {
   /// CTR-decrypt the first `count` scheduled words of a fetched block
   /// (device side) into `out.plain`, appending one OpSpan per cipher
   /// operation in issue order — the mirror image of seal() for the entered
-  /// path.
+  /// path. With `ref` (an earlier opening of the same entry) each word's
+  /// keystream is ref.raw ^ ref.plain and the cipher is not called; the
+  /// ops appended are the same.
   void open(const EntryPath& path, std::size_t count, std::uint32_t base_word,
             std::uint32_t prev_word, const std::vector<std::uint32_t>& raw,
-            DeviceBlock& out) const;
+            const OpenedReference* ref, DeviceBlock& out) const;
 
   std::unique_ptr<crypto::BlockCipher64> enc;
   std::uint16_t omega;

@@ -30,7 +30,8 @@ void Ctr::seal(const BlockInfo& info, std::span<std::uint32_t> words) const {
 
 void Ctr::open(const EntryPath& path, std::size_t count,
                std::uint32_t base_word, std::uint32_t prev_word,
-               const std::vector<std::uint32_t>& raw, DeviceBlock& out) const {
+               const std::vector<std::uint32_t>& raw,
+               const OpenedReference* ref, DeviceBlock& out) const {
   const bool per_pair = gran == crypto::Granularity::kPerPair;
   // Multiplexor entry words are single-word granules; the body pairs up.
   const std::uint32_t body_start = path.is_mux ? 2 : 0;
@@ -38,19 +39,22 @@ void Ctr::open(const EntryPath& path, std::size_t count,
     const std::uint32_t j = path.sched[k];
     const std::uint32_t prev =
         j == path.entry_word_index ? prev_word : base_word + j - 1;
-    if (per_pair && j >= body_start) {
-      out.decrypt_ops.push_back({j, 2});
+    const std::uint32_t span = per_pair && j >= body_start ? 2 : 1;
+    out.decrypt_ops.push_back({j, span});
+    if (ref) {
+      // The keystream the earlier opening of this entry decrypted with.
+      for (std::uint32_t w = j; w < j + span; ++w)
+        out.plain[w] = raw[w] ^ ref->raw[w] ^ ref->plain[w];
+    } else if (span == 2) {
       const std::uint64_t ks =
           crypto::keystream64(*enc, omega, prev, base_word + j);
       out.plain[j] = raw[j] ^ static_cast<std::uint32_t>(ks);
       out.plain[j + 1] = raw[j + 1] ^ static_cast<std::uint32_t>(ks >> 32);
-      k += 2;
     } else {
-      out.decrypt_ops.push_back({j, 1});
       out.plain[j] =
           raw[j] ^ crypto::keystream32(*enc, omega, prev, base_word + j);
-      k += 1;
     }
+    k += span;
   }
 }
 
@@ -107,13 +111,17 @@ class CtrOpener final : public Opener {
             crypto::Granularity gran)
       : tag_(keys), ctr_(keys, omega, gran) {}
 
+  using Opener::open;
   DeviceBlock open(std::uint32_t base_word, std::uint32_t prev_word,
                    const EntryPath& path,
-                   const std::vector<std::uint32_t>& raw) const override {
+                   const std::vector<std::uint32_t>& raw,
+                   const OpenedReference* ref) const override {
     DeviceBlock out;
     out.first_inst = path.first_inst;
     out.plain.assign(raw.size(), 0);
-    ctr_.open(path, path.sched.size(), base_word, prev_word, raw, out);
+    // The keystream depends only on the key, omega, the word address and
+    // prevPC, all fixed for this entry: reuse the reference's.
+    ctr_.open(path, path.sched.size(), base_word, prev_word, raw, ref, out);
     tag_.check(path, out);
     return out;
   }

@@ -140,6 +140,14 @@ struct DeviceBlock {
   std::uint8_t exit_label = 0;   ///< label the exit-slot jalr may reach
 };
 
+/// An earlier opening of the same block entry by the same opener (same
+/// base word, prevPC and path) from other fetched words: the words it was
+/// opened from and the plaintext they opened to, both all b words long.
+struct OpenedReference {
+  std::span<const std::uint32_t> raw;
+  std::span<const std::uint32_t> plain;
+};
+
 /// One device session (fixed keys + the image's omega and granularity).
 class Opener {
  public:
@@ -148,9 +156,21 @@ class Opener {
   /// Decrypt and verify one block entry. `raw` holds all b words of the
   /// block; only the indices in `path.sched` were fetched (the rest are
   /// zero and must not be read).
+  DeviceBlock open(std::uint32_t base_word, std::uint32_t prev_word,
+                   const EntryPath& path,
+                   const std::vector<std::uint32_t>& raw) const {
+    return open(base_word, prev_word, path, raw, nullptr);
+  }
+
+  /// The same, given an earlier opening `ref` of this entry (or null). A
+  /// scheme whose keystream depends only on the key, omega, word address
+  /// and prevPC may read a path word's keystream off it as
+  /// ref.raw ^ ref.plain instead of calling the cipher; the result must
+  /// equal the open without `ref`, op lists included.
   virtual DeviceBlock open(std::uint32_t base_word, std::uint32_t prev_word,
                            const EntryPath& path,
-                           const std::vector<std::uint32_t>& raw) const = 0;
+                           const std::vector<std::uint32_t>& raw,
+                           const OpenedReference* ref) const = 0;
 };
 
 // ---- the scheme ------------------------------------------------------------

@@ -115,9 +115,13 @@ class SpongeOpener final : public Opener {
       : ctr_(keys, omega, crypto::Granularity::kPerWord),
         chain_key_(keys.exec_mac_cipher()) {}
 
+  using Opener::open;
+  // The chain's keystream depends on the fetched ciphertext, so an earlier
+  // opening of the entry says nothing about this one: `ref` is ignored.
   DeviceBlock open(std::uint32_t base_word, std::uint32_t prev_word,
                    const EntryPath& path,
-                   const std::vector<std::uint32_t>& raw) const override {
+                   const std::vector<std::uint32_t>& raw,
+                   const OpenedReference* /*ref*/) const override {
     const auto b = static_cast<std::uint32_t>(raw.size());
     DeviceBlock out;
     out.first_inst = path.first_inst;
@@ -127,7 +131,7 @@ class SpongeOpener final : public Opener {
     // Scheduled header words (the entered T1 copy and the T2 slot, the
     // first two fetched): per-word CTR decryption with the
     // control-flow-dependent counter.
-    ctr_.open(path, 2, base_word, prev_word, raw, out);
+    ctr_.open(path, 2, base_word, prev_word, raw, nullptr, out);
     const std::uint32_t entry = path.entry_word_index;
     const std::uint32_t tag_hi = path.sched[1];
     const std::uint64_t stored_tag =

@@ -55,7 +55,9 @@ struct BlockStore::Table {
   const std::size_t cap;
   const std::size_t mask;
   std::unique_ptr<std::atomic<OpenedBlock*>[]> slots;
-  std::atomic<std::size_t> used{0};  ///< records stored plus claims in flight
+  /// Records stored plus claims in flight; on a cache line of its own, so
+  /// claims do not slow the lookups that read the fields above.
+  alignas(64) std::atomic<std::size_t> used{0};
 };
 
 BlockStore::BlockStore() = default;
@@ -88,7 +90,9 @@ void BlockStore::offer(std::unique_ptr<OpenedBlock>& rec) {
   Table* table = bound_.load(std::memory_order_acquire);
   if (!table) return;
   // Claim room first: a claim made below the cap keeps the records stored
-  // at or below it, whatever the other threads do.
+  // at or below it, whatever the other threads do. A full table is seen
+  // without writing to the shared counter.
+  if (table->used.load(std::memory_order_relaxed) >= table->cap) return;
   if (table->used.fetch_add(1, std::memory_order_relaxed) >= table->cap) {
     table->used.fetch_sub(1, std::memory_order_relaxed);
     return;

@@ -258,34 +258,72 @@ class BlockCache {
   /// The front cache's record for the entry, taken on trust: for a caller
   /// that knows the fetched words cannot have changed since it was opened.
   const OpenedBlock* cached(std::uint32_t target_word,
-                            std::uint32_t prev_word) const {
-    const auto it = front_.find(block_key(target_word, prev_word));
-    return it == front_.end() ? nullptr : it->second.rec;
+                            std::uint32_t prev_word) {
+    const Entry* entry = find(block_key(target_word, prev_word));
+    return entry ? entry->rec : nullptr;
   }
 
   /// Admit the entry at (target_word, prev_word). For a valid entry offset
   /// `fetch(base_word, path)` reads the block's words along `path` and
   /// returns all b of them (zero off the path). The front cache's record,
   /// then the store's, is reused when its words equal the fetched ones;
-  /// otherwise sim::admit() opens the words and the record is offered to
-  /// the store. The result stays valid until the next admit() or clear().
+  /// otherwise sim::admit() opens the words, handing the opener either
+  /// record as its scheme::OpenedReference, and a record new to the store
+  /// is offered to it. The result stays valid until the next admit() or
+  /// clear().
   template <typename Fetch>
   const OpenedBlock& admit(std::uint32_t target_word, std::uint32_t prev_word,
                            Fetch&& fetch);
 
   /// Forget the front cache (the store is unaffected).
-  void clear() { front_.clear(); }
+  void clear() {
+    for (Entry& e : slots_) e = {};
+    spill_.clear();
+  }
 
  private:
   struct Entry {
+    /// No entry has this key: an entry word is a byte PC / 4 (< 2^30).
+    static constexpr std::uint64_t kFree = ~0ull;
+    std::uint64_t key = kFree;
     const OpenedBlock* rec = nullptr;
     std::unique_ptr<OpenedBlock> own;  ///< a record the store did not take
   };
 
+  /// The front cache is direct-mapped by a multiplicative hash of the key,
+  /// so a hit costs no hash-map probe and a run's first entries no node
+  /// allocation. An entry whose slot another key holds goes to spill_.
+  /// A clean run of the built-in campaign victim enters 11 or 12
+  /// (entry, prevPC) pairs and one of a workload 8 to 39, so 64 slots keep
+  /// most entries out of the map while the per-run array stays 1.5 KiB.
+  static constexpr unsigned kSlotBits = 6;
+  Entry& slot(std::uint64_t key) {
+    return slots_[(key * 0x9E3779B97F4A7C15ull) >> (64 - kSlotBits)];
+  }
+  /// The front cache's entry for `key`, or null.
+  Entry* find(std::uint64_t key) {
+    Entry& s = slot(key);
+    if (s.key == key) return &s;
+    if (spill_.empty()) return nullptr;
+    const auto it = spill_.find(key);
+    return it == spill_.end() ? nullptr : &it->second;
+  }
+  /// The same, adding an empty entry when there is none.
+  Entry& find_or_add(std::uint64_t key) {
+    Entry& s = slot(key);
+    if (s.key == key) return s;
+    if (s.key == Entry::kFree) {
+      s.key = key;
+      return s;
+    }
+    return spill_[key];
+  }
+
   std::unique_ptr<Device> own_device_;
   const Device* device_ = nullptr;
   BlockStore* store_ = nullptr;  ///< null when the run bypasses the store
-  std::unordered_map<std::uint64_t, Entry> front_;
+  std::array<Entry, std::size_t{1} << kSlotBits> slots_{};
+  std::unordered_map<std::uint64_t, Entry> spill_;  ///< nodes never move
 };
 
 template <typename Fetch>
@@ -293,16 +331,26 @@ const OpenedBlock& BlockCache::admit(std::uint32_t target_word,
                                      std::uint32_t prev_word, Fetch&& fetch) {
   const DeviceIdentity& id = device_->identity;
   const std::uint64_t key = block_key(target_word, prev_word);
-  Entry& entry = front_[key];
+  Entry& entry = find_or_add(key);
   const std::uint32_t offset = entry_offset(target_word, id.text_base_word,
                                             id.policy.words_per_block);
   const std::vector<std::uint32_t>* raw = nullptr;
+  // An earlier opening of this entry from other words: the opener may take
+  // its keystream from it (scheme::OpenedReference).
+  const OpenedBlock* ref = nullptr;
+  const OpenedBlock* stored = nullptr;  // the store's record at `key`
   if (offset <= 2) {
     raw = &fetch(target_word - offset, device_->paths[offset]);
-    if (entry.rec && entry.rec->raw == *raw) return *entry.rec;
+    if (entry.rec) {
+      if (entry.rec->raw == *raw) return *entry.rec;
+      ref = entry.rec;
+    }
     if (store_) {
-      const OpenedBlock* stored = store_->find(key);
-      if (stored && stored->raw == *raw) return *(entry.rec = stored);
+      stored = store_->find(key);
+      if (stored) {
+        if (stored->raw == *raw) return *(entry.rec = stored);
+        if (!ref) ref = stored;
+      }
     }
   }
   auto rec = std::make_unique<OpenedBlock>();
@@ -312,11 +360,15 @@ const OpenedBlock& BlockCache::admit(std::uint32_t target_word,
       [&](std::uint32_t base_word,
           const scheme::EntryPath& path) -> const scheme::DeviceBlock& {
         rec->raw = *raw;
-        rec->dev = device_->opener->open(base_word, prev_word, path, rec->raw);
+        scheme::OpenedReference known;
+        if (ref) known = {ref->raw, ref->dev.plain};
+        rec->dev = device_->opener->open(base_word, prev_word, path, rec->raw,
+                                         ref ? &known : nullptr);
         return rec->dev;
       });
   entry.rec = rec.get();
-  if (store_ && !rec->raw.empty()) store_->offer(rec);
+  // A stored record at this key (the reference) keeps its slot.
+  if (store_ && !rec->raw.empty() && !stored) store_->offer(rec);
   entry.own = std::move(rec);
   return *entry.rec;
 }

@@ -1,5 +1,6 @@
 #include "sim/functional_backend.hpp"
 
+#include <algorithm>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -123,13 +124,36 @@ class FunctionalMachine {
         finish(RunResult::Status::kFault);
         return;
       }
+      // The block retires up to `end` instructions: all of them, or as
+      // many as the budget has left. Where the budget runs out inside the
+      // block the run stops at the same instruction a per-instruction check
+      // would.
+      const std::size_t n = blk.insts.size();
+      const std::size_t end = static_cast<std::size_t>(std::min<std::uint64_t>(
+          n, config_.max_cycles - result_.stats.insts));
+      const isa::Instruction* insts = blk.insts.data();
+      std::uint32_t pc = (blk.base_word + blk.first_inst) * 4;
       std::uint32_t next = 0;
-      for (std::size_t i = 0; i < blk.insts.size() && !done_; ++i) {
-        if (!budget_ok()) return;
-        next = exec(blk.insts[i], (blk.base_word + blk.first_inst +
-                                   static_cast<std::uint32_t>(i)) * 4);
+      for (std::size_t i = 0; i < end;) {
+        if (insts[i].op == isa::Opcode::kNop) {
+          // A run of padding NOPs retires in one step.
+          std::size_t k = 1;
+          while (i + k < end && insts[i + k].op == isa::Opcode::kNop) ++k;
+          retire_nops(k, pc);
+          i += k;
+          pc += static_cast<std::uint32_t>(k) * 4;
+          next = pc;
+        } else {
+          next = exec(insts[i], pc);
+          if (done_) return;
+          ++i;
+          pc += 4;
+        }
       }
-      if (done_) return;
+      if (end < n) {
+        finish(RunResult::Status::kMaxCycles);
+        return;
+      }
       // The exit word decided where fetch continues; its own address is
       // the next block's prevPC (identical for taken transfers, direct
       // jumps and sequential fall-through). A gated indirect exit instead
@@ -156,6 +180,19 @@ class FunctionalMachine {
       ++result_.stats.fetch_words;
       pc = exec(*decoded, pc);
     }
+  }
+
+  /// Retire `k` NOPs from byte PC `pc` on: what k exec() calls on them
+  /// would do, trace entries included.
+  void retire_nops(std::size_t k, std::uint32_t pc) {
+    auto& st = result_.stats;
+    if (config_.collect_trace)
+      for (std::size_t m = 0; m < k && result_.trace.size() < config_.max_trace;
+           ++m)
+        result_.trace.push_back(
+            {st.insts + 1 + m, pc + static_cast<std::uint32_t>(m) * 4, 0});
+    st.insts += k;
+    st.nops += k;
   }
 
   /// Execute one instruction architecturally; returns the successor's

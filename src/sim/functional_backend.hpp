@@ -8,7 +8,9 @@
 // violation pulling the reset line. What this backend leaves out is the
 // micro-architecture: no I-cache, no fetch queue, no cipher-engine
 // scheduling, no store gate. Control flow is purely architectural (no
-// fall-through speculation).
+// fall-through speculation). A run of padding NOPs in a block retires in
+// one step: the counters, the budget cut and the trace come out as if each
+// NOP had executed alone.
 //
 // Admitted blocks are cached at two levels (sim/admission.hpp). Within a
 // run, the front cache maps (entry word, prevPC) to the admission, so a
@@ -19,7 +21,8 @@
 // serves only runs of its own device identity (scheme, keys, image omega,
 // granularity, block policy, text base); any other run opens everything
 // itself. So a campaign's tampered trials re-open only the blocks they
-// actually changed.
+// actually changed, and a CTR scheme decrypts those with the keystream of
+// the record already held for the pair (scheme::OpenedReference).
 //
 // Consequences, documented as contract:
 //  * stats.cycles is the retired instruction count (capabilities()

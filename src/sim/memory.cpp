@@ -1,27 +1,34 @@
 #include "sim/memory.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 namespace sofia::sim {
 
+std::uint8_t* Memory::find_page(std::uint32_t number) const {
+  for (const Page& page : pages_)
+    if (page.number == number) return page.data.get();
+  return nullptr;
+}
+
 const std::uint8_t* Memory::read_miss(std::uint32_t addr) {
   const std::uint32_t number = addr >> kPageBits;
-  const auto it = pages_.find(number);
-  if (it == pages_.end()) return nullptr;
-  cache_[slot_of(number)] = {number, it->second.get()};
-  return it->second.get();
+  std::uint8_t* page = find_page(number);
+  if (page) cache_[slot_of(number)] = {number, page};
+  return page;
 }
 
 std::uint8_t* Memory::write_miss(std::uint32_t addr) {
   const std::uint32_t number = addr >> kPageBits;
-  auto& page = pages_[number];
+  std::uint8_t* page = find_page(number);
   if (!page) {
-    page = std::make_unique<std::uint8_t[]>(kPageSize);
-    std::memset(page.get(), 0, kPageSize);
+    // make_unique value-initializes: the new page reads zero.
+    pages_.push_back({number, std::make_unique<std::uint8_t[]>(kPageSize)});
+    page = pages_.back().data.get();
   }
-  cache_[slot_of(number)] = {number, page.get()};
-  return page.get();
+  cache_[slot_of(number)] = {number, page};
+  return page;
 }
 
 std::uint8_t Memory::load8(std::uint32_t addr) {
@@ -69,24 +76,24 @@ void Memory::store32(std::uint32_t addr, std::uint32_t value) {
   for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(value >> (8 * i));
 }
 
-template <typename Byte>
-void Memory::store_bytes(std::uint32_t addr, std::size_t n, Byte&& byte) {
+void Memory::store_bytes(std::uint32_t addr, const void* src, std::size_t n) {
+  const auto* bytes = static_cast<const std::uint8_t*>(src);
   for (std::size_t i = 0; i < n;) {
     const std::uint32_t offset = addr & (kPageSize - 1);
     const std::size_t chunk = std::min<std::size_t>(n - i, kPageSize - offset);
-    std::uint8_t* page = page_for_write(addr) + offset;
-    for (std::size_t k = 0; k < chunk; ++k) page[k] = byte(i + k);
+    std::memcpy(page_for_write(addr) + offset, bytes + i, chunk);
     addr += static_cast<std::uint32_t>(chunk);
     i += chunk;
   }
 }
 
 void Memory::load_image(const assembler::LoadImage& image) {
-  store_bytes(image.text_base, image.text.size() * 4, [&](std::size_t i) {
-    return static_cast<std::uint8_t>(image.text[i / 4] >> (8 * (i % 4)));
-  });
-  store_bytes(image.data_base, image.data.size(),
-              [&](std::size_t i) { return image.data[i]; });
+  // Memory is little-endian, so the text words' in-memory bytes are the
+  // image bytes on a little-endian host.
+  static_assert(std::endian::native == std::endian::little,
+                "load_image copies text words as little-endian bytes");
+  store_bytes(image.text_base, image.text.data(), image.text.size() * 4);
+  store_bytes(image.data_base, image.data.data(), image.data.size());
 }
 
 }  // namespace sofia::sim

@@ -1,13 +1,12 @@
 // Flat, sparse, little-endian physical memory (4 KiB pages allocated on
 // first touch), with a small direct-mapped cache of recently used pages in
-// front of the page map. Pure storage: MMIO is decoded by the core, not
+// front of the page list. Pure storage: MMIO is decoded by the core, not
 // here.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "assembler/image.hpp"
@@ -67,19 +66,28 @@ class Memory {
     const CachedPage& slot = cache_[slot_of(addr >> kPageBits)];
     return slot.number == addr >> kPageBits ? slot.data : write_miss(addr);
   }
-  /// The same past the page cache: look the page up in the map (creating
+  /// The same past the page cache: look the page up in the list (creating
   /// it, for a write) and cache it.
   const std::uint8_t* read_miss(std::uint32_t addr);
   std::uint8_t* write_miss(std::uint32_t addr);
 
-  /// Write bytes byte(0) .. byte(n-1) from `addr` on, one page at a time.
-  template <typename Byte>
-  void store_bytes(std::uint32_t addr, std::size_t n, Byte&& byte);
+  /// Copy `n` bytes from `src` to `addr` on, one page at a time.
+  void store_bytes(std::uint32_t addr, const void* src, std::size_t n);
 
-  std::unordered_map<std::uint32_t, std::unique_ptr<std::uint8_t[]>> pages_;
+  /// The page numbered `number`, or null when it was never written.
+  std::uint8_t* find_page(std::uint32_t number) const;
+
+  /// Every allocated page, in allocation order. A run touches a handful
+  /// (text, data, stack), so a linear scan behind the page cache beats a
+  /// hash map.
+  struct Page {
+    std::uint32_t number;
+    std::unique_ptr<std::uint8_t[]> data;
+  };
+  std::vector<Page> pages_;
 
   /// Page number -> page, direct-mapped by slot_of(). Never invalidated:
-  /// a page, once allocated, neither moves nor goes away.
+  /// a page's bytes, once allocated, neither move nor go away.
   struct CachedPage {
     std::uint32_t number = ~0u;  ///< no page has this number (addr >> 12)
     std::uint8_t* data = nullptr;

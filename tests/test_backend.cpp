@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "campaign/campaign.hpp"
 #include "campaign/mutation.hpp"
 #include "pipeline/pipeline.hpp"
 #include "random_program.hpp"
@@ -800,6 +801,54 @@ TEST(FunctionalBackend, TraceRecordsTheArchitecturalStream) {
   ASSERT_TRUE(run.ok());
   ASSERT_FALSE(run.trace.empty());
   EXPECT_EQ(run.trace.size(), run.stats.insts);
+}
+
+TEST(FunctionalBackend, EveryBudgetRetiresThePrefixOfTheUnboundedRun) {
+  // Padding NOPs retire in bulk; a budget b must still stop the built-in
+  // campaign victim after exactly min(b, N) instructions with the NOPs of
+  // the unbounded run's first b trace entries, the same trace prefix and
+  // max-cycles, also where b ends inside a run of padding.
+  const auto smoke = campaign::smoke(campaign::default_campaign());
+  for (const auto& cell : smoke.cells) {
+    if (!scheme::get_scheme(cell.scheme).traits().authenticated) continue;
+    const campaign::Target target(smoke, cell);
+    ASSERT_EQ(target.session().profile().backend, "functional");
+    sim::SimConfig cfg = target.session().sim_config();
+    cfg.collect_trace = true;
+    const auto full = target.session().run_image(target.image(), cfg);
+    ASSERT_TRUE(full.ok()) << cell.scheme;
+    const std::uint64_t n = full.stats.insts;
+    ASSERT_EQ(full.trace.size(), n) << cell.scheme;
+    // NOPs among the first k trace entries.
+    std::vector<std::uint64_t> nops(n + 1, 0);
+    for (std::uint64_t k = 0; k < n; ++k)
+      nops[k + 1] = nops[k] + (full.trace[k].word == 0 ? 1 : 0);
+    ASSERT_GT(nops[n], n / 2) << cell.scheme << ": padding dominates";
+    std::uint64_t cut_in_padding = 0;
+    for (std::uint64_t b = 1; b <= n + 1; ++b) {
+      cfg.max_cycles = b;
+      const auto run = target.session().run_image(target.image(), cfg);
+      const std::uint64_t want = std::min(b, n);
+      const std::string at = cell.scheme + " budget " + std::to_string(b);
+      ASSERT_EQ(run.stats.insts, want) << at;
+      EXPECT_EQ(run.stats.nops, nops[want]) << at;
+      EXPECT_EQ(run.status,
+                b < n ? sim::RunResult::Status::kMaxCycles : full.status)
+          << at;
+      ASSERT_EQ(run.trace.size(), want) << at;
+      EXPECT_TRUE(std::equal(run.trace.begin(), run.trace.end(),
+                             full.trace.begin(),
+                             [](const sim::TraceEntry& x,
+                                const sim::TraceEntry& y) {
+                               return x.cycle == y.cycle && x.pc == y.pc &&
+                                      x.word == y.word;
+                             }))
+          << at;
+      if (b < n && full.trace[b - 1].word == 0 && full.trace[b].word == 0)
+        ++cut_in_padding;
+    }
+    EXPECT_GT(cut_in_padding, 0u) << cell.scheme;
+  }
 }
 
 // ---------------------------------------------------------------------------

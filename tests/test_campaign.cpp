@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <functional>
 #include <limits>
 #include <set>
@@ -674,6 +675,39 @@ TEST(CampaignJson, MergeRejectsBadInputs) {
   // Forged tallies: numbers no run produces, each of which the merge once
   // folded silently. s0's first cell (sofia-cbcmac) detects its trials.
   ASSERT_EQ(campaign::merge_json({s0, s1}), campaign::merge_json({s1, s0}));
+  // A cell's "authenticated" flag that is not its scheme's: "null"
+  // relabelled authenticated in shard 1, and "sofia-cbcmac" relabelled
+  // unauthenticated in document 0 (which would hide its escapes from the
+  // verdict).
+  const auto relabel = [&](const std::string& text, const char* scheme,
+                           bool authenticated) {
+    return forge_doc(text, [&](json::Value& doc) {
+      for (auto& cell : member(doc, "cells").array)
+        if (member(cell, "scheme").string == scheme)
+          member(cell, "authenticated").boolean = authenticated;
+    });
+  };
+  try {
+    campaign::merge_json({s0, relabel(s1, "null", true)});
+    ADD_FAILURE() << "an authenticated null cell was merged";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("merge: document 1 cell"),
+              std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("'null'"), std::string::npos)
+        << e.what();
+  }
+  try {
+    campaign::merge_json({relabel(s0, "sofia-cbcmac", false), s1});
+    ADD_FAILURE() << "an unauthenticated sofia-cbcmac cell was merged";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("merge: document 0 cell 0"),
+              std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("'sofia-cbcmac'"),
+              std::string::npos)
+        << e.what();
+  }
   const auto first_cause = [&](json::Value& cell) -> json::Value& {
     auto& causes = member(cell, "causes").object;
     if (causes.empty()) throw Error("test: the cell detected nothing");
@@ -740,6 +774,53 @@ TEST(CampaignJson, MergeRejectsBadInputs) {
   }
 }
 
+
+TEST(CampaignJson, VerdictReadsAuthenticityFromTheRegistry) {
+  // A document's "authenticated" flags do not decide the verdict: a leaking
+  // "null" cell relabelled authenticated stays a pass, and an escape in a
+  // "sofia-cbcmac" cell relabelled unauthenticated still fails.
+  auto spec = smoke_spec(60);
+  std::erase_if(spec.cells, [](const campaign::CellSpec& cell) {
+    return cell.scheme != "null" && cell.scheme != "sofia-cbcmac";
+  });
+  const json::Value doc =
+      json::parse(campaign::to_json(campaign::run_campaign(spec, 2)));
+  std::FILE* sink = std::tmpfile();
+  ASSERT_NE(sink, nullptr);
+  json::Value relabelled = doc;
+  json::Value* mac = nullptr;
+  const json::Value* leak = nullptr;
+  for (auto& cell : relabelled.object) {
+    if (cell.first != "cells") continue;
+    for (auto& c : cell.second.array) {
+      json::Value* scheme = nullptr;
+      json::Value* flag = nullptr;
+      json::Value* escapes = nullptr;
+      for (auto& [k, v] : c.object) {
+        if (k == "scheme") scheme = &v;
+        if (k == "authenticated") flag = &v;
+        if (k == "escapes") escapes = &v;
+      }
+      ASSERT_TRUE(scheme && flag && escapes);
+      flag->boolean = !flag->boolean;
+      if (scheme->string == "null") {
+        ASSERT_FALSE(escapes->array.empty());
+        leak = &escapes->array.front();
+      } else {
+        mac = &c;
+      }
+    }
+  }
+  ASSERT_TRUE(mac && leak);
+  EXPECT_EQ(campaign::verdict(doc, sink), 0);
+  EXPECT_EQ(campaign::verdict(relabelled, sink), 0);
+  for (auto& [k, v] : mac->object) {
+    if (k == "escaped") v.number = "1";
+    if (k == "escapes") v.array.push_back(*leak);
+  }
+  EXPECT_EQ(campaign::verdict(relabelled, sink), 1);
+  std::fclose(sink);
+}
 
 // ---- pinned documents ------------------------------------------------------
 

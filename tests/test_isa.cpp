@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+
 #include "isa/disasm.hpp"
 #include "isa/isa.hpp"
 #include "support/error.hpp"
@@ -198,6 +201,141 @@ TEST(Disasm, BranchTargetsUseAddress) {
 TEST(Disasm, UndecodableWordPrintsRaw) {
   const std::string s = disassemble_word(0xFC000000u, 0);
   EXPECT_NE(s.find(".word"), std::string::npos);
+}
+
+// ---- the table-driven decoder against the switch it replaced ---------------
+
+/// The decoder as it was before the format table: a per-format switch.
+/// Kept here verbatim as the oracle for isa::decode.
+std::optional<Instruction> switch_decode(std::uint32_t word) {
+  enum class Format { kNone, kR, kI, kIu, kShift, kStore, kBranch, kJal, kJalr, kLui };
+  const auto format_of = [](Opcode op) {
+    switch (op) {
+      case Opcode::kNop:
+      case Opcode::kHalt:
+        return Format::kNone;
+      case Opcode::kAdd:
+      case Opcode::kSub:
+      case Opcode::kAnd:
+      case Opcode::kOr:
+      case Opcode::kXor:
+      case Opcode::kSll:
+      case Opcode::kSrl:
+      case Opcode::kSra:
+      case Opcode::kSlt:
+      case Opcode::kSltu:
+      case Opcode::kMul:
+        return Format::kR;
+      case Opcode::kAddi:
+      case Opcode::kSlti:
+      case Opcode::kSltiu:
+      case Opcode::kLw:
+      case Opcode::kLh:
+      case Opcode::kLhu:
+      case Opcode::kLb:
+      case Opcode::kLbu:
+        return Format::kI;
+      case Opcode::kAndi:
+      case Opcode::kOri:
+      case Opcode::kXori:
+        return Format::kIu;
+      case Opcode::kSlli:
+      case Opcode::kSrli:
+      case Opcode::kSrai:
+        return Format::kShift;
+      case Opcode::kLui:
+        return Format::kLui;
+      case Opcode::kSw:
+      case Opcode::kSh:
+      case Opcode::kSb:
+        return Format::kStore;
+      case Opcode::kBeq:
+      case Opcode::kBne:
+      case Opcode::kBlt:
+      case Opcode::kBge:
+      case Opcode::kBltu:
+      case Opcode::kBgeu:
+        return Format::kBranch;
+      case Opcode::kJal:
+        return Format::kJal;
+      case Opcode::kJalr:
+        return Format::kJalr;
+    }
+    return Format::kNone;
+  };
+  const auto bits = [](std::uint32_t x, unsigned lo, unsigned width) {
+    return (x >> lo) & ((1u << width) - 1);
+  };
+  const auto sign_extend = [](std::uint32_t x, unsigned width) {
+    const std::uint32_t m = 1u << (width - 1);
+    return static_cast<std::int32_t>((x ^ m) - m);
+  };
+  const std::uint32_t opbits = bits(word, 26, 6);
+  if (opbits > kMaxOpcode) return std::nullopt;
+  Instruction inst;
+  inst.op = static_cast<Opcode>(opbits);
+  switch (format_of(inst.op)) {
+    case Format::kNone:
+      break;
+    case Format::kR:
+      inst.rd = static_cast<std::uint8_t>(bits(word, 22, 4));
+      inst.ra = static_cast<std::uint8_t>(bits(word, 18, 4));
+      inst.rb = static_cast<std::uint8_t>(bits(word, 14, 4));
+      break;
+    case Format::kI:
+    case Format::kJalr:
+      inst.rd = static_cast<std::uint8_t>(bits(word, 22, 4));
+      inst.ra = static_cast<std::uint8_t>(bits(word, 18, 4));
+      inst.imm = sign_extend(bits(word, 0, 14), 14);
+      break;
+    case Format::kIu:
+    case Format::kShift:
+      inst.rd = static_cast<std::uint8_t>(bits(word, 22, 4));
+      inst.ra = static_cast<std::uint8_t>(bits(word, 18, 4));
+      inst.imm = static_cast<std::int32_t>(bits(word, 0, 14));
+      break;
+    case Format::kLui:
+      inst.rd = static_cast<std::uint8_t>(bits(word, 22, 4));
+      inst.imm = static_cast<std::int32_t>(bits(word, 0, 18));
+      break;
+    case Format::kStore:
+      inst.rd = static_cast<std::uint8_t>(bits(word, 22, 4));
+      inst.ra = static_cast<std::uint8_t>(bits(word, 18, 4));
+      inst.imm = sign_extend(bits(word, 0, 14), 14);
+      break;
+    case Format::kBranch:
+      inst.ra = static_cast<std::uint8_t>(bits(word, 22, 4));
+      inst.rb = static_cast<std::uint8_t>(bits(word, 18, 4));
+      inst.imm = sign_extend(bits(word, 0, 14), 14);
+      break;
+    case Format::kJal:
+      inst.rd = static_cast<std::uint8_t>(bits(word, 22, 4));
+      inst.imm = sign_extend(bits(word, 0, 22), 22);
+      break;
+  }
+  return inst;
+}
+
+TEST(Isa, TableDecodeEqualsTheSwitchDecoder) {
+  std::uint64_t checked = 0;
+  std::uint64_t mismatches = 0;
+  const auto check = [&](std::uint32_t word) {
+    ++checked;
+    if (decode(word) != switch_decode(word) && ++mismatches <= 5)
+      ADD_FAILURE() << std::hex << "word 0x" << word;
+  };
+  // Every opcode value x every value of the three register fields (which
+  // are also the top bits of the 18- and 22-bit immediates) x the 14-bit
+  // immediate's boundaries.
+  for (std::uint32_t op = 0; op < 64; ++op)
+    for (std::uint32_t regs = 0; regs < (1u << 12); ++regs)
+      for (const std::uint32_t imm : {0x0000u, 0x0001u, 0x1FFFu, 0x2000u,
+                                      0x2001u, 0x3FFEu, 0x3FFFu})
+        check(op << 26 | regs << 14 | imm);
+  // Seeded random words.
+  Rng rng(2016);
+  for (int i = 0; i < 1'000'000; ++i) check(rng.next_u32());
+  EXPECT_EQ(mismatches, 0u) << "of " << checked << " words";
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "pipeline/pipeline.hpp"
 #include "scheme/scheme.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 #include "verify/verify.hpp"
 #include "workloads/workloads.hpp"
 #include "xform/transform.hpp"
@@ -509,6 +510,95 @@ TEST(SchemeDigest, SealedAndOpenedBlocksMatchTheRecordedDigests) {
 
 // sponge derives all keystream from the chained state, so the CTR
 // granularity axis must not change the sealed bytes; sofia-cbcmac's must.
+// ---- keystream reuse (scheme::OpenedReference) ------------------------------
+
+/// Everything an opened block reports, as one digest.
+std::uint64_t opened_digest(const scheme::DeviceBlock& dev) {
+  BlockDigest d;
+  add_opened(d, dev);
+  return d.value();
+}
+
+TEST(SchemeOpen, OpeningWithAReferenceEqualsOpeningWithout) {
+  // Tampered words opened with the clean opening of the same entry as the
+  // reference (the keystream reuse a BlockCache does) must open exactly
+  // as without it: plaintext, both op lists, verdict and labels. The
+  // reverse too: clean words against a tampered reference. sponge ignores
+  // the reference, so it passes trivially.
+  Rng rng(7919);
+  std::size_t opened = 0;
+  for (const std::string& scheme_name : scheme::scheme_names())
+    for (const auto cipher : {crypto::CipherKind::kRectangle80,
+                              crypto::CipherKind::kSpeck64_128})
+      for (const auto gran : {crypto::Granularity::kPerPair,
+                              crypto::Granularity::kPerWord})
+        for (const char* wl : {"crc32", "fib"}) {
+          pipeline::DeviceProfile profile =
+              pipeline::DeviceProfile::example(cipher);
+          profile.scheme = scheme_name;
+          profile.granularity = gran;
+          const auto& spec = workloads::workload(wl);
+          auto p = pipeline::Pipeline::from_workload(
+              spec, 1, std::max(4u, spec.default_size / 16), profile);
+          const xform::TransformResult& hard = p.hardened();
+          const auto opener =
+              scheme::get_scheme(scheme_name)
+                  .make_opener(profile.keys(), hard.image.omega, gran);
+          const std::uint32_t b = hard.layout.policy().words_per_block;
+          std::uint32_t at = 0;
+          for (const xform::Block& block : hard.layout.blocks()) {
+            const std::vector<std::uint32_t> offsets =
+                block.kind == xform::BlockKind::kMux
+                    ? std::vector<std::uint32_t>{1, 2}
+                    : std::vector<std::uint32_t>{0};
+            for (const std::uint32_t offset : offsets) {
+              const scheme::EntryPath path = scheme::entry_path(offset, b);
+              const std::uint32_t prev =
+                  offset == 2 ? block.pred2_word : block.pred1_word;
+              std::vector<std::uint32_t> clean(b, 0);
+              for (const std::uint32_t j : path.sched)
+                clean[j] = hard.image.text[at + j];
+              const scheme::DeviceBlock base =
+                  opener->open(block.base_word, prev, path, clean);
+              for (int trial = 0; trial < 3; ++trial) {
+                // 1-3 path words, each bit-flipped or patched.
+                std::vector<std::uint32_t> raw = clean;
+                const auto words = 1 + rng.next_below(3);
+                for (std::uint64_t k = 0; k < words; ++k) {
+                  const std::uint32_t j =
+                      path.sched[rng.next_below(path.sched.size())];
+                  if (rng.next_below(2) == 0)
+                    raw[j] ^= 1u << rng.next_below(32);
+                  else
+                    raw[j] = rng.next_u32();
+                }
+                const std::string at_entry =
+                    scheme_name + "/" + std::string(crypto::to_string(cipher)) +
+                    "/" + std::string(crypto::to_string(gran)) + "/" + wl +
+                    " block " + std::to_string(block.base_word) + " path " +
+                    std::to_string(offset);
+                const scheme::DeviceBlock plain =
+                    opener->open(block.base_word, prev, path, raw);
+                const scheme::OpenedReference clean_ref{clean, base.plain};
+                ASSERT_EQ(opened_digest(opener->open(block.base_word, prev,
+                                                     path, raw, &clean_ref)),
+                          opened_digest(plain))
+                    << at_entry;
+                const scheme::OpenedReference tampered_ref{raw, plain.plain};
+                ASSERT_EQ(opened_digest(opener->open(block.base_word, prev,
+                                                     path, clean,
+                                                     &tampered_ref)),
+                          opened_digest(base))
+                    << at_entry;
+                opened += 2;
+              }
+            }
+            at += b;
+          }
+        }
+  EXPECT_GT(opened, 1000u);
+}
+
 TEST(SchemeSealing, GranularityTraitIsHonest) {
   for (const auto& name : scheme::scheme_names()) {
     pipeline::DeviceProfile a = pipeline::DeviceProfile::paper_default();

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "sim/cipher_engine.hpp"
 #include "sim/icache.hpp"
 #include "sim/machine.hpp"
 #include "sim/memory.hpp"
 #include "sim_test_util.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace sofia::sim {
 namespace {
@@ -82,6 +87,47 @@ TEST(Memory, LoadImagePlacesSections) {
   EXPECT_EQ(mem.load32(0), 0xAAAAAAAAu);
   EXPECT_EQ(mem.load32(4), 0xBBBBBBBBu);
   EXPECT_EQ(mem.load8(0x100002), 3u);
+}
+
+TEST(Memory, LoadImageRoundTripsSectionsThatStraddlePages) {
+  // Neither section starts on a page boundary, and each spans three pages:
+  // every byte, half-word and word read back through load8/16/32 equals
+  // the image, and the bytes around the sections read zero.
+  Rng rng(4096);
+  assembler::LoadImage img;
+  img.text_base = 0x0FF4;
+  img.text.resize(1100);
+  for (auto& w : img.text) w = rng.next_u32();
+  img.data_base = 0x3FFD;
+  img.data.resize(5000);
+  for (auto& b : img.data) b = static_cast<std::uint8_t>(rng.next_u32());
+  Memory mem;
+  mem.load_image(img);
+
+  std::vector<std::uint8_t> text_bytes;
+  for (const std::uint32_t w : img.text)
+    for (int k = 0; k < 4; ++k)
+      text_bytes.push_back(static_cast<std::uint8_t>(w >> (8 * k)));
+  for (const auto& [base, bytes] :
+       {std::pair{img.text_base, text_bytes},
+        std::pair{img.data_base, img.data}}) {
+    const auto at = [&](std::size_t i) -> std::uint32_t {
+      return i < bytes.size() ? bytes[i] : 0;
+    };
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+      const auto addr = static_cast<std::uint32_t>(base + i);
+      ASSERT_EQ(mem.load8(addr), bytes[i]) << std::hex << addr;
+      ASSERT_EQ(mem.load16(addr), at(i) | at(i + 1) << 8) << std::hex << addr;
+      ASSERT_EQ(mem.load32(addr),
+                at(i) | at(i + 1) << 8 | at(i + 2) << 16 | at(i + 3) << 24)
+          << std::hex << addr;
+    }
+    EXPECT_EQ(mem.load8(base - 1), 0u);
+    EXPECT_EQ(mem.load8(static_cast<std::uint32_t>(base + bytes.size())), 0u);
+  }
+  for (std::size_t i = 0; i < img.text.size(); ++i)
+    EXPECT_EQ(mem.load32(img.text_base + 4 * static_cast<std::uint32_t>(i)),
+              img.text[i]);
 }
 
 TEST(Memory, StoresAtPageEndCrossIntoTheNextPage) {

@@ -6,14 +6,18 @@
 #include <unistd.h>
 
 #include <array>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <string_view>
 
 #include "scheme/scheme.hpp"
 #include "sim/backend.hpp"
+#include "support/error.hpp"
+#include "support/json.hpp"
 
 #if !defined(SOFIA_ASM_BIN) || !defined(SOFIA_RUN_BIN) ||      \
     !defined(SOFIA_OBJDUMP_BIN) || !defined(SOFIA_REPORT_BIN) || \
@@ -927,12 +931,15 @@ TEST_F(Tools, AttackListsMutatorsAndRejectsIdleInvocation) {
 }
 
 TEST_F(Tools, AttackMergeExitsOneOnAnAuthenticatedEscape) {
-  // --merge returns the unsharded run's verdict: a shard that marks the
-  // leaking "null" cell as authenticated merges into a document with an
-  // authenticated escape, and exits 1 as sofia_attack would on it.
+  // --merge returns the unsharded run's verdict: a shard whose
+  // "sofia-cbcmac" cell reports an escape (one harmless trial turned
+  // escaped, with a null-cell escape record moved onto one of its jobs)
+  // merges into a document with an authenticated escape, and exits 1 as
+  // sofia_attack would on it.
   const std::string base =
       "/tmp/sofia_attack_verdict_" + std::to_string(getpid());
   int code = 0;
+  constexpr std::uint64_t kJobs = 40;
   for (const char* k : {"0", "1"}) {
     const auto out = run_command(
         std::string(SOFIA_ATTACK_BIN) +
@@ -941,11 +948,41 @@ TEST_F(Tools, AttackMergeExitsOneOnAnAuthenticatedEscape) {
         &code);
     ASSERT_EQ(code, 0) << out;
   }
-  std::string forged = read_file(base + "_0.json");
-  const auto at = forged.find("\"authenticated\": false");
-  ASSERT_NE(at, std::string::npos) << forged;
-  forged.replace(at, 22, "\"authenticated\": true");
-  std::ofstream(base + "_0.json", std::ios::binary) << forged;
+  const auto member = [](sofia::json::Value& v, std::string_view key) -> sofia::json::Value& {
+    for (auto& [k, m] : v.object)
+      if (k == key) return m;
+    throw sofia::Error("test: no member '" + std::string(key) + "'");
+  };
+  sofia::json::Value doc = sofia::json::parse(read_file(base + "_0.json"));
+  auto& cells = member(doc, "cells").array;
+  sofia::json::Value* mac = nullptr;
+  std::uint64_t mac_first_job = 0;
+  const sofia::json::Value* leak = nullptr;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    const std::string& scheme = member(cells[c], "scheme").string;
+    if (scheme == "sofia-cbcmac") {
+      mac = &cells[c];
+      mac_first_job = c * kJobs;  // even, so shard 0/2 runs it
+    }
+    if (scheme == "null" && !member(cells[c], "escapes").array.empty())
+      leak = &member(cells[c], "escapes").array.front();
+  }
+  ASSERT_NE(mac, nullptr);
+  ASSERT_NE(leak, nullptr) << "the null cell of shard 0 did not leak";
+  sofia::json::Value escape = *leak;
+  member(escape, "job").number = std::to_string(mac_first_job);
+  member(*mac, "escapes").array.push_back(escape);
+  const auto bump = [&](std::string_view key, int by) {
+    auto& n = member(*mac, key).number;
+    const auto value = std::stoll(n) + by;
+    ASSERT_GE(value, 0) << key;
+    n = std::to_string(value);
+  };
+  bump("harmless", -1);
+  bump("escaped", +1);
+  sofia::json::Writer w(2);
+  doc.write(w);
+  std::ofstream(base + "_0.json", std::ios::binary) << w.str();
   const auto out = run_command(std::string(SOFIA_ATTACK_BIN) + " --merge " +
                                    base + "_m.json " + base + "_0.json " +
                                    base + "_1.json",
