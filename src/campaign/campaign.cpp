@@ -232,7 +232,7 @@ sim::ResetCause parse_cause(const std::string& name) {
   for (std::size_t i = 0; i < kResetCauseCount; ++i)
     if (sim::to_string(static_cast<sim::ResetCause>(i)) == name)
       return static_cast<sim::ResetCause>(i);
-  throw Error("merge: unknown reset cause '" + name + "'");
+  throw Error("unknown reset cause '" + name + "'");
 }
 
 MutationRecord record_from_json(const json::Value& v,
@@ -258,8 +258,7 @@ void write_escape(const EscapeRecord& e, json::Writer& w) {
   w.end_object();
 }
 
-/// Inverse of write_escape; errors name `context` ("merge: document 1
-/// cell 2", "cached trial").
+/// Inverse of write_escape; errors name `context` ("trial").
 EscapeRecord read_escape(const json::Value& v, std::string_view context) {
   EscapeRecord e;
   e.job = v.at("job", context).as_uint("job");
@@ -427,23 +426,13 @@ struct Fixture {
   }
 };
 
-/// One trial's folded outcome (index-owned slot in the pool).
-struct Trial {
-  TrialClass cls = TrialClass::kHarmless;
-  sim::ResetCause cause = sim::ResetCause::kNone;
-  std::uint64_t insts = 0;
-  MutationRecord record;
-  EscapeRecord escape;     ///< valid when cls == kEscaped
-  bool from_cache = false;  ///< served without executing (not in the JSON)
-};
-
-// ---- result-cache payload codec -------------------------------------------
+// ---- trial codec: result-cache payloads and shard-document records ------
 
 TrialClass parse_class(const std::string& name) {
   for (const auto cls : {TrialClass::kDetected, TrialClass::kHarmless,
                          TrialClass::kEscaped})
     if (to_string(cls) == name) return cls;
-  throw Error("cache payload: unknown trial class '" + name + "'");
+  throw Error("unknown trial class '" + name + "'");
 }
 
 void write_trial(const Trial& t, json::Writer& w) {
@@ -458,14 +447,31 @@ void write_trial(const Trial& t, json::Writer& w) {
   }
 }
 
+/// Inverse of write_trial, into a trial whose `job` is already set (the
+/// cache decodes into the slot it looked up, the merge into the record's
+/// index). Only what a run can produce decodes: a reset cause exactly when
+/// detected, no more instructions than the trial budget (which also keeps
+/// the fold's latency sums from wrapping), and an escape naming its own
+/// job, which is what replays it.
 void read_trial(const json::Value& doc, Trial& t) {
-  constexpr std::string_view kContext = "cached trial";
+  constexpr std::string_view kContext = "trial";
   t.cls = parse_class(doc.at("cls", kContext).as_string("cls"));
   t.cause = parse_cause(doc.at("cause", kContext).as_string("cause"));
+  if ((t.cls == TrialClass::kDetected) != (t.cause != sim::ResetCause::kNone))
+    throw Error("a " + std::string(to_string(t.cls)) +
+                " trial with reset cause '" +
+                std::string(sim::to_string(t.cause)) + "'");
   t.insts = doc.at("insts", kContext).as_uint("insts");
+  if (t.insts > kTrialBudget)
+    throw Error("a trial retiring " + std::to_string(t.insts) +
+                " instructions, past the trial budget");
   t.record = record_from_json(doc.at("record", kContext), "record");
-  if (t.cls == TrialClass::kEscaped)
+  if (t.cls == TrialClass::kEscaped) {
     t.escape = read_escape(doc.at("escape", kContext), kContext);
+    if (t.escape.job != t.job)
+      throw Error("the escape of job " + std::to_string(t.job) +
+                  " names job " + std::to_string(t.escape.job));
+  }
 }
 
 constexpr driver::PayloadCodec<Trial> kTrialCodec{
@@ -516,6 +522,7 @@ bool attempt(const Fixture& fx, std::uint64_t job, const Rng& base, Trial& t) {
 Trial run_trial(const Fixture& fx, std::uint64_t job, const Rng& base,
                 cache::ResultStore* store) {
   Trial t;
+  t.job = job;
   const auto key = [&] {
     return cache::KeyBuilder("sofia-cache-key-v1/campaign-trial")
         .field("fixture", fx.cache_digest)
@@ -526,6 +533,47 @@ Trial run_trial(const Fixture& fx, std::uint64_t job, const Rng& base,
     return attempt(fx, job, base, out);
   });
   return t;
+}
+
+/// Tally `trials` (ascending job index) into result.cells, one per spec
+/// cell, and count the cached ones: the one fold behind a run and a merge,
+/// so tallies and escape lists never depend on thread interleaving, the
+/// shard split or the cache.
+void fold(const std::vector<Trial>& trials, CampaignResult& result) {
+  const CampaignSpec& spec = result.spec;
+  result.cells.resize(spec.cells.size());
+  for (std::size_t c = 0; c < spec.cells.size(); ++c) {
+    auto& cell = result.cells[c];
+    cell.cell = spec.cells[c];
+    cell.authenticated =
+        scheme::get_scheme(spec.cells[c].scheme).traits().authenticated;
+    cell.latency_min = ~0ull;
+  }
+  for (const Trial& t : trials) {
+    auto& cell = result.cells[t.job / spec.jobs_per_cell];
+    if (t.from_cache) ++result.cached_trials;
+    ++cell.jobs;
+    for (const Mutation& m : t.record)
+      ++cell.mutations[static_cast<std::size_t>(m.kind)];
+    switch (t.cls) {
+      case TrialClass::kDetected:
+        ++cell.detected;
+        ++cell.causes[static_cast<std::size_t>(t.cause)];
+        cell.latency_min = std::min(cell.latency_min, t.insts);
+        cell.latency_max = std::max(cell.latency_max, t.insts);
+        cell.latency_total += t.insts;
+        break;
+      case TrialClass::kHarmless:
+        ++cell.harmless;
+        break;
+      case TrialClass::kEscaped:
+        ++cell.escaped;
+        cell.escapes.push_back(t.escape);
+        break;
+    }
+  }
+  for (auto& cell : result.cells)
+    if (cell.detected == 0) cell.latency_min = 0;
 }
 
 }  // namespace
@@ -563,44 +611,10 @@ CampaignResult run_campaign(const CampaignSpec& spec, unsigned threads,
   result.threads_used = run.threads;
   result.wall_seconds = run.wall_seconds;
 
-  // Fold in job-index order (trials[] is already index-sorted), so tallies
-  // and escape lists are independent of thread interleaving.
-  result.cells.resize(spec.cells.size());
-  for (std::size_t c = 0; c < spec.cells.size(); ++c) {
-    auto& cell = result.cells[c];
-    cell.cell = spec.cells[c];
-    cell.authenticated =
-        scheme::get_scheme(spec.cells[c].scheme).traits().authenticated;
-    cell.latency_min = ~0ull;
-  }
-  for (std::size_t i = 0; i < trials.size(); ++i) {
-    const Trial& t = trials[i];
-    auto& cell = result.cells[jobs[i] / spec.jobs_per_cell];
-    if (t.from_cache) ++result.cached_trials;
-    ++cell.jobs;
-    for (const Mutation& m : t.record)
-      ++cell.mutations[static_cast<std::size_t>(m.kind)];
-    switch (t.cls) {
-      case TrialClass::kDetected:
-        ++cell.detected;
-        ++cell.causes[static_cast<std::size_t>(t.cause)];
-        cell.latency_min = std::min(cell.latency_min, t.insts);
-        cell.latency_max = std::max(cell.latency_max, t.insts);
-        cell.latency_total += t.insts;
-        break;
-      case TrialClass::kHarmless:
-        ++cell.harmless;
-        break;
-      case TrialClass::kEscaped:
-        ++cell.escaped;
-        cell.escapes.push_back(t.escape);
-        break;
-    }
-  }
-  for (auto& cell : result.cells) {
-    if (cell.detected == 0) cell.latency_min = 0;
-    if (progress) progress(cell);
-  }
+  fold(trials, result);  // trials[] is already index-sorted
+  if (progress)
+    for (const auto& cell : result.cells) progress(cell);
+  if (!shard.is_whole()) result.trials = std::move(trials);
   return result;
 }
 
@@ -632,6 +646,10 @@ std::string to_json(const CampaignResult& result) {
     w.member("scheme", cell.cell.scheme);
     w.member("cipher", crypto::to_string(cell.cell.cipher));
     w.member("granularity", crypto::to_string(cell.cell.granularity));
+    if (!result.shard.is_whole()) {  // a shard carries its trials instead
+      w.end_object();
+      continue;
+    }
     w.member("authenticated", cell.authenticated);
     w.member("jobs", cell.jobs);
     w.member("detected", cell.detected);
@@ -665,6 +683,16 @@ std::string to_json(const CampaignResult& result) {
     w.end_object();
   }
   w.end_array();
+  if (!result.shard.is_whole()) {
+    w.key("trials").begin_array();
+    for (const Trial& t : result.trials) {
+      w.begin_object();
+      w.member("index", t.job);
+      write_trial(t, w);
+      w.end_object();
+    }
+    w.end_array();
+  }
   w.end_object();
   return w.document();
 }
@@ -674,14 +702,6 @@ std::string to_json(const CampaignResult& result) {
 // ---------------------------------------------------------------------------
 
 namespace {
-
-/// a + b; throws naming `where` when the sum overflows 64 bits.
-std::uint64_t checked_sum(std::uint64_t a, std::uint64_t b,
-                          const std::string& where) {
-  if (b > std::numeric_limits<std::uint64_t>::max() - a)
-    throw Error(where + ": tallies overflow 64 bits");
-  return a + b;
-}
 
 /// An unsigned header member that must fit the spec field's type T.
 template <typename T>
@@ -694,176 +714,72 @@ T narrow_member(const json::Value& doc, const char* key,
   return static_cast<T>(v);
 }
 
+/// The campaign a document's header and cell identities describe.
+CampaignSpec read_spec(const json::Value& doc, const std::string& label) {
+  CampaignSpec spec;
+  spec.name = doc.at("campaign", label).as_string("campaign");
+  const auto victim = doc.at("victim", label).as_string("victim");
+  spec.workload = victim == "builtin" ? "" : victim;
+  spec.size = narrow_member<std::uint32_t>(doc, "size", label);
+  spec.backend = doc.at("backend", label).as_string("backend");
+  spec.seed = doc.at("seed", label).as_uint("seed");
+  spec.donor_omega = narrow_member<std::uint16_t>(doc, "donor_omega", label);
+  spec.jobs_per_cell =
+      narrow_member<std::uint32_t>(doc, "jobs_per_cell", label);
+  const auto& cells = doc.at("cells", label).as_array("cells");
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    const auto cl = label + " cell " + std::to_string(c);
+    spec.cells.push_back(CellSpec{
+        cells[c].at("scheme", cl).as_string("scheme"),
+        pipeline::DeviceProfile::parse_cipher(
+            cells[c].at("cipher", cl).as_string("cipher")),
+        parse_granularity(
+            cells[c].at("granularity", cl).as_string("granularity"))});
+  }
+  return spec;
+}
+
 }  // namespace
 
 std::string merge_json(const std::vector<std::string>& documents) {
   if (documents.empty()) throw Error("merge: no input documents");
 
-  CampaignResult merged;
-  std::vector<bool> shard_seen;
-  std::uint32_t shard_count = 0;
-
+  CampaignResult merged;  // unsharded: the canonical document
+  std::vector<json::Value> parsed;
+  parsed.reserve(documents.size());
   for (std::size_t d = 0; d < documents.size(); ++d) {
-    const json::Value doc = json::parse(documents[d]);
+    parsed.push_back(json::parse(documents[d]));
+    const auto& doc = parsed.back();
     const auto label = "merge: document " + std::to_string(d);
     if (doc.at("schema", label).as_string("schema") != kSchema)
       throw Error(label + " is not a " + std::string(kSchema) + " document");
-
-    CampaignSpec spec;
-    spec.name = doc.at("campaign", label).as_string("campaign");
-    const auto victim = doc.at("victim", label).as_string("victim");
-    spec.workload = victim == "builtin" ? "" : victim;
-    spec.size = narrow_member<std::uint32_t>(doc, "size", label);
-    spec.backend = doc.at("backend", label).as_string("backend");
-    spec.seed = doc.at("seed", label).as_uint("seed");
-    spec.donor_omega = narrow_member<std::uint16_t>(doc, "donor_omega", label);
-    spec.jobs_per_cell =
-        narrow_member<std::uint32_t>(doc, "jobs_per_cell", label);
-
-    const auto shard =
-        driver::ShardSpec::parse(doc.at("shard", label).as_string("shard"));
+    CampaignSpec spec = read_spec(doc, label);
     if (d == 0) {
-      shard_count = shard.count;
-      if (documents.size() != shard_count)
-        throw Error("merge: got " + std::to_string(documents.size()) +
-                    " document(s) for " + std::to_string(shard_count) +
-                    " shard(s)");
-      shard_seen.assign(shard_count, false);
-    } else if (shard.count != shard_count) {
-      throw Error(label + " disagrees on the shard count");
-    }
-    if (shard_seen[shard.index])
-      throw Error("merge: shard " + std::to_string(shard.index) +
-                  " appears in more than one document");
-    shard_seen[shard.index] = true;
-
-    const auto& cells = doc.at("cells", label).as_array("cells");
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      const auto cl = label + " cell " + std::to_string(c);
-      spec.cells.push_back(CellSpec{
-          cells[c].at("scheme", cl).as_string("scheme"),
-          pipeline::DeviceProfile::parse_cipher(
-              cells[c].at("cipher", cl).as_string("cipher")),
-          parse_granularity(
-              cells[c].at("granularity", cl).as_string("granularity"))});
-    }
-    if (d == 0) {
-      merged.spec = spec;
-      merged.cells.resize(cells.size());
+      merged.spec = std::move(spec);
     } else if (spec != merged.spec) {
       throw Error(label + " disagrees with document 0 on the campaign header");
     }
+    const std::uint64_t job_count =
+        doc.at("job_count", label).as_uint("job_count");
+    if (job_count != merged.spec.total_jobs())
+      throw Error(label + " has job_count " + std::to_string(job_count) +
+                  " for " + std::to_string(merged.spec.cells.size()) +
+                  " cell(s) x " + std::to_string(merged.spec.jobs_per_cell) +
+                  " job(s)");
+  }
 
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      const auto& jc = cells[c];
-      const auto cl = label + " cell " + std::to_string(c);
-      auto& out = merged.cells[c];
-      // The flag is the scheme's, from the registry; a document saying
-      // otherwise was edited.
-      const bool authenticated =
-          scheme::get_scheme(spec.cells[c].scheme).traits().authenticated;
-      if (jc.at("authenticated", cl).as_bool("authenticated") != authenticated)
-        throw Error(cl + " marks scheme '" + spec.cells[c].scheme + "' as " +
-                    (authenticated ? "unauthenticated" : "authenticated"));
-      if (d == 0) {
-        out.cell = spec.cells[c];
-        out.authenticated = authenticated;
-        out.latency_min = ~0ull;
-      }
-      // Every trial is classified once and every detection has one reset
-      // cause: the verdicts must sum to the jobs, the causes to the
-      // detections, all without wrapping.
-      const std::uint64_t jobs = jc.at("jobs", cl).as_uint("jobs");
-      const std::uint64_t detected = jc.at("detected", cl).as_uint("detected");
-      const std::uint64_t harmless = jc.at("harmless", cl).as_uint("harmless");
-      const std::uint64_t escaped = jc.at("escaped", cl).as_uint("escaped");
-      const std::uint64_t verdicts =
-          checked_sum(checked_sum(detected, harmless, cl), escaped, cl);
-      if (verdicts != jobs)
-        throw Error(cl + " classifies " + std::to_string(verdicts) +
-                    " trial(s) but ran " + std::to_string(jobs));
-      out.jobs = checked_sum(out.jobs, jobs, cl);
-      out.detected = checked_sum(out.detected, detected, cl);
-      out.harmless = checked_sum(out.harmless, harmless, cl);
-      out.escaped = checked_sum(out.escaped, escaped, cl);
-      std::uint64_t causes = 0;
-      for (const auto& [name, count] : jc.at("causes", cl).object) {
-        const std::uint64_t n = count.as_uint("causes");
-        causes = checked_sum(causes, n, cl);
-        auto& tally = out.causes[static_cast<std::size_t>(parse_cause(name))];
-        tally = checked_sum(tally, n, cl);
-      }
-      if (causes != detected)
-        throw Error(cl + " has " + std::to_string(causes) +
-                    " reset cause(s) for " + std::to_string(detected) +
-                    " detection(s)");
-      for (const auto& [name, count] : jc.at("mutations", cl).object) {
-        auto& tally =
-            out.mutations[static_cast<std::size_t>(parse_mutation_kind(name))];
-        tally = checked_sum(tally, count.as_uint("mutations"), cl);
-      }
-      if (detected != 0) {
-        // Every detection's latency lies in [min, max] and they sum to
-        // total, so min <= max <= total and min * detected <= total.
-        const auto& lat = jc.at("latency", cl);
-        const std::uint64_t min = lat.at("min_insts", cl).as_uint("min_insts");
-        const std::uint64_t max = lat.at("max_insts", cl).as_uint("max_insts");
-        const std::uint64_t total =
-            lat.at("total_insts", cl).as_uint("total_insts");
-        if (min > max || max > total || min > total / detected)
-          throw Error(cl + " has latency min " + std::to_string(min) +
-                      ", max " + std::to_string(max) + " and total " +
-                      std::to_string(total) + " insts, impossible for " +
-                      std::to_string(detected) + " detection(s)");
-        out.latency_min = std::min(out.latency_min, min);
-        out.latency_max = std::max(out.latency_max, max);
-        out.latency_total = checked_sum(out.latency_total, total, cl);
-      }
-      // Each escape must be one of this cell's jobs that this document's
-      // shard actually ran, and the list must match the tally it sums into.
-      const auto& escapes = jc.at("escapes", cl).as_array("escapes");
-      if (escapes.size() != escaped)
-        throw Error(cl + " lists " + std::to_string(escapes.size()) +
-                    " escape(s) but tallies " + std::to_string(escaped));
-      const std::uint64_t first = c * std::uint64_t{spec.jobs_per_cell};
-      for (const auto& je : escapes) {
-        EscapeRecord e = read_escape(je, cl);
-        if (e.job < first || e.job - first >= spec.jobs_per_cell ||
-            !shard.owns(e.job))
-          throw Error(cl + " has an escape for job " + std::to_string(e.job) +
-                      ", not a job of this cell in shard " + shard.to_string());
-        out.escapes.push_back(std::move(e));
-      }
+  const auto records =
+      driver::collect_records(parsed, "trials", merged.spec.total_jobs());
+  std::vector<Trial> trials(records.size());
+  for (std::uint64_t g = 0; g < trials.size(); ++g) {
+    trials[g].job = g;
+    try {
+      read_trial(*records[g], trials[g]);
+    } catch (const Error& e) {
+      throw Error("merge: trial " + std::to_string(g) + ": " + e.what());
     }
   }
-
-  for (std::uint32_t k = 0; k < shard_count; ++k)
-    if (!shard_seen[k])
-      throw Error("merge: shard " + std::to_string(k) +
-                  " is missing from the inputs");
-
-  for (auto& cell : merged.cells) {
-    if (cell.detected == 0) cell.latency_min = 0;
-    if (cell.jobs != merged.spec.jobs_per_cell)
-      throw Error("merge: cell '" + cell.cell.label() + "' sums to " +
-                  std::to_string(cell.jobs) + " job(s), expected " +
-                  std::to_string(merged.spec.jobs_per_cell));
-    std::sort(cell.escapes.begin(), cell.escapes.end(),
-              [](const EscapeRecord& a, const EscapeRecord& b) {
-                return a.job < b.job;
-              });
-    const auto dup = std::adjacent_find(
-        cell.escapes.begin(), cell.escapes.end(),
-        [](const EscapeRecord& a, const EscapeRecord& b) {
-          return a.job == b.job;
-        });
-    if (dup != cell.escapes.end())
-      throw Error("merge: cell '" + cell.cell.label() +
-                  "' lists the escape for job " + std::to_string(dup->job) +
-                  " more than once");
-  }
-
-  merged.shard = driver::ShardSpec{};  // the canonical unsharded document
+  fold(trials, merged);
   return to_json(merged);
 }
 

@@ -208,6 +208,18 @@ struct EscapeRecord {
   std::vector<verify::Rule> lint;
 };
 
+/// One trial's outcome: what the job body produces, the result cache
+/// stores and a shard document carries, and what the fold tallies.
+struct Trial {
+  std::uint64_t job = 0;  ///< global job index (the payload's key, not in it)
+  TrialClass cls = TrialClass::kHarmless;
+  sim::ResetCause cause = sim::ResetCause::kNone;  ///< kNone unless detected
+  std::uint64_t insts = 0;  ///< retired instructions (the latency if detected)
+  MutationRecord record;
+  EscapeRecord escape;      ///< valid when cls == kEscaped; escape.job == job
+  bool from_cache = false;  ///< served without executing (not in the JSON)
+};
+
 struct CellResult {
   CellSpec cell;
   bool authenticated = false;
@@ -235,6 +247,9 @@ struct CampaignResult {
   CampaignSpec spec;
   driver::ShardSpec shard;         ///< which slice the tallies cover
   std::vector<CellResult> cells;   ///< one per spec cell, in spec order
+  /// A sharded run's trials in job-index order: what its document carries
+  /// for merge_json to refold. Empty for an unsharded run.
+  std::vector<Trial> trials;
   double wall_seconds = 0;         ///< measured, NOT part of the JSON
   unsigned threads_used = 1;       ///< ditto
   /// Trials served from the result cache (0 without one; NOT in the JSON —
@@ -267,19 +282,22 @@ CampaignResult run_campaign(const CampaignSpec& spec, unsigned threads,
                             driver::ShardSpec shard = {},
                             cache::ResultStore* store = nullptr);
 
-/// Render as a deterministic sofia-attack-campaign-v1 document.
+/// Render as a deterministic sofia-attack-campaign-v1 document. An
+/// unsharded result renders each cell's tallies, latencies and escapes; a
+/// sharded one renders only each cell's identity and, in place of the
+/// tallies, a "trials" array: one record per trial of the slice, in index
+/// order, with its "index" and the members the result cache stores.
 std::string to_json(const CampaignResult& result);
 
-/// Merge one shard document per shard index back into the canonical
-/// unsharded document — byte-identical to a single-machine run. Inputs
-/// must agree on every header field (each in its field's range), carry
-/// distinct "shard" members K/N with exactly N documents, and sum to
-/// jobs_per_cell everywhere. Every cell's "authenticated" flag must be its
-/// scheme's (scheme::SchemeTraits). In every cell the verdicts must sum to
-/// its jobs and the reset causes to its detections, and no tally may overflow
-/// 64 bits; every escape record must name a distinct job of its own cell
-/// that its document's shard runs, one per escape the cell tallies. Throws
-/// sofia::Error otherwise.
+/// Merge shard documents back into the canonical unsharded document —
+/// byte-identical to a single-machine run. Inputs must agree on every
+/// header field (each in its field's range) with job_count = cells ×
+/// jobs_per_cell, and their "trials" records together must hold every
+/// index in [0, job_count) exactly once (driver::collect_records). Each
+/// record decodes like a cache entry: a known class and cause, a reset
+/// cause exactly when detected, no more instructions than kTrialBudget,
+/// and an escape naming its own index. The trials are then folded as
+/// run_campaign folds them. Throws sofia::Error otherwise.
 std::string merge_json(const std::vector<std::string>& documents);
 
 /// sofia_attack's verdict on a whole campaign document (a run's or a

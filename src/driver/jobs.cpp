@@ -80,6 +80,46 @@ PoolRun for_each_index(std::size_t count, unsigned threads,
   return run;
 }
 
+std::vector<const json::Value*> collect_records(
+    const std::vector<json::Value>& documents, std::string_view member,
+    std::uint64_t job_count) {
+  const std::string name(member);
+  std::vector<const std::vector<json::Value>*> lists;
+  lists.reserve(documents.size());
+  std::uint64_t records = 0;
+  for (std::size_t d = 0; d < documents.size(); ++d) {
+    lists.push_back(&documents[d]
+                         .at(member, "merge: document " + std::to_string(d))
+                         .as_array(member));
+    records += lists.back()->size();
+  }
+  // A job_count the inputs cannot fill is either a missing shard or a
+  // hostile number; both fail before the index is sized on it.
+  if (job_count > records)
+    throw Error("merge: job_count " + std::to_string(job_count) +
+                " but the inputs hold only " + std::to_string(records) +
+                " '" + name + "' record(s); the rest are missing");
+
+  // Every record lands on its own in-range index, so with
+  // job_count <= records the index ends up complete.
+  std::vector<const json::Value*> by_index(job_count, nullptr);
+  for (const auto* list : lists) {
+    for (const auto& record : *list) {
+      const std::uint64_t i =
+          record.at("index", "merge: " + name + " record").as_uint("index");
+      if (i >= job_count)
+        throw Error("merge: " + name + " index " + std::to_string(i) +
+                    " out of range for job_count " +
+                    std::to_string(job_count));
+      if (by_index[i] != nullptr)
+        throw Error("merge: " + name + " index " + std::to_string(i) +
+                    " appears more than once");
+      by_index[i] = &record;
+    }
+  }
+  return by_index;
+}
+
 std::string merge_files(const std::string& out,
                         const std::vector<std::string>& inputs,
                         std::string (*merge)(const std::vector<std::string>&),

@@ -1,12 +1,15 @@
 // The job engine shared by the experiment sweep (driver/sweep) and the
 // adversarial campaign (campaign/campaign): the shard slice, the indexed
-// thread pool, the result-cache policy and the --merge tool mode. Both are
-// plug-ins that own only their job body, payload codec and document shape.
+// thread pool, the result-cache policy, the index-exact record collector
+// both merges rebuild their documents from and the --merge tool mode. Both
+// are plug-ins that own only their job body, payload codec and document
+// shape.
 //
 // Determinism contract: workers claim job indices from one atomic counter
 // and write each result into the job's own pre-sized slot, so the output
 // order (and any JSON rendered from it) never depends on thread
-// interleaving, on the shard split or on the cache state.
+// interleaving, on the shard split or on the cache state. A merge puts
+// every shard's records back into the same slots by their "index".
 #pragma once
 
 #include <cstddef>
@@ -126,6 +129,15 @@ void cache_through(cache::ResultStore* store,
   w.end_object();
   store->store(k, codec.kind, w.str());
 }
+
+/// The index-exact collector behind both merges: the records of every
+/// document's `member` array, placed by their "index" so that slot i points
+/// at the one record (inside `documents`) with index i. Throws sofia::Error when the records cannot
+/// fill `job_count` (checked before anything is sized on it), and when an
+/// index is missing, out of range or appears more than once.
+std::vector<const json::Value*> collect_records(
+    const std::vector<json::Value>& documents, std::string_view member,
+    std::uint64_t job_count);
 
 /// The --merge mode: fold the input files with `merge` (driver::merge_json,
 /// campaign::merge_json), emit and return the result (`out` '-' = stdout),

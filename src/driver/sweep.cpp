@@ -405,13 +405,8 @@ std::string merge_json(const std::vector<std::string>& documents) {
 
   std::string sweep_name;
   std::uint64_t total = 0;
-  // Reserved so the job lists (and later by_index) can point into the
-  // parsed trees.
   std::vector<json::Value> parsed;
   parsed.reserve(documents.size());
-  std::vector<const std::vector<json::Value>*> job_lists;
-  std::size_t records = 0;
-
   for (std::size_t d = 0; d < documents.size(); ++d) {
     parsed.push_back(json::parse(documents[d]));
     const auto& doc = parsed.back();
@@ -430,33 +425,8 @@ std::string merge_json(const std::vector<std::string>& documents) {
     } else if (count != total) {
       throw Error(label + " disagrees on job_count");
     }
-    job_lists.push_back(&doc.at("jobs", label).as_array("jobs"));
-    records += job_lists.back()->size();
   }
-
-  // Checked before sizing the index on it: a job_count the inputs cannot
-  // fill is either a missing shard or a hostile number.
-  if (total > records)
-    throw Error("merge: job_count " + std::to_string(total) + " but only " +
-                std::to_string(records) +
-                " job record(s) in the inputs; the rest are missing");
-
-  // Every record lands on its own in-range index, so with total <= records
-  // the index ends up complete.
-  std::vector<const json::Value*> by_index(total, nullptr);
-  for (const auto* jobs : job_lists) {
-    for (const auto& job : *jobs) {
-      const std::uint64_t i =
-          job.at("index", "merge: job record").as_uint("index");
-      if (i >= total)
-        throw Error("merge: job index " + std::to_string(i) +
-                    " out of range for job_count " + std::to_string(total));
-      if (by_index[i] != nullptr)
-        throw Error("merge: job index " + std::to_string(i) +
-                    " appears in more than one document");
-      by_index[i] = &job;
-    }
-  }
+  const auto by_index = collect_records(parsed, "jobs", total);
 
   // Re-emit the canonical unsharded document: identical member order and
   // number text to what to_json() writes, so merged == unsharded, byte for

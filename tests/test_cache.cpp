@@ -19,6 +19,7 @@
 #include "driver/sweep.hpp"
 #include "support/error.hpp"
 #include "support/io.hpp"
+#include "support/json.hpp"
 
 namespace {
 
@@ -488,6 +489,82 @@ TEST(CampaignCache, WarmRunServesEveryTrialFromDisk) {
 
   EXPECT_EQ(campaign::to_json(uncached), campaign::to_json(cold));
   EXPECT_EQ(campaign::to_json(cold), campaign::to_json(warm));
+
+  // Shard documents carry the decoded trials themselves: a warm shard is
+  // byte-identical to a cache-less one, and the warm shards merge into the
+  // cache-less unsharded document.
+  std::vector<std::string> warm_shards;
+  for (std::uint32_t k = 0; k < 2; ++k) {
+    const driver::ShardSpec shard{k, 2};
+    const auto warm_shard =
+        campaign::run_campaign(spec, 2, {}, shard, &warm_store);
+    EXPECT_EQ(warm_shard.cached_trials, warm_shard.trials.size());
+    warm_shards.push_back(campaign::to_json(warm_shard));
+    EXPECT_EQ(warm_shards.back(),
+              campaign::to_json(campaign::run_campaign(spec, 2, {}, shard)));
+  }
+  EXPECT_EQ(campaign::merge_json(warm_shards), campaign::to_json(uncached));
+}
+
+cache::Key key_from_hex(const std::string& hex) {
+  cache::Key key{};
+  for (std::size_t i = 0; i < key.size(); ++i)
+    key[i] = static_cast<std::uint8_t>(
+        std::stoul(hex.substr(2 * i, 2), nullptr, 16));
+  return key;
+}
+
+json::Value& member(json::Value& v, std::string_view key) {
+  for (auto& [k, m] : v.object)
+    if (k == key) return m;
+  throw Error("test: no member '" + std::string(key) + "'");
+}
+
+TEST(CampaignCache, ACachedTrialNoRunProducesIsReExecuted) {
+  // An escape stored under another job would put a counterexample into the
+  // document that does not replay from (seed, job), and a detection without
+  // a reset cause would be tallied under "none". Both entries are decodable
+  // JSON; the warm run must still warn, re-execute them and render the cold
+  // document.
+  TempDir dir;
+  auto spec = smoke_spec(30);
+  std::erase_if(spec.cells, [](const campaign::CellSpec& cell) {
+    return cell.scheme != "sofia-cbcmac" && cell.scheme != "null";
+  });
+  cache::ResultStore cold_store(dir.path);
+  const auto cold =
+      campaign::to_json(campaign::run_campaign(spec, 2, {}, {}, &cold_store));
+
+  std::uint64_t escapes = 0;
+  std::uint64_t detections = 0;
+  for (const auto& info : cache::scan(dir.path)) {
+    ASSERT_EQ(info.kind, "campaign-trial");
+    const std::string bytes = io::read_file(info.path.string());
+    json::Value payload = json::parse(bytes.substr(bytes.find('\n') + 1));
+    const std::string cls = member(payload, "cls").string;
+    if (cls == "escaped") {
+      auto& job = member(member(payload, "escape"), "job").number;
+      job = std::to_string(std::stoull(job) + 1);
+      ++escapes;
+    } else if (cls == "detected" && detections == 0) {
+      member(payload, "cause").string = "none";
+      ++detections;
+    } else {
+      continue;
+    }
+    json::Writer w(-1);
+    payload.write(w);
+    cold_store.store(key_from_hex(info.key_hex), info.kind, w.str());
+  }
+  ASSERT_GT(escapes, 0u);
+  ASSERT_EQ(detections, 1u);
+
+  WarnLog warnings;
+  cache::ResultStore warm_store(dir.path, warnings.fn());
+  const auto warm = campaign::run_campaign(spec, 1, {}, {}, &warm_store);
+  EXPECT_EQ(warnings.messages.size(), escapes + detections);
+  EXPECT_EQ(warm.cached_trials, warm.jobs_run() - escapes - detections);
+  EXPECT_EQ(campaign::to_json(warm), cold);
 }
 
 TEST(CampaignCache, InterruptedShardResumesIntoTheFullRun) {

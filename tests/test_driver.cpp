@@ -10,9 +10,11 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <memory>
 
 #include "assembler/image_io.hpp"
+#include "campaign/campaign.hpp"
 #include "driver/sweep.hpp"
 #include "driver/tables.hpp"
 #include "support/error.hpp"
@@ -525,38 +527,181 @@ TEST(Shard, MergeReassemblesTheCanonicalDocumentByteIdentically) {
   EXPECT_EQ(driver::merge_json({unsharded}), unsharded);
 }
 
-TEST(Shard, MergeRejectsGapsOverlapsAndMismatches) {
-  const auto spec = small_spec();
-  const auto doc0 = driver::to_json(driver::run_sweep(spec, 1, {}, {0, 2}));
-  const auto doc1 = driver::to_json(driver::run_sweep(spec, 1, {}, {1, 2}));
-  EXPECT_THROW(driver::merge_json({}), Error);
-  EXPECT_THROW(driver::merge_json({doc0}), Error);        // gap: odd indices
-  EXPECT_THROW(driver::merge_json({doc0, doc0}), Error);  // duplicate indices
-  auto other = spec;
-  other.name = "other-sweep";
-  const auto doc_other = driver::to_json(driver::run_sweep(other, 1, {}, {1, 2}));
-  EXPECT_THROW(driver::merge_json({doc0, doc_other}), Error);
-  EXPECT_THROW(driver::merge_json({doc0, "not json"}), Error);
+// ---------------------------------------------------------------------------
+// Hostile --merge inputs, through both engines' merges
+// ---------------------------------------------------------------------------
+
+json::Value& member(json::Value& v, std::string_view key) {
+  for (auto& [k, m] : v.object)
+    if (k == key) return m;
+  throw Error("test: no member '" + std::string(key) + "'");
 }
 
-TEST(Shard, MergeRejectsJobCountsTheRecordsCannotFill) {
-  // Hostile job_count values must fail cleanly before anything is sized
-  // on them.
-  const auto doc = [](const std::string& count) {
-    return "{\"schema\":\"sofia-sweep-v6\",\"sweep\":\"x\",\"job_count\":" +
-           count + ",\"jobs\":[]}";
+/// One engine's merge and a valid two-shard split to forge from.
+struct MergeEngine {
+  const char* name;
+  const char* records;  ///< the records member: "jobs" or "trials"
+  const char* header;   ///< a string header member the shards must agree on
+  std::string (*merge)(const std::vector<std::string>&);
+  std::string whole;                ///< the unsharded document
+  std::vector<std::string> shards;  ///< shards 0/2 and 1/2
+};
+
+using Docs = std::vector<json::Value>;
+
+std::vector<json::Value>& records_of(json::Value& doc,
+                                     const MergeEngine& engine) {
+  return member(doc, engine.records).array;
+}
+
+/// The first record of any document whose "cls" is `cls` (campaign only).
+json::Value& trial_of_class(Docs& docs, const char* cls) {
+  for (auto& doc : docs)
+    for (auto& trial : member(doc, "trials").array)
+      if (member(trial, "cls").string == cls) return trial;
+  throw Error(std::string("test: no ") + cls + " trial in the shards");
+}
+
+TEST(Merge, BothEnginesRejectTheSameHostileInputs) {
+  auto campaign_spec = campaign::smoke(campaign::default_campaign());
+  std::erase_if(campaign_spec.cells, [](const campaign::CellSpec& cell) {
+    return cell.scheme != "sofia-cbcmac" && cell.scheme != "null";
+  });
+  campaign_spec.jobs_per_cell = 30;  // the null cell leaks in both shards
+  const auto sweep_spec = small_spec();
+  const MergeEngine engines[] = {
+      {"sweep", "jobs", "sweep", driver::merge_json,
+       driver::to_json(driver::run_sweep(sweep_spec, 2)),
+       {driver::to_json(driver::run_sweep(sweep_spec, 2, {}, {0, 2})),
+        driver::to_json(driver::run_sweep(sweep_spec, 2, {}, {1, 2}))}},
+      {"campaign", "trials", "campaign", campaign::merge_json,
+       campaign::to_json(campaign::run_campaign(campaign_spec, 2)),
+       {campaign::to_json(campaign::run_campaign(campaign_spec, 2, {},
+                                                 driver::ShardSpec{0, 2})),
+        campaign::to_json(campaign::run_campaign(campaign_spec, 2, {},
+                                                 driver::ShardSpec{1, 2}))}},
   };
-  EXPECT_EQ(driver::merge_json({doc("0")}),
+  const auto set_job_count = [](Docs& docs, const std::string& count) {
+    for (auto& doc : docs) member(doc, "job_count").number = count;
+  };
+
+  // Each case forges the parsed shards (docs[0] is 0/2, docs[1] is 1/2);
+  // `campaign_only` cases forge what only a campaign document carries or
+  // checks. `expect` is a substring of both engines' errors.
+  const struct {
+    const char* what;
+    bool campaign_only;
+    const char* expect;
+    std::function<void(Docs&, const MergeEngine&)> forge;
+  } cases[] = {
+      {"no documents", false, "no input documents",
+       [](Docs& docs, const MergeEngine&) { docs.clear(); }},
+      {"a missing shard", false, "missing",
+       [](Docs& docs, const MergeEngine&) { docs.pop_back(); }},
+      {"a shard given twice", false, "more than once",
+       [](Docs& docs, const MergeEngine&) { docs[1] = docs[0]; }},
+      {"a duplicate index", false, "more than once",
+       [](Docs& docs, const MergeEngine& e) {
+         records_of(docs[1], e).push_back(records_of(docs[0], e).front());
+       }},
+      {"a missing index", false, "missing",
+       [](Docs& docs, const MergeEngine& e) {
+         records_of(docs[1], e).pop_back();
+       }},
+      {"an out-of-range index", false, "out of range",
+       [](Docs& docs, const MergeEngine& e) {
+         auto& last = records_of(docs[1], e).back();
+         member(last, "index").number = member(docs[1], "job_count").number;
+       }},
+      {"a record without an index", false, "missing 'index'",
+       [](Docs& docs, const MergeEngine& e) {
+         std::erase_if(records_of(docs[0], e).front().object,
+                       [](const auto& m) { return m.first == "index"; });
+       }},
+      {"a job_count of 10^15", false, "1000000000000000",
+       [&](Docs& docs, const MergeEngine&) {
+         set_job_count(docs, "1000000000000000");
+       }},
+      {"a job_count of -1", false, "job_count",
+       [&](Docs& docs, const MergeEngine&) { set_job_count(docs, "-1"); }},
+      {"a job_count below the records", false, "job_count",
+       [&](Docs& docs, const MergeEngine&) { set_job_count(docs, "4"); }},
+      {"a header mismatch", false, "document 1",
+       [](Docs& docs, const MergeEngine& e) {
+         member(docs[1], e.header).string = "other";
+       }},
+      {"not a document of the engine", false, "schema",
+       [](Docs& docs, const MergeEngine&) {
+         docs[1] = json::parse("{}");
+       }},
+      {"an unsharded document (no trials)", true, "missing 'trials'",
+       [](Docs& docs, const MergeEngine& e) {
+         docs = {json::parse(e.whole)};
+       }},
+      {"jobs_per_cell past 32 bits", true, "out of range",
+       [](Docs& docs, const MergeEngine&) {
+         for (auto& doc : docs)
+           member(doc, "jobs_per_cell").number = "4294967326";  // 2^32 + 30
+       }},
+      {"an unknown trial class", true, "unknown trial class",
+       [](Docs& docs, const MergeEngine& e) {
+         member(records_of(docs[0], e).front(), "cls").string = "lucky";
+       }},
+      {"an unknown reset cause", true, "unknown reset cause",
+       [](Docs& docs, const MergeEngine&) {
+         member(trial_of_class(docs, "detected"), "cause").string =
+             "cosmic-ray";
+       }},
+      {"a detection without a reset cause", true, "detected trial",
+       [](Docs& docs, const MergeEngine&) {
+         member(trial_of_class(docs, "detected"), "cause").string = "none";
+       }},
+      {"a trial past the instruction budget", true, "past the trial budget",
+       [](Docs& docs, const MergeEngine&) {
+         member(trial_of_class(docs, "detected"), "insts").number =
+             "18446744073709551615";
+       }},
+      {"an escape whose job is not its index", true, "names job",
+       [](Docs& docs, const MergeEngine&) {
+         auto& escape = member(trial_of_class(docs, "escaped"), "escape");
+         auto& job = member(escape, "job").number;
+         job = std::to_string(std::stoull(job) + 1);
+       }},
+  };
+
+  for (const auto& engine : engines) {
+    // The unforged shards merge, in either order, into the unsharded bytes.
+    ASSERT_EQ(engine.merge(engine.shards), engine.whole) << engine.name;
+    ASSERT_EQ(engine.merge({engine.shards[1], engine.shards[0]}), engine.whole)
+        << engine.name;
+    for (const auto& c : cases) {
+      if (c.campaign_only && std::string_view(engine.name) != "campaign")
+        continue;
+      Docs docs;
+      for (const auto& text : engine.shards) docs.push_back(json::parse(text));
+      c.forge(docs, engine);
+      std::vector<std::string> texts;
+      for (const auto& doc : docs) {
+        json::Writer w(2);
+        doc.write(w);
+        texts.push_back(w.document());
+      }
+      try {
+        engine.merge(texts);
+        ADD_FAILURE() << engine.name << " merged " << c.what;
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find(c.expect), std::string::npos)
+            << engine.name << ", " << c.what << ": " << e.what();
+      }
+    }
+  }
+  EXPECT_THROW(driver::merge_json({"not json"}), Error);
+  EXPECT_THROW(campaign::merge_json({"not json"}), Error);
+  // A job_count of 0 with no records is a complete, empty sweep.
+  EXPECT_EQ(driver::merge_json({"{\"schema\":\"sofia-sweep-v6\",\"sweep\":"
+                                "\"x\",\"job_count\":0,\"jobs\":[]}"}),
             "{\n  \"schema\": \"sofia-sweep-v6\",\n  \"sweep\": \"x\",\n"
             "  \"job_count\": 0,\n  \"jobs\": []\n}\n");
-  EXPECT_THROW(driver::merge_json({doc("-1")}), Error);
-  try {
-    driver::merge_json({doc("1000000000000000")});
-    FAIL() << "expected throw";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("missing"), std::string::npos)
-        << e.what();
-  }
 }
 
 // ---------------------------------------------------------------------------

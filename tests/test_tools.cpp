@@ -5,6 +5,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstdio>
@@ -931,11 +932,10 @@ TEST_F(Tools, AttackListsMutatorsAndRejectsIdleInvocation) {
 }
 
 TEST_F(Tools, AttackMergeExitsOneOnAnAuthenticatedEscape) {
-  // --merge returns the unsharded run's verdict: a shard whose
-  // "sofia-cbcmac" cell reports an escape (one harmless trial turned
-  // escaped, with a null-cell escape record moved onto one of its jobs)
-  // merges into a document with an authenticated escape, and exits 1 as
-  // sofia_attack would on it.
+  // --merge returns the unsharded run's verdict: a shard in which the first
+  // trial of the "sofia-cbcmac" cell is replaced by a null-cell escape
+  // (moved onto that trial's index) merges into a document with an
+  // authenticated escape, and exits 1 as sofia_attack would on it.
   const std::string base =
       "/tmp/sofia_attack_verdict_" + std::to_string(getpid());
   int code = 0;
@@ -954,32 +954,26 @@ TEST_F(Tools, AttackMergeExitsOneOnAnAuthenticatedEscape) {
     throw sofia::Error("test: no member '" + std::string(key) + "'");
   };
   sofia::json::Value doc = sofia::json::parse(read_file(base + "_0.json"));
-  auto& cells = member(doc, "cells").array;
-  sofia::json::Value* mac = nullptr;
-  std::uint64_t mac_first_job = 0;
-  const sofia::json::Value* leak = nullptr;
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    const std::string& scheme = member(cells[c], "scheme").string;
-    if (scheme == "sofia-cbcmac") {
-      mac = &cells[c];
+  std::uint64_t mac_first_job = ~0ull;
+  const auto& cells = member(doc, "cells").array;
+  for (std::size_t c = 0; c < cells.size(); ++c)
+    if (cells[c].at("scheme", "cell").string == "sofia-cbcmac")
       mac_first_job = c * kJobs;  // even, so shard 0/2 runs it
-    }
-    if (scheme == "null" && !member(cells[c], "escapes").array.empty())
-      leak = &member(cells[c], "escapes").array.front();
-  }
-  ASSERT_NE(mac, nullptr);
-  ASSERT_NE(leak, nullptr) << "the null cell of shard 0 did not leak";
+  ASSERT_NE(mac_first_job, ~0ull);
+  auto& trials = member(doc, "trials").array;
+  const auto leak = std::find_if(trials.begin(), trials.end(), [&](auto& t) {
+    return member(t, "cls").string == "escaped";
+  });
+  ASSERT_NE(leak, trials.end()) << "the null cell of shard 0 did not leak";
   sofia::json::Value escape = *leak;
-  member(escape, "job").number = std::to_string(mac_first_job);
-  member(*mac, "escapes").array.push_back(escape);
-  const auto bump = [&](std::string_view key, int by) {
-    auto& n = member(*mac, key).number;
-    const auto value = std::stoll(n) + by;
-    ASSERT_GE(value, 0) << key;
-    n = std::to_string(value);
-  };
-  bump("harmless", -1);
-  bump("escaped", +1);
+  const std::string job = std::to_string(mac_first_job);
+  member(escape, "index").number = job;
+  member(member(escape, "escape"), "job").number = job;
+  const auto mac = std::find_if(trials.begin(), trials.end(), [&](auto& t) {
+    return member(t, "index").number == job;
+  });
+  ASSERT_NE(mac, trials.end());
+  *mac = escape;
   sofia::json::Writer w(2);
   doc.write(w);
   std::ofstream(base + "_0.json", std::ios::binary) << w.str();

@@ -4,9 +4,11 @@
 // cipher × granularity) and reports detection rate, detection latency and
 // minimized surviving counterexamples as a sofia-attack-campaign-v1 JSON
 // document. The document is byte-identical for any --threads and any
-// --shard K/N split: `--merge out.json shard*.json` folds shard documents
-// back into the canonical unsharded bytes. `--json -` streams to stdout
-// (progress moves to stderr) for fleet collectors.
+// --shard K/N split. A shard document carries its trials instead of
+// tallies, and `--merge out.json shard*.json` collects them by index (each
+// exactly once), refolds them as a run does and renders the canonical
+// unsharded bytes. `--json -` streams to stdout (progress moves to stderr)
+// for fleet collectors.
 //
 // Exit code, for a run and a --merge alike: 0 iff every authenticated cell
 // detected every effective tamper (the "null" encrypt-only baseline is
