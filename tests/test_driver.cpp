@@ -10,7 +10,6 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <functional>
 #include <memory>
 
 #include "assembler/image_io.hpp"
@@ -562,121 +561,135 @@ json::Value& trial_of_class(Docs& docs, const char* cls) {
   throw Error(std::string("test: no ") + cls + " trial in the shards");
 }
 
-TEST(Merge, BothEnginesRejectTheSameHostileInputs) {
-  auto campaign_spec = campaign::smoke(campaign::default_campaign());
-  std::erase_if(campaign_spec.cells, [](const campaign::CellSpec& cell) {
-    return cell.scheme != "sofia-cbcmac" && cell.scheme != "null";
-  });
-  campaign_spec.jobs_per_cell = 30;  // the null cell leaks in both shards
-  const auto sweep_spec = small_spec();
-  const MergeEngine engines[] = {
-      {"sweep", "jobs", "sweep", driver::merge_json,
-       driver::to_json(driver::run_sweep(sweep_spec, 2)),
-       {driver::to_json(driver::run_sweep(sweep_spec, 2, {}, {0, 2})),
-        driver::to_json(driver::run_sweep(sweep_spec, 2, {}, {1, 2}))}},
-      {"campaign", "trials", "campaign", campaign::merge_json,
-       campaign::to_json(campaign::run_campaign(campaign_spec, 2)),
-       {campaign::to_json(campaign::run_campaign(campaign_spec, 2, {},
-                                                 driver::ShardSpec{0, 2})),
-        campaign::to_json(campaign::run_campaign(campaign_spec, 2, {},
-                                                 driver::ShardSpec{1, 2}))}},
-  };
-  const auto set_job_count = [](Docs& docs, const std::string& count) {
-    for (auto& doc : docs) member(doc, "job_count").number = count;
-  };
+/// Both engines, each with a valid two-shard split; built once per process.
+const std::vector<MergeEngine>& merge_engines() {
+  static const std::vector<MergeEngine> engines = [] {
+    auto campaign_spec = campaign::smoke(campaign::default_campaign());
+    std::erase_if(campaign_spec.cells, [](const campaign::CellSpec& cell) {
+      return cell.scheme != "sofia-cbcmac" && cell.scheme != "null";
+    });
+    campaign_spec.jobs_per_cell = 30;  // the null cell leaks in both shards
+    const auto sweep_spec = small_spec();
+    return std::vector<MergeEngine>{
+        {"sweep", "jobs", "sweep", driver::merge_json,
+         driver::to_json(driver::run_sweep(sweep_spec, 2)),
+         {driver::to_json(driver::run_sweep(sweep_spec, 2, {}, {0, 2})),
+          driver::to_json(driver::run_sweep(sweep_spec, 2, {}, {1, 2}))}},
+        {"campaign", "trials", "campaign", campaign::merge_json,
+         campaign::to_json(campaign::run_campaign(campaign_spec, 2)),
+         {campaign::to_json(campaign::run_campaign(campaign_spec, 2, {},
+                                                   driver::ShardSpec{0, 2})),
+          campaign::to_json(campaign::run_campaign(campaign_spec, 2, {},
+                                                   driver::ShardSpec{1, 2}))}},
+    };
+  }();
+  return engines;
+}
 
-  // Each case forges the parsed shards (docs[0] is 0/2, docs[1] is 1/2);
-  // `campaign_only` cases forge what only a campaign document carries or
-  // checks. `expect` is a substring of both engines' errors.
-  const struct {
-    const char* what;
-    bool campaign_only;
-    const char* expect;
-    std::function<void(Docs&, const MergeEngine&)> forge;
-  } cases[] = {
-      {"no documents", false, "no input documents",
-       [](Docs& docs, const MergeEngine&) { docs.clear(); }},
-      {"a missing shard", false, "missing",
-       [](Docs& docs, const MergeEngine&) { docs.pop_back(); }},
-      {"a shard given twice", false, "more than once",
-       [](Docs& docs, const MergeEngine&) { docs[1] = docs[0]; }},
-      {"a duplicate index", false, "more than once",
-       [](Docs& docs, const MergeEngine& e) {
-         records_of(docs[1], e).push_back(records_of(docs[0], e).front());
-       }},
-      {"a missing index", false, "missing",
-       [](Docs& docs, const MergeEngine& e) {
-         records_of(docs[1], e).pop_back();
-       }},
-      {"an out-of-range index", false, "out of range",
-       [](Docs& docs, const MergeEngine& e) {
-         auto& last = records_of(docs[1], e).back();
-         member(last, "index").number = member(docs[1], "job_count").number;
-       }},
-      {"a record without an index", false, "missing 'index'",
-       [](Docs& docs, const MergeEngine& e) {
-         std::erase_if(records_of(docs[0], e).front().object,
-                       [](const auto& m) { return m.first == "index"; });
-       }},
-      {"a job_count of 10^15", false, "1000000000000000",
-       [&](Docs& docs, const MergeEngine&) {
-         set_job_count(docs, "1000000000000000");
-       }},
-      {"a job_count of -1", false, "job_count",
-       [&](Docs& docs, const MergeEngine&) { set_job_count(docs, "-1"); }},
-      {"a job_count below the records", false, "job_count",
-       [&](Docs& docs, const MergeEngine&) { set_job_count(docs, "4"); }},
-      {"a header mismatch", false, "document 1",
-       [](Docs& docs, const MergeEngine& e) {
-         member(docs[1], e.header).string = "other";
-       }},
-      {"not a document of the engine", false, "schema",
-       [](Docs& docs, const MergeEngine&) {
-         docs[1] = json::parse("{}");
-       }},
-      {"an unsharded document (no trials)", true, "missing 'trials'",
-       [](Docs& docs, const MergeEngine& e) {
-         docs = {json::parse(e.whole)};
-       }},
-      {"jobs_per_cell past 32 bits", true, "out of range",
-       [](Docs& docs, const MergeEngine&) {
-         for (auto& doc : docs)
-           member(doc, "jobs_per_cell").number = "4294967326";  // 2^32 + 30
-       }},
-      {"an unknown trial class", true, "unknown trial class",
-       [](Docs& docs, const MergeEngine& e) {
-         member(records_of(docs[0], e).front(), "cls").string = "lucky";
-       }},
-      {"an unknown reset cause", true, "unknown reset cause",
-       [](Docs& docs, const MergeEngine&) {
-         member(trial_of_class(docs, "detected"), "cause").string =
-             "cosmic-ray";
-       }},
-      {"a detection without a reset cause", true, "detected trial",
-       [](Docs& docs, const MergeEngine&) {
-         member(trial_of_class(docs, "detected"), "cause").string = "none";
-       }},
-      {"a trial past the instruction budget", true, "past the trial budget",
-       [](Docs& docs, const MergeEngine&) {
-         member(trial_of_class(docs, "detected"), "insts").number =
-             "18446744073709551615";
-       }},
-      {"an escape whose job is not its index", true, "names job",
-       [](Docs& docs, const MergeEngine&) {
-         auto& escape = member(trial_of_class(docs, "escaped"), "escape");
-         auto& job = member(escape, "job").number;
-         job = std::to_string(std::stoull(job) + 1);
-       }},
-  };
+/// The test that runs a row of the hostile-input table.
+enum class Rows { kGapsAndMismatches, kJobCounts, kCampaignOnly };
 
-  for (const auto& engine : engines) {
-    // The unforged shards merge, in either order, into the unsharded bytes.
+void set_job_count(Docs& docs, const std::string& count) {
+  for (auto& doc : docs) member(doc, "job_count").number = count;
+}
+
+/// Each case forges the parsed shards (docs[0] is 0/2, docs[1] is 1/2).
+/// kCampaignOnly rows forge what only a campaign document carries or
+/// checks; the others run through both merges. `expect` is a substring of
+/// every engine's error.
+struct HostileCase {
+  Rows rows;
+  const char* what;
+  const char* expect;
+  void (*forge)(Docs&, const MergeEngine&);
+};
+
+const HostileCase kHostileCases[] = {
+    {Rows::kGapsAndMismatches, "no documents", "no input documents",
+     [](Docs& docs, const MergeEngine&) { docs.clear(); }},
+    {Rows::kGapsAndMismatches, "a missing shard", "missing",
+     [](Docs& docs, const MergeEngine&) { docs.pop_back(); }},
+    {Rows::kGapsAndMismatches, "a shard given twice", "more than once",
+     [](Docs& docs, const MergeEngine&) { docs[1] = docs[0]; }},
+    {Rows::kGapsAndMismatches, "a duplicate index", "more than once",
+     [](Docs& docs, const MergeEngine& e) {
+       records_of(docs[1], e).push_back(records_of(docs[0], e).front());
+     }},
+    {Rows::kGapsAndMismatches, "a missing index", "missing",
+     [](Docs& docs, const MergeEngine& e) {
+       records_of(docs[1], e).pop_back();
+     }},
+    {Rows::kGapsAndMismatches, "an out-of-range index", "out of range",
+     [](Docs& docs, const MergeEngine& e) {
+       auto& last = records_of(docs[1], e).back();
+       member(last, "index").number = member(docs[1], "job_count").number;
+     }},
+    {Rows::kGapsAndMismatches, "a record without an index", "missing 'index'",
+     [](Docs& docs, const MergeEngine& e) {
+       std::erase_if(records_of(docs[0], e).front().object,
+                     [](const auto& m) { return m.first == "index"; });
+     }},
+    {Rows::kGapsAndMismatches, "a header mismatch", "document 1",
+     [](Docs& docs, const MergeEngine& e) {
+       member(docs[1], e.header).string = "other";
+     }},
+    {Rows::kGapsAndMismatches, "not a document of the engine", "schema",
+     [](Docs& docs, const MergeEngine&) { docs[1] = json::parse("{}"); }},
+    {Rows::kJobCounts, "a job_count of 10^15", "1000000000000000",
+     [](Docs& docs, const MergeEngine&) {
+       set_job_count(docs, "1000000000000000");
+     }},
+    {Rows::kJobCounts, "a job_count of -1", "job_count",
+     [](Docs& docs, const MergeEngine&) { set_job_count(docs, "-1"); }},
+    {Rows::kJobCounts, "a job_count below the records", "job_count",
+     [](Docs& docs, const MergeEngine&) { set_job_count(docs, "4"); }},
+    {Rows::kCampaignOnly, "an unsharded document (no trials)",
+     "missing 'trials'",
+     [](Docs& docs, const MergeEngine& e) { docs = {json::parse(e.whole)}; }},
+    {Rows::kCampaignOnly, "jobs_per_cell past 32 bits", "out of range",
+     [](Docs& docs, const MergeEngine&) {
+       for (auto& doc : docs)
+         member(doc, "jobs_per_cell").number = "4294967326";  // 2^32 + 30
+     }},
+    {Rows::kCampaignOnly, "an unknown trial class", "unknown trial class",
+     [](Docs& docs, const MergeEngine& e) {
+       member(records_of(docs[0], e).front(), "cls").string = "lucky";
+     }},
+    {Rows::kCampaignOnly, "an unknown reset cause", "unknown reset cause",
+     [](Docs& docs, const MergeEngine&) {
+       member(trial_of_class(docs, "detected"), "cause").string = "cosmic-ray";
+     }},
+    {Rows::kCampaignOnly, "a detection without a reset cause",
+     "detected trial",
+     [](Docs& docs, const MergeEngine&) {
+       member(trial_of_class(docs, "detected"), "cause").string = "none";
+     }},
+    {Rows::kCampaignOnly, "a trial past the instruction budget",
+     "past the trial budget",
+     [](Docs& docs, const MergeEngine&) {
+       member(trial_of_class(docs, "detected"), "insts").number =
+           "18446744073709551615";
+     }},
+    {Rows::kCampaignOnly, "an escape whose job is not its index", "names job",
+     [](Docs& docs, const MergeEngine&) {
+       auto& escape = member(trial_of_class(docs, "escaped"), "escape");
+       auto& job = member(escape, "job").number;
+       job = std::to_string(std::stoull(job) + 1);
+     }},
+};
+
+/// Every engine the rows apply to merges its unforged shards, in either
+/// order, into the unsharded bytes, and refuses each forged copy.
+void expect_merges_reject(Rows rows) {
+  for (const auto& engine : merge_engines()) {
+    if (rows == Rows::kCampaignOnly &&
+        std::string_view(engine.name) != "campaign")
+      continue;
     ASSERT_EQ(engine.merge(engine.shards), engine.whole) << engine.name;
     ASSERT_EQ(engine.merge({engine.shards[1], engine.shards[0]}), engine.whole)
         << engine.name;
-    for (const auto& c : cases) {
-      if (c.campaign_only && std::string_view(engine.name) != "campaign")
-        continue;
+    for (const auto& c : kHostileCases) {
+      if (c.rows != rows) continue;
       Docs docs;
       for (const auto& text : engine.shards) docs.push_back(json::parse(text));
       c.forge(docs, engine);
@@ -695,13 +708,27 @@ TEST(Merge, BothEnginesRejectTheSameHostileInputs) {
       }
     }
   }
+}
+
+TEST(Shard, MergeRejectsGapsOverlapsAndMismatches) {
+  expect_merges_reject(Rows::kGapsAndMismatches);
   EXPECT_THROW(driver::merge_json({"not json"}), Error);
   EXPECT_THROW(campaign::merge_json({"not json"}), Error);
+}
+
+TEST(Shard, MergeRejectsJobCountsTheRecordsCannotFill) {
+  expect_merges_reject(Rows::kJobCounts);
   // A job_count of 0 with no records is a complete, empty sweep.
   EXPECT_EQ(driver::merge_json({"{\"schema\":\"sofia-sweep-v6\",\"sweep\":"
                                 "\"x\",\"job_count\":0,\"jobs\":[]}"}),
             "{\n  \"schema\": \"sofia-sweep-v6\",\n  \"sweep\": \"x\",\n"
             "  \"job_count\": 0,\n  \"jobs\": []\n}\n");
+}
+
+// The campaign rows of the table; the suite name matches the other
+// campaign document tests in test_campaign.cpp.
+TEST(CampaignJson, MergeRejectsBadInputs) {
+  expect_merges_reject(Rows::kCampaignOnly);
 }
 
 // ---------------------------------------------------------------------------
