@@ -719,9 +719,11 @@ CampaignSpec read_spec(const json::Value& doc, const std::string& label) {
   CampaignSpec spec;
   spec.name = doc.at("campaign", label).as_string("campaign");
   const auto victim = doc.at("victim", label).as_string("victim");
+  if (victim != "builtin") workloads::workload(victim);  // throws if unknown
   spec.workload = victim == "builtin" ? "" : victim;
   spec.size = narrow_member<std::uint32_t>(doc, "size", label);
-  spec.backend = doc.at("backend", label).as_string("backend");
+  spec.backend = pipeline::DeviceProfile::parse_backend(
+      doc.at("backend", label).as_string("backend"));
   spec.seed = doc.at("seed", label).as_uint("seed");
   spec.donor_omega = narrow_member<std::uint16_t>(doc, "donor_omega", label);
   spec.jobs_per_cell =

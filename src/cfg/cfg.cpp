@@ -198,7 +198,7 @@ Cfg Cfg::build(const assembler::Program& prog) {
   }
   cfg.edges_.insert(cfg.edges_.end(), ret_edges.begin(), ret_edges.end());
 
-  // ---- predecessor lists & reachability ------------------------------------
+  // ---- predecessor lists ----------------------------------------------------
   for (const auto& e : cfg.edges_) {
     if (cfg.leader_pos_.count(e.to) == 0)
       throw TransformError("cfg: internal error: edge target is not a leader");
@@ -208,33 +208,6 @@ Cfg Cfg::build(const assembler::Program& prog) {
     std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
       return std::tie(a.from, a.kind) < std::tie(b.from, b.kind);
     });
-  }
-
-  cfg.reachable_.assign(n, false);
-  {
-    std::deque<std::uint32_t> work{cfg.entry_};
-    cfg.reachable_[cfg.entry_] = true;
-    std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> succs;
-    for (const auto& e : cfg.edges_) succs[e.from].push_back(e.to);
-    while (!work.empty()) {
-      std::uint32_t i = work.front();
-      work.pop_front();
-      // Walk the straight-line run, then follow edges from its terminator.
-      const std::uint32_t end = cfg.run_end(i);
-      for (std::uint32_t j = i; j < end; ++j) cfg.reachable_[j] = true;
-      const std::uint32_t last = end - 1;
-      // Successor leaders: any edge out of an instruction in [i, end).
-      for (std::uint32_t j = i; j <= last; ++j) {
-        auto it = succs.find(j);
-        if (it == succs.end()) continue;
-        for (const std::uint32_t t : it->second) {
-          if (!cfg.reachable_[t]) {
-            cfg.reachable_[t] = true;
-            work.push_back(t);
-          }
-        }
-      }
-    }
   }
   return cfg;
 }
@@ -251,10 +224,6 @@ const std::vector<Edge>& Cfg::preds(std::uint32_t leader) const {
   static const std::vector<Edge> kEmpty;
   const auto it = preds_.find(leader);
   return it == preds_.end() ? kEmpty : it->second;
-}
-
-bool Cfg::reachable(std::uint32_t leader) const {
-  return leader < reachable_.size() && reachable_[leader];
 }
 
 const FunctionInfo* Cfg::function_at(std::uint32_t index) const {

@@ -72,9 +72,6 @@ class Cfg {
   /// Incoming edges of a leader (empty vector for unreferenced leaders).
   const std::vector<Edge>& preds(std::uint32_t leader) const;
 
-  /// Reachable from the program entry following all edge kinds.
-  bool reachable(std::uint32_t leader) const;
-
   /// Program entry instruction index.
   std::uint32_t entry() const { return entry_; }
 
@@ -88,7 +85,6 @@ class Cfg {
   std::unordered_map<std::uint32_t, std::size_t> leader_pos_;
   std::vector<Edge> edges_;
   std::unordered_map<std::uint32_t, std::vector<Edge>> preds_;
-  std::vector<bool> reachable_;
   std::vector<FunctionInfo> functions_;
   std::uint32_t entry_ = 0;
   std::uint32_t text_size_ = 0;

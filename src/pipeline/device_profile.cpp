@@ -89,13 +89,12 @@ crypto::KeySet DeviceProfile::keys() const {
   return keys;
 }
 
-xform::Options DeviceProfile::transform_options(assembler::MemoryLayout mem,
-                                                bool elide_unreachable) const {
+xform::Options DeviceProfile::transform_options(
+    assembler::MemoryLayout mem) const {
   xform::Options opts;
   opts.policy = policy;
   opts.granularity = granularity;
   opts.scheme = scheme;
-  opts.elide_unreachable = elide_unreachable;
   opts.mem = mem;
   return opts;
 }

@@ -104,8 +104,7 @@ struct DeviceProfile {
 
   /// Toolchain view: xform::Options carrying this profile's policy and
   /// granularity plus the caller's memory layout.
-  xform::Options transform_options(assembler::MemoryLayout mem = {},
-                                   bool elide_unreachable = false) const;
+  xform::Options transform_options(assembler::MemoryLayout mem = {}) const;
 
   /// Device view: stamp keys and policy onto a simulator configuration.
   sim::SimConfig& configure(sim::SimConfig& config) const {

@@ -102,13 +102,6 @@ void Pipeline::set_memory_layout(assembler::MemoryLayout mem) {
   vanilla_run_.reset();
 }
 
-void Pipeline::set_elide_unreachable(bool elide) {
-  elide_unreachable_ = elide;
-  hardened_.reset();
-  model_.reset();
-  run_.reset();
-}
-
 void Pipeline::set_expected_output(std::string expected) {
   expected_ = std::move(expected);
 }
@@ -143,9 +136,8 @@ const xform::TransformResult& Pipeline::hardened() {
       fail("transform", "session was built from an image; no source available");
     const auto& prog = program();
     run_stage("transform", [&] {
-      hardened_ = xform::transform(
-          prog, keys_,
-          profile_.transform_options(mem_, elide_unreachable_));
+      hardened_ =
+          xform::transform(prog, keys_, profile_.transform_options(mem_));
     });
   }
   return *hardened_;

@@ -113,10 +113,6 @@ class Pipeline {
   /// images and runs.
   void set_memory_layout(assembler::MemoryLayout mem);
 
-  /// Toolchain option: drop statically unreachable code while packing.
-  /// Invalidates the cached hardened image.
-  void set_elide_unreachable(bool elide);
-
   /// Expected console output (from_workload installs the golden model's).
   void set_expected_output(std::string expected);
   bool has_expected_output() const { return expected_.has_value(); }
@@ -207,7 +203,6 @@ class Pipeline {
                                            ///< only for unknown names
   sim::SimConfig base_config_;
   assembler::MemoryLayout mem_;
-  bool elide_unreachable_ = false;
 
   std::optional<std::string> source_;
   std::optional<std::string> expected_;

@@ -288,16 +288,12 @@ std::unique_ptr<Opener> opener(const crypto::KeySet& keys, std::uint16_t omega,
 
 const ProtectionScheme kCbcMac{
     "sofia-cbcmac",
-    "SOFIA MAC-then-encrypt: per-block CBC-MAC header + CF-dependent CTR "
-    "(the paper's design)",
     {/*authenticated=*/true, /*uses_granularity=*/true},
     sealer<CbcMacTag>,
     opener<CbcMacTag>};
 
 const ProtectionScheme kFlta{
     "flta",
-    "forward-edge gating: CF-dependent CTR + 32-bit CBC-MAC + sealed "
-    "target-set labels checked on indirect transfers",
     {/*authenticated=*/true, /*uses_granularity=*/true,
      /*gates_indirect=*/true},
     sealer<FltaTag>,
@@ -305,8 +301,6 @@ const ProtectionScheme kFlta{
 
 const ProtectionScheme kNull{
     "null",
-    "encrypt-only baseline: CF-dependent CTR, constant header, no "
-    "verification (overhead floor)",
     {/*authenticated=*/false, /*uses_granularity=*/true},
     sealer<NullTag>,
     opener<NullTag>};

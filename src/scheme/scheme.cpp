@@ -36,12 +36,6 @@ std::vector<std::string> scheme_names() {
   return names;
 }
 
-bool is_scheme(std::string_view name) {
-  for (const auto& entry : scheme_registry())
-    if (entry.name() == name) return true;
-  return false;
-}
-
 const ProtectionScheme& get_scheme(std::string_view name) {
   for (const auto& entry : scheme_registry())
     if (entry.name() == name) return entry;

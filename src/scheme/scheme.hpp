@@ -189,8 +189,7 @@ struct SchemeTraits {
   bool gates_indirect = false;
 };
 
-/// One registry row: key, description, traits and the two session
-/// factories.
+/// One registry row: key, traits and the two session factories.
 class ProtectionScheme {
  public:
   using SealerFactory = std::unique_ptr<Sealer> (*)(const crypto::KeySet& keys,
@@ -199,21 +198,15 @@ class ProtectionScheme {
                                                     std::uint16_t omega,
                                                     crypto::Granularity gran);
 
-  constexpr ProtectionScheme(std::string_view name,
-                             std::string_view description,
-                             SchemeTraits traits, SealerFactory sealer,
-                             OpenerFactory opener)
+  constexpr ProtectionScheme(std::string_view name, SchemeTraits traits,
+                             SealerFactory sealer, OpenerFactory opener)
       : name_(name),
-        description_(description),
         traits_(traits),
         sealer_(sealer),
         opener_(opener) {}
 
   /// Registry key, e.g. "sofia-cbcmac".
   std::string_view name() const { return name_; }
-
-  /// One-line human description for --help texts and reports.
-  std::string_view describe() const { return description_; }
 
   SchemeTraits traits() const { return traits_; }
 
@@ -234,7 +227,6 @@ class ProtectionScheme {
 
  private:
   std::string_view name_;
-  std::string_view description_;
   SchemeTraits traits_;
   SealerFactory sealer_;
   OpenerFactory opener_;
@@ -251,9 +243,6 @@ std::span<const ProtectionScheme> scheme_registry();
 
 /// The registered names, in registry order.
 std::vector<std::string> scheme_names();
-
-/// Is `name` a registered scheme key?
-bool is_scheme(std::string_view name);
 
 /// Look up a scheme by registry key; throws sofia::Error listing the
 /// registered names for anything unknown.

@@ -167,8 +167,6 @@ class SpongeOpener final : public Opener {
 
 const ProtectionScheme kSponge{
     "sponge",
-    "SCFP-style chained-state authenticated decryption; detection by "
-    "state corruption",
     {/*authenticated=*/true, /*uses_granularity=*/false},
     [](const crypto::KeySet& keys, crypto::Granularity /*gran*/)
         -> std::unique_ptr<Sealer> {

@@ -34,28 +34,15 @@
 
 namespace sofia::sim {
 
-/// What a backend's RunResult numbers mean. Both flags are advertised so
-/// report generators can refuse to print timing columns for a backend
-/// that never modelled them.
-struct BackendCapabilities {
-  /// stats.cycles models device time. When false, cycles is the retired
-  /// instruction count and any cycle-derived overhead is meaningless.
-  bool cycle_accurate = false;
-  /// The I-cache / fetch-queue / cipher-engine counters are modelled.
-  bool models_microarchitecture = false;
-};
-
 class Backend {
  public:
   virtual ~Backend() = default;
 
-  /// Registry key, e.g. "cycle".
-  virtual std::string_view name() const = 0;
-
-  /// One-line human description for --help texts and reports.
-  virtual std::string_view describe() const = 0;
-
-  virtual BackendCapabilities capabilities() const = 0;
+  /// What the RunResult numbers mean: true when stats.cycles models device
+  /// time. When false, cycles is the retired instruction count and any
+  /// cycle-derived overhead is meaningless, so report generators refuse to
+  /// print timing columns for the backend.
+  virtual bool cycle_accurate() const = 0;
 
   /// Execute an image to completion. The architectural outcome (status,
   /// exit code, console output, reset-on-tamper) must agree across all
@@ -77,7 +64,8 @@ class Backend {
                         const SimConfig& config) const = 0;
 };
 
-/// One registry row: key + factory.
+/// One registry row: key + factory. The row is the only place a backend's
+/// name lives.
 struct BackendEntry {
   std::string_view name;
   std::unique_ptr<Backend> (*make)();

@@ -12,13 +12,7 @@ namespace sofia::sim {
 
 class CycleAccurateBackend final : public Backend {
  public:
-  std::string_view name() const override { return "cycle"; }
-  std::string_view describe() const override {
-    return "cycle-accurate core + SOFIA front end (paper-faithful timing)";
-  }
-  BackendCapabilities capabilities() const override {
-    return {/*cycle_accurate=*/true, /*models_microarchitecture=*/true};
-  }
+  bool cycle_accurate() const override { return true; }
   RunResult run(const assembler::LoadImage& image,
                 const SimConfig& config) const override;
 

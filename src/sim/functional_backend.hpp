@@ -25,8 +25,8 @@
 // the record already held for the pair (scheme::OpenedReference).
 //
 // Consequences, documented as contract:
-//  * stats.cycles is the retired instruction count (capabilities()
-//    advertises cycle_accurate = false); SimConfig::max_cycles bounds it.
+//  * stats.cycles is the retired instruction count (cycle_accurate()
+//    is false); SimConfig::max_cycles bounds it.
 //  * stats counts only architecturally demanded work: ctr/cbc ops and
 //    verifications for blocks actually entered, once per distinct
 //    (entry, prevPC) pair — a lower bound on what the device performs.
@@ -47,13 +47,7 @@ namespace sofia::sim {
 
 class FunctionalBackend final : public Backend {
  public:
-  std::string_view name() const override { return "functional"; }
-  std::string_view describe() const override {
-    return "architectural interpreter, full integrity checks, no timing";
-  }
-  BackendCapabilities capabilities() const override {
-    return {/*cycle_accurate=*/false, /*models_microarchitecture=*/false};
-  }
+  bool cycle_accurate() const override { return false; }
   RunResult run(const assembler::LoadImage& image,
                 const SimConfig& config) const override;
 

@@ -6,7 +6,6 @@
 // the dataflow engine (verify/dataflow.hpp) can resolve loads from
 // provably-clean data.
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "cfg/cfg.hpp"
@@ -45,36 +44,25 @@ ProgramModel model_of(const xform::TransformResult& t) {
     m.blocks.push_back(std::move(mb));
   }
 
-  // The rest needs the same CFG the packer consumed. With unreachable code
-  // elided, some source instructions have no placement — their lookups
-  // throw, which simply excludes them from the model.
+  // The rest needs the same CFG the packer consumed; the packer placed
+  // every source instruction.
   const cfg::Cfg g = cfg::Cfg::build(t.normalized);
 
-  const auto block_of = [&](std::uint32_t src) -> std::optional<std::uint32_t> {
-    try {
-      const std::uint32_t word = layout.block_base_addr(src) / 4;
-      return (word - layout.text_base_word()) / b;
-    } catch (const std::exception&) {
-      return std::nullopt;
-    }
+  const auto block_of = [&](std::uint32_t src) {
+    return (layout.block_base_addr(src) / 4 - layout.text_base_word()) / b;
   };
 
   // Return targets: a ret transfers to lr, and every call site linked
   // lr = its own placed address + 4 (word 0 of the block after the call).
   for (const cfg::FunctionInfo& fn : g.functions()) {
     std::vector<std::uint32_t> targets;
-    for (const std::uint32_t call : fn.call_sites) {
-      try {
-        targets.push_back(layout.placed_addr(call) + 4);
-      } catch (const std::exception&) {
-        // call site inside elided code
-      }
-    }
+    for (const std::uint32_t call : fn.call_sites)
+      targets.push_back(layout.placed_addr(call) + 4);
     std::sort(targets.begin(), targets.end());
     targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
     if (targets.empty()) continue;
     for (const std::uint32_t r : fn.rets)
-      if (const auto blk = block_of(r)) m.blocks[*blk].ret_targets = targets;
+      m.blocks[block_of(r)].ret_targets = targets;
   }
 
   // Gated indirect jumps: each surviving jump-form jalr's declared target
@@ -83,15 +71,13 @@ ProgramModel model_of(const xform::TransformResult& t) {
   for (std::uint32_t i = 0; i < t.normalized.text.size(); ++i) {
     const assembler::SourceInst& si = t.normalized.text[i];
     if (!isa::is_indirect_jump(si.inst)) continue;
-    const auto blk = block_of(i);
-    if (!blk) continue;  // elided
     std::vector<std::uint32_t> targets;
     for (const std::string& name : si.indirect_targets)
       targets.push_back(
           layout.indirect_entry_addr(t.normalized.text_labels.at(name)));
     std::sort(targets.begin(), targets.end());
     targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
-    m.blocks[*blk].jalr_targets = std::move(targets);
+    m.blocks[block_of(i)].jalr_targets = std::move(targets);
   }
 
   return m;

@@ -309,11 +309,10 @@ namespace {
 class Linter {
  public:
   Linter(const ProgramModel& model, const assembler::LoadImage& image,
-         const DeviceSpec& spec, const Options& opts)
+         const DeviceSpec& spec)
       : m_(model),
         img_(image),
         spec_(spec),
-        opts_(opts),
         scheme_(scheme::get_scheme(spec.scheme)),  // throws for unknown names
         b_(model.policy.words_per_block),
         visited_(model.blocks.size(), false) {}
@@ -628,7 +627,6 @@ class Linter {
   // ---- whole-image warnings ------------------------------------------------
 
   void check_unreachable() {
-    if (!opts_.unreachable_warnings) return;
     for (std::size_t i = 0; i < m_.blocks.size(); ++i)
       if (!visited_[i])
         add(Rule::kUnreachableBlock, static_cast<std::int64_t>(i),
@@ -660,7 +658,7 @@ class Linter {
             "store is proven to write inside the sealed text section "
             "(address range " + hex32(st.addr.min()) + ".." +
                 hex32(st.addr.max()) + ")");
-      } else if (st.addr.bounded() && opts_.store_to_text_warnings) {
+      } else if (st.addr.bounded()) {
         add(Rule::kStoreToText, st.block, st.word_addr,
             "store address range " + hex32(st.addr.min()) + ".." +
                 hex32(st.addr.max()) +
@@ -721,7 +719,6 @@ class Linter {
   const ProgramModel& m_;
   const assembler::LoadImage& img_;
   const DeviceSpec& spec_;
-  const Options& opts_;
   const scheme::ProtectionScheme& scheme_;
   const std::uint32_t b_;
 
@@ -738,17 +735,15 @@ class Linter {
 }  // namespace
 
 Report lint(const ProgramModel& model, const assembler::LoadImage& image,
-            const DeviceSpec& spec, const Options& opts) {
-  return Linter(model, image, spec, opts).run();
+            const DeviceSpec& spec) {
+  return Linter(model, image, spec).run();
 }
 
 // ---------------------------------------------------------------------------
 // Image-only lint
 // ---------------------------------------------------------------------------
 
-Report lint(const assembler::LoadImage& image, const DeviceSpec& spec,
-            const Options& opts) {
-  (void)opts;
+Report lint(const assembler::LoadImage& image, const DeviceSpec& spec) {
   const scheme::ProtectionScheme& sch = scheme::get_scheme(spec.scheme);
   Report r;
   const auto add = [&](Rule rule, std::string message) {

@@ -225,23 +225,18 @@ struct ProgramModel {
 /// engine's load-resolution substrate).
 ProgramModel model_of(const xform::TransformResult& t);
 
-struct Options {
-  bool unreachable_warnings = true;
-  bool store_to_text_warnings = true;
-};
-
 // ---- entry points ----------------------------------------------------------
 
 /// Full program-mode lint: check `image` against the reference `model`
 /// under `spec`. Never throws for image defects (they become findings);
 /// throws sofia::Error only for unusable inputs (unknown scheme name).
+/// Every rule is checked, warnings included.
 Report lint(const ProgramModel& model, const assembler::LoadImage& image,
-            const DeviceSpec& spec, const Options& opts = {});
+            const DeviceSpec& spec);
 
 /// Image-only mode (no program/source available): the metadata, geometry
 /// and key-material subset of the checks. Used by pipeline sessions built
 /// with from_image/from_image_file.
-Report lint(const assembler::LoadImage& image, const DeviceSpec& spec,
-            const Options& opts = {});
+Report lint(const assembler::LoadImage& image, const DeviceSpec& spec);
 
 }  // namespace sofia::verify

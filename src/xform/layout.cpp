@@ -57,7 +57,7 @@ class Packer {
  public:
   Packer(const assembler::Program& prog, const cfg::Cfg& cfg,
          const BlockPolicy& policy, const assembler::MemoryLayout& mem,
-         bool elide_unreachable, BlockLayout& out, LayoutStats& stats,
+         BlockLayout& out, LayoutStats& stats,
          std::vector<Block>& blocks,
          std::map<std::uint32_t, std::pair<std::uint32_t, std::uint32_t>>& placement,
          std::map<EdgeKey, EntryRef>& entries,
@@ -67,7 +67,6 @@ class Packer {
         cfg_(cfg),
         policy_(policy),
         mem_(mem),
-        elide_unreachable_(elide_unreachable),
         out_(out),
         stats_(stats),
         blocks_(blocks),
@@ -127,19 +126,9 @@ class Packer {
 
   // ---- phase A: pack runs -------------------------------------------------
 
-  bool elided(std::uint32_t leader) const {
-    return elide_unreachable_ && !cfg_.reachable(leader);
-  }
-
   void pack_runs() {
-    const auto& leaders = cfg_.leaders();
-    for (std::size_t pos = 0; pos < leaders.size(); ++pos) {
-      const std::uint32_t leader = leaders[pos];
+    for (const std::uint32_t leader : cfg_.leaders()) {
       const std::uint32_t end = cfg_.run_end(leader);
-      if (elided(leader)) {
-        stats_.elided_insts += end - leader;
-        continue;
-      }
       open_leader_block(leader);
       for (std::uint32_t i = leader; i < end; ++i) place_source(i);
       finish_run(leader, end);
@@ -371,7 +360,6 @@ class Packer {
 
   void assign_entries_and_trees() {
     for (const std::uint32_t leader : cfg_.leaders()) {
-      if (elided(leader)) continue;
       const std::uint32_t first = leader_first_block_.at(leader);
       std::vector<Input> inputs;
       for (const Group& g : groups_.at(leader)) inputs.push_back(input_for(leader, g));
@@ -420,7 +408,6 @@ class Packer {
   /// forwarding-tree entry when the leader has many predecessors).
   void collect_indirect_entries() {
     for (const auto& [leader, groups] : groups_) {
-      if (elided(leader)) continue;
       for (const Group& g : groups)
         if (g.is_indirect)
           indirect_entries_[leader] = entries_.at({kIndirectFrom, leader, false});
@@ -522,7 +509,6 @@ class Packer {
     for (std::uint32_t i = 0; i < prog_.text.size(); ++i) {
       const assembler::SourceInst& si = prog_.text[i];
       if (!isa::is_indirect_jump(si.inst)) continue;
-      if (placement_.find(i) == placement_.end()) continue;  // elided
       scheme::IndirectSite site;
       site.exit_word = out_.placed_addr(i) / 4;
       for (const std::string& t : si.indirect_targets) {
@@ -583,7 +569,6 @@ class Packer {
   const cfg::Cfg& cfg_;
   const BlockPolicy& policy_;
   const assembler::MemoryLayout& mem_;
-  bool elide_unreachable_;
   BlockLayout& out_;
   LayoutStats& stats_;
   std::vector<Block>& blocks_;
@@ -608,16 +593,14 @@ class Packer {
 
 BlockLayout BlockLayout::pack(const assembler::Program& prog, const cfg::Cfg& cfg,
                               const BlockPolicy& policy,
-                              const assembler::MemoryLayout& mem,
-                              bool elide_unreachable) {
+                              const assembler::MemoryLayout& mem) {
   policy.validate();
   BlockLayout layout;
   layout.policy_ = policy;
   layout.text_base_word_ = mem.text_base / 4;
   layout.stats_.source_insts = static_cast<std::uint32_t>(prog.text.size());
-  Packer packer(prog, cfg, policy, mem, elide_unreachable, layout,
-                layout.stats_, layout.blocks_, layout.placement_,
-                layout.entries_, layout.indirect_entries_,
+  Packer packer(prog, cfg, policy, mem, layout, layout.stats_, layout.blocks_,
+                layout.placement_, layout.entries_, layout.indirect_entries_,
                 layout.reset_entry_);
   packer.run();
   return layout;

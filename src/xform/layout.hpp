@@ -104,20 +104,17 @@ struct LayoutStats {
   std::uint32_t thunk_blocks = 0;    ///< branch-fall-into-mux trampolines
   std::uint32_t pad_nops = 0;
   std::uint32_t synth_jumps = 0;
-  std::uint32_t elided_insts = 0;    ///< unreachable instructions dropped
 };
 
 class BlockLayout {
  public:
   /// Pack the program, resolving all immediates against the new layout.
-  /// With `elide_unreachable`, code the CFG proves unreachable is dropped
-  /// instead of packed (a toolchain optimization the paper leaves as future
-  /// work); label references into elided code then fail the transform.
-  /// Throws sofia::TransformError on layout violations.
+  /// Every source instruction is placed, reachable or not (the paper's
+  /// transformation emits everything). Throws sofia::TransformError on
+  /// layout violations.
   static BlockLayout pack(const assembler::Program& prog, const cfg::Cfg& cfg,
                           const BlockPolicy& policy,
-                          const assembler::MemoryLayout& mem,
-                          bool elide_unreachable = false);
+                          const assembler::MemoryLayout& mem);
 
   const std::vector<Block>& blocks() const { return blocks_; }
   std::vector<Block>& blocks() { return blocks_; }

@@ -54,8 +54,8 @@ TransformResult transform(const Program& prog, const crypto::KeySet& keys,
       scheme::get_scheme(opts.scheme).traits().gates_indirect;
   result.normalized = merge_returns(devirtualize(prog, gates_indirect));
   const cfg::Cfg cfg = cfg::Cfg::build(result.normalized);
-  result.layout = BlockLayout::pack(result.normalized, cfg, opts.policy,
-                                    opts.mem, opts.elide_unreachable);
+  result.layout =
+      BlockLayout::pack(result.normalized, cfg, opts.policy, opts.mem);
 
   result.stats.layout = result.layout.stats();
   result.stats.text_bytes_in =

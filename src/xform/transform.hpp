@@ -23,11 +23,6 @@ struct Options {
   /// Protection scheme sealing each block — a scheme::scheme_registry()
   /// key. The device must run the same scheme (and keys) to open the image.
   std::string scheme = std::string(scheme::kDefaultScheme);
-  /// Drop statically unreachable code instead of packing it (a "toolchain
-  /// optimization" in the paper's future-work sense). Off by default: the
-  /// paper's transformation emits everything, and label references into
-  /// elided code fail the transform.
-  bool elide_unreachable = false;
   assembler::MemoryLayout mem;
 };
 

@@ -16,7 +16,6 @@ TEST(Cfg, StraightLineSingleRun) {
   const auto cfg = build("main:\n nop\n nop\n halt\n");
   EXPECT_EQ(cfg.leaders().size(), 1u);
   EXPECT_EQ(cfg.run_end(0), 3u);
-  EXPECT_TRUE(cfg.reachable(0));
 }
 
 TEST(Cfg, BranchSplitsRuns) {
@@ -112,21 +111,6 @@ base:
   ASSERT_NE(f, nullptr);
   EXPECT_EQ(f->call_sites.size(), 2u);  // from main and from itself
   EXPECT_EQ(f->rets.size(), 1u);
-}
-
-TEST(Cfg, UnreachableCodeDetected) {
-  const auto cfg = build(R"(
-main:
-  j end
-dead:
-  nop
-  j end
-end:
-  halt
-)");
-  EXPECT_TRUE(cfg.reachable(0));
-  EXPECT_FALSE(cfg.reachable(1));
-  EXPECT_TRUE(cfg.reachable(3));
 }
 
 TEST(Cfg, JumpTargetsBecomeLeaders) {
@@ -392,7 +376,6 @@ inner:
   bnez r1, outer
   halt
 )");
-  EXPECT_TRUE(cfg.reachable(0));
   // Both headers are joins.
   EXPECT_EQ(cfg.preds(1).size(), 2u);  // outer
   EXPECT_EQ(cfg.preds(2).size(), 2u);  // inner

@@ -646,6 +646,14 @@ const HostileCase kHostileCases[] = {
     {Rows::kCampaignOnly, "an unsharded document (no trials)",
      "missing 'trials'",
      [](Docs& docs, const MergeEngine& e) { docs = {json::parse(e.whole)}; }},
+    {Rows::kCampaignOnly, "an unknown backend", "unknown backend 'warp'",
+     [](Docs& docs, const MergeEngine&) {
+       for (auto& doc : docs) member(doc, "backend").string = "warp";
+     }},
+    {Rows::kCampaignOnly, "an unknown victim", "unknown workload 'nosuch'",
+     [](Docs& docs, const MergeEngine&) {
+       for (auto& doc : docs) member(doc, "victim").string = "nosuch";
+     }},
     {Rows::kCampaignOnly, "jobs_per_cell past 32 bits", "out of range",
      [](Docs& docs, const MergeEngine&) {
        for (auto& doc : docs)

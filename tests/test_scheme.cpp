@@ -44,22 +44,18 @@ TEST(SchemeRegistry, ListsTheBuiltInsInStableOrder) {
   EXPECT_EQ(reg[2].name(), "null");
   EXPECT_EQ(reg[3].name(), "flta");
   EXPECT_EQ(reg[0].name(), scheme::kDefaultScheme);
-  for (const auto& entry : reg) {
+  for (const auto& entry : reg)
     EXPECT_EQ(&scheme::get_scheme(entry.name()), &entry);
-    EXPECT_FALSE(entry.describe().empty());
-  }
   EXPECT_EQ(scheme::scheme_names(),
             (std::vector<std::string>{"sofia-cbcmac", "sponge", "null",
                                       "flta"}));
 }
 
 TEST(SchemeRegistry, LookupAcceptsKeysAndRejectsUnknown) {
-  for (const auto& name : scheme::scheme_names()) {
-    EXPECT_TRUE(scheme::is_scheme(name));
+  for (const auto& name : scheme::scheme_names())
     EXPECT_EQ(scheme::get_scheme(name).name(), name);
-  }
-  EXPECT_FALSE(scheme::is_scheme("cbc"));
-  EXPECT_FALSE(scheme::is_scheme(""));
+  EXPECT_THROW(scheme::get_scheme("cbc"), Error);
+  EXPECT_THROW(scheme::get_scheme(""), Error);
   try {
     scheme::get_scheme("hmac");
     FAIL() << "unknown scheme must throw";

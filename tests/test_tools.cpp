@@ -124,6 +124,70 @@ TEST_F(Tools, VanillaPath) {
   EXPECT_NE(run_out.find("[vanilla core]"), std::string::npos) << run_out;
 }
 
+TEST_F(Tools, RunTakesTheBlockPolicyTheImageWasSealedWith) {
+  // The store opens the call's return-point block, so --store-min 2 seals
+  // it in the block's first instruction slot, which the default policy
+  // reserves.
+  std::ofstream(src_) << R"(
+main:
+  li r10, 0xFFFF0008
+  li r1, 11
+  call triple
+  sw r1, 0(r10)
+  halt
+triple:
+  add r2, r1, r1
+  add r1, r1, r2
+  ret
+)";
+  const struct {
+    const char* flags;
+    const char* mismatch;  ///< reset cause under the default policy
+  } kPolicies[] = {{"--block-words 12", "mac-mismatch"},
+                   {"--store-min 2", "restricted-store"}};
+  for (const auto& policy : kPolicies) {
+    int code = 0;
+    const auto asm_out =
+        run_command(std::string(SOFIA_ASM_BIN) + " --quiet " + policy.flags +
+                        " " + src_ + " " + img_, &code);
+    ASSERT_EQ(code, 0) << asm_out;
+    const auto plain = run_command(std::string(SOFIA_RUN_BIN) + " " + img_, &code);
+    EXPECT_EQ(code, 3) << plain;
+    EXPECT_NE(plain.find(policy.mismatch), std::string::npos) << plain;
+    for (const char* backend : {"cycle", "functional"}) {
+      const auto run_out =
+          run_command(std::string(SOFIA_RUN_BIN) + " " + policy.flags +
+                          " --backend " + backend + " " + img_, &code);
+      EXPECT_EQ(code, 0) << policy.flags << ": " << run_out;
+      EXPECT_NE(run_out.find("33\n[SOFIA core] status=halted"),
+                std::string::npos)
+          << policy.flags << ": " << run_out;
+    }
+  }
+
+  // The device flags come from one declaration: the three tools' --help
+  // list them in the same lines.
+  const auto device_lines = [](const char* tool) {
+    int code = 0;
+    const auto help = run_command(std::string(tool) + " --help", &code);
+    EXPECT_EQ(code, 0) << tool;
+    std::string lines;
+    for (const char* flag : {"--cipher ", "--scheme ", "--key-seed ",
+                             "--block-words ", "--store-min "}) {
+      const auto at = help.find(std::string("  ") + flag);
+      if (at == std::string::npos) {
+        ADD_FAILURE() << tool << " --help does not list " << flag;
+        continue;
+      }
+      lines += help.substr(at, help.find('\n', at) - at + 1);
+    }
+    return lines;
+  };
+  const auto asm_lines = device_lines(SOFIA_ASM_BIN);
+  EXPECT_EQ(device_lines(SOFIA_RUN_BIN), asm_lines);
+  EXPECT_EQ(device_lines(SOFIA_LINT_BIN), asm_lines);
+}
+
 TEST_F(Tools, ObjdumpShowsCiphertextForSofia) {
   int code = 0;
   run_command(std::string(SOFIA_ASM_BIN) + " --quiet " + src_ + " " + img_,

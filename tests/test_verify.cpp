@@ -427,11 +427,6 @@ TEST(Rules, UnreachableBlockIsAWarning) {
   EXPECT_TRUE(has_rule(report, Rule::kUnreachableBlock));
   EXPECT_TRUE(report.clean());  // warning, not error
   EXPECT_EQ(report.count(Severity::kWarning), 1u);
-
-  Options opts;
-  opts.unreachable_warnings = false;
-  EXPECT_TRUE(
-      lint(m, seal_model(m, spec), spec, opts).findings.empty());
 }
 
 TEST(Rules, StoreProvenInsideTextIsAnError) {

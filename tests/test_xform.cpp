@@ -4,6 +4,7 @@
 #include "cfg/cfg.hpp"
 #include "crypto/cbc_mac.hpp"
 #include "crypto/ctr.hpp"
+#include "pipeline/pipeline.hpp"
 #include "sim_test_util.hpp"
 #include "support/error.hpp"
 #include "xform/transform.hpp"
@@ -384,70 +385,9 @@ TEST(Transform, JalReachesFarTargets) {
   EXPECT_NO_THROW(tx(src));
 }
 
-// ---------------------------------------------------------------------------
-// Dead-code elision (toolchain optimization, off by default).
-// ---------------------------------------------------------------------------
-
-constexpr char kDeadCodeProgram[] = R"(
-main:
-  li r1, 2
-  halt
-dead:
-  addi r2, r2, 1
-  addi r2, r2, 2
-  addi r2, r2, 3
-  addi r2, r2, 4
-  addi r2, r2, 5
-  j dead
-)";
-
-TEST(Elision, DefaultKeepsUnreachableCode) {
-  const auto result = tx(kDeadCodeProgram);
-  EXPECT_EQ(result.stats.layout.elided_insts, 0u);
-  EXPECT_GE(result.layout.blocks().size(), 2u);
-}
-
-TEST(Elision, DropsUnreachableBlocks) {
-  Options opts;
-  opts.elide_unreachable = true;
-  const auto kept = tx(kDeadCodeProgram);
-  const auto elided = tx(kDeadCodeProgram, opts);
-  EXPECT_EQ(elided.stats.layout.elided_insts, 6u);
-  EXPECT_LT(elided.image.text.size(), kept.image.text.size());
-}
-
-TEST(Elision, ElidedProgramStillRuns) {
-  Options opts;
-  opts.elide_unreachable = true;
-  const auto keys = test_keys();
-  const auto result =
-      transform(assembler::assemble(kDeadCodeProgram), keys, opts);
-  sim::SimConfig config;
-  config.keys = keys;
-  const auto run = sim::run_image(result.image, config);
-  EXPECT_EQ(run.status, sim::RunResult::Status::kHalted);
-}
-
-TEST(Elision, ReferenceIntoElidedCodeFails) {
-  Options opts;
-  opts.elide_unreachable = true;
-  EXPECT_THROW(tx(R"(
-main:
-  la r1, dead      ; address taken, but never branched/called to
-  halt
-dead:
-  nop
-  halt
-)",
-                  opts),
-               TransformError);
-}
-
-TEST(Elision, DevirtTargetsStayReachable) {
-  // Functions only reachable through a devirtualized pointer must survive
-  // elision (the dispatch materializes direct call edges).
-  Options opts;
-  opts.elide_unreachable = true;
+TEST(Transform, DevirtualizedDispatchRuns) {
+  // f and g are reached only through the pointer; devirtualization turns
+  // the dispatch into direct call edges to both.
   const auto keys = test_keys();
   const auto result = transform(assembler::assemble(R"(
 main:
@@ -465,13 +405,61 @@ g:
   addi r1, r1, 20
   ret
 )"),
-                                keys, opts);
-  EXPECT_EQ(result.stats.layout.elided_insts, 0u);
+                                keys);
   sim::SimConfig config;
   config.keys = keys;
   const auto run = sim::run_image(result.image, config);
   ASSERT_TRUE(run.ok());
   EXPECT_EQ(run.output, "11\n");
+}
+
+// ---------------------------------------------------------------------------
+// Dead code: the paper's transformation emits everything it is given.
+// ---------------------------------------------------------------------------
+
+constexpr char kDeadCodeProgram[] = R"(
+main:
+  li r1, 2
+  halt
+dead:
+  addi r2, r2, 1
+  addi r2, r2, 2
+  addi r2, r2, 3
+  addi r2, r2, 4
+  addi r2, r2, 5
+  j dead
+)";
+
+TEST(DeadCode, IsSealedRunsOnBothBackendsAndLintsAsOneWarning) {
+  for (const std::string backend : {"cycle", "functional"}) {
+    auto profile = pipeline::DeviceProfile::paper_default();
+    profile.backend = backend;
+    auto p = pipeline::Pipeline::from_source(kDeadCodeProgram, profile);
+
+    // The dead run is laid out: `addi r2, r2, 1` .. `j dead` (source
+    // indices 2..7) fill one execution block of their own.
+    const TransformResult& hard = p.hardened();
+    const BlockLayout& layout = hard.layout;
+    ASSERT_EQ(layout.stats().source_insts, 8u);
+    const std::uint32_t dead_block = layout.block_base_addr(2);
+    for (std::uint32_t i = 3; i < 8; ++i)
+      EXPECT_EQ(layout.block_base_addr(i), dead_block) << i;
+    EXPECT_NE(layout.block_base_addr(0), dead_block);
+    EXPECT_EQ(hard.image.text.size(), layout.total_words());
+
+    EXPECT_EQ(p.run().status, sim::RunResult::Status::kHalted) << backend;
+
+    // ... and sealed: the lint re-derives every block's seal, so a clean
+    // report covers the dead block too. Its only finding is the block no
+    // control path reaches.
+    const verify::Report report = p.lint();
+    EXPECT_TRUE(report.clean()) << backend;
+    ASSERT_EQ(report.findings.size(), 1u) << backend;
+    EXPECT_EQ(report.findings[0].rule, verify::Rule::kUnreachableBlock);
+    EXPECT_EQ(report.findings[0].block,
+              (dead_block / 4 - layout.text_base_word()) /
+                  layout.policy().words_per_block);
+  }
 }
 
 }  // namespace

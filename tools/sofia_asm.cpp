@@ -7,8 +7,8 @@
 #include <string>
 
 #include "assembler/image_io.hpp"
+#include "device_flags.hpp"
 #include "pipeline/pipeline.hpp"
-#include "scheme/scheme.hpp"
 #include "support/cli.hpp"
 #include "support/error.hpp"
 
@@ -17,45 +17,24 @@ int main(int argc, char** argv) {
   bool vanilla = false;
   bool per_word = false;
   bool quiet = false;
-  std::string key_seed;
-  std::string cipher = "rectangle80";
-  std::string scheme(scheme::kDefaultScheme);
-  std::uint32_t block_words = 0;  // 0 = policy default
-  std::uint32_t store_min = ~0u;  // ~0 = policy default
+  tools::DeviceFlags device;
   std::string input;
   std::string output;
 
   cli::Parser parser("sofia_asm",
                      "assemble an SR32 source file into a loadable image");
-  parser.flag("--vanilla", vanilla, "skip the SOFIA transform (baseline binary)")
-      .choice("--cipher", cipher, {"rectangle80", "speck64"}, "device cipher")
-      .choice("--scheme", scheme, scheme::scheme_names(),
-              "protection scheme sealing each block (the device must run "
-              "the same one)")
-      .option("--key-seed", key_seed, "n",
-              "derive the device KeySet from a seed (default: example keys)")
-      .flag("--per-word", per_word, "Alg. 1 per-word CTR (default: per-pair)")
-      .option("--block-words", block_words, "n", "block size in words (default 8)")
-      .option("--store-min", store_min, "n",
-              "first word index where stores may sit (default 4)")
+  parser.flag("--vanilla", vanilla, "skip the SOFIA transform (baseline binary)");
+  device.declare(parser);
+  parser.flag("--per-word", per_word, "Alg. 1 per-word CTR (default: per-pair)")
       .flag("--quiet", quiet, "suppress the transform report")
       .positional("input.s", input)
       .positional("output.img", output);
   parser.parse_or_exit(argc, argv);
 
   try {
-    auto profile = pipeline::DeviceProfile::parse(cipher);
-    if (!key_seed.empty()) {
-      std::uint64_t seed = 0;
-      if (!cli::parse_number(key_seed, seed))
-        return parser.fail("--key-seed: invalid number '" + key_seed + "'");
-      profile = pipeline::DeviceProfile::from_seed(profile.cipher, seed);
-    }
-    profile.scheme = scheme;  // already validated by the choice flag
+    auto profile = device.profile(parser);
     profile.granularity = per_word ? crypto::Granularity::kPerWord
                                    : crypto::Granularity::kPerPair;
-    if (block_words != 0) profile.policy.words_per_block = block_words;
-    if (store_min != ~0u) profile.policy.store_min_word = store_min;
 
     auto session = pipeline::Pipeline::from_source_file(input, profile);
 

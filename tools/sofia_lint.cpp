@@ -20,8 +20,8 @@
 #include <vector>
 
 #include "assembler/image_io.hpp"
+#include "device_flags.hpp"
 #include "pipeline/pipeline.hpp"
-#include "scheme/scheme.hpp"
 #include "support/cli.hpp"
 #include "support/error.hpp"
 #include "support/io.hpp"
@@ -34,16 +34,12 @@ int main(int argc, char** argv) {
   std::string input;
   std::string workload;
   std::string image_path;
-  std::string key_seed;
-  std::string cipher = "rectangle80";
-  std::string scheme(scheme::kDefaultScheme);
+  tools::DeviceFlags device;
   std::string json_path;
   std::string sarif_path;
   std::vector<std::string> rule_ids;
   std::uint64_t seed = 1;
-  std::uint32_t size = 0;         // 0 = the workload's default size
-  std::uint32_t block_words = 0;  // 0 = policy default
-  std::uint32_t store_min = ~0u;  // ~0 = policy default
+  std::uint32_t size = 0;  // 0 = the workload's default size
   bool per_word = false;
   bool assert_clean = false;
   bool rules = false;
@@ -58,16 +54,9 @@ int main(int argc, char** argv) {
       .option("--seed", seed, "n", "workload generator seed (default 1)")
       .option("--size", size, "n", "workload size (default: its registry size)")
       .option("--image", image_path, "FILE",
-              "lint this saved image (default: the freshly hardened one)")
-      .choice("--cipher", cipher, {"rectangle80", "speck64"}, "device cipher")
-      .choice("--scheme", scheme, scheme::scheme_names(),
-              "protection scheme the image was sealed with")
-      .option("--key-seed", key_seed, "n",
-              "derive the device KeySet from a seed (default: example keys)")
-      .flag("--per-word", per_word, "Alg. 1 per-word CTR (default: per-pair)")
-      .option("--block-words", block_words, "n", "block size in words (default 8)")
-      .option("--store-min", store_min, "n",
-              "first word index where stores may sit (default 4)")
+              "lint this saved image (default: the freshly hardened one)");
+  device.declare(parser);
+  parser.flag("--per-word", per_word, "Alg. 1 per-word CTR (default: per-pair)")
       .option("--json", json_path, "PATH",
               "write a sofia-lint-v2 document to PATH ('-' = stdout)")
       .option("--sarif", sarif_path, "PATH",
@@ -124,18 +113,9 @@ int main(int argc, char** argv) {
   std::FILE* log = json_path == "-" || sarif_path == "-" ? stderr : stdout;
 
   try {
-    auto profile = pipeline::DeviceProfile::parse(cipher);
-    if (!key_seed.empty()) {
-      std::uint64_t kseed = 0;
-      if (!cli::parse_number(key_seed, kseed))
-        return parser.fail("--key-seed: invalid number '" + key_seed + "'");
-      profile = pipeline::DeviceProfile::from_seed(profile.cipher, kseed);
-    }
-    profile.scheme = scheme;  // already validated by the choice flag
+    auto profile = device.profile(parser);
     profile.granularity = per_word ? crypto::Granularity::kPerWord
                                    : crypto::Granularity::kPerPair;
-    if (block_words != 0) profile.policy.words_per_block = block_words;
-    if (store_min != ~0u) profile.policy.store_min_word = store_min;
 
     auto session = [&]() -> pipeline::Pipeline {
       if (!workload.empty()) {

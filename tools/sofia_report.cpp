@@ -367,9 +367,7 @@ int main(int argc, char** argv) {
   // A backend without cycle accuracy reports instruction counts in
   // stats.cycles; presenting those next to the paper's timing targets
   // would be a lie, so the timing rows are suppressed.
-  const bool cycle_accurate =
-      sim::make_backend(backend)->capabilities().cycle_accurate;
-  if (cycle_accurate) {
+  if (sim::make_backend(backend)->cycle_accurate()) {
     std::printf("%-44s %16s %15.1f%%\n", "ADPCM cycle overhead", "+13.7%", cyc);
     std::printf("%-44s %16s %15.1f%%\n", "ADPCM exec-time overhead", "+110%",
                 time_ovh);

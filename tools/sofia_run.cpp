@@ -1,11 +1,12 @@
 // sofia-run: execute a saved image on the simulated device (vanilla core
 // for plain images, SOFIA core for hardened ones). The device is described
-// by the same DeviceProfile flags sofia_asm takes; a cipher or key mismatch
-// is an architectural reset on the first fetched block, exactly as on the
-// real device — never a crash.
+// by the same DeviceProfile flags sofia_asm takes (tools/device_flags.hpp);
+// a cipher, key or block-policy mismatch is an architectural reset, exactly
+// as on the real device — never a crash.
 #include <cstdio>
 #include <string>
 
+#include "device_flags.hpp"
 #include "pipeline/pipeline.hpp"
 #include "scheme/scheme.hpp"
 #include "sim/backend.hpp"
@@ -14,9 +15,7 @@
 
 int main(int argc, char** argv) {
   using namespace sofia;
-  std::string key_seed;
-  std::string cipher = "rectangle80";
-  std::string scheme(scheme::kDefaultScheme);
+  tools::DeviceFlags device;
   std::string backend(sim::kDefaultBackend);
   bool stats = false;
   std::uint64_t max_cycles = 0;
@@ -24,32 +23,19 @@ int main(int argc, char** argv) {
 
   cli::Parser parser("sofia_run",
                      "execute a saved image on the simulated device");
+  device.declare(parser);
   parser
-      .choice("--cipher", cipher, {"rectangle80", "speck64"},
-              "device cipher (must match sofia_asm's)")
-      .choice("--scheme", scheme, scheme::scheme_names(),
-              "protection scheme the device implements (must match "
-              "sofia_asm's)")
       .choice("--backend", backend, sim::backend_names(),
               "execution backend: cycle = paper-faithful timing, "
               "functional = fast architectural run")
-      .option("--key-seed", key_seed, "n",
-              "device KeySet seed (must match sofia_asm's)")
       .option("--max-cycles", max_cycles, "n", "cycle budget (default 2e9)")
       .flag("--stats", stats, "print the detailed statistics block")
       .positional("image.img", path);
   parser.parse_or_exit(argc, argv);
 
   try {
-    auto profile = pipeline::DeviceProfile::parse(cipher);
-    if (!key_seed.empty()) {
-      std::uint64_t seed = 0;
-      if (!cli::parse_number(key_seed, seed))
-        return parser.fail("--key-seed: invalid number '" + key_seed + "'");
-      profile = pipeline::DeviceProfile::from_seed(profile.cipher, seed);
-    }
-    profile.scheme = scheme;    // already validated by the choice flag
-    profile.backend = backend;  // ditto
+    auto profile = device.profile(parser);
+    profile.backend = backend;  // already validated by the choice flag
 
     auto session = pipeline::Pipeline::from_image_file(path, profile);
     if (max_cycles != 0) {
@@ -63,8 +49,8 @@ int main(int argc, char** argv) {
     if (!run.output.empty()) std::fputs(run.output.c_str(), stdout);
     std::printf("[%s core] status=%s", image.sofia ? "SOFIA" : "vanilla",
                 to_string(run.status).data());
-    if (scheme != scheme::kDefaultScheme)
-      std::printf(" scheme=%s", scheme.c_str());
+    if (profile.scheme != scheme::kDefaultScheme)
+      std::printf(" scheme=%s", profile.scheme.c_str());
     if (backend != sim::kDefaultBackend)
       std::printf(" backend=%s", backend.c_str());
     if (run.status == sim::RunResult::Status::kExited)
