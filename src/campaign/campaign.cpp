@@ -478,9 +478,9 @@ constexpr driver::PayloadCodec<Trial> kTrialCodec{
     "campaign-trial", "sofia-cache-campaign-trial-v1", write_trial,
     read_trial};
 
-/// The trial body. Returns false for a trial error — an environmental
-/// failure (e.g. a lost transport) that must retry on the next run rather
-/// than land in the cache.
+/// The trial body. Returns false for a trial error — a failure of the run
+/// rather than a verdict on the tamper (e.g. out of memory) — which must
+/// retry on the next run rather than land in the cache.
 bool attempt(const Fixture& fx, std::uint64_t job, const Rng& base, Trial& t) {
   try {
     Rng rng = base.fork(job);
@@ -507,9 +507,9 @@ bool attempt(const Fixture& fx, std::uint64_t job, const Rng& base, Trial& t) {
     }
     return true;
   } catch (const std::exception& e) {
-    // A trial-level failure (replay error, backend transport loss) is an
-    // escape with the error as its status: loud in the document, gating
-    // the exit code, never sinking the campaign.
+    // A trial-level failure (a replay error, an exception out of the
+    // backend) is an escape with the error as its status: loud in the
+    // document, gating the exit code, never sinking the campaign.
     t.cls = TrialClass::kEscaped;
     t.escape.job = job;
     t.escape.status = std::string("error: ") + e.what();
@@ -623,7 +623,9 @@ CampaignResult run_campaign(const CampaignSpec& spec, unsigned threads,
 // ---------------------------------------------------------------------------
 
 std::string to_json(const CampaignResult& result) {
-  json::Writer w(2);
+  // A shard travels through a worker's pipe to a merge, never to a
+  // reader: compact. The unsharded document stays pretty-printed.
+  json::Writer w(result.shard.is_whole() ? 2 : -1);
   w.begin_object();
   w.member("schema", kSchema);
   w.member("campaign", result.spec.name);

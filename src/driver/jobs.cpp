@@ -1,6 +1,9 @@
 #include "driver/jobs.hpp"
 
+#include <sys/wait.h>
+
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -120,18 +123,81 @@ std::vector<const json::Value*> collect_records(
   return by_index;
 }
 
-std::string merge_files(const std::string& out,
-                        const std::vector<std::string>& inputs,
-                        std::string (*merge)(const std::vector<std::string>&),
+json::Value merge_files(const std::string& out,
+                        const std::vector<std::string>& inputs, MergeFn merge,
                         std::FILE* log) {
   std::vector<std::string> documents;
   documents.reserve(inputs.size());
   for (const auto& path : inputs) documents.push_back(io::read_file(path));
-  std::string merged = merge(documents);
+  const std::string merged = merge(documents);
   io::emit_document(out, merged);
   std::fprintf(log, "merged %zu document(s) into %s\n", documents.size(),
                out.c_str());
-  return merged;
+  return json::parse(merged);
+}
+
+std::vector<std::string> run_workers(const Fleet& fleet, std::FILE* log) {
+  const std::uint32_t n = fleet.workers;
+  std::string common = fleet.launch;
+  for (const auto& arg : fleet.args) (common += ' ') += cli::shell_quote(arg);
+  if (std::none_of(fleet.args.begin(), fleet.args.end(), [](const auto& arg) {
+        return arg == "--threads" || arg.starts_with("--threads=");
+      }))
+    (common += " --threads ") +=
+        std::to_string(std::max(1u, std::thread::hardware_concurrency() / n));
+
+  // Launch every worker first (they all run concurrently), then drain
+  // their stdouts in order. A later worker blocked on a full pipe simply
+  // waits for its turn to be drained; nothing deadlocks.
+  std::vector<std::string> commands(n);
+  std::vector<std::string> documents(n);
+  std::vector<std::FILE*> pipes(n);
+  for (std::uint32_t k = 0; k < n; ++k) {
+    commands[k] = common + " --shard " + ShardSpec{k, n}.to_string() +
+                  " --quiet --json -";
+    if (log != nullptr)
+      std::fprintf(log, "  [shard %u/%u] %s\n", k, n, commands[k].c_str());
+    std::fflush(nullptr);  // our lines before the workers' stderr
+    pipes[k] = popen(commands[k].c_str(), "r");
+  }
+  std::string failure;
+  for (std::uint32_t k = 0; k < n; ++k) {
+    int exit_code = -1;  // a worker that could not be launched
+    if (pipes[k] != nullptr) {
+      std::array<char, 4096> buffer;
+      std::size_t got = 0;
+      while ((got = std::fread(buffer.data(), 1, buffer.size(), pipes[k])) > 0)
+        documents[k].append(buffer.data(), got);
+      const int status = pclose(pipes[k]);
+      exit_code =
+          WIFEXITED(status) ? WEXITSTATUS(status) : 128 + WTERMSIG(status);
+    }
+    if (exit_code < fleet.failure_exit && !documents[k].empty()) {
+      if (log != nullptr)
+        std::fprintf(log, "  [shard %u/%u] ok (%zu bytes)\n", k, n,
+                     documents[k].size());
+    } else if (failure.empty()) {
+      failure = std::string("worker ") + ShardSpec{k, n}.to_string() +
+                " failed (exit " + std::to_string(exit_code) +
+                (documents[k].empty() ? ", empty document" : "") + "): '" +
+                commands[k] + "'";
+    }
+  }
+  if (!failure.empty()) throw Error(failure);
+  return documents;
+}
+
+json::Value merge_workers(const Fleet& fleet, const std::string& out,
+                          MergeFn merge, std::FILE* log, bool quiet) {
+  const std::string merged = merge(run_workers(fleet, quiet ? nullptr : log));
+  if (!out.empty()) io::emit_document(out, merged);
+  json::Value document = json::parse(merged);
+  std::fprintf(log, "merged %u shard(s) into %s (%llu jobs)\n", fleet.workers,
+               out.empty() ? "no file" : out.c_str(),
+               static_cast<unsigned long long>(
+                   document.at("job_count", "merged document")
+                       .as_uint("job_count")));
+  return document;
 }
 
 }  // namespace sofia::driver

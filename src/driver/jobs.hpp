@@ -1,9 +1,10 @@
 // The job engine shared by the experiment sweep (driver/sweep) and the
 // adversarial campaign (campaign/campaign): the shard slice, the indexed
 // thread pool, the result-cache policy, the index-exact record collector
-// both merges rebuild their documents from and the --merge tool mode. Both
-// are plug-ins that own only their job body, payload codec and document
-// shape.
+// both merges rebuild their documents from, and the two tool modes that
+// fold shards back: --merge (shard files) and --workers (shard worker
+// processes). Both engines are plug-ins that own only their job body,
+// payload codec and document shape.
 //
 // Determinism contract: workers claim job indices from one atomic counter
 // and write each result into the job's own pre-sized slot, so the output
@@ -139,12 +140,38 @@ std::vector<const json::Value*> collect_records(
     const std::vector<json::Value>& documents, std::string_view member,
     std::uint64_t job_count);
 
-/// The --merge mode: fold the input files with `merge` (driver::merge_json,
-/// campaign::merge_json), emit and return the result (`out` '-' = stdout),
-/// log the count. Throws sofia::Error on unreadable or unmergeable inputs.
-std::string merge_files(const std::string& out,
-                        const std::vector<std::string>& inputs,
-                        std::string (*merge)(const std::vector<std::string>&),
+/// Either engine's merge: driver::merge_json or campaign::merge_json.
+using MergeFn = std::string (*)(const std::vector<std::string>&);
+
+/// The --merge mode: fold the input files with `merge`, emit the result
+/// (`out` '-' = stdout), log the count and return the merged document.
+/// Throws sofia::Error on unreadable or unmergeable inputs.
+json::Value merge_files(const std::string& out,
+                        const std::vector<std::string>& inputs, MergeFn merge,
                         std::FILE* log);
+
+/// One --workers fan-out of an engine tool.
+struct Fleet {
+  std::string launch;  ///< worker command, raw shell ("ssh host sofia_sweep")
+  std::uint32_t workers = 1;
+  std::vector<std::string> args;  ///< engine flags for every worker, unquoted
+  int failure_exit = 1;  ///< a worker exiting at or above it has failed
+};
+
+/// Run `<launch> <args> --shard K/N --quiet --json -` for every worker K of
+/// N, all at once, with each arg shell-quoted and `--threads max(1,
+/// hardware / N)` added when args carry no --threads. Returns the N stdout
+/// documents in shard order, after every worker has exited. Logs each
+/// command and shard size to `log` (nullptr = silent). Throws sofia::Error
+/// naming worker K/N, its exit code and its command when a worker exits at
+/// or above fleet.failure_exit or returns an empty document.
+std::vector<std::string> run_workers(const Fleet& fleet, std::FILE* log);
+
+/// The --workers mode: run_workers (logging each worker unless `quiet`),
+/// fold the shards with `merge`, emit the result to `out` (empty =
+/// nowhere, '-' = stdout), log "merged N shard(s) into OUT (J jobs)" and
+/// return the merged document.
+json::Value merge_workers(const Fleet& fleet, const std::string& out,
+                          MergeFn merge, std::FILE* log, bool quiet);
 
 }  // namespace sofia::driver

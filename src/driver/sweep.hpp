@@ -1,5 +1,5 @@
-// Parallel experiment-sweep driver: the one engine behind sofia_sweep,
-// sofia_fleet and sofia_report, and so the one way to measure a paper
+// Parallel experiment-sweep driver: the one engine behind sofia_sweep and
+// sofia_report, and so the one way to measure a paper
 // table (driver/tables.hpp). A SweepSpec names a cartesian matrix of
 // workloads × ConfigPoints (transform options + SimConfig variants), which
 // expands into a deterministic, index-ordered job list; run_sweep() runs it

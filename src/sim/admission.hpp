@@ -126,6 +126,7 @@ Admission admit(std::uint32_t target_word, std::uint32_t text_base_word,
                 const xform::BlockPolicy& policy, const EntryPaths& paths,
                 Open&& open) {
   using Rule = Admission::Rule;
+  using xform::Placement;
   const std::uint32_t b = policy.words_per_block;
   const std::uint32_t offset = entry_offset(target_word, text_base_word, b);
   Admission adm;
@@ -148,9 +149,10 @@ Admission admit(std::uint32_t target_word, std::uint32_t text_base_word,
     const auto decoded = isa::decode(dev.plain[w]);
     if (!decoded)
       adm.own = {Rule::kIllegalInstruction, ResetCause::kIllegalInstruction, w};
-    else if (isa::is_control(decoded->op) && w != b - 1)
+    else if (const Placement p = policy.placement(decoded->op, w);
+             p == Placement::kControlOffExit)
       adm.own = {Rule::kIllegalExit, ResetCause::kIllegalExit, w};
-    else if (isa::is_store(decoded->op) && w < policy.store_min_word)
+    else if (p == Placement::kRestrictedStore)
       adm.own = {Rule::kRestrictedStore, ResetCause::kRestrictedStore, w};
     if (adm.own.fired()) return adm;
     adm.insts.push_back(*decoded);

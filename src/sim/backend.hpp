@@ -14,9 +14,9 @@
 //                   instructions. For sweep prefiltering and integrity
 //                   testing, never for overhead numbers.
 //
-// Work is distributed a level up, never per run: sofia_fleet hands whole
-// --shard K/N slices of a sweep or campaign to worker processes and merges
-// their documents.
+// Work is distributed a level up, never per run: `--workers N` on
+// sofia_sweep and sofia_attack hands whole --shard K/N slices to worker
+// processes and merges their documents.
 //
 // Consumers never construct a simulator directly: they name a backend
 // (DeviceProfile::backend routes pipeline::Pipeline here) and the

@@ -1,5 +1,6 @@
 #include "support/cli.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <limits>
@@ -20,6 +21,18 @@ bool parse_number(std::string_view text, std::uint64_t& out) {
   if (errno != 0 || end != s.c_str() + s.size()) return false;
   out = v;
   return true;
+}
+
+std::string shell_quote(std::string_view text) {
+  std::string out = "'";
+  for (const char c : text) {
+    if (c == '\'')
+      out += "'\\''";
+    else
+      out += c;
+  }
+  out += '\'';
+  return out;
 }
 
 namespace {
@@ -201,6 +214,25 @@ Parser::Result Parser::parse(int argc, const char* const* argv) const {
     if (positionals_[p].required)
       return error("missing required argument <" + positionals_[p].name + ">");
   return {};
+}
+
+std::vector<std::string> Parser::forward(
+    int argc, const char* const* argv,
+    std::span<const std::string_view> drop) const {
+  std::vector<std::string> out;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    const std::string_view name = arg.substr(0, arg.find('='));
+    const Flag* f = arg.starts_with("--") ? find(name) : nullptr;
+    // A valued flag spelled "--f v" carries its value in the next token.
+    const int values =
+        f != nullptr && f->takes_value() && name == arg && i + 1 < argc ? 1
+                                                                        : 0;
+    if (std::find(drop.begin(), drop.end(), name) == drop.end())
+      out.insert(out.end(), argv + i, argv + i + 1 + values);
+    i += values;
+  }
+  return out;
 }
 
 std::string Parser::usage() const {

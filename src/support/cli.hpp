@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,6 +30,10 @@ namespace sofia::cli {
 /// number). Shared by the parser's typed options and tools that need
 /// presence-sensitive flags (e.g. --key-seed, where 0 is a valid seed).
 bool parse_number(std::string_view text, std::uint64_t& out);
+
+/// `text` as one single-quoted sh word (a ' becomes '\''), so a command
+/// line built from it passes the exact bytes on.
+std::string shell_quote(std::string_view text);
 
 class Parser {
  public:
@@ -81,6 +86,13 @@ class Parser {
   /// Parse; on --help print usage to stdout and exit 0, on error print the
   /// diagnostic and usage to stderr and exit 2.
   void parse_or_exit(int argc, const char* const* argv) const;
+
+  /// The arguments a parse() of argv accepted, verbatim and in order,
+  /// without the flags named in `drop` and their values: what a
+  /// coordinating tool hands on to its workers.
+  std::vector<std::string> forward(
+      int argc, const char* const* argv,
+      std::span<const std::string_view> drop) const;
 
   /// The generated usage text.
   std::string usage() const;

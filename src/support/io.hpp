@@ -28,7 +28,7 @@ void write_file(const std::string& path, const std::vector<std::uint8_t>& bytes)
 
 /// write_file with the CLI "-" convention: path "-" streams `content` to
 /// stdout (flushed and checked — a closed pipe is an error), anything else
-/// is a write_file. The document-emitting tools (sofia_sweep, sofia_fleet)
+/// is a write_file. The document-emitting tools (sofia_sweep, sofia_attack)
 /// share this so their stdout contract cannot drift.
 void emit_document(const std::string& path, std::string_view content);
 

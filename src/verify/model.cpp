@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "cfg/cfg.hpp"
 #include "support/error.hpp"
 #include "verify/verify.hpp"
 
@@ -44,9 +43,9 @@ ProgramModel model_of(const xform::TransformResult& t) {
     m.blocks.push_back(std::move(mb));
   }
 
-  // The rest needs the same CFG the packer consumed; the packer placed
-  // every source instruction.
-  const cfg::Cfg g = cfg::Cfg::build(t.normalized);
+  // The rest reads the CFG the packer consumed; the packer placed every
+  // source instruction.
+  const cfg::Cfg& g = t.cfg;
 
   const auto block_of = [&](std::uint32_t src) {
     return (layout.block_base_addr(src) / 4 - layout.text_base_word()) / b;

@@ -415,13 +415,13 @@ class Linter {
                   " does not decode to an SR32 instruction");
           continue;
         }
-        if (isa::is_control(inst->op) && s + 1 != insts)
+        const auto placement = m_.policy.placement(inst->op, word_index);
+        if (placement == xform::Placement::kControlOffExit)
           add(Rule::kControlPlacement, static_cast<std::int64_t>(i), insn,
               std::string(isa::mnemonic(inst->op)) +
                   " occupies instruction slot " + std::to_string(s) +
                   "; control may only occupy the exit slot");
-        if (isa::is_store(inst->op) &&
-            word_index < m_.policy.store_min_word)
+        if (placement == xform::Placement::kRestrictedStore)
           add(Rule::kStorePlacement, static_cast<std::int64_t>(i), insn,
               "store at block word " + std::to_string(word_index) +
                   "; the policy confines stores to words >= " +

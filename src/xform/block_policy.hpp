@@ -14,7 +14,16 @@
 #include <cstdint>
 #include <string>
 
+#include "isa/isa.hpp"
+
 namespace sofia::xform {
+
+/// The block-word rule an instruction's placement breaks, if any.
+enum class Placement : std::uint8_t {
+  kOk,
+  kControlOffExit,   ///< control outside the exit slot (the last word)
+  kRestrictedStore,  ///< a store below store_min_word
+};
 
 struct BlockPolicy {
   /// Total 32-bit words per block (execution and multiplexor alike).
@@ -32,6 +41,17 @@ struct BlockPolicy {
   static BlockPolicy paper_default() { return {8, 4}; }
   /// Fig. 5's alternative: 6-word blocks (4 instructions), no restriction.
   static BlockPolicy small_unrestricted() { return {6, 0}; }
+
+  /// The one statement of the placement rules the packer, the verifier
+  /// and the device each enforce: control only in the exit slot, stores
+  /// only at or past store_min_word. `word` is the block word index.
+  Placement placement(isa::Opcode op, std::uint32_t word) const {
+    if (isa::is_control(op) && word != words_per_block - 1)
+      return Placement::kControlOffExit;
+    if (isa::is_store(op) && word < store_min_word)
+      return Placement::kRestrictedStore;
+    return Placement::kOk;
+  }
 
   /// Throws sofia::TransformError when the geometry is unusable.
   void validate() const;

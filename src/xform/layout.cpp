@@ -554,12 +554,11 @@ class Packer {
                              " not full");
       const std::uint32_t macs =
           policy_.words_per_block - static_cast<std::uint32_t>(b.insts.size());
-      for (std::size_t s = 0; s < b.insts.size(); ++s) {
-        const Opcode op = b.insts[s].inst.op;
-        if (isa::is_control(op) && s + 1 != b.insts.size())
+      for (std::uint32_t s = 0; s < b.insts.size(); ++s) {
+        const Placement p = policy_.placement(b.insts[s].inst.op, macs + s);
+        if (p == Placement::kControlOffExit)
           throw TransformError("layout: control instruction not at exit slot");
-        if (isa::is_store(op) &&
-            macs + s < policy_.store_min_word)
+        if (p == Placement::kRestrictedStore)
           throw TransformError("layout: store in restricted slot");
       }
     }

@@ -1,6 +1,5 @@
 #include "xform/transform.hpp"
 
-#include "cfg/cfg.hpp"
 #include "support/error.hpp"
 #include "xform/normalize.hpp"
 
@@ -53,9 +52,9 @@ TransformResult transform(const Program& prog, const crypto::KeySet& keys,
   const bool gates_indirect =
       scheme::get_scheme(opts.scheme).traits().gates_indirect;
   result.normalized = merge_returns(devirtualize(prog, gates_indirect));
-  const cfg::Cfg cfg = cfg::Cfg::build(result.normalized);
+  result.cfg = cfg::Cfg::build(result.normalized);
   result.layout =
-      BlockLayout::pack(result.normalized, cfg, opts.policy, opts.mem);
+      BlockLayout::pack(result.normalized, result.cfg, opts.policy, opts.mem);
 
   result.stats.layout = result.layout.stats();
   result.stats.text_bytes_in =

@@ -7,6 +7,7 @@
 
 #include "assembler/image.hpp"
 #include "assembler/program.hpp"
+#include "cfg/cfg.hpp"
 #include "crypto/ctr.hpp"
 #include "crypto/key_set.hpp"
 #include "scheme/scheme.hpp"
@@ -40,6 +41,7 @@ struct TransformResult {
   assembler::LoadImage image;      ///< encrypted, loadable binary
   BlockLayout layout;              ///< plaintext layout, for inspection
   assembler::Program normalized;   ///< post-devirtualization program
+  cfg::Cfg cfg;                    ///< normalized's CFG, the one packed
   TransformStats stats;
 };
 

@@ -557,7 +557,7 @@ TEST(CampaignJson, ShardMergeIsByteIdenticalToUnsharded) {
   const auto s2 = campaign::to_json(
       campaign::run_campaign(spec, 4, {}, driver::ShardSpec{2, 3}));
   // A shard carries its trials, not tallies the merge would have to trust.
-  EXPECT_NE(s1.find("\"trials\": ["), std::string::npos);
+  EXPECT_NE(s1.find("\"trials\":["), std::string::npos);
   EXPECT_EQ(s1.find("\"escapes\""), std::string::npos);
   EXPECT_EQ(whole.find("\"trials\""), std::string::npos);
   // Merge accepts the shards in any order.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/cli.hpp"
@@ -205,6 +206,51 @@ TEST(Cli, NumericFlagsOfEveryKindRejectWhitespaceNegatives) {
   EXPECT_EQ(parse(p, {"--threads= -5"}).status, Parser::Result::Status::kError);
   EXPECT_EQ(threads, 1u);
   EXPECT_EQ(seed, 1u);
+}
+
+TEST(Cli, ForwardKeepsAcceptedArgumentsVerbatimAndDropsTheNamedFlags) {
+  // A --workers coordinator hands its own flags on to every worker: both
+  // the "--f v" and "--f=v" spellings survive byte for byte, values with
+  // spaces and quotes included, and the dropped flags leave no value
+  // behind (a dropped "--json out.json" must not strand "out.json").
+  bool smoke = false;
+  bool quiet = false;
+  std::string cache;
+  std::string workload;
+  std::string json;
+  std::string launch;
+  std::uint32_t jobs = 0;
+  std::uint32_t workers = 0;
+  Parser p("tool");
+  p.flag("--smoke", smoke, "")
+      .flag("--quiet", quiet, "")
+      .option("--cache", cache, "DIR", "")
+      .option("--workload", workload, "NAME", "")
+      .option("--json", json, "PATH", "")
+      .option("--launch", launch, "CMD", "")
+      .option("--jobs", jobs, "N", "")
+      .option("--workers", workers, "N", "");
+  std::vector<const char*> args = {
+      "tool",        "--smoke",    "--cache",     "/tmp/my cache",
+      "--workers=3", "--jobs=50",  "--launch",    "ssh host 'sofia'",
+      "--json",      "out.json",   "--quiet",     "--workload=it's here",
+      "--json=-",    "--workload", "a=b"};
+  const int argc = static_cast<int>(args.size());
+  ASSERT_TRUE(p.parse(argc, args.data()).ok());
+  constexpr std::string_view drop[] = {"--workers", "--launch", "--json",
+                                       "--quiet"};
+  EXPECT_EQ(p.forward(argc, args.data(), drop),
+            (std::vector<std::string>{"--smoke", "--cache", "/tmp/my cache",
+                                      "--jobs=50", "--workload=it's here",
+                                      "--workload", "a=b"}));
+  EXPECT_EQ(p.forward(argc, args.data(), {}).size(), args.size() - 1);
+}
+
+TEST(Cli, ShellQuoteMakesOneWordOfAnyText) {
+  EXPECT_EQ(shell_quote("sofia_sweep"), "'sofia_sweep'");
+  EXPECT_EQ(shell_quote("/tmp/my cache"), "'/tmp/my cache'");
+  EXPECT_EQ(shell_quote("it's"), "'it'\\''s'");
+  EXPECT_EQ(shell_quote(""), "''");
 }
 
 }  // namespace

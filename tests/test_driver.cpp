@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <thread>
 
 #include "assembler/image_io.hpp"
 #include "campaign/campaign.hpp"
@@ -731,6 +732,58 @@ TEST(Shard, MergeRejectsJobCountsTheRecordsCannotFill) {
                                 "\"x\",\"job_count\":0,\"jobs\":[]}"}),
             "{\n  \"schema\": \"sofia-sweep-v6\",\n  \"sweep\": \"x\",\n"
             "  \"job_count\": 0,\n  \"jobs\": []\n}\n");
+}
+
+// ---------------------------------------------------------------------------
+// The --workers fan-out (driver::run_workers)
+// ---------------------------------------------------------------------------
+
+TEST(Fleet, WorkersGetTheForwardedArgumentsAndTheirShard) {
+  // printf echoes each argument it receives on its own line, so a worker's
+  // document is its exact argv: every forwarded argument arrives as one
+  // word however many spaces and quotes it holds, followed by the worker's
+  // own shard flags.
+  driver::Fleet fleet{"printf '%s\\n'", 2, {"--workload=it's here", "a b"}, 1};
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  const std::string threads = std::to_string(std::max(1u, hw / 2));
+  EXPECT_EQ(driver::run_workers(fleet, nullptr),
+            (std::vector<std::string>{
+                "--workload=it's here\na b\n--threads\n" + threads +
+                    "\n--shard\n0/2\n--quiet\n--json\n-\n",
+                "--workload=it's here\na b\n--threads\n" + threads +
+                    "\n--shard\n1/2\n--quiet\n--json\n-\n"}));
+  // A --threads of the caller's, in either spelling, is not doubled.
+  fleet.args = {"--threads=3"};
+  EXPECT_EQ(driver::run_workers(fleet, nullptr)[1],
+            "--threads=3\n--shard\n1/2\n--quiet\n--json\n-\n");
+}
+
+TEST(Fleet, AFailedWorkerIsNamedWithItsExitCodeAndCommand) {
+  const auto error_of = [](const driver::Fleet& fleet) {
+    try {
+      driver::run_workers(fleet, nullptr);
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  // No document.
+  EXPECT_EQ(error_of({"false", 2, {"--x"}, 1}).rfind(
+                "worker 0/2 failed (exit 1, empty document): 'false '--x'", 0),
+            0u);
+  // A worker killed by a signal reports 128 + the signal.
+  EXPECT_NE(error_of({"sh -c 'kill -9 $$'", 1, {}, 1}).find(
+                "worker 0/1 failed (exit 137, empty document)"),
+            std::string::npos);
+  // A document with an exit code at the engine's failure code fails; one
+  // below it is a shard (sofia_attack exits 1 on escapes).
+  const driver::Fleet exits_one{"sh -c 'echo {}; exit 1' sh", 2, {}, 1};
+  EXPECT_NE(error_of(exits_one).find("worker 0/2 failed (exit 1): "),
+            std::string::npos);
+  driver::Fleet campaign = exits_one;
+  campaign.failure_exit = 2;
+  EXPECT_EQ(driver::run_workers(campaign, nullptr),
+            (std::vector<std::string>{"{}\n", "{}\n"}));
 }
 
 // The campaign rows of the table; the suite name matches the other

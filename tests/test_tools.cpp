@@ -14,6 +14,7 @@
 #include <iterator>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "scheme/scheme.hpp"
 #include "sim/backend.hpp"
@@ -22,13 +23,11 @@
 
 #if !defined(SOFIA_ASM_BIN) || !defined(SOFIA_RUN_BIN) ||      \
     !defined(SOFIA_OBJDUMP_BIN) || !defined(SOFIA_REPORT_BIN) || \
-    !defined(SOFIA_SWEEP_BIN) || !defined(SOFIA_FLEET_BIN) ||    \
-    !defined(SOFIA_LINT_BIN) || !defined(SOFIA_ATTACK_BIN) ||    \
-    !defined(SOFIA_CACHE_BIN)
+    !defined(SOFIA_SWEEP_BIN) || !defined(SOFIA_LINT_BIN) ||     \
+    !defined(SOFIA_ATTACK_BIN) || !defined(SOFIA_CACHE_BIN)
 #error "SOFIA_ASM_BIN / SOFIA_RUN_BIN / SOFIA_OBJDUMP_BIN / SOFIA_REPORT_BIN \
-/ SOFIA_SWEEP_BIN / SOFIA_FLEET_BIN / SOFIA_LINT_BIN / \
-SOFIA_ATTACK_BIN / SOFIA_CACHE_BIN must be injected by the build: configure \
-with -DSOFIA_BUILD_TOOLS=ON so \
+/ SOFIA_SWEEP_BIN / SOFIA_LINT_BIN / SOFIA_ATTACK_BIN / SOFIA_CACHE_BIN \
+must be injected by the build: configure with -DSOFIA_BUILD_TOOLS=ON so \
 tests/CMakeLists.txt can define them from $<TARGET_FILE:...>"
 #endif
 
@@ -423,10 +422,10 @@ TEST_F(Tools, UnknownCipherRejected) {
 
 TEST_F(Tools, EveryToolRejectsUnknownFlagsWithUsage) {
   // The shared CLI layer: unknown flag -> diagnostic + usage, exit 2,
-  // uniformly across all eight front-ends.
+  // uniformly across all seven front-ends.
   for (const char* tool : {SOFIA_ASM_BIN, SOFIA_RUN_BIN, SOFIA_OBJDUMP_BIN,
-                           SOFIA_REPORT_BIN, SOFIA_SWEEP_BIN, SOFIA_FLEET_BIN,
-                           SOFIA_LINT_BIN, SOFIA_ATTACK_BIN}) {
+                           SOFIA_REPORT_BIN, SOFIA_SWEEP_BIN, SOFIA_LINT_BIN,
+                           SOFIA_ATTACK_BIN}) {
     int code = 0;
     const auto out = run_command(std::string(tool) + " --frobnicate", &code);
     EXPECT_EQ(code, 2) << tool << ": " << out;
@@ -438,8 +437,8 @@ TEST_F(Tools, EveryToolRejectsUnknownFlagsWithUsage) {
 
 TEST_F(Tools, EveryToolPrintsHelp) {
   for (const char* tool : {SOFIA_ASM_BIN, SOFIA_RUN_BIN, SOFIA_OBJDUMP_BIN,
-                           SOFIA_REPORT_BIN, SOFIA_SWEEP_BIN, SOFIA_FLEET_BIN,
-                           SOFIA_LINT_BIN, SOFIA_ATTACK_BIN}) {
+                           SOFIA_REPORT_BIN, SOFIA_SWEEP_BIN, SOFIA_LINT_BIN,
+                           SOFIA_ATTACK_BIN}) {
     int code = 0;
     const auto out = run_command(std::string(tool) + " --help", &code);
     EXPECT_EQ(code, 0) << tool << ": " << out;
@@ -454,7 +453,7 @@ TEST_F(Tools, HelpStaysInSyncWithTheLiveRegistries) {
   // surface in the user-facing help with no tool edits — this test fails
   // if a tool ever goes back to a hard-coded list.
   for (const char* tool : {SOFIA_RUN_BIN, SOFIA_SWEEP_BIN, SOFIA_REPORT_BIN,
-                           SOFIA_FLEET_BIN, SOFIA_ATTACK_BIN}) {
+                           SOFIA_ATTACK_BIN}) {
     int code = 0;
     const auto out = run_command(std::string(tool) + " --help", &code);
     ASSERT_EQ(code, 0) << tool << ": " << out;
@@ -518,7 +517,7 @@ TEST_F(Tools, SweepShardMergeIsByteIdenticalToUnsharded) {
 
 TEST_F(Tools, SweepMergePrintsTheUnshardedTable) {
   // The paper table is rendered from the document, so a 2-shard run merged
-  // back (and a 2-worker fleet) prints exactly the unsharded run's table;
+  // back (and a --workers 2 run) prints exactly the unsharded run's table;
   // the shards themselves print none.
   const std::string tag = std::to_string(getpid());
   const std::string base = "/tmp/sofia_table_" + tag;
@@ -548,8 +547,7 @@ TEST_F(Tools, SweepMergePrintsTheUnshardedTable) {
   EXPECT_EQ(code, 0) << merged;
   EXPECT_EQ(table_of(merged), table);
   const auto fleet = run_command(
-      std::string(SOFIA_FLEET_BIN) + " --matrix icache --smoke --workers 2 "
-          "--threads 1 --quiet --json " + base + "_fleet.json", &code);
+      sweep + " --workers 2 --threads 1 --json " + base + "_fleet.json", &code);
   EXPECT_EQ(code, 0) << fleet;
   EXPECT_EQ(table_of(fleet), table);
   for (const char* suffix : {"_whole", "_0", "_1", "_merged", "_fleet"})
@@ -635,15 +633,15 @@ TEST_F(Tools, SweepJsonDashStreamsTheDocumentToStdout) {
 }
 
 TEST_F(Tools, FleetMergesByteIdenticallyToASingleSweep) {
-  // The acceptance contract: sofia_fleet with 2 local subprocess workers on
-  // the smoke matrix == one unsharded sofia_sweep run, byte for byte. The
-  // default --launch resolves the sofia_sweep sitting next to sofia_fleet.
+  // The acceptance contract: sofia_sweep --workers 2 (two local subprocess
+  // workers, launched from this same binary) on the smoke matrix == one
+  // unsharded sofia_sweep run, byte for byte.
   const std::string tag = std::to_string(getpid());
   const std::string fleet_json = "/tmp/sofia_fleet_" + tag + ".json";
   const std::string single_json = "/tmp/sofia_fleet_" + tag + "_single.json";
   int code = 0;
   const auto fleet_out = run_command(
-      std::string(SOFIA_FLEET_BIN) + " --smoke --workers 2 --threads 1 --json " +
+      std::string(SOFIA_SWEEP_BIN) + " --smoke --workers 2 --threads 1 --json " +
           fleet_json, &code);
   EXPECT_EQ(code, 0) << fleet_out;
   EXPECT_NE(fleet_out.find("merged 2 shard(s)"), std::string::npos) << fleet_out;
@@ -652,93 +650,131 @@ TEST_F(Tools, FleetMergesByteIdenticallyToASingleSweep) {
           single_json, &code);
   EXPECT_EQ(code, 0) << single_out;
 
-  const auto slurp = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(in),
-                       std::istreambuf_iterator<char>());
-  };
-  const auto fleet_doc = slurp(fleet_json);
+  const auto fleet_doc = read_file(fleet_json);
   EXPECT_FALSE(fleet_doc.empty());
-  EXPECT_EQ(fleet_doc, slurp(single_json));
+  EXPECT_EQ(fleet_doc, read_file(single_json));
   std::remove(fleet_json.c_str());
   std::remove(single_json.c_str());
 }
 
+TEST_F(Tools, FleetForwardsEveryEngineFlagToItsWorkers) {
+  // Each worker gets the coordinator's own engine flags, so a flag only
+  // one engine takes reaches the workers with no --launch wrapping:
+  // --lint on a sweep, and --workload/--jobs on a campaign split 3 ways.
+  const std::string base = "/tmp/sofia_fleet_forward_" + std::to_string(getpid());
+  const struct {
+    std::string single;
+    const char* workers;
+  } cases[] = {
+      {std::string(SOFIA_SWEEP_BIN) + " --smoke --lint", " --workers 2"},
+      {std::string(SOFIA_ATTACK_BIN) +
+           " --campaign --workload crc32 --jobs 50",
+       " --workers 3"},
+  };
+  for (const auto& c : cases) {
+    int single_code = 0;
+    const auto single = run_command(
+        c.single + " --quiet --json " + base + "_single.json", &single_code);
+    int fleet_code = 0;
+    const auto fleet =
+        run_command(c.single + c.workers + " --threads 1 --json=" + base +
+                        "_fleet.json", &fleet_code);
+    EXPECT_EQ(single_code, 0) << c.single << ": " << single;
+    EXPECT_EQ(fleet_code, single_code) << c.single << ": " << fleet;
+    const auto doc = read_file(base + "_fleet.json");
+    EXPECT_FALSE(doc.empty()) << c.single;
+    EXPECT_EQ(doc, read_file(base + "_single.json")) << c.single;
+  }
+  for (const char* suffix : {"_single", "_fleet"})
+    std::remove((base + suffix + ".json").c_str());
+}
+
 TEST_F(Tools, FleetStreamsMergedDocumentToStdoutByDefault) {
+  // With `--json -` the merged document, and nothing else, is on stdout.
   int code = 0;
   const auto doc = run_command(
-      "( " + std::string(SOFIA_FLEET_BIN) +
-          " --smoke --workers 2 --threads 1 2>/dev/null )", &code);
+      "( " + std::string(SOFIA_SWEEP_BIN) +
+          " --smoke --workers 2 --threads 1 --json - 2>/dev/null )", &code);
   EXPECT_EQ(code, 0);
   EXPECT_NE(doc.find("\"schema\": \"sofia-sweep-v6\""), std::string::npos)
       << doc.substr(0, 200);
-  EXPECT_EQ(doc.rfind("sweep ", 0), std::string::npos);  // no log lines mixed in
+  EXPECT_EQ(doc.rfind("{", 0), 0u) << doc.substr(0, 200);  // no log lines
 }
 
 TEST_F(Tools, FleetRejectsZeroWorkersAndFailingLaunches) {
-  int code = 0;
-  auto out = run_command(std::string(SOFIA_FLEET_BIN) + " --workers 0", &code);
-  EXPECT_EQ(code, 2) << out;
-  EXPECT_NE(out.find("--workers"), std::string::npos) << out;
-  // A launch command that exits nonzero without a document must fail the
-  // fleet, naming the worker.
-  out = run_command(std::string(SOFIA_FLEET_BIN) +
-                        " --smoke --workers 2 --launch false --json /dev/null",
-                    &code);
-  EXPECT_EQ(code, 1) << out;
-  EXPECT_NE(out.find("worker"), std::string::npos) << out;
-  // The same for a campaign fleet, which fails with sofia_attack's error
-  // code: its 1 means escapes.
-  out = run_command(std::string(SOFIA_FLEET_BIN) +
-                        " --tool attack --smoke --workers 2 --launch false "
-                        "--json /dev/null",
-                    &code);
-  EXPECT_EQ(code, 2) << out;
-  EXPECT_NE(out.find("worker"), std::string::npos) << out;
-  // A sweep matrix means nothing to a campaign.
-  out = run_command(std::string(SOFIA_FLEET_BIN) +
-                        " --tool attack --matrix scheme --json /dev/null",
-                    &code);
-  EXPECT_EQ(code, 2) << out;
-  EXPECT_NE(out.find("--matrix"), std::string::npos) << out;
+  // A launch command that exits nonzero without a document fails the run
+  // with the engine's error code, naming the worker: 1 for a sweep, 2 for
+  // a campaign (whose 1 means escapes).
+  const struct {
+    std::string tool;
+    int failure_exit;
+  } engines[] = {
+      {std::string(SOFIA_SWEEP_BIN) + " --smoke", 1},
+      {std::string(SOFIA_ATTACK_BIN) + " --campaign --smoke", 2},
+  };
+  for (const auto& e : engines) {
+    int code = 0;
+    const auto out = run_command(
+        e.tool + " --workers 2 --launch false --json /dev/null", &code);
+    EXPECT_EQ(code, e.failure_exit) << e.tool << ": " << out;
+    EXPECT_NE(out.find("worker 0/2 failed (exit 1, empty document): 'false "),
+              std::string::npos)
+        << e.tool << ": " << out;
+  }
+}
+
+TEST_F(Tools, FleetRefusesShardMergeCacheStatsAndAStrayLaunch) {
+  // --workers runs its own shards and merge and opens no cache of its own,
+  // so the per-process modes are usage errors beside it.
+  for (const std::string& tool :
+       {std::string(SOFIA_SWEEP_BIN) + " --smoke",
+        std::string(SOFIA_ATTACK_BIN) + " --campaign --smoke"}) {
+    for (const auto& [extra, error] :
+         {std::pair{" --workers 2 --shard 0/2", "--workers runs its own"},
+          std::pair{" --workers 2 --merge /dev/null in.json",
+                    "--workers runs its own"},
+          std::pair{" --workers 2 --cache-stats /dev/null",
+                    "--workers runs its own"},
+          std::pair{" --launch true", "--launch needs --workers"}}) {
+      int code = 0;
+      const auto out = run_command(tool + extra, &code);
+      EXPECT_EQ(code, 2) << tool << extra << ": " << out;
+      EXPECT_NE(out.find(error), std::string::npos) << tool << extra << out;
+      EXPECT_NE(out.find("usage:"), std::string::npos) << tool << extra;
+    }
+  }
 }
 
 TEST_F(Tools, FleetRunsACampaignByteIdenticallyToASingleAttack) {
-  // --tool attack: 2 shard workers merged through campaign::merge_json ==
-  // one unsharded sofia_attack run, byte for byte and exit code for exit
-  // code. Campaign-only flags ride in --launch.
+  // sofia_attack --workers 2: two shard workers merged through
+  // campaign::merge_json == one unsharded run, byte for byte and exit code
+  // for exit code.
   const std::string tag = std::to_string(getpid());
   const std::string fleet_json = "/tmp/sofia_fleet_attack_" + tag + ".json";
   const std::string single_json =
       "/tmp/sofia_fleet_attack_" + tag + "_single.json";
+  const std::string campaign =
+      std::string(SOFIA_ATTACK_BIN) + " --campaign --smoke --jobs 50";
   int fleet_code = 0;
   const auto fleet_out = run_command(
-      std::string(SOFIA_FLEET_BIN) + " --tool attack --smoke --workers 2 " +
-          "--threads 1 --launch '" + SOFIA_ATTACK_BIN + " --jobs 50' --json " +
-          fleet_json, &fleet_code);
+      campaign + " --workers 2 --threads 1 --json " + fleet_json, &fleet_code);
   EXPECT_NE(fleet_out.find("merged 2 shard(s)"), std::string::npos)
       << fleet_out;
   int single_code = 0;
-  const auto single_out = run_command(
-      std::string(SOFIA_ATTACK_BIN) + " --campaign --smoke --jobs 50 --quiet " +
-          "--json " + single_json, &single_code);
+  const auto single_out =
+      run_command(campaign + " --quiet --json " + single_json, &single_code);
   EXPECT_EQ(single_code, 0) << single_out;
   EXPECT_EQ(fleet_code, single_code) << fleet_out;
 
-  const auto slurp = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(in),
-                       std::istreambuf_iterator<char>());
-  };
-  const auto fleet_doc = slurp(fleet_json);
+  const auto fleet_doc = read_file(fleet_json);
   EXPECT_NE(fleet_doc.find("\"schema\": \"sofia-attack-campaign-v1\""),
             std::string::npos)
       << fleet_doc.substr(0, 200);
-  EXPECT_EQ(fleet_doc, slurp(single_json));
+  EXPECT_EQ(fleet_doc, read_file(single_json));
 
   // sofia_attack exits 1 when an authenticated cell has escapes and still
   // writes its document: a worker exiting 1 has returned a valid shard, and
-  // the fleet's exit code is the merged document's verdict.
+  // the run's exit code is the merged document's verdict.
   const std::string wrapper = "/tmp/sofia_fleet_exit1_" + tag + ".sh";
   {
     std::ofstream script(wrapper);
@@ -746,12 +782,11 @@ TEST_F(Tools, FleetRunsACampaignByteIdenticallyToASingleAttack) {
   }
   std::filesystem::permissions(wrapper, std::filesystem::perms::owner_all);
   int code = 0;
-  const auto out = run_command(
-      std::string(SOFIA_FLEET_BIN) + " --tool attack --smoke --workers 2 " +
-          "--threads 1 --launch '" + wrapper + " --jobs 50' --json " +
-          fleet_json, &code);
+  const auto out = run_command(campaign + " --workers 2 --threads 1 --launch " +
+                                   wrapper + " --json " + fleet_json,
+                               &code);
   EXPECT_EQ(code, 0) << out;
-  EXPECT_EQ(slurp(fleet_json), slurp(single_json));
+  EXPECT_EQ(read_file(fleet_json), read_file(single_json));
   std::remove(wrapper.c_str());
   std::remove(fleet_json.c_str());
   std::remove(single_json.c_str());
@@ -956,7 +991,7 @@ TEST_F(Tools, AttackShardMergeIsByteIdenticalToUnsharded) {
   const auto whole_doc = slurp(whole);
   EXPECT_FALSE(whole_doc.empty());
   EXPECT_EQ(whole_doc, slurp(merged));
-  EXPECT_NE(slurp(s0).find("\"shard\": \"0/2\""), std::string::npos);
+  EXPECT_NE(slurp(s0).find("\"shard\":\"0/2\""), std::string::npos);
   // An incomplete shard set must fail loudly.
   out = run_command(std::string(SOFIA_ATTACK_BIN) + " --merge " + merged +
                         " " + s0, &code);
@@ -1230,23 +1265,18 @@ TEST_F(Tools, FleetSharesOneCacheAcrossWorkers) {
   const std::string first = "/tmp/sofia_fleet_cache_" + tag + "_1.json";
   const std::string second = "/tmp/sofia_fleet_cache_" + tag + "_2.json";
   int code = 0;
-  auto out = run_command(std::string(SOFIA_FLEET_BIN) +
+  auto out = run_command(std::string(SOFIA_SWEEP_BIN) +
                              " --smoke --workers 2 --threads 1 --cache " + dir +
                              " --quiet --json " + first, &code);
   EXPECT_EQ(code, 0) << out;
   // A different worker split against the same cache: all hits, same bytes.
-  out = run_command(std::string(SOFIA_FLEET_BIN) +
+  out = run_command(std::string(SOFIA_SWEEP_BIN) +
                         " --smoke --workers 3 --threads 1 --cache " + dir +
                         " --quiet --json " + second, &code);
   EXPECT_EQ(code, 0) << out;
-  const auto slurp = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(in),
-                       std::istreambuf_iterator<char>());
-  };
-  const auto doc = slurp(first);
+  const auto doc = read_file(first);
   EXPECT_FALSE(doc.empty());
-  EXPECT_EQ(doc, slurp(second));
+  EXPECT_EQ(doc, read_file(second));
   std::filesystem::remove_all(dir);
   for (const auto& p : {first, second}) std::remove(p.c_str());
 }

@@ -7,21 +7,23 @@
 // --shard K/N split. A shard document carries its trials instead of
 // tallies, and `--merge out.json shard*.json` collects them by index (each
 // exactly once), refolds them as a run does and renders the canonical
-// unsharded bytes. `--json -` streams to stdout (progress moves to stderr)
-// for fleet collectors.
+// unsharded bytes. `--workers N` runs N shard workers and merges their
+// stdout documents (tools/engine_flags.hpp); a worker is any shell command
+// (default: this binary):
+//   sofia_attack --campaign --smoke --jobs 500 --workers 4
+//   sofia_attack --campaign --workers 2 --launch 'ssh host sofia_attack'
 //
-// Exit code, for a run and a --merge alike: 0 iff every authenticated cell
-// detected every effective tamper (the "null" encrypt-only baseline is
-// expected to leak and never gates); 1 when an authenticated cell has
-// escapes, 2 on usage/errors.
-#include <algorithm>
+// Exit code, for a run, a --merge and a --workers run alike: 0 iff every
+// authenticated cell detected every effective tamper (the "null"
+// encrypt-only baseline is expected to leak and never gates); 1 when an
+// authenticated cell has escapes, 2 on usage/errors and when a worker
+// fails. A worker that exits 1 has still returned its shard.
 #include <cstdio>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "cache/result_store.hpp"
 #include "campaign/campaign.hpp"
+#include "engine_flags.hpp"
 #include "pipeline/device_profile.hpp"
 #include "scheme/scheme.hpp"
 #include "sim/backend.hpp"
@@ -36,20 +38,13 @@ int main(int argc, char** argv) {
   std::string cipher;       // empty = keep both ciphers
   std::string granularity;  // empty = keep both granularities
   std::string backend = "functional";
-  std::string json_path;
-  std::string cache_dir;
-  std::string cache_stats_path;
-  std::string shard_text;
-  std::string merge_out;
-  std::vector<std::string> merge_inputs;
   std::uint32_t size = 0;
   std::uint32_t jobs = 1000;
   std::uint64_t seed = 1;
-  std::uint32_t threads = std::max(1u, std::thread::hardware_concurrency());
   bool campaign_run = false;
   bool smoke = false;
   bool mutators = false;
-  bool quiet = false;
+  tools::EngineFlags flags;
 
   cli::Parser parser("sofia_attack",
                      "adversarial mutation campaigns -> JSON verdicts");
@@ -73,24 +68,10 @@ int main(int argc, char** argv) {
               "restrict the matrix to one CTR granularity")
       .choice("--backend", backend, sofia::sim::backend_names(),
               "execution backend for every trial (default: functional)")
-      .option("--threads", threads, "N",
-              "worker threads (default: hardware concurrency)")
-      .option("--json", json_path, "PATH",
-              "write the campaign document to PATH ('-' = stdout)")
-      .option("--cache", cache_dir, "DIR",
-              "content-addressed result cache: resume interrupted campaigns "
-              "and reuse prior trials (default: $SOFIA_CACHE when set)")
-      .option("--cache-stats", cache_stats_path, "PATH",
-              "write this run's cache hit/miss counters as a JSON document")
-      .option("--shard", shard_text, "K/N",
-              "run only job indices congruent to K mod N")
-      .option("--merge", merge_out, "OUT.json",
-              "merge shard documents (trailing args) into OUT.json and exit")
       .flag("--smoke", smoke,
             "shrink the matrix to one cell per scheme (seconds-long gate)")
-      .flag("--mutators", mutators, "list the mutation catalog and exit")
-      .flag("--quiet", quiet, "suppress the per-cell progress table")
-      .positional_list("in.json", merge_inputs);
+      .flag("--mutators", mutators, "list the mutation catalog and exit");
+  flags.declare(parser, "per-cell progress table");
   parser.parse_or_exit(argc, argv);
 
   if (mutators) {
@@ -99,31 +80,21 @@ int main(int argc, char** argv) {
                   std::string(info.description).c_str());
     return 0;
   }
-  if (threads < 1) return parser.fail("--threads must be >= 1");
+  if (const auto usage = flags.usage_error(); !usage.empty())
+    return parser.fail(usage);
   if (jobs < 1) return parser.fail("--jobs must be >= 1");
-  if (merge_out.empty() && !merge_inputs.empty())
-    return parser.fail("unexpected argument '" + merge_inputs.front() +
-                       "' (input documents are only valid with --merge)");
-  if (!campaign_run && merge_out.empty())
+  if (!campaign_run && flags.merge_out.empty())
     return parser.fail("nothing to do (use --campaign, --merge or --mutators)");
-
-  // With the document on stdout, every informational line moves to stderr
-  // so the output stream stays byte-clean for the collector.
-  std::FILE* log = (json_path == "-" || merge_out == "-") ? stderr : stdout;
+  std::FILE* log = flags.log();
 
   try {
-    if (!merge_out.empty()) {
-      if (merge_inputs.empty())
-        return parser.fail("--merge needs at least one input document");
+    if (!flags.merge_out.empty())
       return campaign::verdict(
-          json::parse(driver::merge_files(merge_out, merge_inputs,
-                                          campaign::merge_json, log)),
+          driver::merge_files(flags.merge_out, flags.merge_inputs,
+                              campaign::merge_json, log),
           log);
-    }
 
-    driver::ShardSpec shard;
-    if (!shard_text.empty()) shard = driver::ShardSpec::parse(shard_text);
-
+    const driver::ShardSpec shard = flags.shard();
     campaign::CampaignSpec spec = campaign::default_campaign();
     if (smoke) spec = campaign::smoke(std::move(spec));
     spec.workload = workload;
@@ -146,20 +117,29 @@ int main(int argc, char** argv) {
       return parser.fail("the --scheme/--cipher/--granularity filters left "
                          "no matrix cells");
 
+    if (flags.workers > 0) {
+      std::fprintf(log, "campaign %-12s %zu cell(s) x %u job(s) over %u "
+                        "worker(s)\n",
+                   spec.name.c_str(), spec.cells.size(), jobs, flags.workers);
+      return campaign::verdict(flags.merge_workers(parser, argc, argv,
+                                                   campaign::merge_json, 2,
+                                                   log),
+                               log);
+    }
     if (shard.is_whole()) {
       std::fprintf(log, "campaign %-12s %zu cell(s) x %u job(s) on %u "
                         "thread(s)\n",
-                   spec.name.c_str(), spec.cells.size(), jobs, threads);
+                   spec.name.c_str(), spec.cells.size(), jobs, flags.threads);
     } else {
       std::fprintf(log,
                    "campaign %-12s shard %u/%u of %zu cell(s) x %u job(s) "
                    "on %u thread(s)\n",
                    spec.name.c_str(), shard.index, shard.count,
-                   spec.cells.size(), jobs, threads);
+                   spec.cells.size(), jobs, flags.threads);
     }
 
     campaign::CellProgressFn progress;
-    if (!quiet) {
+    if (!flags.quiet) {
       progress = [log](const campaign::CellResult& cell) {
         std::fprintf(log,
                      "  %-36s jobs %6llu  detected %6llu  harmless %6llu  "
@@ -172,13 +152,13 @@ int main(int argc, char** argv) {
                      100.0 * cell.detection_rate());
       };
     }
-    const cache::ToolCache cache("sofia_attack", cache_dir, cache_stats_path,
-                                 log);
+    const cache::ToolCache cache("sofia_attack", flags.cache_dir,
+                                 flags.cache_stats_path, log);
     if (const auto usage = cache.usage_error(); !usage.empty())
       return parser.fail(usage);
 
-    const auto result =
-        campaign::run_campaign(spec, threads, progress, shard, cache.get());
+    const auto result = campaign::run_campaign(spec, flags.threads, progress,
+                                               shard, cache.get());
     std::fprintf(log, "done in %.2f s (%u thread(s)); %s\n",
                  result.wall_seconds, result.threads_used,
                  result.authenticated_clean()
@@ -200,10 +180,10 @@ int main(int argc, char** argv) {
       }
     }
 
-    if (!json_path.empty()) {
-      io::emit_document(json_path, campaign::to_json(result));
-      if (json_path != "-")
-        std::fprintf(log, "wrote %s\n", json_path.c_str());
+    if (!flags.json_path.empty()) {
+      io::emit_document(flags.json_path, campaign::to_json(result));
+      if (flags.json_path != "-")
+        std::fprintf(log, "wrote %s\n", flags.json_path.c_str());
     }
     return result.authenticated_clean() ? 0 : 1;
   } catch (const Error& e) {

@@ -1,5 +1,5 @@
 // sofia-cache: inspect and maintain a content-addressed result cache
-// (src/cache/) shared by sofia_sweep, sofia_attack and sofia_fleet.
+// (src/cache/) shared by sofia_sweep, sofia_attack and their workers.
 //
 //   sofia_cache stats  --cache DIR [--json PATH]   entry/byte totals per kind
 //   sofia_cache verify --cache DIR                 re-hash every entry
