@@ -595,6 +595,86 @@ TEST(SchemeOpen, OpeningWithAReferenceEqualsOpeningWithout) {
   EXPECT_GT(opened, 1000u);
 }
 
+/// The fields of an opened block that time it on the cycle backend.
+std::string timing_fields(const scheme::DeviceBlock& dev) {
+  std::string out;
+  const auto add = [&out](const char* name, std::uint64_t value) {
+    out += name;
+    out += std::to_string(value);
+  };
+  for (const scheme::OpSpan& op : dev.decrypt_ops) {
+    add(" decrypt ", op.first);
+    add("+", op.count);
+  }
+  for (const scheme::OpSpan& op : dev.verify_ops) {
+    add(" verify ", op.first);
+    add("+", op.count);
+  }
+  for (const std::uint32_t w : dev.verify_extra_words) add(" extra ", w);
+  add(" serial ", dev.serial_decrypt);
+  add(" verifies ", dev.performs_verify);
+  add(" header ", dev.header_words);
+  return out;
+}
+
+TEST(SchemeOpen, OpListsDependOnlyOnTheEntryPath) {
+  // The cycle backend times an entry from its opened block's op lists and
+  // reuses that timing per entry path (sim/fetch.hpp). So every block,
+  // entered at the same offset, must open to the same op lists whatever
+  // its words: clean, bit-flipped or patched, on all three entry paths.
+  Rng rng(31);
+  std::size_t opened = 0;
+  for (const std::string& scheme_name : scheme::scheme_names())
+    for (const auto gran : {crypto::Granularity::kPerPair,
+                            crypto::Granularity::kPerWord})
+      for (const char* wl : {"crc32", "fib"}) {
+        pipeline::DeviceProfile profile = pipeline::DeviceProfile::example(
+            crypto::CipherKind::kRectangle80);
+        profile.scheme = scheme_name;
+        profile.granularity = gran;
+        const auto& spec = workloads::workload(wl);
+        auto p = pipeline::Pipeline::from_workload(
+            spec, 1, std::max(4u, spec.default_size / 16), profile);
+        const xform::TransformResult& hard = p.hardened();
+        const auto opener =
+            scheme::get_scheme(scheme_name)
+                .make_opener(profile.keys(), hard.image.omega, gran);
+        const std::uint32_t b = hard.layout.policy().words_per_block;
+        std::string want[3];
+        std::uint32_t at = 0;
+        for (const xform::Block& block : hard.layout.blocks()) {
+          for (std::uint32_t offset = 0; offset < 3; ++offset) {
+            const scheme::EntryPath path = scheme::entry_path(offset, b);
+            const std::uint32_t prev =
+                offset == 2 ? block.pred2_word : block.pred1_word;
+            std::vector<std::uint32_t> raw(b, 0);
+            for (const std::uint32_t j : path.sched)
+              raw[j] = hard.image.text[at + j];
+            const std::string where =
+                scheme_name + "/" + std::string(crypto::to_string(gran)) +
+                "/" + wl + " block " + std::to_string(block.base_word) +
+                " path " + std::to_string(offset);
+            for (int trial = 0; trial < 3; ++trial) {
+              const std::string got = timing_fields(
+                  opener->open(block.base_word, prev, path, raw));
+              if (want[offset].empty()) want[offset] = got;
+              ASSERT_EQ(got, want[offset]) << where << " trial " << trial;
+              ++opened;
+              // The next trial flips or patches one more path word.
+              const std::uint32_t j =
+                  path.sched[rng.next_below(path.sched.size())];
+              if (trial == 0)
+                raw[j] ^= 1u << rng.next_below(32);
+              else
+                raw[j] = rng.next_u32();
+            }
+          }
+          at += b;
+        }
+      }
+  EXPECT_GT(opened, 1000u);
+}
+
 TEST(SchemeSealing, GranularityTraitIsHonest) {
   for (const auto& name : scheme::scheme_names()) {
     pipeline::DeviceProfile a = pipeline::DeviceProfile::paper_default();

@@ -458,6 +458,26 @@ table: .word f1, f2
 table2: .word g1, g2
 )";
 
+// Rewrites one word of its own text, then enters that block again
+// (BackendCrossValidation.SelfModifyingStoreToTextResetsUnderBothBackends).
+constexpr char kSelfModifying[] = R"(
+main:
+  li r5, 0
+  la r10, victim
+loop:
+  call victim
+  bnez r5, missed
+  li r5, 1
+  lw r11, 0(r10)
+  xori r11, r11, 1
+  sw r11, 0(r10)
+  j loop
+missed:
+  halt
+victim:
+  ret
+)";
+
 /// The configuration `p`'s device runs with, tracing on.
 SimConfig traced(const pipeline::Pipeline& p) {
   SimConfig cfg = p.effective_sim_config();
@@ -565,6 +585,15 @@ std::vector<DigestCase> digest_cases() {
                      std::copy_n(img.data.begin() + 8, 4, img.data.begin());
                      return run_image(img, traced(*dispatch));
                    }});
+  // A store into the text, then a second entry of the rewritten block:
+  // reset on the bad MAC, or (null) run the garbled instruction.
+  for (const std::string scheme : {"sofia-cbcmac", "null"}) {
+    const auto smc = std::make_shared<Pipeline>(
+        Pipeline::from_source(kSelfModifying, scheme_profile(scheme), "smc"));
+    cases.push_back({"self-modifying/" + scheme, [smc] {
+                       return run_image(smc->hardened().image, traced(*smc));
+                     }});
+  }
   return cases;
 }
 
@@ -662,6 +691,8 @@ const PinnedDigest kPinnedDigests[] = {
     {"crc32/max-cycles1020/sofia", 0x77087234b8179054ull},
     {"dispatch/flta", 0x3cea7167dac22b94ull},
     {"dispatch/flta-retarget", 0xada4df1b9f8440beull},
+    {"self-modifying/sofia-cbcmac", 0x19dc9212b8473b4full},
+    {"self-modifying/null", 0x1e6f530e3f2e4f2full},
 };
 
 TEST(CycleDigest, EveryRunMatchesTheRecordedDigest) {
