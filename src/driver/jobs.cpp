@@ -1,11 +1,17 @@
 #include "driver/jobs.hpp"
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <thread>
 
 #include "support/cli.hpp"
@@ -148,17 +154,32 @@ std::vector<std::string> run_workers(const Fleet& fleet, std::FILE* log) {
 
   // Launch every worker first (they all run concurrently), then drain
   // their stdouts in order. A later worker blocked on a full pipe simply
-  // waits for its turn to be drained; nothing deadlocks.
+  // waits for its turn to be drained; nothing deadlocks. A silent fan-out
+  // keeps each worker's stderr (its own header and "done in" lines) in a
+  // file and shows it only for a worker that failed.
   std::vector<std::string> commands(n);
   std::vector<std::string> documents(n);
+  std::vector<std::string> stderr_files(n);  ///< "" = inherited stderr
   std::vector<std::FILE*> pipes(n);
   for (std::uint32_t k = 0; k < n; ++k) {
     commands[k] = common + " --shard " + ShardSpec{k, n}.to_string() +
                   " --quiet --json -";
-    if (log != nullptr)
+    std::string launched = commands[k];
+    if (log != nullptr) {
       std::fprintf(log, "  [shard %u/%u] %s\n", k, n, commands[k].c_str());
+    } else {
+      std::string path = (std::filesystem::temp_directory_path() /
+                          "sofia-worker-XXXXXX")
+                             .string();
+      const int fd = mkstemp(path.data());
+      if (fd >= 0) {
+        close(fd);
+        (launched += " 2>") += cli::shell_quote(path);
+        stderr_files[k] = std::move(path);
+      }
+    }
     std::fflush(nullptr);  // our lines before the workers' stderr
-    pipes[k] = popen(commands[k].c_str(), "r");
+    pipes[k] = popen(launched.c_str(), "r");
   }
   std::string failure;
   for (std::uint32_t k = 0; k < n; ++k) {
@@ -181,8 +202,16 @@ std::vector<std::string> run_workers(const Fleet& fleet, std::FILE* log) {
                 " failed (exit " + std::to_string(exit_code) +
                 (documents[k].empty() ? ", empty document" : "") + "): '" +
                 commands[k] + "'";
+      if (!stderr_files[k].empty()) {
+        std::ifstream err(stderr_files[k], std::ios::binary);
+        std::string text(std::istreambuf_iterator<char>(err), {});
+        while (!text.empty() && text.back() == '\n') text.pop_back();
+        if (!text.empty()) (failure += '\n') += text;
+      }
     }
   }
+  for (const std::string& path : stderr_files)
+    if (!path.empty()) std::remove(path.c_str());
   if (!failure.empty()) throw Error(failure);
   return documents;
 }

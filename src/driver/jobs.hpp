@@ -162,9 +162,11 @@ struct Fleet {
 /// N, all at once, with each arg shell-quoted and `--threads max(1,
 /// hardware / N)` added when args carry no --threads. Returns the N stdout
 /// documents in shard order, after every worker has exited. Logs each
-/// command and shard size to `log` (nullptr = silent). Throws sofia::Error
-/// naming worker K/N, its exit code and its command when a worker exits at
-/// or above fleet.failure_exit or returns an empty document.
+/// command and shard size to `log`. With a null `log` the fan-out is
+/// silent: each worker's stderr goes to a temporary file, shown only for a
+/// failed worker. Throws sofia::Error naming worker K/N, its exit code and
+/// its command (then its stderr, when kept) when a worker exits at or above
+/// fleet.failure_exit or returns an empty document.
 std::vector<std::string> run_workers(const Fleet& fleet, std::FILE* log);
 
 /// The --workers mode: run_workers (logging each worker unless `quiet`),

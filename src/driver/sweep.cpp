@@ -341,7 +341,8 @@ SweepResult run_sweep(const SweepSpec& spec, unsigned threads,
 
 std::string to_json(const SweepResult& result) {
   const hw::HwModel model;
-  json::Writer w(2);
+  // A shard travels only to a merge, so it is one compact line.
+  json::Writer w(result.shard.is_whole() ? 2 : -1);
   w.begin_object();
   w.member("schema", kSweepSchema);
   w.member("sweep", result.sweep_name);

@@ -163,7 +163,8 @@ SweepResult run_sweep(const SweepSpec& spec, unsigned threads,
 /// the README): sweep name + one record per job with its matrix index, the
 /// config fingerprint and unroll factor, the integer counts the paper tables
 /// read and overhead percentages.
-/// Sharded results additionally carry a "shard" member. Wall-clock and
+/// Sharded results additionally carry a "shard" member and are written as
+/// one compact line; the unsharded document is pretty-printed. Wall-clock and
 /// thread count are deliberately excluded so documents are byte-identical
 /// across thread counts.
 std::string to_json(const SweepResult& result);

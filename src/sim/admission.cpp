@@ -130,7 +130,10 @@ std::size_t BlockStore::capacity() const {
 // ---------------------------------------------------------------------------
 
 BlockCache::BlockCache(BlockStore* store, const assembler::LoadImage& image,
-                       const SimConfig& config) {
+                       const SimConfig& config)
+    : fetch_lo_(image.text_base),
+      fetch_hi_(std::uint64_t{image.text_base} + image.text_bytes()),
+      fault_armed_(config.fault.enabled) {
   DeviceIdentity id = DeviceIdentity::of(image, config);
   if (store) device_ = store->device(id, image.text.size());
   if (device_) {
@@ -139,6 +142,60 @@ BlockCache::BlockCache(BlockStore* store, const assembler::LoadImage& image,
     own_device_ = std::make_unique<Device>(std::move(id));
     device_ = own_device_.get();
   }
+}
+
+const OpenedBlock& BlockCache::admit(std::uint32_t target_word,
+                                     std::uint32_t prev_word, Core& core) {
+  const DeviceIdentity& id = device_->identity;
+  const std::uint32_t b = id.policy.words_per_block;
+  const std::uint64_t key = block_key(target_word, prev_word);
+  Entry& entry = find_or_add(key);
+  // An earlier opening of this entry from other words: the opener may take
+  // its keystream from it (scheme::OpenedReference).
+  const OpenedBlock* ref = nullptr;
+  const OpenedBlock* stored = nullptr;  // the store's record at `key`
+  const std::uint32_t offset = entry_offset(target_word, id.text_base_word, b);
+  if (offset <= 2) {
+    const std::uint32_t base_word = target_word - offset;
+    raw_.assign(b, 0);
+    const scheme::EntryPath& path = device_->paths[offset];
+    for (const std::uint32_t j : path.sched)
+      raw_[j] = core.fetch((base_word + j) * 4);
+    words_fetched_ += path.sched.size();
+    // A later store into these words must make the front cache stale.
+    fetch_lo_ = std::min<std::uint64_t>(fetch_lo_, std::uint64_t{base_word} * 4);
+    fetch_hi_ =
+        std::max<std::uint64_t>(fetch_hi_, (std::uint64_t{base_word} + b) * 4);
+    if (entry.rec) {
+      if (entry.rec->raw == raw_) return *entry.rec;
+      ref = entry.rec;
+    }
+    if (store_) {
+      stored = store_->find(key);
+      if (stored) {
+        if (stored->raw == raw_) return *(entry.rec = stored);
+        if (!ref) ref = stored;
+      }
+    }
+  }
+  auto rec = std::make_unique<OpenedBlock>();
+  rec->key = key;
+  rec->adm = sim::admit(
+      target_word, id.text_base_word, id.policy, device_->paths,
+      [&](std::uint32_t base_word,
+          const scheme::EntryPath& path) -> const scheme::DeviceBlock& {
+        rec->raw = raw_;
+        scheme::OpenedReference known;
+        if (ref) known = {ref->raw, ref->dev.plain};
+        rec->dev = device_->opener->open(base_word, prev_word, path, rec->raw,
+                                         ref ? &known : nullptr);
+        return rec->dev;
+      });
+  entry.rec = rec.get();
+  // A stored record at this key (the reference) keeps its slot.
+  if (store_ && !rec->raw.empty() && !stored) store_->offer(rec);
+  entry.own = std::move(rec);
+  return *entry.rec;
 }
 
 }  // namespace sofia::sim

@@ -24,7 +24,9 @@
 // a per-run front cache (BlockCache) and, behind it, a store that outlives
 // the run (BlockStore, one per backend instance). A record is reused only
 // for the same device and pair, and only when the words just fetched equal
-// the words it was opened from; everything else is opened afresh.
+// the words it was opened from, or, in the front cache, when they cannot
+// have changed since (BlockCache::trusted); everything else is opened
+// afresh.
 #pragma once
 
 #include <array>
@@ -41,6 +43,7 @@
 #include "isa/isa.hpp"
 #include "scheme/scheme.hpp"
 #include "sim/config.hpp"
+#include "sim/core.hpp"
 #include "xform/block_policy.hpp"
 
 namespace sofia::sim {
@@ -249,6 +252,14 @@ class BlockStore {
 
 /// One run's block admissions: a front cache by (entry word, prevPC) in
 /// front of the backend's BlockStore.
+///
+/// A front-cache record can be taken on trust, without refetching its
+/// words, while those words cannot have changed since it was opened. One
+/// rule decides that for both backends: the front cache goes stale when a
+/// committed store hits the text (or a block fetched outside it), or when
+/// the armed fetch fault fires (a record opened since may hold the faulted
+/// word). While a fault is armed nothing is trusted: every entry refetches,
+/// or the fetch counter would never reach the injection index.
 class BlockCache {
  public:
   /// Uses `store` when it is bound (or binds it) to this run's device
@@ -257,30 +268,46 @@ class BlockCache {
   BlockCache(BlockStore* store, const assembler::LoadImage& image,
              const SimConfig& config);
 
-  /// The front cache's record for the entry, taken on trust: for a caller
-  /// that knows the fetched words cannot have changed since it was opened.
-  const OpenedBlock* cached(std::uint32_t target_word,
-                            std::uint32_t prev_word) {
+  /// A store committed at byte address `addr`.
+  void note_store(std::uint32_t addr) {
+    if (std::uint64_t{addr} + 4 > fetch_lo_ && addr < fetch_hi_) stale_ = true;
+  }
+
+  /// The front cache's record for the entry when it can be taken on trust,
+  /// else null. Drops the front cache first if it went stale, so call it
+  /// only between blocks: no reference into the cache may be in use.
+  const OpenedBlock* trusted(std::uint32_t target_word,
+                             std::uint32_t prev_word, const Core& core) {
+    if (stale_ || (fault_armed_ && !core.fault_pending())) {
+      clear();
+      stale_ = false;
+      fault_armed_ = core.fault_pending();
+    }
+    if (fault_armed_) return nullptr;
     const Entry* entry = find(block_key(target_word, prev_word));
     return entry ? entry->rec : nullptr;
   }
 
   /// Admit the entry at (target_word, prev_word). For a valid entry offset
-  /// `fetch(base_word, path)` reads the block's words along `path` and
-  /// returns all b of them (zero off the path). The front cache's record,
-  /// then the store's, is reused when its words equal the fetched ones;
-  /// otherwise sim::admit() opens the words, handing the opener either
-  /// record as its scheme::OpenedReference, and a record new to the store
-  /// is offered to it. The result stays valid until the next admit() or
-  /// clear().
-  template <typename Fetch>
+  /// the block's words along the entry path are fetched through
+  /// `core.fetch`. The front cache's record, then the store's, is reused
+  /// when its words equal the fetched ones; otherwise sim::admit() opens
+  /// the words, handing the opener either record as its
+  /// scheme::OpenedReference, and a record new to the store is offered to
+  /// it. The result stays valid until the next admit() or trusted().
   const OpenedBlock& admit(std::uint32_t target_word, std::uint32_t prev_word,
-                           Fetch&& fetch);
+                           Core& core);
 
-  /// Forget the front cache (the store is unaffected).
-  void clear() {
-    for (Entry& e : slots_) e = {};
-    spill_.clear();
+  /// Words admit() has fetched through Core::fetch.
+  std::uint64_t words_fetched() const { return words_fetched_; }
+
+  /// The fetch schedule of an entry at `target_word`, or null for an
+  /// invalid entry offset (which fetches nothing).
+  const scheme::EntryPath* path_of(std::uint32_t target_word) const {
+    const DeviceIdentity& id = device_->identity;
+    const std::uint32_t offset = entry_offset(target_word, id.text_base_word,
+                                              id.policy.words_per_block);
+    return offset <= 2 ? &device_->paths[offset] : nullptr;
   }
 
  private:
@@ -291,6 +318,12 @@ class BlockCache {
     const OpenedBlock* rec = nullptr;
     std::unique_ptr<OpenedBlock> own;  ///< a record the store did not take
   };
+
+  /// Forget the front cache (the store is unaffected).
+  void clear() {
+    for (Entry& e : slots_) e = {};
+    spill_.clear();
+  }
 
   /// The front cache is direct-mapped by a multiplicative hash of the key,
   /// so a hit costs no hash-map probe and a run's first entries no node
@@ -326,53 +359,15 @@ class BlockCache {
   BlockStore* store_ = nullptr;  ///< null when the run bypasses the store
   std::array<Entry, std::size_t{1} << kSlotBits> slots_{};
   std::unordered_map<std::uint64_t, Entry> spill_;  ///< nodes never move
+  std::vector<std::uint32_t> raw_;  ///< one entry's fetched words
+  std::uint64_t words_fetched_ = 0;
+  /// Byte range a store must hit to make the front cache stale: the text,
+  /// widened to every block fetched outside it.
+  std::uint64_t fetch_lo_ = 0;
+  std::uint64_t fetch_hi_ = 0;
+  bool stale_ = false;  ///< a store hit [fetch_lo_, fetch_hi_)
+  bool fault_armed_;    ///< the run's fault had yet to fire at the last
+                        ///< trusted() call
 };
-
-template <typename Fetch>
-const OpenedBlock& BlockCache::admit(std::uint32_t target_word,
-                                     std::uint32_t prev_word, Fetch&& fetch) {
-  const DeviceIdentity& id = device_->identity;
-  const std::uint64_t key = block_key(target_word, prev_word);
-  Entry& entry = find_or_add(key);
-  const std::uint32_t offset = entry_offset(target_word, id.text_base_word,
-                                            id.policy.words_per_block);
-  const std::vector<std::uint32_t>* raw = nullptr;
-  // An earlier opening of this entry from other words: the opener may take
-  // its keystream from it (scheme::OpenedReference).
-  const OpenedBlock* ref = nullptr;
-  const OpenedBlock* stored = nullptr;  // the store's record at `key`
-  if (offset <= 2) {
-    raw = &fetch(target_word - offset, device_->paths[offset]);
-    if (entry.rec) {
-      if (entry.rec->raw == *raw) return *entry.rec;
-      ref = entry.rec;
-    }
-    if (store_) {
-      stored = store_->find(key);
-      if (stored) {
-        if (stored->raw == *raw) return *(entry.rec = stored);
-        if (!ref) ref = stored;
-      }
-    }
-  }
-  auto rec = std::make_unique<OpenedBlock>();
-  rec->key = key;
-  rec->adm = sim::admit(
-      target_word, id.text_base_word, id.policy, device_->paths,
-      [&](std::uint32_t base_word,
-          const scheme::EntryPath& path) -> const scheme::DeviceBlock& {
-        rec->raw = *raw;
-        scheme::OpenedReference known;
-        if (ref) known = {ref->raw, ref->dev.plain};
-        rec->dev = device_->opener->open(base_word, prev_word, path, rec->raw,
-                                         ref ? &known : nullptr);
-        return rec->dev;
-      });
-  entry.rec = rec.get();
-  // A stored record at this key (the reference) keeps its slot.
-  if (store_ && !rec->raw.empty() && !stored) store_->offer(rec);
-  entry.own = std::move(rec);
-  return *entry.rec;
-}
 
 }  // namespace sofia::sim

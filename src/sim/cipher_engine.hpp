@@ -49,6 +49,18 @@ class CipherEngine {
     return start + timing_.latency;
   }
 
+  /// A pipelined engine's next free start slot for `op`'s class: one slot
+  /// per class when alternating, one for both otherwise. An iterative
+  /// engine's state is more than its slots; these are for pipelined ones.
+  std::uint64_t next_slot(Op op) const {
+    return timing_.alternate ? next_class_slot_[static_cast<int>(op)]
+                             : next_any_slot_;
+  }
+  void set_next_slot(Op op, std::uint64_t slot) {
+    (timing_.alternate ? next_class_slot_[static_cast<int>(op)]
+                       : next_any_slot_) = slot;
+  }
+
   /// Drop queued work (fetch redirect). Pipelined slots free immediately —
   /// squashed ops simply drain out of the stage registers — but an
   /// iterative instance that already started an op is occupied until that

@@ -66,6 +66,8 @@ SofiaFetch::SofiaFetch(Core& core, ICache& icache, CipherEngine& engine,
       engine_(engine),
       config_(config),
       blocks_(store, image, config),
+      schedules_(config.cipher.pipelined ? std::size_t{1} << kScheduleBits
+                                         : 0),
       staged_(2 + config.policy.words_per_block) {
   process_block(image.entry / 4, image.entry_prev, 0);
 }
@@ -158,33 +160,107 @@ void SofiaFetch::process_block(std::uint32_t target_word, std::uint32_t prev_wor
 const Admission& SofiaFetch::admit_timed(std::uint32_t target_word,
                                          std::uint32_t prev_word,
                                          std::uint64_t entry_cycle) {
-  const scheme::EntryPath* entered = nullptr;  // null for an invalid entry
-  const OpenedBlock& rec = blocks_.admit(
-      target_word, prev_word,
-      [&](std::uint32_t base_word, const scheme::EntryPath& path)
-          -> const std::vector<std::uint32_t>& {
-        fetch_timed(base_word, path, entry_cycle);
-        entered = &path;
-        return raw_;
-      });
-  if (entered) replay_timed(rec.dev, *entered, entry_cycle);
-  return rec.adm;
+  const OpenedBlock* rec = blocks_.trusted(target_word, prev_word, core_);
+  if (!rec) rec = &blocks_.admit(target_word, prev_word, core_);
+  if (const scheme::EntryPath* path = blocks_.path_of(target_word))
+    time_entry(rec->adm.base_word, rec->dev, *path, entry_cycle);
+  return rec->adm;
+}
+
+std::optional<std::uint64_t> SofiaFetch::schedule_key(
+    const scheme::EntryPath& path, std::uint64_t entry_cycle) const {
+  const auto ahead = [&](CipherEngine::Op op) -> std::uint64_t {
+    const std::uint64_t slot = engine_.next_slot(op);
+    return slot > entry_cycle ? slot - entry_cycle : 0;
+  };
+  // The non-alternating engine has one slot for both classes and no
+  // parity.
+  const bool alternate = config_.cipher.alternate;
+  const std::uint64_t ctr = ahead(CipherEngine::Op::kCtr);
+  const std::uint64_t cbc = alternate ? ahead(CipherEngine::Op::kCbc) : 0;
+  constexpr std::uint64_t kSlotLimit = std::uint64_t{1} << 28;
+  if (ctr >= kSlotLimit || cbc >= kSlotLimit) return std::nullopt;
+  const std::uint64_t parity = alternate ? entry_cycle & 1 : 0;
+  return path.offset | parity << 2 | ctr << 3 | cbc << 31;
+}
+
+void SofiaFetch::time_entry(std::uint32_t base_word,
+                            const scheme::DeviceBlock& dev,
+                            const scheme::EntryPath& path,
+                            std::uint64_t entry_cycle) {
+  using Op = CipherEngine::Op;
+  constexpr Op kOps[2] = {Op::kCtr, Op::kCbc};
+  ctr_ops += dev.decrypt_ops.size();
+  cbc_ops += dev.verify_ops.size();
+  mac_words_seen += dev.header_words;
+  if (dev.performs_verify) ++verifications;
+  // Verification without any verify work completes at cycle 1 whatever
+  // the entry cycle (see replay_timed), so it is kept absolute.
+  const bool verify_work =
+      !dev.verify_ops.empty() || !dev.verify_extra_words.empty();
+
+  const bool resident = icache_.hit_all(base_word, path.sched);
+  std::optional<std::uint64_t> key;
+  if (resident && config_.cipher.pipelined)
+    key = schedule_key(path, entry_cycle);
+  Schedule* fresh = nullptr;  // a new key's slot, filled below
+  if (key) {
+    Schedule& kept =
+        schedules_[(*key * 0x9E3779B97F4A7C15ull) >> (64 - kScheduleBits)];
+    if (kept.key == *key) {
+      timing_.fetch_cursor = entry_cycle + kept.fetch_cursor;
+      timing_.decrypt_done.assign(config_.policy.words_per_block, 0);
+      for (const std::uint32_t j : path.sched)
+        timing_.decrypt_done[j] = entry_cycle + kept.decrypt_done[j];
+      timing_.verify_cycle =
+          verify_work ? entry_cycle + kept.verify_cycle : kept.verify_cycle;
+      for (int c = 0; c < 2; ++c)
+        if (kept.moves[c])
+          engine_.set_next_slot(kOps[c], entry_cycle + kept.next_slot[c]);
+    } else {
+      kept.key = *key;
+      fresh = &kept;
+    }
+  }
+  if (!key || fresh) {
+    const std::uint64_t before[2] = {engine_.next_slot(kOps[0]),
+                                     engine_.next_slot(kOps[1])};
+    fetch_timed(base_word, path, entry_cycle, resident);
+    replay_timed(dev, path, entry_cycle);
+    if (fresh) {
+      fresh->fetch_cursor = timing_.fetch_cursor - entry_cycle;
+      fresh->decrypt_done.assign(config_.policy.words_per_block, 0);
+      for (const std::uint32_t j : path.sched)
+        fresh->decrypt_done[j] = timing_.decrypt_done[j] - entry_cycle;
+      fresh->verify_cycle = verify_work ? timing_.verify_cycle - entry_cycle
+                                        : timing_.verify_cycle;
+      for (int c = 0; c < 2; ++c) {
+        const std::uint64_t after = engine_.next_slot(kOps[c]);
+        fresh->moves[c] = after != before[c];
+        fresh->next_slot[c] = after - entry_cycle;
+      }
+    }
+  }
+  // An unauthenticated scheme never gates stores (there is no
+  // verification to wait for).
+  timing_.store_gate =
+      dev.performs_verify && timing_.verify_cycle > config_.store_gate_headstart
+          ? timing_.verify_cycle - config_.store_gate_headstart
+          : 0;
 }
 
 void SofiaFetch::fetch_timed(std::uint32_t base_word,
                              const scheme::EntryPath& path,
-                             std::uint64_t entry_cycle) {
+                             std::uint64_t entry_cycle, bool resident) {
   // The SOFIA datapath reads fetch_words_per_cycle words per cycle (the
   // 64-bit cipher block suggests 2); misses stall for the refill.
-  const std::uint32_t b = config_.policy.words_per_block;
   const std::uint32_t per_cycle = std::max(1u, config_.fetch_words_per_cycle);
   std::uint64_t cursor = entry_cycle;
-  fetch_done_.assign(b, 0);
-  raw_.assign(b, 0);
+  fetch_done_.assign(config_.policy.words_per_block, 0);
   std::uint32_t in_cycle = 0;
   for (const std::uint32_t j : path.sched) {
-    const std::uint32_t addr = (base_word + j) * 4;
-    const std::uint32_t delay = icache_.access(addr);
+    const std::uint32_t delay =
+        resident ? 1 : icache_.access((base_word + j) * 4);
     if (delay > 1) {
       cursor += delay;
       in_cycle = 1;
@@ -195,7 +271,6 @@ void SofiaFetch::fetch_timed(std::uint32_t base_word,
       ++in_cycle;
     }
     fetch_done_[j] = cursor;
-    raw_[j] = core_.fetch(addr);
   }
   timing_.fetch_cursor = cursor;
 }
@@ -219,7 +294,6 @@ void SofiaFetch::replay_timed(const scheme::DeviceBlock& dev,
         issue = std::max(issue, fetch_done_[op.first + k]);
     }
     prev_op_done = engine_.schedule(CipherEngine::Op::kCtr, issue);
-    ++ctr_ops;
     for (std::uint32_t k = 0; k < op.count; ++k)
       ks_done_[op.first + k] = prev_op_done;
   }
@@ -229,8 +303,6 @@ void SofiaFetch::replay_timed(const scheme::DeviceBlock& dev,
   for (const std::uint32_t j : path.sched)
     decrypt_done[j] = std::max(fetch_done_[j], ks_done_[j]);
 
-  mac_words_seen += dev.header_words;
-
   // ---- replay the verify chain ----
   std::uint64_t chain_ready = 0;
   for (const auto& op : dev.verify_ops) {
@@ -238,18 +310,10 @@ void SofiaFetch::replay_timed(const scheme::DeviceBlock& dev,
     for (std::uint32_t k = 0; k < op.count; ++k)
       in_ready = std::max(in_ready, decrypt_done[op.first + k]);
     chain_ready = engine_.schedule(CipherEngine::Op::kCbc, in_ready);
-    ++cbc_ops;
   }
   for (const std::uint32_t w : dev.verify_extra_words)
     chain_ready = std::max(chain_ready, decrypt_done[w]);
   timing_.verify_cycle = chain_ready + 1;
-  if (dev.performs_verify) ++verifications;
-  // An unauthenticated scheme never gates stores (there is no
-  // verification to wait for).
-  timing_.store_gate =
-      dev.performs_verify && timing_.verify_cycle > config_.store_gate_headstart
-          ? timing_.verify_cycle - config_.store_gate_headstart
-          : 0;
 }
 
 }  // namespace sofia::sim

@@ -19,13 +19,23 @@
 //
 //    The software cipher work behind an admission is cached per (entry
 //    word, prevPC) in a sim::BlockCache: within the run, and behind that in
-//    the backend's BlockStore across runs (sim/admission.hpp). Every entry
-//    still fetches its words through the I-cache and Core::fetch and
-//    replays the block's cipher ops on the engine, so timing, counters and
-//    fault injection are unchanged. A cached record is reused only when
-//    the words just fetched equal the words it was opened from:
-//    Opener::open depends on nothing else, so reuse is bit-identical, and
-//    a tampered, faulted or self-modified block is opened afresh.
+//    the backend's BlockStore across runs (sim/admission.hpp). The
+//    front-cache record is taken on trust, without reading the words
+//    through Core::fetch, while no store has hit the text since it was
+//    opened and no fetch fault is armed; any other entry fetches its words
+//    and reuses a record only when they equal the words it was opened
+//    from. Opener::open depends on nothing else, so reuse is bit-identical,
+//    and a tampered, faulted or self-modified block is opened afresh.
+//
+//    The timing of an entry is reused as well. On a pipelined engine,
+//    with every I-cache line of the entry path resident, the fetch,
+//    decrypt, verify and engine schedule relative to the entry cycle is a
+//    pure function of the entry path (the scheme's op lists depend on
+//    nothing else), the entry cycle's parity and the engine's free slots
+//    relative to the entry cycle. Each run keeps those schedules by that
+//    key. A cache miss, a new key or an iterative engine (whose op history
+//    is state) times the entry afresh, so timing and counters are
+//    unchanged.
 //
 // Both read raw words through sim::Core::fetch (the one fault-injection
 // point) and deliver FetchedInst records tagged with the cycle the
@@ -176,6 +186,9 @@ class SofiaFetch : public FetchCounters {
                 std::uint64_t cycle);
   const std::optional<ResetEvent>& reset() const { return reset_; }
 
+  /// A store committed at byte address `addr` (see BlockCache::trusted).
+  void note_store(std::uint32_t addr) { blocks_.note_store(addr); }
+
  private:
   /// When the words of one opened block become available.
   struct BlockTiming {
@@ -192,30 +205,64 @@ class SofiaFetch : public FetchCounters {
   void process_block(std::uint32_t target_word, std::uint32_t prev_word,
                      std::uint64_t entry_cycle);
 
-  /// Admit the entry at (target_word, prev_word): fetch the block's words,
-  /// open them (or reuse a cached record when the words match) and replay
-  /// the cipher ops; the resulting timing lands in timing_.
+  /// Admit the entry at (target_word, prev_word): take the front cache's
+  /// record on trust, or fetch the block's words and open them (or reuse a
+  /// cached record when the words match); the entry's timing lands in
+  /// timing_.
   const Admission& admit_timed(std::uint32_t target_word,
                                std::uint32_t prev_word,
                                std::uint64_t entry_cycle);
 
-  /// Fetch one block's words along `path` through the I-cache into raw_.
+  /// Time the entry of the block at `base_word` along `path`: from a kept
+  /// Schedule when one applies, else by fetch_timed() and replay_timed().
+  void time_entry(std::uint32_t base_word, const scheme::DeviceBlock& dev,
+                  const scheme::EntryPath& path, std::uint64_t entry_cycle);
+
+  /// Time the fetch of one block's words along `path` through the I-cache
+  /// (`resident`: every line of the path is, and its hits are counted).
   void fetch_timed(std::uint32_t base_word, const scheme::EntryPath& path,
-                   std::uint64_t entry_cycle);
+                   std::uint64_t entry_cycle, bool resident);
 
   /// Replay an opened block's cipher ops on the engine model.
   void replay_timed(const scheme::DeviceBlock& dev,
                     const scheme::EntryPath& path, std::uint64_t entry_cycle);
+
+  /// An entry's timing relative to its entry cycle, with every line of its
+  /// path resident on a pipelined engine (see the file comment).
+  struct Schedule {
+    static constexpr std::uint64_t kNoKey = ~0ull;
+    std::uint64_t key = kNoKey;  ///< schedule_key() it was timed under
+    std::uint64_t fetch_cursor = 0;
+    std::uint64_t verify_cycle = 0;
+    std::vector<std::uint64_t> decrypt_done;  ///< per block word on the path
+    /// Per op class: whether the entry's ops moved the engine's next free
+    /// slot, and where to (an op starts at or after the entry cycle, so a
+    /// moved slot lies past it).
+    bool moves[2] = {false, false};
+    std::uint64_t next_slot[2] = {0, 0};
+  };
+
+  /// The Schedule key of an entry along `path` at `entry_cycle`: the entry
+  /// offset, the entry cycle's parity and the engine's free slots relative
+  /// to the entry cycle, clamped at 0 (every op is ready at or after the
+  /// entry cycle, so an earlier slot delays nothing). Null when a slot lies
+  /// too far ahead to pack.
+  std::optional<std::uint64_t> schedule_key(const scheme::EntryPath& path,
+                                            std::uint64_t entry_cycle) const;
 
   Core& core_;
   ICache& icache_;
   CipherEngine& engine_;
   const SimConfig& config_;
   BlockCache blocks_;
+  /// Kept schedules, direct-mapped by a multiplicative hash of the key; a
+  /// key whose slot another holds is timed afresh and takes the slot. A
+  /// paper-sweep run meets a few dozen keys.
+  static constexpr unsigned kScheduleBits = 8;
+  std::vector<Schedule> schedules_;
 
   // Per-entry scratch, reused across entries.
   BlockTiming timing_;
-  std::vector<std::uint32_t> raw_;
   std::vector<std::uint64_t> fetch_done_;
   std::vector<std::uint64_t> ks_done_;
 

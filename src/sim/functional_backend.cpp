@@ -26,16 +26,17 @@ class FunctionalMachine {
                     BlockStore& store)
       : image_(image),
         config_(config),
-        core_(image, config.fault, result_),
-        fault_armed_(core_.fault_pending()) {
+        core_(image, config.fault, result_) {
     if (image.sofia) blocks_.emplace(&store, image, config);
   }
 
   RunResult run() {
-    if (image_.sofia)
+    if (image_.sofia) {
       run_sofia();
-    else
+      result_.stats.fetch_words = blocks_->words_fetched();
+    } else {
       run_vanilla();
+    }
     // No timing model: "cycles" is the retired instruction count, and the
     // reset/trace timestamps below use the same clock.
     result_.stats.cycles = result_.stats.insts;
@@ -66,35 +67,16 @@ class FunctionalMachine {
   // ---- fetch path ---------------------------------------------------------
 
   /// The admitted block entry at (target_word, prev_word), from the front
-  /// cache when its words cannot have changed.
+  /// cache when its words cannot have changed. Only called between blocks,
+  /// as BlockCache::trusted() requires.
   const Admission& enter_block(std::uint32_t target_word,
                                std::uint32_t prev_word) {
-    // The front cache goes stale when a store hits the text (see exec) or
-    // an armed fault fires (a block opened before may hold the faulted
-    // word). It is dropped here, between blocks — never while run_sofia()
-    // still executes out of a reference into it.
-    if (text_dirty_ || (fault_armed_ && !core_.fault_pending())) {
-      blocks_->clear();
-      text_dirty_ = false;
-      fault_armed_ = core_.fault_pending();
-    }
-    // While the fault is armed every entry refetches, or the fetch counter
-    // would never reach the injection index.
-    if (!fault_armed_)
-      if (const OpenedBlock* rec = blocks_->cached(target_word, prev_word))
-        return rec->adm;
+    if (const OpenedBlock* rec =
+            blocks_->trusted(target_word, prev_word, core_))
+      return rec->adm;
     auto& st = result_.stats;
     ++st.blocks_fetched;
-    const OpenedBlock& rec = blocks_->admit(
-        target_word, prev_word,
-        [&](std::uint32_t base_word, const scheme::EntryPath& path)
-            -> const std::vector<std::uint32_t>& {
-          raw_.assign(config_.policy.words_per_block, 0);
-          for (const std::uint32_t j : path.sched)
-            raw_[j] = core_.fetch((base_word + j) * 4);
-          st.fetch_words += path.sched.size();
-          return raw_;
-        });
+    const OpenedBlock& rec = blocks_->admit(target_word, prev_word, core_);
     // A record reused from either cache counts the work its open did.
     if (!rec.raw.empty()) {
       st.ctr_ops += rec.dev.decrypt_ops.size();
@@ -208,15 +190,10 @@ class FunctionalMachine {
       case Effect::Kind::kExit: finish(RunResult::Status::kExited); break;
       case Effect::Kind::kFault: finish(RunResult::Status::kFault); break;
     }
-    // A store into the text section makes the front cache stale; the cycle
-    // machine refetches live and would see (and reset on) the modified
-    // ciphertext. Only mark it dirty here — the executing block is a
-    // reference into it, so the actual clear waits until the next
-    // enter_block().
-    if (effect.stored && image_.sofia &&
-        effect.store_addr + 4 > image_.text_base &&
-        effect.store_addr < image_.text_base + image_.text_bytes())
-      text_dirty_ = true;
+    // A store into the text makes the front cache stale. The executing
+    // block is a reference into it, so the cache is dropped only at the
+    // next enter_block() (BlockCache::trusted).
+    if (effect.stored && blocks_) blocks_->note_store(effect.store_addr);
     return pc + 4;
   }
 
@@ -226,11 +203,8 @@ class FunctionalMachine {
   Core core_;
   /// The run's block admissions (SOFIA images only).
   std::optional<BlockCache> blocks_;
-  std::vector<std::uint32_t> raw_;  ///< one entry's fetched words
   /// Source exit label of an in-flight indirect transfer (gating schemes).
   std::optional<std::uint8_t> pending_;
-  bool fault_armed_;         ///< the configured fault has yet to fire
-  bool text_dirty_ = false;  ///< store hit text; clear blocks_ between blocks
   bool done_ = false;
 };
 

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/config.hpp"
@@ -16,6 +17,21 @@ class ICache {
   /// Cycles needed to deliver the word at `addr` (1 on hit, the configured
   /// refill penalty on miss); updates cache state.
   std::uint32_t access(std::uint32_t addr);
+
+  /// When every line holding a word `base_word + j` (j in `words`,
+  /// ascending) is resident, count one hit per word, as access() on each
+  /// would, and return true. Otherwise change nothing and return false.
+  /// Checks each line once, not each word.
+  bool hit_all(std::uint32_t base_word, std::span<const std::uint32_t> words) {
+    const std::uint32_t first = ((base_word + words.front()) * 4) >> line_bits_;
+    const std::uint32_t last = ((base_word + words.back()) * 4) >> line_bits_;
+    if (last < first) return false;  // wraps past the top of memory
+    for (std::uint32_t line = first; line <= last; ++line)
+      if (tags_[line & (num_lines_ - 1)] != std::uint64_t{line} + 1)
+        return false;
+    hits_ += words.size();
+    return true;
+  }
 
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }

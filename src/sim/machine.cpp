@@ -149,6 +149,8 @@ class Machine {
     st.exec_stall_cycles += start - cycle_;
 
     const Effect effect = core_.execute(in, fi.pc);
+    if constexpr (std::is_same_v<Fetch, SofiaFetch>)
+      if (effect.stored) fetch_.note_store(effect.store_addr);
     switch (effect.kind) {
       case Effect::Kind::kNext:
         break;

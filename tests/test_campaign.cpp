@@ -411,25 +411,32 @@ TEST(Campaign, EscapesReplayFromTheDocument) {
 TEST(Campaign, DetectionLatencyMatchesAcrossBackends) {
   // The reset criterion is architectural: the cycle-accurate and functional
   // backends must agree on every verdict and on the retired-instruction
-  // count at which each tampered run resets.
+  // count at which each tampered run resets. sponge is left out: its cycle
+  // runs can reset on a block fetched ahead of a taken exit and never
+  // entered, which the functional backend never opens (README, "Execution
+  // backends").
   auto spec = smoke_spec(60);
   std::erase_if(spec.cells, [](const campaign::CellSpec& c) {
-    return c.scheme != std::string(scheme::kDefaultScheme);
+    return c.scheme != std::string(scheme::kDefaultScheme) &&
+           c.scheme != "flta";
   });
-  ASSERT_EQ(spec.cells.size(), 1u);
+  ASSERT_EQ(spec.cells.size(), 2u);
   auto cycle_spec = spec;
   cycle_spec.backend = "cycle";
   const auto functional = campaign::run_campaign(spec, 4);
   const auto cycle = campaign::run_campaign(cycle_spec, 4);
-  const auto& f = functional.cells[0];
-  const auto& c = cycle.cells[0];
-  EXPECT_EQ(f.detected, c.detected);
-  EXPECT_EQ(f.harmless, c.harmless);
-  EXPECT_EQ(f.escaped, c.escaped);
-  EXPECT_EQ(f.causes, c.causes);
-  EXPECT_EQ(f.latency_min, c.latency_min);
-  EXPECT_EQ(f.latency_max, c.latency_max);
-  EXPECT_EQ(f.latency_total, c.latency_total);
+  for (std::size_t i = 0; i < spec.cells.size(); ++i) {
+    const auto& f = functional.cells[i];
+    const auto& c = cycle.cells[i];
+    const std::string cell = spec.cells[i].label();
+    EXPECT_EQ(f.detected, c.detected) << cell;
+    EXPECT_EQ(f.harmless, c.harmless) << cell;
+    EXPECT_EQ(f.escaped, c.escaped) << cell;
+    EXPECT_EQ(f.causes, c.causes) << cell;
+    EXPECT_EQ(f.latency_min, c.latency_min) << cell;
+    EXPECT_EQ(f.latency_max, c.latency_max) << cell;
+    EXPECT_EQ(f.latency_total, c.latency_total) << cell;
+  }
 }
 
 // Two dispatch sites with disjoint target sets — two distinct label

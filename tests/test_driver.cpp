@@ -509,8 +509,8 @@ TEST(Shard, SliceIsTheIndicesCongruentToK) {
 
 TEST(Shard, ShardedDocumentsCarryTheShardMember) {
   const auto doc = driver::to_json(driver::run_sweep(small_spec(), 1, {}, {1, 2}));
-  EXPECT_NE(doc.find("\"shard\": \"1/2\""), std::string::npos);
-  EXPECT_NE(doc.find("\"job_count\": 6"), std::string::npos);  // full matrix
+  EXPECT_NE(doc.find("\"shard\":\"1/2\""), std::string::npos);
+  EXPECT_NE(doc.find("\"job_count\":6"), std::string::npos);  // full matrix
 }
 
 TEST(Shard, MergeReassemblesTheCanonicalDocumentByteIdentically) {

@@ -504,7 +504,7 @@ TEST_F(Tools, SweepShardMergeIsByteIdenticalToUnsharded) {
   const auto whole_doc = slurp(whole);
   EXPECT_FALSE(whole_doc.empty());
   EXPECT_EQ(whole_doc, slurp(merged));
-  EXPECT_NE(slurp(s0).find("\"shard\": \"0/2\""), std::string::npos);
+  EXPECT_NE(slurp(s0).find("\"shard\":\"0/2\""), std::string::npos);
 
   // Merging an incomplete shard set must fail loudly.
   out = run_command(std::string(SOFIA_SWEEP_BIN) + " --merge " + merged + " " +
@@ -589,9 +589,9 @@ TEST_F(Tools, SweepMergeExitsOneOnAFailedJob) {
     ASSERT_EQ(code, 0) << out;
   }
   std::string forged = read_file(base + "_1.json");
-  const auto at = forged.find("\"ok\": true");
+  const auto at = forged.find("\"ok\":true");
   ASSERT_NE(at, std::string::npos) << forged;
-  forged.replace(at, 10, "\"ok\": false");
+  forged.replace(at, 9, "\"ok\":false");
   std::ofstream(base + "_1.json", std::ios::binary) << forged;
   const auto out = run_command(std::string(SOFIA_SWEEP_BIN) + " --merge " +
                                    base + "_m.json " + base + "_0.json " +
@@ -721,6 +721,34 @@ TEST_F(Tools, FleetRejectsZeroWorkersAndFailingLaunches) {
               std::string::npos)
         << e.tool << ": " << out;
   }
+}
+
+TEST_F(Tools, QuietFleetPrintsNoWorkerLinesButNamesAFailedWorker) {
+  // Under --quiet a coordinator's log holds its own lines only: no
+  // worker's "shard K/N" header or "done in" line. A failed worker is
+  // still named, and its own error is shown with it.
+  for (const std::string& tool :
+       {std::string(SOFIA_SWEEP_BIN) + " --smoke",
+        std::string(SOFIA_ATTACK_BIN) + " --campaign --smoke --jobs 20"}) {
+    int code = 0;
+    const auto out = run_command(
+        tool + " --workers 2 --threads 1 --quiet --json /dev/null", &code);
+    EXPECT_EQ(code, 0) << tool << ": " << out;
+    EXPECT_NE(out.find("merged 2 shard(s)"), std::string::npos) << out;
+    EXPECT_EQ(out.find("shard 0/2"), std::string::npos) << out;
+    EXPECT_EQ(out.find("shard 1/2"), std::string::npos) << out;
+    EXPECT_EQ(out.find("done in"), std::string::npos) << out;
+  }
+  int code = 0;
+  const auto out = run_command(
+      std::string(SOFIA_SWEEP_BIN) + " --smoke --workers 2 --quiet --launch '" +
+          SOFIA_SWEEP_BIN + " --matrix nope' --json /dev/null",
+      &code);
+  EXPECT_EQ(code, 1) << out;
+  EXPECT_NE(out.find("worker 0/2 failed (exit 1, empty document): '"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("unknown sweep matrix 'nope'"), std::string::npos) << out;
 }
 
 TEST_F(Tools, FleetRefusesShardMergeCacheStatsAndAStrayLaunch) {
