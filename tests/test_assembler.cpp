@@ -1,12 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "assembler/link.hpp"
 #include "assembler/program.hpp"
+#include "driver/sweep.hpp"
 #include "isa/isa.hpp"
+#include "random_program.hpp"
 #include "support/error.hpp"
+#include "support/hash.hpp"
+#include "support/hex.hpp"
+#include "support/rng.hpp"
 #include "workloads/workloads.hpp"
 
 namespace sofia::assembler {
@@ -322,6 +330,180 @@ TEST(Assembler, ErrorCarriesLineNumber) {
 
 TEST(Assembler, DuplicateLabelAcrossSectionsRejected) {
   EXPECT_THROW(assemble("main: halt\n.data\nmain: .word 1\n"), AsmError);
+}
+
+// ---------------------------------------------------------------------------
+// Pinned assembler output and diagnostics.
+// ---------------------------------------------------------------------------
+
+/// Every literal form the lexer accepts: hex in both cases, octal, explicit
+/// signs, the extremes of the 32-bit range, and each char and string escape.
+constexpr char kLiteralEdges[] = R"(
+; literal edge cases
+main:
+  addi r1, r0, 0x1F        # hex
+  addi r2, r0, -0x10
+  addi r3, r0, 010         ; octal
+  addi r4, r0, -010
+  addi r5, r0, +7
+  addi r6, r0, 00
+  andi r7, r7, 0X3fff
+  li r8, 0xFFFFFFFF
+  li r9, -2147483648
+  li r10, 4294967295
+  li r11, +0x7FFFFFFF
+  li r12, 'A'
+  li r13, '\n'
+  li r14, '\t'
+  li r15, '\0'
+  li r1, '\\'
+  li r2, '\''
+  li r3, ' '
+  lw r4, -4(sp)
+  sw r4, +8(sp)
+  lb r5, 0x10(sp)
+  lbu r5, (sp)
+  lui r6, 0x3FFFF
+  beq r1, r2, +3
+  bne r1, r2, -1
+  jal r0, -2
+  jalr r0, r1, 0
+end: halt
+.data
+w: .word 0x7FFFFFFF, -1, 017, +5, 0, -2147483648, 4294967295, w, end
+h: .half 0xFFFF, -32768, 65535, 0x7fff
+b: .byte 255, -128, 0x7f, 'z', '\n', -1
+s: .ascii "a\tb\n\"q\"\\"
+z: .asciiz "\0x"
+.space 3
+.align 8
+)";
+
+/// Everything assemble() produces, one line per fact (labels sorted).
+std::string render_program(const Program& prog) {
+  std::string out = "entry ";
+  out += prog.entry;
+  out += '\n';
+  for (const auto& si : prog.text) {
+    out += "inst " + std::to_string(static_cast<int>(si.inst.op));
+    for (const std::int64_t f :
+         {std::int64_t{si.inst.rd}, std::int64_t{si.inst.ra},
+          std::int64_t{si.inst.rb}, std::int64_t{si.inst.imm},
+          std::int64_t{static_cast<int>(si.reloc)}, std::int64_t{si.line}}) {
+      out += ' ';
+      out += std::to_string(f);
+    }
+    out += ' ';
+    out += si.target;
+    for (const auto& t : si.indirect_targets) {
+      out += " @";
+      out += t;
+    }
+    out += '\n';
+  }
+  for (const auto* table : {&prog.text_labels, &prog.data_labels}) {
+    const std::map<std::string, std::uint32_t> sorted(table->begin(),
+                                                      table->end());
+    for (const auto& [name, value] : sorted) {
+      out += "label ";
+      out += name;
+      out += ' ';
+      out += std::to_string(value);
+      out += '\n';
+    }
+    out += "--\n";
+  }
+  for (const auto& r : prog.data_relocs) {
+    out += "reloc ";
+    out += std::to_string(r.offset);
+    out += ' ';
+    out += r.symbol;
+    out += '\n';
+  }
+  out += "data";
+  for (const std::uint8_t byte : prog.data) {
+    out += ' ';
+    out += std::to_string(byte);
+  }
+  out += '\n';
+  return out;
+}
+
+// Every source the lint prefilter's scheme matrix assembles (88 jobs with
+// per-job seeds), six random programs and the literal edge cases, hashed
+// through render_program. A faster lexer or parser must leave it untouched.
+TEST(Assembler, MatrixSourcesAssembleToThePinnedDigest) {
+  std::vector<std::pair<std::string, std::string>> sources;
+  auto spec = driver::matrix("scheme");
+  spec.vary_seed = true;
+  for (const auto& job : driver::expand_jobs(spec))
+    sources.emplace_back(
+        "job " + std::to_string(job.index),
+        workloads::workload(job.workload).source(job.seed, job.size));
+  Rng rng(16);
+  for (int trial = 0; trial < 6; ++trial)
+    sources.emplace_back("random " + std::to_string(trial),
+                         test::random_program(rng));
+  sources.emplace_back("literals", kLiteralEdges);
+  ASSERT_EQ(sources.size(), 88u + 6u + 1u);
+
+  support::Sha256 hasher;
+  for (const auto& [label, source] : sources) {
+    hasher.update(label + '\n');
+    hasher.update(render_program(assemble(source)));
+  }
+  EXPECT_EQ(support::to_hex(hasher.digest()),
+            "c461efd4ac35ef851cf2890d6b04f54a0a48ba3cff53360c60a6c8b50f3ffce2");
+}
+
+TEST(Assembler, LiteralEdgeCasesDecodeAsStrtoll) {
+  const auto prog = assemble(kLiteralEdges);
+  const auto imm = [&](std::size_t i) { return prog.text.at(i).inst.imm; };
+  EXPECT_EQ(imm(0), 0x1F);
+  EXPECT_EQ(imm(1), -16);
+  EXPECT_EQ(imm(2), 8);   // octal
+  EXPECT_EQ(imm(3), -8);
+  EXPECT_EQ(imm(4), 7);
+  EXPECT_EQ(imm(6), 0x3FFF);
+  const std::vector<std::uint8_t> bytes(prog.data.begin() + 44,
+                                        prog.data.begin() + 50);
+  EXPECT_EQ(bytes, (std::vector<std::uint8_t>{0xFF, 0x80, 0x7F, 'z', '\n',
+                                              0xFF}));
+}
+
+// The exact diagnostic for each kind of malformed line.
+TEST(Assembler, ErrorMessagesArePinned) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"main:\n bogus r1, r2\n", "asm:2: unknown mnemonic 'bogus'"},
+      {"main:\n addi r1, r0, 99999\n",
+       "asm:2: encode addi: imm14 out of range"},
+      {"main:\n addi r99, r0, 1\n", "asm:2: expected register, got 'r99'"},
+      {"main:\n addi r1, r0, 12z\n", "asm:2: bad number '12z'"},
+      {"main:\n addi r1, r0, 09\n", "asm:2: bad number '09'"},
+      {"main:\n addi r1, r0, -\n", "asm:2: bad number '-'"},
+      {"main:\n add r1 r2, r3\n", "asm:2: expected ','"},
+      {"main:\n add r1, r2,\n", "asm:2: unexpected end of line"},
+      {"main:\n halt $\n", "asm:2: unexpected character '$'"},
+      {".data\n .ascii \"abc\n", "asm:2: unterminated string"},
+      {".data\n .ascii \"a\\q\"\n", "asm:2: bad string escape"},
+      {"main:\n li r1, '\\q'\n", "asm:2: bad char escape"},
+      {"main:\n li r1, 'ab'\n", "asm:2: unterminated char literal"},
+      {"main:\n .word 1\n", "asm:2: data directive outside .data"},
+      {"main:\n halt r1\n", "asm:2: trailing tokens on line"},
+      {"main:\n beq r1, r2, nowhere\n", "asm:2: undefined label 'nowhere'"},
+      {"main:\n lw r1, 4 r2\n", "asm:2: expected '('"},
+      {"main:\n 5\n", "asm:2: expected mnemonic or directive"},
+      {"main:\n.data\n .bogus\n", "asm:3: unknown directive '.bogus'"},
+      {".data\n .half x\n", "asm:2: label value requires .word"},
+  };
+  for (const auto& [source, message] : cases) {
+    try {
+      assemble(source);
+      ADD_FAILURE() << "no error for: " << source;
+    } catch (const AsmError& e) {
+      EXPECT_EQ(std::string(e.what()), message) << source;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

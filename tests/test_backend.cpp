@@ -1002,6 +1002,28 @@ struct DigestCase {
   std::function<sim::RunResult()> run;
 };
 
+constexpr char kSelfModifyingVanilla[] = R"(
+main:
+  li r1, 0
+  li r5, 0
+  la r10, bump
+loop:
+  call bump
+  bnez r5, done
+  li r5, 1
+  lbu r11, 1(r10)
+  xori r11, r11, 1
+  sb r11, 1(r10)
+  j loop
+done:
+  li r12, 0xFFFF0008
+  sw r1, 0(r12)
+  halt
+bump:
+  addi r1, r1, 1
+  ret
+)";
+
 /// The configuration `p`'s device runs with, tracing on.
 sim::SimConfig traced(const Pipeline& p) {
   sim::SimConfig cfg = p.effective_sim_config();
@@ -1063,6 +1085,32 @@ std::vector<DigestCase> digest_cases() {
                      sim::SimConfig cfg = traced(*crc);
                      cfg.max_trace = 37;
                      return crc->run_image(crc->hardened().image, cfg);
+                   }});
+  // Vanilla fetch faults: at 301 the flipped loop word executes once and
+  // then clean on the loop's next 60 passes; at 300 the flip makes the
+  // word illegal; at 0 it hits the first word of the run.
+  const auto vanilla_crc = workload("crc32", functional_profile());
+  for (const auto& [index, bit] :
+       {std::pair<std::uint64_t, std::uint32_t>{301, 3}, {300, 30}, {0, 30}}) {
+    std::string label = "crc32/vanilla-fetch-fault";
+    label += std::to_string(index);
+    label += "-bit";
+    label += std::to_string(bit);
+    cases.push_back({label, [vanilla_crc, index, bit] {
+                       sim::SimConfig cfg = traced(*vanilla_crc);
+                       cfg.fault.enabled = true;
+                       cfg.fault.fetch_index = index;
+                       cfg.fault.bit = bit;
+                       return vanilla_crc->run_image(
+                           vanilla_crc->vanilla_image(), cfg);
+                     }});
+  }
+  // A vanilla program that rewrites one byte of an instruction it has
+  // already executed, then executes it again: the second call adds 257.
+  const auto smc = std::make_shared<Pipeline>(
+      Pipeline::from_source(kSelfModifyingVanilla, functional_profile()));
+  cases.push_back({"self-modifying/vanilla", [smc] {
+                     return smc->run_image(smc->vanilla_image(), traced(*smc));
                    }});
   return cases;
 }
@@ -1133,6 +1181,10 @@ const PinnedDigest kPinnedDigests[] = {
     {"crc32/max-insts15", 0x95c117c42ac68fbbull},
     {"crc32/max-insts1020", 0xffe84fb3cd807aa3ull},
     {"crc32/trace-cap", 0xc3fcd76ecd9c4105ull},
+    {"crc32/vanilla-fetch-fault301-bit3", 0x310924065ed782afull},
+    {"crc32/vanilla-fetch-fault300-bit30", 0xe6b911f583623bceull},
+    {"crc32/vanilla-fetch-fault0-bit30", 0xb882d5f2b5d27739ull},
+    {"self-modifying/vanilla", 0xd77f66a16b37abcaull},
 };
 
 }  // namespace functional_digest
