@@ -1,6 +1,8 @@
 #include "verify/dataflow.hpp"
 
+#include <algorithm>
 #include <array>
+#include <functional>
 #include <optional>
 #include <set>
 #include <utility>
@@ -300,6 +302,7 @@ class Engine {
       if (!queued_[to]) {
         queued_[to] = true;
         worklist_.push_back(to);
+        std::push_heap(worklist_.begin(), worklist_.end(), std::greater<>());
       }
     }
   }
@@ -323,7 +326,10 @@ class Engine {
     boot[isa::kRegSp] = AbsVal::constant(m_.stack_top);
     propagate(entry_block, boot);
 
+    // Lowest block index first: a loop body settles before the blocks
+    // after the loop are visited with its intermediate states.
     while (!worklist_.empty()) {
+      std::pop_heap(worklist_.begin(), worklist_.end(), std::greater<>());
       const std::uint32_t i = worklist_.back();
       worklist_.pop_back();
       queued_[i] = false;
@@ -403,7 +409,7 @@ class Engine {
   std::vector<bool> reachable_;
   std::vector<bool> queued_;
   std::vector<std::uint32_t> joins_;
-  std::vector<std::uint32_t> worklist_;
+  std::vector<std::uint32_t> worklist_;  ///< min-heap of block indices
 
   std::vector<bool> dirty_;  ///< per initial-data byte: may be stored to
   bool dirty_all_ = false;

@@ -901,9 +901,9 @@ TEST(DataflowFacts, WorkIsPinnedOverTheSchemeMatrix) {
                         "transfers", std::to_string(a.result.transfers)}));
     transfers += a.result.transfers;
   }
-  EXPECT_EQ(transfers, 315369u);
+  EXPECT_EQ(transfers, 257786u);
   EXPECT_EQ(support::to_hex(hasher.digest()),
-            "8da84e497ce37bc5bc9d2c95e24540b38cc7f29963e6ce2ccc3fe75f3fe860a0");
+            "4bcefbe2a09332f11c1175a7ae3b0a3485449adc27ff898786709b64956b7b16");
 }
 
 /// Fixture for the tamper matrix: one source, transformed once; every
