@@ -24,16 +24,22 @@
 //
 // The representation never touches the heap: a constant set lives in a
 // fixed inline array with a count, and the operations that build candidate
-// sets (pairwise evaluation, joins) do so in stack buffers sized by
-// kMaxConsts. The engine re-runs each instruction's transfer dozens of
-// times on the way to its fixpoint, copying and joining 16-register
-// states as it goes, so this is what keeps the analysis cheap.
+// sets (pairwise evaluation, joins) do so in uninitialised stack buffers
+// sized by kMaxConsts. Every kind keeps a canonical 16-byte header (kind,
+// count, bounds, stride; a constant set's bounds are its smallest and
+// largest members), so equality compares the header at once and looks at
+// the members only for a set of three or more. The engine joins a
+// 16-register state into a block entry on every propagation, most
+// registers unchanged, so join_into/widen_into work in place and report
+// whether anything changed, and single constants take a fast path through
+// constant() and the pairwise operators.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <optional>
 #include <vector>
@@ -56,7 +62,13 @@ class AbsVal {
     v.kind_ = Kind::kTop;
     return v;
   }
-  static AbsVal constant(std::uint32_t c) { return from_sorted(&c, 1); }
+  static AbsVal constant(std::uint32_t c) {
+    AbsVal v;
+    v.kind_ = Kind::kConsts;
+    v.n_ = 1;
+    v.lo_ = v.hi_ = v.consts_[0] = c;
+    return v;
+  }
   /// The set {lo, lo+stride, ..., hi}; requires lo <= hi and
   /// (hi - lo) % stride == 0 (callers pass well-formed triples).
   static AbsVal interval(std::uint32_t lo, std::uint32_t hi,
@@ -93,12 +105,8 @@ class AbsVal {
   }
 
   /// Smallest / largest concrete value (valid unless bottom/top).
-  std::uint32_t min() const {
-    return kind_ == Kind::kConsts ? consts_[0] : lo_;
-  }
-  std::uint32_t max() const {
-    return kind_ == Kind::kConsts ? consts_[n_ - 1] : hi_;
-  }
+  std::uint32_t min() const { return lo_; }
+  std::uint32_t max() const { return hi_; }
 
   /// Call f(v) for every concrete value in ascending order when the set is
   /// finite and holds at most max_count members; otherwise (including
@@ -170,32 +178,53 @@ class AbsVal {
 
   // ---- lattice -------------------------------------------------------------
 
+  /// Every kind keeps its header (kind, count, bounds, stride) canonical,
+  /// so equal values have equal headers and only the members between a
+  /// constant set's bounds remain to compare.
   friend bool operator==(const AbsVal& a, const AbsVal& b) {
-    if (a.kind_ != b.kind_) return false;
-    switch (a.kind_) {
-      case Kind::kBottom:
-      case Kind::kTop: return true;
-      case Kind::kConsts:
-        return a.n_ == b.n_ && std::equal(a.consts_.begin(),
-                                          a.consts_.begin() + a.n_,
-                                          b.consts_.begin());
-      case Kind::kInterval:
-        return a.lo_ == b.lo_ && a.hi_ == b.hi_ && a.stride_ == b.stride_;
-    }
-    return false;
+    static_assert(offsetof(AbsVal, consts_) == kHeaderBytes);
+    return std::memcmp(&a, &b, kHeaderBytes) == 0 &&
+           (a.n_ <= 2 || std::equal(a.consts_.begin() + 1,
+                                    a.consts_.begin() + a.n_ - 1,
+                                    b.consts_.begin() + 1));
   }
 
   static AbsVal join(const AbsVal& a, const AbsVal& b) {
-    if (a.kind_ == Kind::kBottom) return b;
-    if (b.kind_ == Kind::kBottom) return a;
-    if (a.kind_ == Kind::kTop || b.kind_ == Kind::kTop) return top();
+    AbsVal j = a;
+    join_into(j, b);
+    return j;
+  }
+
+  /// Widening: when `next` escapes `prev`'s bounds, snap the escaping bound
+  /// outward to the nearest threshold (sorted ascending) instead of taking
+  /// the join; a second escape past the last threshold goes to top.
+  static AbsVal widen(const AbsVal& prev, const AbsVal& next,
+                      const std::vector<std::uint32_t>& thresholds) {
+    AbsVal w = prev;
+    widen_into(w, next, thresholds);
+    return w;
+  }
+
+  /// a = join(a, b), in place; returns whether a changed. The engine joins
+  /// every register of every incoming state this way, so the common cases
+  /// (equal values, top, one side bottom) cost one header compare.
+  static bool join_into(AbsVal& a, const AbsVal& b) {
+    if (b.kind_ == Kind::kBottom || a.kind_ == Kind::kTop || a == b)
+      return false;
+    if (a.kind_ == Kind::kBottom || b.kind_ == Kind::kTop) {
+      a = b;
+      return true;
+    }
     if (a.kind_ == Kind::kConsts && b.kind_ == Kind::kConsts) {
-      std::array<std::uint32_t, 2 * kMaxConsts> merged{};
-      const auto end = std::set_union(
-          a.consts_.begin(), a.consts_.begin() + a.n_, b.consts_.begin(),
-          b.consts_.begin() + b.n_, merged.begin());
-      return from_sorted(merged.data(),
-                         static_cast<std::size_t>(end - merged.begin()));
+      std::array<std::uint32_t, 2 * kMaxConsts> merged;
+      const auto n = static_cast<std::size_t>(
+          std::set_union(a.consts_.begin(), a.consts_.begin() + a.n_,
+                         b.consts_.begin(), b.consts_.begin() + b.n_,
+                         merged.begin()) -
+          merged.begin());
+      if (n == a.n_) return false;  // b is a subset of a
+      a.assign_sorted(merged.data(), n);
+      return true;
     }
     // At least one interval: hull with gcd stride.
     const std::uint32_t lo = std::min(a.min(), b.min());
@@ -204,42 +233,44 @@ class AbsVal {
     stride = std::gcd(stride, a.min() > lo ? a.min() - lo : b.min() - lo);
     if (stride == 0) stride = 1;
     if ((hi - lo) % stride != 0) stride = std::gcd(stride, hi - lo);
-    return interval(lo, hi, stride == 0 ? 1 : stride);
+    const AbsVal j = interval(lo, hi, stride == 0 ? 1 : stride);
+    if (j == a) return false;
+    a = j;
+    return true;
   }
 
-  /// Widening: when `next` escapes `prev`'s bounds, snap the escaping bound
-  /// outward to the nearest threshold (sorted ascending) instead of taking
-  /// the join; a second escape past the last threshold goes to top.
-  static AbsVal widen(const AbsVal& prev, const AbsVal& next,
-                      const std::vector<std::uint32_t>& thresholds) {
-    const AbsVal j = join(prev, next);
-    if (j == prev || prev.is_top()) return prev;
-    if (j.is_top() || prev.is_bottom()) return j;
-    // Constant sets may keep growing up to kMaxConsts without widening.
-    if (j.kind_ == Kind::kConsts) return j;
-    std::uint32_t lo = j.min();
-    std::uint32_t hi = j.max();
-    if (!prev.is_bottom() && lo < prev.min()) {
+  /// prev = widen(prev, next, thresholds), in place; returns whether prev
+  /// changed.
+  static bool widen_into(AbsVal& prev, const AbsVal& next,
+                         const std::vector<std::uint32_t>& thresholds) {
+    const AbsVal::Kind was = prev.kind_;
+    const std::uint32_t prev_min = prev.lo_, prev_max = prev.hi_;
+    if (!join_into(prev, next)) return false;
+    // prev now holds the join. Constant sets may keep growing up to
+    // kMaxConsts without widening.
+    if (was == Kind::kBottom || prev.kind_ != Kind::kInterval) return true;
+    std::uint32_t lo = prev.lo_;
+    std::uint32_t hi = prev.hi_;
+    if (lo < prev_min) {
       // Largest threshold <= lo, else 0.
       std::uint32_t snapped = 0;
       for (const std::uint32_t t : thresholds)
         if (t <= lo) snapped = t;
       lo = snapped;
     }
-    if (!prev.is_bottom() && hi > prev.max()) {
+    if (hi > prev_max) {
       // Smallest threshold > hi, else top.
-      std::uint32_t snapped = 0;
-      bool found = false;
-      for (const std::uint32_t t : thresholds)
-        if (t > hi) {
-          snapped = t;
-          found = true;
-          break;
-        }
-      if (!found) return top();
-      hi = snapped;
+      const auto t = std::upper_bound(thresholds.begin(), thresholds.end(), hi);
+      if (t == thresholds.end()) {
+        prev = top();
+        return true;
+      }
+      hi = *t;
     }
-    return interval(lo, hi, 1);
+    // The widened set contains the join, which strictly contains the old
+    // prev, so it differs from the old prev.
+    prev = interval(lo, hi, 1);
+    return true;
   }
 
   // ---- transfer functions --------------------------------------------------
@@ -333,13 +364,25 @@ class AbsVal {
 
   /// The set of `n` sorted, unique values.
   static AbsVal from_sorted(const std::uint32_t* sorted, std::size_t n) {
-    if (n == 0) return bottom();
-    if (n > kMaxConsts) return hull(sorted, n);
     AbsVal v;
-    v.kind_ = Kind::kConsts;
-    v.n_ = static_cast<std::uint8_t>(n);
-    std::copy(sorted, sorted + n, v.consts_.begin());
+    v.assign_sorted(sorted, n);
     return v;
+  }
+
+  /// Become the set of `n` sorted, unique values.
+  void assign_sorted(const std::uint32_t* sorted, std::size_t n) {
+    if (n == 0) {
+      *this = bottom();
+    } else if (n > kMaxConsts) {
+      *this = hull(sorted, n);
+    } else {
+      kind_ = Kind::kConsts;
+      n_ = static_cast<std::uint8_t>(n);
+      lo_ = sorted[0];
+      hi_ = sorted[n - 1];
+      stride_ = 1;
+      std::copy(sorted, sorted + n, consts_.begin());
+    }
   }
 
   /// Pairwise evaluation over two constant sets; anything else is top.
@@ -347,7 +390,8 @@ class AbsVal {
   static AbsVal exact(const AbsVal& a, const AbsVal& b, F f) {
     if (a.kind_ == Kind::kBottom || b.kind_ == Kind::kBottom) return bottom();
     if (a.kind_ != Kind::kConsts || b.kind_ != Kind::kConsts) return top();
-    std::array<std::uint32_t, kMaxConsts * kMaxConsts> out{};
+    if (a.n_ == 1 && b.n_ == 1) return constant(f(a.lo_, b.lo_));
+    std::array<std::uint32_t, kMaxConsts * kMaxConsts> out;
     std::size_t n = 0;
     for (std::size_t i = 0; i < a.n_; ++i)
       for (std::size_t j = 0; j < b.n_; ++j)
@@ -379,8 +423,14 @@ class AbsVal {
 
   Kind kind_ = Kind::kBottom;
   std::uint8_t n_ = 0;  ///< members in consts_ (kConsts)
+  std::uint16_t zero_ = 0;  ///< keeps the header free of padding
+  /// Bounds of every kind but bottom/top (0 there); stride of an interval
+  /// (1 for every other kind).
+  std::uint32_t lo_ = 0, hi_ = 0, stride_ = 1;
   std::array<std::uint32_t, kMaxConsts> consts_{};  ///< sorted, unique
-  std::uint32_t lo_ = 0, hi_ = 0, stride_ = 1;  ///< (kInterval)
+
+  /// kind_ through stride_: 16 bytes with no padding, compared at once.
+  static constexpr std::size_t kHeaderBytes = 16;
 };
 
 }  // namespace sofia::verify

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <functional>
 #include <optional>
 #include <set>
@@ -16,6 +17,28 @@ namespace sofia::verify::dataflow {
 namespace {
 
 using State = std::array<AbsVal, isa::kNumRegs>;
+
+/// The registers of the block the engine is running, each one a pointer to
+/// its current value: the block's entry state for a register the block has
+/// not written, else the result its last writer left in the memo. Nothing
+/// is copied to start a block.
+class Regs {
+ public:
+  /// Start a block from `entry`, which must outlive the run.
+  void start(const State& entry) {
+    for (unsigned r = 0; r < isa::kNumRegs; ++r) at_[r] = &entry[r];
+  }
+  const AbsVal& operator[](unsigned r) const { return *at_[r]; }
+  /// Register r now holds `v`, which must outlive the run.
+  void point(unsigned r, const AbsVal& v) { at_[r] = &v; }
+
+ private:
+  std::array<const AbsVal*, isa::kNumRegs> at_{};
+};
+
+/// Register masks: bit r stands for register r.
+constexpr std::uint32_t kAllRegs = (1u << isa::kNumRegs) - 1;
+constexpr std::uint32_t bit(unsigned r) { return 1u << r; }
 
 /// Inner-fixpoint widening delay: joins into a block entry beyond this
 /// count switch from plain join to threshold widening.
@@ -53,11 +76,16 @@ class Engine {
     // Decode every block once; an undecodable or missing word simply
     // havocs the state at that point (check_static attributes it).
     code_.resize(m_.blocks.size());
+    memo_base_.resize(m_.blocks.size());
+    std::size_t insts = 0;
     for (std::size_t i = 0; i < m_.blocks.size(); ++i) {
+      memo_base_[i] = static_cast<std::uint32_t>(insts);
+      insts += m_.blocks[i].inst_words.size();
       code_[i].reserve(m_.blocks[i].inst_words.size());
       for (const std::uint32_t w : m_.blocks[i].inst_words)
         code_[i].push_back(isa::decode(w));
     }
+    memo_.resize(insts);
     // Widening thresholds: the section boundaries, so a widened pointer
     // still proves "below text" / "inside data" instead of jumping to top.
     const std::set<std::uint32_t> t = {
@@ -159,65 +187,52 @@ class Engine {
 
   // ---- transfer functions --------------------------------------------------
 
-  static const AbsVal& reg(const State& s, unsigned r) { return s[r]; }
-
-  static void set_reg(State& s, unsigned r, AbsVal v) {
-    if (r != isa::kRegZero) s[r] = std::move(v);
-  }
-
-  /// Apply one instruction to the state (no control effect).
-  void step(State& s, const isa::Instruction& in, std::uint32_t word_addr) {
-    ++transfers_;
+  /// The value one instruction writes to its destination register, or
+  /// nothing for an instruction without a register effect.
+  std::optional<AbsVal> step(const Regs& s, const isa::Instruction& in,
+                             std::uint32_t word_addr) const {
     using isa::Opcode;
-    const AbsVal& a = reg(s, in.ra);
-    const AbsVal& bv = reg(s, in.rb);
+    const AbsVal& a = s[in.ra];
+    const AbsVal& bv = s[in.rb];
     const auto uimm = static_cast<std::uint32_t>(in.imm);
     const auto immv = [uimm] { return AbsVal::constant(uimm); };
     switch (in.op) {
-      case Opcode::kAdd: set_reg(s, in.rd, AbsVal::add(a, bv)); break;
-      case Opcode::kSub: set_reg(s, in.rd, AbsVal::sub(a, bv)); break;
-      case Opcode::kAnd: set_reg(s, in.rd, AbsVal::and_(a, bv)); break;
-      case Opcode::kOr: set_reg(s, in.rd, AbsVal::or_(a, bv)); break;
-      case Opcode::kXor: set_reg(s, in.rd, AbsVal::xor_(a, bv)); break;
-      case Opcode::kSll: set_reg(s, in.rd, AbsVal::shl(a, bv)); break;
-      case Opcode::kSrl: set_reg(s, in.rd, AbsVal::shr(a, bv)); break;
-      case Opcode::kMul: set_reg(s, in.rd, AbsVal::mul(a, bv)); break;
+      case Opcode::kAdd: return AbsVal::add(a, bv);
+      case Opcode::kSub: return AbsVal::sub(a, bv);
+      case Opcode::kAnd: return AbsVal::and_(a, bv);
+      case Opcode::kOr: return AbsVal::or_(a, bv);
+      case Opcode::kXor: return AbsVal::xor_(a, bv);
+      case Opcode::kSll: return AbsVal::shl(a, bv);
+      case Opcode::kSrl: return AbsVal::shr(a, bv);
+      case Opcode::kMul: return AbsVal::mul(a, bv);
       case Opcode::kAddi:
         // Negative immediates are 2^32 - |imm| after the unsigned cast;
         // model them as subtraction so interval shapes survive.
         if (in.imm < 0)
-          set_reg(s, in.rd,
-                  AbsVal::sub(a, AbsVal::constant(
-                                     static_cast<std::uint32_t>(-in.imm))));
-        else
-          set_reg(s, in.rd, AbsVal::add(a, immv()));
-        break;
-      case Opcode::kAndi: set_reg(s, in.rd, AbsVal::and_(a, immv())); break;
-      case Opcode::kOri: set_reg(s, in.rd, AbsVal::or_(a, immv())); break;
-      case Opcode::kXori: set_reg(s, in.rd, AbsVal::xor_(a, immv())); break;
-      case Opcode::kSlli: set_reg(s, in.rd, AbsVal::shl(a, immv())); break;
-      case Opcode::kSrli: set_reg(s, in.rd, AbsVal::shr(a, immv())); break;
-      case Opcode::kLui:
-        set_reg(s, in.rd, AbsVal::constant(uimm << 14));
-        break;
+          return AbsVal::sub(
+              a, AbsVal::constant(static_cast<std::uint32_t>(-in.imm)));
+        return AbsVal::add(a, immv());
+      case Opcode::kAndi: return AbsVal::and_(a, immv());
+      case Opcode::kOri: return AbsVal::or_(a, immv());
+      case Opcode::kXori: return AbsVal::xor_(a, immv());
+      case Opcode::kSlli: return AbsVal::shl(a, immv());
+      case Opcode::kSrli: return AbsVal::shr(a, immv());
+      case Opcode::kLui: return AbsVal::constant(uimm << 14);
       case Opcode::kSlt:
       case Opcode::kSltu:
       case Opcode::kSlti:
       case Opcode::kSltiu:
-        set_reg(s, in.rd, AbsVal::interval(0, 1));
-        break;
+        return AbsVal::interval(0, 1);
       case Opcode::kLw:
       case Opcode::kLh:
       case Opcode::kLhu:
       case Opcode::kLb:
       case Opcode::kLbu:
-        set_reg(s, in.rd, load_value(in.op, AbsVal::add(a, immv())));
-        break;
+        return load_value(in.op, AbsVal::add(a, immv()));
       case Opcode::kJal:
       case Opcode::kJalr:
         // Link register: the concrete return address.
-        set_reg(s, in.rd, AbsVal::constant(word_addr * 4 + 4));
-        break;
+        return AbsVal::constant(word_addr * 4 + 4);
       case Opcode::kSw:
       case Opcode::kSh:
       case Opcode::kSb:
@@ -229,19 +244,31 @@ class Engine {
       case Opcode::kBge:
       case Opcode::kBltu:
       case Opcode::kBgeu:
-        break;  // no register effect
+        return std::nullopt;  // no register effect
       default:
-        set_reg(s, in.rd, AbsVal::top());  // kSra/kSrai and anything new
-        break;
+        return AbsVal::top();  // kSra/kSrai and anything new
     }
   }
 
-  /// Run the whole block's instructions from its (fixed) entry state;
-  /// optionally collect store/indirect facts along the way.
-  State transfer_block(std::uint32_t i, std::vector<StoreFact>* stores,
-                       std::vector<IndirectFact>* indirects) {
+  /// Run the whole block's instructions from its (fixed) entry state,
+  /// leaving its exit state in regs_ and the registers that may differ
+  /// from the last visit's exit in exit_changed_; optionally collect
+  /// store/indirect facts along the way.
+  ///
+  /// Every instruction's result is kept in the memo. An instruction whose
+  /// operands equal the last visit's (neither is in `changed`) would
+  /// compute the same result again, so it reuses the memo; the first visit
+  /// in a round computes everything.
+  void transfer_block(std::uint32_t i, std::vector<StoreFact>* stores,
+                      std::vector<IndirectFact>* indirects) {
     const ModelBlock& blk = m_.blocks[i];
-    State s = entry_[i];
+    Regs& s = regs_;
+    s.start(entry_[i]);
+    const bool first = !visited_[i];
+    visited_[i] = true;
+    const std::uint32_t pending = std::exchange(entry_changed_[i], 0);
+    std::uint32_t changed = first ? kAllRegs : pending;
+    Slot* const slots = memo_.data() + memo_base_[i];
     const std::uint32_t header =
         b_ - static_cast<std::uint32_t>(blk.inst_words.size());
     for (std::size_t k = 0; k < code_[i].size(); ++k) {
@@ -249,47 +276,64 @@ class Engine {
           blk.base_word + header + static_cast<std::uint32_t>(k);
       const auto& inst = code_[i][k];
       if (!inst) {
-        // Undecodable word: havoc everything except the zero register.
-        for (unsigned r = 1; r < isa::kNumRegs; ++r) s[r] = AbsVal::top();
+        // Undecodable word: havoc everything except the zero register
+        // (the same top on every visit).
+        for (unsigned r = 1; r < isa::kNumRegs; ++r) s.point(r, top_);
+        changed &= bit(isa::kRegZero);
         continue;
       }
-      if (isa::is_store(inst->op)) {
-        const AbsVal addr = AbsVal::add(
-            reg(s, inst->ra),
-            AbsVal::constant(static_cast<std::uint32_t>(inst->imm)));
-        if (stores)
-          stores->push_back(
-              StoreFact{i, word_addr, access_size(inst->op), addr});
-      } else if (isa::is_indirect_jump(*inst)) {
+      if (stores && isa::is_store(inst->op)) {
+        stores->push_back(StoreFact{
+            i, word_addr, access_size(inst->op),
+            AbsVal::add(s[inst->ra],
+                        AbsVal::constant(
+                            static_cast<std::uint32_t>(inst->imm)))});
+      } else if (indirects && isa::is_indirect_jump(*inst)) {
         // The hardware clears the two low bits of the computed target.
         AbsVal target = AbsVal::add(
-            reg(s, inst->ra),
+            s[inst->ra],
             AbsVal::constant(static_cast<std::uint32_t>(inst->imm)));
-        std::array<std::uint32_t, kMaxStoreAddrs> cleared{};
+        std::array<std::uint32_t, kMaxStoreAddrs> cleared;
         std::size_t n = 0;
         if (target.for_each(kMaxStoreAddrs,
                             [&](std::uint32_t v) { cleared[n++] = v & ~3u; }))
           target = AbsVal::consts(cleared.data(), n);
-        if (indirects) indirects->push_back(IndirectFact{i, word_addr, target});
+        indirects->push_back(IndirectFact{i, word_addr, target});
       }
-      step(s, *inst, word_addr);
+      ++transfers_;
+      Slot& slot = slots[k];
+      bool fresh = false;  // the result differs from the last visit's
+      if (first || (changed & (bit(inst->ra) | bit(inst->rb))) != 0) {
+        auto next = step(s, *inst, word_addr);
+        slot.writes = next && inst->rd != isa::kRegZero;
+        if (slot.writes && (first || !(*next == slot.value))) {
+          slot.value = std::move(*next);
+          fresh = true;
+        }
+      }
+      if (slot.writes) {
+        s.point(inst->rd, slot.value);
+        changed = fresh ? changed | bit(inst->rd) : changed & ~bit(inst->rd);
+      }
     }
-    return s;
+    exit_changed_ = first ? kAllRegs : changed;
   }
 
   // ---- the worklist fixpoint -----------------------------------------------
 
-  void propagate(std::uint32_t to, const State& incoming) {
+  /// Join the registers in `regs` (a mask) of `incoming` into block to's
+  /// entry state. The other registers hold what an earlier propagate along
+  /// this edge already joined in, so they cannot change it.
+  void propagate(std::uint32_t to, const Regs& incoming, std::uint32_t regs) {
     State& cur = entry_[to];
     bool changed = false;
     const bool widen = joins_[to] >= kWidenAfter;
-    for (unsigned r = 0; r < isa::kNumRegs; ++r) {
-      // join and widen are idempotent: an equal register cannot change.
+    for (; regs != 0; regs &= regs - 1) {
+      const auto r = static_cast<unsigned>(std::countr_zero(regs));
       if (incoming[r] == cur[r]) continue;
-      AbsVal next = widen ? AbsVal::widen(cur[r], incoming[r], thresholds_)
-                          : AbsVal::join(cur[r], incoming[r]);
-      if (!(next == cur[r])) {
-        cur[r] = std::move(next);
+      if (widen ? AbsVal::widen_into(cur[r], incoming[r], thresholds_)
+                : AbsVal::join_into(cur[r], incoming[r])) {
+        entry_changed_[to] |= bit(r);
         changed = true;
       }
     }
@@ -307,15 +351,13 @@ class Engine {
     }
   }
 
-  void flow_to(std::uint64_t byte_addr, const State& out) {
-    if (const auto blk = block_at(byte_addr)) propagate(*blk, out);
-  }
-
   void fixpoint(std::uint32_t entry_block) {
     entry_.assign(m_.blocks.size(), State{});
     reachable_.assign(m_.blocks.size(), false);
     queued_.assign(m_.blocks.size(), false);
     joins_.assign(m_.blocks.size(), 0);
+    visited_.assign(m_.blocks.size(), false);
+    entry_changed_.assign(m_.blocks.size(), 0);
     worklist_.clear();
 
     // Architectural reset state: sp holds the image's stack top, the zero
@@ -324,7 +366,8 @@ class Engine {
     boot.fill(AbsVal::top());
     boot[isa::kRegZero] = AbsVal::constant(0);
     boot[isa::kRegSp] = AbsVal::constant(m_.stack_top);
-    propagate(entry_block, boot);
+    regs_.start(boot);
+    propagate(entry_block, regs_, kAllRegs);
 
     // Lowest block index first: a loop body settles before the blocks
     // after the loop are visited with its intermediate states.
@@ -334,29 +377,40 @@ class Engine {
       worklist_.pop_back();
       queued_[i] = false;
       const ModelBlock& blk = m_.blocks[i];
-      const State out = transfer_block(i, nullptr, nullptr);
+      transfer_block(i, nullptr, nullptr);
       if (code_[i].empty()) continue;
       const auto& exit_inst = code_[i].back();
       const std::int64_t exit_word = blk.base_word + b_ - 1;
       const std::int64_t fall = (blk.base_word + b_) * std::int64_t{4};
       if (!exit_inst) continue;  // undecodable exit: no known successors
+      // regs_ still reads the registers the block did not write from
+      // entry_[i], so an edge back to block i goes last: joining into
+      // entry_[i] must not change what the other successors receive. The
+      // order of the other edges does not matter, since the worklist pops
+      // by block index.
+      bool self_edge = false;
+      const auto flow_to = [&](std::uint64_t byte_addr) {
+        const auto to = block_at(byte_addr);
+        if (!to) return;
+        if (*to == i)
+          self_edge = true;
+        else
+          propagate(*to, regs_, exit_changed_);
+      };
       const isa::Instruction& in = *exit_inst;
       if (isa::is_cond_branch(in.op)) {
-        flow_to((exit_word + in.imm) * 4, out);
-        flow_to(fall, out);
+        flow_to((exit_word + in.imm) * 4);
+        flow_to(fall);
       } else if (in.op == isa::Opcode::kJal) {
-        flow_to((exit_word + in.imm) * 4, out);
+        flow_to((exit_word + in.imm) * 4);
       } else if (in.op == isa::Opcode::kJalr) {
-        if (isa::is_ret(in)) {
-          for (const std::uint32_t target : blk.ret_targets)
-            flow_to(target, out);
-        } else {
-          for (const std::uint32_t target : blk.jalr_targets)
-            flow_to(target, out);
-        }
+        for (const std::uint32_t target :
+             isa::is_ret(in) ? blk.ret_targets : blk.jalr_targets)
+          flow_to(target);
       } else if (in.op != isa::Opcode::kHalt) {
-        flow_to(fall, out);
+        flow_to(fall);
       }
+      if (self_edge) propagate(i, regs_, exit_changed_);
     }
   }
 
@@ -410,6 +464,20 @@ class Engine {
   std::vector<bool> queued_;
   std::vector<std::uint32_t> joins_;
   std::vector<std::uint32_t> worklist_;  ///< min-heap of block indices
+  Regs regs_;  ///< the running block's registers
+  std::uint32_t exit_changed_ = 0;  ///< see transfer_block
+
+  /// One instruction's last result, kept across visits within a round.
+  struct Slot {
+    AbsVal value;
+    bool writes = false;  ///< it writes a register other than zero
+  };
+  std::vector<Slot> memo_;                ///< per instruction, by block
+  std::vector<std::uint32_t> memo_base_;  ///< block -> its first slot
+  std::vector<bool> visited_;             ///< run this round
+  /// Per block: entry registers changed since the block last ran.
+  std::vector<std::uint32_t> entry_changed_;
+  const AbsVal top_ = AbsVal::top();
 
   std::vector<bool> dirty_;  ///< per initial-data byte: may be stored to
   bool dirty_all_ = false;

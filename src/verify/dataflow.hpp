@@ -17,6 +17,16 @@
 // return target (the model's ret_targets). Gated jalr edges follow the
 // declared target set — exactly the edges the runtime gate admits.
 //
+// The worklist pops the lowest pending block index first, so a loop body
+// settles before the blocks after it see its intermediate states. Each
+// block run starts from the block's entry state in place (no copy) and
+// keeps every instruction's result; a later run recomputes only the
+// instructions whose operands changed since the block last ran, and joins
+// only the exit registers that changed into its successors. Both shortcuts
+// skip work whose outcome is already known, so the fixpoint, the order of
+// the visits and the `transfers` count are those of recomputing
+// everything.
+//
 // Loads resolve against the *initial* data section only when the engine
 // has proven no store can dirty the loaded bytes. That proof is itself a
 // fixpoint: an outer iteration re-runs the analysis with a growing dirty
@@ -56,7 +66,9 @@ struct DataflowResult {
   std::vector<StoreFact> stores;        ///< in (block, word) order
   std::vector<IndirectFact> indirects;  ///< in (block, word) order
   std::uint32_t rounds = 0;      ///< outer dirty-set iterations used
-  std::uint64_t transfers = 0;   ///< instruction transfer applications
+  /// Instructions walked: one per decoded instruction per block run,
+  /// whether its transfer was computed or reused.
+  std::uint64_t transfers = 0;
 };
 
 /// Run the abstract interpretation to fixpoint. Never throws for model
