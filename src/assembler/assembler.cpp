@@ -12,6 +12,16 @@
 //   .ascii "s" / .asciiz "s"
 //   .align n          pad the data section to an n-byte boundary
 //
+// Numbers read as C's strtoll reads base 0: decimal, 0x/0X hex, octal
+// after a leading 0, each with an optional sign; 'c' is a char literal.
+// Every literal must fit 32 bits, signed or unsigned ([-2^31, 2^32 - 1]);
+// an instruction immediate must fit a signed 32-bit field before its own
+// field check (only li takes the unsigned upper half), and a .half or
+// .byte value must fit its field signed or unsigned. Nothing wraps.
+//
+// Each line is split into tokens that view the source text, in buffers
+// the lexer reuses from line to line.
+//
 // The data section as a whole is capped at kMaxDataBytes, checked before
 // each directive grows it, so a short hostile source cannot make the
 // assembler allocate gigabytes.
@@ -20,9 +30,12 @@
 // bltz, bgtz, blez, ble, bgt, bleu, bgtu, seqz, snez.
 #include "assembler/program.hpp"
 
-#include <cctype>
-#include <cstdlib>
+#include <algorithm>
+#include <array>
+#include <deque>
+#include <limits>
 #include <optional>
+#include <string>
 #include <string_view>
 
 #include "support/bits.hpp"
@@ -39,30 +52,89 @@ using isa::Opcode;
 /// stay far below it.
 constexpr std::uint64_t kMaxDataBytes = std::uint64_t{1} << 24;
 
+/// Every byte value as a one-character string, so a char literal's token
+/// text can name the character it stands for.
+constexpr std::array<char, 256> kByteChars = [] {
+  std::array<char, 256> chars{};
+  for (std::size_t i = 0; i < chars.size(); ++i)
+    chars[i] = static_cast<char>(i);
+  return chars;
+}();
+
+/// Numeric literals must fit 32 bits, signed or unsigned.
+constexpr std::int64_t kMinLiteral = -(std::int64_t{1} << 31);
+constexpr std::int64_t kMaxLiteral = (std::int64_t{1} << 32) - 1;
+
 struct Token {
-  enum class Kind { kIdent, kNumber, kPunct, kString } kind;
-  std::string text;
+  enum class Kind : std::uint8_t { kIdent, kNumber, kPunct, kString } kind;
+  /// The source text; a string literal's decoded contents; the character
+  /// a char literal stands for. Valid until the lexer's next line.
+  std::string_view text;
   std::int64_t value = 0;  // for kNumber
 };
 
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+bool is_alpha(char c) { return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'); }
+bool is_alnum(char c) { return is_digit(c) || is_alpha(c); }
+bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// A digit's value in bases up to 36, or 36 for any other character.
+unsigned digit_value(char c) {
+  if (is_digit(c)) return static_cast<unsigned>(c - '0');
+  if (c >= 'a' && c <= 'z') return static_cast<unsigned>(c - 'a') + 10;
+  if (c >= 'A' && c <= 'Z') return static_cast<unsigned>(c - 'A') + 10;
+  return 36;
+}
+
+/// The value of `t` read as strtoll reads base 0 (an optional sign, then
+/// 0x/0X hex, octal after a leading 0, or decimal), or nullopt unless the
+/// whole token is such a number. A magnitude past kMaxLiteral is clamped
+/// to kMaxLiteral + 1, which is out of range either way.
+std::optional<std::int64_t> parse_number(std::string_view t) {
+  std::size_t i = 0;
+  const bool negative = !t.empty() && t[0] == '-';
+  if (!t.empty() && (t[0] == '-' || t[0] == '+')) ++i;
+  unsigned base = 10;
+  if (i + 2 < t.size() && t[i] == '0' && (t[i + 1] == 'x' || t[i + 1] == 'X') &&
+      digit_value(t[i + 2]) < 16) {
+    base = 16;
+    i += 2;
+  } else if (i < t.size() && t[i] == '0') {
+    base = 8;
+  }
+  if (i == t.size()) return std::nullopt;  // a sign alone
+  std::int64_t magnitude = 0;
+  for (; i < t.size(); ++i) {
+    const unsigned d = digit_value(t[i]);
+    if (d >= base) return std::nullopt;
+    magnitude = std::min(magnitude * base + d, kMaxLiteral + 1);
+  }
+  return negative ? -magnitude : magnitude;
+}
+
+/// Splits one line at a time into tokens, reusing its buffers across lines.
 class LineLexer {
  public:
-  LineLexer(std::string_view line, int line_no) : line_no_(line_no) {
+  void lex(std::string_view line, int line_no) {
+    line_no_ = line_no;
+    tokens_.clear();
+    strings_.clear();
+    pos_ = 0;
     std::size_t i = 0;
     while (i < line.size()) {
       const char c = line[i];
       if (c == ';' || c == '#') break;  // comment
-      if (std::isspace(static_cast<unsigned char>(c))) {
+      if (is_space(c)) {
         ++i;
         continue;
       }
       if (c == ',' || c == '(' || c == ')' || c == ':') {
-        tokens_.push_back({Token::Kind::kPunct, std::string(1, c), 0});
+        tokens_.push_back({Token::Kind::kPunct, line.substr(i, 1), 0});
         ++i;
         continue;
       }
       if (c == '"') {
-        std::string s;
+        std::string& s = strings_.emplace_back();
         ++i;
         while (i < line.size() && line[i] != '"') {
           char ch = line[i];
@@ -102,32 +174,32 @@ class LineLexer {
         }
         if (i + adv - 1 >= line.size() || line[i + adv - 1] != '\'')
           throw AsmError(line_no_, "unterminated char literal");
-        tokens_.push_back({Token::Kind::kNumber, std::string(1, ch), ch});
+        tokens_.push_back(
+            {Token::Kind::kNumber,
+             std::string_view(&kByteChars[static_cast<unsigned char>(ch)], 1),
+             ch});
         i += adv;
         continue;
       }
-      if (std::isdigit(static_cast<unsigned char>(c)) || c == '-' || c == '+') {
+      if (is_digit(c) || c == '-' || c == '+') {
         std::size_t j = i + 1;
-        while (j < line.size() &&
-               (std::isalnum(static_cast<unsigned char>(line[j])) || line[j] == 'x' ||
-                line[j] == 'X'))
-          ++j;
-        const std::string text(line.substr(i, j - i));
-        char* end = nullptr;
-        const long long v = std::strtoll(text.c_str(), &end, 0);
-        if (end == nullptr || *end != '\0')
-          throw AsmError(line_no_, "bad number '" + text + "'");
-        tokens_.push_back({Token::Kind::kNumber, text, v});
+        while (j < line.size() && is_alnum(line[j])) ++j;
+        const std::string_view text = line.substr(i, j - i);
+        const auto v = parse_number(text);
+        if (!v) throw AsmError(line_no_, "bad number '" + std::string(text) + "'");
+        if (*v < kMinLiteral || *v > kMaxLiteral)
+          throw AsmError(line_no_, "number '" + std::string(text) +
+                                       "' does not fit 32 bits");
+        tokens_.push_back({Token::Kind::kNumber, text, *v});
         i = j;
         continue;
       }
-      if (std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == '.') {
+      if (is_alpha(c) || c == '_' || c == '.') {
         std::size_t j = i + 1;
         while (j < line.size() &&
-               (std::isalnum(static_cast<unsigned char>(line[j])) || line[j] == '_' ||
-                line[j] == '.'))
+               (is_alnum(line[j]) || line[j] == '_' || line[j] == '.'))
           ++j;
-        tokens_.push_back({Token::Kind::kIdent, std::string(line.substr(i, j - i)), 0});
+        tokens_.push_back({Token::Kind::kIdent, line.substr(i, j - i), 0});
         i = j;
         continue;
       }
@@ -140,8 +212,8 @@ class LineLexer {
     if (done()) throw AsmError(line_no_, "unexpected end of line");
     return tokens_[pos_];
   }
-  Token next() {
-    Token t = peek();
+  const Token& next() {
+    const Token& t = peek();
     ++pos_;
     return t;
   }
@@ -157,11 +229,17 @@ class LineLexer {
       throw AsmError(line_no_, std::string("expected '") + c + "'");
   }
   int line_no() const { return line_no_; }
+  /// The read position, for backing up after a failed lookahead.
+  std::size_t mark() const { return pos_; }
+  void reset(std::size_t mark) { pos_ = mark; }
 
  private:
   std::vector<Token> tokens_;
+  /// The decoded string literals of the line; a deque, so the token views
+  /// into earlier strings survive a later one.
+  std::deque<std::string> strings_;
   std::size_t pos_ = 0;
-  int line_no_;
+  int line_no_ = 0;
 };
 
 std::optional<unsigned> parse_reg_name(std::string_view s) {
@@ -171,7 +249,7 @@ std::optional<unsigned> parse_reg_name(std::string_view s) {
   if (s.size() >= 2 && s[0] == 'r') {
     unsigned v = 0;
     for (std::size_t i = 1; i < s.size(); ++i) {
-      if (!std::isdigit(static_cast<unsigned char>(s[i]))) return std::nullopt;
+      if (!is_digit(s[i])) return std::nullopt;
       v = v * 10 + static_cast<unsigned>(s[i] - '0');
     }
     if (v < isa::kNumRegs) return v;
@@ -182,6 +260,8 @@ std::optional<unsigned> parse_reg_name(std::string_view s) {
 class Assembler {
  public:
   Program run(std::string_view source) {
+    prog_.text.reserve(
+        static_cast<std::size_t>(std::count(source.begin(), source.end(), '\n')));
     int line_no = 0;
     std::size_t start = 0;
     while (start <= source.size()) {
@@ -200,18 +280,21 @@ class Assembler {
   enum class Section { kText, kData };
 
   void process_line(std::string_view line, int line_no) {
-    LineLexer lex(line, line_no);
-    // Leading labels.
+    LineLexer& lex = lex_;
+    lex.lex(line, line_no);
+    // Leading labels: an identifier followed by ':' (else it is the
+    // mnemonic, and the lexer backs up to it).
     while (!lex.done() && lex.peek().kind == Token::Kind::kIdent) {
-      // Lookahead for ':' to distinguish label from mnemonic.
-      LineLexer probe = lex;
-      const Token ident = probe.next();
-      if (!probe.accept_punct(':')) break;
-      define_label(ident.text, line_no);
-      lex = probe;
+      const std::size_t mark = lex.mark();
+      const std::string_view ident = lex.next().text;
+      if (!lex.accept_punct(':')) {
+        lex.reset(mark);
+        break;
+      }
+      define_label(ident, line_no);
     }
     if (lex.done()) return;
-    const Token head = lex.next();
+    const Token& head = lex.next();
     if (head.kind != Token::Kind::kIdent)
       throw AsmError(line_no, "expected mnemonic or directive");
     if (head.text[0] == '.') {
@@ -224,7 +307,8 @@ class Assembler {
     if (!lex.done()) throw AsmError(line_no, "trailing tokens on line");
   }
 
-  void define_label(const std::string& name, int line_no) {
+  void define_label(std::string_view label, int line_no) {
+    std::string name(label);
     auto& table = (section_ == Section::kText) ? prog_.text_labels : prog_.data_labels;
     const std::uint32_t value = (section_ == Section::kText)
                                     ? static_cast<std::uint32_t>(prog_.text.size())
@@ -237,7 +321,7 @@ class Assembler {
 
   // ---- directives --------------------------------------------------------
 
-  void directive(const std::string& name, LineLexer& lex) {
+  void directive(std::string_view name, LineLexer& lex) {
     const int ln = lex.line_no();
     if (name == ".text") {
       section_ = Section::kText;
@@ -250,8 +334,8 @@ class Assembler {
     } else if (name == ".targets") {
       if (!pending_targets_.empty())
         throw AsmError(ln, ".targets not consumed by a jalr");
-      pending_targets_.push_back(expect_ident(lex));
-      while (lex.accept_punct(',')) pending_targets_.push_back(expect_ident(lex));
+      pending_targets_.emplace_back(expect_ident(lex));
+      while (lex.accept_punct(',')) pending_targets_.emplace_back(expect_ident(lex));
       targets_line_ = ln;
     } else if (name == ".word") {
       need_data(ln);
@@ -270,7 +354,7 @@ class Assembler {
       prog_.data.insert(prog_.data.end(), static_cast<std::size_t>(n), 0);
     } else if (name == ".ascii" || name == ".asciiz") {
       need_data(ln);
-      const Token t = lex.next();
+      const Token& t = lex.next();
       if (t.kind != Token::Kind::kString) throw AsmError(ln, "expected string");
       need_room(ln, t.text.size() + (name == ".asciiz" ? 1 : 0));
       for (const char c : t.text) prog_.data.push_back(static_cast<std::uint8_t>(c));
@@ -286,7 +370,7 @@ class Assembler {
       need_room(ln, padded - size);
       prog_.data.resize(static_cast<std::size_t>(padded));
     } else {
-      throw AsmError(ln, "unknown directive '" + name + "'");
+      throw AsmError(ln, "unknown directive '" + std::string(name) + "'");
     }
   }
 
@@ -310,10 +394,20 @@ class Assembler {
       if (t.kind == Token::Kind::kIdent) {
         if (size != 4) throw AsmError(ln, "label value requires .word");
         prog_.data_relocs.push_back(
-            {static_cast<std::uint32_t>(prog_.data.size()), lex.next().text});
+            {static_cast<std::uint32_t>(prog_.data.size()),
+             std::string(lex.next().text)});
         for (int i = 0; i < 4; ++i) prog_.data.push_back(0);
       } else {
         const std::int64_t v = expect_number(lex);
+        // Every literal fits .word; .half and .byte take a value that fits
+        // the field signed or unsigned.
+        const std::int64_t field = std::int64_t{1} << (8 * size);
+        if (size < 4 && (v < -field / 2 || v >= field)) {
+          std::string what = "value ";
+          what += std::to_string(v);
+          what += size == 1 ? " does not fit .byte" : " does not fit .half";
+          throw AsmError(ln, what);
+        }
         for (unsigned i = 0; i < size; ++i)
           prog_.data.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
       }
@@ -322,7 +416,7 @@ class Assembler {
 
   // ---- instructions -------------------------------------------------------
 
-  void instruction(const std::string& mnem, LineLexer& lex) {
+  void instruction(std::string_view mnem, LineLexer& lex) {
     const int ln = lex.line_no();
     if (!pending_targets_.empty() && mnem != "jalr" && mnem != "jr")
       throw AsmError(targets_line_, ".targets must be followed by jalr/jr");
@@ -372,7 +466,7 @@ class Assembler {
     dispatch_special(mnem, lex, ln);
   }
 
-  void dispatch_special(const std::string& mnem, LineLexer& lex, int ln) {
+  void dispatch_special(std::string_view mnem, LineLexer& lex, int ln) {
     if (mnem == "nop") {
       emit(Opcode::kNop, 0, 0, 0, 0, ln);
     } else if (mnem == "halt") {
@@ -409,8 +503,7 @@ class Assembler {
     } else if (mnem == "la") {
       const unsigned rd = expect_reg(lex);
       lex.expect_punct(',');
-      const std::string label = expect_ident(lex);
-      emit_la(rd, label, ln);
+      emit_la(rd, expect_ident(lex), ln);
     } else if (mnem == "mv") {
       const unsigned rd = expect_reg(lex);
       lex.expect_punct(',');
@@ -442,11 +535,11 @@ class Assembler {
       else { op = Opcode::kBge; a = isa::kRegZero; b = ra; }  // blez
       emit_branch(op, a, b, lex, ln);
     } else {
-      throw AsmError(ln, "unknown mnemonic '" + mnem + "'");
+      throw AsmError(ln, "unknown mnemonic '" + std::string(mnem) + "'");
     }
   }
 
-  static std::optional<Opcode> r_type(const std::string& m) {
+  static std::optional<Opcode> r_type(std::string_view m) {
     if (m == "add") return Opcode::kAdd;
     if (m == "sub") return Opcode::kSub;
     if (m == "and") return Opcode::kAnd;
@@ -461,7 +554,7 @@ class Assembler {
     return std::nullopt;
   }
 
-  static std::optional<Opcode> i_type(const std::string& m) {
+  static std::optional<Opcode> i_type(std::string_view m) {
     if (m == "addi") return Opcode::kAddi;
     if (m == "andi") return Opcode::kAndi;
     if (m == "ori") return Opcode::kOri;
@@ -474,7 +567,7 @@ class Assembler {
     return std::nullopt;
   }
 
-  static std::optional<Opcode> mem_type(const std::string& m) {
+  static std::optional<Opcode> mem_type(std::string_view m) {
     if (m == "lw") return Opcode::kLw;
     if (m == "lh") return Opcode::kLh;
     if (m == "lhu") return Opcode::kLhu;
@@ -490,7 +583,7 @@ class Assembler {
     Opcode op;
     bool swap;
   };
-  static std::optional<BranchSpec> branch_type(const std::string& m) {
+  static std::optional<BranchSpec> branch_type(std::string_view m) {
     if (m == "beq") return BranchSpec{Opcode::kBeq, false};
     if (m == "bne") return BranchSpec{Opcode::kBne, false};
     if (m == "blt") return BranchSpec{Opcode::kBlt, false};
@@ -512,10 +605,23 @@ class Assembler {
     si.inst.rd = static_cast<std::uint8_t>(rd);
     si.inst.ra = static_cast<std::uint8_t>(ra);
     si.inst.rb = static_cast<std::uint8_t>(rb);
-    si.inst.imm = static_cast<std::int32_t>(imm);
+    si.inst.imm = imm32(imm, ln);
     si.line = ln;
     validate_range(si, ln);
     prog_.text.push_back(std::move(si));
+  }
+
+  /// An instruction immediate as its signed 32-bit field: a literal past
+  /// 2^31 - 1 is a 32-bit pattern only for li and .word.
+  static std::int32_t imm32(std::int64_t v, int ln) {
+    if (v < std::numeric_limits<std::int32_t>::min() ||
+        v > std::numeric_limits<std::int32_t>::max()) {
+      std::string what = "immediate ";
+      what += std::to_string(v);
+      what += " out of range";
+      throw AsmError(ln, what);
+    }
+    return static_cast<std::int32_t>(v);
   }
 
   void validate_range(const SourceInst& si, int ln) const {
@@ -536,7 +642,7 @@ class Assembler {
       si.reloc = RelocKind::kBranch;
       si.target = lex.next().text;
     } else {
-      si.inst.imm = static_cast<std::int32_t>(expect_number(lex));
+      si.inst.imm = imm32(expect_number(lex), ln);
     }
     prog_.text.push_back(std::move(si));
   }
@@ -550,7 +656,7 @@ class Assembler {
       si.reloc = RelocKind::kCall;
       si.target = lex.next().text;
     } else {
-      si.inst.imm = static_cast<std::int32_t>(expect_number(lex));
+      si.inst.imm = imm32(expect_number(lex), ln);
     }
     prog_.text.push_back(std::move(si));
   }
@@ -560,7 +666,7 @@ class Assembler {
     si.inst.op = Opcode::kJalr;
     si.inst.rd = static_cast<std::uint8_t>(rd);
     si.inst.ra = static_cast<std::uint8_t>(ra);
-    si.inst.imm = static_cast<std::int32_t>(imm);
+    si.inst.imm = imm32(imm, ln);
     si.line = ln;
     si.indirect_targets = std::move(pending_targets_);
     pending_targets_.clear();
@@ -579,7 +685,7 @@ class Assembler {
     if (lo != 0) emit(Opcode::kOri, rd, rd, 0, static_cast<std::int64_t>(lo), ln);
   }
 
-  void emit_la(unsigned rd, const std::string& label, int ln) {
+  void emit_la(unsigned rd, std::string_view label, int ln) {
     // Always the fixed two-instruction form so relocations are uniform
     // across vanilla and SOFIA layouts.
     SourceInst hi;
@@ -602,24 +708,27 @@ class Assembler {
   // ---- operand helpers ----------------------------------------------------
 
   unsigned expect_reg(LineLexer& lex) {
-    const Token t = lex.next();
+    const Token& t = lex.next();
     if (t.kind == Token::Kind::kIdent) {
       if (auto r = parse_reg_name(t.text)) return *r;
     }
-    throw AsmError(lex.line_no(), "expected register, got '" + t.text + "'");
+    throw AsmError(lex.line_no(),
+                   "expected register, got '" + std::string(t.text) + "'");
   }
 
   std::int64_t expect_number(LineLexer& lex) {
-    const Token t = lex.next();
+    const Token& t = lex.next();
     if (t.kind != Token::Kind::kNumber)
-      throw AsmError(lex.line_no(), "expected number, got '" + t.text + "'");
+      throw AsmError(lex.line_no(),
+                     "expected number, got '" + std::string(t.text) + "'");
     return t.value;
   }
 
-  std::string expect_ident(LineLexer& lex) {
-    const Token t = lex.next();
+  std::string_view expect_ident(LineLexer& lex) {
+    const Token& t = lex.next();
     if (t.kind != Token::Kind::kIdent)
-      throw AsmError(lex.line_no(), "expected identifier, got '" + t.text + "'");
+      throw AsmError(lex.line_no(),
+                     "expected identifier, got '" + std::string(t.text) + "'");
     return t.text;
   }
 
@@ -648,6 +757,7 @@ class Assembler {
   }
 
   Program prog_;
+  LineLexer lex_;
   Section section_ = Section::kText;
   std::vector<std::string> pending_targets_;
   int targets_line_ = 0;

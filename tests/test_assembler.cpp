@@ -506,6 +506,51 @@ TEST(Assembler, ErrorMessagesArePinned) {
   }
 }
 
+// A literal must fit 32 bits, an instruction immediate its signed 32-bit
+// field, and a .byte or .half value its field signed or unsigned; nothing
+// wraps silently.
+TEST(Assembler, OutOfRangeLiteralsAreRejected) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"main:\n addi r1, r0, 4294967295\n",
+       "asm:2: immediate 4294967295 out of range"},
+      {"main:\n addi r1, r0, 0x100000000\n",
+       "asm:2: number '0x100000000' does not fit 32 bits"},
+      {"main:\n li r1, 99999999999999999999\n",
+       "asm:2: number '99999999999999999999' does not fit 32 bits"},
+      {"main:\n li r1, -2147483649\n",
+       "asm:2: number '-2147483649' does not fit 32 bits"},
+      {"main:\n beq r1, r2, 4294967295\n",
+       "asm:2: immediate 4294967295 out of range"},
+      {"main:\n jal r0, 0x80000000\n",
+       "asm:2: immediate 2147483648 out of range"},
+      {"main:\n jalr r0, r1, 4294967292\n",
+       "asm:2: immediate 4294967292 out of range"},
+      {".data\n .byte 300\n", "asm:2: value 300 does not fit .byte"},
+      {".data\n .byte -129\n", "asm:2: value -129 does not fit .byte"},
+      {".data\n .half 65536\n", "asm:2: value 65536 does not fit .half"},
+      {".data\n .half -32769\n", "asm:2: value -32769 does not fit .half"},
+      {".data\n .word 4294967296\n",
+       "asm:2: number '4294967296' does not fit 32 bits"},
+  };
+  for (const auto& [source, message] : cases) {
+    try {
+      assemble(source);
+      ADD_FAILURE() << "no error for: " << source;
+    } catch (const AsmError& e) {
+      EXPECT_EQ(std::string(e.what()), message) << source;
+    }
+  }
+  // The edges of each range still assemble.
+  const auto prog = assemble(
+      "main:\n li r1, 4294967295\n li r2, -2147483648\n halt\n.data\n"
+      " .byte 255, -128\n .half 65535, -32768\n"
+      " .word 4294967295, -2147483648\n");
+  EXPECT_EQ(prog.data,
+            (std::vector<std::uint8_t>{0xFF, 0x80, 0xFF, 0xFF, 0x00, 0x80, 0xFF,
+                                       0xFF, 0xFF, 0xFF, 0x00, 0x00, 0x00,
+                                       0x80}));
+}
+
 // ---------------------------------------------------------------------------
 // Vanilla linking.
 // ---------------------------------------------------------------------------
