@@ -151,17 +151,37 @@ class FunctionalMachine {
   }
 
   void run_vanilla() {
+    text_.assign(image_.text.size(), Predecoded{});
     std::uint32_t pc = image_.entry;
     while (!done_) {
       if (!budget_ok()) return;
-      const auto decoded = isa::decode(core_.fetch(pc));
-      if (!decoded) {
+      const Instruction* in = fetch_decoded(pc);
+      if (!in) {
         reset(ResetCause::kIllegalInstruction, pc);
         return;
       }
       ++result_.stats.fetch_words;
-      pc = exec(*decoded, pc);
+      pc = exec(*in, pc);
     }
+  }
+
+  /// The instruction at byte PC `pc` on a vanilla image, or null when its
+  /// word does not decode. A text word is fetched and decoded once and
+  /// then reused until a store into it (exec drops it). While an armed
+  /// fetch fault is pending every fetch goes through the core, so the
+  /// fault fires at its index and its flipped word is never kept.
+  const Instruction* fetch_decoded(std::uint32_t pc) {
+    const std::uint32_t offset = pc - image_.text_base;
+    Predecoded* slot = pc % 4 == 0 && offset < image_.text_bytes() &&
+                               !core_.fault_pending()
+                           ? &text_[offset / 4]
+                           : &uncached_;
+    if (slot->valid) return &slot->inst;
+    const auto decoded = isa::decode(core_.fetch(pc));
+    if (!decoded) return nullptr;
+    slot->inst = *decoded;
+    slot->valid = slot != &uncached_;
+    return &slot->inst;
   }
 
   /// Retire `k` NOPs from byte PC `pc` on: what k exec() calls on them
@@ -192,8 +212,17 @@ class FunctionalMachine {
     }
     // A store into the text makes the front cache stale. The executing
     // block is a reference into it, so the cache is dropped only at the
-    // next enter_block() (BlockCache::trusted).
-    if (effect.stored && blocks_) blocks_->note_store(effect.store_addr);
+    // next enter_block() (BlockCache::trusted). On a vanilla image the
+    // store drops the word's decoded instruction.
+    if (effect.stored) {
+      if (blocks_) {
+        blocks_->note_store(effect.store_addr);
+      } else if (const std::uint32_t offset =
+                     effect.store_addr - image_.text_base;
+                 offset < text_.size() * 4) {
+        text_[offset / 4].valid = false;
+      }
+    }
     return pc + 4;
   }
 
@@ -203,6 +232,13 @@ class FunctionalMachine {
   Core core_;
   /// The run's block admissions (SOFIA images only).
   std::optional<BlockCache> blocks_;
+  /// A vanilla run's text words, decoded on first fetch (fetch_decoded).
+  struct Predecoded {
+    Instruction inst;
+    bool valid = false;
+  };
+  std::vector<Predecoded> text_;
+  Predecoded uncached_;  ///< a fetch that is not kept
   /// Source exit label of an in-flight indirect transfer (gating schemes).
   std::optional<std::uint8_t> pending_;
   bool done_ = false;

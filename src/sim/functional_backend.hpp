@@ -38,6 +38,10 @@
 //  * Stores into the text section drop the front cache, so
 //    self-modifying (i.e. self-tampering) code still resets exactly like
 //    the live-fetching cycle machine.
+//  * A vanilla image runs from a per-run predecoded text: each word is
+//    decoded on its first fetch and reused until a store into it. While a
+//    fetch fault is pending every fetch reads memory, so the fault fires
+//    at its index and stays transient.
 #pragma once
 
 #include "sim/admission.hpp"
