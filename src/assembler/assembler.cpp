@@ -31,7 +31,6 @@
 #include "assembler/program.hpp"
 
 #include <algorithm>
-#include <array>
 #include <deque>
 #include <limits>
 #include <optional>
@@ -51,15 +50,6 @@ using isa::Opcode;
 /// layout leaves the data section under 1 MiB, and the built-in workloads
 /// stay far below it.
 constexpr std::uint64_t kMaxDataBytes = std::uint64_t{1} << 24;
-
-/// Every byte value as a one-character string, so a char literal's token
-/// text can name the character it stands for.
-constexpr std::array<char, 256> kByteChars = [] {
-  std::array<char, 256> chars{};
-  for (std::size_t i = 0; i < chars.size(); ++i)
-    chars[i] = static_cast<char>(i);
-  return chars;
-}();
 
 /// Numeric literals must fit 32 bits, signed or unsigned.
 constexpr std::int64_t kMinLiteral = -(std::int64_t{1} << 31);
@@ -174,10 +164,7 @@ class LineLexer {
         }
         if (i + adv - 1 >= line.size() || line[i + adv - 1] != '\'')
           throw AsmError(line_no_, "unterminated char literal");
-        tokens_.push_back(
-            {Token::Kind::kNumber,
-             std::string_view(&kByteChars[static_cast<unsigned char>(ch)], 1),
-             ch});
+        tokens_.push_back({Token::Kind::kNumber, strings_.emplace_back(1, ch), ch});
         i += adv;
         continue;
       }
@@ -235,8 +222,8 @@ class LineLexer {
 
  private:
   std::vector<Token> tokens_;
-  /// The decoded string literals of the line; a deque, so the token views
-  /// into earlier strings survive a later one.
+  /// The decoded string and char literals of the line; a deque, so the
+  /// token views into earlier ones survive a later one.
   std::deque<std::string> strings_;
   std::size_t pos_ = 0;
   int line_no_ = 0;

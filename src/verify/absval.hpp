@@ -206,8 +206,8 @@ class AbsVal {
   }
 
   /// a = join(a, b), in place; returns whether a changed. The engine joins
-  /// every register of every incoming state this way, so the common cases
-  /// (equal values, top, one side bottom) cost one header compare.
+  /// each changed register of an incoming state this way, so the common
+  /// cases (equal values, top, one side bottom) cost one header compare.
   static bool join_into(AbsVal& a, const AbsVal& b) {
     if (b.kind_ == Kind::kBottom || a.kind_ == Kind::kTop || a == b)
       return false;
@@ -243,7 +243,7 @@ class AbsVal {
   /// changed.
   static bool widen_into(AbsVal& prev, const AbsVal& next,
                          const std::vector<std::uint32_t>& thresholds) {
-    const AbsVal::Kind was = prev.kind_;
+    const Kind was = prev.kind_;
     const std::uint32_t prev_min = prev.lo_, prev_max = prev.hi_;
     if (!join_into(prev, next)) return false;
     // prev now holds the join. Constant sets may keep growing up to
