@@ -2,16 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
 
-#ifdef _WIN32
-#include <process.h>
-#else
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 #include "support/error.hpp"
 #include "support/io.hpp"
@@ -114,16 +113,43 @@ std::string parse_header(std::string_view line, Header& out) {
   }
 }
 
+constexpr std::string_view kCannotOpen = "cannot open entry";
+
+/// Read a whole entry file with one sized read. Returns the problem, empty
+/// on success; kCannotOpen when the file cannot be opened (it may be gone).
+std::string read_contents(const fs::path& path, std::string& contents) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return std::string(kCannotOpen);
+  std::string problem;
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    problem = "read failed";
+  } else if (!S_ISREG(st.st_mode)) {
+    problem = "not a regular file";
+  } else {
+    contents.resize(static_cast<std::size_t>(st.st_size));
+    std::size_t done = 0;
+    while (done < contents.size()) {
+      const ssize_t got =
+          ::read(fd, contents.data() + done, contents.size() - done);
+      if (got < 0 && errno == EINTR) continue;
+      if (got <= 0) break;
+      done += static_cast<std::size_t>(got);
+    }
+    if (done != contents.size()) problem = "read failed";
+  }
+  ::close(fd);
+  return problem;
+}
+
 /// Read an entry file and validate everything that does not need the
 /// caller's expectations (header shape, payload length, payload digest,
 /// key-vs-filename agreement). Returns the problem, empty on success.
 std::string read_entry(const fs::path& path, const std::string& expected_key,
                        Header& header, std::string& payload) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return "cannot open entry";
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) return "read failed";
+  std::string contents;
+  if (auto problem = read_contents(path, contents); !problem.empty())
+    return problem;
   const auto newline = contents.find('\n');
   if (newline == std::string::npos) return "truncated (no header line)";
   if (const auto problem =
@@ -144,11 +170,7 @@ std::string read_entry(const fs::path& path, const std::string& expected_key,
 
 std::string unique_temp_name(const std::string& key_hex) {
   static std::atomic<std::uint64_t> counter{0};
-#ifdef _WIN32
-  const auto pid = static_cast<std::uint64_t>(_getpid());
-#else
   const auto pid = static_cast<std::uint64_t>(::getpid());
-#endif
   return ".tmp-" + key_hex.substr(0, 8) + "-" + std::to_string(pid) + "-" +
          std::to_string(counter.fetch_add(1));
 }
@@ -198,14 +220,16 @@ std::optional<std::string> ResultStore::load(const Key& key,
     return std::nullopt;
   };
 
+  // Open first: an entry that is absent by then (never written, or
+  // removed by a gc) is a silent miss, one that exists but will not open
+  // a loud one.
   std::error_code ec;
-  if (!fs::exists(path, ec) || ec) return miss("");  // silent: never written
-
   Header header;
   std::string payload;
-  if (const auto problem = read_entry(path, hex, header, payload);
-      !problem.empty())
+  if (auto problem = read_entry(path, hex, header, payload); !problem.empty()) {
+    if (problem == kCannotOpen && !fs::exists(path, ec)) problem.clear();
     return miss(problem);
+  }
   if (header.kind != kind)
     return miss("kind is '" + header.kind + "', expected '" +
                 std::string(kind) + "'");

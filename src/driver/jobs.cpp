@@ -7,11 +7,15 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <mutex>
 #include <thread>
 
 #include "support/cli.hpp"
@@ -59,8 +63,70 @@ std::string ShardSpec::to_string() const {
   return text;
 }
 
+namespace {
+
+/// The entries a store-backed pool's workers hand to its calling thread.
+struct EntryQueue {
+  struct Entry {
+    cache::Key key;
+    std::string kind;
+    std::string payload;
+  };
+
+  EntryQueue(cache::ResultStore& s, unsigned workers)
+      : store(s), running(workers) {}
+
+  /// The calling thread's loop: write entries as they arrive and return
+  /// once every worker has finished and nothing is left.
+  void drain() {
+    std::unique_lock<std::mutex> lock(mutex);
+    for (;;) {
+      ready.wait(lock, [&] { return !entries.empty() || running == 0; });
+      if (entries.empty()) return;
+      const Entry entry = std::move(entries.front());
+      entries.pop_front();
+      lock.unlock();
+      store.store(entry.key, entry.kind, entry.payload);
+      lock.lock();
+    }
+  }
+
+  cache::ResultStore& store;
+  std::mutex mutex;
+  std::condition_variable ready;  ///< an entry queued or a worker finished
+  std::deque<Entry> entries;
+  unsigned running;  ///< workers still claiming indices
+};
+
+/// The queue of the store-backed pool this thread works for, if any.
+thread_local EntryQueue* pool_queue = nullptr;
+
+}  // namespace
+
+void detail::store_entry(cache::ResultStore& store, const cache::Key& key,
+                         std::string_view kind, std::string_view payload) {
+  EntryQueue* queue = pool_queue;
+  if (queue != nullptr && &queue->store == &store) {
+    bool queued = false;
+    {
+      const std::lock_guard<std::mutex> lock(queue->mutex);
+      if (queue->entries.size() < kQueuedEntries) {
+        queue->entries.push_back(
+            {key, std::string(kind), std::string(payload)});
+        queued = true;
+      }
+    }
+    if (queued) {
+      queue->ready.notify_one();
+      return;
+    }
+  }
+  store.store(key, kind, payload);
+}
+
 PoolRun for_each_index(std::size_t count, unsigned threads,
-                       const std::function<void(std::size_t)>& fn) {
+                       const std::function<void(std::size_t)>& fn,
+                       cache::ResultStore* store) {
   const auto max_threads = static_cast<unsigned>(std::max<std::size_t>(count, 1));
   PoolRun run;
   run.threads = std::clamp(threads, 1u, max_threads);
@@ -77,11 +143,38 @@ PoolRun for_each_index(std::size_t count, unsigned threads,
 
   if (run.threads == 1) {
     worker();
-  } else {
+  } else if (store == nullptr) {
     std::vector<std::thread> pool;
     pool.reserve(run.threads);
     for (unsigned t = 0; t < run.threads; ++t) pool.emplace_back(worker);
     for (auto& t : pool) t.join();
+  } else {
+    // The calling thread writes the queued entries instead of only waiting
+    // in join(). store() turns I/O failures into warnings; anything else it
+    // throws waits for the joins (a joinable std::thread must not be
+    // destroyed), and meanwhile the workers write their own entries once
+    // the queue is full.
+    EntryQueue queue(*store, run.threads);
+    std::vector<std::thread> pool;
+    pool.reserve(run.threads);
+    for (unsigned t = 0; t < run.threads; ++t)
+      pool.emplace_back([&] {
+        pool_queue = &queue;
+        worker();
+        {
+          const std::lock_guard<std::mutex> lock(queue.mutex);
+          --queue.running;
+        }
+        queue.ready.notify_one();
+      });
+    std::exception_ptr failure;
+    try {
+      queue.drain();
+    } catch (...) {
+      failure = std::current_exception();
+    }
+    for (auto& t : pool) t.join();
+    if (failure) std::rethrow_exception(failure);
   }
   run.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

@@ -16,6 +16,7 @@
 
 #include "cache/result_store.hpp"
 #include "campaign/campaign.hpp"
+#include "driver/jobs.hpp"
 #include "driver/sweep.hpp"
 #include "support/error.hpp"
 #include "support/io.hpp"
@@ -140,6 +141,28 @@ TEST(ResultStore, SecondStoreSharesTheEntryAcrossInstances) {
   const auto hit = reader.load(key, "job");
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(*hit, "payload");
+}
+
+TEST(ResultStore, EntryGoneBeforeTheLoadIsASilentMissAndAnUnreadableOneLoud) {
+  TempDir dir;
+  WarnLog warnings;
+  cache::ResultStore store(dir.path, warnings.fn());
+
+  // Removed between the store and the load, as a gc would: silent.
+  const auto gone = key_of("collected");
+  store.store(gone, "job", "payload");
+  fs::remove(entry_path(dir.path, gone));
+  EXPECT_FALSE(store.load(gone, "job").has_value());
+  EXPECT_TRUE(warnings.messages.empty());
+
+  // Present but not a readable entry file: loud.
+  const auto odd = key_of("directory");
+  fs::create_directories(entry_path(dir.path, odd));
+  EXPECT_FALSE(store.load(odd, "job").has_value());
+  ASSERT_EQ(warnings.messages.size(), 1u);
+  EXPECT_NE(warnings.messages[0].find("not a regular file"), std::string::npos)
+      << warnings.messages[0];
+  EXPECT_EQ(store.stats().misses, 2u);
 }
 
 TEST(ResultStore, WrongKindIsALoudMiss) {
@@ -565,6 +588,54 @@ TEST(CampaignCache, ACachedTrialNoRunProducesIsReExecuted) {
   EXPECT_EQ(warnings.messages.size(), escapes + detections);
   EXPECT_EQ(warm.cached_trials, warm.jobs_run() - escapes - detections);
   EXPECT_EQ(campaign::to_json(warm), cold);
+}
+
+// ---- write-behind: the pool's calling thread writes the entries -----------
+
+/// A cold run's entries are all on disk and intact once it has returned.
+void expect_every_entry_on_disk(const fs::path& root, const cache::Stats& s) {
+  EXPECT_EQ(cache::scan(root).size(), s.stored);
+  EXPECT_EQ(s.stored, s.misses);
+  EXPECT_EQ(s.failures, 0u);
+  EXPECT_EQ(cache::verify_entries(root).bad, 0u);
+}
+
+TEST(WriteBehind, ColdSweepHasEveryEntryOnDiskWhenItReturns) {
+  TempDir dir;
+  const auto spec = driver::smoke(driver::matrix("scheme"));
+  cache::ResultStore cold_store(dir.path);
+  const auto cold = driver::run_sweep(spec, 4, {}, {}, &cold_store);
+  ASSERT_EQ(cold.threads_used, 4u);
+  EXPECT_EQ(cold_store.stats().misses, cold.jobs.size());
+  expect_every_entry_on_disk(dir.path, cold_store.stats());
+
+  cache::ResultStore warm_store(dir.path);  // a second coordinator
+  const auto warm = driver::run_sweep(spec, 4, {}, {}, &warm_store);
+  EXPECT_EQ(warm_store.stats().misses, 0u);
+  EXPECT_EQ(warm.cached_jobs(), warm.jobs.size());
+  EXPECT_EQ(driver::to_json(warm), driver::to_json(cold));
+}
+
+// More trials than the queue holds, so workers that find it full write
+// their own entries alongside the calling thread.
+TEST(WriteBehind, ColdCampaignBeyondTheQueueBoundHasEveryEntryOnDisk) {
+  TempDir dir;
+  auto spec = smoke_spec(2 * driver::kQueuedEntries);
+  std::erase_if(spec.cells, [](const campaign::CellSpec& cell) {
+    return cell.scheme != "sofia-cbcmac";
+  });
+  ASSERT_GT(spec.total_jobs(), driver::kQueuedEntries);
+  cache::ResultStore cold_store(dir.path);
+  const auto cold = campaign::run_campaign(spec, 4, {}, {}, &cold_store);
+  ASSERT_EQ(cold.threads_used, 4u);
+  EXPECT_EQ(cold_store.stats().misses, spec.total_jobs());
+  expect_every_entry_on_disk(dir.path, cold_store.stats());
+
+  cache::ResultStore warm_store(dir.path);
+  const auto warm = campaign::run_campaign(spec, 4, {}, {}, &warm_store);
+  EXPECT_EQ(warm_store.stats().misses, 0u);
+  EXPECT_EQ(warm.cached_trials, spec.total_jobs());
+  EXPECT_EQ(campaign::to_json(warm), campaign::to_json(cold));
 }
 
 TEST(CampaignCache, InterruptedShardResumesIntoTheFullRun) {
