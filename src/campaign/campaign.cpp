@@ -607,7 +607,7 @@ CampaignResult run_campaign(const CampaignSpec& spec, unsigned threads,
         const std::uint64_t g = jobs[i];
         trials[i] =
             run_trial(*fixtures[g / spec.jobs_per_cell], g, base, store);
-      }, store);
+      });
   result.threads_used = run.threads;
   result.wall_seconds = run.wall_seconds;
 

@@ -65,16 +65,16 @@ std::string ShardSpec::to_string() const {
 
 namespace {
 
-/// The entries a store-backed pool's workers hand to its calling thread.
+/// The result-cache entries a pool's workers hand to its calling thread.
 struct EntryQueue {
   struct Entry {
+    cache::ResultStore* store;
     cache::Key key;
     std::string kind;
     std::string payload;
   };
 
-  EntryQueue(cache::ResultStore& s, unsigned workers)
-      : store(s), running(workers) {}
+  explicit EntryQueue(unsigned workers) : running(workers) {}
 
   /// The calling thread's loop: write entries as they arrive and return
   /// once every worker has finished and nothing is left.
@@ -86,19 +86,18 @@ struct EntryQueue {
       const Entry entry = std::move(entries.front());
       entries.pop_front();
       lock.unlock();
-      store.store(entry.key, entry.kind, entry.payload);
+      entry.store->store(entry.key, entry.kind, entry.payload);
       lock.lock();
     }
   }
 
-  cache::ResultStore& store;
   std::mutex mutex;
   std::condition_variable ready;  ///< an entry queued or a worker finished
   std::deque<Entry> entries;
   unsigned running;  ///< workers still claiming indices
 };
 
-/// The queue of the store-backed pool this thread works for, if any.
+/// The queue of the pool this thread works for, if any.
 thread_local EntryQueue* pool_queue = nullptr;
 
 }  // namespace
@@ -106,13 +105,13 @@ thread_local EntryQueue* pool_queue = nullptr;
 void detail::store_entry(cache::ResultStore& store, const cache::Key& key,
                          std::string_view kind, std::string_view payload) {
   EntryQueue* queue = pool_queue;
-  if (queue != nullptr && &queue->store == &store) {
+  if (queue != nullptr) {
     bool queued = false;
     {
       const std::lock_guard<std::mutex> lock(queue->mutex);
       if (queue->entries.size() < kQueuedEntries) {
         queue->entries.push_back(
-            {key, std::string(kind), std::string(payload)});
+            {&store, key, std::string(kind), std::string(payload)});
         queued = true;
       }
     }
@@ -125,8 +124,7 @@ void detail::store_entry(cache::ResultStore& store, const cache::Key& key,
 }
 
 PoolRun for_each_index(std::size_t count, unsigned threads,
-                       const std::function<void(std::size_t)>& fn,
-                       cache::ResultStore* store) {
+                       const std::function<void(std::size_t)>& fn) {
   const auto max_threads = static_cast<unsigned>(std::max<std::size_t>(count, 1));
   PoolRun run;
   run.threads = std::clamp(threads, 1u, max_threads);
@@ -143,18 +141,13 @@ PoolRun for_each_index(std::size_t count, unsigned threads,
 
   if (run.threads == 1) {
     worker();
-  } else if (store == nullptr) {
-    std::vector<std::thread> pool;
-    pool.reserve(run.threads);
-    for (unsigned t = 0; t < run.threads; ++t) pool.emplace_back(worker);
-    for (auto& t : pool) t.join();
   } else {
-    // The calling thread writes the queued entries instead of only waiting
-    // in join(). store() turns I/O failures into warnings; anything else it
-    // throws waits for the joins (a joinable std::thread must not be
-    // destroyed), and meanwhile the workers write their own entries once
-    // the queue is full.
-    EntryQueue queue(*store, run.threads);
+    // The calling thread writes the entries the workers queue instead of
+    // only waiting in join(). store() turns I/O failures into warnings;
+    // anything else it throws waits for the joins (a joinable std::thread
+    // must not be destroyed), and meanwhile the workers write their own
+    // entries once the queue is full.
+    EntryQueue queue(run.threads);
     std::vector<std::thread> pool;
     pool.reserve(run.threads);
     for (unsigned t = 0; t < run.threads; ++t)

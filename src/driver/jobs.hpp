@@ -53,8 +53,7 @@ struct PoolRun {
 
 /// The most result-cache entries a pool's workers leave queued for its
 /// calling thread; a worker that finds the queue full writes its entry
-/// itself, so memory stays bounded and a slow file system costs no more
-/// than writing every entry on the job thread.
+/// itself, so the queue's memory stays bounded.
 inline constexpr std::size_t kQueuedEntries = 64;
 
 /// Execute fn(i) for every i in [0, count) on `threads` workers (clamped to
@@ -62,13 +61,12 @@ inline constexpr std::size_t kQueuedEntries = 64;
 /// index-owned state, serialize any shared side effect itself and capture
 /// failures in its slot instead of throwing.
 ///
-/// With a `store` and more than one worker, the calling thread writes the
+/// With more than one worker, the calling thread writes the result-cache
 /// entries that cache_through hands it while the workers run (creating an
 /// entry's inode is the cost of a store), and it writes the rest before
 /// returning: every entry is then on disk or counted as a store failure.
 PoolRun for_each_index(std::size_t count, unsigned threads,
-                       const std::function<void(std::size_t)>& fn,
-                       cache::ResultStore* store = nullptr);
+                       const std::function<void(std::size_t)>& fn);
 
 /// How one engine's job outcome travels through the result cache: a
 /// compact JSON payload whose first member is "schema". The cache holds
@@ -102,9 +100,9 @@ bool decode_payload(const PayloadCodec<Outcome>& codec,
   }
 }
 
-/// Write one entry to `store`. On a worker of a for_each_index pool over the
-/// same store the entry is queued for the pool's calling thread instead,
-/// unless kQueuedEntries are already waiting.
+/// Write one entry to `store`. On a worker of a multi-threaded
+/// for_each_index pool the entry is queued for the pool's calling thread
+/// instead, unless kQueuedEntries are already waiting.
 void store_entry(cache::ResultStore& store, const cache::Key& key,
                  std::string_view kind, std::string_view payload);
 
@@ -119,7 +117,7 @@ void store_entry(cache::ResultStore& store, const cache::Key& key,
 ///  - `body(out)` returns whether the outcome is deterministic, and only
 ///    those are stored (a sweep stores its caught failures; a campaign
 ///    never stores a trial error), by the pool's calling thread when
-///    for_each_index got the store (detail::store_entry).
+///    `body` runs on a for_each_index worker (detail::store_entry).
 template <typename Outcome, typename KeyFn, typename BodyFn>
 void cache_through(cache::ResultStore* store,
                    const PayloadCodec<Outcome>& codec, std::uint64_t job,

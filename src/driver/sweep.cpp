@@ -332,7 +332,7 @@ SweepResult run_sweep(const SweepSpec& spec, unsigned threads,
       const std::lock_guard<std::mutex> lock(progress_mutex);
       progress(result.jobs[i]);
     }
-  }, store);
+  });
   result.threads_used = run.threads;
   result.wall_seconds = run.wall_seconds;
   result.vanilla_runs = baselines.runs();
