@@ -113,13 +113,14 @@ std::string parse_header(std::string_view line, Header& out) {
   }
 }
 
-constexpr std::string_view kCannotOpen = "cannot open entry";
+constexpr std::string_view kAbsent = "no such entry";
 
 /// Read a whole entry file with one sized read. Returns the problem, empty
-/// on success; kCannotOpen when the file cannot be opened (it may be gone).
+/// on success; kAbsent when there is no file to open.
 std::string read_contents(const fs::path& path, std::string& contents) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return std::string(kCannotOpen);
+  if (fd < 0)
+    return std::string(errno == ENOENT ? kAbsent : "cannot open entry");
   std::string problem;
   struct stat st {};
   if (::fstat(fd, &st) != 0) {
@@ -220,14 +221,13 @@ std::optional<std::string> ResultStore::load(const Key& key,
     return std::nullopt;
   };
 
-  // Open first: an entry that is absent by then (never written, or
-  // removed by a gc) is a silent miss, one that exists but will not open
-  // a loud one.
-  std::error_code ec;
+  // Open without asking first whether the entry exists: one that is
+  // absent when opened (never written, or removed by a gc) is a silent
+  // miss, any other problem a loud one.
   Header header;
   std::string payload;
   if (auto problem = read_entry(path, hex, header, payload); !problem.empty()) {
-    if (problem == kCannotOpen && !fs::exists(path, ec)) problem.clear();
+    if (problem == kAbsent) problem.clear();
     return miss(problem);
   }
   if (header.kind != kind)
@@ -235,6 +235,7 @@ std::optional<std::string> ResultStore::load(const Key& key,
                 std::string(kind) + "'");
 
   // Touch the entry so LRU eviction (gc) sees the use; best-effort.
+  std::error_code ec;
   fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
 
   const std::lock_guard<std::mutex> lock(counters_->mutex);

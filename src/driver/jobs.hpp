@@ -61,10 +61,12 @@ inline constexpr std::size_t kQueuedEntries = 64;
 /// index-owned state, serialize any shared side effect itself and capture
 /// failures in its slot instead of throwing.
 ///
-/// With more than one worker, the calling thread writes the result-cache
-/// entries that cache_through hands it while the workers run (creating an
-/// entry's inode is the cost of a store), and it writes the rest before
-/// returning: every entry is then on disk or counted as a store failure.
+/// When the workers leave a core free (fewer threads than
+/// std::thread::hardware_concurrency()), the calling thread writes the
+/// result-cache entries that cache_through hands it while the workers run
+/// (creating an entry's inode is the cost of a store); otherwise each
+/// worker writes its own. Either way every entry is on disk or counted as
+/// a store failure when this returns.
 PoolRun for_each_index(std::size_t count, unsigned threads,
                        const std::function<void(std::size_t)>& fn);
 
@@ -100,8 +102,8 @@ bool decode_payload(const PayloadCodec<Outcome>& codec,
   }
 }
 
-/// Write one entry to `store`. On a worker of a multi-threaded
-/// for_each_index pool the entry is queued for the pool's calling thread
+/// Write one entry to `store`. On a worker of a for_each_index pool that
+/// leaves a core free the entry is queued for the pool's calling thread
 /// instead, unless kQueuedEntries are already waiting.
 void store_entry(cache::ResultStore& store, const cache::Key& key,
                  std::string_view kind, std::string_view payload);
