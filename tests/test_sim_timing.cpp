@@ -6,12 +6,15 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "driver/sweep.hpp"
 #include "pipeline/pipeline.hpp"
 #include "sim/cipher_engine.hpp"
 #include "sim_test_util.hpp"
+#include "support/hash.hpp"
 #include "workloads/workloads.hpp"
 
 namespace sofia::sim {
@@ -478,14 +481,18 @@ victim:
   ret
 )";
 
-/// The configuration `p`'s device runs with, tracing on.
-SimConfig traced(const pipeline::Pipeline& p) {
+/// The configuration `p`'s device runs with, tracing on or off.
+SimConfig device_config(const pipeline::Pipeline& p, bool trace) {
   SimConfig cfg = p.effective_sim_config();
-  cfg.collect_trace = true;
+  cfg.collect_trace = trace;
   return cfg;
 }
 
-std::vector<DigestCase> digest_cases() {
+/// Every case runs with tracing on when `trace`, else with it off.
+std::vector<DigestCase> digest_cases(bool trace = true) {
+  const auto traced = [trace](const pipeline::Pipeline& p) {
+    return device_config(p, trace);
+  };
   using pipeline::DeviceProfile;
   using pipeline::Pipeline;
   std::vector<DigestCase> cases;
@@ -504,12 +511,12 @@ std::vector<DigestCase> digest_cases() {
   const auto add_pair = [&](const std::string& label,
                             std::shared_ptr<Pipeline> p,
                             std::function<void(SimConfig&)> edit) {
-    cases.push_back({label + "/vanilla", [p, edit] {
+    cases.push_back({label + "/vanilla", [p, edit, traced] {
                        SimConfig cfg = traced(*p);
                        edit(cfg);
                        return run_image(p->vanilla_image(), cfg);
                      }});
-    cases.push_back({label + "/sofia", [p, edit] {
+    cases.push_back({label + "/sofia", [p, edit, traced] {
                        SimConfig cfg = traced(*p);
                        edit(cfg);
                        return run_image(p->hardened().image, cfg);
@@ -520,12 +527,12 @@ std::vector<DigestCase> digest_cases() {
   // Every workload at smoke size: the vanilla core and each scheme.
   for (const auto& wl : workloads::all_workloads()) {
     const auto base = workload(wl.name, DeviceProfile::paper_default());
-    cases.push_back({wl.name + "/vanilla", [base] {
+    cases.push_back({wl.name + "/vanilla", [base, traced] {
                        return run_image(base->vanilla_image(), traced(*base));
                      }});
     for (const auto& scheme : scheme::scheme_names()) {
       const auto p = workload(wl.name, scheme_profile(scheme));
-      cases.push_back({wl.name + "/" + scheme, [p] {
+      cases.push_back({wl.name + "/" + scheme, [p, traced] {
                          return run_image(p->hardened().image, traced(*p));
                        }});
     }
@@ -553,7 +560,7 @@ std::vector<DigestCase> digest_cases() {
   // Runs that end early: tampering, a fetch fault, a gated-indirect
   // retarget, and a cycle budget that runs out inside an I-cache refill.
   const auto crc = workload("crc32", DeviceProfile::paper_default());
-  cases.push_back({"crc32/tampered", [crc] {
+  cases.push_back({"crc32/tampered", [crc, traced] {
                      auto img = crc->hardened().image;
                      img.text[img.text.size() / 2] ^= 1u << 7;
                      return run_image(img, traced(*crc));
@@ -575,11 +582,11 @@ std::vector<DigestCase> digest_cases() {
   DeviceProfile flta = scheme_profile("flta");
   const auto dispatch = std::make_shared<Pipeline>(
       Pipeline::from_source(kGatedDispatch, flta, "dispatch"));
-  cases.push_back({"dispatch/flta", [dispatch] {
+  cases.push_back({"dispatch/flta", [dispatch, traced] {
                      return run_image(dispatch->hardened().image,
                                       traced(*dispatch));
                    }});
-  cases.push_back({"dispatch/flta-retarget", [dispatch] {
+  cases.push_back({"dispatch/flta-retarget", [dispatch, traced] {
                      // Aim the first dispatch at the second set's target.
                      auto img = dispatch->hardened().image;
                      std::copy_n(img.data.begin() + 8, 4, img.data.begin());
@@ -590,7 +597,7 @@ std::vector<DigestCase> digest_cases() {
   for (const std::string scheme : {"sofia-cbcmac", "null"}) {
     const auto smc = std::make_shared<Pipeline>(
         Pipeline::from_source(kSelfModifying, scheme_profile(scheme), "smc"));
-    cases.push_back({"self-modifying/" + scheme, [smc] {
+    cases.push_back({"self-modifying/" + scheme, [smc, traced] {
                        return run_image(smc->hardened().image, traced(*smc));
                      }});
   }
@@ -695,18 +702,156 @@ const PinnedDigest kPinnedDigests[] = {
     {"self-modifying/null", 0x1e6f530e3f2e4f2full},
 };
 
-TEST(CycleDigest, EveryRunMatchesTheRecordedDigest) {
-  const auto cases = digest_cases();
-  ASSERT_EQ(cases.size(), std::size(kPinnedDigests));
+/// Run every case and compare its digest with the pinned one; a mismatch
+/// prints the case's new table line.
+void expect_pinned(const std::vector<DigestCase>& cases,
+                   std::span<const PinnedDigest> pinned) {
+  ASSERT_EQ(cases.size(), pinned.size());
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const std::uint64_t got = test::run_digest(cases[i].run());
     char line[96];
     std::snprintf(line, sizeof line, "{\"%s\", 0x%016llxull},",
                   cases[i].label.c_str(),
                   static_cast<unsigned long long>(got));
-    EXPECT_EQ(cases[i].label, kPinnedDigests[i].label);
-    EXPECT_EQ(got, kPinnedDigests[i].digest) << line;
+    EXPECT_EQ(cases[i].label, pinned[i].label);
+    EXPECT_EQ(got, pinned[i].digest) << line;
   }
+}
+
+TEST(CycleDigest, EveryRunMatchesTheRecordedDigest) {
+  expect_pinned(digest_cases(), kPinnedDigests);
+}
+
+// The same runs untraced: the trace is empty, every other number is pinned
+// again, so a shortcut that only untraced runs take shows here.
+const PinnedDigest kPinnedUntracedDigests[] = {
+    {"adpcm_encode/vanilla", 0x8ff6595a621e9074ull},
+    {"adpcm_encode/sofia-cbcmac", 0x8b5c3fd1a2790c63ull},
+    {"adpcm_encode/sponge", 0x890f4df60d6583ddull},
+    {"adpcm_encode/null", 0x6e2a09b83e39e4d6ull},
+    {"adpcm_encode/flta", 0x269817dda106e83bull},
+    {"adpcm_decode/vanilla", 0x3ad9acd174abc9fbull},
+    {"adpcm_decode/sofia-cbcmac", 0x7e084fb3f81545c7ull},
+    {"adpcm_decode/sponge", 0xa30d359005c155faull},
+    {"adpcm_decode/null", 0xf0350b621c6af95bull},
+    {"adpcm_decode/flta", 0xfad766b6690b2c94ull},
+    {"crc32/vanilla", 0x95a2fa123c297c8aull},
+    {"crc32/sofia-cbcmac", 0xb66fb605ad4b2411ull},
+    {"crc32/sponge", 0x397f7b2974b30298ull},
+    {"crc32/null", 0x93aaaadae2282db8ull},
+    {"crc32/flta", 0x2fda38df8b112ba4ull},
+    {"fir/vanilla", 0x7002d9a7ccb79ffeull},
+    {"fir/sofia-cbcmac", 0x7fbfb8c0e0c389d9ull},
+    {"fir/sponge", 0x2883fcd4fc1fe5e6ull},
+    {"fir/null", 0x5cafe2eabcb3fd33ull},
+    {"fir/flta", 0xb3ac3873362e5fe2ull},
+    {"quicksort/vanilla", 0x76bf046e0237aa36ull},
+    {"quicksort/sofia-cbcmac", 0x49c2583a32d159d6ull},
+    {"quicksort/sponge", 0x8830576af70bc3f8ull},
+    {"quicksort/null", 0x3184cbac43c51ab4ull},
+    {"quicksort/flta", 0xb04afd511467cae5ull},
+    {"matmul/vanilla", 0xdd482c95f8f9dc1cull},
+    {"matmul/sofia-cbcmac", 0x159ef88438e27d83ull},
+    {"matmul/sponge", 0x2b8cac9b00c17259ull},
+    {"matmul/null", 0x4d5f2146cacba1cbull},
+    {"matmul/flta", 0x71ef3db11d5d453bull},
+    {"strsearch/vanilla", 0x1896a59167f9ee95ull},
+    {"strsearch/sofia-cbcmac", 0x5eb5dc88a8f78694ull},
+    {"strsearch/sponge", 0xdaf775c99b884a77ull},
+    {"strsearch/null", 0xc8aa1d0153df0fdcull},
+    {"strsearch/flta", 0xd3f1a155e1970d5full},
+    {"fib/vanilla", 0x8658ee13151f3eddull},
+    {"fib/sofia-cbcmac", 0xbc7c86e29bdd6470ull},
+    {"fib/sponge", 0x15c8590f04afd9aaull},
+    {"fib/null", 0x2386fe72e3049561ull},
+    {"fib/flta", 0x7a262f9d14621accull},
+    {"minivm/vanilla", 0x6ee68bc7b0b97b23ull},
+    {"minivm/sofia-cbcmac", 0xe6b294bf3ae06882ull},
+    {"minivm/sponge", 0xad3128a54019c0caull},
+    {"minivm/null", 0xf2dc2e33901b8200ull},
+    {"minivm/flta", 0x1a2792205c9d6199ull},
+    {"bitcount/vanilla", 0x22971758d70794e0ull},
+    {"bitcount/sofia-cbcmac", 0xa3294543e097e4c6ull},
+    {"bitcount/sponge", 0x7c52dad8fdc4be2full},
+    {"bitcount/null", 0x09a9b0043bb0b9e7ull},
+    {"bitcount/flta", 0x41dca8c668ab0592ull},
+    {"dijkstra/vanilla", 0x6a7cbbd1658d9dd3ull},
+    {"dijkstra/sofia-cbcmac", 0x1d721d4c1f6fb6a6ull},
+    {"dijkstra/sponge", 0x75d3a2847aa3fc43ull},
+    {"dijkstra/null", 0xb3292b8dd4177522ull},
+    {"dijkstra/flta", 0x9bc64bb464eed9c6ull},
+    {"crc32/iterative/vanilla", 0x95a2fa123c297c8aull},
+    {"crc32/iterative/sofia", 0xa2f25ef4644db68cull},
+    {"crc32/non-alternating/vanilla", 0x95a2fa123c297c8aull},
+    {"crc32/non-alternating/sofia", 0x2a8b9c3fd734c570ull},
+    {"crc32/icache256-miss40/vanilla", 0xd736687b0056012dull},
+    {"crc32/icache256-miss40/sofia", 0x73d8db6eb971fbf0ull},
+    {"crc32/fetch-queue1/vanilla", 0x95a2fa123c297c8aull},
+    {"crc32/fetch-queue1/sofia", 0xb66fb605ad4b2411ull},
+    {"crc32/fetch-words1/vanilla", 0x95a2fa123c297c8aull},
+    {"crc32/fetch-words1/sofia", 0xf9d2ff784b5219ceull},
+    {"crc32/block6/vanilla", 0x95a2fa123c297c8aull},
+    {"crc32/block6/sofia", 0x179285f4343de4a7ull},
+    {"fib/iterative/vanilla", 0x8658ee13151f3eddull},
+    {"fib/iterative/sofia", 0xe8dbc2b6bcd6d7e2ull},
+    {"fib/non-alternating/vanilla", 0x8658ee13151f3eddull},
+    {"fib/non-alternating/sofia", 0xca9448b08c0004b8ull},
+    {"fib/icache256-miss40/vanilla", 0x712f4e32d4054a65ull},
+    {"fib/icache256-miss40/sofia", 0x7903f9a339234dc6ull},
+    {"fib/fetch-queue1/vanilla", 0x67573ae410207fd5ull},
+    {"fib/fetch-queue1/sofia", 0xbc7c86e29bdd6470ull},
+    {"fib/fetch-words1/vanilla", 0x8658ee13151f3eddull},
+    {"fib/fetch-words1/sofia", 0x4ed077f5ff7370caull},
+    {"fib/block6/vanilla", 0x8658ee13151f3eddull},
+    {"fib/block6/sofia", 0x3f1378065ab30532ull},
+    {"crc32/tampered", 0xfeaae08809354f0cull},
+    {"crc32/fetch-fault/vanilla", 0x95a2fa123c297c8aull},
+    {"crc32/fetch-fault/sofia", 0x733435b605b7461cull},
+    {"crc32/max-cycles20/vanilla", 0x01043b0cf79e8300ull},
+    {"crc32/max-cycles20/sofia", 0x9a7080fdef1efc02ull},
+    {"crc32/max-cycles1020/vanilla", 0x4a832f551e73ec7dull},
+    {"crc32/max-cycles1020/sofia", 0xe485ae5f76e6c44bull},
+    {"dispatch/flta", 0x358f7b027b6972feull},
+    {"dispatch/flta-retarget", 0xe77766520444266eull},
+    {"self-modifying/sofia-cbcmac", 0x36634743f2569806ull},
+    {"self-modifying/null", 0x127cabfbf8fbd8caull},
+};
+
+TEST(CycleDigest, UntracedRunsMatchTheRecordedDigest) {
+  expect_pinned(digest_cases(false), kPinnedUntracedDigests);
+}
+
+// Every job's full SimStats pair, both text sizes and its verdict, over the
+// full-size scheme matrix on the cycle backend at seed 1: the job list of
+// perfbench's paper-sweep workload, hashed the way perfbench prints its
+// "simstats digest".
+TEST(CycleDigest, SchemeMatrixSimStatsMatchTheRecordedDigest) {
+  driver::SweepSpec spec = driver::matrix("scheme");
+  spec.base_seed = 1;
+  const driver::SweepResult r = driver::run_sweep(spec, 2);
+  std::string text;
+  const auto put = [&](std::uint64_t v) {
+    text += ' ';
+    text += std::to_string(v);
+  };
+  for (const auto& job : r.jobs) {
+    put(job.job.index);
+    text += job.ok ? " ok" : " failed";
+    for (const SimStats* s : {&job.m.vanilla_stats, &job.m.sofia_stats})
+      for (const std::uint64_t f :
+           {s->cycles, s->insts, s->nops, s->loads, s->stores, s->branches,
+            s->taken, s->icache_hits, s->icache_misses, s->fetch_words,
+            s->mac_words, s->ctr_ops, s->cbc_ops, s->blocks_fetched,
+            s->mac_verifications, s->store_gate_stalls, s->queue_empty_cycles,
+            s->exec_stall_cycles})
+        put(f);
+    put(job.m.vanilla_text_bytes);
+    put(job.m.sofia_text_bytes);
+    text += '\n';
+  }
+  EXPECT_EQ(r.jobs.size(), 88u);
+  EXPECT_EQ(support::sha256_hex(text),
+            "271c200f77af8d9f3b9946593ca6820c358fe1da1fd693976b265846cf913254");
 }
 
 }  // namespace
