@@ -12,6 +12,7 @@
 
 #include "driver/sweep.hpp"
 #include "pipeline/pipeline.hpp"
+#include "random_program.hpp"
 #include "sim/cipher_engine.hpp"
 #include "sim_test_util.hpp"
 #include "support/hash.hpp"
@@ -425,7 +426,7 @@ loop:
 
 struct DigestCase {
   std::string label;
-  std::function<RunResult()> run;
+  std::function<RunResult(bool trace)> run;
 };
 
 constexpr char kGatedDispatch[] = R"(
@@ -482,17 +483,14 @@ victim:
 )";
 
 /// The configuration `p`'s device runs with, tracing on or off.
-SimConfig device_config(const pipeline::Pipeline& p, bool trace) {
+SimConfig device_config(bool trace, const pipeline::Pipeline& p) {
   SimConfig cfg = p.effective_sim_config();
   cfg.collect_trace = trace;
   return cfg;
 }
 
-/// Every case runs with tracing on when `trace`, else with it off.
-std::vector<DigestCase> digest_cases(bool trace = true) {
-  const auto traced = [trace](const pipeline::Pipeline& p) {
-    return device_config(p, trace);
-  };
+/// Every case takes whether to run with tracing on.
+std::vector<DigestCase> digest_cases() {
   using pipeline::DeviceProfile;
   using pipeline::Pipeline;
   std::vector<DigestCase> cases;
@@ -511,13 +509,13 @@ std::vector<DigestCase> digest_cases(bool trace = true) {
   const auto add_pair = [&](const std::string& label,
                             std::shared_ptr<Pipeline> p,
                             std::function<void(SimConfig&)> edit) {
-    cases.push_back({label + "/vanilla", [p, edit, traced] {
-                       SimConfig cfg = traced(*p);
+    cases.push_back({label + "/vanilla", [p, edit](bool trace) {
+                       SimConfig cfg = device_config(trace, *p);
                        edit(cfg);
                        return run_image(p->vanilla_image(), cfg);
                      }});
-    cases.push_back({label + "/sofia", [p, edit, traced] {
-                       SimConfig cfg = traced(*p);
+    cases.push_back({label + "/sofia", [p, edit](bool trace) {
+                       SimConfig cfg = device_config(trace, *p);
                        edit(cfg);
                        return run_image(p->hardened().image, cfg);
                      }});
@@ -527,13 +525,15 @@ std::vector<DigestCase> digest_cases(bool trace = true) {
   // Every workload at smoke size: the vanilla core and each scheme.
   for (const auto& wl : workloads::all_workloads()) {
     const auto base = workload(wl.name, DeviceProfile::paper_default());
-    cases.push_back({wl.name + "/vanilla", [base, traced] {
-                       return run_image(base->vanilla_image(), traced(*base));
+    cases.push_back({wl.name + "/vanilla", [base](bool trace) {
+                       return run_image(base->vanilla_image(),
+                                        device_config(trace, *base));
                      }});
     for (const auto& scheme : scheme::scheme_names()) {
       const auto p = workload(wl.name, scheme_profile(scheme));
-      cases.push_back({wl.name + "/" + scheme, [p, traced] {
-                         return run_image(p->hardened().image, traced(*p));
+      cases.push_back({wl.name + "/" + scheme, [p](bool trace) {
+                         return run_image(p->hardened().image,
+                                          device_config(trace, *p));
                        }});
     }
   }
@@ -560,10 +560,10 @@ std::vector<DigestCase> digest_cases(bool trace = true) {
   // Runs that end early: tampering, a fetch fault, a gated-indirect
   // retarget, and a cycle budget that runs out inside an I-cache refill.
   const auto crc = workload("crc32", DeviceProfile::paper_default());
-  cases.push_back({"crc32/tampered", [crc, traced] {
+  cases.push_back({"crc32/tampered", [crc](bool trace) {
                      auto img = crc->hardened().image;
                      img.text[img.text.size() / 2] ^= 1u << 7;
-                     return run_image(img, traced(*crc));
+                     return run_image(img, device_config(trace, *crc));
                    }});
   add_pair("crc32/fetch-fault", crc, [](SimConfig& c) {
     c.fault.enabled = true;
@@ -582,23 +582,24 @@ std::vector<DigestCase> digest_cases(bool trace = true) {
   DeviceProfile flta = scheme_profile("flta");
   const auto dispatch = std::make_shared<Pipeline>(
       Pipeline::from_source(kGatedDispatch, flta, "dispatch"));
-  cases.push_back({"dispatch/flta", [dispatch, traced] {
+  cases.push_back({"dispatch/flta", [dispatch](bool trace) {
                      return run_image(dispatch->hardened().image,
-                                      traced(*dispatch));
+                                      device_config(trace, *dispatch));
                    }});
-  cases.push_back({"dispatch/flta-retarget", [dispatch, traced] {
+  cases.push_back({"dispatch/flta-retarget", [dispatch](bool trace) {
                      // Aim the first dispatch at the second set's target.
                      auto img = dispatch->hardened().image;
                      std::copy_n(img.data.begin() + 8, 4, img.data.begin());
-                     return run_image(img, traced(*dispatch));
+                     return run_image(img, device_config(trace, *dispatch));
                    }});
   // A store into the text, then a second entry of the rewritten block:
   // reset on the bad MAC, or (null) run the garbled instruction.
   for (const std::string scheme : {"sofia-cbcmac", "null"}) {
     const auto smc = std::make_shared<Pipeline>(
         Pipeline::from_source(kSelfModifying, scheme_profile(scheme), "smc"));
-    cases.push_back({"self-modifying/" + scheme, [smc, traced] {
-                       return run_image(smc->hardened().image, traced(*smc));
+    cases.push_back({"self-modifying/" + scheme, [smc](bool trace) {
+                       return run_image(smc->hardened().image,
+                                        device_config(trace, *smc));
                      }});
   }
   return cases;
@@ -704,11 +705,11 @@ const PinnedDigest kPinnedDigests[] = {
 
 /// Run every case and compare its digest with the pinned one; a mismatch
 /// prints the case's new table line.
-void expect_pinned(const std::vector<DigestCase>& cases,
+void expect_pinned(const std::vector<DigestCase>& cases, bool trace,
                    std::span<const PinnedDigest> pinned) {
   ASSERT_EQ(cases.size(), pinned.size());
   for (std::size_t i = 0; i < cases.size(); ++i) {
-    const std::uint64_t got = test::run_digest(cases[i].run());
+    const std::uint64_t got = test::run_digest(cases[i].run(trace));
     char line[96];
     std::snprintf(line, sizeof line, "{\"%s\", 0x%016llxull},",
                   cases[i].label.c_str(),
@@ -719,7 +720,7 @@ void expect_pinned(const std::vector<DigestCase>& cases,
 }
 
 TEST(CycleDigest, EveryRunMatchesTheRecordedDigest) {
-  expect_pinned(digest_cases(), kPinnedDigests);
+  expect_pinned(digest_cases(), true, kPinnedDigests);
 }
 
 // The same runs untraced: the trace is empty, every other number is pinned
@@ -818,7 +819,78 @@ const PinnedDigest kPinnedUntracedDigests[] = {
 };
 
 TEST(CycleDigest, UntracedRunsMatchTheRecordedDigest) {
-  expect_pinned(digest_cases(false), kPinnedUntracedDigests);
+  expect_pinned(digest_cases(), false, kPinnedUntracedDigests);
+}
+
+// ---- untraced runs equal traced runs ----------------------------------------
+//
+// A traced run always takes the per-cycle loop; an untraced one may replay
+// repeated block segments (src/sim/machine.cpp). Both must report the same
+// run: status, reset event, output, exit code, fault and every SimStats
+// field.
+
+std::string stats_line(const SimStats& s) {
+  std::string out;
+  for (const std::uint64_t v :
+       {s.cycles, s.insts, s.nops, s.loads, s.stores, s.branches, s.taken,
+        s.icache_hits, s.icache_misses, s.fetch_words, s.mac_words,
+        s.ctr_ops, s.cbc_ops, s.blocks_fetched, s.mac_verifications,
+        s.store_gate_stalls, s.queue_empty_cycles, s.exec_stall_cycles}) {
+    out += ' ';
+    out += std::to_string(v);
+  }
+  return out;
+}
+
+void expect_same_run(const DigestCase& c) {
+  const RunResult traced = c.run(true);
+  const RunResult untraced = c.run(false);
+  EXPECT_EQ(to_string(traced.status), to_string(untraced.status)) << c.label;
+  EXPECT_EQ(traced.reset.cause, untraced.reset.cause) << c.label;
+  EXPECT_EQ(traced.reset.cycle, untraced.reset.cycle) << c.label;
+  EXPECT_EQ(traced.reset.pc, untraced.reset.pc) << c.label;
+  EXPECT_EQ(traced.output, untraced.output) << c.label;
+  EXPECT_EQ(traced.exit_code, untraced.exit_code) << c.label;
+  EXPECT_EQ(traced.fault, untraced.fault) << c.label;
+  EXPECT_EQ(stats_line(traced.stats), stats_line(untraced.stats)) << c.label;
+}
+
+TEST(CycleBackend, UntracedRunsEqualTracedRuns) {
+  using pipeline::DeviceProfile;
+  using pipeline::Pipeline;
+  // The pinned cases: every workload at smoke size, the front-end and
+  // engine variants, tampering, a fetch fault, two cycle budgets, gated
+  // dispatch and self-modifying text.
+  std::vector<DigestCase> cases = digest_cases();
+  const auto sofia_case = [&](const std::string& label,
+                              std::shared_ptr<Pipeline> p) {
+    cases.push_back({label, [p](bool trace) {
+                       return run_image(p->hardened().image,
+                                        device_config(trace, *p));
+                     }});
+  };
+  // Every workload × scheme at full size.
+  for (const auto& wl : workloads::all_workloads())
+    for (const auto& scheme : scheme::scheme_names()) {
+      DeviceProfile profile = DeviceProfile::paper_default();
+      profile.scheme = scheme;
+      sofia_case(wl.name + "/" + scheme + "/full",
+                 std::make_shared<Pipeline>(Pipeline::from_workload(
+                     wl.name, 1, wl.default_size, profile)));
+    }
+  // Random programs: loops, calls, forward branches and memory traffic.
+  Rng rng(38);
+  for (int seed = 0; seed < 200; ++seed) {
+    const std::string source = test::random_program(rng);
+    for (const auto& scheme : scheme::scheme_names()) {
+      DeviceProfile profile = DeviceProfile::paper_default();
+      profile.scheme = scheme;
+      sofia_case("random " + std::to_string(seed) + "/" + scheme,
+                 std::make_shared<Pipeline>(
+                     Pipeline::from_source(source, profile, "random")));
+    }
+  }
+  for (const DigestCase& c : cases) expect_same_run(c);
 }
 
 // Every job's full SimStats pair, both text sizes and its verdict, over the
