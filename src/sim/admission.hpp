@@ -268,9 +268,12 @@ class BlockCache {
   BlockCache(BlockStore* store, const assembler::LoadImage& image,
              const SimConfig& config);
 
-  /// A store committed at byte address `addr`.
-  void note_store(std::uint32_t addr) {
-    if (std::uint64_t{addr} + 4 > fetch_lo_ && addr < fetch_hi_) stale_ = true;
+  /// A store committed at byte address `addr`; true when it made the front
+  /// cache stale.
+  bool note_store(std::uint32_t addr) {
+    if (std::uint64_t{addr} + 4 <= fetch_lo_ || addr >= fetch_hi_) return false;
+    stale_ = true;
+    return true;
   }
 
   /// The front cache's record for the entry when it can be taken on trust,

@@ -66,8 +66,6 @@ SofiaFetch::SofiaFetch(Core& core, ICache& icache, CipherEngine& engine,
       engine_(engine),
       config_(config),
       blocks_(store, image, config),
-      schedules_(config.cipher.pipelined ? std::size_t{1} << kScheduleBits
-                                         : 0),
       staged_(2 + config.policy.words_per_block) {
   process_block(image.entry / 4, image.entry_prev, 0);
 }
@@ -84,15 +82,17 @@ void SofiaFetch::redirect(std::uint32_t target, const FetchedInst& from,
   // pass the target-set check. Under any other scheme an indirect jump's
   // dynamic prevPC simply garbles the target block (an indirect jump the
   // toolchain did not devirtualize).
-  if (from.gated) pending_entry_check_ = from.exit_label;
-  process_block(target / 4,
-                from.gated ? assembler::kIndirectPrevWord : from.pc / 4, cycle);
+  cont_ = {target / 4, from.gated ? assembler::kIndirectPrevWord : from.pc / 4,
+           cycle,
+           from.gated ? std::optional<std::uint8_t>(from.exit_label)
+                      : std::nullopt};
+  due_ = true;
 }
 
 void SofiaFetch::process_block(std::uint32_t target_word, std::uint32_t prev_word,
                                std::uint64_t entry_cycle) {
   const std::optional<std::uint8_t> pending =
-      std::exchange(pending_entry_check_, std::nullopt);
+      std::exchange(cont_.pending, std::nullopt);
   if (reset_) return;
   const std::uint32_t b = config_.policy.words_per_block;
   ++blocks;
@@ -140,9 +140,9 @@ void SofiaFetch::process_block(std::uint32_t target_word, std::uint32_t prev_wor
     staged_.back().fetch_redirected = true;
     const std::uint32_t target =
         (base_word + b - 1) + static_cast<std::uint32_t>(staged_.back().inst.imm);
-    next_block_word_ = target;
-    cont_prev_word_ = base_word + b - 1;
-    cont_cycle_ = std::max(timing_.fetch_cursor, exit_decoded);
+    cont_.target_word = target;
+    cont_.prev_word = base_word + b - 1;
+    cont_.cycle = std::max(timing_.fetch_cursor, exit_decoded);
   } else if (exit_op == isa::Opcode::kJalr || exit_op == isa::Opcode::kHalt) {
     // A gating scheme's indirect exit carries the block's exit label.
     if (adm.gate_indirect && isa::is_indirect_jump(staged_.back().inst)) {
@@ -151,9 +151,9 @@ void SofiaFetch::process_block(std::uint32_t target_word, std::uint32_t prev_wor
     }
     waiting_ = true;
   } else {
-    next_block_word_ = base_word + b;
-    cont_prev_word_ = base_word + b - 1;
-    cont_cycle_ = timing_.fetch_cursor;
+    cont_.target_word = base_word + b;
+    cont_.prev_word = base_word + b - 1;
+    cont_.cycle = timing_.fetch_cursor;
   }
 }
 
@@ -167,80 +167,17 @@ const Admission& SofiaFetch::admit_timed(std::uint32_t target_word,
   return rec->adm;
 }
 
-std::optional<std::uint64_t> SofiaFetch::schedule_key(
-    const scheme::EntryPath& path, std::uint64_t entry_cycle) const {
-  const auto ahead = [&](CipherEngine::Op op) -> std::uint64_t {
-    const std::uint64_t slot = engine_.next_slot(op);
-    return slot > entry_cycle ? slot - entry_cycle : 0;
-  };
-  // The non-alternating engine has one slot for both classes and no
-  // parity.
-  const bool alternate = config_.cipher.alternate;
-  const std::uint64_t ctr = ahead(CipherEngine::Op::kCtr);
-  const std::uint64_t cbc = alternate ? ahead(CipherEngine::Op::kCbc) : 0;
-  constexpr std::uint64_t kSlotLimit = std::uint64_t{1} << 28;
-  if (ctr >= kSlotLimit || cbc >= kSlotLimit) return std::nullopt;
-  const std::uint64_t parity = alternate ? entry_cycle & 1 : 0;
-  return path.offset | parity << 2 | ctr << 3 | cbc << 31;
-}
-
 void SofiaFetch::time_entry(std::uint32_t base_word,
                             const scheme::DeviceBlock& dev,
                             const scheme::EntryPath& path,
                             std::uint64_t entry_cycle) {
-  using Op = CipherEngine::Op;
-  constexpr Op kOps[2] = {Op::kCtr, Op::kCbc};
   ctr_ops += dev.decrypt_ops.size();
   cbc_ops += dev.verify_ops.size();
   mac_words_seen += dev.header_words;
   if (dev.performs_verify) ++verifications;
-  // Verification without any verify work completes at cycle 1 whatever
-  // the entry cycle (see replay_timed), so it is kept absolute.
-  const bool verify_work =
-      !dev.verify_ops.empty() || !dev.verify_extra_words.empty();
-
-  const bool resident = icache_.hit_all(base_word, path.sched);
-  std::optional<std::uint64_t> key;
-  if (resident && config_.cipher.pipelined)
-    key = schedule_key(path, entry_cycle);
-  Schedule* fresh = nullptr;  // a new key's slot, filled below
-  if (key) {
-    Schedule& kept =
-        schedules_[(*key * 0x9E3779B97F4A7C15ull) >> (64 - kScheduleBits)];
-    if (kept.key == *key) {
-      timing_.fetch_cursor = entry_cycle + kept.fetch_cursor;
-      timing_.decrypt_done.assign(config_.policy.words_per_block, 0);
-      for (const std::uint32_t j : path.sched)
-        timing_.decrypt_done[j] = entry_cycle + kept.decrypt_done[j];
-      timing_.verify_cycle =
-          verify_work ? entry_cycle + kept.verify_cycle : kept.verify_cycle;
-      for (int c = 0; c < 2; ++c)
-        if (kept.moves[c])
-          engine_.set_next_slot(kOps[c], entry_cycle + kept.next_slot[c]);
-    } else {
-      kept.key = *key;
-      fresh = &kept;
-    }
-  }
-  if (!key || fresh) {
-    const std::uint64_t before[2] = {engine_.next_slot(kOps[0]),
-                                     engine_.next_slot(kOps[1])};
-    fetch_timed(base_word, path, entry_cycle, resident);
-    replay_timed(dev, path, entry_cycle);
-    if (fresh) {
-      fresh->fetch_cursor = timing_.fetch_cursor - entry_cycle;
-      fresh->decrypt_done.assign(config_.policy.words_per_block, 0);
-      for (const std::uint32_t j : path.sched)
-        fresh->decrypt_done[j] = timing_.decrypt_done[j] - entry_cycle;
-      fresh->verify_cycle = verify_work ? timing_.verify_cycle - entry_cycle
-                                        : timing_.verify_cycle;
-      for (int c = 0; c < 2; ++c) {
-        const std::uint64_t after = engine_.next_slot(kOps[c]);
-        fresh->moves[c] = after != before[c];
-        fresh->next_slot[c] = after - entry_cycle;
-      }
-    }
-  }
+  fetch_timed(base_word, path, entry_cycle,
+              icache_.hit_all(base_word, path.sched));
+  replay_timed(dev, path, entry_cycle);
   // An unauthenticated scheme never gates stores (there is no
   // verification to wait for).
   timing_.store_gate =

@@ -27,15 +27,13 @@
 //    from. Opener::open depends on nothing else, so reuse is bit-identical,
 //    and a tampered, faulted or self-modified block is opened afresh.
 //
-//    The timing of an entry is reused as well. On a pipelined engine,
-//    with every I-cache line of the entry path resident, the fetch,
-//    decrypt, verify and engine schedule relative to the entry cycle is a
-//    pure function of the entry path (the scheme's op lists depend on
-//    nothing else), the entry cycle's parity and the engine's free slots
-//    relative to the entry cycle. Each run keeps those schedules by that
-//    key. A cache miss, a new key or an iterative engine (whose op history
-//    is state) times the entry afresh, so timing and counters are
-//    unchanged.
+//    Past the image's entry, which the constructor makes, SofiaFetch
+//    never enters a block on its own: when fetch wants the next block
+//    (run-ahead or a redirect) it leaves the entry due(), and the machine
+//    makes it with enter_due(). Between those two calls the
+//    machine may replay whole segments from its memo instead
+//    (src/sim/machine.cpp); continuation(), staged() and resume() are the
+//    front end's part of the state the memo keys on and restores.
 //
 // Both read raw words through sim::Core::fetch (the one fault-injection
 // point) and deliver FetchedInst records tagged with the cycle the
@@ -96,6 +94,10 @@ class Ring {
   bool empty() const { return head_ == tail_; }
   std::size_t size() const { return tail_ - head_; }
   T& front() { return slots_[head_ & mask()]; }
+  /// The i-th element from the front.
+  const T& operator[](std::size_t i) const {
+    return slots_[(head_ + i) & mask()];
+  }
   T& back() { return slots_[(tail_ - 1) & mask()]; }
   void push_back(const T& value) {
     assert(size() < slots_.size());
@@ -120,6 +122,9 @@ struct FetchCounters {
   std::uint64_t cbc_ops = 0;
   std::uint64_t blocks = 0;
   std::uint64_t verifications = 0;
+
+  friend bool operator==(const FetchCounters&,
+                         const FetchCounters&) = default;
 };
 
 // Both front ends offer:
@@ -178,16 +183,55 @@ class SofiaFetch : public FetchCounters {
     // Run ahead into the next block once the current one has drained
     // enough: a small stage buffer keeps at most ~2 blocks in flight, like
     // a fetch queue would.
-    if (!waiting_ && !reset_ && staged_.size() <= 2 && cycle >= cont_cycle_)
-      process_block(next_block_word_, cont_prev_word_, cont_cycle_);
+    if (!waiting_ && !reset_ && staged_.size() <= 2 && cycle >= cont_.cycle)
+      due_ = true;
     return std::nullopt;
   }
+  /// Leaves the target's entry due().
   void redirect(std::uint32_t target, const FetchedInst& from,
                 std::uint64_t cycle);
   const std::optional<ResetEvent>& reset() const { return reset_; }
 
+  /// Where fetch continues: the next block entry, the cycle it starts at
+  /// and, after a gated transfer, the exit label the entry must carry.
+  struct Continuation {
+    std::uint32_t target_word = 0;
+    std::uint32_t prev_word = 0;
+    std::uint64_t cycle = 0;
+    std::optional<std::uint8_t> pending;
+  };
+
+  /// A block entry (the continuation) is due; enter_due() makes it.
+  bool due() const { return due_; }
+  void enter_due() {
+    due_ = false;
+    const Continuation c = cont_;
+    process_block(c.target_word, c.prev_word, c.cycle);
+  }
+  const Continuation& continuation() const { return cont_; }
+  /// Decoded deliveries not yet handed to the fetch queue.
+  Ring<FetchedInst>& staged() { return staged_; }
+  const Ring<FetchedInst>& staged() const { return staged_; }
+  /// Make `c` the due entry, as a redirect to it would.
+  void resume(const Continuation& c) {
+    cont_ = c;
+    waiting_ = false;
+    due_ = true;
+  }
+  /// The due entry was opened earlier in the run and can be taken on
+  /// trust (BlockCache::trusted), so it fetches and opens nothing.
+  bool entry_known() {
+    return blocks_.trusted(cont_.target_word, cont_.prev_word, core_) !=
+           nullptr;
+  }
+  /// The fetch schedule of an entry at `target_word` (null: invalid offset).
+  const scheme::EntryPath* path_of(std::uint32_t target_word) const {
+    return blocks_.path_of(target_word);
+  }
+
   /// A store committed at byte address `addr` (see BlockCache::trusted).
-  void note_store(std::uint32_t addr) { blocks_.note_store(addr); }
+  /// True when it hit words fetch reads, so opened blocks went stale.
+  bool note_store(std::uint32_t addr) { return blocks_.note_store(addr); }
 
  private:
   /// When the words of one opened block become available.
@@ -213,8 +257,8 @@ class SofiaFetch : public FetchCounters {
                                std::uint32_t prev_word,
                                std::uint64_t entry_cycle);
 
-  /// Time the entry of the block at `base_word` along `path`: from a kept
-  /// Schedule when one applies, else by fetch_timed() and replay_timed().
+  /// Time the entry of the block at `base_word` along `path`: its I-cache
+  /// fetch, the cipher ops on the engine and the store gate.
   void time_entry(std::uint32_t base_word, const scheme::DeviceBlock& dev,
                   const scheme::EntryPath& path, std::uint64_t entry_cycle);
 
@@ -227,39 +271,11 @@ class SofiaFetch : public FetchCounters {
   void replay_timed(const scheme::DeviceBlock& dev,
                     const scheme::EntryPath& path, std::uint64_t entry_cycle);
 
-  /// An entry's timing relative to its entry cycle, with every line of its
-  /// path resident on a pipelined engine (see the file comment).
-  struct Schedule {
-    static constexpr std::uint64_t kNoKey = ~0ull;
-    std::uint64_t key = kNoKey;  ///< schedule_key() it was timed under
-    std::uint64_t fetch_cursor = 0;
-    std::uint64_t verify_cycle = 0;
-    std::vector<std::uint64_t> decrypt_done;  ///< per block word on the path
-    /// Per op class: whether the entry's ops moved the engine's next free
-    /// slot, and where to (an op starts at or after the entry cycle, so a
-    /// moved slot lies past it).
-    bool moves[2] = {false, false};
-    std::uint64_t next_slot[2] = {0, 0};
-  };
-
-  /// The Schedule key of an entry along `path` at `entry_cycle`: the entry
-  /// offset, the entry cycle's parity and the engine's free slots relative
-  /// to the entry cycle, clamped at 0 (every op is ready at or after the
-  /// entry cycle, so an earlier slot delays nothing). Null when a slot lies
-  /// too far ahead to pack.
-  std::optional<std::uint64_t> schedule_key(const scheme::EntryPath& path,
-                                            std::uint64_t entry_cycle) const;
-
   Core& core_;
   ICache& icache_;
   CipherEngine& engine_;
   const SimConfig& config_;
   BlockCache blocks_;
-  /// Kept schedules, direct-mapped by a multiplicative hash of the key; a
-  /// key whose slot another holds is timed afresh and takes the slot. A
-  /// paper-sweep run meets a few dozen keys.
-  static constexpr unsigned kScheduleBits = 8;
-  std::vector<Schedule> schedules_;
 
   // Per-entry scratch, reused across entries.
   BlockTiming timing_;
@@ -269,15 +285,11 @@ class SofiaFetch : public FetchCounters {
   /// Decoded, time-stamped deliveries: the at most 2 left when the next
   /// block is processed plus that block's slots.
   Ring<FetchedInst> staged_;
-  bool waiting_ = false;            ///< stopped at an indirect exit / halt
-  std::uint32_t next_block_word_ = 0;  ///< continuation target (word addr)
-  std::uint32_t cont_prev_word_ = 0;   ///< prev word for the continuation
-  std::uint64_t cont_cycle_ = 0;       ///< earliest continuation cycle
+  bool waiting_ = false;  ///< stopped at an indirect exit / halt
+  bool due_ = false;      ///< the continuation's entry is due
+  /// The next entry; a gated redirect's label is consumed by process_block.
+  Continuation cont_;
   std::optional<ResetEvent> reset_;
-
-  /// Set by an indirect redirect: the source exit label the next opened
-  /// block's entry label must equal (consumed by process_block).
-  std::optional<std::uint8_t> pending_entry_check_;
 };
 
 }  // namespace sofia::sim

@@ -23,13 +23,21 @@ class ICache {
   /// would, and return true. Otherwise change nothing and return false.
   /// Checks each line once, not each word.
   bool hit_all(std::uint32_t base_word, std::span<const std::uint32_t> words) {
+    if (!resident(base_word, words)) return false;
+    hits_ += words.size();
+    return true;
+  }
+
+  /// Whether every line holding a word `base_word + j` (j in `words`,
+  /// ascending) is resident; changes nothing.
+  bool resident(std::uint32_t base_word,
+                std::span<const std::uint32_t> words) const {
     const std::uint32_t first = ((base_word + words.front()) * 4) >> line_bits_;
     const std::uint32_t last = ((base_word + words.back()) * 4) >> line_bits_;
     if (last < first) return false;  // wraps past the top of memory
     for (std::uint32_t line = first; line <= last; ++line)
       if (tags_[line & (num_lines_ - 1)] != std::uint64_t{line} + 1)
         return false;
-    hits_ += words.size();
     return true;
   }
 

@@ -23,7 +23,11 @@ class BlockStore;
 /// tests and the cipher microbench are expected here.
 ///
 /// `store`, when given, holds opened blocks that outlive the run
-/// (sim/admission.hpp); it never changes the result.
+/// (sim/admission.hpp); it never changes the result. Neither does tracing,
+/// although an untraced SOFIA run replays repeated block segments from a
+/// per-run memo instead of stepping their cycles (machine.cpp). Throws
+/// sofia::Error for a configuration no run can make progress under (a
+/// zero-entry fetch queue).
 RunResult run_image(const assembler::LoadImage& image, const SimConfig& config,
                     BlockStore* store = nullptr);
 

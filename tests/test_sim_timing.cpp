@@ -15,6 +15,7 @@
 #include "random_program.hpp"
 #include "sim/cipher_engine.hpp"
 #include "sim_test_util.hpp"
+#include "support/error.hpp"
 #include "support/hash.hpp"
 #include "workloads/workloads.hpp"
 
@@ -285,6 +286,24 @@ TEST(EngineConfig, HigherLatencyCostsCycles) {
     EXPECT_GT(run.stats.cycles, prev) << latency;
     prev = run.stats.cycles;
   }
+}
+
+TEST(FetchQueue, AnEmptyQueueIsRejectedUpFront) {
+  // With no queue entry nothing could ever issue: both front ends would
+  // burn the whole cycle budget.
+  const std::string src = "main:\n  li r1, 1\n  halt\n";
+  const auto keys = test_keys();
+  auto sofia = sofia_config(keys);
+  sofia.fetch_queue = 0;
+  EXPECT_THROW(run_image(transform_source(src, keys).image, sofia), Error);
+  auto vanilla = test::vanilla_config();
+  vanilla.fetch_queue = 0;
+  EXPECT_THROW(
+      run_image(assembler::link_vanilla(assembler::assemble(src)), vanilla),
+      Error);
+  // One entry is enough.
+  sofia.fetch_queue = 1;
+  EXPECT_TRUE(run_image(transform_source(src, keys).image, sofia).ok());
 }
 
 TEST(FetchWidth, NarrowFetchNeverFaster) {
@@ -855,6 +874,62 @@ void expect_same_run(const DigestCase& c) {
   EXPECT_EQ(stats_line(traced.stats), stats_line(untraced.stats)) << c.label;
 }
 
+// The same store every iteration, into a data word until iteration 9,
+// which flips a bit of `victim`'s first text word; every iteration then
+// calls victim. The loop repeats its timing, so the store into the text
+// comes while earlier iterations are being replayed.
+constexpr char kLateTextStore[] = R"(
+main:
+  li r1, 0
+  la r2, slot
+  la r3, victim
+  lw r4, 0(r3)
+  xori r4, r4, 1
+  sub r5, r3, r2
+loop:
+  xori r6, r1, 9
+  sltiu r6, r6, 1
+  mul r7, r5, r6
+  add r7, r2, r7
+  sw r4, 0(r7)
+  call victim
+  addi r1, r1, 1
+  li r6, 16
+  blt r1, r6, loop
+  li r6, 0xFFFF0008
+  sw r8, 0(r6)
+  halt
+victim:
+  addi r8, r8, 1
+  ret
+.data
+slot: .word 0
+)";
+
+/// A loop that calls `f` from one site. On odd iterations f loads r just
+/// before its return; on even ones it branches past the load to the same
+/// return. So the two returns enter the return site in states that differ
+/// only in r's ready time, and the return site reads r at once.
+std::string pending_load_program(unsigned r) {
+  std::vector<std::string> helpers;
+  for (unsigned h = 1; helpers.size() < 5; ++h)
+    if (h != r) helpers.push_back("r" + std::to_string(h));
+  const std::string& count = helpers[0];
+  const std::string& limit = helpers[1];
+  const std::string& odd = helpers[2];
+  const std::string& sum = helpers[3];
+  const std::string& base = helpers[4];
+  std::string reg = "r";
+  reg += std::to_string(r);
+  return "main:\n  li " + count + ", 0\n  li " + limit + ", 16\n  la " +
+         base + ", buf\nloop:\n  andi " + odd + ", " + count +
+         ", 1\n  call f\n  add " + sum + ", " + sum + ", " + reg +
+         "\n  addi " + count + ", " + count + ", 1\n  blt " + count + ", " +
+         limit + ", loop\n  li " + limit + ", 0xFFFF0008\n  sw " + sum +
+         ", 0(" + limit + ")\n  halt\nf:\n  beqz " + odd + ", skip\n  lw " +
+         reg + ", 0(" + base + ")\nskip:\n  ret\n.data\nbuf: .word 3\n";
+}
+
 TEST(CycleBackend, UntracedRunsEqualTracedRuns) {
   using pipeline::DeviceProfile;
   using pipeline::Pipeline;
@@ -890,6 +965,42 @@ TEST(CycleBackend, UntracedRunsEqualTracedRuns) {
                      Pipeline::from_source(source, profile, "random")));
     }
   }
+  // A store into the text while the loop is replayed: the run must go on
+  // cycle by cycle and see the rewritten block.
+  for (const auto& scheme : scheme::scheme_names()) {
+    DeviceProfile profile = DeviceProfile::paper_default();
+    profile.scheme = scheme;
+    sofia_case("late-text-store/" + scheme,
+               std::make_shared<Pipeline>(
+                   Pipeline::from_source(kLateTextStore, profile, "late")));
+  }
+  // A long load latency keeps results pending across block entries: in
+  // pending_load_program(r) two paths reach one return that differ only in
+  // r's ready time, and for the random programs many entry states hold a
+  // pending result.
+  const auto slow = [&](const std::string& label,
+                        std::shared_ptr<Pipeline> p) {
+    cases.push_back({label + "/load-latency40", [p](bool trace) {
+                       SimConfig cfg = device_config(trace, *p);
+                       cfg.load_latency = 40;
+                       return run_image(p->hardened().image, cfg);
+                     }});
+  };
+  for (const unsigned r : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u, 11u,
+                           12u, isa::kRegSp})
+    for (const auto& scheme : scheme::scheme_names()) {
+      DeviceProfile profile = DeviceProfile::paper_default();
+      profile.scheme = scheme;
+      slow("pending r" + std::to_string(r) + "/" + scheme,
+           std::make_shared<Pipeline>(Pipeline::from_source(
+               pending_load_program(r), profile, "pending")));
+    }
+  Rng slow_rng(7);
+  for (int seed = 0; seed < 100; ++seed)
+    slow("random " + std::to_string(seed),
+         std::make_shared<Pipeline>(Pipeline::from_source(
+             test::random_program(slow_rng), DeviceProfile::paper_default(),
+             "random")));
   for (const DigestCase& c : cases) expect_same_run(c);
 }
 

@@ -228,7 +228,16 @@ TEST_F(Tools, StatsFlagPrintsCounters) {
               &code);
   const auto run_out = run_command(
       std::string(SOFIA_RUN_BIN) + " --stats " + img_, &code);
-  EXPECT_NE(run_out.find("verifications="), std::string::npos) << run_out;
+  // Every SimStats counter is printed, the timing and front-end ones too.
+  for (const char* name :
+       {"insts=", "nops=", "loads=", "stores=", "branches=", "taken=",
+        " hits ", " misses;", "blocks=", "verifications=", "ctr=", "cbc=",
+        "gate-stalls=", "fetch-words=", "mac-words=", "queue-empty=",
+        "exec-stalls="})
+    EXPECT_NE(run_out.find(name), std::string::npos) << name << "\n" << run_out;
+  // A SOFIA run delivers words and consumes MAC words.
+  EXPECT_EQ(run_out.find("fetch-words=0 "), std::string::npos) << run_out;
+  EXPECT_EQ(run_out.find("mac-words=0 "), std::string::npos) << run_out;
 }
 
 TEST_F(Tools, ReportRunsHealthy) {

@@ -81,6 +81,12 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(s.ctr_ops),
                   static_cast<unsigned long long>(s.cbc_ops),
                   static_cast<unsigned long long>(s.store_gate_stalls));
+      std::printf("fetch-words=%llu mac-words=%llu queue-empty=%llu "
+                  "exec-stalls=%llu\n",
+                  static_cast<unsigned long long>(s.fetch_words),
+                  static_cast<unsigned long long>(s.mac_words),
+                  static_cast<unsigned long long>(s.queue_empty_cycles),
+                  static_cast<unsigned long long>(s.exec_stall_cycles));
     }
     return run.ok() ? (run.status == sim::RunResult::Status::kExited
                            ? run.exit_code
