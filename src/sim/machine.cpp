@@ -171,27 +171,16 @@ struct Node {
   std::uint32_t max_issued = 0;
   std::uint64_t max_span = 0;
 
-  /// The edge that ends after `issued` instructions with `effect`.
+  /// The edge that ends after `issued` instructions with `effect`, which
+  /// does not continue in sequence.
   const Edge* find(std::uint32_t issued, const Effect& effect) const {
-    for (const Edge& e : edges) {
-      if (e.issued != issued) continue;
-      switch (e.end) {
-        case End::kEntry: break;
-        case End::kRedirect:
-          if (effect.kind == Effect::Kind::kTaken && effect.target == e.target)
-            return &e;
-          break;
-        case End::kHalt:
-          if (effect.kind == Effect::Kind::kHalt) return &e;
-          break;
-        case End::kExit:
-          if (effect.kind == Effect::Kind::kExit) return &e;
-          break;
-        case End::kFault:
-          if (effect.kind == Effect::Kind::kFault) return &e;
-          break;
-      }
-    }
+    const End end = effect.kind == Effect::Kind::kTaken  ? End::kRedirect
+                    : effect.kind == Effect::Kind::kHalt ? End::kHalt
+                    : effect.kind == Effect::Kind::kExit ? End::kExit
+                                                         : End::kFault;
+    const std::uint32_t target = end == End::kRedirect ? effect.target : 0;
+    for (const Edge& e : edges)
+      if (e.issued == issued && e.end == end && e.target == target) return &e;
     return nullptr;
   }
 
@@ -205,6 +194,7 @@ struct Node {
         return;
       }
     if (edge.end == End::kEntry) {
+      assert(entry_issued == kNoEntry);  // continuing, a segment is fixed
       entry_issued = edge.issued;
       entry_edge = edges.size();
     }
