@@ -211,7 +211,6 @@ class SofiaFetch : public FetchCounters {
   const Continuation& continuation() const { return cont_; }
   /// Decoded deliveries not yet handed to the fetch queue.
   Ring<FetchedInst>& staged() { return staged_; }
-  const Ring<FetchedInst>& staged() const { return staged_; }
   /// Make `c` the due entry, as a redirect to it would.
   void resume(const Continuation& c) {
     cont_ = c;
